@@ -4,19 +4,18 @@ brackets on loop spaces.
 
 All arithmetic is exact over Q: scalars are quasi-polynomials (polynomials
 in the coordinates and in declared exponentials of coordinates) or
-quotients of such, and every geometric identity is certified either by
-exact normal-form comparison or by seeded rational sampling.
+quotients of such, and every geometric identity is certified by exact
+normal-form comparison.
 """
 
 from .errors import FlatPencilError, ParseError
 from .exprparse import parse_expr, parse_rational
 from .frobenius import FrobeniusData, StructureConstants
 from .geometry import Connection, ContraMetric, Curvature, PencilData, VectorField
-from .identity import Checker, SamplePoint, ZeroCertificate, is_zero_identity
+from .identity import ZeroCertificate, is_zero_identity
 from .qpoly import QPoly, RatFunc
 
 __all__ = [
-    "Checker",
     "Connection",
     "ContraMetric",
     "Curvature",
@@ -26,7 +25,6 @@ __all__ = [
     "PencilData",
     "QPoly",
     "RatFunc",
-    "SamplePoint",
     "StructureConstants",
     "VectorField",
     "ZeroCertificate",

@@ -14,9 +14,8 @@ Subcommands
 
 Exit codes: 0 all certificates pass, 1 certificate failure, 2 usage error,
 3 malformed input (parse errors carry line/column).  Reports are printed as
-text and, with --out DIR, written as canonical JSON; identical inputs and
-seed produce byte-identical report files.  --fast switches the zero tests
-to seeded random sampling and requires --seed.
+text and, with --out DIR, written as canonical JSON; identical inputs
+produce byte-identical report files.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .frobenius import (
     unity_scaling_certificate,
 )
 from .geometry import check_flat_pencil, check_quasihomogeneous
-from .identity import Checker
 from .loopspace import (
     Density,
     bracket_from_metric,
@@ -62,8 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--fast", action="store_true", help="sampled zero tests (needs --seed)")
-        p.add_argument("--seed", type=int, default=None, help="seed for sampled mode")
         p.add_argument("--out", type=Path, default=None, help="directory for JSON artifacts")
         p.add_argument("--timings", action="store_true", help="include wall-clock timing in the report")
 
@@ -83,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cox = sub.add_parser("coxeter", help="type-A orbit space pencil")
     cox.add_argument("--type", dest="group_type", default="A", help="Coxeter type (only A)")
-    cox.add_argument("--rank", type=int, required=True)
+    cox.add_argument("--rank", type=int, required=True, choices=range(1, 5))
     common(cox)
 
     br = sub.add_parser("bracket", help="loop-space brackets")
@@ -99,22 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def make_checker(args) -> Checker:
-    if args.fast:
-        if args.seed is None:
-            print("error: --fast requires --seed", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-        return Checker("sampled", seed=args.seed)
-    return Checker("exact")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    checker = make_checker(args)
     started = time.monotonic()
     try:
-        report, extra, outputs = dispatch(args, checker)
+        report, extra, outputs = dispatch(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -152,8 +138,8 @@ def run_report_json(args, report: Report, extra: dict, outputs: list[str], elaps
         "schema": pencilio.SCHEMA,
         "command": command_slug(args),
         "inputs": input_digests(args),
-        "mode": "sampled" if args.fast else "exact",
-        "seed": args.seed,
+        "mode": "exact",
+        "seed": None,
         "certificates": [
             {
                 "name": c.name,
@@ -185,7 +171,7 @@ def read_input(path: Path) -> str:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
 
 
-def dispatch(args, checker: Checker):
+def dispatch(args):
     handler = {
         ("frobenius", "check"): cmd_frobenius_check,
         ("frobenius", "pencil"): cmd_frobenius_pencil,
@@ -198,12 +184,12 @@ def dispatch(args, checker: Checker):
         ("bracket", "recurse"): cmd_bracket_recurse,
         ("bracket", "central-charge"): cmd_bracket_central_charge,
     }[(args.command, getattr(args, "subcommand", None))]
-    return handler(args, checker)
+    return handler(args)
 
 
-def frobenius_report(m, checker: Checker) -> tuple[Report, dict]:
+def frobenius_report(m) -> tuple[Report, dict]:
     report = Report()
-    report.add(check_wdvv(m, checker))
+    report.add(check_wdvv(m))
     extra = {}
     try:
         a_mat, b_vec, c_val = check_quasihomogeneity(m)
@@ -217,21 +203,21 @@ def frobenius_report(m, checker: Checker) -> tuple[Report, dict]:
     return report, extra
 
 
-def cmd_frobenius_check(args, checker):
+def cmd_frobenius_check(args):
     m = pencilio.load_frobenius(read_input(args.input))
-    report, extra = frobenius_report(m, checker)
+    report, extra = frobenius_report(m)
     return report, extra, []
 
 
-def cmd_frobenius_pencil(args, checker):
+def cmd_frobenius_pencil(args):
     m = pencilio.load_frobenius(read_input(args.input))
-    report, extra = frobenius_report(m, checker)
+    report, extra = frobenius_report(m)
     outputs = []
     if report.passed:
-        pencil = to_flat_pencil(m, checker)
-        for cert in check_flat_pencil(pencil, checker).certificates:
+        pencil = to_flat_pencil(m)
+        for cert in check_flat_pencil(pencil).certificates:
             report.add(cert)
-        qh = check_quasihomogeneous(pencil, checker)
+        qh = check_quasihomogeneous(pencil)
         for cert in qh.certificates:
             report.add(cert)
         extra["degree-d"] = qh.d
@@ -247,24 +233,24 @@ def cmd_frobenius_pencil(args, checker):
     return report, extra, outputs
 
 
-def cmd_pencil_check(args, checker):
+def cmd_pencil_check(args):
     pencil, _gens = pencilio.load_pencil(read_input(args.input))
-    report = check_flat_pencil(pencil, checker)
+    report = check_flat_pencil(pencil)
     extra = {}
     if pencil.tau is not None:
-        qh = check_quasihomogeneous(pencil, checker)
+        qh = check_quasihomogeneous(pencil)
         for cert in qh.certificates:
             report.add(cert)
         extra["degree-d"] = qh.d
     return report, extra, []
 
 
-def cmd_pencil_reconstruct(args, checker):
+def cmd_pencil_reconstruct(args):
     pencil, _gens = pencilio.load_pencil(read_input(args.input))
-    for cert in check_flat_pencil(pencil, checker).certificates:
+    for cert in check_flat_pencil(pencil).certificates:
         if cert.status == reports.FAIL:
             raise InputFormatError(f"input is not a flat pencil: {cert.name}: {cert.witness}")
-    result = reconstruct_frobenius(pencil, checker)
+    result = reconstruct_frobenius(pencil)
     extra = {
         "mode": result.mode,
         "degree-d": result.frobenius.d,
@@ -279,11 +265,11 @@ def cmd_pencil_reconstruct(args, checker):
     return result.report, extra, outputs
 
 
-def cmd_coxeter(args, checker):
+def cmd_coxeter(args):
     if args.group_type != "A":
         print(f"error: unsupported Coxeter type {args.group_type!r} (only A)", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-    bundle, recon = coxeter_pencil(args.rank, checker)
+    bundle, recon = coxeter_pencil(args.rank)
     extra = {
         "degree-d": bundle.d,
         "coxeter-number": bundle.chart.h,
@@ -303,17 +289,15 @@ def cmd_coxeter(args, checker):
     return bundle.report, extra, outputs
 
 
-def cmd_bracket_emit(args, checker):
+def cmd_bracket_emit(args):
     pencil, gens = pencilio.load_pencil(read_input(args.input))
     report = Report()
     extra = {}
     outputs = []
     brackets = {}
     for tag, metric in (("bracket1", pencil.g1), ("bracket2", pencil.g2)):
-        bracket = bracket_from_metric(metric, checker)
-        report.add(
-            Certificate(f"{tag}-flatness", reports.PASS, mode=checker.mode)
-        )
+        bracket = bracket_from_metric(metric)
+        report.add(Certificate(f"{tag}-flatness", reports.PASS))
         report.add(
             Certificate(
                 f"{tag}-degree-one",
@@ -341,22 +325,22 @@ def cmd_bracket_emit(args, checker):
     return report, extra, outputs
 
 
-def cmd_bracket_compat(args, checker):
+def cmd_bracket_compat(args):
     pencil, _gens = pencilio.load_pencil(read_input(args.input))
-    b1 = bracket_from_metric(pencil.g1, checker)
-    b2 = bracket_from_metric(pencil.g2, checker)
-    report = check_compatibility(b1, b2, checker)
+    b1 = bracket_from_metric(pencil.g1)
+    b2 = bracket_from_metric(pencil.g2)
+    report = check_compatibility(b1, b2)
     return report, {}, []
 
 
-def cmd_bracket_virasoro(args, checker):
+def cmd_bracket_virasoro(args):
     m = pencilio.load_frobenius(read_input(args.input))
-    pencil = to_flat_pencil(m, checker)
-    report = virasoro_check(m, pencil, checker)
+    pencil = to_flat_pencil(m)
+    report = virasoro_check(m, pencil)
     return report, {"degree-d": m.d}, []
 
 
-def cmd_bracket_recurse(args, checker):
+def cmd_bracket_recurse(args):
     pencil, _gens = pencilio.load_pencil(read_input(args.input))
     if args.steps < 1:
         print("error: --steps must be >= 1", file=sys.stderr)
@@ -367,9 +351,9 @@ def cmd_bracket_recurse(args, checker):
         h = Density(QPoly.var(pencil.n, alpha))
         densities[f"{alpha + 1},0"] = str(h.h)
         for step in range(1, args.steps + 1):
-            h = recursion_step(pencil, h, checker)
+            h = recursion_step(pencil, h)
             densities[f"{alpha + 1},{step}"] = str(h.h)
-    report.add(Certificate("recursion-integrable", reports.PASS, mode=checker.mode))
+    report.add(Certificate("recursion-integrable", reports.PASS))
     outputs = []
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
@@ -380,7 +364,7 @@ def cmd_bracket_recurse(args, checker):
     return report, {"steps": args.steps}, outputs
 
 
-def cmd_bracket_central_charge(args, checker):
+def cmd_bracket_central_charge(args):
     m = pencilio.load_frobenius(read_input(args.input))
     result = central_charge(m, coxeter_rank=args.coxeter_rank)
     report = Report()

@@ -36,7 +36,6 @@ from .geometry import (
     is_flat,
     levi_civita,
 )
-from .identity import Checker, EXACT
 from .linalg import exact_linsolve, nullspace, sym_det
 from .qpoly import QPoly
 from .reconstruction import ReconstructionResult, reconstruct_frobenius
@@ -217,7 +216,7 @@ def fields_and_tau(chart: OrbitChart) -> tuple[VectorField, VectorField, QPoly]:
     return e_big, e_unit, tau
 
 
-def saito_metric(chart: OrbitChart, g1: ContraMetric, e: VectorField, checker: Checker = EXACT) -> ContraMetric:
+def saito_metric(chart: OrbitChart, g1: ContraMetric, e: VectorField) -> ContraMetric:
     """Unity-flow metric: the derivative of the orbit metric along e.
 
     Certified flat with constant nonzero determinant.
@@ -230,7 +229,7 @@ def saito_metric(chart: OrbitChart, g1: ContraMetric, e: VectorField, checker: C
     g2 = ContraMetric(entries)
     if not g2.det.is_constant() or g2.det.is_zero():
         raise InternalCheckError(f"unity-flow metric determinant is not a nonzero constant: {g2.det}")
-    cert = is_flat(g2, checker)
+    cert = is_flat(g2)
     if not cert.passed:
         raise InternalCheckError(f"unity-flow metric is not flat: {cert.witness}")
     return g2
@@ -317,7 +316,7 @@ def invert_graded_map(chart: OrbitChart, t_polys: list[QPoly]) -> list[QPoly]:
     return images
 
 
-def coxeter_pencil(rank: int, checker: Checker = EXACT) -> tuple[CoxeterPencil, ReconstructionResult]:
+def coxeter_pencil(rank: int) -> tuple[CoxeterPencil, ReconstructionResult]:
     """Assemble and certify the orbit-space pencil in normalized flat
     generators, then run the full inverse construction on it."""
     chart = build_orbit_chart(rank)
@@ -327,8 +326,8 @@ def coxeter_pencil(rank: int, checker: Checker = EXACT) -> tuple[CoxeterPencil, 
 
     g1_p = arnold_metric(chart)
     e_big_p, e_unit_p, tau_p = fields_and_tau(chart)
-    g2_p = saito_metric(chart, g1_p, e_unit_p, checker)
-    report.add(Certificate("saito-metric-flat", reports.PASS, mode=checker.mode))
+    g2_p = saito_metric(chart, g1_p, e_unit_p)
+    report.add(Certificate("saito-metric-flat", reports.PASS))
 
     # Guard: tau raised by the unity-flow metric is the raw unity itself,
     # which is what makes the later global rescale consistent.
@@ -404,9 +403,9 @@ def coxeter_pencil(rank: int, checker: Checker = EXACT) -> tuple[CoxeterPencil, 
         )
     )
 
-    for cert in check_flat_pencil(pencil, checker).certificates:
+    for cert in check_flat_pencil(pencil).certificates:
         report.add(cert)
-    qh = check_quasihomogeneous(pencil, checker)
+    qh = check_quasihomogeneous(pencil)
     for cert in qh.certificates:
         report.add(cert)
     unity_ok = all(
@@ -420,7 +419,7 @@ def coxeter_pencil(rank: int, checker: Checker = EXACT) -> tuple[CoxeterPencil, 
         )
     )
 
-    recon = reconstruct_frobenius(pencil, checker)
+    recon = reconstruct_frobenius(pencil)
     poly_ok = recon.potential.is_polynomial()
     report.add(
         Certificate(

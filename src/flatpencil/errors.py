@@ -36,10 +36,6 @@ class UnderdeterminedError(FlatPencilError):
     """Linear system has rank smaller than the number of unknowns."""
 
 
-class SampleError(FlatPencilError):
-    """No admissible sample point found (a denominator vanished at every try)."""
-
-
 class SingularMetricError(FlatPencilError):
     """Metric determinant is identically zero."""
 

@@ -31,7 +31,6 @@ from .geometry import (
     VectorField,
     lie_bracket,
 )
-from .identity import Checker, EXACT
 from .linalg import mat_inverse
 from .qpoly import QPoly, RatFunc
 from .reports import Certificate
@@ -124,11 +123,11 @@ def _raise_two(c_low, eta_inv, n: int):
     """c^{ab}_c = eta^{al} eta^{bm} c_lmc."""
     zero = QPoly.zero(c_low[0][0][0].nvars)
     half = [
-        [[_qsum([c_low[l][b][c] * eta_inv[a][l] for l in range(n)], zero) for c in range(n)] for b in range(n)]
+        [[sum((c_low[l][b][c] * eta_inv[a][l] for l in range(n)), zero) for c in range(n)] for b in range(n)]
         for a in range(n)
     ]
     return [
-        [[_qsum([half[a][m][c] * eta_inv[b][m] for m in range(n)], zero) for c in range(n)] for b in range(n)]
+        [[sum((half[a][m][c] * eta_inv[b][m] for m in range(n)), zero) for c in range(n)] for b in range(n)]
         for a in range(n)
     ]
 
@@ -137,23 +136,16 @@ def lower_two(c_mixed, eta, n: int):
     """Inverse of _raise_two: c_abc = eta_al eta_bm c^{lm}_c."""
     zero = QPoly.zero(c_mixed[0][0][0].nvars)
     half = [
-        [[_qsum([c_mixed[l][b][c] * eta[a][l] for l in range(n)], zero) for c in range(n)] for b in range(n)]
+        [[sum((c_mixed[l][b][c] * eta[a][l] for l in range(n)), zero) for c in range(n)] for b in range(n)]
         for a in range(n)
     ]
     return [
-        [[_qsum([half[a][m][c] * eta[b][m] for m in range(n)], zero) for c in range(n)] for b in range(n)]
+        [[sum((half[a][m][c] * eta[b][m] for m in range(n)), zero) for c in range(n)] for b in range(n)]
         for a in range(n)
     ]
 
 
-def _qsum(values, zero):
-    acc = zero
-    for v in values:
-        acc = acc + v
-    return acc
-
-
-def check_wdvv(m: FrobeniusData, checker: Checker = EXACT) -> Certificate:
+def check_wdvv(m: FrobeniusData) -> Certificate:
     """Certify the associativity equations
 
         c_abl eta^{lm} c_mcd = c_dbl eta^{lm} c_mca   for all a, b, c, d.
@@ -165,25 +157,22 @@ def check_wdvv(m: FrobeniusData, checker: Checker = EXACT) -> Certificate:
     ]
     zero = QPoly.zero(n)
     raised = [
-        [[_qsum([c_low[l][c][dd] * m.eta_inv[e][l] for l in range(n)], zero) for dd in range(n)] for c in range(n)]
+        [[sum((c_low[l][c][dd] * m.eta_inv[e][l] for l in range(n)), zero) for dd in range(n)] for c in range(n)]
         for e in range(n)
     ]
-    for a in range(n):
-        for dd in range(a + 1, n):
-            for b in range(n):
-                for c in range(n):
-                    res = zero
-                    for e in range(n):
-                        res = res + c_low[a][b][e] * raised[e][c][dd]
-                        res = res - c_low[dd][b][e] * raised[e][c][a]
-                    cert = checker.zero(res)
-                    if not cert.zero:
-                        return reports.from_zero(
-                            "wdvv-associativity",
-                            cert,
-                            witness_prefix=f"indices ({a + 1},{b + 1},{c + 1},{dd + 1})",
-                        )
-    return Certificate("wdvv-associativity", reports.PASS, mode=checker.mode)
+
+    def residuals():
+        for a in range(n):
+            for dd in range(a + 1, n):
+                for b in range(n):
+                    for c in range(n):
+                        res = zero
+                        for e in range(n):
+                            res = res + c_low[a][b][e] * raised[e][c][dd]
+                            res = res - c_low[dd][b][e] * raised[e][c][a]
+                        yield f"indices ({a + 1},{b + 1},{c + 1},{dd + 1})", res
+
+    return reports.residual_certificate("wdvv-associativity", residuals())
 
 
 def check_quasihomogeneity(m: FrobeniusData) -> tuple[list[list[Q]], list[Q], Q]:
@@ -243,7 +232,7 @@ def intersection_form(m: FrobeniusData) -> ContraMetric:
     zero = QPoly.zero(n)
     entries = [
         [
-            _qsum([e_field.components[e] * sc.c_mixed[a][b][e] for e in range(n)], zero)
+            sum((e_field.components[e] * sc.c_mixed[a][b][e] for e in range(n)), zero)
             for b in range(n)
         ]
         for a in range(n)
@@ -259,10 +248,7 @@ def intersection_form(m: FrobeniusData) -> ContraMetric:
     inv = m.eta_inv
     hess_up = [
         [
-            _qsum(
-                [hess[l][mm] * (inv[a][l] * inv[b][mm]) for l in range(n) for mm in range(n)],
-                zero,
-            )
+            sum((hess[l][mm] * (inv[a][l] * inv[b][mm]) for l in range(n) for mm in range(n)), zero)
             for b in range(n)
         ]
         for a in range(n)
@@ -293,7 +279,7 @@ def scaling_operator(m: FrobeniusData) -> list[list[Q]]:
     ]
 
 
-def pencil_gamma(m: FrobeniusData, checker: Checker = EXACT) -> Connection:
+def pencil_gamma(m: FrobeniusData) -> Connection:
     """The polynomial connection G_c^{ab} = c^{ae}_c R_e^b of the pencil
     (g - lam * eta), verified to satisfy symmetry and metricity for every
     lam (the lam^0 and lam^1 coefficient identities)."""
@@ -303,7 +289,7 @@ def pencil_gamma(m: FrobeniusData, checker: Checker = EXACT) -> Connection:
     zero = QPoly.zero(n)
     gamma_poly = [
         [
-            [_qsum([sc.c_mixed[a][e][c] * r_mat[b][e] for e in range(n)], zero) for b in range(n)]
+            [sum((sc.c_mixed[a][e][c] * r_mat[b][e] for e in range(n)), zero) for b in range(n)]
             for a in range(n)
         ]
         for c in range(n)
@@ -314,7 +300,7 @@ def pencil_gamma(m: FrobeniusData, checker: Checker = EXACT) -> Connection:
         for i in range(n):
             for j in range(i, n):
                 res = gamma_poly[k][i][j] + gamma_poly[k][j][i] - g.g[i][j].diff(k)
-                if not checker.zero(res).zero:
+                if not res.is_zero():
                     raise InternalCheckError(
                         f"pencil connection fails metricity at ({k + 1},{i + 1},{j + 1})"
                     )
@@ -325,7 +311,7 @@ def pencil_gamma(m: FrobeniusData, checker: Checker = EXACT) -> Connection:
                     res = zero
                     for s in range(n):
                         res = res + gmat[i][s] * gamma_poly[s][j][k] - gmat[j][s] * gamma_poly[s][i][k]
-                    if not checker.zero(res).zero:
+                    if not res.is_zero():
                         raise InternalCheckError(
                             f"pencil connection fails symmetry ({tag}) at "
                             f"({i + 1},{j + 1},{k + 1})"
@@ -333,13 +319,13 @@ def pencil_gamma(m: FrobeniusData, checker: Checker = EXACT) -> Connection:
     return Connection([[[RatFunc(x) for x in row] for row in layer] for layer in gamma_poly])
 
 
-def to_flat_pencil(m: FrobeniusData, checker: Checker = EXACT) -> PencilData:
+def to_flat_pencil(m: FrobeniusData) -> PencilData:
     """The quasihomogeneous flat pencil (g, eta) with tau = eta_{u,a} t^a.
 
     Preconditions: the WDVV and quasihomogeneity certificates must pass;
     their failures propagate as errors.
     """
-    wdvv = check_wdvv(m, checker)
+    wdvv = check_wdvv(m)
     if not wdvv.passed:
         raise AssociativityError(f"associativity fails: {wdvv.witness}")
     check_quasihomogeneity(m)

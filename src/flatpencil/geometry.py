@@ -35,7 +35,6 @@ from fractions import Fraction
 
 from . import reports
 from .errors import DegreeInferenceError, InternalCheckError, SingularMetricError
-from .identity import Checker, EXACT
 from .linalg import sym_adjugate, sym_det
 from .qpoly import QPoly, RatFunc
 from .reports import Certificate, Report
@@ -189,7 +188,7 @@ class QuasihomReport(Report):
 # ---------------------------------------------------------------------------
 
 
-def levi_civita(g: ContraMetric, checker: Checker = EXACT) -> Connection:
+def levi_civita(g: ContraMetric) -> Connection:
     """The unique contravariant connection satisfying symmetry and metricity.
 
     Computed through the inverse metric (adjugate over determinant) and the
@@ -207,25 +206,15 @@ def levi_civita(g: ContraMetric, checker: Checker = EXACT) -> Connection:
     dlow = [[[low[i][j].diff(k) for k in range(nvars)] for j in range(n)] for i in range(n)]
 
     # Christoffel symbols of the covariant metric: C[k][i][j] = G^k_{ij}.
-    chris = [
-        [
-            [
-                _half_sum(
-                    [
-                        g.g[k][l] * (dlow[l][j][i] + dlow[i][l][j] - dlow[i][j][l])
-                        for l in range(n)
-                    ]
-                )
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        for k in range(n)
-    ]
+    def christoffel(k: int, i: int, j: int) -> RatFunc:
+        terms = [g.g[k][l] * (dlow[l][j][i] + dlow[i][l][j] - dlow[i][j][l]) for l in range(n)]
+        return sum(terms[1:], terms[0]) * Q(1, 2)
+
+    chris = [[[christoffel(k, i, j) for j in range(n)] for i in range(n)] for k in range(n)]
     gamma = [
         [
             [
-                -_rf_sum([chris[j][s][k] * g.g[i][s] for s in range(n)], nvars)
+                -sum((chris[j][s][k] * g.g[i][s] for s in range(n)), RatFunc(QPoly.zero(nvars)))
                 for j in range(n)
             ]
             for i in range(n)
@@ -235,26 +224,12 @@ def levi_civita(g: ContraMetric, checker: Checker = EXACT) -> Connection:
     conn = Connection(gamma)
 
     for idx, res in symmetry_residuals(g.g, conn.gamma, n):
-        if not checker.zero(res).zero:
+        if not res.is_zero():
             raise InternalCheckError(f"connection symmetry residual nonzero at {_idx1(idx)}")
     for idx, res in metricity_residuals(g.g, conn.gamma, n, nvars):
-        if not checker.zero(res).zero:
+        if not res.is_zero():
             raise InternalCheckError(f"connection metricity residual nonzero at {_idx1(idx)}")
     return conn
-
-
-def _half_sum(values: list[RatFunc]) -> RatFunc:
-    total = values[0]
-    for v in values[1:]:
-        total = total + v
-    return total * Q(1, 2)
-
-
-def _rf_sum(values: list[RatFunc], nvars: int) -> RatFunc:
-    total = RatFunc(QPoly.zero(nvars))
-    for v in values:
-        total = total + v
-    return total
 
 
 def symmetry_residuals(gmat, gamma, n: int):
@@ -317,17 +292,12 @@ def _curvature_entries(gmat, gamma, n: int, ncoords: int):
     return out
 
 
-def is_flat(g: ContraMetric, checker: Checker = EXACT) -> Certificate:
+def is_flat(g: ContraMetric) -> Certificate:
     """Certifies that the curvature of (g, levi_civita(g)) vanishes."""
-    conn = levi_civita(g, checker)
-    curv = curvature(g, conn)
-    for (l, i, j, k), val in curv.entries():
-        cert = checker.zero(val)
-        if not cert.zero:
-            return reports.from_zero(
-                "flatness", cert, witness_prefix=f"curvature entry {_idx1((l, i, j, k))}"
-            )
-    return Certificate("flatness", reports.PASS, mode=checker.mode)
+    curv = curvature(g, levi_civita(g))
+    return reports.residual_certificate(
+        "flatness", ((f"curvature entry {_idx1(idx)}", val) for idx, val in curv.entries())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +336,12 @@ def lie_derivative_metric(x: VectorField, g: ContraMetric) -> list[list[QPoly]]:
 
 
 def lie_derivative_connection(x: VectorField, tensor: list[list[list]]) -> list[list[list]]:
-    """Lie derivative of a (1,2) tensor D_k^{ij} along X.
+    """Lie derivative of a (1,2) tensor D_k^{ij} along X:
 
-    Entries may be QPoly or RatFunc; the sign pattern is minus for each
-    upper index, plus for the lower one.
+        (L_X D)_k^{ij} = X^s d_s D_k^{ij} - D_k^{sj} d_s X^i - D_k^{is} d_s X^j
+                         + D_s^{ij} d_k X^s.
+
+    Entries may be QPoly or RatFunc.
     """
     n = len(tensor)
     out = []
@@ -384,7 +356,7 @@ def lie_derivative_connection(x: VectorField, tensor: list[list[list]]) -> list[
                 for s in range(n):
                     acc = acc - tensor[k][s][j] * x.components[i].diff(s)
                     acc = acc - tensor[k][i][s] * x.components[j].diff(s)
-                    acc = acc + tensor[s][i][j] * x.components[k].diff(s)
+                    acc = acc + tensor[s][i][j] * x.components[s].diff(k)
                 rows_j.append(acc)
             rows_i.append(rows_j)
         out.append(rows_i)
@@ -396,7 +368,7 @@ def lie_derivative_connection(x: VectorField, tensor: list[list[list]]) -> list[
 # ---------------------------------------------------------------------------
 
 
-def check_flat_pencil(p: PencilData, checker: Checker = EXACT) -> Report:
+def check_flat_pencil(p: PencilData) -> Report:
     """Certify the three flat-pencil conditions.
 
     The parameter lam is adjoined as one extra polynomial variable; the
@@ -411,8 +383,8 @@ def check_flat_pencil(p: PencilData, checker: Checker = EXACT) -> Report:
         raise SingularMetricError("second metric is degenerate")
     if p.g1.det.is_zero():
         raise SingularMetricError("first metric is degenerate")
-    conn1 = levi_civita(p.g1, checker)
-    conn2 = levi_civita(p.g2, checker)
+    conn1 = levi_civita(p.g1)
+    conn2 = levi_civita(p.g2)
 
     big = nvars + 1  # trailing variable is lam
     lam = RatFunc(QPoly.var(big, nvars))
@@ -440,46 +412,38 @@ def check_flat_pencil(p: PencilData, checker: Checker = EXACT) -> Report:
         report.add(Certificate("pencil-determinant", reports.PASS))
 
     report.add(
-        _lam_residual_certificate(
+        reports.residual_certificate(
             "pencil-connection-symmetry",
-            symmetry_residuals(g_l, gamma_l, n),
-            nvars,
-            checker,
+            _lam_coefficients(symmetry_residuals(g_l, gamma_l, n), nvars),
         )
     )
     report.add(
-        _lam_residual_certificate(
+        reports.residual_certificate(
             "pencil-connection-metricity",
-            metricity_residuals(g_l, gamma_l, n, nvars),
-            nvars,
-            checker,
+            _lam_coefficients(metricity_residuals(g_l, gamma_l, n, nvars), nvars),
         )
     )
 
     curv = _curvature_entries(g_l, gamma_l, n, nvars)
     report.add(
-        _lam_residual_certificate(
+        reports.residual_certificate(
             "pencil-curvature",
-            (((l, i, j, k), curv[l][i][j][k]) for l in range(n) for i in range(n) for j in range(n) for k in range(n)),
-            nvars,
-            checker,
+            _lam_coefficients(
+                (((l, i, j, k), curv[l][i][j][k]) for l in range(n) for i in range(n) for j in range(n) for k in range(n)),
+                nvars,
+            ),
         )
     )
     return report
 
 
-def _lam_residual_certificate(name: str, residuals, lam_axis: int, checker: Checker) -> Certificate:
+def _lam_coefficients(residuals, lam_axis: int):
+    """The coefficients of each residual's numerator in powers of lam,
+    labelled by entry and power."""
     for idx, res in residuals:
         num = res.num if isinstance(res, RatFunc) else res
-        if num.is_zero():
-            continue
         for power, coeff in sorted(num.coeffs_by_power(lam_axis).items()):
-            cert = checker.zero(coeff)
-            if not cert.zero:
-                return reports.from_zero(
-                    name, cert, witness_prefix=f"entry {_idx1(idx)}, lam^{power}"
-                )
-    return Certificate(name, reports.PASS, mode=checker.mode)
+            yield f"entry {_idx1(idx)}, lam^{power}", coeff
 
 
 def euler_fields(p: PencilData) -> tuple[VectorField, VectorField]:
@@ -531,7 +495,7 @@ def infer_degree(g1: ContraMetric, e_big: VectorField) -> Q:
     return r + 1
 
 
-def check_quasihomogeneous(p: PencilData, checker: Checker = EXACT) -> QuasihomReport:
+def check_quasihomogeneous(p: PencilData) -> QuasihomReport:
     """Derive E, e from tau and certify the four scaling identities:
 
         [e, E] = e
@@ -545,45 +509,39 @@ def check_quasihomogeneous(p: PencilData, checker: Checker = EXACT) -> QuasihomR
 
     bracket = lie_bracket(e_small, e_big)
     report.add(
-        _tensor_certificate(
+        reports.residual_certificate(
             "unity-commutator",
-            [((i,), bracket.components[i] - e_small.components[i]) for i in range(p.n)],
-            checker,
+            entry_residuals(((i,), bracket.components[i] - e_small.components[i]) for i in range(p.n)),
         )
     )
     lie1 = lie_derivative_metric(e_big, p.g1)
     report.add(
-        _tensor_certificate(
+        reports.residual_certificate(
             "euler-scaling-first-metric",
-            [((i, j), lie1[i][j] - p.g1.g[i][j] * (d - 1)) for i in range(p.n) for j in range(p.n)],
-            checker,
+            entry_residuals(((i, j), lie1[i][j] - p.g1.g[i][j] * (d - 1)) for i in range(p.n) for j in range(p.n)),
         )
     )
     lie2 = lie_derivative_metric(e_small, p.g1)
     report.add(
-        _tensor_certificate(
+        reports.residual_certificate(
             "unity-flow-first-metric",
-            [((i, j), lie2[i][j] - p.g2.g[i][j]) for i in range(p.n) for j in range(p.n)],
-            checker,
+            entry_residuals(((i, j), lie2[i][j] - p.g2.g[i][j]) for i in range(p.n) for j in range(p.n)),
         )
     )
     lie3 = lie_derivative_metric(e_small, p.g2)
     report.add(
-        _tensor_certificate(
+        reports.residual_certificate(
             "unity-flow-second-metric",
-            [((i, j), lie3[i][j]) for i in range(p.n) for j in range(p.n)],
-            checker,
+            entry_residuals(((i, j), lie3[i][j]) for i in range(p.n) for j in range(p.n)),
         )
     )
     return report
 
 
-def _tensor_certificate(name: str, residuals, checker: Checker) -> Certificate:
+def entry_residuals(residuals):
+    """(index tuple, value) pairs labelled as 1-based tensor entries."""
     for idx, res in residuals:
-        cert = checker.zero(res)
-        if not cert.zero:
-            return reports.from_zero(name, cert, witness_prefix=f"entry {_idx1(idx)}")
-    return Certificate(name, reports.PASS, mode=checker.mode)
+        yield f"entry {_idx1(idx)}", res
 
 
 def _idx1(idx: tuple[int, ...]) -> str:

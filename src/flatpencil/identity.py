@@ -1,146 +1,32 @@
 """Certified zero-testing for exact scalars.
 
-Exact mode normalizes and compares to zero, which is a proof.  Sampled mode
-is a seeded Schwartz-Zippel test: coordinates are drawn uniformly from
-rationals p/q with |p| <= 10**6 and 1 <= q <= 100, and every exponential
-unit is replaced by an independent rational sample (exponentials with
-incommensurable rates are algebraically independent, so this is again a
-polynomial identity test).  Points where a supplied denominator vanishes are
-rejected and redrawn a bounded number of times.
+Values are kept in normal form, so a scalar vanishes identically iff its
+normal form is zero; the comparison is a proof.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import reduce
-from math import gcd
 
-from .errors import SampleError
 from .qpoly import QPoly, RatFunc
-
-Q = Fraction
-
-NUMERATOR_BOUND = 10**6
-DENOMINATOR_BOUND = 100
-DEFAULT_TRIALS = 7
-_MAX_POINT_TRIES = 200
-
-
-@dataclass(frozen=True)
-class SamplePoint:
-    """Rational coordinates plus values for the exponential units.
-
-    ``expvals[axis] = (base_rate, value)`` evaluates exp(base_rate*t_axis)
-    to ``value``; other rates on that axis must be integer multiples of the
-    base rate.
-    """
-
-    coords: tuple[Q, ...]
-    expvals: dict[int, tuple[Q, Q]]
 
 
 @dataclass(frozen=True)
 class ZeroCertificate:
     zero: bool
-    mode: str  # "exact" or "sampled"
-    trials: int = 0
     witness: str | None = None
 
     def __bool__(self) -> bool:
         return self.zero
 
 
-def _rate_gcd(rates: set[Q]) -> Q:
-    nums = [r.numerator for r in rates]
-    dens = [r.denominator for r in rates]
-    lcm = reduce(lambda a, b: a * b // gcd(a, b), dens, 1)
-    g = reduce(gcd, (abs(n * (lcm // d)) for n, d in zip(nums, dens)))
-    return Q(g, lcm)
-
-
-def random_rational(rng: random.Random) -> Q:
-    return Q(rng.randint(-NUMERATOR_BOUND, NUMERATOR_BOUND), rng.randint(1, DENOMINATOR_BOUND))
-
-
-def draw_sample_point(
-    rng: random.Random, nvars: int, polys: list[QPoly], avoid: list[QPoly]
-) -> SamplePoint:
-    """A random point (with exponential-unit values) at which every
-    polynomial in ``avoid`` is nonzero."""
-    rate_sets: dict[int, set[Q]] = {}
-    for p in polys + avoid:
-        for axis in range(nvars):
-            rates = p.exp_rates_on(axis)
-            if rates:
-                rate_sets.setdefault(axis, set()).update(rates)
-    bases = {axis: _rate_gcd(rates) for axis, rates in rate_sets.items()}
-    for _ in range(_MAX_POINT_TRIES):
-        coords = tuple(random_rational(rng) for _ in range(nvars))
-        expvals = {}
-        for axis, base in bases.items():
-            unit = Q(0)
-            while unit == 0:
-                unit = random_rational(rng)
-            expvals[axis] = (base, unit)
-        point = SamplePoint(coords, expvals)
-        if all(q.eval(list(coords), expvals) != 0 for q in avoid):
-            return point
-    raise SampleError("no sample point found avoiding the denominators")
-
-
-def is_zero_identity(
-    value: QPoly | RatFunc,
-    mode: str = "exact",
-    trials: int = DEFAULT_TRIALS,
-    rng: random.Random | None = None,
-) -> ZeroCertificate:
+def is_zero_identity(value: QPoly | RatFunc) -> ZeroCertificate:
     """Decide whether a scalar vanishes identically.
 
     A rational function vanishes iff its numerator does; the denominator is
-    nonzero by the type invariant and is avoided by the sampler.
+    nonzero by the type invariant.
     """
-    if isinstance(value, RatFunc):
-        num, avoid = value.num, [value.den]
-    else:
-        num, avoid = value, []
-
-    if mode == "exact":
-        if num.is_zero():
-            return ZeroCertificate(True, "exact")
-        return ZeroCertificate(False, "exact", witness=f"nonzero normal form: {num}")
-    if mode != "sampled":
-        raise ValueError(f"unknown mode {mode!r}")
-    if trials < 1:
-        raise ValueError("sampled mode needs trials >= 1")
-    if rng is None:
-        raise ValueError("sampled mode needs a seeded random source")
+    num = value.num if isinstance(value, RatFunc) else value
     if num.is_zero():
-        return ZeroCertificate(True, "sampled", trials=0)
-    for k in range(trials):
-        point = draw_sample_point(rng, num.nvars, [num], avoid)
-        val = num.eval(list(point.coords), point.expvals)
-        if val != 0:
-            coords = ", ".join(str(c) for c in point.coords)
-            return ZeroCertificate(
-                False, "sampled", trials=k + 1, witness=f"value {val} at ({coords})"
-            )
-    return ZeroCertificate(True, "sampled", trials=trials)
-
-
-class Checker:
-    """Zero-testing policy threaded through the certification pipelines."""
-
-    def __init__(self, mode: str = "exact", trials: int = DEFAULT_TRIALS, seed: int | None = None):
-        if mode not in ("exact", "sampled"):
-            raise ValueError(f"unknown mode {mode!r}")
-        self.mode = mode
-        self.trials = trials
-        self.rng = random.Random(seed) if mode == "sampled" else None
-
-    def zero(self, value: QPoly | RatFunc) -> ZeroCertificate:
-        return is_zero_identity(value, mode=self.mode, trials=self.trials, rng=self.rng)
-
-
-EXACT = Checker("exact")
+        return ZeroCertificate(True)
+    return ZeroCertificate(False, witness=f"nonzero normal form: {num}")

@@ -5,7 +5,7 @@ The rational solvers clear denominators row-wise and run fraction-free
 exact integer minor; back substitution returns `Fraction` results.  Rank
 deficiency is reported, never papered over.
 
-The symbolic helpers (determinant, adjugate, matrix product) are written
+The symbolic helpers (determinant, adjugate) are written
 against the ring operators `+ - *` and therefore work uniformly for
 `Fraction`, `QPoly` and `RatFunc` entries.
 """
@@ -169,10 +169,6 @@ def mat_mul(a, b):
     ]
 
 
-def mat_vec(a, v):
-    return [sum((row[k] * v[k] for k in range(1, len(v))), row[0] * v[0]) for row in a]
-
-
 def identity_matrix(n: int) -> Matrix:
     return [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
 
@@ -300,10 +296,3 @@ def sym_adjugate(m: list[list], zero) -> list[list]:
             cof = sym_det(minor, zero)
             adj[j][i] = cof if (i + j) % 2 == 0 else -cof
     return adj
-
-
-def sym_mat_mul(a: list[list], b: list[list]) -> list[list]:
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(1, len(b))), a[i][0] * b[0][j]) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]

@@ -30,7 +30,6 @@ from .geometry import (
     is_flat,
     levi_civita,
 )
-from .identity import Checker, EXACT
 from .linalg import mat_inverse
 from .qpoly import QPoly, RatFunc
 from .reconstruction import potential_of_closed_form
@@ -63,12 +62,12 @@ class CentralChargeReport:
     equal: bool | None
 
 
-def bracket_from_metric(g: ContraMetric, checker: Checker = EXACT) -> HydroBracket:
+def bracket_from_metric(g: ContraMetric) -> HydroBracket:
     """The first-order bracket of a flat metric; non-flat input is an error."""
-    cert = is_flat(g, checker)
+    cert = is_flat(g)
     if not cert.passed:
         raise NotFlatError(f"metric is not flat: {cert.witness}")
-    return HydroBracket(metric=g, conn=levi_civita(g, checker))
+    return HydroBracket(metric=g, conn=levi_civita(g))
 
 
 def degree_certificate(b: HydroBracket) -> Certificate:
@@ -86,12 +85,12 @@ def degree_certificate(b: HydroBracket) -> Certificate:
     return Certificate("bracket-degree-one", reports.PASS if ok else reports.FAIL)
 
 
-def check_compatibility(b1: HydroBracket, b2: HydroBracket, checker: Checker = EXACT) -> Report:
+def check_compatibility(b1: HydroBracket, b2: HydroBracket) -> Report:
     """Compatibility of two first-order brackets == flat-pencil certificate
     for their metrics (the lam-combination of the brackets has coefficients
     g1 - lam g2 and G1 - lam G2)."""
     pencil = PencilData(g1=b1.metric, g2=b2.metric)
-    return check_flat_pencil(pencil, checker)
+    return check_flat_pencil(pencil)
 
 
 def transform_bracket(
@@ -138,7 +137,7 @@ def transform_bracket(
     return g_new, b_new
 
 
-def casimir_check(b: HydroBracket, flat_images: list[QPoly], checker: Checker = EXACT) -> Report:
+def casimir_check(b: HydroBracket, flat_images: list[QPoly]) -> Report:
     """Certify that the supplied flat coordinates bring the bracket to
     constant form: the transformed metric is constant and the transformed
     connection coefficient vanishes (each flat coordinate is then a Casimir
@@ -159,24 +158,21 @@ def casimir_check(b: HydroBracket, flat_images: list[QPoly], checker: Checker = 
             else f"entry ({bad[0] + 1},{bad[1] + 1}): {g_new[bad[0]][bad[1]]}",
         )
     )
-    for p in range(n):
-        for q in range(n):
-            for k in range(n):
-                cert = checker.zero(b_new[p][q][k])
-                if not cert.zero:
-                    report.add(
-                        reports.from_zero(
-                            "transformed-connection-vanishes",
-                            cert,
-                            witness_prefix=f"entry ({p + 1},{q + 1},{k + 1})",
-                        )
-                    )
-                    return report
-    report.add(Certificate("transformed-connection-vanishes", reports.PASS, mode=checker.mode))
+    report.add(
+        reports.residual_certificate(
+            "transformed-connection-vanishes",
+            (
+                (f"entry ({p + 1},{q + 1},{k + 1})", b_new[p][q][k])
+                for p in range(n)
+                for q in range(n)
+                for k in range(n)
+            ),
+        )
+    )
     return report
 
 
-def virasoro_check(m: FrobeniusData, p: PencilData, checker: Checker = EXACT) -> Report:
+def virasoro_check(m: FrobeniusData, p: PencilData) -> Report:
     """Coefficient-level Virasoro form of the stress field T = 2 tau/(1-d):
 
         (dT, dT)_1 = 2 T             (delta' coefficient of {T, T})
@@ -189,7 +185,7 @@ def virasoro_check(m: FrobeniusData, p: PencilData, checker: Checker = EXACT) ->
     if p.tau is None:
         raise ValueError("pencil carries no tau")
     n = p.n
-    conn = levi_civita(p.g1, checker)
+    conn = levi_civita(p.g1)
     scale = Q(2) / (1 - m.d)
     dtee = [p.tau.diff(k) * scale for k in range(n)]
     for k in range(n):
@@ -204,75 +200,45 @@ def virasoro_check(m: FrobeniusData, p: PencilData, checker: Checker = EXACT) ->
         for j in range(n):
             if dtee_c[i] and dtee_c[j]:
                 acc = acc + p.g1.g[i][j] * (dtee_c[i] * dtee_c[j])
-    report.add(
-        _zero_cert("virasoro-stress-pairing", acc - tee * 2, checker)
-    )
-    for k in range(n):
-        val = RatFunc(QPoly.zero(n))
-        for i in range(n):
-            for j in range(n):
-                if dtee_c[i] and dtee_c[j]:
-                    val = val + conn.gamma[k][i][j] * (dtee_c[i] * dtee_c[j])
-        res = val - dtee[k]
-        cert = checker.zero(res)
-        if not cert.zero:
-            report.add(
-                reports.from_zero("virasoro-stress-connection", cert, witness_prefix=f"k={k + 1}")
-            )
-            break
-    else:
-        report.add(Certificate("virasoro-stress-connection", reports.PASS, mode=checker.mode))
+    report.add(reports.residual_certificate("virasoro-stress-pairing", [(None, acc - tee * 2)]))
 
-    e_field = m.euler_field()
-    for a in range(n):
-        acc = QPoly.zero(n)
-        for j in range(n):
-            if dtee_c[j]:
-                acc = acc + p.g1.g[a][j] * dtee_c[j]
-        res = acc - e_field.components[a] * scale
-        cert = checker.zero(res)
-        if not cert.zero:
-            report.add(
-                reports.from_zero("virasoro-coordinate-pairing", cert, witness_prefix=f"a={a + 1}")
-            )
-            break
-    else:
-        report.add(Certificate("virasoro-coordinate-pairing", reports.PASS, mode=checker.mode))
-
-    failed = False
-    for a in range(n):
+    def stress_connection():
         for k in range(n):
             val = RatFunc(QPoly.zero(n))
+            for i in range(n):
+                for j in range(n):
+                    if dtee_c[i] and dtee_c[j]:
+                        val = val + conn.gamma[k][i][j] * (dtee_c[i] * dtee_c[j])
+            yield f"k={k + 1}", val - dtee[k]
+
+    report.add(reports.residual_certificate("virasoro-stress-connection", stress_connection()))
+
+    e_field = m.euler_field()
+
+    def coordinate_pairing():
+        for a in range(n):
+            acc = QPoly.zero(n)
             for j in range(n):
                 if dtee_c[j]:
-                    val = val + conn.gamma[k][a][j] * dtee_c[j]
-            res = val - (1 if a == k else 0)
-            cert = checker.zero(res)
-            if not cert.zero:
-                report.add(
-                    reports.from_zero(
-                        "virasoro-coordinate-connection",
-                        cert,
-                        witness_prefix=f"(a,k)=({a + 1},{k + 1})",
-                    )
-                )
-                failed = True
-                break
-        if failed:
-            break
-    if not failed:
-        report.add(Certificate("virasoro-coordinate-connection", reports.PASS, mode=checker.mode))
+                    acc = acc + p.g1.g[a][j] * dtee_c[j]
+            yield f"a={a + 1}", acc - e_field.components[a] * scale
+
+    report.add(reports.residual_certificate("virasoro-coordinate-pairing", coordinate_pairing()))
+
+    def coordinate_connection():
+        for a in range(n):
+            for k in range(n):
+                val = RatFunc(QPoly.zero(n))
+                for j in range(n):
+                    if dtee_c[j]:
+                        val = val + conn.gamma[k][a][j] * dtee_c[j]
+                yield f"(a,k)=({a + 1},{k + 1})", val - (1 if a == k else 0)
+
+    report.add(reports.residual_certificate("virasoro-coordinate-connection", coordinate_connection()))
     return report
 
 
-def _zero_cert(name: str, value, checker: Checker) -> Certificate:
-    cert = checker.zero(value)
-    if cert.zero:
-        return Certificate(name, reports.PASS, mode=checker.mode)
-    return reports.from_zero(name, cert)
-
-
-def recursion_step(p: PencilData, density: Density, checker: Checker = EXACT) -> Density:
+def recursion_step(p: PencilData, density: Density) -> Density:
     """One step of the bihamiltonian recursion in flat coordinates of g2:
 
         eta^{ae} d_e d_g h_next = g1^{ae} d_e d_g h + G1{}^{ae}_g d_e h,
@@ -285,7 +251,7 @@ def recursion_step(p: PencilData, density: Density, checker: Checker = EXACT) ->
     if not p.g2.is_constant():
         raise ValueError("recursion requires flat coordinates of the second metric")
     eta_cov = mat_inverse(p.g2.constant_entries())
-    conn = levi_civita(p.g1, checker)
+    conn = levi_civita(p.g1)
     gamma = conn.as_poly_entries()
     h = density.h
     dh = [h.diff(e) for e in range(n)]
@@ -300,7 +266,7 @@ def recursion_step(p: PencilData, density: Density, checker: Checker = EXACT) ->
             row.append(acc)
         rhs.append(row)
     target = [
-        [_poly_sum([rhs[i][k] * eta_cov[j][i] for i in range(n)], n) for k in range(n)]
+        [sum((rhs[i][k] * eta_cov[j][i] for i in range(n)), QPoly.zero(n)) for k in range(n)]
         for j in range(n)
     ]
     for j in range(n):
@@ -325,13 +291,6 @@ def recursion_step(p: PencilData, density: Density, checker: Checker = EXACT) ->
             if not (h_next.diff(j).diff(k) - target[j][k]).is_zero():
                 raise IntegrabilityError("resubstitution of the recursion step failed")
     return Density(h=h_next)
-
-
-def _poly_sum(values, nvars):
-    acc = QPoly.zero(nvars)
-    for v in values:
-        acc = acc + v
-    return acc
 
 
 def central_charge(m: FrobeniusData, coxeter_rank: int | None = None) -> CentralChargeReport:

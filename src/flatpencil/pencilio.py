@@ -22,17 +22,27 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 from .errors import InputFormatError, ParseError
 from .exprparse import parse_expr, parse_rational
 from .frobenius import FrobeniusData
 from .geometry import ContraMetric, PencilData
-from .identity import _rate_gcd
 from .qpoly import QPoly
 
 Q = Fraction
 
 SCHEMA = 1
+
+
+def _rate_gcd(rates: set[Q]) -> Q:
+    """The largest rational of which every rate is an integer multiple."""
+    nums = [r.numerator for r in rates]
+    dens = [r.denominator for r in rates]
+    lcm = reduce(lambda a, b: a * b // gcd(a, b), dens, 1)
+    g = reduce(gcd, (abs(n * (lcm // d)) for n, d in zip(nums, dens)))
+    return Q(g, lcm)
 
 
 def _check_fields(obj: dict, required: set[str], optional: set[str], kind: str) -> None:

@@ -29,7 +29,6 @@ t1..tn appear only in parsed/printed expressions and JSON files.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -299,25 +298,7 @@ class QPoly:
         res.terms = {(pows + pad, efac): c for (pows, efac), c in self.terms.items()}
         return res
 
-    def drop_last_var(self) -> "QPoly":
-        """Inverse of lift for elements not involving the last variable."""
-        n = self.nvars - 1
-        out: dict[TermKey, Q] = {}
-        for (pows, efac), c in self.terms.items():
-            if pows[n] != 0 or _exp_rate(efac, n) != 0:
-                raise ValueError("element involves the last variable")
-            out[(pows[:n], efac)] = c
-        res = QPoly(n)
-        res.terms = out
-        return res
-
     # -- structure inspection ------------------------------------------------
-
-    def degree_in(self, axis: int) -> int:
-        """Largest power of t_axis; -1 on the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(pows[axis] for (pows, _e) in self.terms)
 
     def total_degree(self) -> int:
         """Largest total coordinate degree; -1 on the zero polynomial."""
@@ -404,19 +385,6 @@ class QPoly:
                 if mult.denominator != 1:
                     raise ValueError("exp rate is not an integer multiple of the base")
                 val *= unit ** int(mult)
-            total += val
-        return total
-
-    def eval_float(self, coords: list[float]) -> float:
-        """Floating-point evaluation (only for cross-check oracles)."""
-        total = 0.0
-        for (pows, efac), coeff in self.terms.items():
-            val = float(coeff)
-            for axis, p in enumerate(pows):
-                if p:
-                    val *= coords[axis] ** p
-            for axis, rate in efac:
-                val *= math.exp(float(rate) * coords[axis])
             total += val
         return total
 
@@ -610,12 +578,6 @@ class RatFunc:
 
     def lift(self, new_nvars: int) -> "RatFunc":
         return RatFunc(self.num.lift(new_nvars), self.den.lift(new_nvars), _normalize=False)
-
-    def eval(self, coords, expvals=None) -> Q:
-        den = self.den.eval(coords, expvals)
-        if den == 0:
-            raise ZeroDivisionError("denominator vanishes at the sample point")
-        return self.num.eval(coords, expvals) / den
 
     def __str__(self) -> str:
         if self.den.is_constant():

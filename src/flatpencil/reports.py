@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .identity import ZeroCertificate
+from .identity import is_zero_identity
 
 PASS = "pass"
 FAIL = "fail"
@@ -18,18 +18,21 @@ class Certificate:
     name: str
     status: str
     witness: str | None = None
-    mode: str = "exact"
 
     @property
     def passed(self) -> bool:
         return self.status == PASS
 
 
-def from_zero(name: str, cert: ZeroCertificate, witness_prefix: str = "") -> Certificate:
-    if cert.zero:
-        return Certificate(name, PASS, mode=cert.mode)
-    witness = (witness_prefix + ": " if witness_prefix else "") + (cert.witness or "")
-    return Certificate(name, FAIL, witness=witness, mode=cert.mode)
+def residual_certificate(name: str, residuals) -> Certificate:
+    """PASS when every value of the ``(label, value)`` pairs vanishes, else
+    FAIL at the first nonzero one, its label prefixed to the witness."""
+    for label, value in residuals:
+        cert = is_zero_identity(value)
+        if not cert.zero:
+            witness = f"{label}: {cert.witness}" if label else cert.witness
+            return Certificate(name, FAIL, witness=witness)
+    return Certificate(name, PASS)
 
 
 def skipped(name: str, reason: str) -> Certificate:

@@ -95,16 +95,16 @@ def test_unknown_field_exit_3(tmp_path, capsys):
     assert "unknown fields" in capsys.readouterr().err
 
 
-def test_usage_error_exit_2():
-    with pytest.raises(SystemExit) as info:
-        run(["pencil", "frobnicate", PENCIL1])
-    assert info.value.code == 2
-
-
-def test_fast_requires_seed(capsys):
-    with pytest.raises(SystemExit) as info:
-        run(["frobenius", "check", CUBIC, "--fast"])
-    assert info.value.code == 2
+def test_usage_error_exit_2(capsys):
+    for argv in (
+        ["pencil", "frobnicate", PENCIL1],
+        ["coxeter", "--rank", "5"],
+        ["coxeter", "--rank", "0"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
 
 def test_certificate_failure_exit_1(tmp_path, capsys):
@@ -130,12 +130,12 @@ def test_reports_byte_identical(tmp_path):
     out1 = tmp_path / "r1"
     out2 = tmp_path / "r2"
     for out in (out1, out2):
-        assert run(["pencil", "check", PENCIL1, "--fast", "--seed", "11", "--out", out]) == 0
+        assert run(["pencil", "check", PENCIL1, "--out", out]) == 0
     r1 = (out1 / "pencil-check-report.json").read_bytes()
     r2 = (out2 / "pencil-check-report.json").read_bytes()
     assert r1 == r2
     payload = json.loads(r1)
-    assert payload["mode"] == "sampled" and payload["seed"] == 11
+    assert payload["mode"] == "exact" and payload["seed"] is None
     names = [c["name"] for c in payload["certificates"]]
     assert names == sorted(names)
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Q
 
@@ -39,18 +40,21 @@ def test_power_rule_and_exp_rule():
 
 
 def test_diff_finite_difference_oracle():
-    # Central difference at 5 rational points, float cast, 1e-8 agreement.
+    # Central difference at 5 rational points, exp(t2) supplied as the
+    # rational value of its float, 1e-8 agreement.
     p = qp("1/2*t1^2*t2 + exp(t2)", 2)
     dp = p.diff(1)
     rng = random.Random(2024)
-    h = 1e-5
+    h = Q(1, 10**5)
+
+    def at(t1, t2, poly):
+        return poly.eval([t1, t2], {1: (Q(1), Q(math.exp(t2)))})
+
     for _ in range(5):
-        x = [rng.randint(-150, 150) / 100 for _ in range(2)]
-        up = p.eval_float([x[0], x[1] + h])
-        down = p.eval_float([x[0], x[1] - h])
-        fd = (up - down) / (2 * h)
-        exact = dp.eval_float(x)
-        assert abs(fd - exact) <= 1e-8 * max(1.0, abs(exact))
+        x = [Q(rng.randint(-150, 150), 100) for _ in range(2)]
+        fd = (at(x[0], x[1] + h, p) - at(x[0], x[1] - h, p)) / (2 * h)
+        exact = at(x[0], x[1], dp)
+        assert abs(fd - exact) <= Q(1e-8) * max(1, abs(exact))
 
 
 def test_ring_axioms_randomized():

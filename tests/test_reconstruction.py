@@ -53,7 +53,7 @@ def test_delta_requires_flat_coordinates():
 
 def test_delta_properties_pass(cubic_pencil, a2):
     delta = delta_tensor(cubic_pencil)
-    assert check_delta_properties(cubic_pencil, delta, checker=_sampled()).passed
+    assert check_delta_properties(cubic_pencil, delta).passed
     bundle, _recon = a2
     delta2 = delta_tensor(bundle.pencil)
     report = check_delta_properties(bundle.pencil, delta2)
@@ -61,12 +61,6 @@ def test_delta_properties_pass(cubic_pencil, a2):
     # scaling identities certified exactly, not skipped
     assert report.find("delta-euler-scaling").status == "pass"
     assert report.find("delta-unity-invariance").status == "pass"
-
-
-def _sampled():
-    from flatpencil.identity import Checker
-
-    return Checker("sampled", seed=99)
 
 
 def test_delta_mutation_breaks_curl(a2):
@@ -187,6 +181,16 @@ def test_normalize_undoes_linear_change(cp1_pencil):
             assert (q.g1.g[i][j] - cp1_pencil.g1.g[i][j]).is_zero()
             assert (q.g2.g[i][j] - cp1_pencil.g2.g[i][j]).is_zero()
     assert (q.tau - cp1_pencil.tau).is_zero()
+
+
+def test_sheared_a2_delta_scaling_and_reconstruction(a2):
+    # A non-diagonal linear change mixes coordinates of different degrees,
+    # so the lower index of L_E Delta must differentiate E^s along t^k.
+    bundle, _recon = a2
+    sheared = transform_pencil(bundle.pencil, [[Q(1), Q(2)], [Q(3), Q(7)]])
+    report = check_delta_properties(sheared, delta_tensor(sheared))
+    assert report.find("delta-euler-scaling").status == "pass"
+    assert reconstruct_frobenius(sheared).report.passed
 
 
 def test_normalize_scaling_change(cubic_pencil):
