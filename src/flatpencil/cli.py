@@ -13,9 +13,10 @@ Subcommands
     bracket central-charge INPUT [--coxeter-rank K]
 
 Exit codes: 0 all certificates pass, 1 certificate failure, 2 usage error,
-3 malformed input (parse errors carry line/column).  Reports are printed as
-text and, with --out DIR, written as canonical JSON; identical inputs
-produce byte-identical report files.
+3 malformed input (parse errors carry line/column), 4 internal error (a
+redundant self-check failed: a toolkit bug, not a verdict on the input).
+Reports are printed as text and, with --out DIR, written as canonical JSON;
+identical inputs produce byte-identical report files.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 
 from . import pencilio, reports
 from .coxeter import coxeter_pencil
-from .errors import FlatPencilError, InputFormatError, ParseError
+from .errors import FlatPencilError, InputFormatError, InternalCheckError, ParseError
 from .frobenius import (
     check_quasihomogeneity,
     check_wdvv,
@@ -53,6 +54,7 @@ EXIT_OK = 0
 EXIT_CERT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,6 +109,9 @@ def main(argv: list[str] | None = None) -> int:
     except InputFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except InternalCheckError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except FlatPencilError as exc:
         print(f"certification error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CERT_FAIL
@@ -197,6 +202,8 @@ def frobenius_report(m) -> tuple[Report, dict]:
         extra["scaling-quadratic-A"] = [[str(x) for x in row] for row in a_mat]
         extra["scaling-linear-B"] = [str(x) for x in b_vec]
         extra["scaling-constant-C"] = str(c_val)
+    except InternalCheckError:
+        raise
     except FlatPencilError as exc:
         report.add(Certificate("potential-scaling", reports.FAIL, witness=str(exc)))
     report.add(unity_scaling_certificate(m))

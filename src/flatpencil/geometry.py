@@ -9,8 +9,18 @@ are determined by the two linear conditions
     symmetry:    g^{is} G_s^{jk} = g^{js} G_s^{ik}
     metricity:   G_k^{ij} + G_k^{ji} = d g^{ij} / dx^k
 
-and are computed here from the classical Christoffel symbols of the inverse
-metric, then re-verified against the two conditions.  Curvature is
+and are computed here from the contravariant formula
+
+    G_k^{ij} = 1/2 d_k g^{ij} + 1/2 g_{kq} (g^{is} d_s g^{jq} - g^{js} d_s g^{iq})
+
+with the lower-index metric g_{kq} = adj_{kq} / det taken from one adjugate,
+so every entry is a numerator over the single denominator det g.  Each
+numerator is divided by det exactly when it can be.  When every division
+succeeds, as on the orbit-space pencils and the bundled examples, curvature
+and every residual stay among quasi-polynomials.  The connection is re-verified against
+the two conditions when it is first built and cached on the metric object,
+so a pipeline that asks for one metric's connection repeatedly builds it
+once.  Curvature is
 
     R_l^{ijk} = g^{is} (d_s G_l^{jk} - d_l G_s^{jk})
                 + G_s^{ik} G_l^{sj} - G_s^{ij} G_l^{sk},
@@ -36,14 +46,15 @@ from fractions import Fraction
 from . import reports
 from .errors import DegreeInferenceError, InternalCheckError, SingularMetricError
 from .linalg import sym_adjugate, sym_det
-from .qpoly import QPoly, RatFunc
+from .qpoly import QPoly, RatFunc, exact_divide
 from .reports import Certificate, Report
 
 Q = Fraction
 
 
 class ContraMetric:
-    """Symmetric contravariant metric with a cached determinant."""
+    """Symmetric contravariant metric; caches its determinant and its
+    Levi-Civita connection."""
 
     def __init__(self, entries: list[list[QPoly]]):
         n = len(entries)
@@ -56,6 +67,7 @@ class ContraMetric:
         self.n = n
         self.g = entries
         self._det: QPoly | None = None
+        self._conn: Connection | None = None
 
     @classmethod
     def constant(cls, matrix: list[list[Q]], nvars: int | None = None) -> "ContraMetric":
@@ -75,9 +87,6 @@ class ContraMetric:
 
     def is_degenerate(self) -> bool:
         return self.det.is_zero()
-
-    def entry(self, i: int, j: int) -> QPoly:
-        return self.g[i][j]
 
     def constant_entries(self) -> list[list[Q]]:
         """The entries as rationals; raises if any entry is non-constant."""
@@ -102,9 +111,6 @@ class Connection:
     def __init__(self, gamma: list[list[list[RatFunc]]]):
         self.gamma = gamma
         self.n = len(gamma)
-
-    def entry(self, k: int, i: int, j: int) -> RatFunc:
-        return self.gamma[k][i][j]
 
     def combine(self, other: "Connection", lam: Q) -> "Connection":
         n = self.n
@@ -191,38 +197,51 @@ class QuasihomReport(Report):
 def levi_civita(g: ContraMetric) -> Connection:
     """The unique contravariant connection satisfying symmetry and metricity.
 
-    Computed through the inverse metric (adjugate over determinant) and the
-    classical Christoffel symbols, then verified against the two defining
-    linear conditions before returning.
+    Every entry is taken over the single denominator det g:
+
+        det * G_k^{ij} = N_k^{ij}
+            = 1/2 det d_k g^{ij} + 1/2 adj_{kq} (g^{is} d_s g^{jq} - g^{js} d_s g^{iq}),
+
+    with adj the adjugate of g.  One exact division N / det per entry makes
+    the entry a quasi-polynomial when it succeeds; otherwise the entry keeps
+    the shared denominator.  Constant metrics get the zero connection without
+    forming the adjugate.  The connection is built and verified against the
+    two defining linear conditions once per metric object, then returned
+    from the metric's cache on every later call.
     """
+    if g._conn is None:
+        g._conn = _build_connection(g)
+    return g._conn
+
+
+def _build_connection(g: ContraMetric) -> Connection:
     n = g.n
     nvars = g.nvars
     det = g.det
     if det.is_zero():
         raise SingularMetricError("metric determinant is identically zero")
-    det_rf = RatFunc(det)
+    if g.is_constant():
+        zero = RatFunc(QPoly.zero(nvars))
+        return Connection([[[zero] * n for _i in range(n)] for _k in range(n)])
+
     adj = sym_adjugate(g.g, QPoly.zero(nvars))
-    low = [[RatFunc(adj[i][j]) / det_rf for j in range(n)] for i in range(n)]
-    dlow = [[[low[i][j].diff(k) for k in range(nvars)] for j in range(n)] for i in range(n)]
+    dg = [[[g.g[i][j].diff(s) for s in range(n)] for j in range(n)] for i in range(n)]
 
-    # Christoffel symbols of the covariant metric: C[k][i][j] = G^k_{ij}.
-    def christoffel(k: int, i: int, j: int) -> RatFunc:
-        terms = [g.g[k][l] * (dlow[l][j][i] + dlow[i][l][j] - dlow[i][j][l]) for l in range(n)]
-        return sum(terms[1:], terms[0]) * Q(1, 2)
+    def transport(i: int, j: int, q: int) -> QPoly:
+        """g^{is} d_s g^{jq}"""
+        return sum((g.g[i][s] * dg[j][q][s] for s in range(1, n)), g.g[i][0] * dg[j][q][0])
 
-    chris = [[[christoffel(k, i, j) for j in range(n)] for i in range(n)] for k in range(n)]
-    gamma = [
-        [
-            [
-                -sum((chris[j][s][k] * g.g[i][s] for s in range(n)), RatFunc(QPoly.zero(nvars)))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        for k in range(n)
-    ]
-    conn = Connection(gamma)
+    tr = [[[transport(i, j, q) for q in range(n)] for j in range(n)] for i in range(n)]
 
+    def entry(k: int, i: int, j: int) -> RatFunc:
+        num = det * dg[i][j][k]
+        for q in range(n):
+            num = num + adj[k][q] * (tr[i][j][q] - tr[j][i][q])
+        num = num * Q(1, 2)
+        quo = exact_divide(num, det)
+        return RatFunc(quo) if quo is not None else RatFunc(num, det)
+
+    conn = Connection([[[entry(k, i, j) for j in range(n)] for i in range(n)] for k in range(n)])
     for idx, res in symmetry_residuals(g.g, conn.gamma, n):
         if not res.is_zero():
             raise InternalCheckError(f"connection symmetry residual nonzero at {_idx1(idx)}")

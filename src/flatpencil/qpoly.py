@@ -43,8 +43,8 @@ TermKey = tuple[tuple[int, ...], tuple[tuple[int, Q], ...]]
 # generators; the ring is kept finitely presented by treating it as an error.
 EXP_RATE_LIMIT = Q(10**9)
 
-# Iteration cap for the opportunistic exact-division pass in RatFunc
-# normalization.  Exceeding it just skips the simplification.
+# Iteration cap for exact_divide.  Exceeding it reports the division as
+# inexact, so the caller keeps a fraction instead of a quotient.
 _DIV_STEP_LIMIT = 20000
 
 
@@ -494,16 +494,6 @@ class RatFunc:
         self.num = num
         self.den = den
 
-    @classmethod
-    def of(cls, value, nvars: int | None = None) -> "RatFunc":
-        if isinstance(value, RatFunc):
-            return value
-        if isinstance(value, QPoly):
-            return cls(value)
-        if nvars is None:
-            raise ValueError("nvars required for scalar promotion")
-        return cls(QPoly.const(nvars, value))
-
     @property
     def nvars(self) -> int:
         return self.num.nvars
@@ -649,10 +639,17 @@ def _cancel_common_factors(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:
 def exact_divide(num: QPoly, den: QPoly) -> QPoly | None:
     """Return num/den when the division is exact in the ring, else None.
 
-    Leading-term reduction in a graded-lexicographic order (total coordinate
-    degree, then the term key).  The pass is bounded: an inconclusive long
-    division is reported as "not divisible", which is always safe because
-    callers use it only to simplify representations.
+    Leading-term reduction in a monomial order: total coordinate degree,
+    then the coordinate powers, then the dense per-axis rate vector, all
+    lexicographic.  The order is compatible with multiplication, so an
+    exact quotient is found term by term from the top.  Since the ring is
+    an integral domain, the largest and smallest coordinate degree and
+    exponential rate on each axis add under multiplication; a quotient term
+    outside the range this leaves for an exact quotient proves the division
+    inexact.  Quotient terms strictly decrease and the range holds finitely
+    many of them, so the pass ends; the step limit is a backstop past which
+    the division is reported as "not divisible", which callers treat as
+    "keep the quotient as a fraction".
     """
     if den.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
@@ -662,7 +659,13 @@ def exact_divide(num: QPoly, den: QPoly) -> QPoly | None:
         return QPoly.zero(num.nvars)
 
     def order_key(key: TermKey):
-        return (sum(key[0]), key)
+        return (sum(key[0]), _axis_values(key))
+
+    num_span, den_span = _axis_spans(num), _axis_spans(den)
+    low = [n_lo - d_lo for (n_lo, _n), (d_lo, _d) in zip(num_span, den_span)]
+    high = [n_hi - d_hi for (_n, n_hi), (_d, d_hi) in zip(num_span, den_span)]
+    if any(lo > hi for lo, hi in zip(low, high)):
+        return None
 
     den_lead = max(den.terms, key=order_key)
     den_lead_coeff = den.terms[den_lead]
@@ -675,7 +678,7 @@ def exact_divide(num: QPoly, den: QPoly) -> QPoly | None:
             return None
         lead = max(rem, key=order_key)
         factor = _monomial_quotient(lead, den_lead)
-        if factor is None:
+        if factor is None or not all(lo <= v <= hi for lo, v, hi in zip(low, _axis_values(factor), high)):
             return None
         coeff = rem[lead] / den_lead_coeff
         quo[factor] = coeff
@@ -689,6 +692,20 @@ def exact_divide(num: QPoly, den: QPoly) -> QPoly | None:
     result = QPoly(num.nvars)
     result.terms = quo
     return result
+
+
+def _axis_values(key: TermKey) -> list:
+    """The coordinate power on each axis, then the exponential rate on each axis."""
+    rates = [Q(0)] * len(key[0])
+    for axis, rate in key[1]:
+        rates[axis] = rate
+    return [*key[0], *rates]
+
+
+def _axis_spans(p: QPoly) -> list[tuple]:
+    """(smallest, largest) of each entry of _axis_values over the terms of p."""
+    columns = zip(*(_axis_values(key) for key in p.terms))
+    return [(min(col), max(col)) for col in columns]
 
 
 def _monomial_quotient(a: TermKey, b: TermKey) -> TermKey | None:

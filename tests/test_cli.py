@@ -3,7 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from flatpencil import geometry
 from flatpencil.cli import main
+from flatpencil.errors import InternalCheckError
+from flatpencil.pencilio import dump_pencil
 
 TESTDATA = Path(__file__).resolve().parent.parent / "testdata"
 CUBIC = TESTDATA / "n1-cubic-frobenius.json"
@@ -147,3 +150,76 @@ def test_report_has_digest_and_schema(tmp_path):
     assert payload["schema"] == 1
     assert payload["inputs"][0]["sha256"]
     assert all(c["timing_ms"] is None for c in payload["certificates"])
+
+
+def test_internal_error_exit_4(monkeypatch, capsys):
+    # A connection kernel that drops the determinant from every entry: the
+    # metricity self-check must fire as a toolkit bug, not as a failed
+    # certificate.
+    monkeypatch.setattr("flatpencil.geometry.exact_divide", lambda num, den: num)
+    assert run(["pencil", "check", PENCIL1]) == 4
+    captured = capsys.readouterr()
+    assert "internal error:" in captured.err and "metricity" in captured.err
+    assert "FAIL" not in captured.out
+
+
+def test_internal_error_in_potential_scaling_exit_4(monkeypatch, capsys):
+    def broken(_m):
+        raise InternalCheckError("scaling self-check failed")
+
+    monkeypatch.setattr("flatpencil.cli.check_quasihomogeneity", broken)
+    assert run(["frobenius", "check", CUBIC]) == 4
+    assert "internal error: scaling self-check failed" in capsys.readouterr().err
+
+
+# CP1 in coordinates s1 = t1, s2 = t1 + t2, which puts exp on both axes.
+CP1_MIXED_PENCIL = {
+    "n": 2,
+    "d": "1",
+    "tau": "-t1 + t2",
+    "expgens": [[1, "-1"], [2, "1"]],
+    "g1": [
+        ["2*exp(-1*t1)*exp(t2)", "t1 + 2*exp(-1*t1)*exp(t2)"],
+        ["t1 + 2*exp(-1*t1)*exp(t2)", "2*t1 + 2 + 2*exp(-1*t1)*exp(t2)"],
+    ],
+    "g2": [["0", "1"], ["1", "2"]],
+}
+
+# CP1 under the unity-preserving change s = [[1, 2], [0, 1]] t.
+CP1_SHEARED_FROBENIUS = {
+    "n": 2,
+    "d": "1",
+    "eta": [["0", "1"], ["1", "-4"]],
+    "potential": "1/2*t1^2*t2 - 2*t1*t2^2 + 2*t2^3 + exp(t2)",
+    "euler": {"linear": [["1", "-2"], ["0", "0"]], "constant": ["4", "2"]},
+    "unity_index": 1,
+    "expgens": [[2, "1"]],
+}
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [("pencil check", CP1_MIXED_PENCIL), ("frobenius pencil", CP1_SHEARED_FROBENIUS)],
+    ids=["pencil-check-mixed", "frobenius-pencil-sheared"],
+)
+def test_cp1_exp_on_changed_coordinates_decides(tmp_path, capsys, command, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert run([*command.split(), path]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_recurse_builds_first_connection_once(tmp_path, monkeypatch, a3):
+    bundle, _recon = a3
+    path = tmp_path / "a3-pencil.json"
+    path.write_text(dump_pencil(bundle.pencil), encoding="utf-8")
+    built = []
+    build = geometry._build_connection
+
+    def counting(g):
+        built.append(g)
+        return build(g)
+
+    monkeypatch.setattr(geometry, "_build_connection", counting)
+    assert run(["bracket", "recurse", path, "--steps", "10"]) == 0
+    assert len(built) == 1 and not built[0].is_constant()

@@ -240,3 +240,139 @@ def test_quasihomogeneous_tau_squared_inference_fails(a2):
     )
     with pytest.raises(DegreeInferenceError):
         check_quasihomogeneous(p)
+
+
+# ---------------------------------------------------------------------------
+# The connection kernel: sympy oracle, caching, constant metrics
+# ---------------------------------------------------------------------------
+
+
+def _random_metric(rng, n, allow_exp):
+    def entry():
+        p = QPoly.zero(n)
+        for _ in range(rng.randint(1, 3)):
+            pows = tuple(rng.randint(0, 1) for _ in range(n))
+            term = QPoly(n, {(pows, ()): Q(rng.randint(-3, 3))})
+            if allow_exp and rng.random() < 0.5:
+                term = term * QPoly.exp(n, n - 1, rng.choice([1, -1]))
+            p = p + term
+        return p
+
+    while True:
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = entry()
+        g = ContraMetric(rows)
+        if not g.is_degenerate() and not g.is_constant():
+            return g
+
+
+ORACLE_METRICS = [
+    ("hyperbolic-plane", lambda: metric([["1", "0"], ["0", "t1^2"]], 2)),
+    ("cp1", lambda: metric([["2*exp(t2)", "t1"], ["t1", "2"]], 2)),
+    ("random-poly", lambda: _random_metric(random.Random(5), 2, False)),
+    ("random-exp-a", lambda: _random_metric(random.Random(7), 2, True)),
+    ("random-exp-b", lambda: _random_metric(random.Random(8), 2, True)),
+]
+
+
+@pytest.mark.parametrize("make", [m for _name, m in ORACLE_METRICS], ids=[name for name, _m in ORACLE_METRICS])
+def test_connection_and_curvature_match_sympy(make):
+    """The single-denominator kernel against the classical route in sympy:
+    the covariant metric adj(g)/det(g), its Christoffel symbols with one
+    index raised, and the curvature formula evaluated on that connection.
+    The sympy expressions are left unsimplified and compared with ours
+    exactly at random rational points, exp(t_n) given a random rational
+    value (a ring homomorphism once every derivative is taken)."""
+    sympy = pytest.importorskip("sympy")
+    g = make()
+    n = g.n
+    ts = sympy.symbols(f"t1:{n + 1}")
+
+    def to_sym(p):
+        return sympy.Add(
+            *(
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(t**a for t, a in zip(ts, pows)))
+                * sympy.exp(sum((sympy.Rational(r.numerator, r.denominator) * ts[axis] for axis, r in efac), 0))
+                for (pows, efac), c in p.terms.items()
+            )
+        )
+
+    up = sympy.Matrix(n, n, lambda i, j: to_sym(g.g[i][j]))
+    low = up.adjugate() / up.det()
+    chris = [
+        [
+            [
+                sum(
+                    up[a, d] * (sympy.diff(low[d, c], ts[b]) + sympy.diff(low[d, b], ts[c]) - sympy.diff(low[b, c], ts[d]))
+                    for d in range(n)
+                )
+                / 2
+                for c in range(n)
+            ]
+            for b in range(n)
+        ]
+        for a in range(n)
+    ]
+    gamma = [[[-sum(up[i, s] * chris[j][s][k] for s in range(n)) for j in range(n)] for i in range(n)] for k in range(n)]
+    riemann = [
+        [
+            [
+                [
+                    sum(
+                        up[i, s] * (sympy.diff(gamma[l][j][k], ts[s]) - sympy.diff(gamma[s][j][k], ts[l]))
+                        + gamma[s][i][k] * gamma[l][s][j]
+                        - gamma[s][i][j] * gamma[l][s][k]
+                        for s in range(n)
+                    )
+                    for k in range(n)
+                ]
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        for l in range(n)
+    ]
+
+    conn = levi_civita(g)
+    curv = curvature(g, conn)
+    rng = random.Random(1)
+    for _ in range(2):
+        point = [Q(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+        unit = Q(rng.randint(1, 9), rng.randint(1, 5))
+        exp_value = {sympy.exp(ts[-1]): sympy.Rational(unit.numerator, unit.denominator)}
+        coords = {t: sympy.Rational(v.numerator, v.denominator) for t, v in zip(ts, point)}
+
+        def agree(ours, expr):
+            expvals = {n - 1: (Q(1), unit)}
+            value = ours.num.eval(point, expvals) / ours.den.eval(point, expvals)
+            return expr.subs(exp_value).subs(coords) == sympy.Rational(value.numerator, value.denominator)
+
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    assert agree(conn.gamma[k][i][j], gamma[k][i][j]), (k, i, j)
+        for (l, i, j, k), val in curv.entries():
+            assert agree(val, riemann[l][i][j][k]), (l, i, j, k)
+
+
+def test_non_flat_connection_keeps_shared_denominator():
+    g = metric([["1", "0"], ["0", "t1^2"]], 2)
+    conn = levi_civita(g)
+    assert not all(x.is_polynomial() for k in conn.gamma for row in k for x in row)
+
+
+def test_connection_built_once_per_metric(cp1_metric):
+    assert levi_civita(cp1_metric) is levi_civita(cp1_metric)
+
+
+def test_constant_metric_skips_adjugate(monkeypatch):
+    def forbidden(*_args):
+        raise AssertionError("sym_adjugate called for a constant metric")
+
+    monkeypatch.setattr("flatpencil.geometry.sym_adjugate", forbidden)
+    eta = ContraMetric.constant([[Q(2), Q(1)], [Q(1), Q(1)]])
+    assert levi_civita(eta).is_zero()
+    assert is_flat(eta).passed

@@ -141,6 +141,46 @@ def test_exact_divide():
     assert exact_divide(num, den) == qp("t1", 2)
 
 
+@pytest.fixture(params=[None, 50], ids=["default-limit", "limit-50"])
+def div_step_limit(request, monkeypatch):
+    """Run once with the default division step limit and once with a tiny one:
+    exact quotients and proofs of inexactness must both come from the order
+    and range checks, not from running out of steps."""
+    if request.param is not None:
+        monkeypatch.setattr("flatpencil.qpoly._DIV_STEP_LIMIT", request.param)
+
+
+@pytest.mark.parametrize(
+    "num, den, quotient",
+    [
+        ("(exp(t2) + 1)*(exp(-1*t2) + t1)", "exp(t2) + 1", "exp(-1*t2) + t1"),
+        ("exp(t2) + 1", "exp(-1*t2) + 1", "exp(t2)"),
+        ("exp(-2*t2) - t1^2", "exp(-1*t2) + t1", "exp(-1*t2) - t1"),
+        ("exp(t2) + 2", "exp(-1*t2) + 1", None),
+        ("1", "exp(t2) + 1", None),
+        ("t1 + exp(t2)", "t1 - exp(t2)", None),
+        ("exp(t1) + exp(-1*t2)", "exp(t2) + t1", None),
+    ],
+)
+def test_exact_divide_exponential_terms(div_step_limit, num, den, quotient):
+    got = exact_divide(qp(num, 2), qp(den, 2))
+    if quotient is None:
+        assert got is None
+    else:
+        assert got == qp(quotient, 2)
+
+
+def test_exact_divide_random_products(div_step_limit):
+    rng = random.Random(23)
+    for _ in range(40):
+        a, b = random_qpoly(rng, 2), random_qpoly(rng, 2)
+        if b.is_zero():
+            continue
+        assert exact_divide(a * b, b) == a
+        if len(b.terms) > 1:  # b is not a unit, so it does not divide 1
+            assert exact_divide(a * b + 1, b) is None
+
+
 def test_ratfunc_normalization_and_equality():
     r = RatFunc(qp("t1", 1), qp("2*t1", 1))
     assert r.is_polynomial()
