@@ -14,13 +14,15 @@ and are computed here from the contravariant formula
     G_k^{ij} = 1/2 d_k g^{ij} + 1/2 g_{kq} (g^{is} d_s g^{jq} - g^{js} d_s g^{iq})
 
 with the lower-index metric g_{kq} = adj_{kq} / det taken from one adjugate,
-so every entry is a numerator over the single denominator det g.  Each
-numerator is divided by det exactly when it can be.  When every division
-succeeds, as on the orbit-space pencils and the bundled examples, curvature
-and every residual stay among quasi-polynomials.  The connection is re-verified against
-the two conditions when it is first built and cached on the metric object,
-so a pipeline that asks for one metric's connection repeatedly builds it
-once.  Curvature is
+so every entry is a numerator over the single denominator det g.  When
+every numerator divides by det, as on the orbit-space pencils and the
+bundled examples, the entries are quasi-polynomials and curvature and every
+residual stay among them.  When any division is inexact, every entry keeps
+det: the connection then has one shared denominator, so curvature and the
+pencil residuals never mix denominators, and :class:`RatFunc` sums stay over
+powers of det.  The connection is re-verified against the two conditions
+when it is first built and cached on the metric object, so a pipeline that
+asks for one metric's connection repeatedly builds it once.  Curvature is
 
     R_l^{ijk} = g^{is} (d_s G_l^{jk} - d_l G_s^{jk})
                 + G_s^{ik} G_l^{sj} - G_s^{ij} G_l^{sk},
@@ -202,10 +204,10 @@ def levi_civita(g: ContraMetric) -> Connection:
         det * G_k^{ij} = N_k^{ij}
             = 1/2 det d_k g^{ij} + 1/2 adj_{kq} (g^{is} d_s g^{jq} - g^{js} d_s g^{iq}),
 
-    with adj the adjugate of g.  One exact division N / det per entry makes
-    the entry a quasi-polynomial when it succeeds; otherwise the entry keeps
-    the shared denominator.  Constant metrics get the zero connection without
-    forming the adjugate.  The connection is built and verified against the
+    with adj the adjugate of g.  When every exact division N / det succeeds
+    the entries are the quasi-polynomial quotients; otherwise every entry
+    keeps the shared denominator det.  Constant metrics get the zero
+    connection without forming the adjugate.  The connection is built and verified against the
     two defining linear conditions once per metric object, then returned
     from the metric's cache on every later call.
     """
@@ -233,15 +235,18 @@ def _build_connection(g: ContraMetric) -> Connection:
 
     tr = [[[transport(i, j, q) for q in range(n)] for j in range(n)] for i in range(n)]
 
-    def entry(k: int, i: int, j: int) -> RatFunc:
+    def numerator(k: int, i: int, j: int) -> QPoly:
         num = det * dg[i][j][k]
         for q in range(n):
             num = num + adj[k][q] * (tr[i][j][q] - tr[j][i][q])
-        num = num * Q(1, 2)
-        quo = exact_divide(num, det)
-        return RatFunc(quo) if quo is not None else RatFunc(num, det)
+        return num * Q(1, 2)
 
-    conn = Connection([[[entry(k, i, j) for j in range(n)] for i in range(n)] for k in range(n)])
+    nums = [[[numerator(k, i, j) for j in range(n)] for i in range(n)] for k in range(n)]
+    quos = [[[exact_divide(num, det) for num in row] for row in layer] for layer in nums]
+    if any(quo is None for layer in quos for row in layer for quo in row):
+        conn = Connection([[[RatFunc(num, det) for num in row] for row in layer] for layer in nums])
+    else:
+        conn = Connection([[[RatFunc(quo) for quo in row] for row in layer] for layer in quos])
     for idx, res in symmetry_residuals(g.g, conn.gamma, n):
         if not res.is_zero():
             raise InternalCheckError(f"connection symmetry residual nonzero at {_idx1(idx)}")
@@ -498,12 +503,13 @@ def infer_degree(g1: ContraMetric, e_big: VectorField) -> Q:
     if anchor is None:
         raise DegreeInferenceError("first metric is zero; no scaling degree exists")
     i, j = anchor
-    ratio = RatFunc(lie[i][j], g1.g[i][j])
-    if not (ratio.is_polynomial() and ratio.as_poly().is_constant()):
+    ratio = exact_divide(lie[i][j], g1.g[i][j])
+    if ratio is None or not ratio.is_constant():
         raise DegreeInferenceError(
-            f"scaling ratio at entry {_idx1((i, j))} is not a constant: {ratio}"
+            f"scaling ratio at entry {_idx1((i, j))} is not a constant: "
+            f"{RatFunc(lie[i][j], g1.g[i][j])}"
         )
-    r = ratio.as_poly().constant_value()
+    r = ratio.constant_value()
     for a in range(n):
         for b in range(n):
             if not (lie[a][b] - g1.g[a][b] * r).is_zero():

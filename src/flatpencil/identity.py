@@ -1,7 +1,8 @@
 """Certified zero-testing for exact scalars.
 
-Values are kept in normal form, so a scalar vanishes identically iff its
-normal form is zero; the comparison is a proof.
+Quasi-polynomials are kept in normal form, and a fraction vanishes iff its
+numerator does, so a scalar vanishes identically iff that normal form is
+zero; the comparison is a proof.
 """
 
 from __future__ import annotations

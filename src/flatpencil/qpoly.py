@@ -16,12 +16,12 @@ same coordinate normalize by adding rates, so the term map is a canonical
 form: two QPoly are equal iff their term maps are equal.  No floating point
 enters any arithmetic path; coefficients are `fractions.Fraction`.
 
-:class:`RatFunc` is a quotient num/den of two QPoly.  The representation is
-normalized by a cheap common-factor cancellation plus one attempted exact
-division, and the denominator is scaled so its lexicographically-first term
-has coefficient 1.  Equality of rational functions is decided by
-cross-multiplication, so the (optional) cancellation is a performance knob,
-never a correctness requirement.
+:class:`RatFunc` is a fraction num/den of two QPoly, kept as it was built:
+no common factors are cancelled and no denominator is scaled.  A value is
+zero iff its numerator is, and equality is decided by cross-multiplication,
+so no canonical form is needed.  The certificates are numerator identities
+over the dense set where the denominator is nonzero; :func:`exact_divide`
+turns a fraction into a quasi-polynomial when the division is exact.
 
 Coordinate axes are 0-based throughout the library; the 1-based names
 t1..tn appear only in parsed/printed expressions and JSON files.
@@ -353,12 +353,6 @@ class QPoly:
     def exp_rates_on(self, axis: int) -> set[Q]:
         return {r for (_p, efac) in self.terms for a, r in efac if a == axis}
 
-    def min_term(self) -> TermKey:
-        """Lexicographically-first term key (the normalization anchor)."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no terms")
-        return min(self.terms)
-
     # -- evaluation -----------------------------------------------------------
 
     def eval(self, coords: list[Q], expvals: Mapping[int, tuple[Q, Q]] | None = None) -> Q:
@@ -478,19 +472,24 @@ def _term_body(key: TermKey) -> str:
 
 
 class RatFunc:
-    """Quotient of two QPoly with a cheap canonicalizing normalization."""
+    """A fraction num/den of two QPoly, kept as it was built.
+
+    Sums over equal denominators add numerators, and a sum where one
+    denominator divides the other is taken over the larger one, so a tensor
+    over one shared denominator stays over it (or its square, after a
+    derivative).  Nothing else is reduced: the value is exact whatever the
+    representation, and only :meth:`quotient` divides.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: QPoly, den: QPoly | None = None, _normalize: bool = True):
+    def __init__(self, num: QPoly, den: QPoly | None = None):
         if den is None:
             den = QPoly.const(num.nvars, 1)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.nvars != den.nvars:
             raise ValueError("mixed variable counts")
-        if _normalize:
-            num, den = _normalize_quotient(num, den)
         self.num = num
         self.den = den
 
@@ -501,14 +500,19 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def quotient(self) -> QPoly | None:
+        """num/den as a quasi-polynomial when the division is exact, else None."""
+        return exact_divide(self.num, self.den)
+
     def is_polynomial(self) -> bool:
-        return self.den.is_constant()
+        return self.quotient() is not None
 
     def as_poly(self) -> QPoly:
-        """The numerator when the denominator normalized to a constant."""
-        if not self.den.is_constant():
+        """The quotient; raises OutOfRingError when it is not a quasi-polynomial."""
+        quo = self.quotient()
+        if quo is None:
             raise OutOfRingError("rational function with nontrivial denominator")
-        return self.num * (1 / self.den.constant_value())
+        return quo
 
     def _coerce(self, other) -> "RatFunc":
         if isinstance(other, RatFunc):
@@ -523,12 +527,18 @@ class RatFunc:
         other = self._coerce(other)
         if self.den == other.den:
             return RatFunc(self.num + other.num, self.den)
+        scale = exact_divide(self.den, other.den)
+        if scale is not None:
+            return RatFunc(self.num + other.num * scale, self.den)
+        scale = exact_divide(other.den, self.den)
+        if scale is not None:
+            return RatFunc(self.num * scale + other.num, other.den)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den, _normalize=False)
+        return RatFunc(-self.num, self.den)
 
     def __sub__(self, other) -> "RatFunc":
         return self.__add__(self._coerce(other).__neg__())
@@ -541,15 +551,6 @@ class RatFunc:
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RatFunc":
-        other = self._coerce(other)
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other) -> "RatFunc":
-        return self._coerce(other).__truediv__(self)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, QPoly)):
@@ -567,73 +568,16 @@ class RatFunc:
         )
 
     def lift(self, new_nvars: int) -> "RatFunc":
-        return RatFunc(self.num.lift(new_nvars), self.den.lift(new_nvars), _normalize=False)
+        return RatFunc(self.num.lift(new_nvars), self.den.lift(new_nvars))
 
     def __str__(self) -> str:
-        if self.den.is_constant():
-            return str(self.as_poly())
+        quo = self.quotient()
+        if quo is not None:
+            return str(quo)
         return f"({self.num}) / ({self.den})"
 
     def __repr__(self) -> str:
         return f"RatFunc({self})"
-
-
-def _normalize_quotient(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:
-    if num.is_zero():
-        return num, QPoly.const(num.nvars, 1)
-
-    num, den = _cancel_common_factors(num, den)
-
-    if not den.is_constant():
-        q = exact_divide(num, den)
-        if q is not None:
-            num, den = q, QPoly.const(num.nvars, 1)
-        elif not num.is_constant():
-            q = exact_divide(den, num)
-            if q is not None:
-                num, den = QPoly.const(num.nvars, 1), q
-
-    # Scale so the lexicographically-first denominator term has coefficient 1.
-    anchor = den.terms[den.min_term()]
-    if anchor != 1:
-        inv = 1 / anchor
-        num = num * inv
-        den = den * inv
-    return num, den
-
-
-def _cancel_common_factors(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:
-    """Divide out shared monomial powers and shared exponential factors."""
-    nvars = num.nvars
-    keys = list(num.terms) + list(den.terms)
-    min_pows = [min(k[0][i] for k in keys) for i in range(nvars)]
-    shift_rates: dict[int, Q] = {}
-    for axis in range(nvars):
-        rates = [_exp_rate(k[1], axis) for k in keys]
-        if all(r > 0 for r in rates):
-            shift_rates[axis] = min(rates)
-        elif all(r < 0 for r in rates):
-            shift_rates[axis] = max(rates)
-    if not any(min_pows) and not shift_rates:
-        return num, den
-
-    def shrink(p: QPoly) -> QPoly:
-        out: dict[TermKey, Q] = {}
-        for (pows, efac), c in p.terms.items():
-            newpows = tuple(a - m for a, m in zip(pows, min_pows))
-            rates = dict(efac)
-            for axis, shift in shift_rates.items():
-                newr = rates.get(axis, Q(0)) - shift
-                if newr:
-                    rates[axis] = newr
-                else:
-                    rates.pop(axis, None)
-            out[(newpows, tuple(sorted(rates.items())))] = c
-        res = QPoly(nvars)
-        res.terms = out
-        return res
-
-    return shrink(num), shrink(den)
 
 
 def exact_divide(num: QPoly, den: QPoly) -> QPoly | None:

@@ -67,11 +67,9 @@ class DeltaTensor:
     """Difference tensor of the pencil in flat coordinates of g2.
 
     delta_mixed[k][i][j] = Delta_k^{ij} (equals the connection of g1 in
-    these coordinates); delta_up[i][j][k] = Delta^{ijk} = g2^{js}
-    Delta_s^{ik}.
+    these coordinates).
     """
 
-    delta_up: list[list[list[RatFunc]]]
     delta_mixed: list[list[list[RatFunc]]]
 
     @property
@@ -143,25 +141,13 @@ def _require_constant_g2(p: PencilData) -> list[list[Q]]:
 
 
 def delta_tensor(p: PencilData) -> DeltaTensor:
-    """Delta^{ijk} = g2^{js} G1_s^{ik} - g1^{is} G2_s^{jk}; here G2 = 0."""
-    eta_up = _require_constant_g2(p)
+    """Delta_k^{ij} = G1_k^{ij} - G2_k^{ij}; here G2 = 0."""
+    _require_constant_g2(p)
     conn1 = levi_civita(p.g1)
     conn2 = levi_civita(p.g2)
     if not conn2.is_zero():
         raise InternalCheckError("constant metric produced a nonzero connection")
-    n = p.n
-    mixed = conn1.gamma
-    up = [
-        [
-            [
-                sum((mixed[s][i][k] * eta_up[j][s] for s in range(1, n)), mixed[0][i][k] * eta_up[j][0])
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return DeltaTensor(delta_up=up, delta_mixed=mixed)
+    return DeltaTensor(delta_mixed=conn1.gamma)
 
 
 def check_delta_properties(p: PencilData, delta: DeltaTensor) -> Report:
@@ -423,10 +409,10 @@ def normalize_flat_coordinates(p: PencilData) -> NormalizationResult:
     return result
 
 
-def transform_pencil(p: PencilData, matrix: list[list[Q]]) -> PencilData:
-    """Apply the linear coordinate change t_new = matrix . t_old."""
+def _linear_change_images(matrix: list[list[Q]]) -> list[QPoly]:
+    """For t_new = matrix . t_old, each t_old as a linear form in t_new."""
     inv = mat_inverse(matrix)
-    n = p.n
+    n = len(matrix)
     images = []
     for b in range(n):
         img = QPoly.zero(n)
@@ -434,6 +420,13 @@ def transform_pencil(p: PencilData, matrix: list[list[Q]]) -> PencilData:
             if inv[b][a]:
                 img = img + QPoly.var(n, a) * inv[b][a]
         images.append(img)
+    return images
+
+
+def transform_pencil(p: PencilData, matrix: list[list[Q]]) -> PencilData:
+    """Apply the linear coordinate change t_new = matrix . t_old."""
+    n = p.n
+    images = _linear_change_images(matrix)
 
     def push_metric(g: ContraMetric) -> ContraMetric:
         subbed = [[g.g[i][j].substitute(images) for j in range(n)] for i in range(n)]
@@ -744,14 +737,7 @@ def reconstruct_frobenius(p: PencilData) -> ReconstructionResult:
     pres_matrix, unity_index = present
     if pres_matrix != identity_matrix(n):
         q_final = transform_pencil(q, pres_matrix)
-        inv = mat_inverse(pres_matrix)
-        images = []
-        for b in range(n):
-            img = QPoly.zero(n)
-            for a in range(n):
-                if inv[b][a]:
-                    img = img + QPoly.var(n, a) * inv[b][a]
-            images.append(img)
+        images = _linear_change_images(pres_matrix)
         potential = potential.substitute(images)
         potential = potential - potential.poly_part_degree_at_most(2)
         e_big = _push_vector_field(e_big, pres_matrix, images)

@@ -362,6 +362,22 @@ def test_non_flat_connection_keeps_shared_denominator():
     g = metric([["1", "0"], ["0", "t1^2"]], 2)
     conn = levi_civita(g)
     assert not all(x.is_polynomial() for k in conn.gamma for row in k for x in row)
+    # one inexact entry puts every entry over det, polynomial ones included
+    assert all(x.den == g.det for k in conn.gamma for row in k for x in row)
+
+
+def test_non_flat_three_dim_metric_fails_at_first_curvature_entry():
+    g = metric(
+        [
+            ["-t1*t2-3*t2*t3+3*t3", "-t1*t3-2*t2", "0"],
+            ["-t1*t3-2*t2", "-5*t3", "t1*t2*t3-3"],
+            ["0", "t1*t2*t3-3", "0"],
+        ],
+        3,
+    )
+    cert = is_flat(g)
+    assert not cert.passed
+    assert cert.witness.startswith("curvature entry (1,1,1,2): ")
 
 
 def test_connection_built_once_per_metric(cp1_metric):

@@ -200,6 +200,23 @@ def test_ratfunc_arithmetic():
     assert x.diff(0) == RatFunc(qp("-1", 1), qp("t1^2", 1))
 
 
+def test_ratfunc_sum_over_dividing_denominator():
+    d = qp("t1^2 + t2", 2)
+    s = RatFunc(qp("t1", 2), d) + RatFunc(qp("t2", 2), d * d)
+    assert s.den == d * d
+    assert s.num == qp("t1^3 + t1*t2 + t2", 2)
+    assert (RatFunc(qp("1", 2), d) + RatFunc(qp("1", 2), d)).den == d
+    assert (RatFunc(qp("t2", 2), d * d) - RatFunc(qp("t1", 2))).den == d * d
+
+
+def test_ratfunc_quotient_only_when_exact():
+    d = qp("t1 + t2", 2)
+    assert RatFunc(qp("t1^2 - t2^2", 2), d).quotient() == qp("t1 - t2", 2)
+    assert RatFunc(qp("t1", 2), d).quotient() is None
+    assert str(RatFunc(qp("2*t1", 2), qp("4", 2))) == "1/2*t1"
+    assert str(RatFunc(qp("t1", 2), d)) == "(t1) / (t1 + t2)"
+
+
 def test_ratfunc_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         RatFunc(qp("1", 1), QPoly.zero(1))

@@ -33,7 +33,6 @@ def qp(text, n):
 def test_delta_one_dim(cubic_pencil):
     delta = delta_tensor(cubic_pencil)
     assert delta.delta_mixed[0][0][0].as_poly() == QPoly.const(1, Q(1, 2))
-    assert delta.delta_up[0][0][0].as_poly() == QPoly.const(1, Q(1, 2))
 
 
 def test_delta_both_constant_vanishes():
@@ -73,11 +72,31 @@ def test_delta_mutation_breaks_curl(a2):
     mutated[0][0][0] = mutated[0][0][0] + RatFunc(qp("t2", n))
     from flatpencil.reconstruction import DeltaTensor
 
-    bad = DeltaTensor(delta_up=delta.delta_up, delta_mixed=mutated)
+    bad = DeltaTensor(delta_mixed=mutated)
     report = check_delta_properties(bundle.pencil, bad)
     assert not report.passed
     curl = report.find("delta-curl")
     assert not curl.passed and curl.witness.startswith("entry (1,2")
+
+
+def test_delta_properties_on_non_polynomial_connection():
+    g1 = ContraMetric(
+        [[qp(x, 2) for x in row] for row in [["t1^2+t2+3/2*t1*t2", "2*t1+t2^2"], ["2*t1+t2^2", "t1*t2+1"]]]
+    )
+    g2 = ContraMetric.constant([[Q(1), Q(0)], [Q(0), Q(1)]])
+    pencil = PencilData(g1=g1, g2=g2, tau=qp("t2", 2), d=Q(1, 2))
+    delta = delta_tensor(pencil)
+    assert not all(x.is_polynomial() for k in delta.delta_mixed for row in k for x in row)
+    report = check_delta_properties(pencil, delta)
+    got = {c.name: (c.status, (c.witness or "").split(":")[0]) for c in report.certificates}
+    assert got == {
+        "delta-g1-symmetry": ("pass", ""),
+        "delta-g2-symmetry": ("fail", "entry (1,2,1)"),
+        "delta-right-symmetry": ("fail", "entry (1,1,2,1)"),
+        "delta-curl": ("fail", "entry (1,2,1,2)"),
+        "delta-euler-scaling": ("fail", "entry (1,1,1)"),
+        "delta-unity-invariance": ("fail", "entry (1,1,1)"),
+    }
 
 
 def test_operator_pair_one_dim(cubic_pencil):
