@@ -10,7 +10,7 @@ Subcommands
     bracket compat INPUT        bracket compatibility certificate
     bracket virasoro INPUT      Virasoro form of the stress field
     bracket recurse INPUT       bihamiltonian recursion from the Casimirs
-    bracket central-charge INPUT [--coxeter-rank K]
+    bracket central-charge INPUT [--coxeter-rank K]   (K must equal n)
 
 Exit codes: 0 all certificates pass, 1 certificate failure, 2 usage error,
 3 malformed input (parse errors carry line/column), 4 internal error (a
@@ -373,6 +373,10 @@ def cmd_bracket_recurse(args):
 
 def cmd_bracket_central_charge(args):
     m = pencilio.load_frobenius(read_input(args.input))
+    if args.coxeter_rank is not None and args.coxeter_rank != m.n:
+        rule = f"--coxeter-rank must equal the dimension n = {m.n} (A_K has a K-dimensional orbit space)"
+        print(f"error: {rule}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     result = central_charge(m, coxeter_rank=args.coxeter_rank)
     report = Report()
     extra = {"central-charge": result.c_formula}

@@ -16,7 +16,10 @@ invariant differentials reduces in this chart to
 
 which is exact over Q (no orthonormal basis of H is ever needed).  Every
 W-invariant quantity is rewritten as a polynomial in the generators by an
-exact linear solve in the graded invariant space.
+exact linear solve in the graded invariant space.  Both metrics then reach
+the flat generators t through the Jacobian of t in the generators p
+(:func:`geometry.push_metric`), with p written back in t by the triangular
+inverse of the graded map; no second invariant rewrite is needed.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import reports
-from .errors import GradingError, InternalCheckError, RewriteError
+from .errors import GradingError, InternalCheckError, NoSolutionError, RewriteError, UnderdeterminedError
 from .geometry import (
     ContraMetric,
     PencilData,
@@ -35,12 +38,12 @@ from .geometry import (
     infer_degree,
     is_flat,
     levi_civita,
+    push_metric,
 )
 from .linalg import exact_linsolve, nullspace, sym_det
 from .qpoly import QPoly
 from .reconstruction import ReconstructionResult, reconstruct_frobenius
 from .reports import Certificate, Report
-from .errors import NoSolutionError, UnderdeterminedError
 
 Q = Fraction
 
@@ -359,42 +362,22 @@ def coxeter_pencil(rank: int) -> tuple[CoxeterPencil, ReconstructionResult]:
     kappa_val = kappa.constant_value()
     g2_p = ContraMetric([[g2_p.g[i][j] * (1 / kappa_val) for j in range(n)] for i in range(n)])
 
-    # Everything is now rewritten in the flat generators via the chart.
-    t_in_y = [t.substitute(chart.polys) for t in t_polys]
-    t_degrees = chart.degrees
+    # Both metrics reach the flat generators through the generator Jacobian.
     p_in_t = invert_graded_map(chart, t_polys)
-
-    def to_t(value_y: QPoly) -> QPoly:
-        return rewrite_in_generators(value_y, t_in_y, t_degrees)
-
-    g1_t = ContraMetric(
-        [[to_t(chart_pairing(chart, t_in_y[a], t_in_y[b])) for b in range(n)] for a in range(n)]
-    )
-    # Unity-flow metric in flat generators: transform g2_p through the
-    # generator change (Jacobian is polynomial, result must be constant).
-    jac = [[t_polys[a].diff(b) for b in range(n)] for a in range(n)]
-    eta_entries = []
+    g1_t = push_metric(g1_p, t_polys, p_in_t)
+    eta = push_metric(g2_p, t_polys, p_in_t)
     for a in range(n):
-        row = []
         for b in range(n):
-            acc = QPoly.zero(n)
-            for i in range(n):
-                for j in range(n):
-                    acc = acc + jac[a][i] * g2_p.g[i][j] * jac[b][j]
-            acc = acc.substitute(p_in_t)
-            if not acc.is_constant():
+            if not eta.g[a][b].is_constant():
                 raise InternalCheckError(
                     f"unity-flow metric is not constant in flat generators at ({a + 1},{b + 1})"
                 )
-            row.append(acc)
-        eta_entries.append(row)
-    eta = ContraMetric(eta_entries)
 
     tau_t = QPoly.var(n, n - 1)
     d = 1 - Q(2, h)
     pencil = PencilData(g1=g1_t, g2=eta, tau=tau_t, d=d)
 
-    inferred = infer_degree(g1_t, VectorField([QPoly.var(n, a) * Q(t_degrees[a], h) for a in range(n)]))
+    inferred = infer_degree(g1_t, VectorField([QPoly.var(n, a) * Q(chart.degrees[a], h) for a in range(n)]))
     report.add(
         Certificate(
             "coxeter-degree",

@@ -115,32 +115,22 @@ def structure_constants(m: FrobeniusData) -> StructureConstants:
                     f"c(e, d_{a + 1}, d_{b + 1}) = {c_low[m.unity][a][b]} "
                     f"differs from eta entry {m.eta[a][b]}"
                 )
-    c_mixed = _raise_two(c_low, m.eta_inv, n)
+    c_mixed = contract_two(c_low, m.eta_inv, n)
     return StructureConstants(c_low=c_low, c_mixed=c_mixed)
 
 
-def _raise_two(c_low, eta_inv, n: int):
-    """c^{ab}_c = eta^{al} eta^{bm} c_lmc."""
-    zero = QPoly.zero(c_low[0][0][0].nvars)
+def contract_two(c, mat, n: int):
+    """Contract the first two indices with mat: c'^{ab}_c = mat[a][l] mat[b][m] c^{lm}_c.
+
+    With eta^{-1} this raises c_abc to c^{ab}_c; with eta it lowers back.
+    """
+    zero = QPoly.zero(c[0][0][0].nvars)
     half = [
-        [[sum((c_low[l][b][c] * eta_inv[a][l] for l in range(n)), zero) for c in range(n)] for b in range(n)]
+        [[sum((c[l][b][k] * mat[a][l] for l in range(n)), zero) for k in range(n)] for b in range(n)]
         for a in range(n)
     ]
     return [
-        [[sum((half[a][m][c] * eta_inv[b][m] for m in range(n)), zero) for c in range(n)] for b in range(n)]
-        for a in range(n)
-    ]
-
-
-def lower_two(c_mixed, eta, n: int):
-    """Inverse of _raise_two: c_abc = eta_al eta_bm c^{lm}_c."""
-    zero = QPoly.zero(c_mixed[0][0][0].nvars)
-    half = [
-        [[sum((c_mixed[l][b][c] * eta[a][l] for l in range(n)), zero) for c in range(n)] for b in range(n)]
-        for a in range(n)
-    ]
-    return [
-        [[sum((half[a][m][c] * eta[b][m] for m in range(n)), zero) for c in range(n)] for b in range(n)]
+        [[sum((half[a][m][k] * mat[b][m] for m in range(n)), zero) for k in range(n)] for b in range(n)]
         for a in range(n)
     ]
 

@@ -1,5 +1,6 @@
-"""Contravariant metrics, their Levi-Civita connections, curvature, and the
-flat-pencil / quasihomogeneity certificates.
+"""Contravariant metrics, their Levi-Civita connections, curvature, the
+change of coordinates of metrics and vector fields, and the flat-pencil /
+quasihomogeneity certificates.
 
 All geometric objects are written with upper (contravariant) indices.  A
 metric is a symmetric matrix g^{ij} of quasi-polynomials, invertible on the
@@ -388,6 +389,48 @@ def lie_derivative_connection(x: VectorField, tensor: list[list[list]]) -> list[
 
 
 # ---------------------------------------------------------------------------
+# Coordinate changes
+# ---------------------------------------------------------------------------
+
+
+def linear_forms(matrix: list[list[Q]]) -> list[QPoly]:
+    """The rows of a constant matrix as linear forms sum_b matrix[a][b] t^b."""
+    nvars = len(matrix[0])
+    return [sum((QPoly.var(nvars, b) * c for b, c in enumerate(row) if c), QPoly.zero(nvars)) for row in matrix]
+
+
+def push_metric(g: ContraMetric, new_coords: list[QPoly], old_in_new: list[QPoly]) -> ContraMetric:
+    """The metric in the coordinates y^a = new_coords[a](x):
+
+        g'^{ab}(y) = (d_i y^a g^{ij} d_j y^b)(x(y)),
+
+    with x^i = old_in_new[i](y).  This and :func:`push_vector` are the only
+    places where a metric or a vector field meets the Jacobian of a change
+    of coordinates.
+    """
+    n = g.n
+    jac = [[y.diff(i) for i in range(n)] for y in new_coords]
+    left = [
+        [sum((jac[a][i] * g.g[i][j] for i in range(1, n)), jac[a][0] * g.g[0][j]) for j in range(n)]
+        for a in range(n)
+    ]
+    out = [[None] * n for _a in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            entry = sum((left[a][j] * jac[b][j] for j in range(1, n)), left[a][0] * jac[b][0])
+            out[a][b] = out[b][a] = entry.substitute(old_in_new)
+    return ContraMetric(out)
+
+
+def push_vector(x: VectorField, new_coords: list[QPoly], old_in_new: list[QPoly]) -> VectorField:
+    """The vector field X'^a(y) = (X^i d_i y^a)(x(y)), coordinates as in
+    :func:`push_metric`."""
+    n = x.n
+    comps = [sum((x.components[i] * y.diff(i) for i in range(1, n)), x.components[0] * y.diff(0)) for y in new_coords]
+    return VectorField([c.substitute(old_in_new) for c in comps])
+
+
+# ---------------------------------------------------------------------------
 # Pencil certification
 # ---------------------------------------------------------------------------
 
@@ -476,16 +519,11 @@ def euler_fields(p: PencilData) -> tuple[VectorField, VectorField]:
         raise ValueError("pencil carries no scaling potential tau")
     n = p.n
     grad = [p.tau.diff(s) for s in range(n)]
-    e_big = VectorField([_poly_dot(p.g1.g[i], grad) for i in range(n)])
-    e_small = VectorField([_poly_dot(p.g2.g[i], grad) for i in range(n)])
+    e_big, e_small = (
+        VectorField([sum((a * b for a, b in zip(row[1:], grad[1:])), row[0] * grad[0]) for row in g.g])
+        for g in (p.g1, p.g2)
+    )
     return e_big, e_small
-
-
-def _poly_dot(row: list[QPoly], vec: list[QPoly]) -> QPoly:
-    acc = row[0] * vec[0]
-    for a, b in zip(row[1:], vec[1:]):
-        acc = acc + a * b
-    return acc
 
 
 def infer_degree(g1: ContraMetric, e_big: VectorField) -> Q:

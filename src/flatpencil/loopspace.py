@@ -29,6 +29,7 @@ from .geometry import (
     check_flat_pencil,
     is_flat,
     levi_civita,
+    push_metric,
 )
 from .linalg import mat_inverse
 from .qpoly import QPoly, RatFunc
@@ -107,18 +108,9 @@ def transform_bracket(
     is equivalent to the vanishing of the transformed connection.
     """
     n = b.n
+    g_new = push_metric(b.metric, images, [QPoly.var(n, i) for i in range(n)]).g
     jac = [[images[p].diff(i) for i in range(n)] for p in range(n)]
     hess = [[[images[p].diff(i).diff(k) for k in range(n)] for i in range(n)] for p in range(n)]
-    g_new = []
-    for p in range(n):
-        row = []
-        for q in range(n):
-            acc = QPoly.zero(n)
-            for i in range(n):
-                for j in range(n):
-                    acc = acc + jac[p][i] * b.metric.g[i][j] * jac[q][j]
-            row.append(acc)
-        g_new.append(row)
     b_new = []
     for p in range(n):
         rows_q = []

@@ -34,16 +34,17 @@ from .errors import (
     OutOfRingError,
     TauHessianError,
 )
-from .frobenius import FrobeniusData, StructureConstants, lower_two
+from .frobenius import FrobeniusData, StructureConstants, contract_two
 from .geometry import (
-    ContraMetric,
     PencilData,
-    VectorField,
     entry_residuals,
     euler_fields,
     infer_degree,
     levi_civita,
     lie_derivative_connection,
+    linear_forms,
+    push_metric,
+    push_vector,
     symmetry_residuals,
 )
 from .linalg import (
@@ -409,44 +410,17 @@ def normalize_flat_coordinates(p: PencilData) -> NormalizationResult:
     return result
 
 
-def _linear_change_images(matrix: list[list[Q]]) -> list[QPoly]:
-    """For t_new = matrix . t_old, each t_old as a linear form in t_new."""
-    inv = mat_inverse(matrix)
-    n = len(matrix)
-    images = []
-    for b in range(n):
-        img = QPoly.zero(n)
-        for a in range(n):
-            if inv[b][a]:
-                img = img + QPoly.var(n, a) * inv[b][a]
-        images.append(img)
-    return images
-
-
 def transform_pencil(p: PencilData, matrix: list[list[Q]]) -> PencilData:
     """Apply the linear coordinate change t_new = matrix . t_old."""
-    n = p.n
-    images = _linear_change_images(matrix)
-
-    def push_metric(g: ContraMetric) -> ContraMetric:
-        subbed = [[g.g[i][j].substitute(images) for j in range(n)] for i in range(n)]
-        out = []
-        for a in range(n):
-            row = []
-            for b in range(n):
-                acc = QPoly.zero(n)
-                for i in range(n):
-                    for j in range(n):
-                        coeff = matrix[a][i] * matrix[b][j]
-                        if coeff:
-                            row_term = subbed[i][j] * coeff
-                            acc = acc + row_term
-                row.append(acc)
-            out.append(row)
-        return ContraMetric(out)
-
-    tau = p.tau.substitute(images) if p.tau is not None else None
-    return PencilData(g1=push_metric(p.g1), g2=push_metric(p.g2), tau=tau, d=p.d)
+    new_coords = linear_forms(matrix)
+    old_in_new = linear_forms(mat_inverse(matrix))
+    tau = p.tau.substitute(old_in_new) if p.tau is not None else None
+    return PencilData(
+        g1=push_metric(p.g1, new_coords, old_in_new),
+        g2=push_metric(p.g2, new_coords, old_in_new),
+        tau=tau,
+        d=p.d,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +531,7 @@ def d1_remark_multiplication(
 def _assemble_constants(p: PencilData, c_mixed_rf) -> StructureConstants:
     c_mixed = _to_poly(c_mixed_rf)
     eta_cov = mat_inverse(p.g2.constant_entries())
-    return StructureConstants(c_low=lower_two(c_mixed, eta_cov, p.n), c_mixed=c_mixed)
+    return StructureConstants(c_low=contract_two(c_mixed, eta_cov, p.n), c_mixed=c_mixed)
 
 
 def _common_multiplication_certs(p, ops, dm, c_mixed_rf, n, report, regular):
@@ -737,10 +711,10 @@ def reconstruct_frobenius(p: PencilData) -> ReconstructionResult:
     pres_matrix, unity_index = present
     if pres_matrix != identity_matrix(n):
         q_final = transform_pencil(q, pres_matrix)
-        images = _linear_change_images(pres_matrix)
-        potential = potential.substitute(images)
+        old_in_new = linear_forms(mat_inverse(pres_matrix))
+        potential = potential.substitute(old_in_new)
         potential = potential - potential.poly_part_degree_at_most(2)
-        e_big = _push_vector_field(e_big, pres_matrix, images)
+        e_big = push_vector(e_big, linear_forms(pres_matrix), old_in_new)
     else:
         q_final = q
 
@@ -802,16 +776,3 @@ def _unity_presentation_matrix(e_comps: list[Q]):
                 for b in range(n)
             ]
     return matrix, u
-
-
-def _push_vector_field(field_vec, matrix, images) -> VectorField:
-    """Push a vector field through the linear change t_new = matrix . t_old."""
-    n = len(matrix)
-    comps = []
-    for a in range(n):
-        acc = QPoly.zero(n)
-        for b in range(n):
-            if matrix[a][b]:
-                acc = acc + field_vec.components[b].substitute(images) * matrix[a][b]
-        comps.append(acc)
-    return VectorField(comps)

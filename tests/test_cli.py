@@ -108,6 +108,12 @@ def test_usage_error_exit_2(capsys):
             run(argv)
         assert info.value.code == 2
         assert "usage:" in capsys.readouterr().err
+    # The orbit space of A_K has dimension K, so K must equal n (here n = 1).
+    for rank in ("0", "-2", "2", "20000"):
+        with pytest.raises(SystemExit) as info:
+            run(["bracket", "central-charge", CUBIC, "--coxeter-rank", rank])
+        assert info.value.code == 2
+        assert "--coxeter-rank must equal the dimension n = 1" in capsys.readouterr().err
 
 
 def test_certificate_failure_exit_1(tmp_path, capsys):

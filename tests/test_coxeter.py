@@ -5,6 +5,7 @@ import pytest
 from flatpencil.coxeter import (
     arnold_metric,
     build_orbit_chart,
+    chart_pairing,
     fields_and_tau,
     rewrite_in_generators,
     saito_flat_coordinates,
@@ -40,6 +41,19 @@ def test_rewrite_rejects_non_invariant():
     chart = build_orbit_chart(2)
     with pytest.raises(RewriteError):
         rewrite_in_generators(parse_expr("t1", 2), chart.polys, chart.degrees)
+
+
+@pytest.mark.parametrize("fixture", ["a1", "a2", "a3"])
+def test_flat_generator_metric_matches_chart_route(fixture, request):
+    # Reference route: pair the flat generators in the Euclidean chart and
+    # rewrite each invariant pairing in the flat generators themselves.
+    bundle, _recon = request.getfixturevalue(fixture)
+    chart = bundle.chart
+    t_in_y = [t.substitute(chart.polys) for t in bundle.flat_gens]
+    for a in range(chart.rank):
+        for b in range(chart.rank):
+            ref = rewrite_in_generators(chart_pairing(chart, t_in_y[a], t_in_y[b]), t_in_y, chart.degrees)
+            assert bundle.pencil.g1.g[a][b] == ref
 
 
 def test_arnold_metric_grading(a2):

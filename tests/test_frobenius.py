@@ -8,8 +8,8 @@ from flatpencil.frobenius import (
     FrobeniusData,
     check_quasihomogeneity,
     check_wdvv,
+    contract_two,
     intersection_form,
-    lower_two,
     pencil_gamma,
     structure_constants,
     to_flat_pencil,
@@ -206,7 +206,7 @@ def test_intersection_form_unity_slope(cp1):
 
 def test_raise_lower_round_trip(cp1):
     sc = structure_constants(cp1)
-    back = lower_two(sc.c_mixed, cp1.eta, cp1.n)
+    back = contract_two(sc.c_mixed, cp1.eta, cp1.n)
     for a in range(2):
         for b in range(2):
             for c in range(2):

@@ -10,8 +10,14 @@ from flatpencil.errors import (
 )
 from flatpencil.exprparse import parse_expr
 from flatpencil.frobenius import structure_constants, to_flat_pencil
-from flatpencil.geometry import ContraMetric, PencilData
-from flatpencil.linalg import rank
+from flatpencil.geometry import (
+    ContraMetric,
+    PencilData,
+    euler_fields,
+    linear_forms,
+    push_vector,
+)
+from flatpencil.linalg import mat_inverse, rank
 from flatpencil.qpoly import QPoly, RatFunc
 from flatpencil.reconstruction import (
     check_delta_properties,
@@ -210,6 +216,29 @@ def test_sheared_a2_delta_scaling_and_reconstruction(a2):
     report = check_delta_properties(sheared, delta_tensor(sheared))
     assert report.find("delta-euler-scaling").status == "pass"
     assert reconstruct_frobenius(sheared).report.passed
+
+
+def test_metric_and_vector_pushes_agree(a2, cp1_pencil):
+    # E = g1 grad(tau) and e = g2 grad(tau) are vector fields, so raising tau
+    # with the pushed metrics must give the pushed fields.  exp(t2) stays in
+    # the ring only when the old t2 is a multiple of one new coordinate, so
+    # the CP1 change keeps one zero entry.
+    cases = [
+        (a2[0].pencil, [[Q(2), Q(-1)], [Q(3), Q(5)]]),
+        (cp1_pencil, [[Q(2), Q(3)], [Q(0), Q(5)]]),
+    ]
+    for p, matrix in cases:
+        new_coords = linear_forms(matrix)
+        old_in_new = linear_forms(mat_inverse(matrix))
+        q = transform_pencil(p, matrix)
+        for pushed, field in zip(euler_fields(q), euler_fields(p)):
+            assert pushed == push_vector(field, new_coords, old_in_new)
+        back = transform_pencil(q, mat_inverse(matrix))
+        for g_back, g in ((back.g1, p.g1), (back.g2, p.g2)):
+            for i in range(p.n):
+                for j in range(p.n):
+                    assert g_back.g[i][j] == g.g[i][j]
+        assert back.tau == p.tau
 
 
 def test_normalize_scaling_change(cubic_pencil):
