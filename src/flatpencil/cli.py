@@ -5,7 +5,7 @@ Subcommands
     frobenius pencil INPUT      emit the certified pencil (g, eta)
     pencil check INPUT          flat-pencil + quasihomogeneity certificates
     pencil reconstruct INPUT    inverse construction, emits Frobenius JSON
-    coxeter --type A --rank N   orbit-space pencil + Frobenius JSON
+    coxeter --type A --rank N   orbit-space pencil + Frobenius JSON (N = 1..5)
     bracket emit INPUT          first-order brackets of both pencil metrics
     bracket compat INPUT        bracket compatibility certificate
     bracket virasoro INPUT      Virasoro form of the stress field
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cox = sub.add_parser("coxeter", help="type-A orbit space pencil")
     cox.add_argument("--type", dest="group_type", default="A", help="Coxeter type (only A)")
-    cox.add_argument("--rank", type=int, required=True, choices=range(1, 5))
+    cox.add_argument("--rank", type=int, required=True, choices=range(1, 6))
     common(cox)
 
     br = sub.add_parser("bracket", help="loop-space brackets")

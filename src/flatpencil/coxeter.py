@@ -3,23 +3,24 @@ metric, the unity-flow (Saito) metric, flat generators, and the certified
 quasihomogeneous pencil of degree d = 1 - 2/h.
 
 The group A_n acts on the zero-sum hyperplane H of R^{n+1} by permuting
-the n+1 ambient coordinates y_1..y_{n+1}.  The chart used here is
-(y_1..y_n) with y_{n+1} = -(y_1 + ... + y_n); the invariant generators are
-the restricted power sums
+the h = n + 1 ambient coordinates y_1..y_h.  The invariant generators are
+the power sums s_k = y_1^k + ... + y_h^k,
 
-    p_1 = P_{h}, p_2 = P_{h-1}, ..., p_n = P_2,      h = n + 1,
+    p_1 = s_h, p_2 = s_{h-1}, ..., p_n = s_2,
 
-ordered by decreasing degree, so deg p_1 = h.  The Euclidean pairing of
-invariant differentials reduces in this chart to
+ordered by decreasing degree, so deg p_1 = h.  On H the Euclidean pairing
+of invariant differentials has the closed form
 
-    (dp, dq) = sum_i d_i p d_i q - (sum_i d_i p)(sum_j d_j q) / (n+1),
+    (ds_a, ds_b) = a b (s_{a+b-2} - s_{a-1} s_{b-1} / h),   s_0 = h, s_1 = 0,
 
-which is exact over Q (no orthonormal basis of H is ever needed).  Every
-W-invariant quantity is rewritten as a polynomial in the generators by an
-exact linear solve in the graded invariant space.  Both metrics then reach
-the flat generators t through the Jacobian of t in the generators p
-(:func:`geometry.push_metric`), with p written back in t by the triangular
-inverse of the graded map; no second invariant rewrite is needed.
+and Newton's identities write the power sums s_k with h < k <= 2h - 2 in
+the generators, so the orbit metric is built in the generators directly,
+exact over Q, with no chart polynomial and no invariant rewrite on the
+pipeline path.  Both metrics then reach the flat generators t through the
+Jacobian of t in the generators p (:func:`geometry.push_metric`), with p
+written back in t by the triangular inverse of the graded map.
+:func:`rewrite_in_generators` remains as a utility that expresses an
+invariant polynomial in given generators by exact linear solves.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .geometry import (
     levi_civita,
     push_metric,
 )
-from .linalg import exact_linsolve, nullspace, sym_det
+from .linalg import exact_linsolve, nullspace
 from .qpoly import QPoly
 from .reconstruction import ReconstructionResult, reconstruct_frobenius
 from .reports import Certificate, Report
@@ -50,18 +51,11 @@ Q = Fraction
 
 @dataclass
 class OrbitChart:
-    """Invariant-theoretic data of A_rank in the zero-sum chart."""
+    """Grading of the A_rank invariant generators p_a = s_{h-a}."""
 
     rank: int
     h: int
     degrees: list[int]  # decreasing, degrees[0] = h
-    polys: list[QPoly]  # generators as polynomials in y_1..y_rank
-
-    def __post_init__(self) -> None:
-        jac = [[p.diff(i) for i in range(self.rank)] for p in self.polys]
-        det = sym_det(jac, QPoly.zero(self.rank))
-        if det.is_zero():
-            raise InternalCheckError("invariant generators are not independent")
 
 
 @dataclass
@@ -76,39 +70,11 @@ class CoxeterPencil:
 
 
 def build_orbit_chart(rank: int) -> OrbitChart:
-    """Power-sum generators of A_rank on the zero-sum hyperplane."""
-    if not 1 <= rank <= 4:
-        raise ValueError(f"rank {rank} out of supported range 1..4")
+    """Grading of the power-sum generators of A_rank, for ranks 1..5."""
+    if not 1 <= rank <= 5:
+        raise ValueError(f"rank {rank} out of supported range 1..5")
     h = rank + 1
-    degrees = list(range(h, 1, -1))
-    polys = [_power_sum(rank, k) for k in degrees]
-    return OrbitChart(rank=rank, h=h, degrees=degrees, polys=polys)
-
-
-def _power_sum(rank: int, k: int) -> QPoly:
-    last = QPoly.zero(rank)
-    for i in range(rank):
-        last = last - QPoly.var(rank, i)
-    total = last**k
-    for i in range(rank):
-        total = total + QPoly.var(rank, i) ** k
-    return total
-
-
-def chart_pairing(chart: OrbitChart, a: QPoly, b: QPoly) -> QPoly:
-    """(da, db) for the Euclidean structure of the hyperplane, in chart
-    coordinates."""
-    rank = chart.rank
-    da = [a.diff(i) for i in range(rank)]
-    db = [b.diff(i) for i in range(rank)]
-    total = QPoly.zero(rank)
-    sum_a = QPoly.zero(rank)
-    sum_b = QPoly.zero(rank)
-    for i in range(rank):
-        total = total + da[i] * db[i]
-        sum_a = sum_a + da[i]
-        sum_b = sum_b + db[i]
-    return total - sum_a * sum_b * Q(1, rank + 1)
+    return OrbitChart(rank=rank, h=h, degrees=list(range(h, 1, -1)))
 
 
 def weighted_monomials(degrees: list[int], target: int) -> list[tuple[int, ...]]:
@@ -187,25 +153,36 @@ def rewrite_in_generators(
 
 
 def arnold_metric(chart: OrbitChart) -> ContraMetric:
-    """Pairing of the generator differentials, rewritten in the generators."""
-    n = chart.rank
-    entries = [
-        [
-            rewrite_in_generators(
-                chart_pairing(chart, chart.polys[a], chart.polys[b]),
-                chart.polys,
-                chart.degrees,
-            )
-            for b in range(n)
-        ]
-        for a in range(n)
-    ]
+    """Euclidean pairing of the generator differentials on the hyperplane,
+
+        (ds_a, ds_b) = a b (s_{a+b-2} - s_{a-1} s_{b-1} / h),
+
+    written in the generators.  The power sums s_0..s_{2h-2} of the h
+    ambient coordinates are s_0 = h, s_1 = 0, s_k = p_{h-k+1} for
+    2 <= k <= h; Newton's identities k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} s_i
+    give the elementary symmetric e_1..e_h, and s_k = sum_{i=1..h}
+    (-1)^(i-1) e_i s_{k-i} for k > h.
+    """
+    n, h = chart.rank, chart.h
+    zero = QPoly.zero(n)
+    s = [QPoly.const(n, h), zero] + [QPoly.var(n, h - k) for k in range(2, h + 1)]
+    e = [QPoly.const(n, 1)]
+    for k in range(1, h + 1):
+        e.append(sum((e[k - i] * s[i] * (-1) ** (i - 1) for i in range(1, k + 1)), zero) * Q(1, k))
+    for k in range(h + 1, 2 * h - 1):
+        s.append(sum((e[i] * s[k - i] * (-1) ** (i - 1) for i in range(1, h + 1)), zero))
+    entries = [[zero] * n for _ in range(n)]
+    for i, a in enumerate(chart.degrees):
+        for j in range(i, n):
+            b = chart.degrees[j]
+            entry = (s[a + b - 2] - s[a - 1] * s[b - 1] * Q(1, h)) * (a * b)
+            entries[i][j] = entries[j][i] = entry
     return ContraMetric(entries)
 
 
 def fields_and_tau(chart: OrbitChart) -> tuple[VectorField, VectorField, QPoly]:
     """Scaling field E = sum (deg_a/h) p_a d/dp_a, unity e = d/dp_1, and the
-    quadratic invariant tau = (x, x)/(2h) written in the generators."""
+    quadratic invariant tau = (x, x)/(2h) = s_2/(2h)."""
     n = chart.rank
     h = chart.h
     e_big = VectorField(
@@ -214,8 +191,7 @@ def fields_and_tau(chart: OrbitChart) -> tuple[VectorField, VectorField, QPoly]:
     e_unit = VectorField(
         [QPoly.const(n, 1 if a == 0 else 0) for a in range(n)]
     )
-    squared = _power_sum(chart.rank, 2)
-    tau = rewrite_in_generators(squared, chart.polys, chart.degrees) * Q(1, 2 * h)
+    tau = QPoly.var(n, n - 1) * Q(1, 2 * h)
     return e_big, e_unit, tau
 
 

@@ -252,9 +252,10 @@ class QPoly:
         """Substitute t_i -> images[i].
 
         Coordinate powers compose with arbitrary polynomial images.  An
-        exponential factor on axis i composes only when images[i] is an exact
-        scalar multiple of a single coordinate (exp of a general polynomial
-        leaves the ring).
+        exponential factor on axis i composes only when images[i] is a
+        homogeneous linear form sum_j c_j t_j, as the product of the
+        exp(rate * c_j * t_j); exp of a constant or of a higher-degree
+        polynomial leaves the ring.
         """
         if len(images) != self.nvars:
             raise ValueError("need one image per variable")
@@ -278,14 +279,14 @@ class QPoly:
                 if p:
                     piece = piece * image_pow(axis, p)
             for axis, rate in efac:
-                target = _linear_monomial_image(images[axis])
-                if target is None:
+                image = images[axis]
+                if any(iefac or sum(ipows) != 1 for (ipows, iefac) in image.terms):
                     raise OutOfRingError(
                         f"cannot substitute into exp on t{axis + 1}: image is not "
-                        "a scalar multiple of a single coordinate"
+                        "a homogeneous linear form"
                     )
-                tgt_axis, scale = target
-                piece = piece * QPoly.exp(target_n, tgt_axis, rate * scale)
+                for (ipows, _e), scale in image.terms.items():
+                    piece = piece * QPoly.exp(target_n, ipows.index(1), rate * scale)
             out = out + piece
         return out
 
@@ -437,17 +438,6 @@ def _exp_rate(efac: tuple[tuple[int, Q], ...], axis: int) -> Q:
         if a == axis:
             return r
     return Q(0)
-
-
-def _linear_monomial_image(p: QPoly) -> tuple[int, Q] | None:
-    """Recognize c * t_j (single term, single coordinate, no exp)."""
-    if len(p.terms) != 1:
-        return None
-    (pows, efac), coeff = next(iter(p.terms.items()))
-    if efac or sum(pows) != 1:
-        return None
-    axis = next(i for i, v in enumerate(pows) if v == 1)
-    return axis, coeff
 
 
 def _term_body(key: TermKey) -> str:

@@ -101,7 +101,7 @@ def test_unknown_field_exit_3(tmp_path, capsys):
 def test_usage_error_exit_2(capsys):
     for argv in (
         ["pencil", "frobnicate", PENCIL1],
-        ["coxeter", "--rank", "5"],
+        ["coxeter", "--rank", "6"],
         ["coxeter", "--rank", "0"],
     ):
         with pytest.raises(SystemExit) as info:
@@ -191,6 +191,19 @@ CP1_MIXED_PENCIL = {
     "g2": [["0", "1"], ["1", "2"]],
 }
 
+# CP1 in coordinates s = [[1, 2], [3, 7]] t: both old coordinates mix both new ones.
+CP1_DENSE_PENCIL = {
+    "n": 2,
+    "d": "1",
+    "tau": "-3*t1 + t2",
+    "expgens": [[1, "-3"], [2, "1"]],
+    "g1": [
+        ["28*t1 - 8*t2 + 8 + 2*exp(-3*t1)*exp(t2)", "91*t1 - 26*t2 + 28 + 6*exp(-3*t1)*exp(t2)"],
+        ["91*t1 - 26*t2 + 28 + 6*exp(-3*t1)*exp(t2)", "294*t1 - 84*t2 + 98 + 18*exp(-3*t1)*exp(t2)"],
+    ],
+    "g2": [["4", "13"], ["13", "42"]],
+}
+
 # CP1 under the unity-preserving change s = [[1, 2], [0, 1]] t.
 CP1_SHEARED_FROBENIUS = {
     "n": 2,
@@ -205,8 +218,13 @@ CP1_SHEARED_FROBENIUS = {
 
 @pytest.mark.parametrize(
     "command, data",
-    [("pencil check", CP1_MIXED_PENCIL), ("frobenius pencil", CP1_SHEARED_FROBENIUS)],
-    ids=["pencil-check-mixed", "frobenius-pencil-sheared"],
+    [
+        ("pencil check", CP1_MIXED_PENCIL),
+        ("frobenius pencil", CP1_SHEARED_FROBENIUS),
+        ("pencil reconstruct", CP1_MIXED_PENCIL),
+        ("pencil reconstruct", CP1_DENSE_PENCIL),
+    ],
+    ids=["pencil-check-mixed", "frobenius-pencil-sheared", "pencil-reconstruct-mixed", "pencil-reconstruct-dense"],
 )
 def test_cp1_exp_on_changed_coordinates_decides(tmp_path, capsys, command, data):
     path = tmp_path / "input.json"

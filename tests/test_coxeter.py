@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from flatpencil.coxeter import (
     arnold_metric,
     build_orbit_chart,
-    chart_pairing,
+    coxeter_pencil,
     fields_and_tau,
     rewrite_in_generators,
     saito_flat_coordinates,
@@ -15,16 +16,37 @@ from flatpencil.errors import RewriteError
 from flatpencil.exprparse import parse_expr
 from flatpencil.geometry import is_flat, lie_derivative_metric
 from flatpencil.linalg import mat_inverse, rank
+from flatpencil.loopspace import central_charge
 from flatpencil.qpoly import QPoly
+
+
+# Reference route in the zero-sum chart (y_1..y_n) with y_h = -(y_1 + ... + y_n):
+# the generators as power sums in y, and the Euclidean pairing of two chart
+# polynomials on the hyperplane.
+def chart_power_sum(n, k):
+    last = sum((-QPoly.var(n, i) for i in range(n)), QPoly.zero(n))
+    return sum((QPoly.var(n, i) ** k for i in range(n)), last**k)
+
+
+def chart_generators(chart):
+    return [chart_power_sum(chart.rank, k) for k in chart.degrees]
+
+
+def chart_pairing(n, a, b):
+    da = [a.diff(i) for i in range(n)]
+    db = [b.diff(i) for i in range(n)]
+    total = sum((x * y for x, y in zip(da, db)), QPoly.zero(n))
+    return total - sum(da, QPoly.zero(n)) * sum(db, QPoly.zero(n)) * Q(1, n + 1)
 
 
 def test_chart_degrees():
     assert build_orbit_chart(1).degrees == [2]
     assert build_orbit_chart(2).degrees == [3, 2]
     assert build_orbit_chart(3).degrees == [4, 3, 2]
+    assert build_orbit_chart(5).degrees == [6, 5, 4, 3, 2]
     assert build_orbit_chart(1).h == 2
     with pytest.raises(ValueError):
-        build_orbit_chart(5)
+        build_orbit_chart(6)
     with pytest.raises(ValueError):
         build_orbit_chart(0)
 
@@ -32,7 +54,7 @@ def test_chart_degrees():
 def test_rank_one_chart_and_metric():
     chart = build_orbit_chart(1)
     # single invariant 2 y^2 on the line y, -y
-    assert chart.polys[0] == parse_expr("2*t1^2", 1)
+    assert chart_generators(chart)[0] == parse_expr("2*t1^2", 1)
     g1 = arnold_metric(chart)
     assert g1.g[0][0] == parse_expr("4*t1", 1)  # (dp, dp) = 4p
 
@@ -40,7 +62,42 @@ def test_rank_one_chart_and_metric():
 def test_rewrite_rejects_non_invariant():
     chart = build_orbit_chart(2)
     with pytest.raises(RewriteError):
-        rewrite_in_generators(parse_expr("t1", 2), chart.polys, chart.degrees)
+        rewrite_in_generators(parse_expr("t1", 2), chart_generators(chart), chart.degrees)
+
+
+@pytest.mark.parametrize("rank_n", [1, 2, 3, 4])
+def test_arnold_metric_matches_chart_route(rank_n):
+    chart = build_orbit_chart(rank_n)
+    gens = chart_generators(chart)
+    g1 = arnold_metric(chart)
+    for a in range(rank_n):
+        for b in range(rank_n):
+            ref = rewrite_in_generators(chart_pairing(rank_n, gens[a], gens[b]), gens, chart.degrees)
+            assert g1.g[a][b] == ref
+    tau_ref = rewrite_in_generators(chart_power_sum(rank_n, 2), gens, chart.degrees) * Q(1, 2 * chart.h)
+    assert fields_and_tau(chart)[2] == tau_ref
+
+
+@pytest.mark.parametrize("rank_n", [1, 2, 3, 4, 5])
+def test_arnold_metric_at_rational_points(rank_n):
+    # At y on the hyperplane, g^{ab}(p(y)) = a b (sum_i y_i^(a-1) y_i^(b-1)
+    # - s_{a-1}(y) s_{b-1}(y) / h), all in exact rationals.
+    chart = build_orbit_chart(rank_n)
+    h = chart.h
+    g1 = arnold_metric(chart)
+    rng = random.Random(7 + rank_n)
+    for _ in range(3):
+        y = [Q(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rank_n)]
+        y.append(-sum(y))
+
+        def s(k):
+            return sum(yi**k for yi in y)
+
+        p = [s(k) for k in chart.degrees]
+        for i, a in enumerate(chart.degrees):
+            for j, b in enumerate(chart.degrees):
+                want = a * b * (sum(yi ** (a - 1) * yi ** (b - 1) for yi in y) - s(a - 1) * s(b - 1) / h)
+                assert g1.g[i][j].eval(p) == want
 
 
 @pytest.mark.parametrize("fixture", ["a1", "a2", "a3"])
@@ -49,10 +106,10 @@ def test_flat_generator_metric_matches_chart_route(fixture, request):
     # rewrite each invariant pairing in the flat generators themselves.
     bundle, _recon = request.getfixturevalue(fixture)
     chart = bundle.chart
-    t_in_y = [t.substitute(chart.polys) for t in bundle.flat_gens]
+    t_in_y = [t.substitute(chart_generators(chart)) for t in bundle.flat_gens]
     for a in range(chart.rank):
         for b in range(chart.rank):
-            ref = rewrite_in_generators(chart_pairing(chart, t_in_y[a], t_in_y[b]), t_in_y, chart.degrees)
+            ref = rewrite_in_generators(chart_pairing(chart.rank, t_in_y[a], t_in_y[b]), t_in_y, chart.degrees)
             assert bundle.pencil.g1.g[a][b] == ref
 
 
@@ -180,13 +237,21 @@ def test_eta_pairs_unity_column(a2, a3):
 
 
 def test_rank_four_pipeline_runs():
-    from flatpencil.coxeter import coxeter_pencil
-
     bundle, recon = coxeter_pencil(4)
     assert bundle.d == Q(3, 5)
     assert recon.mode == "regular"
     assert bundle.report.passed
     assert recon.potential.is_polynomial()
+
+
+def test_rank_five_pipeline_and_central_charge():
+    bundle, recon = coxeter_pencil(5)
+    assert bundle.d == Q(2, 3)
+    assert bundle.report.passed and recon.report.passed
+    assert recon.potential.is_polynomial()
+    # Independent oracle: c = 12 rho^2 from the A5 root system.
+    charge = central_charge(recon.frobenius, coxeter_rank=5)
+    assert charge.equal and charge.c_formula == charge.c_lie == 210
 
 
 def test_flat_generator_ambiguity_is_eta_isometry(a3):

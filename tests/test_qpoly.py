@@ -124,6 +124,17 @@ def test_substitute_exp_needs_single_coordinate():
         p.substitute([qp("t1 + 1", 1)])
 
 
+def test_substitute_exp_of_linear_form():
+    # exp(r (a t1 + b t2)) = exp(r a t1) exp(r b t2) stays in the ring; a
+    # constant term, a higher-degree term or an exp in the image does not.
+    p = qp("t1*exp(2*t2)", 2)
+    images = [qp("t1 + t2", 2), qp("3*t1 - 1/2*t2", 2)]
+    assert p.substitute(images) == qp("(t1 + t2)*exp(6*t1)*exp(-1*t2)", 2)
+    for bad in ("3*t1 - t2 + 1", "t1 + t1*t2", "t1 + exp(t2)"):
+        with pytest.raises(OutOfRingError, match="not a homogeneous linear form"):
+            p.substitute([qp("t1", 2), qp(bad, 2)])
+
+
 def test_string_round_trip():
     rng = random.Random(17)
     for _ in range(20):
