@@ -257,6 +257,8 @@ def cmd_pencil_reconstruct(args):
     for cert in check_flat_pencil(pencil).certificates:
         if cert.status == reports.FAIL:
             raise InputFormatError(f"input is not a flat pencil: {cert.name}: {cert.witness}")
+    if pencil.tau is None:
+        raise InputFormatError("pencil file has no tau; the inverse construction needs the scaling potential")
     result = reconstruct_frobenius(pencil)
     extra = {
         "mode": result.mode,

@@ -80,14 +80,6 @@ class NormalizationError(FlatPencilError):
     """No admissible affine change of flat coordinates exists."""
 
 
-class NotRegularError(FlatPencilError):
-    """Pencil operator R is singular; carries the kernel dimension."""
-
-    def __init__(self, message: str, kernel_dim: int | None = None):
-        super().__init__(message)
-        self.kernel_dim = kernel_dim
-
-
 class KernelError(FlatPencilError):
     """Degenerate-R construction is inapplicable (wrong kernel shape)."""
 

@@ -33,7 +33,7 @@ from .geometry import (
 )
 from .linalg import mat_inverse
 from .qpoly import QPoly, RatFunc
-from .reconstruction import potential_of_closed_form
+from .reconstruction import _require_constant_g2, potential_of_closed_form
 from .reports import Certificate, Report
 
 Q = Fraction
@@ -240,9 +240,7 @@ def recursion_step(p: PencilData, density: Density) -> Density:
     the right-hand side is reported as non-integrability.
     """
     n = p.n
-    if not p.g2.is_constant():
-        raise ValueError("recursion requires flat coordinates of the second metric")
-    eta_cov = mat_inverse(p.g2.constant_entries())
+    eta_cov = mat_inverse(_require_constant_g2(p))
     conn = levi_civita(p.g1)
     gamma = conn.as_poly_entries()
     h = density.h

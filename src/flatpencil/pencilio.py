@@ -29,6 +29,7 @@ from .errors import InputFormatError, ParseError
 from .exprparse import parse_expr, parse_rational
 from .frobenius import FrobeniusData
 from .geometry import ContraMetric, PencilData
+from .linalg import rank
 from .qpoly import QPoly
 
 Q = Fraction
@@ -58,6 +59,11 @@ def _check_fields(obj: dict, required: set[str], optional: set[str], kind: str) 
         raise InputFormatError(f"{kind}: unsupported schema {obj['schema']!r}")
 
 
+def _is_integer(value) -> bool:
+    """A JSON integer; true and false are not, although bool subclasses int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _rational(value, where: str) -> Q:
     if isinstance(value, bool):
         raise InputFormatError(f"{where}: expected a rational, got a boolean")
@@ -79,7 +85,7 @@ def _expgens(raw, n: int) -> list[tuple[int, Q]]:
         if not isinstance(item, list) or len(item) != 2:
             raise InputFormatError("expgens entries must be [coordinate, rate] pairs")
         axis = item[0]
-        if not isinstance(axis, int) or not 1 <= axis <= n:
+        if not _is_integer(axis) or not 1 <= axis <= n:
             raise InputFormatError(f"expgens coordinate {axis!r} out of range 1..{n}")
         rate = _rational(item[1], "expgens rate")
         if rate == 0:
@@ -133,7 +139,7 @@ def load_pencil(text: str) -> tuple[PencilData, list[tuple[int, Q]]]:
         raise InputFormatError(f"invalid JSON: {exc}") from exc
     _check_fields(obj, {"n", "g1", "g2"}, {"schema", "expgens", "tau", "d"}, "pencil file")
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_integer(n) or n < 1:
         raise InputFormatError("n must be a positive integer")
     gens = _expgens(obj.get("expgens", []), n)
     g1 = _matrix(obj["g1"], n, n, "g1")
@@ -198,7 +204,7 @@ def load_frobenius(text: str) -> FrobeniusData:
         "frobenius file",
     )
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_integer(n) or n < 1:
         raise InputFormatError("n must be a positive integer")
     gens = _expgens(obj.get("expgens", []), n)
     eta_raw = obj["eta"]
@@ -207,6 +213,8 @@ def load_frobenius(text: str) -> FrobeniusData:
     ):
         raise InputFormatError("eta must be an n x n matrix of rationals")
     eta = [[_rational(x, f"eta[{i + 1}][{j + 1}]") for j, x in enumerate(row)] for i, row in enumerate(eta_raw)]
+    if rank(eta) < n:
+        raise InputFormatError("eta is singular; the flat pairing must be nondegenerate")
     if not isinstance(obj["potential"], str):
         raise InputFormatError("potential must be an expression string")
     potential = parse_expr(obj["potential"], n)
@@ -222,7 +230,7 @@ def load_frobenius(text: str) -> FrobeniusData:
     lin = [[_rational(x, "euler.linear") for x in row] for row in lin_raw]
     const = [_rational(x, "euler.constant") for x in const_raw]
     unity = obj["unity_index"]
-    if not isinstance(unity, int) or not 1 <= unity <= n:
+    if not _is_integer(unity) or not 1 <= unity <= n:
         raise InputFormatError(f"unity_index {unity!r} out of range 1..{n}")
     d = _rational(obj["d"], "d")
     _validate_rates([potential], gens, n)

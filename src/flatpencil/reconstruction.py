@@ -1,15 +1,15 @@
-"""Inverse construction: from a regular quasihomogeneous flat pencil,
-presented in flat coordinates of its second metric, back to the Frobenius
-structure.
+"""Inverse construction: from a quasihomogeneous flat pencil, presented in
+flat coordinates of its second metric, back to the Frobenius structure.
 
-Pipeline:  difference tensor -> its four algebraic/differential identities
--> constant operators K, R = (d-1)/2 + K and Lam = (d-2)/2 + K with their
-rational spectrum -> coordinate normalization (tau becomes the last flat
-coordinate) -> multiplication of 1-forms u * v = Delta(u, R^{-1} v) (or,
-when R is singular with one-dimensional kernel spanned by d(tau), the
-degenerate-kernel extension that makes d(tau) the unity) -> structure
-constants -> potential by triple term-wise integration -> closing identity
-against the first metric of the pencil.
+Pipeline:  coordinate normalization (tau becomes the last flat coordinate),
+which builds once the difference tensor and the constant operators
+K, R = (d-1)/2 + K and Lam = (d-2)/2 + K with their rational spectrum, and
+resolves d -> the four algebraic/differential identities of the difference
+tensor -> multiplication of 1-forms u * v = Delta(u, w) + s u with
+R w + s d(tau) = v (w = R^{-1} v and s = 0 when R is invertible; when R is
+singular, its one-dimensional kernel spanned by d(tau) makes d(tau) the
+unity) -> structure constants -> potential by triple term-wise integration
+-> closing identity against the first metric of the pencil.
 
 Everything runs over exact scalars; certificates are collected stage by
 stage into one report.
@@ -17,26 +17,27 @@ stage into one report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import frobenius as frob
 from . import reports
 from .errors import (
     CommutativityError,
+    DegreeInferenceError,
     IntegrabilityError,
     InternalCheckError,
     KernelError,
     NonlinearEulerError,
     NormalizationError,
     NotFlatCoordinatesError,
-    NotRegularError,
     OutOfRingError,
     TauHessianError,
 )
 from .frobenius import FrobeniusData, StructureConstants, contract_two
 from .geometry import (
     PencilData,
+    VectorField,
     entry_residuals,
     euler_fields,
     infer_degree,
@@ -62,20 +63,9 @@ from .reports import Certificate, Report
 
 Q = Fraction
 
-
-@dataclass
-class DeltaTensor:
-    """Difference tensor of the pencil in flat coordinates of g2.
-
-    delta_mixed[k][i][j] = Delta_k^{ij} (equals the connection of g1 in
-    these coordinates).
-    """
-
-    delta_mixed: list[list[list[RatFunc]]]
-
-    @property
-    def n(self) -> int:
-        return len(self.delta_mixed)
+# Delta[k][i][j] = Delta_k^{ij}, the difference tensor of a pencil in flat
+# coordinates of g2 (there it equals the connection of g1).
+Delta = list[list[list[RatFunc]]]
 
 
 @dataclass
@@ -112,9 +102,15 @@ class OperatorPair:
 
 @dataclass
 class NormalizationResult:
+    """The pencil in normalized flat coordinates, with d resolved, and what
+    the rest of the construction reads of it, each built once."""
+
     pencil: PencilData
     matrix: list[list[Q]]  # t_new = matrix . t_old
     identity: bool
+    euler: tuple[VectorField, VectorField]  # (E, e)
+    delta: Delta
+    ops: OperatorPair
     certificates: list[Certificate] = field(default_factory=list)
 
 
@@ -141,17 +137,17 @@ def _require_constant_g2(p: PencilData) -> list[list[Q]]:
     return p.g2.constant_entries()
 
 
-def delta_tensor(p: PencilData) -> DeltaTensor:
+def delta_tensor(p: PencilData) -> Delta:
     """Delta_k^{ij} = G1_k^{ij} - G2_k^{ij}; here G2 = 0."""
     _require_constant_g2(p)
     conn1 = levi_civita(p.g1)
     conn2 = levi_civita(p.g2)
     if not conn2.is_zero():
         raise InternalCheckError("constant metric produced a nonzero connection")
-    return DeltaTensor(delta_mixed=conn1.gamma)
+    return conn1.gamma
 
 
-def check_delta_properties(p: PencilData, delta: DeltaTensor) -> Report:
+def check_delta_properties(p: PencilData, delta: Delta) -> Report:
     """The four flat-pencil identities of the difference tensor, plus the
     two scaling identities when the pencil carries tau:
 
@@ -161,7 +157,7 @@ def check_delta_properties(p: PencilData, delta: DeltaTensor) -> Report:
         L_E Delta = (d-1) Delta,   L_e Delta = 0.
     """
     n = p.n
-    dm = delta.delta_mixed
+    dm = delta
     report = Report()
 
     for name, gmat in (("delta-g1-symmetry", p.g1.g), ("delta-g2-symmetry", p.g2.g)):
@@ -339,7 +335,9 @@ def normalize_flat_coordinates(p: PencilData) -> NormalizationResult:
         Delta_b^{an} = (1-d)/2 delta^a_b
         Delta_b^{na} = (d-1)/2 delta^a_b + d_b E^a
 
-    and the identity E^a = g1^{an} are certified on the result.
+    and the identity E^a = g1^{an} are certified on the result.  d is
+    inferred from L_E g1 = (d-1) g1, and a declared d must equal it; the
+    result carries E, e, the difference tensor and the operator pair.
     """
     _require_constant_g2(p)
     n = p.n
@@ -355,9 +353,9 @@ def normalize_flat_coordinates(p: PencilData) -> NormalizationResult:
         raise NormalizationError("tau is constant; no normalization exists")
 
     tau_const = p.tau.coefficient((0,) * n)
-    already = grad == [Q(0)] * (n - 1) + [Q(1)] and tau_const == 0
-    if already:
-        result = NormalizationResult(pencil=p, matrix=identity_matrix(n), identity=True)
+    identity = grad == [Q(0)] * (n - 1) + [Q(1)] and tau_const == 0
+    if identity:
+        q, matrix = p, identity_matrix(n)
     else:
         rows: list[list[Q]] = []
         for i in range(n):
@@ -369,29 +367,29 @@ def normalize_flat_coordinates(p: PencilData) -> NormalizationResult:
         matrix = rows + [grad]
         if rank(matrix) != n:
             raise NormalizationError("could not complete grad(tau) to a basis")
-        new_pencil = transform_pencil(p, matrix)
-        new_tau = QPoly.var(n, n - 1)
-        new_pencil = PencilData(g1=new_pencil.g1, g2=new_pencil.g2, tau=new_tau, d=p.d)
-        result = NormalizationResult(pencil=new_pencil, matrix=matrix, identity=False)
+        q = replace(transform_pencil(p, matrix), tau=QPoly.var(n, n - 1))
 
-    q = result.pencil
-    e_big, _e_small = euler_fields(q)
-    certs = result.certificates
-    certs.append(
+    e_big, e_small = euler_fields(q)
+    d = infer_degree(q.g1, e_big)
+    if p.d is not None and p.d != d:
+        raise DegreeInferenceError(
+            f"declared d = {p.d} does not satisfy L_E g1 = (d-1) g1, which gives d = {d}"
+        )
+    q = replace(q, d=d)
+    certs = [
         reports.residual_certificate(
             "normalized-euler-column",
             entry_residuals(((a,), e_big.components[a] - q.g1.g[a][n - 1]) for a in range(n)),
         )
-    )
+    ]
     delta = delta_tensor(q)
     ops = operator_pair(q)
-    dm = delta.delta_mixed
-    half = Q(1 - ops.d) / 2
+    half = Q(1 - d) / 2
     certs.append(
         reports.residual_certificate(
             "normalized-delta-last-column",
             entry_residuals(
-                ((b, a), dm[b][a][n - 1] - (half if a == b else 0))
+                ((b, a), delta[b][a][n - 1] - (half if a == b else 0))
                 for b in range(n)
                 for a in range(n)
             ),
@@ -401,13 +399,13 @@ def normalize_flat_coordinates(p: PencilData) -> NormalizationResult:
         reports.residual_certificate(
             "normalized-delta-last-row",
             entry_residuals(
-                ((b, a), dm[b][n - 1][a] - ((-half if a == b else 0) + ops.k_op[b][a]))
+                ((b, a), delta[b][n - 1][a] - ((-half if a == b else 0) + ops.k_op[b][a]))
                 for b in range(n)
                 for a in range(n)
             ),
         )
     )
-    return result
+    return NormalizationResult(q, matrix, identity, (e_big, e_small), delta, ops, certs)
 
 
 def transform_pencil(p: PencilData, matrix: list[list[Q]]) -> PencilData:
@@ -429,112 +427,61 @@ def transform_pencil(p: PencilData, matrix: list[list[Q]]) -> PencilData:
 
 
 def multiplication(
-    p: PencilData, ops: OperatorPair, delta: DeltaTensor
+    p: PencilData, ops: OperatorPair, delta: Delta
 ) -> tuple[StructureConstants, Report]:
-    """u * v = Delta(u, R^{-1} v) on covectors; structure constants from the
-    coordinate 1-forms.  Requires det(R) != 0; certifies commutativity,
-    associativity, the unity role of the last coordinate 1-form, and the
-    pairing-derivative identity u*R(v) + R(u)*v = d(u, v)."""
+    """u * v = Delta(u, w) + s u on covectors, where R w + s dtau = v;
+    structure constants from the coordinate 1-forms.
+
+    When R is invertible, w = R^{-1} v and s = 0.  When R is singular (the
+    d = 1 remark), the root subspace of Lam at -1/2 and ker R must be
+    one-dimensional and spanned by dtau, and Delta(., dtau) must vanish so
+    the choice of w along ker R cannot leak into the product; dtau is then
+    the unity.  Certifies commutativity, associativity, the unity role of
+    the last coordinate 1-form and, for invertible R, the pairing-derivative
+    identity u*R(v) + R(u)*v = d(u, v); for singular R, dtau * v = v.
+    """
     n = p.n
-    if rank(ops.r_op) < n:
-        raise NotRegularError(
-            "scaling operator R is singular", kernel_dim=n - rank(ops.r_op)
-        )
-    if ops.d == 1:
-        raise InternalCheckError("regular pencil with d = 1 should be impossible")
-    r_inv = mat_inverse(ops.r_op)
-    dm = delta.delta_mixed
-    c_mixed_rf = [
-        [
-            [
-                sum((dm[g][a][j] * r_inv[j][b] for j in range(1, n)), dm[g][a][0] * r_inv[0][b])
-                for g in range(n)
-            ]
-            for b in range(n)
-        ]
-        for a in range(n)
-    ]
-    report = Report()
-    _common_multiplication_certs(p, ops, dm, c_mixed_rf, n, report, regular=True)
-    return _assemble_constants(p, c_mixed_rf), report
-
-
-def d1_remark_multiplication(
-    p: PencilData, ops: OperatorPair, delta: DeltaTensor
-) -> tuple[StructureConstants, Report]:
-    """Degenerate-kernel multiplication for singular R.
-
-    Applicable when the root subspace of Lam at -1/2 is exactly
-    one-dimensional and spanned by d(tau); d(tau) then acts as the unity,
-    and on the image of R the product is Delta(u, R^{-1} v)."""
-    n = p.n
-    if rank(ops.r_op) == n:
-        raise NotRegularError("R is invertible; use the regular multiplication")
-    half_space = next((s for s in ops.spectrum if s.value == Q(-1, 2)), None)
-    kdim = len(half_space.basis) if half_space else 0
-    if kdim != 1:
-        raise KernelError(
-            f"root subspace of Lam at -1/2 has dimension {kdim}, need exactly 1"
-        )
-    kernel = nullspace(ops.r_op)
-    if len(kernel) != 1:
-        raise KernelError(f"ker R has dimension {len(kernel)}, need exactly 1")
-    direction = kernel[0]
     dtau = [p.tau.diff(a).constant_value() for a in range(n)]
-    scale = next((dtau[i] / direction[i] for i in range(n) if direction[i]), None)
-    if scale is None or any(dtau[i] != scale * direction[i] for i in range(n)):
-        raise KernelError("ker R is not spanned by the gradient of tau")
+    regular = ops.regular()
+    if not regular:
+        half_space = next((s for s in ops.spectrum if s.value == Q(-1, 2)), None)
+        kdim = len(half_space.basis) if half_space else 0
+        if kdim != 1:
+            raise KernelError(
+                f"root subspace of Lam at -1/2 has dimension {kdim}, need exactly 1"
+            )
+        kernel = nullspace(ops.r_op)
+        if len(kernel) != 1:
+            raise KernelError(f"ker R has dimension {len(kernel)}, need exactly 1")
+        direction = kernel[0]
+        scale = next((dtau[i] / direction[i] for i in range(n) if direction[i]), None)
+        if scale is None or any(dtau[i] != scale * direction[i] for i in range(n)):
+            raise KernelError("ker R is not spanned by the gradient of tau")
+        for g in range(n):
+            for a in range(n):
+                val = sum((delta[g][a][j] * dtau[j] for j in range(1, n)), delta[g][a][0] * dtau[0])
+                if not val.is_zero():
+                    raise KernelError(
+                        f"Delta(., dtau) is nonzero at entry ({g + 1},{a + 1}); "
+                        "degenerate multiplication undefined"
+                    )
 
-    dm = delta.delta_mixed
-    # Well-definedness: Delta(. , dtau) must vanish so the R-preimage
-    # ambiguity along ker R cannot leak into the product.
-    for g in range(n):
-        for a in range(n):
-            val = sum((dm[g][a][j] * dtau[j] for j in range(1, n)), dm[g][a][0] * dtau[0])
-            if not val.is_zero():
-                raise KernelError(
-                    f"Delta(., dtau) is nonzero at entry ({g + 1},{a + 1}); "
-                    "degenerate multiplication undefined"
-                )
-
+    system = [row + [dtau[i]] for i, row in enumerate(ops.r_op)]
+    solutions = [solve_affine(system, [Q(1) if i == b else Q(0) for i in range(n)])[0] for b in range(n)]
     c_mixed_rf = [[[None] * n for _ in range(n)] for _ in range(n)]
     zero_rf = RatFunc(QPoly.zero(p.g1.nvars))
-    for b in range(n):
-        system = [[ops.r_op[i][j] for j in range(n)] + [dtau[i]] for i in range(n)]
-        rhs = [Q(1) if i == b else Q(0) for i in range(n)]
-        sol, _null = solve_affine(system, rhs)
+    for b, sol in enumerate(solutions):
         w, s_coef = sol[:n], sol[n]
         for a in range(n):
             for g in range(n):
                 acc = zero_rf
                 if any(w):
-                    acc = sum((dm[g][a][j] * w[j] for j in range(1, n)), dm[g][a][0] * w[0])
+                    acc = sum((delta[g][a][j] * w[j] for j in range(1, n)), delta[g][a][0] * w[0])
                 if s_coef and a == g:
                     acc = acc + s_coef
                 c_mixed_rf[a][b][g] = acc
 
     report = Report()
-    _common_multiplication_certs(p, ops, dm, c_mixed_rf, n, report, regular=False)
-    # Left unity: d(tau) * v = v, from Delta(dtau, v) = R(v).
-    left = reports.residual_certificate(
-        "multiplication-left-unity",
-        entry_residuals(
-            ((b, g), c_mixed_rf[n - 1][b][g] - (1 if b == g else 0))
-            for b in range(n)
-            for g in range(n)
-        ),
-    )
-    report.add(left)
-    return _assemble_constants(p, c_mixed_rf), report
-
-
-def _assemble_constants(p: PencilData, c_mixed_rf) -> StructureConstants:
-    c_mixed = _to_poly(c_mixed_rf)
-    eta_cov = mat_inverse(p.g2.constant_entries())
-    return StructureConstants(c_low=contract_two(c_mixed, eta_cov, p.n), c_mixed=c_mixed)
-
-
-def _common_multiplication_certs(p, ops, dm, c_mixed_rf, n, report, regular):
     for a in range(n):
         for b in range(a + 1, n):
             for g in range(n):
@@ -581,19 +528,18 @@ def _common_multiplication_certs(p, ops, dm, c_mixed_rf, n, report, regular):
     )
 
     if regular:
-        r_inv = mat_inverse(ops.r_op)
 
         def pairing_diff():
             for a in range(n):
                 for b in range(n):
                     for g in range(n):
                         terms = [
-                            dm[g][i][j] * (ops.r_op[i][a] * r_inv[j][b])
+                            delta[g][i][j] * (ops.r_op[i][a] * solutions[b][j])
                             for i in range(n)
                             for j in range(n)
                         ]
                         second = sum(terms[1:], terms[0])
-                        yield (a, b, g), dm[g][a][b] + second - p.g1.g[a][b].diff(g)
+                        yield (a, b, g), delta[g][a][b] + second - p.g1.g[a][b].diff(g)
 
         report.add(
             reports.residual_certificate("pairing-derivative-identity", entry_residuals(pairing_diff()))
@@ -602,6 +548,20 @@ def _common_multiplication_certs(p, ops, dm, c_mixed_rf, n, report, regular):
         report.add(
             reports.skipped("pairing-derivative-identity", "R singular; identity used sliced")
         )
+        # Left unity: d(tau) * v = v, from Delta(dtau, v) = R(v).
+        report.add(
+            reports.residual_certificate(
+                "multiplication-left-unity",
+                entry_residuals(
+                    ((b, g), c_mixed_rf[n - 1][b][g] - (1 if b == g else 0))
+                    for b in range(n)
+                    for g in range(n)
+                ),
+            )
+        )
+    c_mixed = _to_poly(c_mixed_rf)
+    eta_cov = mat_inverse(p.g2.constant_entries())
+    return StructureConstants(c_low=contract_two(c_mixed, eta_cov, p.n), c_mixed=c_mixed), report
 
 
 def _to_poly(c_mixed_rf):
@@ -681,29 +641,23 @@ def reconstruct_frobenius(p: PencilData) -> ReconstructionResult:
     norm = normalize_flat_coordinates(p)
     for cert in norm.certificates:
         report.add(cert)
-    q = norm.pencil
+    q, ops = norm.pencil, norm.ops
     n = q.n
 
-    delta = delta_tensor(q)
-    for cert in check_delta_properties(q, delta).certificates:
+    for cert in check_delta_properties(q, norm.delta).certificates:
         report.add(cert)
-    ops = operator_pair(q)
     for cert in ops.certificates:
         report.add(cert)
 
-    if ops.regular():
-        sc, mult_report = multiplication(q, ops, delta)
-        mode = "regular"
-    else:
-        sc, mult_report = d1_remark_multiplication(q, ops, delta)
-        mode = "d1-remark"
+    sc, mult_report = multiplication(q, ops, norm.delta)
+    mode = "regular" if ops.regular() else "d1-remark"
     for cert in mult_report.certificates:
         report.add(cert)
 
     potential = recover_potential(sc.c_low)
 
     # Present the unity field as a coordinate direction.
-    e_big, e_small = euler_fields(q)
+    e_big, e_small = norm.euler
     e_comps = [c.constant_value() for c in e_small.components]
     present = _unity_presentation_matrix(e_comps)
     if present is None:

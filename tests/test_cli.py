@@ -98,6 +98,61 @@ def test_unknown_field_exit_3(tmp_path, capsys):
     assert "unknown fields" in capsys.readouterr().err
 
 
+def write_json(path, data):
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+def test_reconstruct_without_tau_exit_3(tmp_path, capsys):
+    data = json.loads(PENCIL1.read_text())
+    del data["tau"]
+    assert run(["pencil", "reconstruct", write_json(tmp_path / "no-tau.json", data)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "no tau" in err
+
+
+def test_recurse_on_non_constant_g2_exit_1(tmp_path, capsys):
+    data = {"schema": 1, "n": 1, "g1": [["1"]], "g2": [["t1"]]}
+    assert run(["bracket", "recurse", write_json(tmp_path / "curved-g2.json", data)]) == 1
+    assert capsys.readouterr().err.startswith("certification error: NotFlatCoordinatesError:")
+
+
+@pytest.mark.parametrize("declared", ["1", "3"])
+def test_reconstruct_certifies_declared_degree(tmp_path, capsys, declared):
+    # L_E g1 = (d-1) g1 gives d = 0 for this pencil.
+    data = json.loads(PENCIL1.read_text())
+    data["d"] = declared
+    path = write_json(tmp_path / "wrong-d.json", data)
+    assert run(["pencil", "reconstruct", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("certification error: DegreeInferenceError:")
+    assert f"declared d = {declared}" in err and "gives d = 0" in err
+    # pencil check still certifies the declared degree as before
+    assert run(["pencil", "check", path]) == 1
+    assert "euler-scaling-first-metric" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "source, field, value, message",
+    [
+        (PENCIL1, "n", True, "n must be a positive integer"),
+        (CP1, "n", True, "n must be a positive integer"),
+        (CP1, "unity_index", True, "unity_index"),
+        (CP1, "expgens", [[True, "1"]], "expgens coordinate"),
+        (PENCIL1, "expgens", [[True, "1"]], "expgens coordinate"),
+        (CP1, "eta", [["1", "1"], ["1", "1"]], "eta is singular"),
+    ],
+    ids=["pencil-n", "frobenius-n", "unity-index", "frobenius-expgens", "pencil-expgens", "singular-eta"],
+)
+def test_loader_rejects_booleans_and_singular_eta_exit_3(tmp_path, capsys, source, field, value, message):
+    data = json.loads(source.read_text())
+    data[field] = value
+    kind = "pencil" if source == PENCIL1 else "frobenius"
+    assert run([kind, "check", write_json(tmp_path / "bad.json", data)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and message in err
+
+
 def test_usage_error_exit_2(capsys):
     for argv in (
         ["pencil", "frobnicate", PENCIL1],

@@ -2,12 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from flatpencil.errors import (
-    IntegrabilityError,
-    KernelError,
-    NotFlatCoordinatesError,
-    NotRegularError,
-)
+from flatpencil.errors import IntegrabilityError, KernelError, NotFlatCoordinatesError
 from flatpencil.exprparse import parse_expr
 from flatpencil.frobenius import structure_constants, to_flat_pencil
 from flatpencil.geometry import (
@@ -21,7 +16,6 @@ from flatpencil.linalg import mat_inverse, rank
 from flatpencil.qpoly import QPoly, RatFunc
 from flatpencil.reconstruction import (
     check_delta_properties,
-    d1_remark_multiplication,
     delta_tensor,
     multiplication,
     normalize_flat_coordinates,
@@ -38,7 +32,7 @@ def qp(text, n):
 
 def test_delta_one_dim(cubic_pencil):
     delta = delta_tensor(cubic_pencil)
-    assert delta.delta_mixed[0][0][0].as_poly() == QPoly.const(1, Q(1, 2))
+    assert delta[0][0][0].as_poly() == QPoly.const(1, Q(1, 2))
 
 
 def test_delta_both_constant_vanishes():
@@ -46,7 +40,7 @@ def test_delta_both_constant_vanishes():
     g1 = ContraMetric.constant([[Q(1), Q(0)], [Q(0), Q(1)]])
     delta = delta_tensor(PencilData(g1=g1, g2=eta))
     assert all(
-        delta.delta_mixed[k][i][j].is_zero() for k in range(2) for i in range(2) for j in range(2)
+        delta[k][i][j].is_zero() for k in range(2) for i in range(2) for j in range(2)
     )
 
 
@@ -72,14 +66,9 @@ def test_delta_mutation_breaks_curl(a2):
     bundle, _recon = a2
     delta = delta_tensor(bundle.pencil)
     n = bundle.pencil.n
-    mutated = [
-        [[delta.delta_mixed[k][i][j] for j in range(n)] for i in range(n)] for k in range(n)
-    ]
+    mutated = [[[delta[k][i][j] for j in range(n)] for i in range(n)] for k in range(n)]
     mutated[0][0][0] = mutated[0][0][0] + RatFunc(qp("t2", n))
-    from flatpencil.reconstruction import DeltaTensor
-
-    bad = DeltaTensor(delta_mixed=mutated)
-    report = check_delta_properties(bundle.pencil, bad)
+    report = check_delta_properties(bundle.pencil, mutated)
     assert not report.passed
     curl = report.find("delta-curl")
     assert not curl.passed and curl.witness.startswith("entry (1,2")
@@ -92,7 +81,7 @@ def test_delta_properties_on_non_polynomial_connection():
     g2 = ContraMetric.constant([[Q(1), Q(0)], [Q(0), Q(1)]])
     pencil = PencilData(g1=g1, g2=g2, tau=qp("t2", 2), d=Q(1, 2))
     delta = delta_tensor(pencil)
-    assert not all(x.is_polynomial() for k in delta.delta_mixed for row in k for x in row)
+    assert not all(x.is_polynomial() for k in delta for row in k for x in row)
     report = check_delta_properties(pencil, delta)
     got = {c.name: (c.status, (c.witness or "").split(":")[0]) for c in report.certificates}
     assert got == {
@@ -255,19 +244,47 @@ def test_multiplication_one_dim(cubic_pencil):
     assert sc.c_low[0][0][0] == QPoly.const(1, 1)
 
 
-def test_multiplication_rejects_singular(cp1_pencil):
-    ops = operator_pair(cp1_pencil)
-    delta = delta_tensor(cp1_pencil)
-    with pytest.raises(NotRegularError) as info:
-        multiplication(cp1_pencil, ops, delta)
-    assert info.value.kernel_dim == 1
-
-
-def test_d1_multiplication_rejects_regular(cubic_pencil):
+def test_multiplication_certificates_follow_r(cubic_pencil, cp1_pencil):
+    # One product for both shapes of R: an invertible R certifies the
+    # pairing-derivative identity; CP1's singular R (d = 1) skips it and
+    # certifies d(tau) as a left unity instead.
     ops = operator_pair(cubic_pencil)
-    delta = delta_tensor(cubic_pencil)
-    with pytest.raises(NotRegularError):
-        d1_remark_multiplication(cubic_pencil, ops, delta)
+    _sc, report = multiplication(cubic_pencil, ops, delta_tensor(cubic_pencil))
+    assert report.find("pairing-derivative-identity").status == "pass"
+    assert all(c.name != "multiplication-left-unity" for c in report.certificates)
+
+    ops = operator_pair(cp1_pencil)
+    assert rank(ops.r_op) == 1
+    _sc, report = multiplication(cp1_pencil, ops, delta_tensor(cp1_pencil))
+    assert report.passed
+    assert report.find("multiplication-left-unity").status == "pass"
+    assert report.find("pairing-derivative-identity").status == "skipped"
+    assert [c.name for c in report.certificates] == [
+        "multiplication-commutativity",
+        "multiplication-associativity",
+        "multiplication-unity",
+        "unity-lambda-eigenvalue",
+        "pairing-derivative-identity",
+        "multiplication-left-unity",
+    ]
+
+
+def test_regular_product_is_delta_of_r_inverse(a2, a3):
+    # With R invertible the product is Delta(u, R^{-1} v), built here
+    # directly from the inverse matrix.
+    for bundle, _recon in (a2, a3):
+        p = bundle.pencil
+        n = p.n
+        ops = operator_pair(p)
+        delta = delta_tensor(p)
+        r_inv = mat_inverse(ops.r_op)
+        sc, report = multiplication(p, ops, delta)
+        assert report.passed
+        for a in range(n):
+            for b in range(n):
+                for g in range(n):
+                    expected = sum((delta[g][a][j] * r_inv[j][b] for j in range(n)), RatFunc(QPoly.zero(n)))
+                    assert (expected - RatFunc(sc.c_mixed[a][b][g])).is_zero()
 
 
 def _kernel2_pencil():
@@ -282,12 +299,9 @@ def test_kernel_dimension_two_reported():
     pencil = _kernel2_pencil()
     ops = operator_pair(pencil)
     delta = delta_tensor(pencil)
-    with pytest.raises(NotRegularError) as info:
+    with pytest.raises(KernelError) as info:
         multiplication(pencil, ops, delta)
-    assert info.value.kernel_dim == 2
-    with pytest.raises(KernelError) as info2:
-        d1_remark_multiplication(pencil, ops, delta)
-    assert "dimension 2" in str(info2.value)
+    assert "dimension 2" in str(info.value)
 
 
 def test_recover_potential_one_dim():
