@@ -244,15 +244,33 @@ def test_multiplication_one_dim(cubic_pencil):
     assert sc.c_low[0][0][0] == QPoly.const(1, 1)
 
 
-def test_multiplication_certificates_follow_r(cubic_pencil, cp1_pencil):
-    # One product for both shapes of R: an invertible R certifies the
-    # pairing-derivative identity; CP1's singular R (d = 1) skips it and
-    # certifies d(tau) as a left unity instead.
+def test_multiplication_rejects_singular(cp1_pencil):
+    # A singular R admits a product only when Delta(., dtau) vanishes, so the
+    # choice of w along ker R = span(dtau) cannot leak into it.
+    ops = operator_pair(cp1_pencil)
+    delta = delta_tensor(cp1_pencil)
+    n = cp1_pencil.n
+    mutated = [[[delta[k][i][j] for j in range(n)] for i in range(n)] for k in range(n)]
+    mutated[0][0][1] = mutated[0][0][1] + RatFunc(qp("t1", n))  # dtau = dt2
+    with pytest.raises(KernelError) as info:
+        multiplication(cp1_pencil, ops, mutated)
+    assert "Delta(., dtau) is nonzero at entry (1,1)" in str(info.value)
+
+
+def test_d1_multiplication_rejects_regular(cubic_pencil):
+    # The d = 1 treatment (left unity in place of the pairing-derivative
+    # identity) is not applied to an invertible R.
     ops = operator_pair(cubic_pencil)
+    assert ops.regular()
     _sc, report = multiplication(cubic_pencil, ops, delta_tensor(cubic_pencil))
+    assert report.passed
     assert report.find("pairing-derivative-identity").status == "pass"
     assert all(c.name != "multiplication-left-unity" for c in report.certificates)
 
+
+def test_multiplication_certificates_follow_r(cp1_pencil):
+    # CP1's singular R (d = 1) skips the pairing-derivative identity and
+    # certifies d(tau) as a left unity instead.
     ops = operator_pair(cp1_pencil)
     assert rank(ops.r_op) == 1
     _sc, report = multiplication(cp1_pencil, ops, delta_tensor(cp1_pencil))
