@@ -245,14 +245,15 @@ def saito_flat_coordinates(chart: OrbitChart, g2: ContraMetric) -> list[QPoly]:
                     for s in range(n):
                         acc = acc + g2.g[i][s] * mono.diff(s).diff(j)
                         acc = acc + gamma[j][i][s] * mono.diff(s)
-                    per_ij.append(acc)
-                    rows_keys.update(acc.terms)
+                    terms = acc.terms
+                    per_ij.append(terms)
+                    rows_keys.update(terms)
             images.append(per_ij)
         keys = sorted(rows_keys)
         a_mat = [[Q(0)] * len(basis)]  # harmless row; keeps the shape when
         for pos in range(n * n):       # every residual vanishes identically
             for key in keys:
-                a_mat.append([images[c][pos].terms.get(key, Q(0)) for c in range(len(basis))])
+                a_mat.append([images[c][pos].get(key, Q(0)) for c in range(len(basis))])
         space = nullspace(a_mat)
         if len(space) != 1:
             raise GradingError(

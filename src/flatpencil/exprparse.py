@@ -9,8 +9,10 @@
     rational := INT ['/' INT]        variable := t1 .. tn
 
 Whitespace is insignificant.  '/' occurs only inside rational literals;
-there is no general division.  Exponents are nonnegative integers.  Errors
-carry the 1-based line and column of the offending token.
+there is no general division.  Exponents are nonnegative integers, and a
+power whose exponent or total degree exceeds ``MAX_POWER_DEGREE`` is a
+parse error.  Errors carry the 1-based line and column of the offending
+token.
 """
 
 from __future__ import annotations
@@ -22,6 +24,11 @@ from .errors import ParseError
 from .qpoly import QPoly
 
 Q = Fraction
+
+# Largest exponent, and largest total degree of a power, that the parser
+# expands.  Far above any degree the toolkit writes; a larger power is
+# refused before its expansion can run away.
+MAX_POWER_DEGREE = 64
 
 _TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()]|\S")
 
@@ -131,7 +138,12 @@ class _Parser:
             if tok.kind == "-":
                 raise self.fail("negative exponents are outside the ring")
             tok = self.expect("int")
-            return base ** int(tok.text)
+            exponent = int(tok.text)
+            if max(exponent, base.total_degree() * exponent) > MAX_POWER_DEGREE:
+                raise ParseError(
+                    f"power exceeds the degree bound {MAX_POWER_DEGREE}", tok.line, tok.col
+                )
+            return base ** exponent
         return base
 
     def atom(self) -> QPoly:

@@ -12,9 +12,17 @@ A term is keyed by the pair
 
 where the exponential factors are stored sparsely as a sorted tuple of
 ``(axis, rate)`` pairs with nonzero rates.  Products of exponentials on the
-same coordinate normalize by adding rates, so the term map is a canonical
-form: two QPoly are equal iff their term maps are equal.  No floating point
-enters any arithmetic path; coefficients are `fractions.Fraction`.
+same coordinate normalize by adding rates.
+
+The coefficients are stored as integer numerators over one positive
+common denominator, reduced so that the denominator and the numerators
+have no common factor (the zero polynomial has denominator 1).  That is a
+canonical form: two QPoly are equal iff their numerator maps and
+denominators are equal.  Sums, products, derivatives and divisions run on
+Python ints; `fractions.Fraction` appears only at the API edge, in the
+constructor, the :attr:`QPoly.terms` view, single coefficients,
+evaluation and printing.  Exponential rates are Fractions, as part of the
+term key.  No floating point enters any arithmetic path.
 
 :class:`RatFunc` is a fraction num/den of two QPoly, kept as it was built:
 no common factors are cancelled and no denominator is scaled.  A value is
@@ -30,6 +38,7 @@ t1..tn appear only in parsed/printed expressions and JSON files.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .errors import OutOfRingError
@@ -56,32 +65,75 @@ def _as_q(x) -> Q:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-class QPoly:
-    """Immutable exact quasi-polynomial."""
+def _make(nvars: int, nums: dict[TermKey, int], den: int = 1) -> "QPoly":
+    """The QPoly sum(nums[key] * key) / den in canonical form: zeros
+    dropped, then numerators and den > 0 divided by their gcd (which makes
+    zero's den 1).  The result may keep ``nums`` itself, which nobody may
+    change afterwards."""
+    if 0 in nums.values():
+        nums = {key: c for key, c in nums.items() if c}
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {key: c // g for key, c in nums.items()}
+            den //= g
+    res = QPoly.__new__(QPoly)
+    res.nvars = nvars
+    res.numerators = nums
+    res.denominator = den
+    return res
 
-    __slots__ = ("nvars", "terms")
+
+def _over_common_den(parts: Iterable[tuple[TermKey, int, int]]) -> tuple[dict[TermKey, int], int]:
+    """Sum the terms key * (num / den) of ``parts`` (every den > 0) as
+    integer numerators over the least common denominator."""
+    parts = list(parts)
+    den = lcm(*(d for _k, _n, d in parts))
+    nums: dict[TermKey, int] = {}
+    for key, n, d in parts:
+        nums[key] = nums.get(key, 0) + n * (den // d)
+    return nums, den
+
+
+class QPoly:
+    """Immutable exact quasi-polynomial: integer numerators over one denominator.
+
+    ``numerators`` maps each TermKey to a nonzero int and ``denominator`` is
+    a positive int sharing no factor with all of them.  ``QPoly(nvars,
+    {key: Fraction})`` builds one from rational coefficients; ``terms`` reads
+    them back as Fractions.
+    """
+
+    __slots__ = ("nvars", "numerators", "denominator")
 
     def __init__(self, nvars: int, terms: Mapping[TermKey, Q] | None = None):
+        # Reduced fractions under distinct keys, put over the lcm of their
+        # denominators, have numerators sharing no factor with it: the result
+        # is already canonical.
         self.nvars = nvars
-        clean: dict[TermKey, Q] = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff != 0:
-                    clean[key] = coeff
-        self.terms = clean
+        self.numerators, self.denominator = _over_common_den(
+            (key, c.numerator, c.denominator) for key, c in (terms or {}).items() if c
+        )
+
+    @property
+    def terms(self) -> dict[TermKey, Q]:
+        """The coefficients as Fractions, in a new dict on every read."""
+        den = self.denominator
+        return {key: Q(c, den) for key, c in self.numerators.items()}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, nvars: int) -> "QPoly":
-        return cls(nvars)
+        return _make(nvars, {})
 
     @classmethod
     def const(cls, nvars: int, value) -> "QPoly":
-        value = _as_q(value)
-        if value == 0:
-            return cls(nvars)
-        return cls(nvars, {((0,) * nvars, ()): value})
+        if not isinstance(value, int):
+            value = _as_q(value)
+        if not value:
+            return _make(nvars, {})
+        return _make(nvars, {((0,) * nvars, ()): value.numerator}, value.denominator)
 
     @classmethod
     def var(cls, nvars: int, axis: int) -> "QPoly":
@@ -89,7 +141,7 @@ class QPoly:
             raise IndexError(f"axis {axis} out of range for {nvars} variables")
         pows = [0] * nvars
         pows[axis] = 1
-        return cls(nvars, {(tuple(pows), ()): Q(1)})
+        return _make(nvars, {(tuple(pows), ()): 1})
 
     @classmethod
     def exp(cls, nvars: int, axis: int, rate) -> "QPoly":
@@ -99,52 +151,62 @@ class QPoly:
         rate = _as_q(rate)
         if rate == 0:
             return cls.const(nvars, 1)
-        return cls(nvars, {((0,) * nvars, ((axis, rate),)): Q(1)})
+        return _make(nvars, {((0,) * nvars, ((axis, rate),)): 1})
 
     # -- ring structure ----------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.numerators)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = QPoly.const(self.nvars, other)
         if not isinstance(other, QPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = QPoly.const(self.nvars, other)
+        return (
+            self.nvars == other.nvars
+            and self.denominator == other.denominator
+            and self.numerators == other.numerators
+        )
 
     __hash__ = None  # mutable dict inside; never used as a key
 
     def __add__(self, other) -> "QPoly":
-        if isinstance(other, (int, Fraction)):
-            other = QPoly.const(self.nvars, other)
         if not isinstance(other, QPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = QPoly.const(self.nvars, other)
         if self.nvars != other.nvars:
             raise ValueError("mixed variable counts")
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            new = out.get(key, 0) + coeff
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-        res = QPoly(self.nvars)
-        res.terms = out
-        return res
+        if not other.numerators:
+            return self
+        if not self.numerators:
+            return other
+        da, db = self.denominator, other.denominator
+        if da == db:
+            out = dict(self.numerators)
+            addends = other.numerators.items()
+            den = da
+        else:
+            den = lcm(da, db)
+            sa, sb = den // da, den // db
+            out = {key: c * sa for key, c in self.numerators.items()}
+            addends = [(key, c * sb) for key, c in other.numerators.items()]
+        get = out.get
+        for key, c in addends:
+            out[key] = get(key, 0) + c
+        return _make(self.nvars, out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPoly":
-        res = QPoly(self.nvars)
-        res.terms = {key: -coeff for key, coeff in self.terms.items()}
-        return res
+        return _make(self.nvars, {key: -c for key, c in self.numerators.items()}, self.denominator)
 
     def __sub__(self, other) -> "QPoly":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, QPoly):
             other = QPoly.const(self.nvars, other)
         return self.__add__(other.__neg__())
 
@@ -152,29 +214,27 @@ class QPoly:
         return (self.__neg__()).__add__(other)
 
     def __mul__(self, other) -> "QPoly":
-        if isinstance(other, (int, Fraction)):
-            other = _as_q(other)
-            if other == 0:
-                return QPoly(self.nvars)
-            res = QPoly(self.nvars)
-            res.terms = {key: coeff * other for key, coeff in self.terms.items()}
-            return res
         if not isinstance(other, QPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if not other:
+                return _make(self.nvars, {})
+            scale = other.numerator
+            return _make(
+                self.nvars,
+                {key: c * scale for key, c in self.numerators.items()},
+                self.denominator * other.denominator,
+            )
         if self.nvars != other.nvars:
             raise ValueError("mixed variable counts")
-        out: dict[TermKey, Q] = {}
-        for (pa, ea), ca in self.terms.items():
-            for (pb, eb), cb in other.terms.items():
+        out: dict[TermKey, int] = {}
+        get = out.get
+        right = other.numerators.items()
+        for (pa, ea), ca in self.numerators.items():
+            for (pb, eb), cb in right:
                 key = (_mul_pows(pa, pb), _mul_exps(ea, eb))
-                new = out.get(key, 0) + ca * cb
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
-        res = QPoly(self.nvars)
-        res.terms = out
-        return res
+                out[key] = get(key, 0) + ca * cb
+        return _make(self.nvars, out, self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
@@ -193,30 +253,28 @@ class QPoly:
     # -- calculus ----------------------------------------------------------
 
     def diff(self, axis: int) -> "QPoly":
-        """Partial derivative; exponential units obey d/dt exp(r t) = r exp(r t)."""
+        """Partial derivative; exponential units obey d/dt exp(r t) = r exp(r t).
+
+        The result is taken over the denominator times the lcm of the rate
+        denominators on the axis, so every coefficient stays an integer.
+        """
         if not 0 <= axis < self.nvars:
             raise IndexError(f"axis {axis} out of range")
-        out: dict[TermKey, Q] = {}
-
-        def put(key: TermKey, c: Q) -> None:
-            new = out.get(key, 0) + c
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-
-        for (pows, efac), coeff in self.terms.items():
+        scale = lcm(*(r.denominator for (_p, efac) in self.numerators for a, r in efac if a == axis))
+        out: dict[TermKey, int] = {}
+        get = out.get
+        for (pows, efac), c in self.numerators.items():
             a = pows[axis]
             if a:
                 lowered = list(pows)
                 lowered[axis] = a - 1
-                put((tuple(lowered), efac), coeff * a)
-            rate = _exp_rate(efac, axis)
+                key = (tuple(lowered), efac)
+                out[key] = get(key, 0) + c * a * scale
+            rate = _exp_rate(efac, axis) if efac else 0
             if rate:
-                put((pows, efac), coeff * rate)
-        res = QPoly(self.nvars)
-        res.terms = out
-        return res
+                key = (pows, efac)
+                out[key] = get(key, 0) + c * rate.numerator * (scale // rate.denominator)
+        return _make(self.nvars, out, self.denominator * scale)
 
     def integrate(self, axis: int) -> "QPoly":
         """An antiderivative with zero integration constant on every term.
@@ -226,25 +284,28 @@ class QPoly:
         """
         if not 0 <= axis < self.nvars:
             raise IndexError(f"axis {axis} out of range")
-        total = QPoly(self.nvars)
-        for (pows, efac), coeff in self.terms.items():
+        parts: list[tuple[TermKey, int, int]] = []
+        for (pows, efac), c in self.numerators.items():
             a = pows[axis]
             rate = _exp_rate(efac, axis)
-            if rate == 0:
+            if not rate:
                 raised = list(pows)
                 raised[axis] = a + 1
-                total = total + QPoly(self.nvars, {(tuple(raised), efac): coeff / (a + 1)})
-            else:
-                acc: dict[TermKey, Q] = {}
-                falling = 1
-                for j in range(a + 1):
-                    newpows = list(pows)
-                    newpows[axis] = a - j
-                    c = coeff * Q((-1) ** j) * falling / rate ** (j + 1)
-                    acc[(tuple(newpows), efac)] = acc.get((tuple(newpows), efac), 0) + c
-                    falling *= a - j
-                total = total + QPoly(self.nvars, acc)
-        return total
+                parts.append(((tuple(raised), efac), c, a + 1))
+                continue
+            rn, rd = rate.numerator, rate.denominator
+            falling = 1
+            for j in range(a + 1):
+                newpows = list(pows)
+                newpows[axis] = a - j
+                # c * (-1)^j * falling / r^(j+1), with r = rn / rd
+                num, den = (-1) ** j * c * falling * rd ** (j + 1), rn ** (j + 1)
+                if den < 0:
+                    num, den = -num, -den
+                parts.append(((tuple(newpows), efac), num, den))
+                falling *= a - j
+        nums, den = _over_common_den(parts)
+        return _make(self.nvars, nums, self.denominator * den)
 
     # -- substitution and embedding -----------------------------------------
 
@@ -273,86 +334,87 @@ class QPoly:
                 pow_cache[key] = got
             return got
 
-        for (pows, efac), coeff in self.terms.items():
-            piece = QPoly.const(target_n, coeff)
+        # Each term enters with its integer numerator; the common
+        # denominator divides the sum once at the end.
+        for (pows, efac), c in self.numerators.items():
+            piece = QPoly.const(target_n, c)
             for axis, p in enumerate(pows):
                 if p:
                     piece = piece * image_pow(axis, p)
             for axis, rate in efac:
                 image = images[axis]
-                if any(iefac or sum(ipows) != 1 for (ipows, iefac) in image.terms):
+                if any(iefac or sum(ipows) != 1 for (ipows, iefac) in image.numerators):
                     raise OutOfRingError(
                         f"cannot substitute into exp on t{axis + 1}: image is not "
                         "a homogeneous linear form"
                     )
-                for (ipows, _e), scale in image.terms.items():
-                    piece = piece * QPoly.exp(target_n, ipows.index(1), rate * scale)
+                for (ipows, _e), ic in image.numerators.items():
+                    piece = piece * QPoly.exp(target_n, ipows.index(1), rate * ic / image.denominator)
             out = out + piece
-        return out
+        return _make(target_n, out.numerators, out.denominator * self.denominator)
 
     def lift(self, new_nvars: int) -> "QPoly":
         """Embed into a ring with extra trailing variables."""
         if new_nvars < self.nvars:
             raise ValueError("cannot shrink the ring")
         pad = (0,) * (new_nvars - self.nvars)
-        res = QPoly(new_nvars)
-        res.terms = {(pows + pad, efac): c for (pows, efac), c in self.terms.items()}
-        return res
+        return _make(
+            new_nvars,
+            {(pows + pad, efac): c for (pows, efac), c in self.numerators.items()},
+            self.denominator,
+        )
 
     # -- structure inspection ------------------------------------------------
 
     def total_degree(self) -> int:
         """Largest total coordinate degree; -1 on the zero polynomial."""
-        if not self.terms:
+        if not self.numerators:
             return -1
-        return max(sum(pows) for (pows, _e) in self.terms)
+        return max(sum(pows) for (pows, _e) in self.numerators)
 
     def is_polynomial(self) -> bool:
-        return all(not efac for (_p, efac) in self.terms)
+        return all(not efac for (_p, efac) in self.numerators)
 
     def is_constant(self) -> bool:
-        return all(not any(pows) and not efac for (pows, efac) in self.terms)
+        return all(not any(pows) and not efac for (pows, efac) in self.numerators)
 
     def constant_value(self) -> Q:
         if self.is_zero():
             return Q(0)
         if not self.is_constant():
             raise ValueError("not a constant")
-        return next(iter(self.terms.values()))
+        return Q(next(iter(self.numerators.values())), self.denominator)
 
     def coefficient(self, pows: Iterable[int], efac: Iterable[tuple[int, Q]] = ()) -> Q:
         key = (tuple(pows), tuple((a, _as_q(r)) for a, r in efac))
-        return self.terms.get(key, Q(0))
+        return Q(self.numerators.get(key, 0), self.denominator)
 
     def coeffs_by_power(self, axis: int) -> dict[int, "QPoly"]:
         """Split into coefficients of powers of one exp-free coordinate."""
-        buckets: dict[int, dict[TermKey, Q]] = {}
-        for (pows, efac), c in self.terms.items():
+        buckets: dict[int, dict[TermKey, int]] = {}
+        for (pows, efac), c in self.numerators.items():
             if _exp_rate(efac, axis) != 0:
                 raise ValueError("coordinate carries exponential factors")
             p = pows[axis]
             cleared = list(pows)
             cleared[axis] = 0
             buckets.setdefault(p, {})[(tuple(cleared), efac)] = c
-        out = {}
-        for p, terms in buckets.items():
-            poly = QPoly(self.nvars)
-            poly.terms = terms
-            out[p] = poly
-        return out
+        return {p: _make(self.nvars, nums, self.denominator) for p, nums in buckets.items()}
 
     def poly_part_degree_at_most(self, bound: int) -> "QPoly":
         """Exponential-free terms of total degree <= bound."""
-        res = QPoly(self.nvars)
-        res.terms = {
-            (pows, efac): c
-            for (pows, efac), c in self.terms.items()
-            if not efac and sum(pows) <= bound
-        }
-        return res
+        return _make(
+            self.nvars,
+            {
+                (pows, efac): c
+                for (pows, efac), c in self.numerators.items()
+                if not efac and sum(pows) <= bound
+            },
+            self.denominator,
+        )
 
     def exp_rates_on(self, axis: int) -> set[Q]:
-        return {r for (_p, efac) in self.terms for a, r in efac if a == axis}
+        return {r for (_p, efac) in self.numerators for a, r in efac if a == axis}
 
     # -- evaluation -----------------------------------------------------------
 
@@ -367,7 +429,7 @@ class QPoly:
             raise ValueError("wrong coordinate count")
         expvals = expvals or {}
         total = Q(0)
-        for (pows, efac), coeff in self.terms.items():
+        for (pows, efac), coeff in self.numerators.items():
             val = coeff
             for axis, p in enumerate(pows):
                 if p:
@@ -381,19 +443,19 @@ class QPoly:
                     raise ValueError("exp rate is not an integer multiple of the base")
                 val *= unit ** int(mult)
             total += val
-        return total
+        return total / self.denominator
 
     # -- printing -------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.numerators:
             return "0"
-        keys = sorted(self.terms, key=lambda k: (sum(k[0]), k), reverse=True)
+        keys = sorted(self.numerators, key=lambda k: (sum(k[0]), k), reverse=True)
         pieces: list[str] = []
         for key in keys:
-            coeff = self.terms[key]
+            num = self.numerators[key]
             body = _term_body(key)
-            mag = -coeff if coeff < 0 else coeff
+            mag = Q(abs(num), self.denominator)
             if body == "1":
                 text = str(mag)
             elif mag == 1:
@@ -401,9 +463,9 @@ class QPoly:
             else:
                 text = f"{mag}*{body}"
             if not pieces:
-                pieces.append(text if coeff > 0 else f"-{text}")
+                pieces.append(text if num > 0 else f"-{text}")
             else:
-                pieces.append(f"+ {text}" if coeff > 0 else f"- {text}")
+                pieces.append(f"+ {text}" if num > 0 else f"- {text}")
         return " ".join(pieces)
 
     def __repr__(self) -> str:
@@ -411,7 +473,7 @@ class QPoly:
 
 
 def _mul_pows(pa: tuple[int, ...], pb: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(pa, pb))
+    return tuple([x + y for x, y in zip(pa, pb)])
 
 
 def _mul_exps(
@@ -433,11 +495,11 @@ def _mul_exps(
     return tuple(sorted(rates.items()))
 
 
-def _exp_rate(efac: tuple[tuple[int, Q], ...], axis: int) -> Q:
+def _exp_rate(efac: tuple[tuple[int, Q], ...], axis: int) -> Q | int:
     for a, r in efac:
         if a == axis:
             return r
-    return Q(0)
+    return 0
 
 
 def _term_body(key: TermKey) -> str:
@@ -584,11 +646,22 @@ def exact_divide(num: QPoly, den: QPoly) -> QPoly | None:
     many of them, so the pass ends; the step limit is a backstop past which
     the division is reported as "not divisible", which callers treat as
     "keep the quotient as a fraction".
+
+    The reduction runs on integers.  The divisor's numerators are divided by
+    their content (their gcd), leaving a primitive integer divisor P.  The
+    ring is Q[M] for a cancellative torsion-free monoid M of terms, so F_p[M]
+    is a domain for every prime p and Gauss's lemma holds: a product of
+    primitive polynomials is primitive.  Hence when the numerator's integer
+    numerators N are divisible by P at all, N/P has integer coefficients,
+    and a lead coefficient of the remainder that the lead coefficient of P
+    does not divide proves the division inexact.  The quotient is then
+    rescaled by the two denominators and the content.
     """
     if den.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if den.is_constant():
-        return num * (1 / den.constant_value())
+        (c,) = den.numerators.values()
+        return num * Q(den.denominator, c)
     if num.is_zero():
         return QPoly.zero(num.nvars)
 
@@ -601,31 +674,34 @@ def exact_divide(num: QPoly, den: QPoly) -> QPoly | None:
     if any(lo > hi for lo, hi in zip(low, high)):
         return None
 
-    den_lead = max(den.terms, key=order_key)
-    den_lead_coeff = den.terms[den_lead]
-    rem = dict(num.terms)
-    quo: dict[TermKey, Q] = {}
+    content = gcd(*den.numerators.values())
+    prim = {key: c // content for key, c in den.numerators.items()}
+    prim_lead = max(prim, key=order_key)
+    prim_lead_coeff = prim[prim_lead]
+    rem = dict(num.numerators)
+    quo: dict[TermKey, int] = {}
     steps = 0
     while rem:
         steps += 1
         if steps > _DIV_STEP_LIMIT:
             return None
         lead = max(rem, key=order_key)
-        factor = _monomial_quotient(lead, den_lead)
+        factor = _monomial_quotient(lead, prim_lead)
         if factor is None or not all(lo <= v <= hi for lo, v, hi in zip(low, _axis_values(factor), high)):
             return None
-        coeff = rem[lead] / den_lead_coeff
+        coeff, left = divmod(rem[lead], prim_lead_coeff)
+        if left:
+            return None
         quo[factor] = coeff
-        for (pows, efac), c in den.terms.items():
+        for (pows, efac), c in prim.items():
             key = (_mul_pows(pows, factor[0]), _mul_exps(efac, factor[1]))
             new = rem.get(key, 0) - coeff * c
             if new:
                 rem[key] = new
             else:
                 rem.pop(key, None)
-    result = QPoly(num.nvars)
-    result.terms = quo
-    return result
+    # num/den = (N / num.den) / (content * P / den.den) = (N/P) * den.den / (num.den * content)
+    return _make(num.nvars, {key: c * den.denominator for key, c in quo.items()}, num.denominator * content)
 
 
 def _axis_values(key: TermKey) -> list:
@@ -638,7 +714,7 @@ def _axis_values(key: TermKey) -> list:
 
 def _axis_spans(p: QPoly) -> list[tuple]:
     """(smallest, largest) of each entry of _axis_values over the terms of p."""
-    columns = zip(*(_axis_values(key) for key in p.terms))
+    columns = zip(*(_axis_values(key) for key in p.numerators))
     return [(min(col), max(col)) for col in columns]
 
 

@@ -32,6 +32,7 @@ from .errors import (
     NormalizationError,
     NotFlatCoordinatesError,
     OutOfRingError,
+    SingularMetricError,
     TauHessianError,
 )
 from .frobenius import FrobeniusData, StructureConstants, contract_two
@@ -134,7 +135,10 @@ def _require_constant_g2(p: PencilData) -> list[list[Q]]:
         raise NotFlatCoordinatesError(
             "second metric is not constant; present the pencil in its flat coordinates"
         )
-    return p.g2.constant_entries()
+    entries = p.g2.constant_entries()
+    if rank(entries) < p.n:
+        raise SingularMetricError("second metric is degenerate")
+    return entries
 
 
 def delta_tensor(p: PencilData) -> Delta:

@@ -117,6 +117,26 @@ def test_recurse_on_non_constant_g2_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("certification error: NotFlatCoordinatesError:")
 
 
+@pytest.mark.parametrize(
+    "command", [["pencil", "check"], ["pencil", "reconstruct"], ["bracket", "compat"], ["bracket", "recurse"]]
+)
+def test_degenerate_g2_exit_1(tmp_path, capsys, command):
+    path = write_json(tmp_path / "degenerate-g2.json", {"schema": 1, "n": 1, "g1": [["t1"]], "g2": [["0"]]})
+    assert run([*command, path]) == 1
+    assert capsys.readouterr().err.startswith("certification error: SingularMetricError:")
+
+
+def test_power_over_degree_bound_exit_3(tmp_path, capsys):
+    assert run(["coxeter", "--type", "A", "--rank", "2", "--out", tmp_path]) == 0
+    data = json.loads((tmp_path / "a2-pencil.json").read_text())
+    data["g1"][0][0] = "(t1+t2+1)^400"
+    path = write_json(tmp_path / "a2-big-power.json", data)
+    capsys.readouterr()
+    assert run(["pencil", "check", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and "degree bound 64" in err
+
+
 @pytest.mark.parametrize("declared", ["1", "3"])
 def test_reconstruct_certifies_declared_degree(tmp_path, capsys, declared):
     # L_E g1 = (d-1) g1 gives d = 0 for this pencil.

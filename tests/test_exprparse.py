@@ -67,3 +67,12 @@ def test_negative_exponent_rejected():
 def test_division_of_polynomials_rejected():
     with pytest.raises(ParseError):
         parse_expr("t1/2", 1)
+
+
+def test_power_degree_bound():
+    assert parse_expr("t1^64", 2).total_degree() == 64
+    assert parse_expr("(t1^2 + t2)^32", 2).total_degree() == 64
+    for text in ("t1^65", "(t1^2 + 1)^33", "exp(t1)^65", "(t1+t2+1)^400"):
+        with pytest.raises(ParseError, match="degree bound 64") as info:
+            parse_expr(text, 2)
+        assert info.value.col == text.rindex("^") + 2

@@ -231,3 +231,226 @@ def test_ratfunc_quotient_only_when_exact():
 def test_ratfunc_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         RatFunc(qp("1", 1), QPoly.zero(1))
+
+
+# Reference route: the Fraction-dict arithmetic that the integer-numerator
+# store replaced, on plain {TermKey: Fraction} maps read through `.terms`.
+def ref_key_mul(ka, kb):
+    pows = tuple(x + y for x, y in zip(ka[0], kb[0]))
+    rates = dict(ka[1])
+    for axis, rate in kb[1]:
+        rates[axis] = rates.get(axis, 0) + rate
+    return pows, tuple(sorted((a, r) for a, r in rates.items() if r))
+
+
+def ref_put(out, key, c):
+    new = out.get(key, 0) + c
+    if new:
+        out[key] = new
+    else:
+        out.pop(key, None)
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for key, c in b.items():
+        ref_put(out, key, c)
+    return out
+
+
+def ref_mul(a, b):
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            ref_put(out, ref_key_mul(ka, kb), ca * cb)
+    return out
+
+
+def ref_diff(a, axis):
+    out = {}
+    for (pows, efac), c in a.items():
+        if pows[axis]:
+            lowered = list(pows)
+            lowered[axis] -= 1
+            ref_put(out, (tuple(lowered), efac), c * pows[axis])
+        rate = dict(efac).get(axis, 0)
+        if rate:
+            ref_put(out, (pows, efac), c * rate)
+    return out
+
+
+def ref_order_key(key):
+    rates = [Q(0)] * len(key[0])
+    for axis, rate in key[1]:
+        rates[axis] = rate
+    return sum(key[0]), [*key[0], *rates]
+
+
+def ref_exact_divide(num, den):
+    """Leading-term reduction with Fraction coefficients, in the same order
+    and with the same range checks; a constant divisor scales."""
+    if all(not any(p) and not e for p, e in den):
+        (c,) = den.values()
+        return {key: v / c for key, v in num.items()}
+    if not num:
+        return {}
+    cols_n = list(zip(*(ref_order_key(k)[1] for k in num)))
+    cols_d = list(zip(*(ref_order_key(k)[1] for k in den)))
+    low = [min(a) - min(b) for a, b in zip(cols_n, cols_d)]
+    high = [max(a) - max(b) for a, b in zip(cols_n, cols_d)]
+    if any(lo > hi for lo, hi in zip(low, high)):
+        return None
+    den_lead = max(den, key=ref_order_key)
+    rem, quo = dict(num), {}
+    for _ in range(20000):
+        if not rem:
+            return quo
+        lead = max(rem, key=ref_order_key)
+        pows = tuple(x - y for x, y in zip(lead[0], den_lead[0]))
+        if any(p < 0 for p in pows):
+            return None
+        factor = ref_key_mul((pows, lead[1]), ((0,) * len(pows), tuple((a, -r) for a, r in den_lead[1])))
+        if not all(lo <= v <= hi for lo, v, hi in zip(low, ref_order_key(factor)[1], high)):
+            return None
+        coeff = rem[lead] / den[den_lead]
+        quo[factor] = coeff
+        for key, c in den.items():
+            ref_put(rem, ref_key_mul(key, factor), -coeff * c)
+    return None
+
+
+def ref_str(terms):
+    if not terms:
+        return "0"
+    pieces = []
+    for key in sorted(terms, key=lambda k: (sum(k[0]), k), reverse=True):
+        coeff = terms[key]
+        pows, efac = key
+        factors = [f"t{i + 1}" if p == 1 else f"t{i + 1}^{p}" for i, p in enumerate(pows) if p]
+        factors += [f"exp(t{a + 1})" if r == 1 else f"exp({r}*t{a + 1})" for a, r in efac]
+        body = "*".join(factors) if factors else "1"
+        mag = abs(coeff)
+        text = str(mag) if body == "1" else body if mag == 1 else f"{mag}*{body}"
+        if not pieces:
+            pieces.append(text if coeff > 0 else f"-{text}")
+        else:
+            pieces.append(f"+ {text}" if coeff > 0 else f"- {text}")
+    return " ".join(pieces)
+
+
+def random_rational_qpoly(rng, nvars):
+    """Rational coefficients with assorted denominators and rational exp
+    rates, 3/2 among them, on random axes."""
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        pows = tuple(rng.randint(0, 3) for _ in range(nvars))
+        efac = ()
+        if rng.random() < 0.5:
+            axis = rng.randrange(nvars)
+            efac = ((axis, rng.choice([Q(1), Q(-1), Q(2), Q(3, 2), Q(-1, 3)])),)
+        terms[(pows, efac)] = Q(rng.randint(-20, 20), rng.randint(1, 12))
+    return QPoly(nvars, terms)
+
+
+def assert_canonical(p):
+    assert p.denominator > 0
+    assert 0 not in p.numerators.values()
+    assert all(isinstance(c, int) for c in p.numerators.values())
+    assert math.gcd(p.denominator, *p.numerators.values()) == 1
+    if p.is_zero():
+        assert p.denominator == 1
+
+
+def test_integer_store_matches_fraction_reference():
+    rng = random.Random(29)
+    for _ in range(60):
+        a, b = random_rational_qpoly(rng, 2), random_rational_qpoly(rng, 2)
+        for got, want in [
+            (a + b, ref_add(a.terms, b.terms)),
+            (a - b, ref_add(a.terms, {k: -c for k, c in b.terms.items()})),
+            (a * b, ref_mul(a.terms, b.terms)),
+            (a * Q(-6, 35), {k: c * Q(-6, 35) for k, c in a.terms.items()}),
+            (a.diff(0), ref_diff(a.terms, 0)),
+            (a.diff(1), ref_diff(a.terms, 1)),
+        ]:
+            assert_canonical(got)
+            assert dict(got.terms) == want
+            assert str(got) == ref_str(want)
+        for axis in range(2):
+            integral = a.integrate(axis)
+            assert_canonical(integral)
+            assert integral.diff(axis) == a
+
+
+def test_exact_divide_matches_fraction_reference():
+    rng = random.Random(31)
+    for _ in range(40):
+        a, b = random_rational_qpoly(rng, 2), random_rational_qpoly(rng, 2)
+        if b.is_zero():
+            continue
+        prod = a * b
+        quo = exact_divide(prod, b)
+        assert_canonical(quo)
+        assert quo == a and dict(quo.terms) == ref_exact_divide(prod.terms, b.terms)
+        other = exact_divide(prod + a + 1, b)
+        want = ref_exact_divide((prod + a + 1).terms, b.terms)
+        assert (other is None and want is None) or dict(other.terms) == want
+
+
+def test_integrate_at_rate_three_halves():
+    p = qp("t1*exp(3/2*t1)", 1)
+    assert p.integrate(0) == qp("2/3*t1*exp(3/2*t1) - 4/9*exp(3/2*t1)", 1)
+    assert p.diff(0) == qp("exp(3/2*t1) + 3/2*t1*exp(3/2*t1)", 1)
+
+
+def test_equal_values_have_one_representation():
+    half_t1 = QPoly(2, {((1, 0), ()): Q(1, 2)})
+    routes = [
+        half_t1,
+        qp("1/2*t1", 2),
+        QPoly.var(2, 0) * Q(1, 2),
+        (QPoly.var(2, 0) * 6) * Q(1, 12),
+        qp("1/3*t1 + 1/6*t1 + t2", 2) - QPoly.var(2, 1),
+        qp("1/4*t1^2", 2).diff(0),
+        qp("1/2", 2).integrate(0),
+        exact_divide(qp("3/8*t1^2 + 1/2*t1", 2), qp("3/4*t1 + 1", 2)),
+    ]
+    for p in routes:
+        assert_canonical(p)
+        assert p == half_t1
+        assert (p.numerators, p.denominator) == ({((1, 0), ()): 1}, 2)
+    zero = qp("1/3*t1", 2) - qp("2/6*t1", 2)
+    assert_canonical(zero)
+    assert zero == QPoly.zero(2) == 0 and zero.denominator == 1
+
+
+@pytest.mark.parametrize(
+    "num, den, quotient",
+    [
+        ("(t1/2 + 1/3)*(6*t1 + 4)", "6*t1 + 4", "t1/2 + 1/3"),
+        ("(t1/2 + 1/3)*(6*t1 + 4)", "t1/2 + 1/3", "6*t1 + 4"),
+        ("(2/3*t1^2 - 5/7*exp(3/2*t2))*(10*t1 + 15*exp(t2))", "10*t1 + 15*exp(t2)", "2/3*t1^2 - 5/7*exp(3/2*t2)"),
+        ("4*t1^2 - 1", "6*t1 - 3", "2/3*t1 + 1/3"),
+    ],
+)
+def test_exact_divide_by_non_primitive_and_rational_divisors(num, den, quotient):
+    def parse(text):
+        return qp(text.replace("t1/2", "1/2*t1"), 2)
+
+    got = exact_divide(parse(num), parse(den))
+    assert_canonical(got)
+    assert got == parse(quotient)
+
+
+def test_inexact_division_stops_at_first_lead_that_does_not_divide(monkeypatch):
+    monkeypatch.setattr("flatpencil.qpoly._DIV_STEP_LIMIT", 1)
+    # One quotient term fits in one step.
+    assert exact_divide(qp("6*t1^2 + 4*t1", 1), qp("3/2*t1 + 1", 1)) == qp("4*t1", 1)
+    # Over the primitive divisor 2*t1 + 1 the quotient of an exact division
+    # would have integer coefficients, so the lead 1 of t1^2 + 1 proves the
+    # division inexact before any divisor term is multiplied out.
+    num, den = qp("t1^2 + 1", 1), qp("2*t1 + 1", 1)
+    reduced = []
+    monkeypatch.setattr("flatpencil.qpoly._mul_pows", lambda pa, pb: reduced.append((pa, pb)))
+    assert exact_divide(num, den) is None
+    assert reduced == []
