@@ -98,6 +98,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Exact results may print integers past Python's int/str conversion limit.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
@@ -123,10 +133,8 @@ def main(argv: list[str] | None = None) -> int:
     for path in outputs:
         print(f"wrote {path}")
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
         payload = run_report_json(args, report, extra, outputs, elapsed_ms)
-        report_path = args.out / f"{command_slug(args)}-report.json"
-        report_path.write_text(payload, encoding="utf-8")
+        report_path = write_artifact(args.out, f"{command_slug(args)}-report.json", payload)
         print(f"wrote {report_path}")
     return EXIT_OK if report.passed else EXIT_CERT_FAIL
 
@@ -167,6 +175,14 @@ def input_digests(args) -> list[dict]:
         return []
     text = path.read_text(encoding="utf-8")
     return [{"path": str(path), "sha256": pencilio.sha256_digest(text)}]
+
+
+def write_artifact(out: Path, name: str, text: str) -> str:
+    """Write one file under the --out directory; returns its path."""
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
 
 
 def read_input(path: Path) -> str:
@@ -233,10 +249,7 @@ def cmd_frobenius_pencil(args):
         extra["unity-index"] = m.unity + 1
         extra["tau"] = pencil.tau
         if args.out is not None:
-            args.out.mkdir(parents=True, exist_ok=True)
-            path = args.out / (args.input.stem + "-pencil.json")
-            path.write_text(pencilio.dump_pencil(pencil), encoding="utf-8")
-            outputs.append(str(path))
+            outputs.append(write_artifact(args.out, args.input.stem + "-pencil.json", pencilio.dump_pencil(pencil)))
     return report, extra, outputs
 
 
@@ -267,10 +280,8 @@ def cmd_pencil_reconstruct(args):
     }
     outputs = []
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        path = args.out / (args.input.stem + "-frobenius.json")
-        path.write_text(pencilio.dump_frobenius(result.frobenius), encoding="utf-8")
-        outputs.append(str(path))
+        text = pencilio.dump_frobenius(result.frobenius)
+        outputs.append(write_artifact(args.out, args.input.stem + "-frobenius.json", text))
     return result.report, extra, outputs
 
 
@@ -287,14 +298,9 @@ def cmd_coxeter(args):
     }
     outputs = []
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
         stem = f"a{args.rank}"
-        p_path = args.out / f"{stem}-pencil.json"
-        p_path.write_text(pencilio.dump_pencil(bundle.pencil), encoding="utf-8")
-        outputs.append(str(p_path))
-        f_path = args.out / f"{stem}-frobenius.json"
-        f_path.write_text(pencilio.dump_frobenius(recon.frobenius), encoding="utf-8")
-        outputs.append(str(f_path))
+        outputs.append(write_artifact(args.out, f"{stem}-pencil.json", pencilio.dump_pencil(bundle.pencil)))
+        outputs.append(write_artifact(args.out, f"{stem}-frobenius.json", pencilio.dump_frobenius(recon.frobenius)))
     return bundle.report, extra, outputs
 
 
@@ -321,16 +327,14 @@ def cmd_bracket_emit(args):
             ],
         }
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        path = args.out / (args.input.stem + "-brackets.json")
         payload = {
             "schema": pencilio.SCHEMA,
             "n": pencil.n,
             "expgens": [[a + 1, str(r)] for a, r in gens],
             **brackets,
         }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        outputs.append(str(path))
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        outputs.append(write_artifact(args.out, args.input.stem + "-brackets.json", text))
     return report, extra, outputs
 
 
@@ -365,11 +369,9 @@ def cmd_bracket_recurse(args):
     report.add(Certificate("recursion-integrable", reports.PASS))
     outputs = []
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        path = args.out / (args.input.stem + "-densities.json")
         payload = {"schema": pencilio.SCHEMA, "n": pencil.n, "densities": densities}
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        outputs.append(str(path))
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        outputs.append(write_artifact(args.out, args.input.stem + "-densities.json", text))
     return report, {"steps": args.steps}, outputs
 
 

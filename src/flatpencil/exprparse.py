@@ -11,8 +11,11 @@
 Whitespace is insignificant.  '/' occurs only inside rational literals;
 there is no general division.  Exponents are nonnegative integers, and a
 power whose exponent or total degree exceeds ``MAX_POWER_DEGREE`` is a
-parse error.  Errors carry the 1-based line and column of the offending
-token.
+parse error.  Digits are ASCII 0-9.  A token longer than
+``MAX_TOKEN_LENGTH``, parentheses nested deeper than ``MAX_NESTING_DEPTH``
+and a value outside the ring (an exp rate beyond ``qpoly.EXP_RATE_LIMIT``)
+are parse errors too.  Errors carry the 1-based line and column of the
+offending token.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import OutOfRingError, ParseError
 from .qpoly import QPoly
 
 Q = Fraction
@@ -30,7 +33,15 @@ Q = Fraction
 # refused before its expansion can run away.
 MAX_POWER_DEGREE = 64
 
-_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()]|\S")
+# Longest token, so longest number, the parser converts.  Far above any
+# literal the toolkit writes, and below Python's int/str conversion limit.
+MAX_TOKEN_LENGTH = 1000
+
+# Deepest parenthesis nesting; the recursive-descent parser stays far from
+# Python's recursion limit below it.
+MAX_NESTING_DEPTH = 100
+
+_TOKEN_RE = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()]|.")
 
 
 class _Token:
@@ -62,7 +73,9 @@ def _tokenize(text: str) -> list[_Token]:
         assert m is not None
         tok = m.group(0)
         col = pos - line_start + 1
-        if tok.isdigit():
+        if len(tok) > MAX_TOKEN_LENGTH:
+            raise ParseError(f"token longer than the bound of {MAX_TOKEN_LENGTH} characters", line, col)
+        if "0" <= tok[0] <= "9":
             kind = "int"
         elif tok[0].isalpha() or tok[0] == "_":
             kind = "name"
@@ -81,6 +94,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.nvars = nvars
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -101,10 +115,19 @@ class _Parser:
         tok = self.peek()
         return ParseError(message, tok.line, tok.col)
 
+    @staticmethod
+    def in_ring(build, tok: _Token) -> QPoly:
+        """Run one ring operation; a result outside the ring is an input error at tok."""
+        try:
+            return build()
+        except OutOfRingError as exc:
+            raise ParseError(str(exc), tok.line, tok.col) from exc
+
     # -- grammar ------------------------------------------------------------
 
-    def parse(self) -> QPoly:
-        value = self.expr()
+    def parse(self, rule):
+        """Apply one grammar rule to the whole input."""
+        value = rule()
         if self.peek().kind != "end":
             raise self.fail(f"unexpected token {self.peek().text!r}")
         return value
@@ -120,8 +143,9 @@ class _Parser:
     def term(self) -> QPoly:
         value = self.unary()
         while self.peek().kind == "*":
-            self.advance()
-            value = value * self.unary()
+            tok = self.advance()
+            rhs = self.unary()
+            value = self.in_ring(lambda: value * rhs, tok)
         return value
 
     def unary(self) -> QPoly:
@@ -143,7 +167,7 @@ class _Parser:
                 raise ParseError(
                     f"power exceeds the degree bound {MAX_POWER_DEGREE}", tok.line, tok.col
                 )
-            return base ** exponent
+            return self.in_ring(lambda: base ** exponent, tok)
         return base
 
     def atom(self) -> QPoly:
@@ -151,8 +175,12 @@ class _Parser:
         if tok.kind == "int":
             return QPoly.const(self.nvars, self.rational())
         if tok.kind == "(":
+            if self.depth == MAX_NESTING_DEPTH:
+                raise self.fail(f"parentheses exceed the nesting bound {MAX_NESTING_DEPTH}")
             self.advance()
+            self.depth += 1
             value = self.expr()
+            self.depth -= 1
             self.expect(")")
             return value
         if tok.kind == "name":
@@ -184,7 +212,7 @@ class _Parser:
 
     def variable(self) -> int:
         tok = self.expect("name")
-        m = re.fullmatch(r"t(\d+)", tok.text)
+        m = re.fullmatch(r"t([0-9]+)", tok.text)
         if not m:
             raise ParseError(f"unknown name {tok.text!r} (variables are t1..t{self.nvars})", tok.line, tok.col)
         idx = int(m.group(1))
@@ -195,25 +223,23 @@ class _Parser:
     def exp_call(self) -> QPoly:
         self.expect("name")
         self.expect("(")
+        tok = self.peek()
         rate = Q(1)
-        if self.peek().kind in ("int", "-"):
+        if tok.kind in ("int", "-"):
             rate = self.signed_rational()
             self.expect("*")
         axis = self.variable()
         self.expect(")")
-        return QPoly.exp(self.nvars, axis, rate)
+        return self.in_ring(lambda: QPoly.exp(self.nvars, axis, rate), tok)
 
 
 def parse_expr(text: str, nvars: int) -> QPoly:
     """Parse an expression in the coordinates t1..t{nvars}."""
-    return _Parser(text, nvars).parse()
+    parser = _Parser(text, nvars)
+    return parser.parse(parser.expr)
 
 
 def parse_rational(text: str) -> Q:
     """Parse a standalone rational literal such as '-3/4' or '2'."""
     parser = _Parser(text, 0)
-    value = parser.signed_rational()
-    if parser.peek().kind != "end":
-        tok = parser.peek()
-        raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
-    return value
+    return parser.parse(parser.signed_rational)

@@ -30,6 +30,9 @@ from .geometry import (
     PencilData,
     VectorField,
     lie_bracket,
+    linear_forms,
+    metricity_residuals,
+    symmetry_residuals,
 )
 from .linalg import mat_inverse
 from .qpoly import QPoly, RatFunc
@@ -65,21 +68,10 @@ class FrobeniusData:
                     raise ValueError("eta is not symmetric")
         if not 0 <= self.unity < n:
             raise ValueError("unity index out of range")
-        self._eta_inv = mat_inverse(self.eta)
-
-    @property
-    def eta_inv(self) -> list[list[Q]]:
-        return self._eta_inv
+        self.eta_inv = mat_inverse(self.eta)
 
     def euler_field(self) -> VectorField:
-        comps = []
-        for a in range(self.n):
-            p = QPoly.const(self.n, self.euler_const[a])
-            for b in range(self.n):
-                if self.euler_linear[a][b]:
-                    p = p + QPoly.var(self.n, b) * self.euler_linear[a][b]
-            comps.append(p)
-        return VectorField(comps)
+        return VectorField([form + c for form, c in zip(linear_forms(self.euler_linear), self.euler_const)])
 
     def unity_field(self) -> VectorField:
         comps = [QPoly.zero(self.n) for _ in range(self.n)]
@@ -99,15 +91,21 @@ class StructureConstants:
     c_mixed: list[list[list[QPoly]]]
 
 
+def _third_derivatives(m: FrobeniusData) -> list[list[list[QPoly]]]:
+    """c_abc = d_a d_b d_c F."""
+    n = m.n
+    first = [m.potential.diff(a) for a in range(n)]
+    second = [[first[a].diff(b) for b in range(n)] for a in range(n)]
+    return [[[second[a][b].diff(c) for c in range(n)] for b in range(n)] for a in range(n)]
+
+
 def structure_constants(m: FrobeniusData) -> StructureConstants:
     """Triple derivatives of the potential, plus the eta-raised form.
 
     Verifies the unity axiom: the unity slice of c_low equals eta.
     """
     n = m.n
-    first = [m.potential.diff(a) for a in range(n)]
-    second = [[first[a].diff(b) for b in range(n)] for a in range(n)]
-    c_low = [[[second[a][b].diff(c) for c in range(n)] for b in range(n)] for a in range(n)]
+    c_low = _third_derivatives(m)
     for a in range(n):
         for b in range(n):
             if not (c_low[m.unity][a][b] - m.eta[a][b]).is_zero():
@@ -119,16 +117,22 @@ def structure_constants(m: FrobeniusData) -> StructureConstants:
     return StructureConstants(c_low=c_low, c_mixed=c_mixed)
 
 
+def _raise_first(c, mat, n: int):
+    """Contract the first index with mat: c'^a_{bc} = mat[a][l] c_{lbc}."""
+    zero = QPoly.zero(c[0][0][0].nvars)
+    return [
+        [[sum((c[l][b][k] * mat[a][l] for l in range(n)), zero) for k in range(n)] for b in range(n)]
+        for a in range(n)
+    ]
+
+
 def contract_two(c, mat, n: int):
     """Contract the first two indices with mat: c'^{ab}_c = mat[a][l] mat[b][m] c^{lm}_c.
 
     With eta^{-1} this raises c_abc to c^{ab}_c; with eta it lowers back.
     """
     zero = QPoly.zero(c[0][0][0].nvars)
-    half = [
-        [[sum((c[l][b][k] * mat[a][l] for l in range(n)), zero) for k in range(n)] for b in range(n)]
-        for a in range(n)
-    ]
+    half = _raise_first(c, mat, n)
     return [
         [[sum((half[a][m][k] * mat[b][m] for m in range(n)), zero) for k in range(n)] for b in range(n)]
         for a in range(n)
@@ -139,28 +143,21 @@ def check_wdvv(m: FrobeniusData) -> Certificate:
     """Certify the associativity equations
 
         c_abl eta^{lm} c_mcd = c_dbl eta^{lm} c_mca   for all a, b, c, d.
+
+    The unity axiom is not checked here; `structure_constants` owns it.
     """
     n = m.n
-    first = [m.potential.diff(a) for a in range(n)]
-    c_low = [
-        [[first[a].diff(b).diff(c) for c in range(n)] for b in range(n)] for a in range(n)
-    ]
+    c_low = _third_derivatives(m)
+    raised = _raise_first(c_low, m.eta_inv, n)
     zero = QPoly.zero(n)
-    raised = [
-        [[sum((c_low[l][c][dd] * m.eta_inv[e][l] for l in range(n)), zero) for dd in range(n)] for c in range(n)]
-        for e in range(n)
-    ]
 
     def residuals():
         for a in range(n):
             for dd in range(a + 1, n):
                 for b in range(n):
                     for c in range(n):
-                        res = zero
-                        for e in range(n):
-                            res = res + c_low[a][b][e] * raised[e][c][dd]
-                            res = res - c_low[dd][b][e] * raised[e][c][a]
-                        yield f"indices ({a + 1},{b + 1},{c + 1},{dd + 1})", res
+                        terms = (c_low[a][b][e] * raised[e][c][dd] - c_low[dd][b][e] * raised[e][c][a] for e in range(n))
+                        yield f"indices ({a + 1},{b + 1},{c + 1},{dd + 1})", sum(terms, zero)
 
     return reports.residual_certificate("wdvv-associativity", residuals())
 
@@ -236,17 +233,15 @@ def intersection_form(m: FrobeniusData) -> ContraMetric:
     r_mat = scaling_operator(m)
     hess = [[m.potential.diff(a).diff(b) for b in range(n)] for a in range(n)]
     inv = m.eta_inv
-    hess_up = [
-        [
-            sum((hess[l][mm] * (inv[a][l] * inv[b][mm]) for l in range(n) for mm in range(n)), zero)
-            for b in range(n)
+
+    def raise_both(t, zero):
+        return [
+            [sum((t[l][mm] * (inv[a][l] * inv[b][mm]) for l in range(n) for mm in range(n)), zero) for b in range(n)]
+            for a in range(n)
         ]
-        for a in range(n)
-    ]
-    a_up = [
-        [sum(inv[a][l] * a_mat[l][mm] * inv[b][mm] for l in range(n) for mm in range(n)) for b in range(n)]
-        for a in range(n)
-    ]
+
+    hess_up = raise_both(hess, zero)
+    a_up = raise_both(a_mat, Q(0))
     for a in range(n):
         for b in range(n):
             second = QPoly.const(n, a_up[a][b])
@@ -285,27 +280,15 @@ def pencil_gamma(m: FrobeniusData) -> Connection:
         for c in range(n)
     ]
     g = intersection_form(m)
-    eta_up = m.eta_metric()
-    for k in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                res = gamma_poly[k][i][j] + gamma_poly[k][j][i] - g.g[i][j].diff(k)
-                if not res.is_zero():
-                    raise InternalCheckError(
-                        f"pencil connection fails metricity at ({k + 1},{i + 1},{j + 1})"
-                    )
-    for gmat, tag in ((g.g, "lam^0"), (eta_up.g, "lam^1")):
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(n):
-                    res = zero
-                    for s in range(n):
-                        res = res + gmat[i][s] * gamma_poly[s][j][k] - gmat[j][s] * gamma_poly[s][i][k]
-                    if not res.is_zero():
-                        raise InternalCheckError(
-                            f"pencil connection fails symmetry ({tag}) at "
-                            f"({i + 1},{j + 1},{k + 1})"
-                        )
+    for (k, i, j), res in metricity_residuals(g.g, gamma_poly, n, n):
+        if not res.is_zero():
+            raise InternalCheckError(f"pencil connection fails metricity at ({k + 1},{i + 1},{j + 1})")
+    for gmat, tag in ((g.g, "lam^0"), (m.eta_metric().g, "lam^1")):
+        for (i, j, k), res in symmetry_residuals(gmat, gamma_poly, n):
+            if not res.is_zero():
+                raise InternalCheckError(
+                    f"pencil connection fails symmetry ({tag}) at ({i + 1},{j + 1},{k + 1})"
+                )
     return Connection([[[RatFunc(x) for x in row] for row in layer] for layer in gamma_poly])
 
 
@@ -320,10 +303,7 @@ def to_flat_pencil(m: FrobeniusData) -> PencilData:
         raise AssociativityError(f"associativity fails: {wdvv.witness}")
     check_quasihomogeneity(m)
     g = intersection_form(m)
-    tau = QPoly.zero(m.n)
-    for a in range(m.n):
-        if m.eta[m.unity][a]:
-            tau = tau + QPoly.var(m.n, a) * m.eta[m.unity][a]
+    (tau,) = linear_forms([m.eta[m.unity]])
     return PencilData(g1=g, g2=m.eta_metric(), tau=tau, d=m.d)
 
 

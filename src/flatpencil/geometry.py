@@ -491,16 +491,8 @@ def check_flat_pencil(p: PencilData) -> Report:
         )
     )
 
-    curv = _curvature_entries(g_l, gamma_l, n, nvars)
-    report.add(
-        reports.residual_certificate(
-            "pencil-curvature",
-            _lam_coefficients(
-                (((l, i, j, k), curv[l][i][j][k]) for l in range(n) for i in range(n) for j in range(n) for k in range(n)),
-                nvars,
-            ),
-        )
-    )
+    curv = Curvature(_curvature_entries(g_l, gamma_l, n, nvars))
+    report.add(reports.residual_certificate("pencil-curvature", _lam_coefficients(curv.entries(), nvars)))
     return report
 
 

@@ -1,9 +1,9 @@
 """Exact linear algebra over Q, plus generic helpers for symbolic matrices.
 
-The rational solvers clear denominators row-wise and run fraction-free
-(Bareiss) elimination on integer matrices, so every intermediate entry is an
-exact integer minor; back substitution returns `Fraction` results.  Rank
-deficiency is reported, never papered over.
+Every rational solve, kernel, rank and inverse runs one Gauss-Jordan
+elimination over `Fraction` (`_rref`); rank deficiency is reported, never
+papered over.  `rational_roots` clears denominators and tries the
+rational-root-theorem candidates of the integer polynomial once.
 
 The symbolic helpers (determinant, adjugate) are written
 against the ring operators `+ - *` and therefore work uniformly for
@@ -13,7 +13,7 @@ against the ring operators `+ - *` and therefore work uniformly for
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .errors import NoSolutionError, UnderdeterminedError
 
@@ -23,73 +23,20 @@ Matrix = list[list[Q]]
 Vector = list[Q]
 
 
-def _integer_rows(rows: list[list[Q]]) -> list[list[int]]:
-    out = []
-    for row in rows:
-        scale = 1
-        for x in row:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        out.append([int(x * scale) for x in row])
-    return out
-
-
-def _bareiss_echelon(mat: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form; returns (echelon matrix, pivot columns)."""
-    m = [row[:] for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
-
-
 def exact_linsolve(a: Matrix, b: Vector) -> Vector:
-    """Solve A x = b exactly.
+    """Solve A x = b exactly: `solve_affine`, with an empty nullspace.
 
     Raises `NoSolutionError` on an inconsistent system and
     `UnderdeterminedError` when rank(A) < number of unknowns.
     """
-    rows = len(a)
-    if rows != len(b):
+    if len(a) != len(b):
         raise ValueError("matrix/vector size mismatch")
-    ncols = len(a[0]) if rows else 0
+    ncols = len(a[0]) if a else 0
     if any(len(row) != ncols for row in a):
         raise ValueError("ragged matrix")
-    aug = _integer_rows([[Q(x) for x in row] + [Q(rhs)] for row, rhs in zip(a, b)])
-    if not aug:
-        return []
-    ech, pivots = _bareiss_echelon(aug)
-    if pivots and pivots[-1] == ncols:
-        raise NoSolutionError("inconsistent linear system")
-    for i in range(len(pivots), rows):
-        if ech[i][ncols] != 0:
-            raise NoSolutionError("inconsistent linear system")
-    if len(pivots) < ncols:
-        raise UnderdeterminedError(
-            f"rank {len(pivots)} < {ncols} unknowns"
-        )
-    x: Vector = [Q(0)] * ncols
-    for i in reversed(range(ncols)):
-        acc = Q(ech[i][ncols])
-        for j in range(i + 1, ncols):
-            acc -= ech[i][j] * x[j]
-        x[i] = acc / ech[i][i]
+    x, null = solve_affine(a, b)
+    if null:
+        raise UnderdeterminedError(f"rank {ncols - len(null)} < {ncols} unknowns")
     return x
 
 
@@ -97,8 +44,7 @@ def solve_affine(a: Matrix, b: Vector) -> tuple[Vector, list[Vector]]:
     """A particular solution of A x = b together with a nullspace basis."""
     rows = len(a)
     ncols = len(a[0]) if rows else 0
-    aug = _rref([[Q(x) for x in row] + [Q(rhs)] for row, rhs in zip(a, b)])
-    m, pivots = aug
+    m, pivots = _rref([[Q(x) for x in row] + [Q(rhs)] for row, rhs in zip(a, b)])
     if ncols in pivots:
         raise NoSolutionError("inconsistent linear system")
     particular = [Q(0)] * ncols
@@ -194,9 +140,7 @@ def rational_roots(coeffs: list[Q]) -> tuple[list[tuple[Q, int]], int]:
     Returns (roots, residual_degree); residual_degree == 0 means the
     polynomial splits completely over Q.
     """
-    scale = 1
-    for c in coeffs:
-        scale = scale * c.denominator // gcd(scale, c.denominator)
+    scale = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * scale) for c in coeffs]
     while ints and ints[0] == 0:
         ints.pop(0)
@@ -222,35 +166,24 @@ def rational_roots(coeffs: list[Q]) -> tuple[list[tuple[Q, int]], int]:
             d += 1
         return sorted(set(out))
 
-    def rescaled(cs: list) -> list[int]:
-        s = 1
-        for c in cs:
-            c = Q(c)
-            s = s * c.denominator // gcd(s, c.denominator)
-        return [int(Q(c) * s) for c in cs]
-
-    changed = True
-    while len(ints) > 1 and changed:
-        changed = False
-        ints = rescaled(ints)
-        lead, tail = ints[0], ints[-1]
-        for p in divisors(tail):
-            for q in divisors(lead):
-                for sign in (1, -1):
-                    cand = Q(sign * p, q)
-                    mult = 0
-                    while len(ints) > 1:
-                        quo, rem = _synth_div(ints, cand)
-                        if rem != 0:
-                            break
-                        ints = quo
-                        mult += 1
-                    if mult:
-                        roots.append((cand, mult))
-                        changed = True
-        # loop again in case leading/trailing coefficients changed
-    residual_degree = len(ints) - 1
-    return roots, residual_degree
+    # Rational-root theorem: every root p/q has p | tail and q | lead.  A
+    # root of a deflated factor is a root of the whole polynomial, so one
+    # pass over these candidates finds every rational root.
+    lead, tail = ints[0], ints[-1]
+    for p in divisors(tail):
+        for q in divisors(lead):
+            for sign in (1, -1):
+                cand = Q(sign * p, q)
+                mult = 0
+                while len(ints) > 1:
+                    quo, rem = _synth_div(ints, cand)
+                    if rem != 0:
+                        break
+                    ints = quo
+                    mult += 1
+                if mult:
+                    roots.append((cand, mult))
+    return roots, len(ints) - 1
 
 
 def _synth_div(ints: list, root: Q) -> tuple[list, Q]:
@@ -285,8 +218,7 @@ def sym_adjugate(m: list[list], zero) -> list[list]:
     """Adjugate matrix: adj(M) @ M = det(M) * I."""
     n = len(m)
     if n == 1:
-        one = sym_det([[m[0][0]]], zero) * 0 + 1  # promote 1 into the ring
-        return [[one]]
+        return [[zero + 1]]
     adj = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):

@@ -12,7 +12,8 @@ Frobenius file:
 
 Coordinates and the unity index are 1-based in files; eta is the covariant
 matrix of the flat pairing.  Rationals are strings (or bare ints); every
-expression uses the t1..tn mini-grammar.  Unknown fields are rejected, and
+expression uses the t1..tn mini-grammar, and a JSON integer has the same
+length bound as a number in an expression.  Unknown fields are rejected, and
 every exponential rate appearing in an expression must be an integer
 multiple of a declared generator rate for that coordinate.
 """
@@ -23,10 +24,10 @@ import hashlib
 import json
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InputFormatError, ParseError
-from .exprparse import parse_expr, parse_rational
+from .exprparse import MAX_TOKEN_LENGTH, parse_expr, parse_rational
 from .frobenius import FrobeniusData
 from .geometry import ContraMetric, PencilData
 from .linalg import rank
@@ -41,9 +42,22 @@ def _rate_gcd(rates: set[Q]) -> Q:
     """The largest rational of which every rate is an integer multiple."""
     nums = [r.numerator for r in rates]
     dens = [r.denominator for r in rates]
-    lcm = reduce(lambda a, b: a * b // gcd(a, b), dens, 1)
-    g = reduce(gcd, (abs(n * (lcm // d)) for n, d in zip(nums, dens)))
-    return Q(g, lcm)
+    den = lcm(*dens)
+    g = reduce(gcd, (abs(n * (den // d)) for n, d in zip(nums, dens)))
+    return Q(g, den)
+
+
+def _json_int(digits: str) -> int:
+    if len(digits.lstrip("-")) > MAX_TOKEN_LENGTH:
+        raise InputFormatError(f"JSON integer longer than the bound of {MAX_TOKEN_LENGTH} digits")
+    return int(digits)
+
+
+def _json_object(text: str):
+    try:
+        return json.loads(text, parse_int=_json_int)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InputFormatError(f"invalid JSON: {exc}") from exc
 
 
 def _check_fields(obj: dict, required: set[str], optional: set[str], kind: str) -> None:
@@ -116,11 +130,13 @@ def _validate_rates(polys: list[QPoly], gens: list[tuple[int, Q]], n: int) -> No
                     )
 
 
+def _require_square(raw, n: int, message: str) -> None:
+    if not isinstance(raw, list) or len(raw) != n or any(not isinstance(row, list) or len(row) != n for row in raw):
+        raise InputFormatError(message)
+
+
 def _matrix(raw, n: int, nvars: int, kind: str) -> list[list[QPoly]]:
-    if not isinstance(raw, list) or len(raw) != n or any(
-        not isinstance(row, list) or len(row) != n for row in raw
-    ):
-        raise InputFormatError(f"{kind}: expected an {n}x{n} matrix")
+    _require_square(raw, n, f"{kind}: expected an {n}x{n} matrix")
     out = []
     for i, row in enumerate(raw):
         entries = []
@@ -133,10 +149,7 @@ def _matrix(raw, n: int, nvars: int, kind: str) -> list[list[QPoly]]:
 
 
 def load_pencil(text: str) -> tuple[PencilData, list[tuple[int, Q]]]:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"invalid JSON: {exc}") from exc
+    obj = _json_object(text)
     _check_fields(obj, {"n", "g1", "g2"}, {"schema", "expgens", "tau", "d"}, "pencil file")
     n = obj["n"]
     if not _is_integer(n) or n < 1:
@@ -193,10 +206,7 @@ def _gens_of(polys: list[QPoly], n: int) -> list[tuple[int, Q]]:
 
 
 def load_frobenius(text: str) -> FrobeniusData:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"invalid JSON: {exc}") from exc
+    obj = _json_object(text)
     _check_fields(
         obj,
         {"n", "eta", "potential", "euler", "unity_index", "d"},
@@ -208,10 +218,7 @@ def load_frobenius(text: str) -> FrobeniusData:
         raise InputFormatError("n must be a positive integer")
     gens = _expgens(obj.get("expgens", []), n)
     eta_raw = obj["eta"]
-    if not isinstance(eta_raw, list) or len(eta_raw) != n or any(
-        not isinstance(r, list) or len(r) != n for r in eta_raw
-    ):
-        raise InputFormatError("eta must be an n x n matrix of rationals")
+    _require_square(eta_raw, n, "eta must be an n x n matrix of rationals")
     eta = [[_rational(x, f"eta[{i + 1}][{j + 1}]") for j, x in enumerate(row)] for i, row in enumerate(eta_raw)]
     if rank(eta) < n:
         raise InputFormatError("eta is singular; the flat pairing must be nondegenerate")
@@ -221,10 +228,7 @@ def load_frobenius(text: str) -> FrobeniusData:
     euler = obj["euler"]
     _check_fields(euler, {"linear", "constant"}, set(), "euler")
     lin_raw, const_raw = euler["linear"], euler["constant"]
-    if not isinstance(lin_raw, list) or len(lin_raw) != n or any(
-        not isinstance(r, list) or len(r) != n for r in lin_raw
-    ):
-        raise InputFormatError("euler.linear must be an n x n matrix of rationals")
+    _require_square(lin_raw, n, "euler.linear must be an n x n matrix of rationals")
     if not isinstance(const_raw, list) or len(const_raw) != n:
         raise InputFormatError("euler.constant must be a length-n vector of rationals")
     lin = [[_rational(x, "euler.linear") for x in row] for row in lin_raw]

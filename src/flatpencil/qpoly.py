@@ -145,10 +145,12 @@ class QPoly:
 
     @classmethod
     def exp(cls, nvars: int, axis: int, rate) -> "QPoly":
-        """The unit exp(rate * t_axis)."""
+        """The unit exp(rate * t_axis); |rate| is at most EXP_RATE_LIMIT."""
         if not 0 <= axis < nvars:
             raise IndexError(f"axis {axis} out of range for {nvars} variables")
         rate = _as_q(rate)
+        if abs(rate) > EXP_RATE_LIMIT:
+            raise OutOfRingError(f"exponential generator rate bound {EXP_RATE_LIMIT} exceeded")
         if rate == 0:
             return cls.const(nvars, 1)
         return _make(nvars, {((0,) * nvars, ((axis, rate),)): 1})
@@ -488,7 +490,7 @@ def _mul_exps(
         new = rates.get(axis, 0) + rate
         if new:
             if abs(new) > EXP_RATE_LIMIT:
-                raise OutOfRingError("exponential generator rate bound exceeded")
+                raise OutOfRingError(f"exponential generator rate bound {EXP_RATE_LIMIT} exceeded")
             rates[axis] = new
         else:
             rates.pop(axis, None)

@@ -6,6 +6,15 @@ from flatpencil.coxeter import coxeter_pencil
 from flatpencil.exprparse import parse_expr
 from flatpencil.frobenius import FrobeniusData, to_flat_pencil
 
+try:
+    from hypothesis import settings
+except ImportError:  # the fuzz tests skip themselves
+    pass
+else:
+    # Same examples on every run, no example database, and a bounded cost.
+    settings.register_profile("flatpencil", derandomize=True, database=None, deadline=None, max_examples=150)
+    settings.load_profile("flatpencil")
+
 
 @pytest.fixture(scope="session")
 def cubic():

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,56 @@ def test_power_over_degree_bound_exit_3(tmp_path, capsys):
     assert run(["pencil", "check", path]) == 3
     err = capsys.readouterr().err
     assert err.startswith("parse error:") and "degree bound 64" in err
+
+
+def one_by_one_pencil(g1, expgens=()):
+    return {"schema": 1, "n": 1, "expgens": [list(g) for g in expgens], "g1": [[g1]], "g2": [["1"]]}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (json.dumps(one_by_one_pencil("1" + "2" * 4999 + "*t1")), "parse error: token longer than the bound of 1000 characters"),
+        (json.dumps(one_by_one_pencil("t" + "1" * 5000)), "parse error: token longer than the bound of 1000 characters"),
+        (json.dumps(one_by_one_pencil("t1^\u00b2")), "parse error: unexpected character '\u00b2'"),
+        (
+            json.dumps(one_by_one_pencil("exp(1000000000*t1)^2", [[1, "1"]])),
+            "parse error: exponential generator rate bound 1000000000 exceeded",
+        ),
+        (
+            json.dumps(one_by_one_pencil("exp(2000000000*t1)", [[1, "1"]])),
+            "parse error: exponential generator rate bound 1000000000 exceeded",
+        ),
+        ('{"schema": 1, "n": 1, "g1": [["t1"]], "g2": [["1"]], "d": ' + "9" * 5000 + "}",
+         "input error: JSON integer longer than the bound of 1000 digits"),
+    ],
+    ids=["long-literal", "long-variable-index", "superscript-exponent", "exp-power-rate", "exp-rate", "long-json-integer"],
+)
+def test_hostile_input_exit_3(tmp_path, capsys, text, message):
+    path = tmp_path / "hostile.json"
+    path.write_text(text, encoding="utf-8")
+    assert run(["pencil", "check", path]) == 3
+    assert capsys.readouterr().err.startswith(message)
+
+
+def test_long_integer_in_witness_prints_in_full(tmp_path, capsys):
+    # Within the token bound, but the scaling residual 2*S^5*t1^5 has about
+    # 4700 digits, more than Python converts to str by default.
+    sevens = int("7" * 1000)
+    data = json.loads(CUBIC.read_text())
+    data["potential"] = f"1/6*t1^3 + ({sevens}*t1)^5"
+    path = write_json(tmp_path / "long-witness.json", data)
+    limit = sys.get_int_max_str_digits()
+    assert run(["frobenius", "check", path]) == 1
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        witness = f"scaling residual has terms beyond quadratic: {2 * sevens ** 5}*t1^5"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    assert witness in captured.out
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("declared", ["1", "3"])

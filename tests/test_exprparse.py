@@ -76,3 +76,41 @@ def test_power_degree_bound():
         with pytest.raises(ParseError, match="degree bound 64") as info:
             parse_expr(text, 2)
         assert info.value.col == text.rindex("^") + 2
+
+
+def test_ascii_digits_only():
+    # '²'.isdigit() is true, but only 0-9 make a number.
+    for text, col in (("t1^²", 4), ("٣*t1", 1)):
+        with pytest.raises(ParseError, match="unexpected character") as info:
+            parse_expr(text, 1)
+        assert info.value.col == col
+
+
+def test_token_length_bound():
+    sevens = "7" * 1000
+    assert parse_expr(f"{sevens}*t1", 1) == QPoly.var(1, 0) * int(sevens)
+    long = "1" * 1001
+    for text, col in ((long, 1), (f"1/{long}", 3), (f"t1^{long}", 4), (f"2*t{long}", 3), ("x" * 1001, 1)):
+        with pytest.raises(ParseError, match="bound of 1000 characters") as info:
+            parse_expr(text, 1)
+        assert info.value.col == col
+
+
+def test_exp_rate_bound():
+    assert parse_expr("exp(-1000000000*t1)", 1) == QPoly.exp(1, 0, -(10**9))
+    for text, col in (
+        ("exp(2000000000*t1)", 5),
+        ("exp(-1000000001*t1)", 5),
+        ("exp(1000000000*t1)^2", 20),
+        ("exp(1000000000*t1)*exp(t1)", 19),
+    ):
+        with pytest.raises(ParseError, match="rate bound 1000000000 exceeded") as info:
+            parse_expr(text, 1)
+        assert info.value.col == col
+
+
+def test_nesting_bound():
+    assert parse_expr("(" * 100 + "t1" + ")" * 100, 1) == QPoly.var(1, 0)
+    with pytest.raises(ParseError, match="nesting bound 100") as info:
+        parse_expr("(" * 300 + "t1" + ")" * 300, 1)
+    assert info.value.col == 101

@@ -1,0 +1,115 @@
+"""Fuzzing of the expression grammar and the JSON loaders under the
+exit-code contract: a malformed input ends in `ParseError` or
+`InputFormatError` (exit 3), never in another exception.
+
+Most drawn files are a valid skeleton with one field replaced or deleted,
+so that the draw reaches the parser and the field checks behind it.
+"""
+
+import copy
+import json
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import example, given  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from flatpencil.errors import InputFormatError, ParseError  # noqa: E402
+from flatpencil.exprparse import parse_expr  # noqa: E402
+from flatpencil.pencilio import load_frobenius, load_pencil  # noqa: E402
+
+TESTDATA = Path(__file__).resolve().parent.parent / "testdata"
+SKELETONS = [
+    (load_pencil, json.loads((TESTDATA / "n1-pencil.json").read_text())),
+    (load_frobenius, json.loads((TESTDATA / "cp1-frobenius.json").read_text())),
+    (load_frobenius, json.loads((TESTDATA / "n1-cubic-frobenius.json").read_text())),
+]
+
+# Grammar tokens and near misses.  Exponents stay small so that a valid draw
+# expands quickly; 65 crosses the degree bound before any expansion.
+TOKENS = [
+    "t1", "t2", "t3", "t0", "t", "x", "exp", "sqrt", "(", ")", "+", "-", "*", "/", "^",
+    "0", "1", "2", "3", "65", "1/2", "-1", "1000000000", " ", "\n", "²", "٣", "é", ".", ",",
+]
+expressions = st.one_of(st.lists(st.sampled_from(TOKENS), max_size=30).map("".join), st.text(max_size=30))
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | expressions,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def slots(node, path=()):
+    """Every (path to container, key) inside a JSON value."""
+    items = enumerate(node) if isinstance(node, list) else node.items() if isinstance(node, dict) else ()
+    for key, child in items:
+        yield path, key
+        yield from slots(child, (*path, key))
+
+
+@st.composite
+def near_valid_files(draw):
+    load, skeleton = draw(st.sampled_from(SKELETONS))
+    data = copy.deepcopy(skeleton)
+    path, key = draw(st.sampled_from([*slots(data), ((), "unknown")]))
+    parent = data
+    for step in path:
+        parent = parent[step]
+    if draw(st.booleans()) and key in (range(len(parent)) if isinstance(parent, list) else parent):
+        del parent[key]
+    else:
+        parent[key] = draw(json_values)
+    return load, json.dumps(data)
+
+
+def pencil_text(g1, expgens=()):
+    return json.dumps({"schema": 1, "n": 1, "expgens": [list(g) for g in expgens], "g1": [[g1]], "g2": [["1"]]})
+
+
+HOSTILE_EXPRESSIONS = [
+    "1" + "2" * 4999 + "*t1",
+    "t" + "1" * 5000,
+    "t1^²",
+    "exp(1000000000*t1)^2",
+    "exp(2000000000*t1)",
+    "(" * 300 + "t1" + ")" * 300,
+    "t1 +\xa02",
+]
+
+
+def hostile_examples(test):
+    for text in HOSTILE_EXPRESSIONS:
+        test = example(text=text, nvars=1)(test)
+    return test
+
+
+@hostile_examples
+@given(text=expressions, nvars=st.integers(1, 3))
+def test_parse_expr_raises_only_parse_error(text, nvars):
+    try:
+        parse_expr(text, nvars)
+    except ParseError:
+        pass
+
+
+def hostile_files(test):
+    texts = [pencil_text(text, [[1, "1"]]) for text in HOSTILE_EXPRESSIONS]
+    texts.append('{"schema": 1, "n": 1, "g1": [["t1"]], "g2": [["1"]], "d": ' + "9" * 5000 + "}")
+    texts.append("[" * 100000 + "]" * 100000)
+    for text in texts:
+        test = example(case=(load_pencil, text))(test)
+    return test
+
+
+@hostile_files
+@given(case=near_valid_files())
+def test_loaders_raise_only_input_errors(case):
+    load, text = case
+    try:
+        load(text)
+    except (InputFormatError, ParseError):
+        pass

@@ -95,3 +95,35 @@ def test_mat_inverse():
     assert ident == [[Q(1), Q(0)], [Q(0), Q(1)]]
     with pytest.raises(NoSolutionError):
         mat_inverse([[Q(1), Q(2)], [Q(2), Q(4)]])
+
+
+def poly_mul(a, b):
+    out = [Q(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_rational_roots_planted_oracle():
+    # Seeded products of linear factors (x - r)^m, with r = 0 among them, and
+    # irreducible quadratics x^2 - p, p not a rational square.
+    rng = random.Random(17)
+    non_squares = [Q(2), Q(3), Q(-1), Q(2, 3), Q(-7, 2), Q(5, 4)]
+    for case in range(300):
+        planted: dict[Q, int] = {}
+        coeffs = [Q(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))]
+        for _ in range(rng.randint(0, 3)):
+            r = Q(0) if rng.random() < 0.2 else Q(rng.randint(-6, 6), rng.randint(1, 4))
+            mult = rng.randint(1, 3)
+            planted[r] = planted.get(r, 0) + mult
+            for _ in range(mult):
+                coeffs = poly_mul(coeffs, [Q(1), -r])
+        quadratics = rng.randint(0, 2)
+        for _ in range(quadratics):
+            coeffs = poly_mul(coeffs, [Q(1), Q(0), -rng.choice(non_squares)])
+        coeffs = [Q(0)] * rng.randint(0, 2) + coeffs
+        roots, residual = rational_roots(coeffs)
+        assert len(roots) == len(planted), case
+        assert dict(roots) == planted, case
+        assert residual == 2 * quadratics, case
