@@ -22,6 +22,7 @@ identical inputs produce byte-identical report files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -97,6 +98,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def shared_parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first call.  Parsing leaves
+    it unchanged, and argparse formats help and usage text when it prints
+    them, so one parser serves every ``main`` call."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     # Exact results may print integers past Python's int/str conversion limit.
     limit = sys.get_int_max_str_digits()
@@ -108,8 +117,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _main(argv: list[str] | None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = shared_parser().parse_args(argv)
     started = time.monotonic()
     try:
         report, extra, outputs = dispatch(args)

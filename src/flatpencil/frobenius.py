@@ -35,7 +35,7 @@ from .geometry import (
     symmetry_residuals,
 )
 from .linalg import mat_inverse
-from .qpoly import QPoly, RatFunc
+from .qpoly import QPoly
 from .reports import Certificate
 
 Q = Fraction
@@ -289,7 +289,7 @@ def pencil_gamma(m: FrobeniusData) -> Connection:
                 raise InternalCheckError(
                     f"pencil connection fails symmetry ({tag}) at ({i + 1},{j + 1},{k + 1})"
                 )
-    return Connection([[[RatFunc(x) for x in row] for row in layer] for layer in gamma_poly])
+    return Connection(gamma_poly)
 
 
 def to_flat_pencil(m: FrobeniusData) -> PencilData:

@@ -17,13 +17,15 @@ and are computed here from the contravariant formula
 with the lower-index metric g_{kq} = adj_{kq} / det taken from one adjugate,
 so every entry is a numerator over the single denominator det g.  When
 every numerator divides by det, as on the orbit-space pencils and the
-bundled examples, the entries are quasi-polynomials and curvature and every
-residual stay among them.  When any division is inexact, every entry keeps
-det: the connection then has one shared denominator, so curvature and the
-pencil residuals never mix denominators, and :class:`RatFunc` sums stay over
-powers of det.  The connection is re-verified against the two conditions
-when it is first built and cached on the metric object, so a pipeline that
-asks for one metric's connection repeatedly builds it once.  Curvature is
+bundled examples, the entries are stored as the :class:`QPoly` quotients,
+and curvature and every residual are QPoly arithmetic.  When any division
+is inexact, every entry is a :class:`RatFunc` over det: the connection then
+has one shared denominator, so curvature and the pencil residuals never mix
+denominators, and RatFunc sums stay over powers of det.  A QPoly reads as
+the fraction self/1, so the kernels below serve both kinds.  The connection
+is re-verified against the two conditions when it is first built and cached
+on the metric object, so a pipeline that asks for one metric's connection
+repeatedly builds it once.  Curvature is
 
     R_l^{ijk} = g^{is} (d_s G_l^{jk} - d_l G_s^{jk})
                 + G_s^{ik} G_l^{sj} - G_s^{ij} G_l^{sk},
@@ -111,7 +113,7 @@ class ContraMetric:
 class Connection:
     """Contravariant connection coefficients; gamma[k][i][j] = G_k^{ij}."""
 
-    def __init__(self, gamma: list[list[list[RatFunc]]]):
+    def __init__(self, gamma: list[list[list[QPoly | RatFunc]]]):
         self.gamma = gamma
         self.n = len(gamma)
 
@@ -135,7 +137,7 @@ class Connection:
 class Curvature:
     """Curvature tensor; r[l][i][j][k] = R_l^{ijk}."""
 
-    def __init__(self, r: list[list[list[list[RatFunc]]]]):
+    def __init__(self, r: list[list[list[list[QPoly | RatFunc]]]]):
         self.r = r
         self.n = len(r)
 
@@ -206,11 +208,12 @@ def levi_civita(g: ContraMetric) -> Connection:
             = 1/2 det d_k g^{ij} + 1/2 adj_{kq} (g^{is} d_s g^{jq} - g^{js} d_s g^{iq}),
 
     with adj the adjugate of g.  When every exact division N / det succeeds
-    the entries are the quasi-polynomial quotients; otherwise every entry
-    keeps the shared denominator det.  Constant metrics get the zero
-    connection without forming the adjugate.  The connection is built and verified against the
-    two defining linear conditions once per metric object, then returned
-    from the metric's cache on every later call.
+    the entries are the QPoly quotients; otherwise every entry is a RatFunc
+    N / det over the shared denominator.  Constant metrics get the zero
+    connection, QPoly zeros, without forming the adjugate.  The connection
+    is built and verified against the two defining linear conditions once
+    per metric object, then returned from the metric's cache on every later
+    call.
     """
     if g._conn is None:
         g._conn = _build_connection(g)
@@ -224,7 +227,7 @@ def _build_connection(g: ContraMetric) -> Connection:
     if det.is_zero():
         raise SingularMetricError("metric determinant is identically zero")
     if g.is_constant():
-        zero = RatFunc(QPoly.zero(nvars))
+        zero = QPoly.zero(nvars)
         return Connection([[[zero] * n for _i in range(n)] for _k in range(n)])
 
     adj = sym_adjugate(g.g, QPoly.zero(nvars))
@@ -247,7 +250,7 @@ def _build_connection(g: ContraMetric) -> Connection:
     if any(quo is None for layer in quos for row in layer for quo in row):
         conn = Connection([[[RatFunc(num, det) for num in row] for row in layer] for layer in nums])
     else:
-        conn = Connection([[[RatFunc(quo) for quo in row] for row in layer] for layer in quos])
+        conn = Connection(quos)
     for idx, res in symmetry_residuals(g.g, conn.gamma, n):
         if not res.is_zero():
             raise InternalCheckError(f"connection symmetry residual nonzero at {_idx1(idx)}")
@@ -277,7 +280,7 @@ def metricity_residuals(gmat, gamma, n: int, ncoords: int):
 
 
 def curvature(g: ContraMetric, conn: Connection) -> Curvature:
-    """Curvature of a metric/connection pair, as exact rational functions."""
+    """Curvature of a metric/connection pair, entries of the connection's kind."""
     curv = _curvature_entries(g.g, conn.gamma, g.n, g.nvars)
     for l in range(g.n):
         for i in range(g.n):
@@ -454,11 +457,8 @@ def check_flat_pencil(p: PencilData) -> Report:
     conn2 = levi_civita(p.g2)
 
     big = nvars + 1  # trailing variable is lam
-    lam = RatFunc(QPoly.var(big, nvars))
-    g_l = [
-        [RatFunc(p.g1.g[i][j].lift(big)) - lam * p.g2.g[i][j].lift(big) for j in range(n)]
-        for i in range(n)
-    ]
+    lam = QPoly.var(big, nvars)
+    g_l = [[p.g1.g[i][j].lift(big) - lam * p.g2.g[i][j].lift(big) for j in range(n)] for i in range(n)]
     gamma_l = [
         [
             [conn1.gamma[k][i][j].lift(big) - lam * conn2.gamma[k][i][j].lift(big) for j in range(n)]
@@ -469,10 +469,7 @@ def check_flat_pencil(p: PencilData) -> Report:
 
     report = Report()
 
-    det_l = sym_det(
-        [[p.g1.g[i][j].lift(big) - QPoly.var(big, nvars) * p.g2.g[i][j].lift(big) for j in range(n)] for i in range(n)],
-        QPoly.zero(big),
-    )
+    det_l = sym_det(g_l, QPoly.zero(big))
     if det_l.is_zero():
         report.add(Certificate("pencil-determinant", reports.FAIL, witness="det(g1 - lam*g2) is identically zero"))
     else:
@@ -500,8 +497,7 @@ def _lam_coefficients(residuals, lam_axis: int):
     """The coefficients of each residual's numerator in powers of lam,
     labelled by entry and power."""
     for idx, res in residuals:
-        num = res.num if isinstance(res, RatFunc) else res
-        for power, coeff in sorted(num.coeffs_by_power(lam_axis).items()):
+        for power, coeff in sorted(res.num.coeffs_by_power(lam_axis).items()):
             yield f"entry {_idx1(idx)}, lam^{power}", coeff
 
 

@@ -24,10 +24,10 @@ class ZeroCertificate:
 def is_zero_identity(value: QPoly | RatFunc) -> ZeroCertificate:
     """Decide whether a scalar vanishes identically.
 
-    A rational function vanishes iff its numerator does; the denominator is
-    nonzero by the type invariant.
+    A scalar vanishes iff its numerator does: a QPoly is its own numerator,
+    and a RatFunc's denominator is nonzero by the type invariant.
     """
-    num = value.num if isinstance(value, RatFunc) else value
+    num = value.num
     if num.is_zero():
         return ZeroCertificate(True)
     return ZeroCertificate(False, witness=f"nonzero normal form: {num}")

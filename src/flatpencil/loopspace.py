@@ -78,7 +78,7 @@ def degree_certificate(b: HydroBracket) -> Certificate:
     # xdot factor is explicit), so the certificate asserts the entries are
     # honest functions of the fields alone.
     ok = all(x.nvars == b.n for row in b.metric.g for x in row) and all(
-        b.conn.gamma[k][i][j].num.nvars == b.n
+        b.conn.gamma[k][i][j].nvars == b.n
         for k in range(b.n)
         for i in range(b.n)
         for j in range(b.n)
@@ -96,7 +96,7 @@ def check_compatibility(b1: HydroBracket, b2: HydroBracket) -> Report:
 
 def transform_bracket(
     b: HydroBracket, images: list[QPoly]
-) -> tuple[list[list[QPoly]], list[list[list[RatFunc]]]]:
+) -> tuple[list[list[QPoly]], list[list[list[QPoly | RatFunc]]]]:
     """Coefficient tensors of the bracket in new dependent variables
     y^p = images[p](x), both still written in the x chart:
 
@@ -117,7 +117,7 @@ def transform_bracket(
         for q in range(n):
             rows_k = []
             for k in range(n):
-                acc = RatFunc(QPoly.zero(n))
+                acc = QPoly.zero(n)
                 for i in range(n):
                     for j in range(n):
                         acc = acc + b.conn.gamma[k][i][j] * (jac[p][i] * jac[q][j])
@@ -196,7 +196,7 @@ def virasoro_check(m: FrobeniusData, p: PencilData) -> Report:
 
     def stress_connection():
         for k in range(n):
-            val = RatFunc(QPoly.zero(n))
+            val = QPoly.zero(n)
             for i in range(n):
                 for j in range(n):
                     if dtee_c[i] and dtee_c[j]:
@@ -220,7 +220,7 @@ def virasoro_check(m: FrobeniusData, p: PencilData) -> Report:
     def coordinate_connection():
         for a in range(n):
             for k in range(n):
-                val = RatFunc(QPoly.zero(n))
+                val = QPoly.zero(n)
                 for j in range(n):
                     if dtee_c[j]:
                         val = val + conn.gamma[k][a][j] * dtee_c[j]
@@ -245,13 +245,14 @@ def recursion_step(p: PencilData, density: Density) -> Density:
     gamma = conn.as_poly_entries()
     h = density.h
     dh = [h.diff(e) for e in range(n)]
+    ddh = [[dh[e].diff(g) for g in range(n)] for e in range(n)]
     rhs = []
     for a in range(n):
         row = []
         for g in range(n):
             acc = QPoly.zero(n)
             for e in range(n):
-                acc = acc + p.g1.g[a][e] * dh[e].diff(g)
+                acc = acc + p.g1.g[a][e] * ddh[e][g]
                 acc = acc + gamma[g][a][e] * dh[e]
             row.append(acc)
         rhs.append(row)
@@ -277,8 +278,9 @@ def recursion_step(p: PencilData, density: Density) -> Density:
     h_next = potential_of_closed_form(grads)
     h_next = h_next - h_next.poly_part_degree_at_most(1)
     for j in range(n):
+        dh_next = h_next.diff(j)
         for k in range(n):
-            if not (h_next.diff(j).diff(k) - target[j][k]).is_zero():
+            if not (dh_next.diff(k) - target[j][k]).is_zero():
                 raise IntegrabilityError("resubstitution of the recursion step failed")
     return Density(h=h_next)
 

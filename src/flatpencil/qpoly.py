@@ -30,6 +30,11 @@ zero iff its numerator is, and equality is decided by cross-multiplication,
 so no canonical form is needed.  The certificates are numerator identities
 over the dense set where the denominator is nonzero; :func:`exact_divide`
 turns a fraction into a quasi-polynomial when the division is exact.
+RatFunc is only built over a non-constant denominator: a quasi-polynomial
+stays a QPoly, which reads as the fraction self/1 (``num``, ``den``,
+``quotient``, ``as_poly``), so one kernel serves tensors of either kind.
+A QPoly operator returns NotImplemented for a RatFunc operand, so mixed
+sums and products are taken by RatFunc's reflected operators.
 
 Coordinate axes are 0-based throughout the library; the 1-based names
 t1..tn appear only in parsed/printed expressions and JSON files.
@@ -209,6 +214,8 @@ class QPoly:
 
     def __sub__(self, other) -> "QPoly":
         if not isinstance(other, QPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = QPoly.const(self.nvars, other)
         return self.__add__(other.__neg__())
 
@@ -251,6 +258,24 @@ class QPoly:
             base = base * base if n > 1 else base
             n >>= 1
         return result
+
+    # -- read as the fraction self/1 ----------------------------------------
+    # Tensor entries are QPoly, or RatFunc over a non-constant denominator;
+    # these let one kernel read either kind.
+
+    @property
+    def num(self) -> "QPoly":
+        return self
+
+    @property
+    def den(self) -> "QPoly":
+        return QPoly.const(self.nvars, 1)
+
+    def quotient(self) -> "QPoly":
+        return self
+
+    def as_poly(self) -> "QPoly":
+        return self
 
     # -- calculus ----------------------------------------------------------
 
@@ -558,9 +583,6 @@ class RatFunc:
         """num/den as a quasi-polynomial when the division is exact, else None."""
         return exact_divide(self.num, self.den)
 
-    def is_polynomial(self) -> bool:
-        return self.quotient() is not None
-
     def as_poly(self) -> QPoly:
         """The quotient; raises OutOfRingError when it is not a quasi-polynomial."""
         quo = self.quotient()
@@ -707,8 +729,9 @@ def exact_divide(num: QPoly, den: QPoly) -> QPoly | None:
 
 
 def _axis_values(key: TermKey) -> list:
-    """The coordinate power on each axis, then the exponential rate on each axis."""
-    rates = [Q(0)] * len(key[0])
+    """The coordinate power on each axis, then the exponential rate on each
+    axis (the int 0 on an axis without one, so most comparisons are of ints)."""
+    rates = [0] * len(key[0])
     for axis, rate in key[1]:
         rates[axis] = rate
     return [*key[0], *rates]

@@ -66,7 +66,7 @@ Q = Fraction
 
 # Delta[k][i][j] = Delta_k^{ij}, the difference tensor of a pencil in flat
 # coordinates of g2 (there it equals the connection of g1).
-Delta = list[list[list[RatFunc]]]
+Delta = list[list[list[QPoly | RatFunc]]]
 
 
 @dataclass
@@ -472,24 +472,24 @@ def multiplication(
 
     system = [row + [dtau[i]] for i, row in enumerate(ops.r_op)]
     solutions = [solve_affine(system, [Q(1) if i == b else Q(0) for i in range(n)])[0] for b in range(n)]
-    c_mixed_rf = [[[None] * n for _ in range(n)] for _ in range(n)]
-    zero_rf = RatFunc(QPoly.zero(p.g1.nvars))
+    c_raw = [[[None] * n for _ in range(n)] for _ in range(n)]
+    zero = QPoly.zero(p.g1.nvars)
     for b, sol in enumerate(solutions):
         w, s_coef = sol[:n], sol[n]
         for a in range(n):
             for g in range(n):
-                acc = zero_rf
+                acc = zero
                 if any(w):
                     acc = sum((delta[g][a][j] * w[j] for j in range(1, n)), delta[g][a][0] * w[0])
                 if s_coef and a == g:
                     acc = acc + s_coef
-                c_mixed_rf[a][b][g] = acc
+                c_raw[a][b][g] = acc
 
     report = Report()
     for a in range(n):
         for b in range(a + 1, n):
             for g in range(n):
-                res = c_mixed_rf[a][b][g] - c_mixed_rf[b][a][g]
+                res = c_raw[a][b][g] - c_raw[b][a][g]
                 if not res.is_zero():
                     raise CommutativityError(
                         f"dt{a + 1} * dt{b + 1} differs from dt{b + 1} * dt{a + 1} "
@@ -503,8 +503,8 @@ def multiplication(
                 for g in range(n):
                     for mu in range(n):
                         terms = [
-                            c_mixed_rf[a][e][mu] * c_mixed_rf[b][g][e]
-                            - c_mixed_rf[b][e][mu] * c_mixed_rf[a][g][e]
+                            c_raw[a][e][mu] * c_raw[b][g][e]
+                            - c_raw[b][e][mu] * c_raw[a][g][e]
                             for e in range(n)
                         ]
                         yield (a, b, g, mu), sum(terms[1:], terms[0])
@@ -514,7 +514,7 @@ def multiplication(
         reports.residual_certificate(
             "multiplication-unity",
             entry_residuals(
-                ((a, g), c_mixed_rf[a][n - 1][g] - (1 if a == g else 0))
+                ((a, g), c_raw[a][n - 1][g] - (1 if a == g else 0))
                 for a in range(n)
                 for g in range(n)
             ),
@@ -557,21 +557,21 @@ def multiplication(
             reports.residual_certificate(
                 "multiplication-left-unity",
                 entry_residuals(
-                    ((b, g), c_mixed_rf[n - 1][b][g] - (1 if b == g else 0))
+                    ((b, g), c_raw[n - 1][b][g] - (1 if b == g else 0))
                     for b in range(n)
                     for g in range(n)
                 ),
             )
         )
-    c_mixed = _to_poly(c_mixed_rf)
+    c_mixed = _to_poly(c_raw)
     eta_cov = mat_inverse(p.g2.constant_entries())
     return StructureConstants(c_low=contract_two(c_mixed, eta_cov, p.n), c_mixed=c_mixed), report
 
 
-def _to_poly(c_mixed_rf):
-    n = len(c_mixed_rf)
+def _to_poly(c_raw):
+    n = len(c_raw)
     try:
-        return [[[c_mixed_rf[a][b][g].as_poly() for g in range(n)] for b in range(n)] for a in range(n)]
+        return [[[c_raw[a][b][g].as_poly() for g in range(n)] for b in range(n)] for a in range(n)]
     except OutOfRingError as exc:
         raise OutOfRingError(
             "structure constants are not polynomial; potential recovery is outside the ring"

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,6 +12,7 @@ from flatpencil.errors import InternalCheckError
 from flatpencil.pencilio import dump_pencil
 
 TESTDATA = Path(__file__).resolve().parent.parent / "testdata"
+SRC = Path(__file__).resolve().parent.parent / "src"
 CUBIC = TESTDATA / "n1-cubic-frobenius.json"
 CP1 = TESTDATA / "cp1-frobenius.json"
 PENCIL1 = TESTDATA / "n1-pencil.json"
@@ -373,3 +376,68 @@ def test_recurse_builds_first_connection_once(tmp_path, monkeypatch, a3):
     monkeypatch.setattr(geometry, "_build_connection", counting)
     assert run(["bracket", "recurse", path, "--steps", "10"]) == 0
     assert len(built) == 1 and not built[0].is_constant()
+
+
+# `pencil check` on a pencil whose g1 connection keeps det in every entry.
+NON_POLYNOMIAL_PENCIL = {
+    "schema": 1,
+    "n": 2,
+    "expgens": [],
+    "g1": [["t1^2+t2+3/2*t1*t2", "2*t1+t2^2"], ["2*t1+t2^2", "t1*t2+1"]],
+    "g2": [["1", "0"], ["0", "1"]],
+    "tau": "t2",
+    "d": "1/2",
+}
+NON_POLYNOMIAL_PENCIL_CHECK = (
+    "[   PASS] pencil-determinant\n"
+    "[   FAIL] pencil-connection-symmetry  -- entry (1,2,1), lam^1: nonzero normal form: "
+    "3/4*t1^4*t2 + 3/8*t1^3*t2^2 - 3/2*t1^2*t2^3 - 3/4*t1*t2^4 - 5/2*t1^3*t2 - 3*t1^2*t2^"
+    "2 + t2^4 - 17/4*t1^3 - 3/8*t1^2*t2 + 9/2*t1*t2^2 + 5/4*t2^3 + 9/2*t1^2 + 3*t1*t2 - 3"
+    "/4*t1 + 1/2*t2 - 1/2\n"
+    "[   PASS] pencil-connection-metricity\n"
+    "[   FAIL] pencil-curvature  -- entry (1,1,1,2), lam^0: nonzero normal form: -1/8*t1^"
+    "6*t2^4 - 3/8*t1^5*t2^5 + 45/16*t1^4*t2^6 + 67/16*t1^3*t2^7 + 3/8*t1^2*t2^8 + 9/8*t1*"
+    "t2^9 + t2^10 - 1/4*t1^7*t2^2 + 1/4*t1^6*t2^3 + 111/8*t1^5*t2^4 + 139/8*t1^4*t2^5 - 7"
+    "/2*t1^3*t2^6 + 93/16*t1^2*t2^7 + 13/2*t1*t2^8 - 1/8*t2^9 + 2*t1^7*t2 + 39/2*t1^6*t2^"
+    "2 + 135/4*t1^5*t2^3 - 127/16*t1^4*t2^4 - 93/8*t1^3*t2^5 - 279/32*t1^2*t2^6 - 5/2*t1*"
+    "t2^7 + 27/16*t2^8 + 6*t1^7 + 63/2*t1^6*t2 + 57/8*t1^5*t2^2 - 141/2*t1^4*t2^3 - 1351/"
+    "16*t1^3*t2^4 - 3*t1^2*t2^5 + 129/8*t1*t2^6 + 7/4*t2^7 + 12*t1^6 - 66*t1^5*t2 - 703/8"
+    "*t1^4*t2^2 + 29*t1^3*t2^3 + 153/4*t1^2*t2^4 + 127/8*t1*t2^5 + 71/8*t2^6 + 81/4*t1^5 "
+    "+ 52*t1^4*t2 + 45/4*t1^3*t2^2 + 81/2*t1^2*t2^3 + 161/4*t1*t2^4 - 3/4*t2^5 - 57/2*t1^"
+    "4 + 63/2*t1^3*t2 + 555/16*t1^2*t2^2 - 12*t1*t2^3 + 4*t2^4 - 165/8*t1^3 - 21*t1^2*t2 "
+    "+ 41/4*t1*t2^2 - 2*t2^3 + 9/2*t1^2 - 4*t1*t2 + 3/4*t2^2 + 3/2*t1\n"
+    "[   FAIL] unity-commutator  -- entry (1): nonzero normal form: 2*t2\n"
+    "[   FAIL] euler-scaling-first-metric  -- entry (1,1): nonzero normal form: 3/2*t1^2*"
+    "t2 + 2*t1*t2^2 - 5/2*t2^3 + 1/2*t1^2 - 37/4*t1*t2 + 3/2*t1 - 7/2*t2 + 1\n"
+    "[   FAIL] unity-flow-first-metric  -- entry (1,1): nonzero normal form: 3/2*t1\n"
+    "[   PASS] unity-flow-second-metric\n"
+    "degree-d: 1/2\n"
+)
+
+
+def test_pencil_check_over_shared_denominator_output_pinned(tmp_path, capsys):
+    path = tmp_path / "non-polynomial.json"
+    path.write_text(json.dumps(NON_POLYNOMIAL_PENCIL), encoding="utf-8")
+    assert run(["pencil", "check", path]) == 1
+    assert capsys.readouterr().out == NON_POLYNOMIAL_PENCIL_CHECK
+
+
+def _fresh_process(argv):
+    env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": str(SRC)}
+    code = "import sys; from flatpencil.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)], capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_process_prints_what_fresh_processes_print(monkeypatch, capsys):
+    # cli.main parses with one parser per process; a usage error or a help
+    # page must leave it as a fresh one.
+    monkeypatch.setenv("COLUMNS", "80")
+    sequence = (["coxeter", "--rank", "9"], ["pencil", "--help"], ["pencil", "check", PENCIL1], ["bogus"])
+    for argv in sequence:
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == _fresh_process(argv), argv

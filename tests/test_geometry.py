@@ -18,7 +18,7 @@ from flatpencil.geometry import (
     lie_bracket,
     lie_derivative_metric,
 )
-from flatpencil.qpoly import QPoly
+from flatpencil.qpoly import QPoly, RatFunc
 
 
 def qp(text, n):
@@ -66,7 +66,7 @@ def test_cp1_exp_entries_located(cp1_metric):
         for j in range(2)
         if (k, i, j) != (1, 0, 0)
     ]
-    assert all(x.is_polynomial() and not x.as_poly().exp_rates_on(1) for x in flat)
+    assert all(x.quotient() is not None and not x.as_poly().exp_rates_on(1) for x in flat)
 
 
 def test_singular_metric_rejected():
@@ -361,9 +361,9 @@ def test_connection_and_curvature_match_sympy(make):
 def test_non_flat_connection_keeps_shared_denominator():
     g = metric([["1", "0"], ["0", "t1^2"]], 2)
     conn = levi_civita(g)
-    assert not all(x.is_polynomial() for k in conn.gamma for row in k for x in row)
+    assert not all(x.quotient() is not None for k in conn.gamma for row in k for x in row)
     # one inexact entry puts every entry over det, polynomial ones included
-    assert all(x.den == g.det for k in conn.gamma for row in k for x in row)
+    assert all(isinstance(x, RatFunc) and x.den == g.det for k in conn.gamma for row in k for x in row)
 
 
 def test_non_flat_three_dim_metric_fails_at_first_curvature_entry():
@@ -378,6 +378,20 @@ def test_non_flat_three_dim_metric_fails_at_first_curvature_entry():
     cert = is_flat(g)
     assert not cert.passed
     assert cert.witness.startswith("curvature entry (1,1,1,2): ")
+
+
+def test_exact_connections_are_qpoly(a3, cp1_metric, cp1):
+    # Entries that divide exactly by det are stored as quasi-polynomials;
+    # RatFunc appears only over a non-constant denominator.
+    bundle, recon = a3
+    for conn in (
+        levi_civita(bundle.pencil.g1),
+        levi_civita(bundle.pencil.g2),
+        levi_civita(cp1_metric),
+        pencil_gamma(recon.frobenius),
+        pencil_gamma(cp1),
+    ):
+        assert all(type(x) is QPoly for k in conn.gamma for row in k for x in row)
 
 
 def test_connection_built_once_per_metric(cp1_metric):

@@ -194,7 +194,7 @@ def test_exact_divide_random_products(div_step_limit):
 
 def test_ratfunc_normalization_and_equality():
     r = RatFunc(qp("t1", 1), qp("2*t1", 1))
-    assert r.is_polynomial()
+    assert r.quotient() is not None
     assert r.as_poly() == qp("1/2", 1)
     a = RatFunc(qp("t1", 1), qp("t1^2 + t1", 1))
     b = RatFunc(qp("1", 1), qp("t1 + 1", 1))
@@ -231,6 +231,27 @@ def test_ratfunc_quotient_only_when_exact():
 def test_ratfunc_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         RatFunc(qp("1", 1), QPoly.zero(1))
+
+
+def test_qpoly_minus_ratfunc():
+    q = qp("t1^2 + exp(t2)", 2)
+    r = RatFunc(qp("t2", 2), qp("t1 + t2", 2))
+    assert isinstance(q - r, RatFunc)
+    assert q - r == -(r - q)
+    assert (q - r).den == r.den
+
+
+def test_qpoly_reads_as_fraction_over_one():
+    q = qp("1/2*t1 + exp(t2)", 2)
+    assert q.num is q
+    assert q.den == QPoly.const(2, 1) and len(q.den.terms) == 1
+    assert q.quotient() is q and q.as_poly() is q
+    # is_polynomial keeps its QPoly meaning: free of exponentials
+    assert not q.is_polynomial()
+    r = RatFunc(qp("t2", 2), qp("t1 + t2", 2))
+    for mixed, lifted in ((q + r, RatFunc(q) + r), (q * r, RatFunc(q) * r), (r - q, r - RatFunc(q))):
+        assert isinstance(mixed, RatFunc)
+        assert mixed.num == lifted.num and mixed.den == lifted.den
 
 
 # Reference route: the Fraction-dict arithmetic that the integer-numerator

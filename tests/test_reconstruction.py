@@ -62,6 +62,12 @@ def test_delta_properties_pass(cubic_pencil, a2):
     assert report.find("delta-unity-invariance").status == "pass"
 
 
+def test_delta_of_orbit_pencil_is_qpoly(a3):
+    bundle, _recon = a3
+    delta = delta_tensor(bundle.pencil)
+    assert all(type(x) is QPoly for k in delta for row in k for x in row)
+
+
 def test_delta_mutation_breaks_curl(a2):
     bundle, _recon = a2
     delta = delta_tensor(bundle.pencil)
@@ -81,7 +87,8 @@ def test_delta_properties_on_non_polynomial_connection():
     g2 = ContraMetric.constant([[Q(1), Q(0)], [Q(0), Q(1)]])
     pencil = PencilData(g1=g1, g2=g2, tau=qp("t2", 2), d=Q(1, 2))
     delta = delta_tensor(pencil)
-    assert not all(x.is_polynomial() for k in delta for row in k for x in row)
+    assert not all(x.quotient() is not None for k in delta for row in k for x in row)
+    assert all(isinstance(x, RatFunc) and x.den == g1.det for k in delta for row in k for x in row)
     report = check_delta_properties(pencil, delta)
     got = {c.name: (c.status, (c.witness or "").split(":")[0]) for c in report.certificates}
     assert got == {

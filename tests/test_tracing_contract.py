@@ -10,6 +10,7 @@ import pytest
 
 from flatpencil.exprparse import parse_expr
 from flatpencil.geometry import ContraMetric, levi_civita
+from flatpencil.qpoly import QPoly
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -47,3 +48,16 @@ def test_levi_civita_observer_reads_gamma_terms():
     assert [[str(x) for x in row] for row in g.g] == [["t1"]]
     conn = levi_civita(g)
     assert sum(len(x.num.terms) + len(x.den.terms) for k in conn.gamma for row in k for x in row) == 2
+
+
+def test_levi_civita_observer_counts_qpoly_entries(a3):
+    # On a polynomial pencil the entries are QPoly, which read as the
+    # fraction self/1: the observer's term count is that of the RatFunc
+    # entries over the constant 1 they replaced.
+    bundle, _recon = a3
+    counts = []
+    for g in (bundle.pencil.g1, bundle.pencil.g2):
+        conn = levi_civita(g)
+        assert all(isinstance(x, QPoly) for k in conn.gamma for row in k for x in row)
+        counts.append(sum(len(x.num.terms) + len(x.den.terms) for k in conn.gamma for row in k for x in row))
+    assert counts == [40, 27]
