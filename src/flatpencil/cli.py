@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands
-    frobenius check INPUT       certify WDVV + quasihomogeneity
+    frobenius check INPUT       certify WDVV + quasihomogeneity + unity axiom
     frobenius pencil INPUT      emit the certified pencil (g, eta)
     pencil check INPUT          flat-pencil + quasihomogeneity certificates
     pencil reconstruct INPUT    inverse construction, emits Frobenius JSON
@@ -31,12 +31,7 @@ from pathlib import Path
 from . import pencilio, reports
 from .coxeter import coxeter_pencil
 from .errors import FlatPencilError, InputFormatError, InternalCheckError, ParseError
-from .frobenius import (
-    check_quasihomogeneity,
-    check_wdvv,
-    to_flat_pencil,
-    unity_scaling_certificate,
-)
+from .frobenius import to_flat_pencil, unity_scaling_certificate
 from .geometry import check_flat_pencil, check_quasihomogeneous
 from .loopspace import (
     Density,
@@ -218,10 +213,10 @@ def dispatch(args):
 
 def frobenius_report(m) -> tuple[Report, dict]:
     report = Report()
-    report.add(check_wdvv(m))
+    report.add(m.wdvv)
     extra = {}
     try:
-        a_mat, b_vec, c_val = check_quasihomogeneity(m)
+        a_mat, b_vec, c_val = m.scaling
         report.add(Certificate("potential-scaling", reports.PASS))
         extra["scaling-quadratic-A"] = [[str(x) for x in row] for row in a_mat]
         extra["scaling-linear-B"] = [str(x) for x in b_vec]
@@ -231,6 +226,9 @@ def frobenius_report(m) -> tuple[Report, dict]:
     except FlatPencilError as exc:
         report.add(Certificate("potential-scaling", reports.FAIL, witness=str(exc)))
     report.add(unity_scaling_certificate(m))
+    if report.passed:
+        # The unity axiom c(e, ., .) = eta; a violation raises UnityViolationError.
+        m.structure
     return report, extra
 
 

@@ -7,15 +7,21 @@ potential F whose triple derivatives are the structure constants
 
 an affine-linear Euler field E, a unity coordinate index u (the unity
 vector field is d/dt^u), and the rational charge d.  The module certifies
-the associativity (WDVV) equations, the Euler scaling of F and eta, builds
-the intersection form g^{ab} = E^e c_e^{ab}, and produces the associated
-flat pencil (g, eta) together with its polynomial connection.
+the associativity (WDVV) equations, the unity axiom c(e, ., .) = eta and the
+Euler scaling of F and eta, builds the intersection form
+g^{ab} = E^e c_e^{ab}, and produces the associated flat pencil (g, eta)
+together with its polynomial connection.
+
+The forward quantities (derivatives of F, the unity-checked structure
+constants, the WDVV certificate, the scaling data A, B, C) are derived once,
+on first use, and cached on the `FrobeniusData` every consumer reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import reports
 from .errors import (
@@ -82,6 +88,31 @@ class FrobeniusData:
         """eta as a constant contravariant metric (indices raised)."""
         return ContraMetric.constant(self.eta_inv, nvars=self.n)
 
+    @cached_property
+    def gradient(self) -> list[QPoly]:
+        return [self.potential.diff(a) for a in range(self.n)]
+
+    @cached_property
+    def hessian(self) -> list[list[QPoly]]:
+        return [[da.diff(b) for b in range(self.n)] for da in self.gradient]
+
+    @cached_property
+    def c_low(self) -> list[list[list[QPoly]]]:
+        """c_abc = d_a d_b d_c F."""
+        return [[[dab.diff(c) for c in range(self.n)] for dab in row] for row in self.hessian]
+
+    @cached_property
+    def structure(self) -> StructureConstants:
+        return structure_constants(self)
+
+    @cached_property
+    def wdvv(self) -> Certificate:
+        return check_wdvv(self)
+
+    @cached_property
+    def scaling(self) -> tuple[list[list[Q]], list[Q], Q]:
+        return check_quasihomogeneity(self)
+
 
 @dataclass
 class StructureConstants:
@@ -91,21 +122,13 @@ class StructureConstants:
     c_mixed: list[list[list[QPoly]]]
 
 
-def _third_derivatives(m: FrobeniusData) -> list[list[list[QPoly]]]:
-    """c_abc = d_a d_b d_c F."""
-    n = m.n
-    first = [m.potential.diff(a) for a in range(n)]
-    second = [[first[a].diff(b) for b in range(n)] for a in range(n)]
-    return [[[second[a][b].diff(c) for c in range(n)] for b in range(n)] for a in range(n)]
-
-
 def structure_constants(m: FrobeniusData) -> StructureConstants:
     """Triple derivatives of the potential, plus the eta-raised form.
 
     Verifies the unity axiom: the unity slice of c_low equals eta.
     """
     n = m.n
-    c_low = _third_derivatives(m)
+    c_low = m.c_low
     for a in range(n):
         for b in range(n):
             if not (c_low[m.unity][a][b] - m.eta[a][b]).is_zero():
@@ -113,8 +136,7 @@ def structure_constants(m: FrobeniusData) -> StructureConstants:
                     f"c(e, d_{a + 1}, d_{b + 1}) = {c_low[m.unity][a][b]} "
                     f"differs from eta entry {m.eta[a][b]}"
                 )
-    c_mixed = contract_two(c_low, m.eta_inv, n)
-    return StructureConstants(c_low=c_low, c_mixed=c_mixed)
+    return StructureConstants(c_low=c_low, c_mixed=contract_two(c_low, m.eta_inv, n))
 
 
 def _raise_first(c, mat, n: int):
@@ -147,7 +169,7 @@ def check_wdvv(m: FrobeniusData) -> Certificate:
     The unity axiom is not checked here; `structure_constants` owns it.
     """
     n = m.n
-    c_low = _third_derivatives(m)
+    c_low = m.c_low
     raised = _raise_first(c_low, m.eta_inv, n)
     zero = QPoly.zero(n)
 
@@ -173,27 +195,21 @@ def check_quasihomogeneity(m: FrobeniusData) -> tuple[list[list[Q]], list[Q], Q]
     e_field = m.euler_field()
     lief = QPoly.zero(n)
     for a in range(n):
-        lief = lief + e_field.components[a] * m.potential.diff(a)
+        lief = lief + e_field.components[a] * m.gradient[a]
     residual = lief - m.potential * (3 - m.d)
     extra = residual - residual.poly_part_degree_at_most(2)
     if not extra.is_zero():
         raise NotQuasihomogeneousError(
             f"scaling residual has terms beyond quadratic: {extra}"
         )
-    a_mat = [[Q(0)] * n for _ in range(n)]
-    b_vec = [Q(0)] * n
-    c_val = residual.coefficient((0,) * n)
-    for i in range(n):
-        pows = [0] * n
-        pows[i] = 1
-        b_vec[i] = residual.coefficient(pows)
-        pows[i] = 2
-        a_mat[i][i] = 2 * residual.coefficient(pows)
-        for j in range(i + 1, n):
-            pows = [0] * n
-            pows[i] = 1
-            pows[j] = 1
-            a_mat[i][j] = a_mat[j][i] = residual.coefficient(pows)
+
+    def coefficient(*axes: int) -> Q:
+        """The coefficient of the monomial prod_{a in axes} t^a."""
+        return residual.coefficient([axes.count(a) for a in range(n)])
+
+    a_mat = [[coefficient(i, j) * (2 if i == j else 1) for j in range(n)] for i in range(n)]
+    b_vec = [coefficient(i) for i in range(n)]
+    c_val = coefficient()
     k = m.euler_linear
     for i in range(n):
         for j in range(n):
@@ -214,7 +230,8 @@ def intersection_form(m: FrobeniusData) -> ContraMetric:
     with R = (d-1)/2 I + dE and F^{ab} the eta-raised Hessian of F.
     """
     n = m.n
-    sc = structure_constants(m)
+    a_mat = m.scaling[0]
+    sc = m.structure
     e_field = m.euler_field()
     zero = QPoly.zero(n)
     entries = [
@@ -229,9 +246,7 @@ def intersection_form(m: FrobeniusData) -> ContraMetric:
             if not (entries[i][j] - entries[j][i]).is_zero():
                 raise InternalCheckError("intersection form is not symmetric")
 
-    a_mat, _b, _c = check_quasihomogeneity(m)
     r_mat = scaling_operator(m)
-    hess = [[m.potential.diff(a).diff(b) for b in range(n)] for a in range(n)]
     inv = m.eta_inv
 
     def raise_both(t, zero):
@@ -240,7 +255,7 @@ def intersection_form(m: FrobeniusData) -> ContraMetric:
             for a in range(n)
         ]
 
-    hess_up = raise_both(hess, zero)
+    hess_up = raise_both(m.hessian, zero)
     a_up = raise_both(a_mat, Q(0))
     for a in range(n):
         for b in range(n):
@@ -269,7 +284,7 @@ def pencil_gamma(m: FrobeniusData) -> Connection:
     (g - lam * eta), verified to satisfy symmetry and metricity for every
     lam (the lam^0 and lam^1 coefficient identities)."""
     n = m.n
-    sc = structure_constants(m)
+    sc = m.structure
     r_mat = scaling_operator(m)
     zero = QPoly.zero(n)
     gamma_poly = [
@@ -295,13 +310,13 @@ def pencil_gamma(m: FrobeniusData) -> Connection:
 def to_flat_pencil(m: FrobeniusData) -> PencilData:
     """The quasihomogeneous flat pencil (g, eta) with tau = eta_{u,a} t^a.
 
-    Preconditions: the WDVV and quasihomogeneity certificates must pass;
-    their failures propagate as errors.
+    Reads the cached forward quantities of ``m``, deriving each on first
+    use: a failed WDVV certificate raises AssociativityError, and a failed
+    Euler scaling or unity axiom raises its own error from
+    `intersection_form`.
     """
-    wdvv = check_wdvv(m)
-    if not wdvv.passed:
-        raise AssociativityError(f"associativity fails: {wdvv.witness}")
-    check_quasihomogeneity(m)
+    if not m.wdvv.passed:
+        raise AssociativityError(f"associativity fails: {m.wdvv.witness}")
     g = intersection_form(m)
     (tau,) = linear_forms([m.eta[m.unity]])
     return PencilData(g1=g, g2=m.eta_metric(), tau=tau, d=m.d)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import reports
 from .errors import DEqualsOneError, IntegrabilityError, NotFlatError
-from .frobenius import FrobeniusData
+from .frobenius import FrobeniusData, scaling_operator
 from .geometry import (
     Connection,
     ContraMetric,
@@ -287,7 +287,7 @@ def recursion_step(p: PencilData, density: Density) -> Density:
 
 def central_charge(m: FrobeniusData, coxeter_rank: int | None = None) -> CentralChargeReport:
     """Central charge c = 12/(1-d)^2 (n/2 - 2 tr Lam^2) of the stress field,
-    with Lam = (d-2)/2 + dE.
+    with Lam = (d-2)/2 + dE = R - 1/2 for the scaling operator R.
 
     For a type-A orbit space the same number must equal 12 rho^2, with rho
     half the sum of the positive roots in the normalization (alpha, alpha)
@@ -296,10 +296,8 @@ def central_charge(m: FrobeniusData, coxeter_rank: int | None = None) -> Central
     if m.d == 1:
         raise DEqualsOneError("central charge formula requires d != 1")
     n = m.n
-    shift = Q(m.d - 2) / 2
-    lam = [
-        [m.euler_linear[a][b] + (shift if a == b else 0) for b in range(n)] for a in range(n)
-    ]
+    r_mat = scaling_operator(m)
+    lam = [[r_mat[a][b] - (Q(1, 2) if a == b else 0) for b in range(n)] for a in range(n)]
     tr_sq = sum(lam[a][b] * lam[b][a] for a in range(n) for b in range(n))
     c_formula = Q(12) / (1 - m.d) ** 2 * (Q(n, 2) - 2 * tr_sq)
     if coxeter_rank is None:

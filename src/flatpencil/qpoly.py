@@ -590,17 +590,9 @@ class RatFunc:
             raise OutOfRingError("rational function with nontrivial denominator")
         return quo
 
-    def _coerce(self, other) -> "RatFunc":
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, QPoly):
-            return RatFunc(other)
-        if isinstance(other, (int, Fraction)):
-            return RatFunc(QPoly.const(self.nvars, other))
-        raise TypeError(f"cannot combine RatFunc with {type(other).__name__}")
-
     def __add__(self, other) -> "RatFunc":
-        other = self._coerce(other)
+        if not isinstance(other, RatFunc):
+            return RatFunc(self.num + self.den * other, self.den)
         if self.den == other.den:
             return RatFunc(self.num + other.num, self.den)
         scale = exact_divide(self.den, other.den)
@@ -617,20 +609,21 @@ class RatFunc:
         return RatFunc(-self.num, self.den)
 
     def __sub__(self, other) -> "RatFunc":
-        return self.__add__(self._coerce(other).__neg__())
+        return self + (-other)
 
     def __rsub__(self, other) -> "RatFunc":
         return self.__neg__().__add__(other)
 
     def __mul__(self, other) -> "RatFunc":
-        other = self._coerce(other)
+        if not isinstance(other, RatFunc):
+            return RatFunc(self.num * other, self.den)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, QPoly)):
-            other = self._coerce(other)
+            return (self.num - self.den * other).is_zero()
         if not isinstance(other, RatFunc):
             return NotImplemented
         return (self.num * other.den - other.num * self.den).is_zero()

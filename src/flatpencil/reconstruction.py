@@ -691,9 +691,8 @@ def reconstruct_frobenius(p: PencilData) -> ReconstructionResult:
         d=ops.d,
     )
 
-    sc_final = frob.structure_constants(frob_data)
-    report.add(frob.check_wdvv(frob_data))
-    frob.check_quasihomogeneity(frob_data)
+    sc_final = frob_data.structure
+    report.add(frob_data.wdvv)
     closing = frob.intersection_form(frob_data)
     for a in range(n):
         for b in range(n):

@@ -1,18 +1,22 @@
+import functools
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from flatpencil import geometry
+from flatpencil import frobenius, geometry
 from flatpencil.cli import main
 from flatpencil.errors import InternalCheckError
+from flatpencil.frobenius import FrobeniusData
 from flatpencil.pencilio import dump_pencil
 
 TESTDATA = Path(__file__).resolve().parent.parent / "testdata"
 SRC = Path(__file__).resolve().parent.parent / "src"
+SOURCES = Path(__file__).resolve().parent.parent / "perfbench" / "sources"
 CUBIC = TESTDATA / "n1-cubic-frobenius.json"
 CP1 = TESTDATA / "cp1-frobenius.json"
 PENCIL1 = TESTDATA / "n1-pencil.json"
@@ -298,11 +302,55 @@ def test_internal_error_exit_4(monkeypatch, capsys):
     assert "FAIL" not in captured.out
 
 
+def test_frobenius_check_enforces_unity_axiom(tmp_path, capsys):
+    data = json.loads(CUBIC.read_text())
+    data["potential"] = "1/3*t1^3"
+    path = tmp_path / "unity-violating.json"
+    path.write_text(json.dumps(data))
+    expected = "certification error: UnityViolationError: c(e, d_1, d_1) = 2 differs from eta entry 1\n"
+    for command in (["frobenius", "check"], ["frobenius", "pencil"], ["bracket", "virasoro"]):
+        assert run([*command, path]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", expected), command
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["frobenius", "check", SOURCES / "a3-frobenius.json"],
+        ["frobenius", "pencil", SOURCES / "a3-frobenius.json"],
+        ["bracket", "virasoro", SOURCES / "a3-frobenius.json"],
+        ["pencil", "reconstruct", SOURCES / "a3-pencil.json"],
+        ["coxeter", "--rank", "3"],
+    ],
+    ids=["frobenius-check", "frobenius-pencil", "bracket-virasoro", "pencil-reconstruct", "coxeter"],
+)
+def test_forward_quantities_derived_once(argv, monkeypatch):
+    calls = Counter()
+    derive_c_low = FrobeniusData.__dict__["c_low"].func
+
+    def counted_c_low(m):
+        calls["c_abc"] += 1
+        return derive_c_low(m)
+
+    spy = functools.cached_property(counted_c_low)
+    spy.__set_name__(FrobeniusData, "c_low")
+    monkeypatch.setattr(FrobeniusData, "c_low", spy)
+    for name in ("check_wdvv", "check_quasihomogeneity", "structure_constants"):
+        def counted(m, name=name, original=getattr(frobenius, name)):
+            calls[name] += 1
+            return original(m)
+
+        monkeypatch.setattr(frobenius, name, counted)
+    assert run(argv) == 0
+    assert calls == {"c_abc": 1, "check_wdvv": 1, "check_quasihomogeneity": 1, "structure_constants": 1}
+
+
 def test_internal_error_in_potential_scaling_exit_4(monkeypatch, capsys):
     def broken(_m):
         raise InternalCheckError("scaling self-check failed")
 
-    monkeypatch.setattr("flatpencil.cli.check_quasihomogeneity", broken)
+    monkeypatch.setattr("flatpencil.frobenius.check_quasihomogeneity", broken)
     assert run(["frobenius", "check", CUBIC]) == 4
     assert "internal error: scaling self-check failed" in capsys.readouterr().err
 

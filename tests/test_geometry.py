@@ -366,6 +366,25 @@ def test_non_flat_connection_keeps_shared_denominator():
     assert all(isinstance(x, RatFunc) and x.den == g.det for k in conn.gamma for row in k for x in row)
 
 
+def test_mixed_fraction_arithmetic_builds_no_constant_denominator(monkeypatch):
+    # A QPoly or scalar operand of a fraction over det combines with its
+    # numerator directly; no fraction over the constant 1 is built for it.
+    g = metric([["1", "0"], ["0", "t1^2"]], 2)
+    constant = []
+    init = RatFunc.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        if self.den.is_constant():
+            constant.append(self)
+
+    monkeypatch.setattr(RatFunc, "__init__", spy)
+    cert = is_flat(g)
+    assert not cert.passed
+    assert cert.witness == "curvature entry (1,2,1,2): nonzero normal form: 2*t1^4"
+    assert constant == []
+
+
 def test_non_flat_three_dim_metric_fails_at_first_curvature_entry():
     g = metric(
         [

@@ -4,6 +4,11 @@ deletion fails here rather than in ``perfbench/run.py --trace 1``."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -12,7 +17,8 @@ from flatpencil.exprparse import parse_expr
 from flatpencil.geometry import ContraMetric, levi_civita
 from flatpencil.qpoly import QPoly
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_tracing():
@@ -61,3 +67,32 @@ def test_levi_civita_observer_counts_qpoly_entries(a3):
         assert all(isinstance(x, QPoly) for k in conn.gamma for row in k for x in row)
         counts.append(sum(len(x.num.terms) + len(x.den.terms) for k in conn.gamma for row in k for x in row))
     assert counts == [40, 27]
+
+
+def test_frobenius_pencil_traces_one_call_per_forward_layer():
+    # install() rebinds module globals for the rest of the process, so the
+    # traced run gets an interpreter of its own.
+    code = textwrap.dedent(
+        """
+        import contextlib, importlib.util, io, json, sys
+        from flatpencil import cli
+        spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        tracer = tracing.Tracer()
+        tracer.install()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["frobenius", "pencil", sys.argv[2]])
+        print(json.dumps({"exit": code, "layers": tracer.metrics()}))
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    source = ROOT / "perfbench" / "sources" / "a3-frobenius.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(TRACING), str(source)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["exit"] == 0
+    for layer in ("frobenius.check_wdvv", "frobenius.intersection_form", "frobenius.to_flat_pencil"):
+        assert result["layers"][f"{layer}.calls"] == 1, layer
