@@ -42,7 +42,7 @@ from .geometry import (
     push_metric,
 )
 from .linalg import exact_linsolve, nullspace
-from .qpoly import QPoly
+from .qpoly import QPoly, dot
 from .reconstruction import ReconstructionResult, reconstruct_frobenius
 from .reports import Certificate, Report
 
@@ -167,10 +167,15 @@ def arnold_metric(chart: OrbitChart) -> ContraMetric:
     zero = QPoly.zero(n)
     s = [QPoly.const(n, h), zero] + [QPoly.var(n, h - k) for k in range(2, h + 1)]
     e = [QPoly.const(n, 1)]
+
+    def alternating(pairs):
+        """sum over i >= 1 of (-1)^(i-1) a_i b_i, for pairs[i - 1] = (a_i, b_i)"""
+        return dot(n, pairs[::2], pairs[1::2])
+
     for k in range(1, h + 1):
-        e.append(sum((e[k - i] * s[i] * (-1) ** (i - 1) for i in range(1, k + 1)), zero) * Q(1, k))
+        e.append(alternating([(e[k - i], s[i]) for i in range(1, k + 1)]) * Q(1, k))
     for k in range(h + 1, 2 * h - 1):
-        s.append(sum((e[i] * s[k - i] * (-1) ** (i - 1) for i in range(1, h + 1)), zero))
+        s.append(alternating([(e[i], s[k - i]) for i in range(1, h + 1)]))
     entries = [[zero] * n for _ in range(n)]
     for i, a in enumerate(chart.degrees):
         for j in range(i, n):
@@ -238,14 +243,13 @@ def saito_flat_coordinates(chart: OrbitChart, g2: ContraMetric) -> list[QPoly]:
         rows_keys = set()
         images = []
         for mono in basis:
+            dmono = [mono.diff(s) for s in range(n)]
             per_ij = []
             for i in range(n):
                 for j in range(n):
-                    acc = QPoly.zero(n)
-                    for s in range(n):
-                        acc = acc + g2.g[i][s] * mono.diff(s).diff(j)
-                        acc = acc + gamma[j][i][s] * mono.diff(s)
-                    terms = acc.terms
+                    pairs = [(g2.g[i][s], dmono[s].diff(j)) for s in range(n)]
+                    pairs += [(gamma[j][i][s], dmono[s]) for s in range(n)]
+                    terms = dot(n, pairs).terms
                     per_ij.append(terms)
                     rows_keys.update(terms)
             images.append(per_ij)
@@ -264,11 +268,7 @@ def saito_flat_coordinates(chart: OrbitChart, g2: ContraMetric) -> list[QPoly]:
         if vec[pure] == 0:
             raise GradingError(f"flat generator of degree {deg} misses the generator direction")
         scale = 1 / vec[pure]
-        t_poly = QPoly.zero(n)
-        for coeff, mono in zip(vec, basis):
-            if coeff:
-                t_poly = t_poly + mono * (coeff * scale)
-        out.append(t_poly)
+        out.append(dot(n, [(mono, coeff * scale) for coeff, mono in zip(vec, basis)]))
     return out
 
 
@@ -311,10 +311,9 @@ def coxeter_pencil(rank: int) -> tuple[CoxeterPencil, ReconstructionResult]:
 
     # Guard: tau raised by the unity-flow metric is the raw unity itself,
     # which is what makes the later global rescale consistent.
+    dtau = [tau_p.diff(s) for s in range(n)]
     for a in range(n):
-        raised = QPoly.zero(n)
-        for s in range(n):
-            raised = raised + g2_p.g[a][s] * tau_p.diff(s)
+        raised = dot(n, zip(g2_p.g[a], dtau))
         if not (raised - (1 if a == 0 else 0)).is_zero():
             raise InternalCheckError(
                 f"unity-flow raise of tau is not d/dp_1 (component {a + 1}: {raised})"

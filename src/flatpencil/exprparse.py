@@ -13,9 +13,9 @@ there is no general division.  Exponents are nonnegative integers, and a
 power whose exponent or total degree exceeds ``MAX_POWER_DEGREE`` is a
 parse error.  Digits are ASCII 0-9.  A token longer than
 ``MAX_TOKEN_LENGTH``, parentheses nested deeper than ``MAX_NESTING_DEPTH``
-and a value outside the ring (an exp rate beyond ``qpoly.EXP_RATE_LIMIT``)
-are parse errors too.  Errors carry the 1-based line and column of the
-offending token.
+and a value outside the ring (an exp rate beyond ``qpoly.EXP_RATE_LIMIT``,
+or a product of total degree beyond ``qpoly.POWER_LIMIT``) are parse errors
+too.  Errors carry the 1-based line and column of the offending token.
 """
 
 from __future__ import annotations

@@ -9,8 +9,7 @@ an affine-linear Euler field E, a unity coordinate index u (the unity
 vector field is d/dt^u), and the rational charge d.  The module certifies
 the associativity (WDVV) equations, the unity axiom c(e, ., .) = eta and the
 Euler scaling of F and eta, builds the intersection form
-g^{ab} = E^e c_e^{ab}, and produces the associated flat pencil (g, eta)
-together with its polynomial connection.
+g^{ab} = E^e c_e^{ab}, and produces the associated flat pencil (g, eta).
 
 The forward quantities (derivatives of F, the unity-checked structure
 constants, the WDVV certificate, the scaling data A, B, C) are derived once,
@@ -31,17 +30,14 @@ from .errors import (
     UnityViolationError,
 )
 from .geometry import (
-    Connection,
     ContraMetric,
     PencilData,
     VectorField,
     lie_bracket,
     linear_forms,
-    metricity_residuals,
-    symmetry_residuals,
 )
 from .linalg import mat_inverse
-from .qpoly import QPoly
+from .qpoly import QPoly, dot
 from .reports import Certificate
 
 Q = Fraction
@@ -141,9 +137,9 @@ def structure_constants(m: FrobeniusData) -> StructureConstants:
 
 def _raise_first(c, mat, n: int):
     """Contract the first index with mat: c'^a_{bc} = mat[a][l] c_{lbc}."""
-    zero = QPoly.zero(c[0][0][0].nvars)
+    nvars = c[0][0][0].nvars
     return [
-        [[sum((c[l][b][k] * mat[a][l] for l in range(n)), zero) for k in range(n)] for b in range(n)]
+        [[dot(nvars, [(c[l][b][k], mat[a][l]) for l in range(n)]) for k in range(n)] for b in range(n)]
         for a in range(n)
     ]
 
@@ -153,10 +149,10 @@ def contract_two(c, mat, n: int):
 
     With eta^{-1} this raises c_abc to c^{ab}_c; with eta it lowers back.
     """
-    zero = QPoly.zero(c[0][0][0].nvars)
+    nvars = c[0][0][0].nvars
     half = _raise_first(c, mat, n)
     return [
-        [[sum((half[a][m][k] * mat[b][m] for m in range(n)), zero) for k in range(n)] for b in range(n)]
+        [[dot(nvars, [(half[a][m][k], mat[b][m]) for m in range(n)]) for k in range(n)] for b in range(n)]
         for a in range(n)
     ]
 
@@ -171,15 +167,15 @@ def check_wdvv(m: FrobeniusData) -> Certificate:
     n = m.n
     c_low = m.c_low
     raised = _raise_first(c_low, m.eta_inv, n)
-    zero = QPoly.zero(n)
 
     def residuals():
         for a in range(n):
             for dd in range(a + 1, n):
                 for b in range(n):
                     for c in range(n):
-                        terms = (c_low[a][b][e] * raised[e][c][dd] - c_low[dd][b][e] * raised[e][c][a] for e in range(n))
-                        yield f"indices ({a + 1},{b + 1},{c + 1},{dd + 1})", sum(terms, zero)
+                        plus = [(c_low[a][b][e], raised[e][c][dd]) for e in range(n)]
+                        minus = [(c_low[dd][b][e], raised[e][c][a]) for e in range(n)]
+                        yield f"indices ({a + 1},{b + 1},{c + 1},{dd + 1})", dot(n, plus, minus)
 
     return reports.residual_certificate("wdvv-associativity", residuals())
 
@@ -193,10 +189,7 @@ def check_quasihomogeneity(m: FrobeniusData) -> tuple[list[list[Q]], list[Q], Q]
     """
     n = m.n
     e_field = m.euler_field()
-    lief = QPoly.zero(n)
-    for a in range(n):
-        lief = lief + e_field.components[a] * m.gradient[a]
-    residual = lief - m.potential * (3 - m.d)
+    residual = dot(n, zip(e_field.components, m.gradient), [(m.potential, 3 - m.d)])
     extra = residual - residual.poly_part_degree_at_most(2)
     if not extra.is_zero():
         raise NotQuasihomogeneousError(
@@ -233,14 +226,7 @@ def intersection_form(m: FrobeniusData) -> ContraMetric:
     a_mat = m.scaling[0]
     sc = m.structure
     e_field = m.euler_field()
-    zero = QPoly.zero(n)
-    entries = [
-        [
-            sum((e_field.components[e] * sc.c_mixed[a][b][e] for e in range(n)), zero)
-            for b in range(n)
-        ]
-        for a in range(n)
-    ]
+    entries = [[dot(n, zip(e_field.components, sc.c_mixed[a][b])) for b in range(n)] for a in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if not (entries[i][j] - entries[j][i]).is_zero():
@@ -249,19 +235,19 @@ def intersection_form(m: FrobeniusData) -> ContraMetric:
     r_mat = scaling_operator(m)
     inv = m.eta_inv
 
-    def raise_both(t, zero):
+    def raise_both(t):
         return [
-            [sum((t[l][mm] * (inv[a][l] * inv[b][mm]) for l in range(n) for mm in range(n)), zero) for b in range(n)]
+            [dot(n, [(t[l][mm], inv[a][l] * inv[b][mm]) for l in range(n) for mm in range(n)]) for b in range(n)]
             for a in range(n)
         ]
 
-    hess_up = raise_both(m.hessian, zero)
-    a_up = raise_both(a_mat, Q(0))
+    hess_up = raise_both(m.hessian)
+    a_up = raise_both(a_mat)
     for a in range(n):
         for b in range(n):
-            second = QPoly.const(n, a_up[a][b])
-            for e in range(n):
-                second = second + hess_up[e][b] * r_mat[a][e] + hess_up[a][e] * r_mat[b][e]
+            second = a_up[a][b] + dot(
+                n, [(hess_up[e][b], r_mat[a][e]) for e in range(n)] + [(hess_up[a][e], r_mat[b][e]) for e in range(n)]
+            )
             if not (entries[a][b] - second).is_zero():
                 raise InternalCheckError(
                     f"Hessian form of the intersection form disagrees at entry "
@@ -277,34 +263,6 @@ def scaling_operator(m: FrobeniusData) -> list[list[Q]]:
         [m.euler_linear[a][b] + (Q(m.d - 1) / 2 if a == b else 0) for b in range(n)]
         for a in range(n)
     ]
-
-
-def pencil_gamma(m: FrobeniusData) -> Connection:
-    """The polynomial connection G_c^{ab} = c^{ae}_c R_e^b of the pencil
-    (g - lam * eta), verified to satisfy symmetry and metricity for every
-    lam (the lam^0 and lam^1 coefficient identities)."""
-    n = m.n
-    sc = m.structure
-    r_mat = scaling_operator(m)
-    zero = QPoly.zero(n)
-    gamma_poly = [
-        [
-            [sum((sc.c_mixed[a][e][c] * r_mat[b][e] for e in range(n)), zero) for b in range(n)]
-            for a in range(n)
-        ]
-        for c in range(n)
-    ]
-    g = intersection_form(m)
-    for (k, i, j), res in metricity_residuals(g.g, gamma_poly, n, n):
-        if not res.is_zero():
-            raise InternalCheckError(f"pencil connection fails metricity at ({k + 1},{i + 1},{j + 1})")
-    for gmat, tag in ((g.g, "lam^0"), (m.eta_metric().g, "lam^1")):
-        for (i, j, k), res in symmetry_residuals(gmat, gamma_poly, n):
-            if not res.is_zero():
-                raise InternalCheckError(
-                    f"pencil connection fails symmetry ({tag}) at ({i + 1},{j + 1},{k + 1})"
-                )
-    return Connection(gamma_poly)
 
 
 def to_flat_pencil(m: FrobeniusData) -> PencilData:

@@ -51,7 +51,7 @@ from fractions import Fraction
 from . import reports
 from .errors import DegreeInferenceError, InternalCheckError, SingularMetricError
 from .linalg import sym_adjugate, sym_det
-from .qpoly import QPoly, RatFunc, exact_divide
+from .qpoly import QPoly, RatFunc, dot, exact_divide
 from .reports import Certificate, Report
 
 Q = Fraction
@@ -87,7 +87,7 @@ class ContraMetric:
     @property
     def det(self) -> QPoly:
         if self._det is None:
-            self._det = sym_det(self.g, QPoly.zero(self.nvars))
+            self._det = sym_det(self.g, self.nvars)
         return self._det
 
     def is_degenerate(self) -> bool:
@@ -230,20 +230,22 @@ def _build_connection(g: ContraMetric) -> Connection:
         zero = QPoly.zero(nvars)
         return Connection([[[zero] * n for _i in range(n)] for _k in range(n)])
 
-    adj = sym_adjugate(g.g, QPoly.zero(nvars))
+    adj = sym_adjugate(g.g, nvars)
     dg = [[[g.g[i][j].diff(s) for s in range(n)] for j in range(n)] for i in range(n)]
-
-    def transport(i: int, j: int, q: int) -> QPoly:
-        """g^{is} d_s g^{jq}"""
-        return sum((g.g[i][s] * dg[j][q][s] for s in range(1, n)), g.g[i][0] * dg[j][q][0])
-
-    tr = [[[transport(i, j, q) for q in range(n)] for j in range(n)] for i in range(n)]
+    # skew[i][j][q] = g^{is} d_s g^{jq} - g^{js} d_s g^{iq}, shared by every k
+    skew = [
+        [
+            [
+                dot(nvars, [(g.g[i][s], dg[j][q][s]) for s in range(n)], [(g.g[j][s], dg[i][q][s]) for s in range(n)])
+                for q in range(n)
+            ]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
 
     def numerator(k: int, i: int, j: int) -> QPoly:
-        num = det * dg[i][j][k]
-        for q in range(n):
-            num = num + adj[k][q] * (tr[i][j][q] - tr[j][i][q])
-        return num * Q(1, 2)
+        return dot(nvars, [(det, dg[i][j][k])] + [(adj[k][q], skew[i][j][q]) for q in range(n)]) * Q(1, 2)
 
     nums = [[[numerator(k, i, j) for j in range(n)] for i in range(n)] for k in range(n)]
     quos = [[[exact_divide(num, det) for num in row] for row in layer] for layer in nums]
@@ -262,13 +264,13 @@ def _build_connection(g: ContraMetric) -> Connection:
 
 def symmetry_residuals(gmat, gamma, n: int):
     """Residuals of g^{is} G_s^{jk} = g^{js} G_s^{ik} over i < j, all k."""
+    nvars = gmat[0][0].nvars
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
-                res = gmat[i][0] * gamma[0][j][k] - gmat[j][0] * gamma[0][i][k]
-                for s in range(1, n):
-                    res = res + (gmat[i][s] * gamma[s][j][k] - gmat[j][s] * gamma[s][i][k])
-                yield (i, j, k), res
+                plus = [(gmat[i][s], gamma[s][j][k]) for s in range(n)]
+                minus = [(gmat[j][s], gamma[s][i][k]) for s in range(n)]
+                yield (i, j, k), dot(nvars, plus, minus)
 
 
 def metricity_residuals(gmat, gamma, n: int, ncoords: int):
@@ -300,24 +302,30 @@ def _curvature_entries(gmat, gamma, n: int, ncoords: int):
         [[[gamma[l][j][k].diff(s) for s in range(ncoords)] for k in range(n)] for j in range(n)]
         for l in range(n)
     ]
-    out = []
-    for l in range(n):
-        rows_i = []
-        for i in range(n):
-            rows_j = []
-            for j in range(n):
-                rows_k = []
-                for k in range(n):
-                    acc = gmat[i][0] * (dgamma[l][j][k][0] - dgamma[0][j][k][l])
-                    for s in range(1, n):
-                        acc = acc + gmat[i][s] * (dgamma[l][j][k][s] - dgamma[s][j][k][l])
-                    for s in range(n):
-                        acc = acc + (gamma[s][i][k] * gamma[l][s][j] - gamma[s][i][j] * gamma[l][s][k])
-                    rows_k.append(acc)
-                rows_j.append(rows_k)
-            rows_i.append(rows_j)
-        out.append(rows_i)
-    return out
+    # curl[l][s][j][k] = d_s G_l^{jk} - d_l G_s^{jk}, shared by every i
+    curl = [
+        [[[dgamma[l][j][k][s] - dgamma[s][j][k][l] for k in range(n)] for j in range(n)] for s in range(n)]
+        for l in range(n)
+    ]
+    nvars = gmat[0][0].nvars
+    return [
+        [
+            [
+                [
+                    dot(
+                        nvars,
+                        [(gmat[i][s], curl[l][s][j][k]) for s in range(n)]
+                        + [(gamma[s][i][k], gamma[l][s][j]) for s in range(n)],
+                        [(gamma[s][i][j], gamma[l][s][k]) for s in range(n)],
+                    )
+                    for k in range(n)
+                ]
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        for l in range(n)
+    ]
 
 
 def is_flat(g: ContraMetric) -> Certificate:
@@ -335,32 +343,31 @@ def is_flat(g: ContraMetric) -> Certificate:
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     """[X, Y]^i = X^s d_s Y^i - Y^s d_s X^i."""
-    n = x.n
-    comps = []
-    for i in range(n):
-        acc = QPoly.zero(x.components[0].nvars)
-        for s in range(n):
-            acc = acc + x.components[s] * y.components[i].diff(s)
-            acc = acc - y.components[s] * x.components[i].diff(s)
-        comps.append(acc)
-    return VectorField(comps)
+    n, nvars = x.n, x.components[0].nvars
+    xs, ys = x.components, y.components
+    return VectorField(
+        [
+            dot(nvars, [(xs[s], ys[i].diff(s)) for s in range(n)], [(ys[s], xs[i].diff(s)) for s in range(n)])
+            for i in range(n)
+        ]
+    )
 
 
 def lie_derivative_metric(x: VectorField, g: ContraMetric) -> list[list[QPoly]]:
     """(L_X g)^{ij} = X^s d_s g^{ij} - g^{sj} d_s X^i - g^{is} d_s X^j."""
     n = g.n
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = QPoly.zero(g.nvars)
-            for s in range(n):
-                acc = acc + x.components[s] * g.g[i][j].diff(s)
-                acc = acc - g.g[s][j] * x.components[i].diff(s)
-                acc = acc - g.g[i][s] * x.components[j].diff(s)
-            row.append(acc)
-        out.append(row)
-    return out
+    dx = [[c.diff(s) for s in range(n)] for c in x.components]
+    return [
+        [
+            dot(
+                g.nvars,
+                [(x.components[s], g.g[i][j].diff(s)) for s in range(n)],
+                [(g.g[s][j], dx[i][s]) for s in range(n)] + [(g.g[i][s], dx[j][s]) for s in range(n)],
+            )
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
 
 
 def lie_derivative_connection(x: VectorField, tensor: list[list[list]]) -> list[list[list]]:
@@ -371,24 +378,23 @@ def lie_derivative_connection(x: VectorField, tensor: list[list[list]]) -> list[
 
     Entries may be QPoly or RatFunc.
     """
-    n = len(tensor)
-    out = []
-    for k in range(n):
-        rows_i = []
-        for i in range(n):
-            rows_j = []
-            for j in range(n):
-                acc = tensor[k][i][j].diff(0) * x.components[0]
-                for s in range(1, n):
-                    acc = acc + tensor[k][i][j].diff(s) * x.components[s]
-                for s in range(n):
-                    acc = acc - tensor[k][s][j] * x.components[i].diff(s)
-                    acc = acc - tensor[k][i][s] * x.components[j].diff(s)
-                    acc = acc + tensor[s][i][j] * x.components[s].diff(k)
-                rows_j.append(acc)
-            rows_i.append(rows_j)
-        out.append(rows_i)
-    return out
+    n, nvars = len(tensor), x.components[0].nvars
+    dx = [[c.diff(s) for s in range(n)] for c in x.components]
+    return [
+        [
+            [
+                dot(
+                    nvars,
+                    [(tensor[k][i][j].diff(s), x.components[s]) for s in range(n)]
+                    + [(tensor[s][i][j], dx[s][k]) for s in range(n)],
+                    [(tensor[k][s][j], dx[i][s]) for s in range(n)] + [(tensor[k][i][s], dx[j][s]) for s in range(n)],
+                )
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        for k in range(n)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +405,7 @@ def lie_derivative_connection(x: VectorField, tensor: list[list[list]]) -> list[
 def linear_forms(matrix: list[list[Q]]) -> list[QPoly]:
     """The rows of a constant matrix as linear forms sum_b matrix[a][b] t^b."""
     nvars = len(matrix[0])
-    return [sum((QPoly.var(nvars, b) * c for b, c in enumerate(row) if c), QPoly.zero(nvars)) for row in matrix]
+    return [dot(nvars, [(QPoly.var(nvars, b), c) for b, c in enumerate(row)]) for row in matrix]
 
 
 def push_metric(g: ContraMetric, new_coords: list[QPoly], old_in_new: list[QPoly]) -> ContraMetric:
@@ -413,14 +419,12 @@ def push_metric(g: ContraMetric, new_coords: list[QPoly], old_in_new: list[QPoly
     """
     n = g.n
     jac = [[y.diff(i) for i in range(n)] for y in new_coords]
-    left = [
-        [sum((jac[a][i] * g.g[i][j] for i in range(1, n)), jac[a][0] * g.g[0][j]) for j in range(n)]
-        for a in range(n)
-    ]
+    nvars = g.nvars
+    left = [[dot(nvars, [(jac[a][i], g.g[i][j]) for i in range(n)]) for j in range(n)] for a in range(n)]
     out = [[None] * n for _a in range(n)]
     for a in range(n):
         for b in range(a, n):
-            entry = sum((left[a][j] * jac[b][j] for j in range(1, n)), left[a][0] * jac[b][0])
+            entry = dot(nvars, zip(left[a], jac[b]))
             out[a][b] = out[b][a] = entry.substitute(old_in_new)
     return ContraMetric(out)
 
@@ -428,8 +432,8 @@ def push_metric(g: ContraMetric, new_coords: list[QPoly], old_in_new: list[QPoly
 def push_vector(x: VectorField, new_coords: list[QPoly], old_in_new: list[QPoly]) -> VectorField:
     """The vector field X'^a(y) = (X^i d_i y^a)(x(y)), coordinates as in
     :func:`push_metric`."""
-    n = x.n
-    comps = [sum((x.components[i] * y.diff(i) for i in range(1, n)), x.components[0] * y.diff(0)) for y in new_coords]
+    nvars = x.components[0].nvars
+    comps = [dot(nvars, [(c, y.diff(i)) for i, c in enumerate(x.components)]) for y in new_coords]
     return VectorField([c.substitute(old_in_new) for c in comps])
 
 
@@ -469,7 +473,7 @@ def check_flat_pencil(p: PencilData) -> Report:
 
     report = Report()
 
-    det_l = sym_det(g_l, QPoly.zero(big))
+    det_l = sym_det(g_l, big)
     if det_l.is_zero():
         report.add(Certificate("pencil-determinant", reports.FAIL, witness="det(g1 - lam*g2) is identically zero"))
     else:
@@ -505,12 +509,8 @@ def euler_fields(p: PencilData) -> tuple[VectorField, VectorField]:
     """E = g1 grad(tau), e = g2 grad(tau)."""
     if p.tau is None:
         raise ValueError("pencil carries no scaling potential tau")
-    n = p.n
-    grad = [p.tau.diff(s) for s in range(n)]
-    e_big, e_small = (
-        VectorField([sum((a * b for a, b in zip(row[1:], grad[1:])), row[0] * grad[0]) for row in g.g])
-        for g in (p.g1, p.g2)
-    )
+    grad = [p.tau.diff(s) for s in range(p.n)]
+    e_big, e_small = (VectorField([dot(g.nvars, zip(row, grad)) for row in g.g]) for g in (p.g1, p.g2))
     return e_big, e_small
 
 

@@ -5,9 +5,9 @@ elimination over `Fraction` (`_rref`); rank deficiency is reported, never
 papered over.  `rational_roots` clears denominators and tries the
 rational-root-theorem candidates of the integer polynomial once.
 
-The symbolic helpers (determinant, adjugate) are written
-against the ring operators `+ - *` and therefore work uniformly for
-`Fraction`, `QPoly` and `RatFunc` entries.
+The symbolic helpers (determinant, adjugate) take QPoly entries in
+``nvars`` variables and sum each Laplace expansion through `qpoly.dot`, so a
+cofactor sum is one multiply-accumulate over one denominator.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import NoSolutionError, UnderdeterminedError
+from .qpoly import QPoly, dot
 
 Q = Fraction
 
@@ -195,36 +196,33 @@ def _synth_div(ints: list, root: Q) -> tuple[list, Q]:
 
 
 # ---------------------------------------------------------------------------
-# Generic symbolic matrices (entries: anything with + - * and unary -)
+# Symbolic matrices of QPoly entries
 # ---------------------------------------------------------------------------
 
 
-def sym_det(m: list[list], zero):
-    """Laplace-expansion determinant; fine for the small ranks used here."""
+def sym_det(m: list[list[QPoly]], nvars: int) -> QPoly:
+    """Laplace-expansion determinant along the first row; fine for the small
+    ranks used here."""
     n = len(m)
     if n == 0:
         raise ValueError("empty matrix")
     if n == 1:
         return m[0][0]
-    total = zero
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = m[0][j] * sym_det(minor, zero)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    terms = [(m[0][j], sym_det([row[:j] + row[j + 1 :] for row in m[1:]], nvars)) for j in range(n)]
+    return dot(nvars, terms[::2], terms[1::2])
 
 
-def sym_adjugate(m: list[list], zero) -> list[list]:
+def sym_adjugate(m: list[list[QPoly]], nvars: int) -> list[list[QPoly]]:
     """Adjugate matrix: adj(M) @ M = det(M) * I."""
     n = len(m)
     if n == 1:
-        return [[zero + 1]]
+        return [[QPoly.const(nvars, 1)]]
     adj = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             minor = [
                 [m[r][c] for c in range(n) if c != j] for r in range(n) if r != i
             ]
-            cof = sym_det(minor, zero)
+            cof = sym_det(minor, nvars)
             adj[j][i] = cof if (i + j) % 2 == 0 else -cof
     return adj

@@ -32,7 +32,7 @@ from .geometry import (
     push_metric,
 )
 from .linalg import mat_inverse
-from .qpoly import QPoly, RatFunc
+from .qpoly import QPoly, RatFunc, dot
 from .reconstruction import _require_constant_g2, potential_of_closed_form
 from .reports import Certificate, Report
 
@@ -117,13 +117,11 @@ def transform_bracket(
         for q in range(n):
             rows_k = []
             for k in range(n):
-                acc = QPoly.zero(n)
-                for i in range(n):
-                    for j in range(n):
-                        acc = acc + b.conn.gamma[k][i][j] * (jac[p][i] * jac[q][j])
-                        if not hess[q][j][k].is_zero():
-                            acc = acc + jac[p][i] * b.metric.g[i][j] * hess[q][j][k]
-                rows_k.append(acc)
+                pairs = [(b.conn.gamma[k][i][j], jac[p][i] * jac[q][j]) for i in range(n) for j in range(n)]
+                for j in range(n):
+                    if hess[q][j][k]:
+                        pairs += [(jac[p][i] * b.metric.g[i][j], hess[q][j][k]) for i in range(n)]
+                rows_k.append(dot(n, pairs))
             rows_q.append(rows_k)
         b_new.append(rows_q)
     return g_new, b_new
@@ -187,21 +185,15 @@ def virasoro_check(m: FrobeniusData, p: PencilData) -> Report:
     tee = p.tau * scale
 
     report = Report()
-    acc = QPoly.zero(n)
-    for i in range(n):
-        for j in range(n):
-            if dtee_c[i] and dtee_c[j]:
-                acc = acc + p.g1.g[i][j] * (dtee_c[i] * dtee_c[j])
-    report.add(reports.residual_certificate("virasoro-stress-pairing", [(None, acc - tee * 2)]))
+    pairing = dot(n, [(p.g1.g[i][j], dtee_c[i] * dtee_c[j]) for i in range(n) for j in range(n)], [(tee, 2)])
+    report.add(reports.residual_certificate("virasoro-stress-pairing", [(None, pairing)]))
 
     def stress_connection():
         for k in range(n):
-            val = QPoly.zero(n)
-            for i in range(n):
-                for j in range(n):
-                    if dtee_c[i] and dtee_c[j]:
-                        val = val + conn.gamma[k][i][j] * (dtee_c[i] * dtee_c[j])
-            yield f"k={k + 1}", val - dtee[k]
+            # Zero scalars are left out, so with no other pair the sum stays a
+            # QPoly even over a connection of fractions, and so does its witness.
+            pairs = [(conn.gamma[k][i][j], dtee_c[i] * dtee_c[j]) for i in range(n) for j in range(n)]
+            yield f"k={k + 1}", dot(n, [(x, c) for x, c in pairs if c]) - dtee[k]
 
     report.add(reports.residual_certificate("virasoro-stress-connection", stress_connection()))
 
@@ -209,21 +201,14 @@ def virasoro_check(m: FrobeniusData, p: PencilData) -> Report:
 
     def coordinate_pairing():
         for a in range(n):
-            acc = QPoly.zero(n)
-            for j in range(n):
-                if dtee_c[j]:
-                    acc = acc + p.g1.g[a][j] * dtee_c[j]
-            yield f"a={a + 1}", acc - e_field.components[a] * scale
+            yield f"a={a + 1}", dot(n, zip(p.g1.g[a], dtee_c), [(e_field.components[a], scale)])
 
     report.add(reports.residual_certificate("virasoro-coordinate-pairing", coordinate_pairing()))
 
     def coordinate_connection():
         for a in range(n):
             for k in range(n):
-                val = QPoly.zero(n)
-                for j in range(n):
-                    if dtee_c[j]:
-                        val = val + conn.gamma[k][a][j] * dtee_c[j]
+                val = dot(n, [(x, c) for x, c in zip(conn.gamma[k][a], dtee_c) if c])
                 yield f"(a,k)=({a + 1},{k + 1})", val - (1 if a == k else 0)
 
     report.add(reports.residual_certificate("virasoro-coordinate-connection", coordinate_connection()))
@@ -246,20 +231,11 @@ def recursion_step(p: PencilData, density: Density) -> Density:
     h = density.h
     dh = [h.diff(e) for e in range(n)]
     ddh = [[dh[e].diff(g) for g in range(n)] for e in range(n)]
-    rhs = []
-    for a in range(n):
-        row = []
-        for g in range(n):
-            acc = QPoly.zero(n)
-            for e in range(n):
-                acc = acc + p.g1.g[a][e] * ddh[e][g]
-                acc = acc + gamma[g][a][e] * dh[e]
-            row.append(acc)
-        rhs.append(row)
-    target = [
-        [sum((rhs[i][k] * eta_cov[j][i] for i in range(n)), QPoly.zero(n)) for k in range(n)]
-        for j in range(n)
+    rhs = [
+        [dot(n, [*zip(p.g1.g[a], (row[g] for row in ddh)), *zip(gamma[g][a], dh)]) for g in range(n)]
+        for a in range(n)
     ]
+    target = [[dot(n, [(rhs[i][k], eta_cov[j][i]) for i in range(n)]) for k in range(n)] for j in range(n)]
     for j in range(n):
         for k in range(j + 1, n):
             if not (target[j][k] - target[k][j]).is_zero():
@@ -292,7 +268,10 @@ def central_charge(m: FrobeniusData, coxeter_rank: int | None = None) -> Central
     For a type-A orbit space the same number must equal 12 rho^2, with rho
     half the sum of the positive roots in the normalization (alpha, alpha)
     = 2; the comparison value is computed from the root system itself.
+    The unity axiom of ``m`` is certified first (``m.structure`` raises
+    UnityViolationError), as on every other path that reads a potential.
     """
+    m.structure
     if m.d == 1:
         raise DEqualsOneError("central charge formula requires d != 1")
     n = m.n

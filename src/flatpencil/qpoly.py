@@ -8,11 +8,31 @@ coordinates t1..tn is a finite Q-linear combination of terms
 with integer powers ``ai >= 0`` and rational rates ``ri`` (mostly zero).
 A term is keyed by the pair
 
-    (coordinate powers, exponential factors)
+    (packed coordinate powers, exponential factors)
 
 where the exponential factors are stored sparsely as a sorted tuple of
 ``(axis, rate)`` pairs with nonzero rates.  Products of exponentials on the
 same coordinate normalize by adding rates.
+
+The coordinate powers are packed into one int of 16-bit fields: the top
+field holds the total degree, then one field per axis, axis 0 first,
+
+    packed = (a1 + ... + an) << 16n | a1 << 16(n-1) | ... | an.
+
+The integer order of packed keys is therefore (total degree, powers
+lexicographic), which is both the printed term order and the monomial
+order of :func:`exact_divide`.  A product of two terms adds their packed
+keys; a derivative or an integral subtracts or adds one per-axis unit (a
+one in the axis field and in the degree field).  The top bit of every
+field is a guard that no stored key sets, so every power and the total
+degree are at most ``POWER_LIMIT`` = 32767.  The total degree bounds every
+power, so a product or an integral that would set a guard sets the one of
+the degree field; it raises :class:`OutOfRingError`, as the exp-rate
+bound does, and exact division reads a negative power as a borrow into a
+guard bit.  Keys are unpacked only at the API edge: ``QPoly(nvars, {(pows,
+efac): Fraction})``, :attr:`QPoly.terms` and :meth:`QPoly.coefficient`
+speak in ``(powers tuple, exponential factors)`` pairs, and printing,
+evaluation, substitution and embedding read the powers back.
 
 The coefficients are stored as integer numerators over one positive
 common denominator, reduced so that the denominator and the numerators
@@ -23,6 +43,13 @@ Python ints; `fractions.Fraction` appears only at the API edge, in the
 constructor, the :attr:`QPoly.terms` view, single coefficients,
 evaluation and printing.  Exponential rates are Fractions, as part of the
 term key.  No floating point enters any arithmetic path.
+
+:func:`dot` is the one multiply-accumulate kernel: the contraction
+sum a*b over ``plus`` minus sum a*b over ``minus`` of QPoly, int or
+Fraction operands goes into one numerator dict over the lcm of the pair
+denominators and is reduced once.  With a RatFunc operand it is the left
+fold ``acc +- a*b`` from zero in pair order, the arithmetic a written-out
+loop does, so a fraction keeps the representation such a loop gives it.
 
 :class:`RatFunc` is a fraction num/den of two QPoly, kept as it was built:
 no common factors are cancelled and no denominator is scaled.  A value is
@@ -50,12 +77,20 @@ from .errors import OutOfRingError
 
 Q = Fraction
 
-# A single term: (coordinate powers, ((axis, rate), ...)).
+# A single term: (coordinate powers, ((axis, rate), ...)); the store keys
+# terms by (packed powers, ((axis, rate), ...)).
 TermKey = tuple[tuple[int, ...], tuple[tuple[int, Q], ...]]
+PackedKey = tuple[int, tuple[tuple[int, Q], ...]]
 
 # Rates beyond this magnitude indicate a runaway product of exponential
 # generators; the ring is kept finitely presented by treating it as an error.
 EXP_RATE_LIMIT = Q(10**9)
+
+# Width of one packed field; its top bit is the guard, so a power or total
+# degree beyond POWER_LIMIT does not fit.
+_FIELD = 16
+_FIELD_MASK = (1 << _FIELD) - 1
+POWER_LIMIT = (1 << (_FIELD - 1)) - 1
 
 # Iteration cap for exact_divide.  Exceeding it reports the division as
 # inexact, so the caller keeps a fraction instead of a quotient.
@@ -70,7 +105,52 @@ def _as_q(x) -> Q:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-def _make(nvars: int, nums: dict[TermKey, int], den: int = 1) -> "QPoly":
+# -- packed coordinate powers ------------------------------------------------
+
+
+def _power_bound_error() -> OutOfRingError:
+    return OutOfRingError(f"coordinate power bound {POWER_LIMIT} exceeded")
+
+
+def _pack(pows: tuple[int, ...]) -> int:
+    total = sum(pows)
+    if total > POWER_LIMIT:
+        raise _power_bound_error()
+    packed = total
+    for p in pows:
+        if p < 0:
+            raise ValueError("coordinate powers must be nonnegative")
+        packed = (packed << _FIELD) | p
+    return packed
+
+
+def _unpack(packed: int, nvars: int) -> tuple[int, ...]:
+    """The coordinate powers of a packed key, axis 0 first."""
+    return tuple([(packed >> shift) & _FIELD_MASK for shift in range(_FIELD * (nvars - 1), -1, -_FIELD)])
+
+
+def _shift(nvars: int, axis: int) -> int:
+    """Bit offset of the field of ``axis``."""
+    return _FIELD * (nvars - 1 - axis)
+
+
+def _unit(nvars: int, axis: int) -> int:
+    """The packed powers of t_axis: one in its field and in the degree field."""
+    return (1 << (_FIELD * nvars)) | (1 << _shift(nvars, axis))
+
+
+def _check_degree(nums: dict[PackedKey, int], nvars: int) -> None:
+    """Raise when a key of ``nums`` sets the guard bit of the degree field.
+
+    Keys built from stored keys by one addition of a packed product or unit
+    never carry between fields, and every power is at most the total
+    degree, so this one bit covers every field.
+    """
+    if nums and max(nums)[0] >> (_FIELD * nvars + _FIELD - 1):
+        raise _power_bound_error()
+
+
+def _make(nvars: int, nums: dict[PackedKey, int], den: int = 1) -> "QPoly":
     """The QPoly sum(nums[key] * key) / den in canonical form: zeros
     dropped, then numerators and den > 0 divided by their gcd (which makes
     zero's den 1).  The result may keep ``nums`` itself, which nobody may
@@ -89,24 +169,40 @@ def _make(nvars: int, nums: dict[TermKey, int], den: int = 1) -> "QPoly":
     return res
 
 
-def _over_common_den(parts: Iterable[tuple[TermKey, int, int]]) -> tuple[dict[TermKey, int], int]:
+def _over_common_den(parts: Iterable[tuple[PackedKey, int, int]]) -> tuple[dict[PackedKey, int], int]:
     """Sum the terms key * (num / den) of ``parts`` (every den > 0) as
     integer numerators over the least common denominator."""
     parts = list(parts)
     den = lcm(*(d for _k, _n, d in parts))
-    nums: dict[TermKey, int] = {}
+    nums: dict[PackedKey, int] = {}
     for key, n, d in parts:
         nums[key] = nums.get(key, 0) + n * (den // d)
     return nums, den
 
 
+def _mul_into(out: dict[PackedKey, int], left: dict[PackedKey, int], right: dict[PackedKey, int], scale: int) -> None:
+    """Add scale * left * right into ``out``, term by term."""
+    get = out.get
+    right_items = right.items()
+    for (pa, ea), ca in left.items():
+        c = ca * scale
+        if ea:
+            for (pb, eb), cb in right_items:
+                key = (pa + pb, _mul_exps(ea, eb) if eb else ea)
+                out[key] = get(key, 0) + c * cb
+        else:
+            for (pb, eb), cb in right_items:
+                key = (pa + pb, eb)
+                out[key] = get(key, 0) + c * cb
+
+
 class QPoly:
     """Immutable exact quasi-polynomial: integer numerators over one denominator.
 
-    ``numerators`` maps each TermKey to a nonzero int and ``denominator`` is
-    a positive int sharing no factor with all of them.  ``QPoly(nvars,
-    {key: Fraction})`` builds one from rational coefficients; ``terms`` reads
-    them back as Fractions.
+    ``numerators`` maps each packed key to a nonzero int and ``denominator``
+    is a positive int sharing no factor with all of them.  ``QPoly(nvars,
+    {key: Fraction})`` builds one from rational coefficients under TermKey
+    keys; ``terms`` reads them back as Fractions under the same keys.
     """
 
     __slots__ = ("nvars", "numerators", "denominator")
@@ -116,15 +212,19 @@ class QPoly:
         # denominators, have numerators sharing no factor with it: the result
         # is already canonical.
         self.nvars = nvars
-        self.numerators, self.denominator = _over_common_den(
-            (key, c.numerator, c.denominator) for key, c in (terms or {}).items() if c
-        )
+        parts = []
+        for (pows, efac), c in (terms or {}).items():
+            if c:
+                if len(pows) != nvars:
+                    raise ValueError(f"term {pows} does not have {nvars} powers")
+                parts.append(((_pack(pows), efac), c.numerator, c.denominator))
+        self.numerators, self.denominator = _over_common_den(parts)
 
     @property
     def terms(self) -> dict[TermKey, Q]:
         """The coefficients as Fractions, in a new dict on every read."""
-        den = self.denominator
-        return {key: Q(c, den) for key, c in self.numerators.items()}
+        den, n = self.denominator, self.nvars
+        return {(_unpack(packed, n), efac): Q(c, den) for (packed, efac), c in self.numerators.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -138,15 +238,13 @@ class QPoly:
             value = _as_q(value)
         if not value:
             return _make(nvars, {})
-        return _make(nvars, {((0,) * nvars, ()): value.numerator}, value.denominator)
+        return _make(nvars, {(0, ()): value.numerator}, value.denominator)
 
     @classmethod
     def var(cls, nvars: int, axis: int) -> "QPoly":
         if not 0 <= axis < nvars:
             raise IndexError(f"axis {axis} out of range for {nvars} variables")
-        pows = [0] * nvars
-        pows[axis] = 1
-        return _make(nvars, {(tuple(pows), ()): 1})
+        return _make(nvars, {(_unit(nvars, axis), ()): 1})
 
     @classmethod
     def exp(cls, nvars: int, axis: int, rate) -> "QPoly":
@@ -158,7 +256,7 @@ class QPoly:
             raise OutOfRingError(f"exponential generator rate bound {EXP_RATE_LIMIT} exceeded")
         if rate == 0:
             return cls.const(nvars, 1)
-        return _make(nvars, {((0,) * nvars, ((axis, rate),)): 1})
+        return _make(nvars, {(0, ((axis, rate),)): 1})
 
     # -- ring structure ----------------------------------------------------
 
@@ -167,6 +265,16 @@ class QPoly:
 
     def is_zero(self) -> bool:
         return not self.numerators
+
+    def _operand(self, other) -> "QPoly | None":
+        """``other`` as a QPoly in this ring, or None for a foreign type."""
+        if not isinstance(other, QPoly):
+            if not isinstance(other, (int, Fraction)):
+                return None
+            return QPoly.const(self.nvars, other)
+        if self.nvars != other.nvars:
+            raise ValueError("mixed variable counts")
+        return other
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QPoly):
@@ -181,31 +289,28 @@ class QPoly:
 
     __hash__ = None  # mutable dict inside; never used as a key
 
-    def __add__(self, other) -> "QPoly":
-        if not isinstance(other, QPoly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = QPoly.const(self.nvars, other)
-        if self.nvars != other.nvars:
-            raise ValueError("mixed variable counts")
+    def _plus(self, other: "QPoly", sign: int) -> "QPoly":
+        """self + sign * other, numerators added over the lcm of the denominators."""
         if not other.numerators:
             return self
         if not self.numerators:
-            return other
+            return other if sign > 0 else other.__neg__()
         da, db = self.denominator, other.denominator
         if da == db:
             out = dict(self.numerators)
-            addends = other.numerators.items()
-            den = da
+            den, sb = da, sign
         else:
             den = lcm(da, db)
-            sa, sb = den // da, den // db
+            sa, sb = den // da, sign * (den // db)
             out = {key: c * sa for key, c in self.numerators.items()}
-            addends = [(key, c * sb) for key, c in other.numerators.items()]
         get = out.get
-        for key, c in addends:
-            out[key] = get(key, 0) + c
+        for key, c in other.numerators.items():
+            out[key] = get(key, 0) + c * sb
         return _make(self.nvars, out, den)
+
+    def __add__(self, other) -> "QPoly":
+        other = self._operand(other)
+        return NotImplemented if other is None else self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -213,14 +318,12 @@ class QPoly:
         return _make(self.nvars, {key: -c for key, c in self.numerators.items()}, self.denominator)
 
     def __sub__(self, other) -> "QPoly":
-        if not isinstance(other, QPoly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = QPoly.const(self.nvars, other)
-        return self.__add__(other.__neg__())
+        other = self._operand(other)
+        return NotImplemented if other is None else self._plus(other, -1)
 
     def __rsub__(self, other) -> "QPoly":
-        return (self.__neg__()).__add__(other)
+        other = self._operand(other)
+        return NotImplemented if other is None else other._plus(self, -1)
 
     def __mul__(self, other) -> "QPoly":
         if not isinstance(other, QPoly):
@@ -236,13 +339,9 @@ class QPoly:
             )
         if self.nvars != other.nvars:
             raise ValueError("mixed variable counts")
-        out: dict[TermKey, int] = {}
-        get = out.get
-        right = other.numerators.items()
-        for (pa, ea), ca in self.numerators.items():
-            for (pb, eb), cb in right:
-                key = (_mul_pows(pa, pb), _mul_exps(ea, eb))
-                out[key] = get(key, 0) + ca * cb
+        out: dict[PackedKey, int] = {}
+        _mul_into(out, self.numerators, other.numerators, 1)
+        _check_degree(out, self.nvars)
         return _make(self.nvars, out, self.denominator * other.denominator)
 
     __rmul__ = __mul__
@@ -288,18 +387,17 @@ class QPoly:
         if not 0 <= axis < self.nvars:
             raise IndexError(f"axis {axis} out of range")
         scale = lcm(*(r.denominator for (_p, efac) in self.numerators for a, r in efac if a == axis))
-        out: dict[TermKey, int] = {}
+        shift, unit = _shift(self.nvars, axis), _unit(self.nvars, axis)
+        out: dict[PackedKey, int] = {}
         get = out.get
-        for (pows, efac), c in self.numerators.items():
-            a = pows[axis]
+        for (packed, efac), c in self.numerators.items():
+            a = (packed >> shift) & _FIELD_MASK
             if a:
-                lowered = list(pows)
-                lowered[axis] = a - 1
-                key = (tuple(lowered), efac)
+                key = (packed - unit, efac)
                 out[key] = get(key, 0) + c * a * scale
             rate = _exp_rate(efac, axis) if efac else 0
             if rate:
-                key = (pows, efac)
+                key = (packed, efac)
                 out[key] = get(key, 0) + c * rate.numerator * (scale // rate.denominator)
         return _make(self.nvars, out, self.denominator * scale)
 
@@ -311,27 +409,25 @@ class QPoly:
         """
         if not 0 <= axis < self.nvars:
             raise IndexError(f"axis {axis} out of range")
-        parts: list[tuple[TermKey, int, int]] = []
-        for (pows, efac), c in self.numerators.items():
-            a = pows[axis]
+        shift, unit = _shift(self.nvars, axis), _unit(self.nvars, axis)
+        parts: list[tuple[PackedKey, int, int]] = []
+        for (packed, efac), c in self.numerators.items():
+            a = (packed >> shift) & _FIELD_MASK
             rate = _exp_rate(efac, axis)
             if not rate:
-                raised = list(pows)
-                raised[axis] = a + 1
-                parts.append(((tuple(raised), efac), c, a + 1))
+                parts.append(((packed + unit, efac), c, a + 1))
                 continue
             rn, rd = rate.numerator, rate.denominator
             falling = 1
             for j in range(a + 1):
-                newpows = list(pows)
-                newpows[axis] = a - j
                 # c * (-1)^j * falling / r^(j+1), with r = rn / rd
                 num, den = (-1) ** j * c * falling * rd ** (j + 1), rn ** (j + 1)
                 if den < 0:
                     num, den = -num, -den
-                parts.append(((tuple(newpows), efac), num, den))
+                parts.append(((packed - j * unit, efac), num, den))
                 falling *= a - j
         nums, den = _over_common_den(parts)
+        _check_degree(nums, self.nvars)
         return _make(self.nvars, nums, self.denominator * den)
 
     # -- substitution and embedding -----------------------------------------
@@ -363,20 +459,21 @@ class QPoly:
 
         # Each term enters with its integer numerator; the common
         # denominator divides the sum once at the end.
-        for (pows, efac), c in self.numerators.items():
+        for (packed, efac), c in self.numerators.items():
             piece = QPoly.const(target_n, c)
-            for axis, p in enumerate(pows):
+            for axis, p in enumerate(_unpack(packed, self.nvars)):
                 if p:
                     piece = piece * image_pow(axis, p)
             for axis, rate in efac:
                 image = images[axis]
-                if any(iefac or sum(ipows) != 1 for (ipows, iefac) in image.numerators):
+                if any(iefac or ipacked >> (_FIELD * target_n) != 1 for (ipacked, iefac) in image.numerators):
                     raise OutOfRingError(
                         f"cannot substitute into exp on t{axis + 1}: image is not "
                         "a homogeneous linear form"
                     )
-                for (ipows, _e), ic in image.numerators.items():
-                    piece = piece * QPoly.exp(target_n, ipows.index(1), rate * ic / image.denominator)
+                for (ipacked, _e), ic in image.numerators.items():
+                    target = _unpack(ipacked, target_n).index(1)
+                    piece = piece * QPoly.exp(target_n, target, rate * ic / image.denominator)
             out = out + piece
         return _make(target_n, out.numerators, out.denominator * self.denominator)
 
@@ -387,7 +484,7 @@ class QPoly:
         pad = (0,) * (new_nvars - self.nvars)
         return _make(
             new_nvars,
-            {(pows + pad, efac): c for (pows, efac), c in self.numerators.items()},
+            {(_pack(_unpack(packed, self.nvars) + pad), efac): c for (packed, efac), c in self.numerators.items()},
             self.denominator,
         )
 
@@ -397,13 +494,13 @@ class QPoly:
         """Largest total coordinate degree; -1 on the zero polynomial."""
         if not self.numerators:
             return -1
-        return max(sum(pows) for (pows, _e) in self.numerators)
+        return max(self.numerators)[0] >> (_FIELD * self.nvars)
 
     def is_polynomial(self) -> bool:
         return all(not efac for (_p, efac) in self.numerators)
 
     def is_constant(self) -> bool:
-        return all(not any(pows) and not efac for (pows, efac) in self.numerators)
+        return all(not packed and not efac for (packed, efac) in self.numerators)
 
     def constant_value(self) -> Q:
         if self.is_zero():
@@ -413,29 +510,32 @@ class QPoly:
         return Q(next(iter(self.numerators.values())), self.denominator)
 
     def coefficient(self, pows: Iterable[int], efac: Iterable[tuple[int, Q]] = ()) -> Q:
-        key = (tuple(pows), tuple((a, _as_q(r)) for a, r in efac))
+        pows = tuple(pows)
+        if len(pows) != self.nvars:
+            raise ValueError(f"term {pows} does not have {self.nvars} powers")
+        key = (_pack(pows), tuple((a, _as_q(r)) for a, r in efac))
         return Q(self.numerators.get(key, 0), self.denominator)
 
     def coeffs_by_power(self, axis: int) -> dict[int, "QPoly"]:
         """Split into coefficients of powers of one exp-free coordinate."""
-        buckets: dict[int, dict[TermKey, int]] = {}
-        for (pows, efac), c in self.numerators.items():
+        shift, unit = _shift(self.nvars, axis), _unit(self.nvars, axis)
+        buckets: dict[int, dict[PackedKey, int]] = {}
+        for (packed, efac), c in self.numerators.items():
             if _exp_rate(efac, axis) != 0:
                 raise ValueError("coordinate carries exponential factors")
-            p = pows[axis]
-            cleared = list(pows)
-            cleared[axis] = 0
-            buckets.setdefault(p, {})[(tuple(cleared), efac)] = c
+            p = (packed >> shift) & _FIELD_MASK
+            buckets.setdefault(p, {})[(packed - p * unit, efac)] = c
         return {p: _make(self.nvars, nums, self.denominator) for p, nums in buckets.items()}
 
     def poly_part_degree_at_most(self, bound: int) -> "QPoly":
         """Exponential-free terms of total degree <= bound."""
+        top = _FIELD * self.nvars
         return _make(
             self.nvars,
             {
-                (pows, efac): c
-                for (pows, efac), c in self.numerators.items()
-                if not efac and sum(pows) <= bound
+                (packed, efac): c
+                for (packed, efac), c in self.numerators.items()
+                if not efac and packed >> top <= bound
             },
             self.denominator,
         )
@@ -456,9 +556,9 @@ class QPoly:
             raise ValueError("wrong coordinate count")
         expvals = expvals or {}
         total = Q(0)
-        for (pows, efac), coeff in self.numerators.items():
+        for (packed, efac), coeff in self.numerators.items():
             val = coeff
-            for axis, p in enumerate(pows):
+            for axis, p in enumerate(_unpack(packed, self.nvars)):
                 if p:
                     val *= coords[axis] ** p
             for axis, rate in efac:
@@ -477,11 +577,10 @@ class QPoly:
     def __str__(self) -> str:
         if not self.numerators:
             return "0"
-        keys = sorted(self.numerators, key=lambda k: (sum(k[0]), k), reverse=True)
         pieces: list[str] = []
-        for key in keys:
+        for key in sorted(self.numerators, reverse=True):
             num = self.numerators[key]
-            body = _term_body(key)
+            body = _term_body(key, self.nvars)
             mag = Q(abs(num), self.denominator)
             if body == "1":
                 text = str(mag)
@@ -499,8 +598,54 @@ class QPoly:
         return f"QPoly({self.nvars}, {self})"
 
 
-def _mul_pows(pa: tuple[int, ...], pb: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple([x + y for x, y in zip(pa, pb)])
+def dot(nvars: int, plus: Iterable[tuple], minus: Iterable[tuple] = ()) -> "QPoly | RatFunc":
+    """sum(a * b for a, b in plus) - sum(a * b for a, b in minus).
+
+    The operands are QPoly in ``nvars`` variables, ints or Fractions; every
+    term product goes into one numerator dict over the lcm of the pair
+    denominators, which is reduced once.  When any operand is a RatFunc the
+    result is the left fold ``acc + a*b`` over ``plus`` then ``acc - a*b``
+    over ``minus`` from zero, which is the arithmetic of the written-out
+    loop, so a fraction keeps the numerator and denominator that loop gives.
+    """
+    pairs = [(1, a, b) for a, b in plus] + [(-1, a, b) for a, b in minus]
+    products = []
+    for sign, a, b in pairs:
+        na, da = _numerators(a, nvars)
+        nb, db = _numerators(b, nvars)
+        if na is None or nb is None:
+            return _fold(nvars, pairs)
+        if na and nb:
+            products.append((sign, na, nb, da * db))
+    if not products:
+        return QPoly.zero(nvars)
+    den = lcm(*(d for _s, _a, _b, d in products))
+    out: dict[PackedKey, int] = {}
+    for sign, na, nb, d in products:
+        _mul_into(out, na, nb, sign * (den // d))
+    _check_degree(out, nvars)
+    return _make(nvars, out, den)
+
+
+def _fold(nvars: int, pairs: list[tuple]) -> "QPoly | RatFunc":
+    acc = QPoly.zero(nvars)
+    for sign, a, b in pairs:
+        acc = acc + a * b if sign > 0 else acc - a * b
+    return acc
+
+
+def _numerators(x, nvars: int) -> tuple[dict[PackedKey, int] | None, int]:
+    """The numerator map and denominator of a QPoly, int or Fraction
+    operand; (None, 1) for a RatFunc."""
+    if x.__class__ is QPoly:
+        if x.nvars != nvars:
+            raise ValueError("mixed variable counts")
+        return x.numerators, x.denominator
+    if isinstance(x, (int, Fraction)):
+        return ({(0, ()): x.numerator} if x else {}), x.denominator
+    if isinstance(x, RatFunc):
+        return None, 1
+    raise TypeError(f"expected QPoly, RatFunc, int or Fraction, got {type(x).__name__}")
 
 
 def _mul_exps(
@@ -529,10 +674,10 @@ def _exp_rate(efac: tuple[tuple[int, Q], ...], axis: int) -> Q | int:
     return 0
 
 
-def _term_body(key: TermKey) -> str:
-    pows, efac = key
+def _term_body(key: PackedKey, nvars: int) -> str:
+    packed, efac = key
     factors = []
-    for axis, p in enumerate(pows):
+    for axis, p in enumerate(_unpack(packed, nvars)):
         if p == 1:
             factors.append(f"t{axis + 1}")
         elif p > 1:
@@ -654,15 +799,16 @@ def exact_divide(num: QPoly, den: QPoly) -> QPoly | None:
 
     Leading-term reduction in a monomial order: total coordinate degree,
     then the coordinate powers, then the dense per-axis rate vector, all
-    lexicographic.  The order is compatible with multiplication, so an
-    exact quotient is found term by term from the top.  Since the ring is
-    an integral domain, the largest and smallest coordinate degree and
-    exponential rate on each axis add under multiplication; a quotient term
-    outside the range this leaves for an exact quotient proves the division
-    inexact.  Quotient terms strictly decrease and the range holds finitely
-    many of them, so the pass ends; the step limit is a backstop past which
-    the division is reported as "not divisible", which callers treat as
-    "keep the quotient as a fraction".
+    lexicographic (the packed key, then the rate vector).  The order is
+    compatible with multiplication, so an exact quotient is found term by
+    term from the top.  Since the ring is an integral domain, the largest
+    and smallest coordinate degree and exponential rate on each axis add
+    under multiplication; a quotient term outside the range this leaves for
+    an exact quotient proves the division inexact.  Quotient terms strictly
+    decrease and the range holds finitely many of them, so the pass ends;
+    the step limit is a backstop past which the division is reported as
+    "not divisible", which callers treat as "keep the quotient as a
+    fraction".
 
     The reduction runs on integers.  The divisor's numerators are divided by
     their content (their gcd), leaving a primitive integer divisor P.  The
@@ -681,9 +827,10 @@ def exact_divide(num: QPoly, den: QPoly) -> QPoly | None:
         return num * Q(den.denominator, c)
     if num.is_zero():
         return QPoly.zero(num.nvars)
+    nvars = num.nvars
 
-    def order_key(key: TermKey):
-        return (sum(key[0]), _axis_values(key))
+    def order_key(key: PackedKey):
+        return (key[0], _rate_vector(key[1], nvars))
 
     num_span, den_span = _axis_spans(num), _axis_spans(den)
     low = [n_lo - d_lo for (n_lo, _n), (d_lo, _d) in zip(num_span, den_span)]
@@ -691,55 +838,66 @@ def exact_divide(num: QPoly, den: QPoly) -> QPoly | None:
     if any(lo > hi for lo, hi in zip(low, high)):
         return None
 
+    guards = sum(1 << (_FIELD * i + _FIELD - 1) for i in range(nvars + 1))
     content = gcd(*den.numerators.values())
     prim = {key: c // content for key, c in den.numerators.items()}
     prim_lead = max(prim, key=order_key)
     prim_lead_coeff = prim[prim_lead]
     rem = dict(num.numerators)
-    quo: dict[TermKey, int] = {}
+    quo: dict[PackedKey, int] = {}
     steps = 0
     while rem:
         steps += 1
         if steps > _DIV_STEP_LIMIT:
             return None
         lead = max(rem, key=order_key)
-        factor = _monomial_quotient(lead, prim_lead)
-        if factor is None or not all(lo <= v <= hi for lo, v, hi in zip(low, _axis_values(factor), high)):
+        factor = _monomial_quotient(lead, prim_lead, guards)
+        if factor is None or not all(lo <= v <= hi for lo, v, hi in zip(low, _axis_values(factor, nvars), high)):
             return None
         coeff, left = divmod(rem[lead], prim_lead_coeff)
         if left:
             return None
         quo[factor] = coeff
-        for (pows, efac), c in prim.items():
-            key = (_mul_pows(pows, factor[0]), _mul_exps(efac, factor[1]))
+        fp, fe = factor
+        for (pp, pe), c in prim.items():
+            key = (pp + fp, _mul_exps(pe, fe))
             new = rem.get(key, 0) - coeff * c
             if new:
                 rem[key] = new
             else:
                 rem.pop(key, None)
     # num/den = (N / num.den) / (content * P / den.den) = (N/P) * den.den / (num.den * content)
-    return _make(num.nvars, {key: c * den.denominator for key, c in quo.items()}, num.denominator * content)
+    return _make(nvars, {key: c * den.denominator for key, c in quo.items()}, num.denominator * content)
 
 
-def _axis_values(key: TermKey) -> list:
-    """The coordinate power on each axis, then the exponential rate on each
-    axis (the int 0 on an axis without one, so most comparisons are of ints)."""
-    rates = [0] * len(key[0])
-    for axis, rate in key[1]:
+def _rate_vector(efac: tuple[tuple[int, Q], ...], nvars: int) -> list:
+    """The exponential rate on each axis (the int 0 on an axis without one,
+    so most comparisons are of ints)."""
+    rates = [0] * nvars
+    for axis, rate in efac:
         rates[axis] = rate
-    return [*key[0], *rates]
+    return rates
+
+
+def _axis_values(key: PackedKey, nvars: int) -> list:
+    """The coordinate power on each axis, then the exponential rate on each axis."""
+    return [*_unpack(key[0], nvars), *_rate_vector(key[1], nvars)]
 
 
 def _axis_spans(p: QPoly) -> list[tuple]:
     """(smallest, largest) of each entry of _axis_values over the terms of p."""
-    columns = zip(*(_axis_values(key) for key in p.numerators))
-    return [(min(col), max(col)) for col in columns]
+    packed = [key[0] for key in p.numerators]
+    powers = ([(x >> shift) & _FIELD_MASK for x in packed] for shift in range(_FIELD * (p.nvars - 1), -1, -_FIELD))
+    rates = zip(*(_rate_vector(efac, p.nvars) for _p, efac in p.numerators))
+    return [(min(col), max(col)) for col in (*powers, *rates)]
 
 
-def _monomial_quotient(a: TermKey, b: TermKey) -> TermKey | None:
-    """a / b as a term key, or None when coordinate powers do not divide."""
-    pows = tuple(x - y for x, y in zip(a[0], b[0]))
-    if any(p < 0 for p in pows):
+def _monomial_quotient(a: PackedKey, b: PackedKey, guards: int) -> PackedKey | None:
+    """a / b as a term key, or None when coordinate powers do not divide:
+    a power of b above that of a borrows, which turns the difference
+    negative or sets the guard bit of a field."""
+    pows = a[0] - b[0]
+    if pows < 0 or pows & guards:
         return None
     rates: dict[int, Q] = dict(a[1])
     for axis, r in b[1]:

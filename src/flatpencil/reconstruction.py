@@ -59,7 +59,7 @@ from .linalg import (
     rational_roots,
     solve_affine,
 )
-from .qpoly import QPoly, RatFunc
+from .qpoly import QPoly, RatFunc, dot
 from .reports import Certificate, Report
 
 Q = Fraction
@@ -160,7 +160,7 @@ def check_delta_properties(p: PencilData, delta: Delta) -> Report:
         curl            d_s Delta_l^{jk} = d_l Delta_s^{jk},
         L_E Delta = (d-1) Delta,   L_e Delta = 0.
     """
-    n = p.n
+    n, nvars = p.n, p.g1.nvars
     dm = delta
     report = Report()
 
@@ -172,8 +172,9 @@ def check_delta_properties(p: PencilData, delta: Delta) -> Report:
             for l in range(j + 1, n):
                 for i in range(n):
                     for k in range(n):
-                        terms = [dm[s][i][j] * dm[k][s][l] - dm[s][i][l] * dm[k][s][j] for s in range(n)]
-                        yield (i, j, l, k), sum(terms[1:], terms[0])
+                        plus = [(dm[s][i][j], dm[k][s][l]) for s in range(n)]
+                        minus = [(dm[s][i][l], dm[k][s][j]) for s in range(n)]
+                        yield (i, j, l, k), dot(nvars, plus, minus)
 
     report.add(reports.residual_certificate("delta-right-symmetry", entry_residuals(right_sym())))
 
@@ -463,7 +464,7 @@ def multiplication(
             raise KernelError("ker R is not spanned by the gradient of tau")
         for g in range(n):
             for a in range(n):
-                val = sum((delta[g][a][j] * dtau[j] for j in range(1, n)), delta[g][a][0] * dtau[0])
+                val = dot(p.g1.nvars, zip(delta[g][a], dtau))
                 if not val.is_zero():
                     raise KernelError(
                         f"Delta(., dtau) is nonzero at entry ({g + 1},{a + 1}); "
@@ -473,17 +474,16 @@ def multiplication(
     system = [row + [dtau[i]] for i, row in enumerate(ops.r_op)]
     solutions = [solve_affine(system, [Q(1) if i == b else Q(0) for i in range(n)])[0] for b in range(n)]
     c_raw = [[[None] * n for _ in range(n)] for _ in range(n)]
-    zero = QPoly.zero(p.g1.nvars)
+    nvars = p.g1.nvars
     for b, sol in enumerate(solutions):
         w, s_coef = sol[:n], sol[n]
         for a in range(n):
             for g in range(n):
-                acc = zero
-                if any(w):
-                    acc = sum((delta[g][a][j] * w[j] for j in range(1, n)), delta[g][a][0] * w[0])
-                if s_coef and a == g:
-                    acc = acc + s_coef
-                c_raw[a][b][g] = acc
+                # With w = 0 no fraction of delta enters, so the entry stays a QPoly.
+                pairs = list(zip(delta[g][a], w)) if any(w) else []
+                if a == g:
+                    pairs.append((s_coef, 1))
+                c_raw[a][b][g] = dot(nvars, pairs)
 
     report = Report()
     for a in range(n):
@@ -502,12 +502,9 @@ def multiplication(
             for b in range(n):
                 for g in range(n):
                     for mu in range(n):
-                        terms = [
-                            c_raw[a][e][mu] * c_raw[b][g][e]
-                            - c_raw[b][e][mu] * c_raw[a][g][e]
-                            for e in range(n)
-                        ]
-                        yield (a, b, g, mu), sum(terms[1:], terms[0])
+                        plus = [(c_raw[a][e][mu], c_raw[b][g][e]) for e in range(n)]
+                        minus = [(c_raw[b][e][mu], c_raw[a][g][e]) for e in range(n)]
+                        yield (a, b, g, mu), dot(nvars, plus, minus)
 
     report.add(reports.residual_certificate("multiplication-associativity", entry_residuals(assoc())))
     report.add(
@@ -537,12 +534,8 @@ def multiplication(
             for a in range(n):
                 for b in range(n):
                     for g in range(n):
-                        terms = [
-                            delta[g][i][j] * (ops.r_op[i][a] * solutions[b][j])
-                            for i in range(n)
-                            for j in range(n)
-                        ]
-                        second = sum(terms[1:], terms[0])
+                        pairs = [(delta[g][i][j], ops.r_op[i][a] * solutions[b][j]) for i in range(n) for j in range(n)]
+                        second = dot(nvars, pairs)
                         yield (a, b, g), delta[g][a][b] + second - p.g1.g[a][b].diff(g)
 
         report.add(

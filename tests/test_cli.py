@@ -145,6 +145,16 @@ def test_power_over_degree_bound_exit_3(tmp_path, capsys):
     assert err.startswith("parse error:") and "degree bound 64" in err
 
 
+def test_power_over_packed_limit_exit_3(tmp_path, capsys):
+    # Every factor is within the degree bound 64 of a power, but the product
+    # of 513 of them reaches t1^32832, past the packed-key bound 32767.
+    data = json.loads(CUBIC.read_text())
+    data["potential"] = "*".join(["t1^64"] * 513)
+    path = write_json(tmp_path / "huge-product.json", data)
+    assert run(["frobenius", "check", path]) == 3
+    assert capsys.readouterr().err.startswith("parse error: coordinate power bound 32767 exceeded")
+
+
 def one_by_one_pencil(g1, expgens=()):
     return {"schema": 1, "n": 1, "expgens": [list(g) for g in expgens], "g1": [[g1]], "g2": [["1"]]}
 
@@ -308,7 +318,8 @@ def test_frobenius_check_enforces_unity_axiom(tmp_path, capsys):
     path = tmp_path / "unity-violating.json"
     path.write_text(json.dumps(data))
     expected = "certification error: UnityViolationError: c(e, d_1, d_1) = 2 differs from eta entry 1\n"
-    for command in (["frobenius", "check"], ["frobenius", "pencil"], ["bracket", "virasoro"]):
+    commands = (["frobenius", "check"], ["frobenius", "pencil"], ["bracket", "virasoro"], ["bracket", "central-charge"])
+    for command in commands:
         assert run([*command, path]) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", expected), command

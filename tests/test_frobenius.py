@@ -10,13 +10,13 @@ from flatpencil.frobenius import (
     check_wdvv,
     contract_two,
     intersection_form,
-    pencil_gamma,
     structure_constants,
     to_flat_pencil,
     unity_scaling_certificate,
 )
 from flatpencil.geometry import check_flat_pencil, check_quasihomogeneous
 from flatpencil.qpoly import QPoly
+from frobenius_oracle import pencil_gamma
 
 
 def qp(text, n):

@@ -5,7 +5,6 @@ import pytest
 
 from flatpencil.errors import DegreeInferenceError, SingularMetricError
 from flatpencil.exprparse import parse_expr
-from flatpencil.frobenius import pencil_gamma
 from flatpencil.geometry import (
     ContraMetric,
     PencilData,
@@ -19,6 +18,7 @@ from flatpencil.geometry import (
     lie_derivative_metric,
 )
 from flatpencil.qpoly import QPoly, RatFunc
+from frobenius_oracle import pencil_gamma
 
 
 def qp(text, n):

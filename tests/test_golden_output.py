@@ -1,0 +1,133 @@
+"""Byte-identity of CLI output, pinned by sha256 digest.
+
+Each case runs one command with ``--out`` and pins its exit code, the
+digest of its stdout and the digest of every file it writes.  The working
+directory and the repository root are replaced by fixed tokens before
+hashing, so the digests do not depend on where the tests run.  A change to
+the arithmetic that moves one byte of a report, a witness or an emitted
+file fails here.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from flatpencil.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = ROOT / "perfbench" / "sources"
+
+
+def perturbed_a2(tmp_path):
+    """The A2 orbit pencil with t1 added to g1^{11}: not flat, and its
+    connection keeps det as denominator, so the witnesses are numerators of
+    fractions."""
+    data = json.loads((SOURCES / "a2-pencil.json").read_text(encoding="utf-8"))
+    data["g1"][0][0] += " + t1"
+    path = tmp_path / "a2-perturbed.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+CASES = {
+    **{f"coxeter-a{r}": lambda _t, r=r: ["coxeter", "--type", "A", "--rank", str(r)] for r in range(1, 5)},
+    **{
+        f"{src}-{name}": lambda _t, src=src, argv=argv: [*argv[:2], SOURCES / f"{src}-pencil.json", *argv[2:]]
+        for src in ("a2", "cp1")
+        for name, argv in (
+            ("check", ["pencil", "check"]),
+            ("reconstruct", ["pencil", "reconstruct"]),
+            ("recurse", ["bracket", "recurse", "--steps", "3"]),
+        )
+    },
+    "a3-frobenius-pencil": lambda _t: ["frobenius", "pencil", SOURCES / "a3-frobenius.json"],
+    "a2-perturbed-check": lambda t: ["pencil", "check", perturbed_a2(t)],
+}
+
+# case: (exit code, stdout digest, {file name: digest}); sha256 prefixes.
+GOLDEN = {
+    "a2-check": (0, "f09e14b529f6198c04a749bc", {"pencil-check-report.json": "86c876cf5fcb216625f82cef"}),
+    "a2-perturbed-check": (1, "12deeef0178566ad74deebb2", {"pencil-check-report.json": "51db386d4408ca825a761719"}),
+    "a2-reconstruct": (
+        0,
+        "b025a5188801ff75edcf2d9e",
+        {"a2-pencil-frobenius.json": "874dfa7f139206b78737721e", "pencil-reconstruct-report.json": "33f1d5e0ac8339aa3708f18c"},
+    ),
+    "a2-recurse": (
+        0,
+        "b2794e58ee3947dda49c278b",
+        {"a2-pencil-densities.json": "32ab9011b7d8b14174cb29ba", "bracket-recurse-report.json": "7d65e002fc0e1f38a6465b25"},
+    ),
+    "a3-frobenius-pencil": (
+        0,
+        "3cceeec879e38520f38c2f8b",
+        {"a3-frobenius-pencil.json": "2698ae4a87014d62ebf6d9d9", "frobenius-pencil-report.json": "78f9a5e09679cecd6e8f23fe"},
+    ),
+    "coxeter-a1": (
+        0,
+        "038d056c573c0d4632361696",
+        {
+            "a1-frobenius.json": "789b61f0b725e0aefbabe27d",
+            "a1-pencil.json": "69aefddc1133d1387f770732",
+            "coxeter-report.json": "6db532b47913159ec94aeac0",
+        },
+    ),
+    "coxeter-a2": (
+        0,
+        "97110152b50f0bb445ac39a8",
+        {
+            "a2-frobenius.json": "874dfa7f139206b78737721e",
+            "a2-pencil.json": "f1b7473870783276998fb346",
+            "coxeter-report.json": "6668a482c8480d39e70965d5",
+        },
+    ),
+    "coxeter-a3": (
+        0,
+        "4f52cb14789dc244748349cf",
+        {
+            "a3-frobenius.json": "8b1c4867cb0fe41a6a73bdc6",
+            "a3-pencil.json": "2698ae4a87014d62ebf6d9d9",
+            "coxeter-report.json": "82cb5ed132b0afe1d52e1cd6",
+        },
+    ),
+    "coxeter-a4": (
+        0,
+        "8f8c8af0c21dcd41d594f8c8",
+        {
+            "a4-frobenius.json": "0c4cc87605f20172d329a239",
+            "a4-pencil.json": "d1e3c9652ace3889dbdfd3ac",
+            "coxeter-report.json": "0361bd0abb4d9ac7fa2d89f0",
+        },
+    ),
+    "cp1-check": (0, "7b8bb8e14cfd7323cec00405", {"pencil-check-report.json": "bd394332170a573071645077"}),
+    "cp1-reconstruct": (
+        0,
+        "dc7aefde7630d29ced6d0118",
+        {"cp1-pencil-frobenius.json": "1c807497aee7528e3e2a955e", "pencil-reconstruct-report.json": "daa5874d6449a550efd0e9ed"},
+    ),
+    "cp1-recurse": (
+        0,
+        "8bedd9ee616b247f47c45cb5",
+        {"bracket-recurse-report.json": "f34c687d944d027721469676", "cp1-pencil-densities.json": "1cd195ec83fd9d6e54137287"},
+    ),
+}
+
+
+def digest(text, tmp_path):
+    text = text.replace(str(tmp_path), "<tmp>").replace(str(ROOT), "<repo>")
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:24]
+
+
+def run_case(case, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main([str(a) for a in CASES[case](tmp_path)] + ["--out", str(out)])
+    stdout = capsys.readouterr().out
+    files = {f.name: digest(f.read_text(encoding="utf-8"), tmp_path) for f in sorted(out.iterdir())}
+    return code, digest(stdout, tmp_path), files
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_digest_pinned(case, tmp_path, capsys):
+    assert run_case(case, tmp_path, capsys) == GOLDEN[case]

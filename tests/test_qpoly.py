@@ -6,7 +6,7 @@ import pytest
 
 from flatpencil.errors import OutOfRingError
 from flatpencil.exprparse import parse_expr
-from flatpencil.qpoly import QPoly, RatFunc, exact_divide
+from flatpencil.qpoly import POWER_LIMIT, QPoly, RatFunc, dot, exact_divide
 
 
 def qp(text, n):
@@ -300,6 +300,61 @@ def ref_diff(a, axis):
     return out
 
 
+def ref_integrate(a, axis):
+    """Termwise: t^p exp(r t) integrates to t^(p+1)/(p+1) when r = 0, and to
+    exp(r t) * sum_j (-1)^j p!/(p-j)! t^(p-j) / r^(j+1) otherwise."""
+    out = {}
+    for (pows, efac), c in a.items():
+        p, rate = pows[axis], dict(efac).get(axis, 0)
+        if not rate:
+            raised = list(pows)
+            raised[axis] += 1
+            ref_put(out, (tuple(raised), efac), c / (p + 1))
+            continue
+        falling = 1
+        for j in range(p + 1):
+            lowered = list(pows)
+            lowered[axis] = p - j
+            ref_put(out, (tuple(lowered), efac), c * (-1) ** j * falling / rate ** (j + 1))
+            falling *= p - j
+    return out
+
+
+def ref_lift(a, extra):
+    return {(pows + (0,) * extra, efac): c for (pows, efac), c in a.items()}
+
+
+def ref_coeffs_by_power(a, axis):
+    out = {}
+    for (pows, efac), c in a.items():
+        cleared = list(pows)
+        cleared[axis] = 0
+        out.setdefault(pows[axis], {})[(tuple(cleared), efac)] = c
+    return out
+
+
+def ref_pow(a, nvars, p):
+    out = {((0,) * nvars, ()): Q(1)}
+    for _ in range(p):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_substitute(a, images, nvars):
+    """t_i -> images[i] (maps of TermKey to Fraction), exp(r t_i) expanded
+    over the linear form images[i] as the product of exp(r c_j t_j)."""
+    out = {}
+    for (pows, efac), c in a.items():
+        piece = {((0,) * nvars, ()): c}
+        for axis, p in enumerate(pows):
+            piece = ref_mul(piece, ref_pow(images[axis], nvars, p))
+        for axis, rate in efac:
+            for (ipows, _e), ic in images[axis].items():
+                piece = ref_mul(piece, {((0,) * nvars, ((ipows.index(1), rate * ic),)): Q(1)})
+        out = ref_add(out, piece)
+    return out
+
+
 def ref_order_key(key):
     rates = [Q(0)] * len(key[0])
     for axis, rate in key[1]:
@@ -393,14 +448,119 @@ def test_integer_store_matches_fraction_reference():
             (a * Q(-6, 35), {k: c * Q(-6, 35) for k, c in a.terms.items()}),
             (a.diff(0), ref_diff(a.terms, 0)),
             (a.diff(1), ref_diff(a.terms, 1)),
+            (a.integrate(0), ref_integrate(a.terms, 0)),
+            (a.integrate(1), ref_integrate(a.terms, 1)),
+            (a.lift(4), ref_lift(a.terms, 2)),
+            *[
+                (part, ref_coeffs_by_power(a.terms, axis).get(p, {}))
+                for axis in range(2)
+                if not a.exp_rates_on(axis)
+                for p, part in a.coeffs_by_power(axis).items()
+            ],
         ]:
             assert_canonical(got)
             assert dict(got.terms) == want
             assert str(got) == ref_str(want)
         for axis in range(2):
             integral = a.integrate(axis)
-            assert_canonical(integral)
             assert integral.diff(axis) == a
+            if not a.exp_rates_on(axis):
+                assert set(a.coeffs_by_power(axis)) == set(ref_coeffs_by_power(a.terms, axis))
+
+
+def random_linear_form(rng, nvars):
+    """A homogeneous linear form, so exponentials compose with it."""
+    terms = {}
+    for j in range(nvars):
+        if rng.random() < 0.7:
+            terms[(tuple(int(b == j) for b in range(nvars)), ())] = Q(rng.randint(-4, 4), rng.randint(1, 3))
+    return QPoly(nvars, terms)
+
+
+def test_substitute_matches_fraction_reference():
+    rng = random.Random(37)
+    for _ in range(30):
+        a = random_rational_qpoly(rng, 2)
+        images = [random_linear_form(rng, 3) for _ in range(2)]
+        if any(img.is_zero() for img in images):
+            continue
+        got = a.substitute(images)
+        want = ref_substitute(a.terms, [img.terms for img in images], 3)
+        assert_canonical(got)
+        assert dict(got.terms) == want
+        assert str(got) == ref_str(want)
+
+
+def fold(nvars, plus, minus):
+    acc = QPoly.zero(nvars)
+    for x, y in plus:
+        acc = acc + x * y
+    for x, y in minus:
+        acc = acc - x * y
+    return acc
+
+
+def random_operand(rng, nvars, ratfunc_share):
+    roll = rng.random()
+    if roll < 0.15:
+        return rng.randint(-3, 3)
+    if roll < 0.3:
+        return Q(rng.randint(-9, 9), rng.randint(1, 7))
+    if roll < 0.3 + ratfunc_share:
+        return RatFunc(random_rational_qpoly(rng, nvars), qp("t1 + 2*t2 + 1", nvars))
+    return random_rational_qpoly(rng, nvars)
+
+
+@pytest.mark.parametrize("ratfunc_share", [0.0, 0.2])
+def test_dot_matches_fold_and_reference(ratfunc_share):
+    rng = random.Random(41)
+    for _ in range(60):
+        plus, minus = (
+            [tuple(random_operand(rng, 2, ratfunc_share) for _ in "ab") for _ in range(rng.randint(0, count))]
+            for count in (4, 3)
+        )
+        got, want = dot(2, plus, minus), fold(2, plus, minus)
+        assert type(got) is type(want)
+        if isinstance(want, RatFunc):
+            # the fold itself, so a fraction keeps its numerator and denominator
+            assert (got.num, got.den) == (want.num, want.den)
+            continue
+        reference = {}
+        for sign, pairs in ((1, plus), (-1, minus)):
+            for x, y in pairs:
+                xs, ys = (QPoly.const(2, v) if not isinstance(v, QPoly) else v for v in (x, y))
+                reference = ref_add(reference, {k: sign * c for k, c in ref_mul(xs.terms, ys.terms).items()})
+        assert_canonical(got)
+        assert got == want and dict(got.terms) == reference
+        assert str(got) == ref_str(reference)
+
+
+def test_power_bound_guards_products_and_integrals():
+    t = QPoly.var(1, 0)
+    top = t ** POWER_LIMIT
+    assert top.total_degree() == POWER_LIMIT == 32767
+    for overflow in (lambda: top * t, lambda: top.integrate(0), lambda: dot(1, [(top, t)]), lambda: t ** 32768):
+        with pytest.raises(OutOfRingError, match="32767"):
+            overflow()
+    # the total degree is bounded too, not only each power
+    with pytest.raises(OutOfRingError, match="32767"):
+        QPoly.var(2, 0) ** 20000 * QPoly.var(2, 1) ** 20000
+    with pytest.raises(OutOfRingError, match="32767"):
+        QPoly(1, {((32768,), ()): Q(1)})
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [
+        ("t1^3*t2", "t2^2"),  # higher power of t2 in the divisor, lower total degree
+        ("t2^3", "t1*t2"),  # higher power of t1, whose field is zero in the numerator
+        ("t1^4 + t2", "t1*t2^2 + 1"),
+        ("t1^2*t2*t3^5", "t1*t3^6"),
+    ],
+)
+def test_exact_divide_refuses_higher_divisor_power(num, den):
+    assert exact_divide(qp(num, 3), qp(den, 3)) is None
+    assert ref_exact_divide(qp(num, 3).terms, qp(den, 3).terms) is None
 
 
 def test_exact_divide_matches_fraction_reference():
@@ -439,7 +599,7 @@ def test_equal_values_have_one_representation():
     for p in routes:
         assert_canonical(p)
         assert p == half_t1
-        assert (p.numerators, p.denominator) == ({((1, 0), ()): 1}, 2)
+        assert (p.terms, p.denominator) == ({((1, 0), ()): Q(1, 2)}, 2)
     zero = qp("1/3*t1", 2) - qp("2/6*t1", 2)
     assert_canonical(zero)
     assert zero == QPoly.zero(2) == 0 and zero.denominator == 1
@@ -472,6 +632,6 @@ def test_inexact_division_stops_at_first_lead_that_does_not_divide(monkeypatch):
     # division inexact before any divisor term is multiplied out.
     num, den = qp("t1^2 + 1", 1), qp("2*t1 + 1", 1)
     reduced = []
-    monkeypatch.setattr("flatpencil.qpoly._mul_pows", lambda pa, pb: reduced.append((pa, pb)))
+    monkeypatch.setattr("flatpencil.qpoly._mul_exps", lambda ea, eb: reduced.append((ea, eb)))
     assert exact_divide(num, den) is None
     assert reduced == []
