@@ -13,8 +13,10 @@ Subcommands
     bracket central-charge INPUT [--coxeter-rank K]   (K must equal n)
 
 Exit codes: 0 all certificates pass, 1 certificate failure, 2 usage error,
-3 malformed input (parse errors carry line/column), 4 internal error (a
-redundant self-check failed: a toolkit bug, not a verdict on the input).
+3 malformed input (parse errors carry line/column) or an input too large for
+the ring (a coordinate power or exponential rate bound crossed during the
+run), 4 internal error (a redundant self-check failed: a toolkit bug, not a
+verdict on the input).
 Reports are printed as text and, with --out DIR, written as canonical JSON;
 identical inputs produce byte-identical report files.
 """
@@ -30,7 +32,7 @@ from pathlib import Path
 
 from . import pencilio, reports
 from .coxeter import coxeter_pencil
-from .errors import FlatPencilError, InputFormatError, InternalCheckError, ParseError
+from .errors import FlatPencilError, InputFormatError, InternalCheckError, ParseError, RingBoundError
 from .frobenius import to_flat_pencil, unity_scaling_certificate
 from .geometry import check_flat_pencil, check_quasihomogeneous
 from .loopspace import (
@@ -119,7 +121,7 @@ def _main(argv: list[str] | None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except InputFormatError as exc:
+    except (InputFormatError, RingBoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InternalCheckError as exc:
@@ -246,10 +248,9 @@ def cmd_frobenius_pencil(args):
         pencil = to_flat_pencil(m)
         for cert in check_flat_pencil(pencil).certificates:
             report.add(cert)
-        qh = check_quasihomogeneous(pencil)
-        for cert in qh.certificates:
+        for cert in check_quasihomogeneous(pencil).certificates:
             report.add(cert)
-        extra["degree-d"] = qh.d
+        extra["degree-d"] = pencil.degree
         # both unity conventions: the coordinate index of e and the scaling
         # potential tau it pairs into
         extra["unity-index"] = m.unity + 1
@@ -264,10 +265,9 @@ def cmd_pencil_check(args):
     report = check_flat_pencil(pencil)
     extra = {}
     if pencil.tau is not None:
-        qh = check_quasihomogeneous(pencil)
-        for cert in qh.certificates:
+        for cert in check_quasihomogeneous(pencil).certificates:
             report.add(cert)
-        extra["degree-d"] = qh.d
+        extra["degree-d"] = pencil.degree
     return report, extra, []
 
 

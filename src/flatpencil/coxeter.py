@@ -39,6 +39,7 @@ from .geometry import (
     infer_degree,
     is_flat,
     levi_civita,
+    lie_derivative_metric,
     push_metric,
 )
 from .linalg import exact_linsolve, nullspace
@@ -353,7 +354,8 @@ def coxeter_pencil(rank: int) -> tuple[CoxeterPencil, ReconstructionResult]:
     d = 1 - Q(2, h)
     pencil = PencilData(g1=g1_t, g2=eta, tau=tau_t, d=d)
 
-    inferred = infer_degree(g1_t, VectorField([QPoly.var(n, a) * Q(chart.degrees[a], h) for a in range(n)]))
+    grading = VectorField([QPoly.var(n, a) * Q(chart.degrees[a], h) for a in range(n)])
+    inferred = infer_degree(g1_t, lie_derivative_metric(grading, g1_t))
     report.add(
         Certificate(
             "coxeter-degree",
@@ -364,17 +366,17 @@ def coxeter_pencil(rank: int) -> tuple[CoxeterPencil, ReconstructionResult]:
 
     for cert in check_flat_pencil(pencil).certificates:
         report.add(cert)
-    qh = check_quasihomogeneous(pencil)
-    for cert in qh.certificates:
+    for cert in check_quasihomogeneous(pencil).certificates:
         report.add(cert)
+    _e_big, e_small = pencil.euler
     unity_ok = all(
-        (qh.e.components[a] - (1 if a == 0 else 0)).is_zero() for a in range(n)
+        (e_small.components[a] - (1 if a == 0 else 0)).is_zero() for a in range(n)
     )
     report.add(
         Certificate(
             "unity-normalized",
             reports.PASS if unity_ok else reports.FAIL,
-            witness=None if unity_ok else f"e = {[str(c) for c in qh.e.components]}",
+            witness=None if unity_ok else f"e = {[str(c) for c in e_small.components]}",
         )
     )
 

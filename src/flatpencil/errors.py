@@ -28,6 +28,10 @@ class OutOfRingError(FlatPencilError):
     """Requested value cannot be represented as an exact quasi-polynomial."""
 
 
+class RingBoundError(OutOfRingError):
+    """A coordinate power or exp rate exceeds its bound: the input is too large."""
+
+
 class NoSolutionError(FlatPencilError):
     """Linear system is inconsistent."""
 

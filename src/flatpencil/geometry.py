@@ -47,10 +47,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import reports
-from .errors import DegreeInferenceError, InternalCheckError, SingularMetricError
-from .linalg import sym_adjugate, sym_det
+from .errors import DegreeInferenceError, InternalCheckError, NotFlatCoordinatesError, SingularMetricError
+from .linalg import mat_inverse, rank, sym_adjugate, sym_det
 from .qpoly import QPoly, RatFunc, dot, exact_divide
 from .reports import Certificate, Report
 
@@ -90,24 +91,12 @@ class ContraMetric:
             self._det = sym_det(self.g, self.nvars)
         return self._det
 
-    def is_degenerate(self) -> bool:
-        return self.det.is_zero()
-
     def constant_entries(self) -> list[list[Q]]:
         """The entries as rationals; raises if any entry is non-constant."""
         return [[x.constant_value() for x in row] for row in self.g]
 
     def is_constant(self) -> bool:
         return all(x.is_constant() for row in self.g for x in row)
-
-    def combine(self, other: "ContraMetric", lam: Q) -> "ContraMetric":
-        """The pencil member g - lam * other."""
-        return ContraMetric(
-            [
-                [self.g[i][j] - QPoly.const(self.nvars, lam) * other.g[i][j] for j in range(self.n)]
-                for i in range(self.n)
-            ]
-        )
 
 
 class Connection:
@@ -116,15 +105,6 @@ class Connection:
     def __init__(self, gamma: list[list[list[QPoly | RatFunc]]]):
         self.gamma = gamma
         self.n = len(gamma)
-
-    def combine(self, other: "Connection", lam: Q) -> "Connection":
-        n = self.n
-        return Connection(
-            [
-                [[self.gamma[k][i][j] - other.gamma[k][i][j] * lam for j in range(n)] for i in range(n)]
-                for k in range(n)
-            ]
-        )
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for k in self.gamma for row in k for x in row)
@@ -173,7 +153,8 @@ class VectorField:
 
 @dataclass
 class PencilData:
-    """A pair of metrics, optionally with the scaling potential and degree."""
+    """A pair of metrics, optionally with the scaling potential and degree;
+    its scaling data (eta, E and e, L_E g1, d) are derived once, on first use."""
 
     g1: ContraMetric
     g2: ContraMetric
@@ -184,14 +165,43 @@ class PencilData:
     def n(self) -> int:
         return self.g1.n
 
+    @cached_property
+    def eta_up(self) -> list[list[Q]]:
+        """eta^{ij}, the entries of g2, which must be constant and nondegenerate."""
+        if not self.g2.is_constant():
+            raise NotFlatCoordinatesError("second metric is not constant; present the pencil in its flat coordinates")
+        entries = self.g2.constant_entries()
+        if rank(entries) < self.n:
+            raise SingularMetricError("second metric is degenerate")
+        return entries
 
-@dataclass
-class QuasihomReport(Report):
-    """Scaling data (E, e, d) with per-identity certificates."""
+    @cached_property
+    def eta_cov(self) -> list[list[Q]]:
+        """eta_{ij}, the inverse of :attr:`eta_up`."""
+        return mat_inverse(self.eta_up)
 
-    E: VectorField | None = None
-    e: VectorField | None = None
-    d: Q | None = None
+    @cached_property
+    def euler(self) -> tuple[VectorField, VectorField]:
+        """E = g1 grad(tau), e = g2 grad(tau)."""
+        if self.tau is None:
+            raise ValueError("pencil carries no scaling potential tau")
+        grad = [self.tau.diff(s) for s in range(self.n)]
+        return tuple(VectorField([dot(g.nvars, zip(row, grad)) for row in g.g]) for g in (self.g1, self.g2))
+
+    @cached_property
+    def euler_lie_g1(self) -> list[list[QPoly]]:
+        """L_E g1."""
+        return lie_derivative_metric(self.euler[0], self.g1)
+
+    @cached_property
+    def inferred_degree(self) -> Q:
+        """The d with L_E g1 = (d-1) g1, whatever d the pencil declares."""
+        return infer_degree(self.g1, self.euler_lie_g1)
+
+    @property
+    def degree(self) -> Q:
+        """The declared d, else the inferred one."""
+        return self.d if self.d is not None else self.inferred_degree
 
 
 # ---------------------------------------------------------------------------
@@ -505,18 +515,8 @@ def _lam_coefficients(residuals, lam_axis: int):
             yield f"entry {_idx1(idx)}, lam^{power}", coeff
 
 
-def euler_fields(p: PencilData) -> tuple[VectorField, VectorField]:
-    """E = g1 grad(tau), e = g2 grad(tau)."""
-    if p.tau is None:
-        raise ValueError("pencil carries no scaling potential tau")
-    grad = [p.tau.diff(s) for s in range(p.n)]
-    e_big, e_small = (VectorField([dot(g.nvars, zip(row, grad)) for row in g.g]) for g in (p.g1, p.g2))
-    return e_big, e_small
-
-
-def infer_degree(g1: ContraMetric, e_big: VectorField) -> Q:
-    """Infer d from L_E g1 = (d-1) g1; raises when no constant ratio fits."""
-    lie = lie_derivative_metric(e_big, g1)
+def infer_degree(g1: ContraMetric, lie: list[list[QPoly]]) -> Q:
+    """Infer d from lie = L_E g1 = (d-1) g1; raises when no constant ratio fits."""
     n = g1.n
     anchor = None
     for i in range(n):
@@ -546,17 +546,17 @@ def infer_degree(g1: ContraMetric, e_big: VectorField) -> Q:
     return r + 1
 
 
-def check_quasihomogeneous(p: PencilData) -> QuasihomReport:
-    """Derive E, e from tau and certify the four scaling identities:
+def check_quasihomogeneous(p: PencilData) -> Report:
+    """Certify the four scaling identities of the pencil's E, e and degree:
 
         [e, E] = e
         L_E g1 = (d - 1) g1
         L_e g1 = g2
         L_e g2 = 0
     """
-    e_big, e_small = euler_fields(p)
-    d = p.d if p.d is not None else infer_degree(p.g1, e_big)
-    report = QuasihomReport(E=e_big, e=e_small, d=d)
+    e_big, e_small = p.euler
+    d = p.degree
+    report = Report()
 
     bracket = lie_bracket(e_small, e_big)
     report.add(
@@ -565,7 +565,7 @@ def check_quasihomogeneous(p: PencilData) -> QuasihomReport:
             entry_residuals(((i,), bracket.components[i] - e_small.components[i]) for i in range(p.n)),
         )
     )
-    lie1 = lie_derivative_metric(e_big, p.g1)
+    lie1 = p.euler_lie_g1
     report.add(
         reports.residual_certificate(
             "euler-scaling-first-metric",

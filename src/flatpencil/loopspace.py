@@ -31,9 +31,8 @@ from .geometry import (
     levi_civita,
     push_metric,
 )
-from .linalg import mat_inverse
 from .qpoly import QPoly, RatFunc, dot
-from .reconstruction import _require_constant_g2, potential_of_closed_form
+from .reconstruction import potential_of_closed_form
 from .reports import Certificate, Report
 
 Q = Fraction
@@ -225,7 +224,7 @@ def recursion_step(p: PencilData, density: Density) -> Density:
     the right-hand side is reported as non-integrability.
     """
     n = p.n
-    eta_cov = mat_inverse(_require_constant_g2(p))
+    eta_cov = p.eta_cov
     conn = levi_civita(p.g1)
     gamma = conn.as_poly_entries()
     h = density.h

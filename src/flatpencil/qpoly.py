@@ -27,12 +27,13 @@ one in the axis field and in the degree field).  The top bit of every
 field is a guard that no stored key sets, so every power and the total
 degree are at most ``POWER_LIMIT`` = 32767.  The total degree bounds every
 power, so a product or an integral that would set a guard sets the one of
-the degree field; it raises :class:`OutOfRingError`, as the exp-rate
-bound does, and exact division reads a negative power as a borrow into a
-guard bit.  Keys are unpacked only at the API edge: ``QPoly(nvars, {(pows,
-efac): Fraction})``, :attr:`QPoly.terms` and :meth:`QPoly.coefficient`
-speak in ``(powers tuple, exponential factors)`` pairs, and printing,
-evaluation, substitution and embedding read the powers back.
+the degree field; it raises :class:`RingBoundError` (an
+:class:`OutOfRingError`), as the exp-rate bound does, and exact division
+reads a negative power as a borrow into a guard bit.  Keys are unpacked
+only at the API edge: ``QPoly(nvars, {(pows, efac): Fraction})``,
+:attr:`QPoly.terms` and :meth:`QPoly.coefficient` speak in ``(powers
+tuple, exponential factors)`` pairs, and printing, evaluation,
+substitution and embedding read the powers back.
 
 The coefficients are stored as integer numerators over one positive
 common denominator, reduced so that the denominator and the numerators
@@ -73,7 +74,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
-from .errors import OutOfRingError
+from .errors import OutOfRingError, RingBoundError
 
 Q = Fraction
 
@@ -108,8 +109,8 @@ def _as_q(x) -> Q:
 # -- packed coordinate powers ------------------------------------------------
 
 
-def _power_bound_error() -> OutOfRingError:
-    return OutOfRingError(f"coordinate power bound {POWER_LIMIT} exceeded")
+def _power_bound_error() -> RingBoundError:
+    return RingBoundError(f"coordinate power bound {POWER_LIMIT} exceeded")
 
 
 def _pack(pows: tuple[int, ...]) -> int:
@@ -253,7 +254,7 @@ class QPoly:
             raise IndexError(f"axis {axis} out of range for {nvars} variables")
         rate = _as_q(rate)
         if abs(rate) > EXP_RATE_LIMIT:
-            raise OutOfRingError(f"exponential generator rate bound {EXP_RATE_LIMIT} exceeded")
+            raise RingBoundError(f"exponential generator rate bound {EXP_RATE_LIMIT} exceeded")
         if rate == 0:
             return cls.const(nvars, 1)
         return _make(nvars, {(0, ((axis, rate),)): 1})
@@ -660,7 +661,7 @@ def _mul_exps(
         new = rates.get(axis, 0) + rate
         if new:
             if abs(new) > EXP_RATE_LIMIT:
-                raise OutOfRingError(f"exponential generator rate bound {EXP_RATE_LIMIT} exceeded")
+                raise RingBoundError(f"exponential generator rate bound {EXP_RATE_LIMIT} exceeded")
             rates[axis] = new
         else:
             rates.pop(axis, None)
@@ -844,13 +845,15 @@ def exact_divide(num: QPoly, den: QPoly) -> QPoly | None:
     prim_lead = max(prim, key=order_key)
     prim_lead_coeff = prim[prim_lead]
     rem = dict(num.numerators)
+    # Each key's order key, built once, when the key first enters rem.
+    order = {key: order_key(key) for key in rem}
     quo: dict[PackedKey, int] = {}
     steps = 0
     while rem:
         steps += 1
         if steps > _DIV_STEP_LIMIT:
             return None
-        lead = max(rem, key=order_key)
+        lead = max(rem, key=order.__getitem__)
         factor = _monomial_quotient(lead, prim_lead, guards)
         if factor is None or not all(lo <= v <= hi for lo, v, hi in zip(low, _axis_values(factor, nvars), high)):
             return None
@@ -863,6 +866,8 @@ def exact_divide(num: QPoly, den: QPoly) -> QPoly | None:
             key = (pp + fp, _mul_exps(pe, fe))
             new = rem.get(key, 0) - coeff * c
             if new:
+                if key not in order:
+                    order[key] = order_key(key)
                 rem[key] = new
             else:
                 rem.pop(key, None)

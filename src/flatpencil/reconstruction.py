@@ -30,18 +30,13 @@ from .errors import (
     KernelError,
     NonlinearEulerError,
     NormalizationError,
-    NotFlatCoordinatesError,
     OutOfRingError,
-    SingularMetricError,
     TauHessianError,
 )
 from .frobenius import FrobeniusData, StructureConstants, contract_two
 from .geometry import (
     PencilData,
-    VectorField,
     entry_residuals,
-    euler_fields,
-    infer_degree,
     levi_civita,
     lie_derivative_connection,
     linear_forms,
@@ -109,7 +104,6 @@ class NormalizationResult:
     pencil: PencilData
     matrix: list[list[Q]]  # t_new = matrix . t_old
     identity: bool
-    euler: tuple[VectorField, VectorField]  # (E, e)
     delta: Delta
     ops: OperatorPair
     certificates: list[Certificate] = field(default_factory=list)
@@ -130,20 +124,9 @@ class ReconstructionResult:
 # ---------------------------------------------------------------------------
 
 
-def _require_constant_g2(p: PencilData) -> list[list[Q]]:
-    if not p.g2.is_constant():
-        raise NotFlatCoordinatesError(
-            "second metric is not constant; present the pencil in its flat coordinates"
-        )
-    entries = p.g2.constant_entries()
-    if rank(entries) < p.n:
-        raise SingularMetricError("second metric is degenerate")
-    return entries
-
-
 def delta_tensor(p: PencilData) -> Delta:
-    """Delta_k^{ij} = G1_k^{ij} - G2_k^{ij}; here G2 = 0."""
-    _require_constant_g2(p)
+    """Delta_k^{ij} = G1_k^{ij} - G2_k^{ij}; here G2 = 0 (p.eta_up checks g2)."""
+    p.eta_up
     conn1 = levi_civita(p.g1)
     conn2 = levi_civita(p.g2)
     if not conn2.is_zero():
@@ -192,8 +175,8 @@ def check_delta_properties(p: PencilData, delta: Delta) -> Report:
         report.add(reports.skipped("delta-unity-invariance", "no tau supplied"))
         return report
 
-    e_big, e_small = euler_fields(p)
-    d = p.d if p.d is not None else infer_degree(p.g1, e_big)
+    e_big, e_small = p.euler
+    d = p.degree
     lie_e = lie_derivative_connection(e_big, dm)
     report.add(
         reports.residual_certificate(
@@ -228,7 +211,7 @@ def operator_pair(p: PencilData) -> OperatorPair:
     skew-symmetry of Lam for the eta-pairing, and that the gradient of tau
     is a K-eigencovector with eigenvalue 1 - d.
     """
-    eta_up = _require_constant_g2(p)
+    eta_up = p.eta_up
     n = p.n
     if p.tau is None:
         raise ValueError("pencil carries no scaling potential tau")
@@ -236,14 +219,14 @@ def operator_pair(p: PencilData) -> OperatorPair:
         for b in range(a, n):
             if not p.tau.diff(a).diff(b).is_zero():
                 raise TauHessianError(f"tau Hessian nonzero at ({a + 1},{b + 1})")
-    e_big, e_small = euler_fields(p)
+    e_big, e_small = p.euler
     for a in range(n):
         for b in range(n):
             if not e_big.components[a].diff(b).is_constant():
                 raise NonlinearEulerError(
                     f"Euler component {a + 1} is not affine-linear in t{b + 1}"
                 )
-    d = p.d if p.d is not None else infer_degree(p.g1, e_big)
+    d = p.degree
     k_op = [
         [e_big.components[j].diff(i).constant_value() for j in range(n)] for i in range(n)
     ]
@@ -342,9 +325,9 @@ def normalize_flat_coordinates(p: PencilData) -> NormalizationResult:
 
     and the identity E^a = g1^{an} are certified on the result.  d is
     inferred from L_E g1 = (d-1) g1, and a declared d must equal it; the
-    result carries E, e, the difference tensor and the operator pair.
+    result carries the difference tensor, the operator pair and the pencil.
     """
-    _require_constant_g2(p)
+    p.eta_up
     n = p.n
     if p.tau is None:
         raise ValueError("pencil carries no scaling potential tau")
@@ -374,13 +357,12 @@ def normalize_flat_coordinates(p: PencilData) -> NormalizationResult:
             raise NormalizationError("could not complete grad(tau) to a basis")
         q = replace(transform_pencil(p, matrix), tau=QPoly.var(n, n - 1))
 
-    e_big, e_small = euler_fields(q)
-    d = infer_degree(q.g1, e_big)
+    e_big = q.euler[0]
+    d = q.inferred_degree
     if p.d is not None and p.d != d:
         raise DegreeInferenceError(
             f"declared d = {p.d} does not satisfy L_E g1 = (d-1) g1, which gives d = {d}"
         )
-    q = replace(q, d=d)
     certs = [
         reports.residual_certificate(
             "normalized-euler-column",
@@ -410,7 +392,7 @@ def normalize_flat_coordinates(p: PencilData) -> NormalizationResult:
             ),
         )
     )
-    return NormalizationResult(q, matrix, identity, (e_big, e_small), delta, ops, certs)
+    return NormalizationResult(q, matrix, identity, delta, ops, certs)
 
 
 def transform_pencil(p: PencilData, matrix: list[list[Q]]) -> PencilData:
@@ -557,8 +539,7 @@ def multiplication(
             )
         )
     c_mixed = _to_poly(c_raw)
-    eta_cov = mat_inverse(p.g2.constant_entries())
-    return StructureConstants(c_low=contract_two(c_mixed, eta_cov, p.n), c_mixed=c_mixed), report
+    return StructureConstants(c_low=contract_two(c_mixed, p.eta_cov, p.n), c_mixed=c_mixed), report
 
 
 def _to_poly(c_raw):
@@ -654,7 +635,7 @@ def reconstruct_frobenius(p: PencilData) -> ReconstructionResult:
     potential = recover_potential(sc.c_low)
 
     # Present the unity field as a coordinate direction.
-    e_big, e_small = norm.euler
+    e_big, e_small = q.euler
     e_comps = [c.constant_value() for c in e_small.components]
     present = _unity_presentation_matrix(e_comps)
     if present is None:
@@ -673,10 +654,9 @@ def reconstruct_frobenius(p: PencilData) -> ReconstructionResult:
         [e_big.components[a].diff(b).constant_value() for b in range(n)] for a in range(n)
     ]
     e_const = [e_big.components[a].coefficient((0,) * n) for a in range(n)]
-    eta_final = mat_inverse(q_final.g2.constant_entries())
     frob_data = FrobeniusData(
         n=n,
-        eta=eta_final,
+        eta=q_final.eta_cov,
         potential=potential,
         euler_linear=k_lin,
         euler_const=e_const,

@@ -185,6 +185,23 @@ def test_hostile_input_exit_3(tmp_path, capsys, text, message):
     assert capsys.readouterr().err.startswith(message)
 
 
+@pytest.mark.parametrize(
+    "g1, expgens, message",
+    [
+        (" * ".join(["t1^64"] * 300), (), "input error: coordinate power bound 32767 exceeded\n"),
+        ("exp(600000000*t1)", [[1, "600000000"]], "input error: exponential generator rate bound 1000000000 exceeded\n"),
+    ],
+    ids=["power-bound", "rate-bound"],
+)
+def test_ring_bound_crossed_during_run_exit_3(tmp_path, capsys, g1, expgens, message):
+    # Both parse within the bounds; the connection numerator det * d g1
+    # (degree 38399, or rate 1200000000) crosses one, which says the input
+    # is too large for the ring, not that a certificate failed.
+    path = write_json(tmp_path / "large.json", one_by_one_pencil(g1, expgens))
+    assert run(["pencil", "check", path]) == 3
+    assert capsys.readouterr() == ("", message)
+
+
 def test_long_integer_in_witness_prints_in_full(tmp_path, capsys):
     # Within the token bound, but the scaling residual 2*S^5*t1^5 has about
     # 4700 digits, more than Python converts to str by default.
@@ -355,6 +372,79 @@ def test_forward_quantities_derived_once(argv, monkeypatch):
         monkeypatch.setattr(frobenius, name, counted)
     assert run(argv) == 0
     assert calls == {"c_abc": 1, "check_wdvv": 1, "check_quasihomogeneity": 1, "structure_constants": 1}
+
+
+def a3_pencil(tmp_path, d):
+    """The A3 orbit pencil with its degree replaced by d, or removed for None."""
+    data = json.loads((SOURCES / "a3-pencil.json").read_text())
+    if d is None:
+        del data["d"]
+    else:
+        data["d"] = d
+    return write_json(tmp_path / "a3.json", data)
+
+
+def test_reconstruct_refuses_declared_degree_that_does_not_fit(tmp_path, capsys):
+    assert run(["pencil", "reconstruct", a3_pencil(tmp_path, "1/3")]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "certification error: DegreeInferenceError: declared d = 1/3 does not satisfy "
+        "L_E g1 = (d-1) g1, which gives d = 1/2\n",
+    )
+
+
+def count_scaling_derivations(monkeypatch) -> Counter:
+    """Count the reads of a constant g2's entries, the (E, e) derivations
+    and each distinct Lie derivative of a metric formed."""
+    calls = Counter()
+    read_entries = geometry.ContraMetric.constant_entries
+
+    def counted_entries(g):
+        calls["eta"] += 1
+        return read_entries(g)
+
+    monkeypatch.setattr(geometry.ContraMetric, "constant_entries", counted_entries)
+    derive_euler = geometry.PencilData.__dict__["euler"].func
+
+    def counted_euler(p):
+        calls["euler"] += 1
+        return derive_euler(p)
+
+    spy = functools.cached_property(counted_euler)
+    spy.__set_name__(geometry.PencilData, "euler")
+    monkeypatch.setattr(geometry.PencilData, "euler", spy)
+    lie = geometry.lie_derivative_metric
+
+    def counted_lie(x, g):
+        calls["lie", str(x.components), str(g.g)] += 1
+        return lie(x, g)
+
+    monkeypatch.setattr(geometry, "lie_derivative_metric", counted_lie)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["bracket", "recurse", SOURCES / "a3-pencil.json", "--steps", "10"], {"eta": 1}),
+        (["pencil", "reconstruct", None], {"eta": 1, "euler": 1}),
+        (["coxeter", "--rank", "4"], {"eta": 1, "euler": 1}),
+    ],
+    ids=["bracket-recurse-10", "pencil-reconstruct-inferred", "coxeter-4"],
+)
+def test_pencil_scaling_data_derived_once(tmp_path, monkeypatch, argv, expected):
+    argv = [a3_pencil(tmp_path, None) if a is None else a for a in argv]
+    calls = count_scaling_derivations(monkeypatch)
+    assert run(argv) == 0
+    assert {key: calls[key] for key in expected} == expected
+
+
+def test_pencil_check_forms_each_lie_derivative_once(tmp_path, monkeypatch):
+    # L_E g1 serves both the degree inference and the euler-scaling
+    # certificate; L_e g1 and L_e g2 are the two others.
+    calls = count_scaling_derivations(monkeypatch)
+    assert run(["pencil", "check", a3_pencil(tmp_path, None)]) == 0
+    assert sorted(n for key, n in calls.items() if key[0] == "lie") == [1, 1, 1]
 
 
 def test_internal_error_in_potential_scaling_exit_4(monkeypatch, capsys):

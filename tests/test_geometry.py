@@ -122,17 +122,11 @@ def test_lie_derivative_one_dim_scaling():
 def test_unity_flow_reproduces_second_metric(a2):
     bundle, _recon = a2
     p = bundle.pencil
-    _e_big, e_small = _fields(p)
+    _e_big, e_small = p.euler
     lie = lie_derivative_metric(e_small, p.g1)
     for i in range(p.n):
         for j in range(p.n):
             assert (lie[i][j] - p.g2.g[i][j]).is_zero()
-
-
-def _fields(p):
-    from flatpencil.geometry import euler_fields
-
-    return euler_fields(p)
 
 
 def test_lie_bracket_examples():
@@ -144,7 +138,7 @@ def test_lie_bracket_examples():
 
 def test_lie_bracket_unity_euler(a2):
     bundle, _recon = a2
-    e_big, e_small = _fields(bundle.pencil)
+    e_big, e_small = bundle.pencil.euler
     assert lie_bracket(e_small, e_big) == e_small
 
 
@@ -203,30 +197,30 @@ def test_pencil_members_flat_with_combined_connection(cp1_pencil):
     # lam-combination of the endpoint connections.
     conn1 = levi_civita(cp1_pencil.g1)
     conn2 = levi_civita(cp1_pencil.g2)
+    g1, g2 = cp1_pencil.g1.g, cp1_pencil.g2.g
     for lam in (Q(0), Q(1), Q(-1), Q(2)):
-        member = cp1_pencil.g1.combine(cp1_pencil.g2, lam)
+        member = ContraMetric([[g1[i][j] - g2[i][j] * lam for j in range(2)] for i in range(2)])
         assert is_flat(member).passed
         conn = levi_civita(member)
-        combo = conn1.combine(conn2, lam)
         for k in range(2):
             for i in range(2):
                 for j in range(2):
-                    assert conn.gamma[k][i][j] == combo.gamma[k][i][j]
+                    assert conn.gamma[k][i][j] == conn1.gamma[k][i][j] - conn2.gamma[k][i][j] * lam
 
 
 def test_quasihomogeneous_one_dim(cubic_pencil):
     report = check_quasihomogeneous(cubic_pencil)
     assert report.passed
-    assert report.d == 0
-    assert report.E == VectorField([qp("t1", 1)])
-    assert report.e == VectorField([qp("1", 1)])
+    assert cubic_pencil.degree == 0
+    assert cubic_pencil.euler[0] == VectorField([qp("t1", 1)])
+    assert cubic_pencil.euler[1] == VectorField([qp("1", 1)])
 
 
 def test_quasihomogeneous_inference_a2(a2):
     bundle, _recon = a2
     p = PencilData(g1=bundle.pencil.g1, g2=bundle.pencil.g2, tau=bundle.pencil.tau, d=None)
     report = check_quasihomogeneous(p)
-    assert report.d == Q(1, 3)
+    assert p.degree == Q(1, 3)
     assert report.passed
 
 
@@ -264,7 +258,7 @@ def _random_metric(rng, n, allow_exp):
             for j in range(i, n):
                 rows[i][j] = rows[j][i] = entry()
         g = ContraMetric(rows)
-        if not g.is_degenerate() and not g.is_constant():
+        if not g.det.is_zero() and not g.is_constant():
             return g
 
 

@@ -31,6 +31,19 @@ def perturbed_a2(tmp_path):
     return path
 
 
+def a3_copy(tmp_path, d):
+    """The A3 orbit pencil with its declared degree replaced by ``d``, or
+    removed when ``d`` is None, so the degree comes from L_E g1."""
+    data = json.loads((SOURCES / "a3-pencil.json").read_text(encoding="utf-8"))
+    if d is None:
+        del data["d"]
+    else:
+        data["d"] = d
+    path = tmp_path / f"a3-d-{'inferred' if d is None else 'declared'}.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
 CASES = {
     **{f"coxeter-a{r}": lambda _t, r=r: ["coxeter", "--type", "A", "--rank", str(r)] for r in range(1, 5)},
     **{
@@ -44,6 +57,10 @@ CASES = {
     },
     "a3-frobenius-pencil": lambda _t: ["frobenius", "pencil", SOURCES / "a3-frobenius.json"],
     "a2-perturbed-check": lambda t: ["pencil", "check", perturbed_a2(t)],
+    "a3-inferred-check": lambda t: ["pencil", "check", a3_copy(t, None)],
+    "a3-inferred-reconstruct": lambda t: ["pencil", "reconstruct", a3_copy(t, None)],
+    "a3-inferred-recurse": lambda t: ["bracket", "recurse", a3_copy(t, None), "--steps", "3"],
+    "a3-wrong-d-check": lambda t: ["pencil", "check", a3_copy(t, "1/3")],
 }
 
 # case: (exit code, stdout digest, {file name: digest}); sha256 prefixes.
@@ -65,6 +82,18 @@ GOLDEN = {
         "3cceeec879e38520f38c2f8b",
         {"a3-frobenius-pencil.json": "2698ae4a87014d62ebf6d9d9", "frobenius-pencil-report.json": "78f9a5e09679cecd6e8f23fe"},
     ),
+    "a3-inferred-check": (0, "6be9ddd0f4164a3f9d24eb30", {"pencil-check-report.json": "1950de3d5a4fce9effc57f52"}),
+    "a3-inferred-reconstruct": (
+        0,
+        "93507c9a2057b2ed68d68212",
+        {"a3-d-inferred-frobenius.json": "8b1c4867cb0fe41a6a73bdc6", "pencil-reconstruct-report.json": "129749a78d55225d9bc79f5b"},
+    ),
+    "a3-inferred-recurse": (
+        0,
+        "9afaa4484c84cf0b608b0823",
+        {"a3-d-inferred-densities.json": "0de860ab77b3e76b66eeb4a1", "bracket-recurse-report.json": "11c20cd17247c81ab1efd509"},
+    ),
+    "a3-wrong-d-check": (1, "5c3660849648482ddc3d349b", {"pencil-check-report.json": "9e8b73f630add5e972fa136d"}),
     "coxeter-a1": (
         0,
         "038d056c573c0d4632361696",

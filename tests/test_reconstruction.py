@@ -8,7 +8,6 @@ from flatpencil.frobenius import structure_constants, to_flat_pencil
 from flatpencil.geometry import (
     ContraMetric,
     PencilData,
-    euler_fields,
     linear_forms,
     push_vector,
 )
@@ -225,7 +224,7 @@ def test_metric_and_vector_pushes_agree(a2, cp1_pencil):
         new_coords = linear_forms(matrix)
         old_in_new = linear_forms(mat_inverse(matrix))
         q = transform_pencil(p, matrix)
-        for pushed, field in zip(euler_fields(q), euler_fields(p)):
+        for pushed, field in zip(q.euler, p.euler):
             assert pushed == push_vector(field, new_coords, old_in_new)
         back = transform_pencil(q, mat_inverse(matrix))
         for g_back, g in ((back.g1, p.g1), (back.g2, p.g2)):
