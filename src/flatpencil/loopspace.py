@@ -16,11 +16,11 @@ those are what this module certifies -- for the change to flat coordinates
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import reports
-from .errors import DEqualsOneError, IntegrabilityError, NotFlatError
+from .errors import DEqualsOneError, IntegrabilityError, InternalCheckError, NotFlatError, OutOfRingError
 from .frobenius import FrobeniusData, scaling_operator
 from .geometry import (
     Connection,
@@ -50,9 +50,17 @@ class HydroBracket:
 
 @dataclass
 class Density:
-    """Hydrodynamic density: depends on the fields, not their derivatives."""
+    """Hydrodynamic density: depends on the fields, not their derivatives.
+
+    A density returned by :func:`recursion_step` also carries the jet of
+    ``h`` that the step verified it with: ``grad[e]`` = d_e h and
+    ``hessian[e][g]`` = d_g d_e h.  ``Density(h)`` carries neither, and the
+    next step derives them.
+    """
 
     h: QPoly
+    grad: list[QPoly] | None = field(default=None, init=False, compare=False, repr=False)
+    hessian: list[list[QPoly]] | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass
@@ -220,16 +228,23 @@ def recursion_step(p: PencilData, density: Density) -> Density:
         eta^{ae} d_e d_g h_next = g1^{ae} d_e d_g h + G1{}^{ae}_g d_e h,
 
     solved by lowering with eta and two staircase integrations; the affine
-    ambiguity (Casimir shifts) is fixed to zero.  Failure of the symmetry of
-    the right-hand side is reported as non-integrability.
+    ambiguity (Casimir shifts) is fixed to zero.  The lowered right-hand side
+    is the target T_{jk} = d_k d_j h_next.  It is checked for symmetry first,
+    and a failure is reported as non-integrability.  The result is then
+    verified by resubstitution, d_k d_j h_next = T_{jk} for every (j, k).
+    Partial derivatives commute in the ring, so a passing resubstitution
+    proves T symmetric and closed (d_c T_{ab} = d_b T_{ac}), and the
+    closedness of T is tested only when integration or resubstitution
+    fails: a target that is not closed is reported as non-integrability,
+    and a resubstitution that fails on a closed target is a toolkit bug
+    (InternalCheckError).  The returned Density carries the gradient and
+    Hessian of h_next that the resubstitution formed, so the next step does
+    not differentiate h_next again.
     """
     n = p.n
     eta_cov = p.eta_cov
-    conn = levi_civita(p.g1)
-    gamma = conn.as_poly_entries()
-    h = density.h
-    dh = [h.diff(e) for e in range(n)]
-    ddh = [[dh[e].diff(g) for g in range(n)] for e in range(n)]
+    gamma = levi_civita(p.g1).as_poly_entries()
+    dh, ddh = (density.grad, density.hessian) if density.grad is not None else _jet(density.h)
     rhs = [
         [dot(n, [*zip(p.g1.g[a], (row[g] for row in ddh)), *zip(gamma[g][a], dh)]) for g in range(n)]
         for a in range(n)
@@ -237,27 +252,42 @@ def recursion_step(p: PencilData, density: Density) -> Density:
     target = [[dot(n, [(rhs[i][k], eta_cov[j][i]) for i in range(n)]) for k in range(n)] for j in range(n)]
     for j in range(n):
         for k in range(j + 1, n):
-            if not (target[j][k] - target[k][j]).is_zero():
+            if target[j][k] != target[k][j]:
                 raise IntegrabilityError(
                     f"second-derivative target is not symmetric at ({j + 1},{k + 1}); "
                     "the pencil pair is not bihamiltonian on this density"
                 )
-    for a in range(n):
-        for bidx in range(n):
-            for c in range(bidx + 1, n):
-                if not (target[a][bidx].diff(c) - target[a][c].diff(bidx)).is_zero():
-                    raise IntegrabilityError(
-                        f"target gradient is not symmetric at ({a + 1},{bidx + 1},{c + 1})"
-                    )
-    grads = [potential_of_closed_form([target[j][k] for j in range(n)]) for k in range(n)]
-    h_next = potential_of_closed_form(grads)
+    try:
+        grads = [potential_of_closed_form([target[j][k] for j in range(n)]) for k in range(n)]
+        h_next = potential_of_closed_form(grads)
+    except OutOfRingError:
+        _require_closed(target)
+        raise
     h_next = h_next - h_next.poly_part_degree_at_most(1)
-    for j in range(n):
-        dh_next = h_next.diff(j)
-        for k in range(n):
-            if not (dh_next.diff(k) - target[j][k]).is_zero():
-                raise IntegrabilityError("resubstitution of the recursion step failed")
-    return Density(h=h_next)
+    grad, hessian = _jet(h_next)
+    if any(hessian[j][k] != target[j][k] for j in range(n) for k in range(n)):
+        _require_closed(target)
+        raise InternalCheckError("resubstitution of the recursion step failed")
+    result = Density(h=h_next)
+    result.grad, result.hessian = grad, hessian
+    return result
+
+
+def _jet(h: QPoly) -> tuple[list[QPoly], list[list[QPoly]]]:
+    """The gradient d_e h and the Hessian d_g d_e h, indexed [e] and [e][g]."""
+    grad = [h.diff(e) for e in range(h.nvars)]
+    return grad, [[d.diff(g) for g in range(h.nvars)] for d in grad]
+
+
+def _require_closed(target: list[list[QPoly]]) -> None:
+    """Raise IntegrabilityError at the first (a, b, c), b < c, where
+    d_c target[a][b] != d_b target[a][c]."""
+    n = len(target)
+    for a in range(n):
+        for b in range(n):
+            for c in range(b + 1, n):
+                if target[a][b].diff(c) != target[a][c].diff(b):
+                    raise IntegrabilityError(f"target gradient is not symmetric at ({a + 1},{b + 1},{c + 1})")
 
 
 def central_charge(m: FrobeniusData, coxeter_rank: int | None = None) -> CentralChargeReport:

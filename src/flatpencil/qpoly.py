@@ -579,13 +579,16 @@ class QPoly:
         if not self.numerators:
             return "0"
         pieces: list[str] = []
+        den = self.denominator
         for key in sorted(self.numerators, reverse=True):
             num = self.numerators[key]
             body = _term_body(key, self.nvars)
-            mag = Q(abs(num), self.denominator)
+            # |num|/den in lowest terms, printed as str(Fraction) prints it.
+            g = gcd(num, den)
+            mag = str(abs(num) // g) if g == den else f"{abs(num) // g}/{den // g}"
             if body == "1":
-                text = str(mag)
-            elif mag == 1:
+                text = mag
+            elif mag == "1":
                 text = body
             else:
                 text = f"{mag}*{body}"
@@ -677,18 +680,10 @@ def _exp_rate(efac: tuple[tuple[int, Q], ...], axis: int) -> Q | int:
 
 def _term_body(key: PackedKey, nvars: int) -> str:
     packed, efac = key
-    factors = []
-    for axis, p in enumerate(_unpack(packed, nvars)):
-        if p == 1:
-            factors.append(f"t{axis + 1}")
-        elif p > 1:
-            factors.append(f"t{axis + 1}^{p}")
+    factors = [f"t{axis}" if p == 1 else f"t{axis}^{p}" for axis, p in enumerate(_unpack(packed, nvars), 1) if p]
     for axis, rate in efac:
-        if rate == 1:
-            factors.append(f"exp(t{axis + 1})")
-        else:
-            factors.append(f"exp({rate}*t{axis + 1})")
-    return "*".join(factors) if factors else "1"
+        factors.append(f"exp(t{axis + 1})" if rate == 1 else f"exp({rate}*t{axis + 1})")
+    return "*".join(factors) or "1"
 
 
 # ---------------------------------------------------------------------------
@@ -829,11 +824,15 @@ def exact_divide(num: QPoly, den: QPoly) -> QPoly | None:
     if num.is_zero():
         return QPoly.zero(num.nvars)
     nvars = num.nvars
+    # Without exponential factors in the operands every key of the quotient
+    # and the remainder is exp-free too, so its rate vector is zero: the key
+    # itself orders the terms, and the ranges cover the powers alone.
+    rated = any(efac for _p, efac in num.numerators) or any(efac for _p, efac in den.numerators)
 
     def order_key(key: PackedKey):
         return (key[0], _rate_vector(key[1], nvars))
 
-    num_span, den_span = _axis_spans(num), _axis_spans(den)
+    num_span, den_span = _axis_spans(num, rated), _axis_spans(den, rated)
     low = [n_lo - d_lo for (n_lo, _n), (d_lo, _d) in zip(num_span, den_span)]
     high = [n_hi - d_hi for (_n, n_hi), (_d, d_hi) in zip(num_span, den_span)]
     if any(lo > hi for lo, hi in zip(low, high)):
@@ -842,18 +841,19 @@ def exact_divide(num: QPoly, den: QPoly) -> QPoly | None:
     guards = sum(1 << (_FIELD * i + _FIELD - 1) for i in range(nvars + 1))
     content = gcd(*den.numerators.values())
     prim = {key: c // content for key, c in den.numerators.items()}
-    prim_lead = max(prim, key=order_key)
+    prim_lead = max(prim, key=order_key if rated else None)
     prim_lead_coeff = prim[prim_lead]
     rem = dict(num.numerators)
     # Each key's order key, built once, when the key first enters rem.
-    order = {key: order_key(key) for key in rem}
+    order = {key: order_key(key) for key in rem} if rated else {}
+    lead_order = order.__getitem__ if rated else None
     quo: dict[PackedKey, int] = {}
     steps = 0
     while rem:
         steps += 1
         if steps > _DIV_STEP_LIMIT:
             return None
-        lead = max(rem, key=order.__getitem__)
+        lead = max(rem, key=lead_order)
         factor = _monomial_quotient(lead, prim_lead, guards)
         if factor is None or not all(lo <= v <= hi for lo, v, hi in zip(low, _axis_values(factor, nvars), high)):
             return None
@@ -866,7 +866,7 @@ def exact_divide(num: QPoly, den: QPoly) -> QPoly | None:
             key = (pp + fp, _mul_exps(pe, fe))
             new = rem.get(key, 0) - coeff * c
             if new:
-                if key not in order:
+                if rated and key not in order:
                     order[key] = order_key(key)
                 rem[key] = new
             else:
@@ -889,11 +889,12 @@ def _axis_values(key: PackedKey, nvars: int) -> list:
     return [*_unpack(key[0], nvars), *_rate_vector(key[1], nvars)]
 
 
-def _axis_spans(p: QPoly) -> list[tuple]:
-    """(smallest, largest) of each entry of _axis_values over the terms of p."""
+def _axis_spans(p: QPoly, rated: bool) -> list[tuple]:
+    """(smallest, largest) of each entry of _axis_values over the terms of p,
+    the rates left out unless ``rated``."""
     packed = [key[0] for key in p.numerators]
     powers = ([(x >> shift) & _FIELD_MASK for x in packed] for shift in range(_FIELD * (p.nvars - 1), -1, -_FIELD))
-    rates = zip(*(_rate_vector(efac, p.nvars) for _p, efac in p.numerators))
+    rates = zip(*(_rate_vector(efac, p.nvars) for _p, efac in p.numerators)) if rated else ()
     return [(min(col), max(col)) for col in (*powers, *rates)]
 
 

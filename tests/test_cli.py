@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from flatpencil import frobenius, geometry
+from flatpencil import cli, frobenius, geometry, loopspace
 from flatpencil.cli import main
 from flatpencil.errors import InternalCheckError
 from flatpencil.frobenius import FrobeniusData
 from flatpencil.pencilio import dump_pencil
+from flatpencil.qpoly import QPoly
 
 TESTDATA = Path(__file__).resolve().parent.parent / "testdata"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -454,6 +455,91 @@ def test_internal_error_in_potential_scaling_exit_4(monkeypatch, capsys):
     monkeypatch.setattr("flatpencil.frobenius.check_quasihomogeneity", broken)
     assert run(["frobenius", "check", CUBIC]) == 4
     assert "internal error: scaling self-check failed" in capsys.readouterr().err
+
+
+# Pencils over g2 = 1 on which the first recursion step from h = t1 has no
+# solution, with the message each gets.
+NON_INTEGRABLE_RECURSIONS = {
+    "asymmetric-target": (
+        {"g1": [["2*exp(t2)", "t1"], ["t1", "2"]], "expgens": [[2, "1"]]},
+        "second-derivative target is not symmetric at (1,2); the pencil pair is not bihamiltonian on this density",
+    ),
+    "target-not-closed": (
+        {"g1": [["t1^2 + 1", "t1"], ["t1", "1"]]},
+        "target gradient is not symmetric at (2,1,2)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGRABLE_RECURSIONS))
+def test_recurse_non_integrable_target_exit_1(tmp_path, capsys, case):
+    fields, message = NON_INTEGRABLE_RECURSIONS[case]
+    data = {"schema": 1, "n": 2, "g2": [["1", "0"], ["0", "1"]], **fields}
+    assert run(["bracket", "recurse", write_json(tmp_path / f"{case}.json", data)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"certification error: IntegrabilityError: {message}\n")
+
+
+def test_recurse_resubstitution_failure_exit_4(monkeypatch, capsys):
+    # A closed target whose integration comes back wrong is a toolkit bug,
+    # not a pencil that fails to be bihamiltonian.
+    integrate = loopspace.potential_of_closed_form
+
+    def wrong(components):
+        return integrate(components) + QPoly.var(components[0].nvars, 0) ** 3
+
+    monkeypatch.setattr(loopspace, "potential_of_closed_form", wrong)
+    assert run(["bracket", "recurse", SOURCES / "a2-pencil.json"]) == 4
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "internal error: resubstitution of the recursion step failed\n")
+
+
+def test_recurse_differentiates_each_density_once(monkeypatch):
+    # The step that makes h_k verifies it with its gradient (n derivatives)
+    # and Hessian (n^2), and the next step reads that jet instead of
+    # differentiating h_k again.  Derivatives are traced to the density they
+    # were taken of through one level of first derivatives.  The staircase
+    # integration differentiates its partial sums, and the last of them can
+    # be the object it returns, so derivatives taken inside it are not
+    # counted.
+    kept, parent, calls, integrating = [], {}, Counter(), []
+    diff = QPoly.diff
+
+    def counting(self, axis):
+        out = diff(self, axis)
+        if not integrating:
+            kept.append((self, out))  # no id is reused while the run lasts
+            parent[id(out)] = id(self)
+            calls[id(self)] += 1
+        return out
+
+    integrate = loopspace.potential_of_closed_form
+
+    def uncounted(components):
+        integrating.append(True)
+        try:
+            return integrate(components)
+        finally:
+            integrating.pop()
+
+    densities = []
+    step = cli.recursion_step
+
+    def recording(pencil, density):
+        result = step(pencil, density)
+        densities.append(result.h)
+        return result
+
+    monkeypatch.setattr(QPoly, "diff", counting)
+    monkeypatch.setattr(loopspace, "potential_of_closed_form", uncounted)
+    monkeypatch.setattr(cli, "recursion_step", recording)
+    assert run(["bracket", "recurse", SOURCES / "a3-pencil.json", "--steps", "10"]) == 0
+    children = {}
+    for child, of in parent.items():
+        children.setdefault(of, []).append(child)
+    per_density = [calls[id(h)] + sum(calls[c] for c in children.get(id(h), ())) for h in densities]
+    n = 3
+    assert per_density == [n + n * n] * (n * 10)
 
 
 # CP1 in coordinates s1 = t1, s2 = t1 + t2, which puts exp on both axes.

@@ -61,6 +61,7 @@ CASES = {
     "a3-inferred-reconstruct": lambda t: ["pencil", "reconstruct", a3_copy(t, None)],
     "a3-inferred-recurse": lambda t: ["bracket", "recurse", a3_copy(t, None), "--steps", "3"],
     "a3-wrong-d-check": lambda t: ["pencil", "check", a3_copy(t, "1/3")],
+    "a3-recurse-10": lambda _t: ["bracket", "recurse", SOURCES / "a3-pencil.json", "--steps", "10"],
 }
 
 # case: (exit code, stdout digest, {file name: digest}); sha256 prefixes.
@@ -92,6 +93,11 @@ GOLDEN = {
         0,
         "9afaa4484c84cf0b608b0823",
         {"a3-d-inferred-densities.json": "0de860ab77b3e76b66eeb4a1", "bracket-recurse-report.json": "11c20cd17247c81ab1efd509"},
+    ),
+    "a3-recurse-10": (
+        0,
+        "a3475911430df6cbf544d680",
+        {"a3-pencil-densities.json": "1b32502daf900dd2a80a81c9", "bracket-recurse-report.json": "23b669c2d125c5a3206970a7"},
     ),
     "a3-wrong-d-check": (1, "5c3660849648482ddc3d349b", {"pencil-check-report.json": "9e8b73f630add5e972fa136d"}),
     "coxeter-a1": (

@@ -2,6 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from flatpencil import loopspace
 from flatpencil.coxeter import (
     arnold_metric,
     build_orbit_chart,
@@ -9,7 +10,7 @@ from flatpencil.coxeter import (
     saito_flat_coordinates,
     saito_metric,
 )
-from flatpencil.errors import DEqualsOneError, IntegrabilityError, NotFlatError
+from flatpencil.errors import DEqualsOneError, IntegrabilityError, NotFlatError, OutOfRingError
 from flatpencil.exprparse import parse_expr
 from flatpencil.frobenius import to_flat_pencil
 from flatpencil.geometry import ContraMetric, PencilData
@@ -175,6 +176,39 @@ def test_recursion_detects_non_bihamiltonian():
     pencil = PencilData(g1=g1, g2=ident)
     with pytest.raises(IntegrabilityError):
         recursion_step(pencil, Density(QPoly.var(2, 0)))
+
+
+def test_recursion_density_carries_verified_jet(a2):
+    bundle, _recon = a2
+    pencil = bundle.pencil
+    h0 = Density(QPoly.var(2, 1))
+    assert h0.grad is None and h0.hessian is None
+    h1 = recursion_step(pencil, h0)
+    assert h1.grad == [h1.h.diff(e) for e in range(2)]
+    assert h1.hessian == [[h1.h.diff(e).diff(g) for g in range(2)] for e in range(2)]
+    # The jet is derived data: equality and repr read h alone, and a step
+    # from the carried jet gives what a step from h alone gives.
+    assert h1 == Density(h1.h) and repr(h1) == repr(Density(h1.h))
+    assert recursion_step(pencil, h1) == recursion_step(pencil, Density(h1.h))
+
+
+def test_recursion_tests_closedness_before_reraising_ring_bound(monkeypatch, a2):
+    # An integration that crosses a ring bound re-raises the bound error,
+    # except on a target that is not closed, which keeps its own message.
+    bundle, _recon = a2
+
+    def raising(_components):
+        raise OutOfRingError("bound")
+
+    monkeypatch.setattr(loopspace, "potential_of_closed_form", raising)
+    # g1 = [[1 + t1^2, t1], [t1, 1]] over g2 = 1 on h = t1: the lowered
+    # target is symmetric, but its gradient is not.
+    g1 = ContraMetric([[qp("t1^2 + 1", 2), qp("t1", 2)], [qp("t1", 2), qp("1", 2)]])
+    pencil = PencilData(g1=g1, g2=ContraMetric.constant([[Q(1), Q(0)], [Q(0), Q(1)]]))
+    with pytest.raises(IntegrabilityError, match=r"^target gradient is not symmetric at \(2,1,2\)$"):
+        recursion_step(pencil, Density(QPoly.var(2, 0)))
+    with pytest.raises(OutOfRingError, match="^bound$"):
+        recursion_step(bundle.pencil, Density(QPoly.var(2, 0)))
 
 
 def test_weyl_vector_squares():
