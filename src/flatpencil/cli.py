@@ -12,8 +12,9 @@ Subcommands
     bracket recurse INPUT       bihamiltonian recursion from the Casimirs
     bracket central-charge INPUT [--coxeter-rank K]   (K must equal n)
 
-Exit codes: 0 all certificates pass, 1 certificate failure, 2 usage error,
-3 malformed input (parse errors carry line/column) or an input too large for
+Exit codes: 0 all certificates pass, 1 certificate failure, 2 usage error
+or output that cannot be written (a report or artifact write failed), 3
+malformed input (parse errors carry line/column) or an input too large for
 the ring (a coordinate power or exponential rate bound crossed during the
 run), 4 internal error (a redundant self-check failed: a toolkit bug, not a
 verdict on the input).
@@ -118,6 +119,18 @@ def _main(argv: list[str] | None) -> int:
     started = time.monotonic()
     try:
         report, extra, outputs = dispatch(args)
+        elapsed_ms = int((time.monotonic() - started) * 1000) if args.timings else None
+        print(report.summary())
+        for key, value in extra.items():
+            print(f"{key}: {value}")
+        for path in outputs:
+            print(f"wrote {path}")
+        if args.out is not None:
+            payload = run_report_json(args, report, extra, outputs, elapsed_ms)
+            report_path = write_artifact(args.out, f"{command_slug(args)}-report.json", payload)
+            print(f"wrote {report_path}")
+        # A failed flush at interpreter shutdown would end the process with 120.
+        sys.stdout.flush()
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -130,17 +143,11 @@ def _main(argv: list[str] | None) -> int:
     except FlatPencilError as exc:
         print(f"certification error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CERT_FAIL
-
-    elapsed_ms = int((time.monotonic() - started) * 1000) if args.timings else None
-    print(report.summary())
-    for key, value in extra.items():
-        print(f"{key}: {value}")
-    for path in outputs:
-        print(f"wrote {path}")
-    if args.out is not None:
-        payload = run_report_json(args, report, extra, outputs, elapsed_ms)
-        report_path = write_artifact(args.out, f"{command_slug(args)}-report.json", payload)
-        print(f"wrote {report_path}")
+    except OSError as exc:
+        # Reads are mapped to InputFormatError, so this is an artifact or
+        # the report that could not be written.
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK if report.passed else EXIT_CERT_FAIL
 
 

@@ -36,6 +36,7 @@ from .geometry import (
     VectorField,
     check_flat_pencil,
     check_quasihomogeneous,
+    covariant_derivative,
     infer_degree,
     is_flat,
     levi_civita,
@@ -223,9 +224,10 @@ def saito_metric(chart: OrbitChart, g1: ContraMetric, e: VectorField) -> ContraM
 def saito_flat_coordinates(chart: OrbitChart, g2: ContraMetric) -> list[QPoly]:
     """Graded flat generators of the unity-flow metric.
 
-    For each generator degree D the covariant-constancy system for the
-    differential of a weighted-degree-D polynomial is a finite exact linear
-    solve; type-A degrees are distinct so each solution space is a line,
+    For each generator degree D the covariant-constancy system
+    nabla(dm) = 0 (``geometry.covariant_derivative``) for the differential
+    of a weighted-degree-D polynomial m is a finite exact linear solve;
+    type-A degrees are distinct so each solution space is a line,
     normalized so the coefficient of the pure generator p_a is 1.
     """
     n = chart.rank
@@ -245,14 +247,9 @@ def saito_flat_coordinates(chart: OrbitChart, g2: ContraMetric) -> list[QPoly]:
         images = []
         for mono in basis:
             dmono = [mono.diff(s) for s in range(n)]
-            per_ij = []
-            for i in range(n):
-                for j in range(n):
-                    pairs = [(g2.g[i][s], dmono[s].diff(j)) for s in range(n)]
-                    pairs += [(gamma[j][i][s], dmono[s]) for s in range(n)]
-                    terms = dot(n, pairs).terms
-                    per_ij.append(terms)
-                    rows_keys.update(terms)
+            nabla = covariant_derivative(g2.g, gamma, dmono, [[d.diff(j) for j in range(n)] for d in dmono])
+            per_ij = [entry.terms for row in nabla for entry in row]
+            rows_keys.update(*per_ij)
             images.append(per_ij)
         keys = sorted(rows_keys)
         a_mat = [[Q(0)] * len(basis)]  # harmless row; keeps the shape when

@@ -291,6 +291,29 @@ def metricity_residuals(gmat, gamma, n: int, ncoords: int):
                 yield (k, i, j), gamma[k][i][j] + gamma[k][j][i] - gmat[i][j].diff(k)
 
 
+def covariant_derivative(gmat, gamma, v, dv):
+    """The covariant derivative (0.6) of the covector v along each dx^i:
+
+        nabla[i][k] = g^{ij} dv[j][k] + G_k^{ij} v[j],   dv[j][k] = d_k v_j.
+
+    Each entry is one ``dot``; the pairs where v[j] or dv[j][k] is zero are
+    left out, so over a connection of fractions an entry with no other pair
+    stays a QPoly."""
+    nvars = gmat[0][0].nvars
+    n = len(gmat)
+    return [
+        [
+            dot(
+                nvars,
+                [(gmat[i][j], dv[j][k]) for j in range(n) if dv[j][k]]
+                + [(gamma[k][i][j], v[j]) for j in range(n) if v[j]],
+            )
+            for k in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
 def curvature(g: ContraMetric, conn: Connection) -> Curvature:
     """Curvature of a metric/connection pair, entries of the connection's kind."""
     curv = _curvature_entries(g.g, conn.gamma, g.n, g.nvars)

@@ -9,9 +9,10 @@ connection G; two such brackets are compatible exactly when the metrics
 form a flat pencil.  Delta-function calculus never appears at runtime:
 every distributional identity is pre-reduced to coefficient-level tensor
 identities (the delta' coefficient and the xdot-delta coefficient), and
-those are what this module certifies -- for the change to flat coordinates
-(Casimir densities), for the Virasoro form of the stress field T =
-2 tau/(1-d), and for one step of the bihamiltonian recursion.
+those are what this module certifies -- for the Virasoro form of the stress
+field T = 2 tau/(1-d), and for one step of the bihamiltonian recursion.
+Both read the xdot-delta coefficient through the covariant derivative (0.6)
+of a covector, ``geometry.covariant_derivative``.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from .geometry import (
     ContraMetric,
     PencilData,
     check_flat_pencil,
+    covariant_derivative,
     is_flat,
     levi_civita,
-    push_metric,
 )
-from .qpoly import QPoly, RatFunc, dot
+from .qpoly import QPoly, dot
 from .reconstruction import potential_of_closed_form
 from .reports import Certificate, Report
 
@@ -101,74 +102,6 @@ def check_compatibility(b1: HydroBracket, b2: HydroBracket) -> Report:
     return check_flat_pencil(pencil)
 
 
-def transform_bracket(
-    b: HydroBracket, images: list[QPoly]
-) -> tuple[list[list[QPoly]], list[list[list[QPoly | RatFunc]]]]:
-    """Coefficient tensors of the bracket in new dependent variables
-    y^p = images[p](x), both still written in the x chart:
-
-        delta' coefficient:  g'^{pq} = d_i y^p g^{ij} d_j y^q
-        xdot^k delta coeff:  B^{pq}_k = d_i y^p d_j y^q G^{ij}_k
-                                        + d_i y^p g^{ij} d_j d_k y^q
-
-    The bracket in the y chart has its delta coefficient B . dx/dy, so B = 0
-    is equivalent to the vanishing of the transformed connection.
-    """
-    n = b.n
-    g_new = push_metric(b.metric, images, [QPoly.var(n, i) for i in range(n)]).g
-    jac = [[images[p].diff(i) for i in range(n)] for p in range(n)]
-    hess = [[[images[p].diff(i).diff(k) for k in range(n)] for i in range(n)] for p in range(n)]
-    b_new = []
-    for p in range(n):
-        rows_q = []
-        for q in range(n):
-            rows_k = []
-            for k in range(n):
-                pairs = [(b.conn.gamma[k][i][j], jac[p][i] * jac[q][j]) for i in range(n) for j in range(n)]
-                for j in range(n):
-                    if hess[q][j][k]:
-                        pairs += [(jac[p][i] * b.metric.g[i][j], hess[q][j][k]) for i in range(n)]
-                rows_k.append(dot(n, pairs))
-            rows_q.append(rows_k)
-        b_new.append(rows_q)
-    return g_new, b_new
-
-
-def casimir_check(b: HydroBracket, flat_images: list[QPoly]) -> Report:
-    """Certify that the supplied flat coordinates bring the bracket to
-    constant form: the transformed metric is constant and the transformed
-    connection coefficient vanishes (each flat coordinate is then a Casimir
-    density)."""
-    report = Report()
-    g_new, b_new = transform_bracket(b, flat_images)
-    n = b.n
-    bad = next(
-        ((p, q) for p in range(n) for q in range(n) if not g_new[p][q].is_constant()),
-        None,
-    )
-    report.add(
-        Certificate(
-            "transformed-metric-constant",
-            reports.FAIL if bad else reports.PASS,
-            witness=None
-            if bad is None
-            else f"entry ({bad[0] + 1},{bad[1] + 1}): {g_new[bad[0]][bad[1]]}",
-        )
-    )
-    report.add(
-        reports.residual_certificate(
-            "transformed-connection-vanishes",
-            (
-                (f"entry ({p + 1},{q + 1},{k + 1})", b_new[p][q][k])
-                for p in range(n)
-                for q in range(n)
-                for k in range(n)
-            ),
-        )
-    )
-    return report
-
-
 def virasoro_check(m: FrobeniusData, p: PencilData) -> Report:
     """Coefficient-level Virasoro form of the stress field T = 2 tau/(1-d):
 
@@ -195,12 +128,15 @@ def virasoro_check(m: FrobeniusData, p: PencilData) -> Report:
     pairing = dot(n, [(p.g1.g[i][j], dtee_c[i] * dtee_c[j]) for i in range(n) for j in range(n)], [(tee, 2)])
     report.add(reports.residual_certificate("virasoro-stress-pairing", [(None, pairing)]))
 
+    # nabla[i][k] = G_k^{ij} dT_j; dT is constant, so its derivative is zero.
+    zeros = [[0] * n for _j in range(n)]
+    nabla = covariant_derivative(p.g1.g, conn.gamma, dtee_c, zeros)
+
     def stress_connection():
         for k in range(n):
             # Zero scalars are left out, so with no other pair the sum stays a
             # QPoly even over a connection of fractions, and so does its witness.
-            pairs = [(conn.gamma[k][i][j], dtee_c[i] * dtee_c[j]) for i in range(n) for j in range(n)]
-            yield f"k={k + 1}", dot(n, [(x, c) for x, c in pairs if c]) - dtee[k]
+            yield f"k={k + 1}", dot(n, [(nabla[i][k], c) for i, c in enumerate(dtee_c) if c]) - dtee[k]
 
     report.add(reports.residual_certificate("virasoro-stress-connection", stress_connection()))
 
@@ -215,8 +151,7 @@ def virasoro_check(m: FrobeniusData, p: PencilData) -> Report:
     def coordinate_connection():
         for a in range(n):
             for k in range(n):
-                val = dot(n, [(x, c) for x, c in zip(conn.gamma[k][a], dtee_c) if c])
-                yield f"(a,k)=({a + 1},{k + 1})", val - (1 if a == k else 0)
+                yield f"(a,k)=({a + 1},{k + 1})", nabla[a][k] - (1 if a == k else 0)
 
     report.add(reports.residual_certificate("virasoro-coordinate-connection", coordinate_connection()))
     return report
@@ -245,10 +180,7 @@ def recursion_step(p: PencilData, density: Density) -> Density:
     eta_cov = p.eta_cov
     gamma = levi_civita(p.g1).as_poly_entries()
     dh, ddh = (density.grad, density.hessian) if density.grad is not None else _jet(density.h)
-    rhs = [
-        [dot(n, [*zip(p.g1.g[a], (row[g] for row in ddh)), *zip(gamma[g][a], dh)]) for g in range(n)]
-        for a in range(n)
-    ]
+    rhs = covariant_derivative(p.g1.g, gamma, dh, ddh)
     target = [[dot(n, [(rhs[i][k], eta_cov[j][i]) for i in range(n)]) for k in range(n)] for j in range(n)]
     for j in range(n):
         for k in range(j + 1, n):

@@ -437,10 +437,8 @@ def multiplication(
             raise KernelError(
                 f"root subspace of Lam at -1/2 has dimension {kdim}, need exactly 1"
             )
-        kernel = nullspace(ops.r_op)
-        if len(kernel) != 1:
-            raise KernelError(f"ker R has dimension {len(kernel)}, need exactly 1")
-        direction = kernel[0]
+        # R = Lam + 1/2 is singular here, so 1 <= dim ker R <= kdim = 1.
+        direction = half_space.basis[0]
         scale = next((dtau[i] / direction[i] for i in range(n) if direction[i]), None)
         if scale is None or any(dtau[i] != scale * direction[i] for i in range(n)):
             raise KernelError("ker R is not spanned by the gradient of tau")

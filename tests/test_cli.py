@@ -676,3 +676,42 @@ def test_one_process_prints_what_fresh_processes_print(monkeypatch, capsys):
             code = exc.code
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == _fresh_process(argv), argv
+
+
+def _run_with_stdout(argv, stdout):
+    """Exit code and stderr of a fresh process whose stdout is ``stdout``."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = "import sys; from flatpencil.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, argv)], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env
+    )
+    return proc.returncode, proc.stderr
+
+
+def test_closed_pipe_is_output_error_exit_2():
+    # As in `flatpencil frobenius check a3-frobenius.json | head -1`.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = _run_with_stdout(["frobenius", "check", SOURCES / "a3-frobenius.json"], write_end)
+    finally:
+        os.close(write_end)
+    assert result == (2, "output error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_full_device_is_output_error_exit_2():
+    with open("/dev/full", "w") as full:
+        result = _run_with_stdout(["frobenius", "check", SOURCES / "a3-frobenius.json"], full)
+    assert result == (2, "output error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("subcommand", ["check", "pencil"])
+def test_out_naming_a_file_is_output_error_exit_2(tmp_path, subcommand):
+    # `frobenius pencil` writes an artifact before the report, `check` only the report.
+    target = tmp_path / "taken"
+    target.write_text("", encoding="utf-8")
+    argv = ["frobenius", subcommand, SOURCES / "a3-frobenius.json", "--out", target]
+    code, err = _run_with_stdout(argv, subprocess.DEVNULL)
+    assert (code, err) == (2, f"output error: [Errno 17] File exists: '{target}'\n")
+    assert target.read_text(encoding="utf-8") == ""

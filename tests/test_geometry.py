@@ -11,13 +11,14 @@ from flatpencil.geometry import (
     VectorField,
     check_flat_pencil,
     check_quasihomogeneous,
+    covariant_derivative,
     curvature,
     is_flat,
     levi_civita,
     lie_bracket,
     lie_derivative_metric,
 )
-from flatpencil.qpoly import QPoly, RatFunc
+from flatpencil.qpoly import QPoly, RatFunc, dot
 from frobenius_oracle import pencil_gamma
 
 
@@ -419,3 +420,38 @@ def test_constant_metric_skips_adjugate(monkeypatch):
     eta = ContraMetric.constant([[Q(2), Q(1)], [Q(1), Q(1)]])
     assert levi_civita(eta).is_zero()
     assert is_flat(eta).passed
+
+
+def nabla_of_differential(g, h):
+    """nabla^i(dh)_k of (0.6) on the metric g."""
+    dh = [h.diff(j) for j in range(g.n)]
+    return covariant_derivative(g.g, levi_civita(g).gamma, dh, [[x.diff(k) for k in range(g.n)] for x in dh])
+
+
+def test_covariant_derivative_one_dim():
+    g = metric([["t1"]], 1)
+    assert nabla_of_differential(g, qp("t1", 1)) == [[QPoly.const(1, Q(1, 2))]]
+
+
+def assert_torsion_free(g, densities):
+    # By the symmetry condition (0.4), nabla^i(dh)_k g^{kl} is symmetric in
+    # (i, l) for every density h; with G_k^{ji} in place of G_k^{ij} it is not.
+    n = g.n
+    for text in densities:
+        nabla = nabla_of_differential(g, qp(text, n))
+        for i in range(n):
+            for l in range(i + 1, n):
+                plus = [(nabla[i][k], g.g[k][l]) for k in range(n)]
+                minus = [(nabla[l][k], g.g[k][i]) for k in range(n)]
+                assert dot(g.nvars, plus, minus).is_zero(), (text, i, l)
+
+
+def test_covariant_derivative_torsion_free_a3(a3):
+    assert_torsion_free(a3[0].pencil.g1, ["t1^2*t2", "t3^3 + t1*t2", "t1*t2*t3 + t2^2"])
+
+
+def test_covariant_derivative_torsion_free_over_fractions():
+    # The g1 of the reconstruction test on a non-polynomial connection.
+    g = metric([["t1^2+t2+3/2*t1*t2", "2*t1+t2^2"], ["2*t1+t2^2", "t1*t2+1"]], 2)
+    assert all(isinstance(x, RatFunc) for k in levi_civita(g).gamma for row in k for x in row)
+    assert_torsion_free(g, ["t1^2*t2", "t2^3 + t1", "t1*t2"])

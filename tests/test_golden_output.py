@@ -1,11 +1,12 @@
 """Byte-identity of CLI output, pinned by sha256 digest.
 
 Each case runs one command with ``--out`` and pins its exit code, the
-digest of its stdout and the digest of every file it writes.  The working
-directory and the repository root are replaced by fixed tokens before
-hashing, so the digests do not depend on where the tests run.  A change to
-the arithmetic that moves one byte of a report, a witness or an emitted
-file fails here.
+digest of its stdout and the digest of every file it writes; a case that
+prints to stderr pins that text's digest under the name ``<stderr>``.  The
+working directory and the repository root are replaced by fixed tokens
+before hashing, so the digests do not depend on where the tests run.  A
+change to the arithmetic that moves one byte of a report, a witness or an
+emitted file fails here.
 """
 
 import hashlib
@@ -62,12 +63,26 @@ CASES = {
     "a3-inferred-recurse": lambda t: ["bracket", "recurse", a3_copy(t, None), "--steps", "3"],
     "a3-wrong-d-check": lambda t: ["pencil", "check", a3_copy(t, "1/3")],
     "a3-recurse-10": lambda _t: ["bracket", "recurse", SOURCES / "a3-pencil.json", "--steps", "10"],
+    **{
+        f"{src}-virasoro": lambda _t, src=src: ["bracket", "virasoro", SOURCES / f"{src}-frobenius.json"]
+        for src in ("a2", "a3", "cubic")
+    },
+    "a2-emit": lambda _t: ["bracket", "emit", SOURCES / "a2-pencil.json"],
+    "a2-perturbed-emit": lambda t: ["bracket", "emit", perturbed_a2(t)],
+    "a2-perturbed-compat": lambda t: ["bracket", "compat", perturbed_a2(t)],
 }
 
 # case: (exit code, stdout digest, {file name: digest}); sha256 prefixes.
 GOLDEN = {
     "a2-check": (0, "f09e14b529f6198c04a749bc", {"pencil-check-report.json": "86c876cf5fcb216625f82cef"}),
+    "a2-emit": (
+        0,
+        "7f2a68950212a6a16b46a1dc",
+        {"a2-pencil-brackets.json": "4eda20e47e6fb91fdce03823", "bracket-emit-report.json": "01d7e362c2513b2d01fba5f4"},
+    ),
     "a2-perturbed-check": (1, "12deeef0178566ad74deebb2", {"pencil-check-report.json": "51db386d4408ca825a761719"}),
+    "a2-perturbed-compat": (1, "e3b0c44298fc1c149afbf4c8", {"<stderr>": "3ce3c1869dfec8bd69084710"}),
+    "a2-perturbed-emit": (1, "e3b0c44298fc1c149afbf4c8", {"<stderr>": "3ce3c1869dfec8bd69084710"}),
     "a2-reconstruct": (
         0,
         "b025a5188801ff75edcf2d9e",
@@ -78,6 +93,7 @@ GOLDEN = {
         "b2794e58ee3947dda49c278b",
         {"a2-pencil-densities.json": "32ab9011b7d8b14174cb29ba", "bracket-recurse-report.json": "7d65e002fc0e1f38a6465b25"},
     ),
+    "a2-virasoro": (0, "3d862955031cc5f9cdee3c4d", {"bracket-virasoro-report.json": "50c02a26fac25f55fedd0894"}),
     "a3-frobenius-pencil": (
         0,
         "3cceeec879e38520f38c2f8b",
@@ -99,6 +115,7 @@ GOLDEN = {
         "a3475911430df6cbf544d680",
         {"a3-pencil-densities.json": "1b32502daf900dd2a80a81c9", "bracket-recurse-report.json": "23b669c2d125c5a3206970a7"},
     ),
+    "a3-virasoro": (0, "8b8e767075dbd0d22346fe46", {"bracket-virasoro-report.json": "a07b9300f0dc5afb9c15cf2d"}),
     "a3-wrong-d-check": (1, "5c3660849648482ddc3d349b", {"pencil-check-report.json": "9e8b73f630add5e972fa136d"}),
     "coxeter-a1": (
         0,
@@ -147,6 +164,7 @@ GOLDEN = {
         "8bedd9ee616b247f47c45cb5",
         {"bracket-recurse-report.json": "f34c687d944d027721469676", "cp1-pencil-densities.json": "1cd195ec83fd9d6e54137287"},
     ),
+    "cubic-virasoro": (0, "0b9e62090f9f16261c8eb138", {"bracket-virasoro-report.json": "181e24fe540d1c760ef363ed"}),
 }
 
 
@@ -158,9 +176,11 @@ def digest(text, tmp_path):
 def run_case(case, tmp_path, capsys):
     out = tmp_path / "out"
     code = main([str(a) for a in CASES[case](tmp_path)] + ["--out", str(out)])
-    stdout = capsys.readouterr().out
-    files = {f.name: digest(f.read_text(encoding="utf-8"), tmp_path) for f in sorted(out.iterdir())}
-    return code, digest(stdout, tmp_path), files
+    captured = capsys.readouterr()
+    files = {f.name: digest(f.read_text(encoding="utf-8"), tmp_path) for f in sorted(out.glob("*"))}
+    if captured.err:
+        files["<stderr>"] = digest(captured.err, tmp_path)
+    return code, digest(captured.out, tmp_path), files
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
