@@ -375,14 +375,16 @@ def cmd_bracket_recurse(args):
     densities = {}
     for alpha in range(pencil.n):
         h = Density(QPoly.var(pencil.n, alpha))
-        densities[f"{alpha + 1},0"] = str(h.h)
+        densities[f"{alpha + 1},0"] = h.h
         for step in range(1, args.steps + 1):
             h = recursion_step(pencil, h)
-            densities[f"{alpha + 1},{step}"] = str(h.h)
+            densities[f"{alpha + 1},{step}"] = h.h
     report.add(Certificate("recursion-integrable", reports.PASS))
     outputs = []
     if args.out is not None:
-        payload = {"schema": pencilio.SCHEMA, "n": pencil.n, "densities": densities}
+        # Only the artifact reads the densities, so they are printed here.
+        printed = {key: str(h) for key, h in densities.items()}
+        payload = {"schema": pencilio.SCHEMA, "n": pencil.n, "densities": printed}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         outputs.append(write_artifact(args.out, args.input.stem + "-densities.json", text))
     return report, {"steps": args.steps}, outputs

@@ -32,8 +32,7 @@ from .geometry import (
     is_flat,
     levi_civita,
 )
-from .qpoly import QPoly, dot
-from .reconstruction import potential_of_closed_form
+from .qpoly import QPoly, dot, primitive
 from .reports import Certificate, Report
 
 Q = Fraction
@@ -162,11 +161,12 @@ def recursion_step(p: PencilData, density: Density) -> Density:
 
         eta^{ae} d_e d_g h_next = g1^{ae} d_e d_g h + G1{}^{ae}_g d_e h,
 
-    solved by lowering with eta and two staircase integrations; the affine
-    ambiguity (Casimir shifts) is fixed to zero.  The lowered right-hand side
-    is the target T_{jk} = d_k d_j h_next.  It is checked for symmetry first,
-    and a failure is reported as non-integrability.  The result is then
-    verified by resubstitution, d_k d_j h_next = T_{jk} for every (j, k).
+    solved by lowering with eta and one closed-form integration
+    (``qpoly.primitive``); the affine ambiguity (Casimir shifts) is fixed to
+    zero.  The lowered right-hand side is the target T_{jk} = d_k d_j h_next.
+    It is checked for symmetry first, and a failure is reported as
+    non-integrability.  The result is then verified by resubstitution,
+    d_k d_j h_next = T_{jk} for every (j, k).
     Partial derivatives commute in the ring, so a passing resubstitution
     proves T symmetric and closed (d_c T_{ab} = d_b T_{ac}), and the
     closedness of T is tested only when integration or resubstitution
@@ -190,14 +190,12 @@ def recursion_step(p: PencilData, density: Density) -> Density:
                     "the pencil pair is not bihamiltonian on this density"
                 )
     try:
-        grads = [potential_of_closed_form([target[j][k] for j in range(n)]) for k in range(n)]
-        h_next = potential_of_closed_form(grads)
+        h_next = primitive(target, 2)
     except OutOfRingError:
         _require_closed(target)
         raise
-    h_next = h_next - h_next.poly_part_degree_at_most(1)
     grad, hessian = _jet(h_next)
-    if any(hessian[j][k] != target[j][k] for j in range(n) for k in range(n)):
+    if any(hessian[j][k] != target[j][k] for j in range(n) for k in range(j, n)):
         _require_closed(target)
         raise InternalCheckError("resubstitution of the recursion step failed")
     result = Density(h=h_next)
@@ -206,9 +204,18 @@ def recursion_step(p: PencilData, density: Density) -> Density:
 
 
 def _jet(h: QPoly) -> tuple[list[QPoly], list[list[QPoly]]]:
-    """The gradient d_e h and the Hessian d_g d_e h, indexed [e] and [e][g]."""
-    grad = [h.diff(e) for e in range(h.nvars)]
-    return grad, [[d.diff(g) for g in range(h.nvars)] for d in grad]
+    """The gradient d_e h and the Hessian d_g d_e h, indexed [e] and [e][g].
+
+    Partial derivatives commute, so d_g d_e h is taken for e <= g only and
+    the same object fills its mirror entry.
+    """
+    n = h.nvars
+    grad = [h.diff(e) for e in range(n)]
+    hessian: list[list[QPoly]] = [[None] * n for _e in range(n)]
+    for e in range(n):
+        for g in range(e, n):
+            hessian[e][g] = hessian[g][e] = grad[e].diff(g)
+    return grad, hessian
 
 
 def _require_closed(target: list[list[QPoly]]) -> None:

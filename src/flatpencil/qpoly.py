@@ -52,6 +52,10 @@ denominators and is reduced once.  With a RatFunc operand it is the left
 fold ``acc +- a*b`` from zero in pair order, the arithmetic a written-out
 loop does, so a fraction keeps the representation such a loop gives it.
 
+:func:`primitive` is the one integration kernel of a closed tensor: the h
+whose k-th partial derivatives are a given symmetric tensor, in one pass
+over its terms (Euler's identity on the exp-free terms).
+
 :class:`RatFunc` is a fraction num/den of two QPoly, kept as it was built:
 no common factors are cancelled and no denominator is scaled.  A value is
 zero iff its numerator is, and equality is decided by cross-multiplication,
@@ -71,7 +75,8 @@ t1..tn appear only in parsed/printed expressions and JSON files.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import combinations_with_replacement
+from math import factorial, gcd, lcm, perm, prod
 from typing import Iterable, Mapping
 
 from .errors import OutOfRingError, RingBoundError
@@ -650,6 +655,63 @@ def _numerators(x, nvars: int) -> tuple[dict[PackedKey, int] | None, int]:
     if isinstance(x, RatFunc):
         return None, 1
     raise TypeError(f"expected QPoly, RatFunc, int or Fraction, got {type(x).__name__}")
+
+
+def primitive(tensor: list, order: int) -> "QPoly":
+    """The h with d_{i1}...d_{ik} h = tensor[i1]...[ik], k = ``order``, that
+    has no exp-free term of total degree below k.
+
+    ``tensor`` is a nested list of depth k of QPoly, which must be symmetric
+    and closed (the k-th derivatives of some quasi-polynomial); then h is
+    unique, since the k-th derivatives vanish only on the polynomials of
+    degree below k.  Only the sorted index tuples I are read, each weighted
+    by its multinomial multiplicity.  Derivatives keep the exponential
+    factors of a term, so h splits by them:
+
+    * Exp-free terms, by Euler's identity: on the part of h of total degree
+      m, the sum over all index tuples of t^I d_I h is m(m-1)...(m-k+1) h.
+      So a term c t^p of the entry at I enters h as
+      c t^(p + e_I) / ((|p|+1)...(|p|+k)), all over one lcm denominator.
+    * A term with exponential factors, whose first axis is a: d_a is
+      injective on the span of t^q exp(r.t) when r_a != 0, so that part of h
+      is the matching part of the diagonal entry at (a, ..., a) integrated k
+      times along a.
+
+    A power of h past ``POWER_LIMIT`` raises RingBoundError.  A tensor that
+    is not closed gives some h whose k-th derivatives differ from it; the
+    callers differentiate back.
+    """
+    entry = tensor
+    for _ in range(order):
+        entry = entry[0]
+    nvars = entry.nvars
+    top = _FIELD * nvars
+    parts: list[tuple[PackedKey, int, int]] = []
+    exp_parts: list[tuple[int, QPoly]] = []
+    for index in combinations_with_replacement(range(len(tensor)), order):
+        entry = tensor
+        for i in index:
+            entry = entry[i]
+        weight = factorial(order) // prod(factorial(index.count(i)) for i in set(index))
+        shift = sum(_unit(nvars, i) for i in index)
+        den = entry.denominator
+        axis = index[0] if index[0] == index[-1] else None
+        exps: dict[PackedKey, int] = {}
+        for (packed, efac), c in entry.numerators.items():
+            if not efac:
+                parts.append(((packed + shift, efac), weight * c, den * perm((packed >> top) + order, order)))
+            elif efac[0][0] == axis:
+                exps[(packed, efac)] = c
+        if exps:
+            exp_parts.append((axis, _make(nvars, exps, den)))
+    nums, den = _over_common_den(parts)
+    _check_degree(nums, nvars)
+    h = _make(nvars, nums, den)
+    for axis, part in exp_parts:
+        for _ in range(order):
+            part = part.integrate(axis)
+        h = h + part
+    return h
 
 
 def _mul_exps(

@@ -8,8 +8,9 @@ resolves d -> the four algebraic/differential identities of the difference
 tensor -> multiplication of 1-forms u * v = Delta(u, w) + s u with
 R w + s d(tau) = v (w = R^{-1} v and s = 0 when R is invertible; when R is
 singular, its one-dimensional kernel spanned by d(tau) makes d(tau) the
-unity) -> structure constants -> potential by triple term-wise integration
--> closing identity against the first metric of the pencil.
+unity) -> structure constants -> potential by one closed-form integration
+of c_abc (``qpoly.primitive``) -> closing identity against the first metric
+of the pencil.
 
 Everything runs over exact scalars; certificates are collected stage by
 stage into one report.
@@ -54,7 +55,7 @@ from .linalg import (
     rational_roots,
     solve_affine,
 )
-from .qpoly import QPoly, RatFunc, dot
+from .qpoly import QPoly, RatFunc, dot, primitive
 from .reports import Certificate, Report
 
 Q = Fraction
@@ -555,32 +556,20 @@ def _to_poly(c_raw):
 # ---------------------------------------------------------------------------
 
 
-def potential_of_closed_form(components: list[QPoly]) -> QPoly:
-    """A primitive h with d_i h = components[i], by staircase integration.
-
-    Requires the closedness d_i c_j = d_j c_i; integration constants are
-    fixed to zero termwise.
-    """
-    n = len(components)
-    h = QPoly.zero(components[0].nvars)
-    for i in range(n):
-        h = h + (components[i] - h.diff(i)).integrate(i)
-    return h
-
-
 def recover_potential(c_low: list[list[list[QPoly]]]) -> QPoly:
     """Integrate fully symmetric c_abc three times: d_a d_b d_c F = c_abc.
 
     Verifies full symmetry of c and of its gradient (the integrability
-    condition) first; the quadratic-and-lower polynomial part of the result
-    is fixed to zero.
+    condition) first, then takes F from ``qpoly.primitive`` in one pass, with
+    the quadratic-and-lower polynomial part fixed to zero, and differentiates
+    it back through one jet (gradient, Hessian, third derivatives).
     """
     n = len(c_low)
     for a in range(n):
         for b in range(n):
             for c in range(n):
                 for (x, y, z) in ((b, a, c), (a, c, b)):
-                    if not (c_low[a][b][c] - c_low[x][y][z]).is_zero():
+                    if c_low[a][b][c] != c_low[x][y][z]:
                         raise IntegrabilityError(
                             f"c is not symmetric at indices ({a + 1},{b + 1},{c + 1})"
                         )
@@ -588,19 +577,18 @@ def recover_potential(c_low: list[list[list[QPoly]]]) -> QPoly:
         for b in range(n):
             for c in range(n):
                 for dd in range(c + 1, n):
-                    if not (c_low[a][b][c].diff(dd) - c_low[a][b][dd].diff(c)).is_zero():
+                    if c_low[a][b][c].diff(dd) != c_low[a][b][dd].diff(c):
                         raise IntegrabilityError(
                             "gradient of c is not symmetric at indices "
                             f"({a + 1},{b + 1},{c + 1},{dd + 1})"
                         )
-    h = [[potential_of_closed_form([c_low[a][b][g] for a in range(n)]) for g in range(n)] for b in range(n)]
-    g_vec = [potential_of_closed_form([h[b][g] for b in range(n)]) for g in range(n)]
-    f = potential_of_closed_form(g_vec)
-    f = f - f.poly_part_degree_at_most(2)
+    f = primitive(c_low, 3)
+    grad = [f.diff(a) for a in range(n)]
+    hessian = [[fa.diff(b) for b in range(n)] for fa in grad]
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                if not (f.diff(a).diff(b).diff(c) - c_low[a][b][c]).is_zero():
+                if hessian[a][b].diff(c) != c_low[a][b][c]:
                     raise InternalCheckError("recovered potential fails to differentiate back")
     return f
 

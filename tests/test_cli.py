@@ -203,6 +203,18 @@ def test_ring_bound_crossed_during_run_exit_3(tmp_path, capsys, g1, expgens, mes
     assert capsys.readouterr() == ("", message)
 
 
+def test_recursion_integral_over_power_bound_exit_3(tmp_path, capsys):
+    # On g1 = t1^4096 over g2 = 1 the density of step s has degree 4096 s + 1,
+    # so the eighth target has degree 32767, within the bound; only its
+    # integral, of degree 32769, crosses it.
+    g1 = " * ".join(["t1^64"] * 64)
+    path = write_json(tmp_path / "steep.json", one_by_one_pencil(g1))
+    assert run(["bracket", "recurse", path, "--steps", "7"]) == 0
+    capsys.readouterr()
+    assert run(["bracket", "recurse", path, "--steps", "8"]) == 3
+    assert capsys.readouterr() == ("", "input error: coordinate power bound 32767 exceeded\n")
+
+
 def test_long_integer_in_witness_prints_in_full(tmp_path, capsys):
     # Within the token bound, but the scaling residual 2*S^5*t1^5 has about
     # 4700 digits, more than Python converts to str by default.
@@ -483,12 +495,12 @@ def test_recurse_non_integrable_target_exit_1(tmp_path, capsys, case):
 def test_recurse_resubstitution_failure_exit_4(monkeypatch, capsys):
     # A closed target whose integration comes back wrong is a toolkit bug,
     # not a pencil that fails to be bihamiltonian.
-    integrate = loopspace.potential_of_closed_form
+    integrate = loopspace.primitive
 
-    def wrong(components):
-        return integrate(components) + QPoly.var(components[0].nvars, 0) ** 3
+    def wrong(tensor, order):
+        return integrate(tensor, order) + QPoly.var(tensor[0][0].nvars, 0) ** 3
 
-    monkeypatch.setattr(loopspace, "potential_of_closed_form", wrong)
+    monkeypatch.setattr(loopspace, "primitive", wrong)
     assert run(["bracket", "recurse", SOURCES / "a2-pencil.json"]) == 4
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "internal error: resubstitution of the recursion step failed\n")
@@ -496,31 +508,19 @@ def test_recurse_resubstitution_failure_exit_4(monkeypatch, capsys):
 
 def test_recurse_differentiates_each_density_once(monkeypatch):
     # The step that makes h_k verifies it with its gradient (n derivatives)
-    # and Hessian (n^2), and the next step reads that jet instead of
-    # differentiating h_k again.  Derivatives are traced to the density they
-    # were taken of through one level of first derivatives.  The staircase
-    # integration differentiates its partial sums, and the last of them can
-    # be the object it returns, so derivatives taken inside it are not
-    # counted.
-    kept, parent, calls, integrating = [], {}, Counter(), []
+    # and the upper half of its symmetric Hessian (n(n+1)/2), and the next
+    # step reads that jet instead of differentiating h_k again.  Derivatives
+    # are traced to the density they were taken of through one level of
+    # first derivatives.
+    kept, parent, calls = [], {}, Counter()
     diff = QPoly.diff
 
     def counting(self, axis):
         out = diff(self, axis)
-        if not integrating:
-            kept.append((self, out))  # no id is reused while the run lasts
-            parent[id(out)] = id(self)
-            calls[id(self)] += 1
+        kept.append((self, out))  # no id is reused while the run lasts
+        parent[id(out)] = id(self)
+        calls[id(self)] += 1
         return out
-
-    integrate = loopspace.potential_of_closed_form
-
-    def uncounted(components):
-        integrating.append(True)
-        try:
-            return integrate(components)
-        finally:
-            integrating.pop()
 
     densities = []
     step = cli.recursion_step
@@ -531,7 +531,6 @@ def test_recurse_differentiates_each_density_once(monkeypatch):
         return result
 
     monkeypatch.setattr(QPoly, "diff", counting)
-    monkeypatch.setattr(loopspace, "potential_of_closed_form", uncounted)
     monkeypatch.setattr(cli, "recursion_step", recording)
     assert run(["bracket", "recurse", SOURCES / "a3-pencil.json", "--steps", "10"]) == 0
     children = {}
@@ -539,7 +538,7 @@ def test_recurse_differentiates_each_density_once(monkeypatch):
         children.setdefault(of, []).append(child)
     per_density = [calls[id(h)] + sum(calls[c] for c in children.get(id(h), ())) for h in densities]
     n = 3
-    assert per_density == [n + n * n] * (n * 10)
+    assert per_density == [n + n * (n + 1) // 2] * (n * 10)
 
 
 # CP1 in coordinates s1 = t1, s2 = t1 + t2, which puts exp on both axes.

@@ -4,10 +4,16 @@ exit-code contract: a malformed input ends in `ParseError` or
 
 Most drawn files are a valid skeleton with one field replaced or deleted,
 so that the draw reaches the parser and the field checks behind it.
+
+The integration kernel `qpoly.primitive` is fuzzed too: on the k-th
+derivatives of a drawn quasi-polynomial it must give that quasi-polynomial
+back, without its polynomial part of degree below k, and agree with the
+staircase oracle.
 """
 
 import copy
 import json
+from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
@@ -20,6 +26,8 @@ from hypothesis import strategies as st  # noqa: E402
 from flatpencil.errors import InputFormatError, ParseError  # noqa: E402
 from flatpencil.exprparse import parse_expr  # noqa: E402
 from flatpencil.pencilio import load_frobenius, load_pencil  # noqa: E402
+from flatpencil.qpoly import QPoly, primitive  # noqa: E402
+from staircase_oracle import staircase_primitive  # noqa: E402
 
 TESTDATA = Path(__file__).resolve().parent.parent / "testdata"
 SKELETONS = [
@@ -113,3 +121,36 @@ def test_loaders_raise_only_input_errors(case):
         load(text)
     except (InputFormatError, ParseError):
         pass
+
+
+RATES = [Q(1), Q(-1), Q(2), Q(1, 2), Q(-3, 2)]
+
+
+@st.composite
+def quasi_polynomials(draw):
+    """A QPoly in 1-3 variables with rational coefficients, some of its
+    terms carrying exponential factors on one or two axes."""
+    nvars = draw(st.integers(1, 3))
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        pows = tuple(draw(st.lists(st.integers(0, 4), min_size=nvars, max_size=nvars)))
+        axes = draw(st.sets(st.integers(0, nvars - 1), max_size=min(2, nvars)))
+        efac = tuple((axis, draw(st.sampled_from(RATES))) for axis in sorted(axes))
+        coeff = draw(st.fractions(min_value=-5, max_value=5, max_denominator=7))
+        terms[(pows, efac)] = terms.get((pows, efac), Q(0)) + coeff
+    return QPoly(nvars, terms)
+
+
+def derivatives(h: QPoly, order: int):
+    """The tensor d_{i1}...d_{ik} h as nested lists, k = ``order``."""
+    if order == 0:
+        return h
+    return [derivatives(h.diff(i), order - 1) for i in range(h.nvars)]
+
+
+@given(h=quasi_polynomials(), order=st.integers(1, 3))
+def test_primitive_inverts_derivatives(h, order):
+    tensor = derivatives(h, order)
+    got = primitive(tensor, order)
+    assert got == h - h.poly_part_degree_at_most(order - 1)
+    assert got == staircase_primitive(tensor, order)

@@ -191,10 +191,10 @@ def test_recursion_tests_closedness_before_reraising_ring_bound(monkeypatch, a2)
     # except on a target that is not closed, which keeps its own message.
     bundle, _recon = a2
 
-    def raising(_components):
+    def raising(_tensor, _order):
         raise OutOfRingError("bound")
 
-    monkeypatch.setattr(loopspace, "potential_of_closed_form", raising)
+    monkeypatch.setattr(loopspace, "primitive", raising)
     # g1 = [[1 + t1^2, t1], [t1, 1]] over g2 = 1 on h = t1: the lowered
     # target is symmetric, but its gradient is not.
     g1 = ContraMetric([[qp("t1^2 + 1", 2), qp("t1", 2)], [qp("t1", 2), qp("1", 2)]])

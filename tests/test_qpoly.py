@@ -4,9 +4,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from flatpencil.errors import OutOfRingError
+from flatpencil.errors import OutOfRingError, RingBoundError
 from flatpencil.exprparse import parse_expr
-from flatpencil.qpoly import POWER_LIMIT, QPoly, RatFunc, dot, exact_divide
+from flatpencil.qpoly import POWER_LIMIT, QPoly, RatFunc, dot, exact_divide, primitive
 
 
 def qp(text, n):
@@ -576,6 +576,34 @@ def test_exact_divide_matches_fraction_reference():
         other = exact_divide(prod + a + 1, b)
         want = ref_exact_divide((prod + a + 1).terms, b.terms)
         assert (other is None and want is None) or dict(other.terms) == want
+
+
+def test_primitive_of_hessian_and_third_derivatives():
+    # Hessian of h = t1^2*t2/2 + t2^3 + t1*exp(2*t2) + 5*t1 + 7 over 2
+    # variables: the affine part is the one not recovered.
+    h = qp("1/2*t1^2*t2 + t2^3 + t1*exp(2*t2) + 5*t1 + 7", 2)
+    hessian = [[h.diff(a).diff(b) for b in range(2)] for a in range(2)]
+    assert primitive(hessian, 2) == qp("1/2*t1^2*t2 + t2^3 + t1*exp(2*t2)", 2)
+    # c_abc of the cubic t1^3/6 + t1*t2^2 and of CP1's exp(t2), one variable
+    # and two.
+    assert primitive([[[qp("1", 1)]]], 3) == qp("1/6*t1^3", 1)
+    f = qp("1/6*t1^3 + t1*t2^2 + exp(t2) + t1^2", 2)
+    third = [[[f.diff(a).diff(b).diff(c) for c in range(2)] for b in range(2)] for a in range(2)]
+    assert primitive(third, 3) == qp("1/6*t1^3 + t1*t2^2 + exp(t2)", 2)
+
+
+def test_primitive_power_bound_edge():
+    # Two integrations of t1^32765 reach t1^POWER_LIMIT; of t1^32766 they
+    # pass it.
+    t1 = QPoly.var(1, 0)
+    assert primitive([[t1 ** (POWER_LIMIT - 2)]], 2) == t1**POWER_LIMIT * Q(1, POWER_LIMIT * (POWER_LIMIT - 1))
+    with pytest.raises(RingBoundError, match="32767"):
+        primitive([[t1 ** (POWER_LIMIT - 1)]], 2)
+    # The bound holds on the total degree across axes too.
+    t = [QPoly.var(2, axis) for axis in range(2)]
+    mixed = t[0] ** 20000 * t[1] ** (POWER_LIMIT - 20000 - 1)
+    with pytest.raises(RingBoundError, match="32767"):
+        primitive([[mixed, QPoly.zero(2)], [QPoly.zero(2), QPoly.zero(2)]], 2)
 
 
 def test_integrate_at_rate_three_halves():
