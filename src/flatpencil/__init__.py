@@ -11,14 +11,13 @@ normal-form comparison.
 from .errors import FlatPencilError, ParseError
 from .exprparse import parse_expr, parse_rational
 from .frobenius import FrobeniusData, StructureConstants
-from .geometry import Connection, ContraMetric, Curvature, PencilData, VectorField
+from .geometry import Connection, ContraMetric, PencilData, VectorField
 from .identity import ZeroCertificate, is_zero_identity
 from .qpoly import QPoly, RatFunc
 
 __all__ = [
     "Connection",
     "ContraMetric",
-    "Curvature",
     "FlatPencilError",
     "FrobeniusData",
     "ParseError",

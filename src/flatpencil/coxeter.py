@@ -40,7 +40,7 @@ from .geometry import (
     infer_degree,
     is_flat,
     levi_civita,
-    lie_derivative_metric,
+    lie_derivative,
     push_metric,
 )
 from .linalg import exact_linsolve, nullspace
@@ -352,7 +352,7 @@ def coxeter_pencil(rank: int) -> tuple[CoxeterPencil, ReconstructionResult]:
     pencil = PencilData(g1=g1_t, g2=eta, tau=tau_t, d=d)
 
     grading = VectorField([QPoly.var(n, a) * Q(chart.degrees[a], h) for a in range(n)])
-    inferred = infer_degree(g1_t, lie_derivative_metric(grading, g1_t))
+    inferred = infer_degree(g1_t, lie_derivative(grading, g1_t.g, 2))
     report.add(
         Certificate(
             "coxeter-degree",

@@ -33,7 +33,7 @@ from .geometry import (
     ContraMetric,
     PencilData,
     VectorField,
-    lie_bracket,
+    lie_derivative,
     linear_forms,
 )
 from .linalg import mat_inverse
@@ -282,9 +282,9 @@ def to_flat_pencil(m: FrobeniusData) -> PencilData:
 
 def unity_scaling_certificate(m: FrobeniusData) -> Certificate:
     """L_E e = -e, a consequence of the Euler scaling of the multiplication."""
-    bracket = lie_bracket(m.euler_field(), m.unity_field())
+    bracket = lie_derivative(m.euler_field(), m.unity_field().components, 1)
     for i in range(m.n):
-        res = bracket.components[i] + m.unity_field().components[i]
+        res = bracket[i] + m.unity_field().components[i]
         if not res.is_zero():
             return Certificate(
                 "unity-euler-weight", reports.FAIL, witness=f"component {i + 1}: {res}"

@@ -32,9 +32,14 @@ repeatedly builds it once.  Curvature is
 
 which equals the classical curvature tensor with two indices raised,
 g^{is} g^{jt} R^k_{tls}, and therefore vanishes identically iff the metric
-is flat.  Identities involving denominators are certified as numerator
-identities, which is the correct globalization from the dense invertibility
-subset.
+is flat.  Only the entries with j < k are formed.  With the metricity
+residual M_k^{ij} = G_k^{ij} + G_k^{ji} - d_k g^{ij}, the quadratic terms
+cancel pairwise in R_l^{ijk} + R_l^{ikj} = g^{is} (d_s M_l^{jk} - d_l M_s^{jk}),
+so on a connection that satisfies metricity R is antisymmetric in (j, k):
+the j < k half determines it, and the first nonzero entry in index order,
+the reported witness, lies in that half.  Identities involving denominators
+are certified as numerator identities, which is the correct globalization
+from the dense invertibility subset.
 
 A pencil (g1, g2) is *flat* when det(g1 - lam*g2) is not identically zero,
 G1 - lam*G2 is the connection of g1 - lam*g2 for every lam, and the pencil
@@ -47,7 +52,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import getitem
 
 from . import reports
 from .errors import DegreeInferenceError, InternalCheckError, NotFlatCoordinatesError, SingularMetricError
@@ -114,24 +120,6 @@ class Connection:
         return [[[x.as_poly() for x in row] for row in k] for k in self.gamma]
 
 
-class Curvature:
-    """Curvature tensor; r[l][i][j][k] = R_l^{ijk}."""
-
-    def __init__(self, r: list[list[list[list[QPoly | RatFunc]]]]):
-        self.r = r
-        self.n = len(r)
-
-    def entries(self):
-        for l in range(self.n):
-            for i in range(self.n):
-                for j in range(self.n):
-                    for k in range(self.n):
-                        yield (l, i, j, k), self.r[l][i][j][k]
-
-    def is_zero(self) -> bool:
-        return all(val.is_zero() for _idx, val in self.entries())
-
-
 @dataclass
 class VectorField:
     components: list[QPoly]
@@ -191,7 +179,7 @@ class PencilData:
     @cached_property
     def euler_lie_g1(self) -> list[list[QPoly]]:
         """L_E g1."""
-        return lie_derivative_metric(self.euler[0], self.g1)
+        return lie_derivative(self.euler[0], self.g1.g, 2)
 
     @cached_property
     def inferred_degree(self) -> Q:
@@ -314,58 +302,38 @@ def covariant_derivative(gmat, gamma, v, dv):
     ]
 
 
-def curvature(g: ContraMetric, conn: Connection) -> Curvature:
-    """Curvature of a metric/connection pair, entries of the connection's kind."""
-    curv = _curvature_entries(g.g, conn.gamma, g.n, g.nvars)
-    for l in range(g.n):
-        for i in range(g.n):
-            for j in range(g.n):
-                for k in range(j + 1, g.n):
-                    if not (curv[l][i][j][k] + curv[l][i][k][j]).is_zero():
-                        raise InternalCheckError(
-                            "curvature antisymmetry failed at "
-                            f"R_{l + 1}^{{{i + 1}{j + 1}{k + 1}}}; connection "
-                            "does not satisfy metricity"
-                        )
-    return Curvature(curv)
-
-
-def _curvature_entries(gmat, gamma, n: int, ncoords: int):
-    dgamma = [
-        [[[gamma[l][j][k].diff(s) for s in range(ncoords)] for k in range(n)] for j in range(n)]
-        for l in range(n)
-    ]
-    # curl[l][s][j][k] = d_s G_l^{jk} - d_l G_s^{jk}, shared by every i
-    curl = [
-        [[[dgamma[l][j][k][s] - dgamma[s][j][k][l] for k in range(n)] for j in range(n)] for s in range(n)]
-        for l in range(n)
-    ]
+def curvature_entries(gmat, gamma):
+    """The curvature entries ((l, i, j, k), R_l^{ijk}) with j < k, in index
+    order, each of the connection's kind: the half that determines R."""
+    n = len(gmat)
     nvars = gmat[0][0].nvars
+    half = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    dgamma = {(l, j, k): [gamma[l][j][k].diff(s) for s in range(n)] for l in range(n) for j, k in half}
+    # curl[l, s, j, k] = d_s G_l^{jk} - d_l G_s^{jk}, shared by every i
+    curl = {
+        (l, s, j, k): dgamma[l, j, k][s] - dgamma[s, j, k][l] for l in range(n) for s in range(n) for j, k in half
+    }
     return [
-        [
-            [
-                [
-                    dot(
-                        nvars,
-                        [(gmat[i][s], curl[l][s][j][k]) for s in range(n)]
-                        + [(gamma[s][i][k], gamma[l][s][j]) for s in range(n)],
-                        [(gamma[s][i][j], gamma[l][s][k]) for s in range(n)],
-                    )
-                    for k in range(n)
-                ]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
+        (
+            (l, i, j, k),
+            dot(
+                nvars,
+                [(gmat[i][s], curl[l, s, j, k]) for s in range(n)]
+                + [(gamma[s][i][k], gamma[l][s][j]) for s in range(n)],
+                [(gamma[s][i][j], gamma[l][s][k]) for s in range(n)],
+            ),
+        )
         for l in range(n)
+        for i in range(n)
+        for j, k in half
     ]
 
 
 def is_flat(g: ContraMetric) -> Certificate:
     """Certifies that the curvature of (g, levi_civita(g)) vanishes."""
-    curv = curvature(g, levi_civita(g))
+    entries = curvature_entries(g.g, levi_civita(g).gamma)
     return reports.residual_certificate(
-        "flatness", ((f"curvature entry {_idx1(idx)}", val) for idx, val in curv.entries())
+        "flatness", ((f"curvature entry {_idx1(idx)}", val) for idx, val in entries)
     )
 
 
@@ -374,60 +342,33 @@ def is_flat(g: ContraMetric) -> Certificate:
 # ---------------------------------------------------------------------------
 
 
-def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
-    """[X, Y]^i = X^s d_s Y^i - Y^s d_s X^i."""
-    n, nvars = x.n, x.components[0].nvars
-    xs, ys = x.components, y.components
-    return VectorField(
-        [
-            dot(nvars, [(xs[s], ys[i].diff(s)) for s in range(n)], [(ys[s], xs[i].diff(s)) for s in range(n)])
-            for i in range(n)
-        ]
-    )
+def lie_derivative(x: VectorField, tensor, rank: int, lower: int = 0):
+    """L_X of a rank-``rank`` tensor given as nested lists, its first
+    ``lower`` indices lower (the bracket [X, Y] is L_X Y):
 
+        L_X T = X^s d_s T + sum_lower T_{..s..} d_k X^s - sum_upper T^{..s..} d_s X^i.
 
-def lie_derivative_metric(x: VectorField, g: ContraMetric) -> list[list[QPoly]]:
-    """(L_X g)^{ij} = X^s d_s g^{ij} - g^{sj} d_s X^i - g^{is} d_s X^j."""
-    n = g.n
-    dx = [[c.diff(s) for s in range(n)] for c in x.components]
-    return [
-        [
-            dot(
-                g.nvars,
-                [(x.components[s], g.g[i][j].diff(s)) for s in range(n)],
-                [(g.g[s][j], dx[i][s]) for s in range(n)] + [(g.g[i][s], dx[j][s]) for s in range(n)],
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    Each entry is one ``dot``, the transport pairs first and then each
+    slot's in slot order; entries may be QPoly or RatFunc."""
+    xs = x.components
+    n, nvars = len(xs), xs[0].nvars
+    dx = [[c.diff(s) for s in range(n)] for c in xs]
 
+    def entry(idx):
+        plus = [(xs[s], reduce(getitem, idx, tensor).diff(s)) for s in range(n)]
+        minus = []
+        for slot, i in enumerate(idx):
+            moved = [reduce(getitem, idx[:slot] + (s,) + idx[slot + 1 :], tensor) for s in range(n)]
+            if slot < lower:
+                plus += [(moved[s], dx[s][i]) for s in range(n)]
+            else:
+                minus += [(moved[s], dx[i][s]) for s in range(n)]
+        return dot(nvars, plus, minus)
 
-def lie_derivative_connection(x: VectorField, tensor: list[list[list]]) -> list[list[list]]:
-    """Lie derivative of a (1,2) tensor D_k^{ij} along X:
+    def build(idx):
+        return entry(idx) if len(idx) == rank else [build(idx + (i,)) for i in range(n)]
 
-        (L_X D)_k^{ij} = X^s d_s D_k^{ij} - D_k^{sj} d_s X^i - D_k^{is} d_s X^j
-                         + D_s^{ij} d_k X^s.
-
-    Entries may be QPoly or RatFunc.
-    """
-    n, nvars = len(tensor), x.components[0].nvars
-    dx = [[c.diff(s) for s in range(n)] for c in x.components]
-    return [
-        [
-            [
-                dot(
-                    nvars,
-                    [(tensor[k][i][j].diff(s), x.components[s]) for s in range(n)]
-                    + [(tensor[s][i][j], dx[s][k]) for s in range(n)],
-                    [(tensor[k][s][j], dx[i][s]) for s in range(n)] + [(tensor[k][i][s], dx[j][s]) for s in range(n)],
-                )
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        for k in range(n)
-    ]
+    return build(())
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +423,10 @@ def check_flat_pencil(p: PencilData) -> Report:
     combined connection G1 - lam*G2 is formed from the two connections
     computed separately, so its linearity in lam is a certified claim.
     The residual of each condition is expanded in powers of lam and every
-    coefficient tensor must vanish identically.
+    coefficient tensor must vanish identically.  The curvature residual is
+    the j < k half: G1 - lam*G2 satisfies metricity for g1 - lam*g2 because
+    G1 and G2 do for theirs, and no denominator holds lam, so an entry with
+    j > k has a nonzero power of lam only where its earlier mirror does.
     """
     n = p.n
     nvars = p.g1.nvars
@@ -525,8 +469,8 @@ def check_flat_pencil(p: PencilData) -> Report:
         )
     )
 
-    curv = Curvature(_curvature_entries(g_l, gamma_l, n, nvars))
-    report.add(reports.residual_certificate("pencil-curvature", _lam_coefficients(curv.entries(), nvars)))
+    curv = curvature_entries(g_l, gamma_l)
+    report.add(reports.residual_certificate("pencil-curvature", _lam_coefficients(curv, nvars)))
     return report
 
 
@@ -581,11 +525,11 @@ def check_quasihomogeneous(p: PencilData) -> Report:
     d = p.degree
     report = Report()
 
-    bracket = lie_bracket(e_small, e_big)
+    bracket = lie_derivative(e_small, e_big.components, 1)
     report.add(
         reports.residual_certificate(
             "unity-commutator",
-            entry_residuals(((i,), bracket.components[i] - e_small.components[i]) for i in range(p.n)),
+            entry_residuals(((i,), bracket[i] - e_small.components[i]) for i in range(p.n)),
         )
     )
     lie1 = p.euler_lie_g1
@@ -595,14 +539,14 @@ def check_quasihomogeneous(p: PencilData) -> Report:
             entry_residuals(((i, j), lie1[i][j] - p.g1.g[i][j] * (d - 1)) for i in range(p.n) for j in range(p.n)),
         )
     )
-    lie2 = lie_derivative_metric(e_small, p.g1)
+    lie2 = lie_derivative(e_small, p.g1.g, 2)
     report.add(
         reports.residual_certificate(
             "unity-flow-first-metric",
             entry_residuals(((i, j), lie2[i][j] - p.g2.g[i][j]) for i in range(p.n) for j in range(p.n)),
         )
     )
-    lie3 = lie_derivative_metric(e_small, p.g2)
+    lie3 = lie_derivative(e_small, p.g2.g, 2)
     report.add(
         reports.residual_certificate(
             "unity-flow-second-metric",

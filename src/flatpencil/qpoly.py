@@ -484,14 +484,13 @@ class QPoly:
         return _make(target_n, out.numerators, out.denominator * self.denominator)
 
     def lift(self, new_nvars: int) -> "QPoly":
-        """Embed into a ring with extra trailing variables."""
+        """Embed into a ring with extra trailing variables: zero trailing
+        fields leave the total degree as it is, so each key is one shift."""
         if new_nvars < self.nvars:
             raise ValueError("cannot shrink the ring")
-        pad = (0,) * (new_nvars - self.nvars)
+        shift = _FIELD * (new_nvars - self.nvars)
         return _make(
-            new_nvars,
-            {(_pack(_unpack(packed, self.nvars) + pad), efac): c for (packed, efac), c in self.numerators.items()},
-            self.denominator,
+            new_nvars, {(packed << shift, efac): c for (packed, efac), c in self.numerators.items()}, self.denominator
         )
 
     # -- structure inspection ------------------------------------------------

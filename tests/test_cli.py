@@ -426,13 +426,13 @@ def count_scaling_derivations(monkeypatch) -> Counter:
     spy = functools.cached_property(counted_euler)
     spy.__set_name__(geometry.PencilData, "euler")
     monkeypatch.setattr(geometry.PencilData, "euler", spy)
-    lie = geometry.lie_derivative_metric
+    lie = geometry.lie_derivative
 
-    def counted_lie(x, g):
-        calls["lie", str(x.components), str(g.g)] += 1
-        return lie(x, g)
+    def counted_lie(x, tensor, rank, lower=0):
+        calls["lie", str(x.components), str(tensor), rank, lower] += 1
+        return lie(x, tensor, rank, lower)
 
-    monkeypatch.setattr(geometry, "lie_derivative_metric", counted_lie)
+    monkeypatch.setattr(geometry, "lie_derivative", counted_lie)
     return calls
 
 
@@ -454,10 +454,10 @@ def test_pencil_scaling_data_derived_once(tmp_path, monkeypatch, argv, expected)
 
 def test_pencil_check_forms_each_lie_derivative_once(tmp_path, monkeypatch):
     # L_E g1 serves both the degree inference and the euler-scaling
-    # certificate; L_e g1 and L_e g2 are the two others.
+    # certificate; [e, E] = L_e E, L_e g1 and L_e g2 are the three others.
     calls = count_scaling_derivations(monkeypatch)
     assert run(["pencil", "check", a3_pencil(tmp_path, None)]) == 0
-    assert sorted(n for key, n in calls.items() if key[0] == "lie") == [1, 1, 1]
+    assert sorted(n for key, n in calls.items() if key[0] == "lie") == [1, 1, 1, 1]
 
 
 def test_internal_error_in_potential_scaling_exit_4(monkeypatch, capsys):

@@ -14,7 +14,7 @@ from flatpencil.coxeter import (
 )
 from flatpencil.errors import RewriteError
 from flatpencil.exprparse import parse_expr
-from flatpencil.geometry import is_flat, lie_derivative_metric
+from flatpencil.geometry import is_flat, lie_derivative
 from flatpencil.linalg import mat_inverse, rank
 from flatpencil.loopspace import central_charge
 from flatpencil.qpoly import QPoly
@@ -118,7 +118,7 @@ def test_arnold_metric_grading(a2):
     chart = build_orbit_chart(2)
     g1 = arnold_metric(chart)
     e_big, _e, _tau = fields_and_tau(chart)
-    lie = lie_derivative_metric(e_big, g1)
+    lie = lie_derivative(e_big, g1.g, 2)
     h = chart.h
     for a in range(2):
         for b in range(2):

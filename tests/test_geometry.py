@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -9,17 +11,23 @@ from flatpencil.geometry import (
     ContraMetric,
     PencilData,
     VectorField,
+    _lam_coefficients,
     check_flat_pencil,
     check_quasihomogeneous,
     covariant_derivative,
-    curvature,
+    curvature_entries,
     is_flat,
     levi_civita,
-    lie_bracket,
-    lie_derivative_metric,
+    lie_derivative,
 )
+from flatpencil.pencilio import load_pencil
 from flatpencil.qpoly import QPoly, RatFunc, dot
+from flatpencil.reconstruction import delta_tensor
+from flatpencil.reports import residual_certificate
+from curvature_oracle import assert_kernel_matches, entries, full_curvature, same_form
 from frobenius_oracle import pencil_gamma
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def qp(text, n):
@@ -78,19 +86,52 @@ def test_singular_metric_rejected():
 
 def test_curvature_zero_for_constant():
     eta = ContraMetric.constant([[Q(1), Q(0)], [Q(0), Q(1)]])
-    assert curvature(eta, levi_civita(eta)).is_zero()
+    gamma = levi_civita(eta).gamma
+    assert_kernel_matches(eta.g, gamma)
+    assert all(val.is_zero() for _idx, val in entries(full_curvature(eta.g, gamma)))
 
 
 def test_curvature_zero_in_one_dim():
+    # One coordinate leaves no j < k entry; the oracle's R_1^{111} vanishes.
     g = metric([["t1^2 + 1"]], 1)
-    assert curvature(g, levi_civita(g)).is_zero()
+    gamma = levi_civita(g).gamma
+    assert curvature_entries(g.g, gamma) == []
+    assert all(val.is_zero() for _idx, val in entries(full_curvature(g.g, gamma)))
 
 
 def test_curvature_antisymmetry_exact():
-    g = metric([["t1+2", "t2"], ["t2", "t1*t2+5"]], 2)
-    curv = curvature(g, levi_civita(g))
-    for (l, i, j, k), val in curv.entries():
-        assert (val + curv.r[l][i][k][j]).is_zero()
+    # The last two connections are fractions over det.
+    for g in (
+        metric([["t1+2", "t2"], ["t2", "t1*t2+5"]], 2),
+        metric([["1", "0"], ["0", "t1^2"]], 2),
+        metric([["t1+2", "t2", "1"], ["t2", "t1*t3+5", "t2"], ["1", "t2", "t3^2+1"]], 3),
+    ):
+        assert_kernel_matches(g.g, levi_civita(g).gamma)
+
+
+def oracle_flatness_witness(g):
+    """The flatness certificate over the whole oracle tensor, labelled as
+    is_flat labels the kernel's entries."""
+    r = full_curvature(g.g, levi_civita(g).gamma)
+    return residual_certificate(
+        "flatness", (("curvature entry (" + ",".join(str(x + 1) for x in idx) + ")", v) for idx, v in entries(r))
+    ).witness
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [["1", "0"], ["0", "t1^2"]],
+        [["t1+2", "t2"], ["t2", "t1*t2+5"]],
+        [["-t1*t2-3*t2*t3+3*t3", "-t1*t3-2*t2", "0"], ["-t1*t3-2*t2", "-5*t3", "t1*t2*t3-3"], ["0", "t1*t2*t3-3", "0"]],
+    ],
+    ids=["fraction-2d", "generic-2d", "generic-3d"],
+)
+def test_first_nonzero_oracle_entry_is_the_flatness_witness(rows):
+    g = metric(rows, len(rows))
+    cert = is_flat(g)
+    assert not cert.passed
+    assert cert.witness == oracle_flatness_witness(g)
 
 
 def test_is_flat_examples(cp1_metric):
@@ -106,17 +147,22 @@ def test_non_flat_witness():
     assert cert.witness and "curvature entry" in cert.witness
 
 
+def bracket(x, y):
+    """[X, Y] = L_X Y."""
+    return VectorField(lie_derivative(x, y.components, 1))
+
+
 def test_lie_derivative_constant_fields():
     eta = ContraMetric.constant([[Q(1), Q(0)], [Q(0), Q(1)]])
     e = VectorField([QPoly.const(2, 1), QPoly.zero(2)])
-    lie = lie_derivative_metric(e, eta)
+    lie = lie_derivative(e, eta.g, 2)
     assert all(x.is_zero() for row in lie for x in row)
 
 
 def test_lie_derivative_one_dim_scaling():
     g = metric([["t1"]], 1)
     euler = VectorField([qp("t1", 1)])
-    lie = lie_derivative_metric(euler, g)
+    lie = lie_derivative(euler, g.g, 2)
     assert lie[0][0] == qp("-t1", 1)  # equals (d - 1) g with d = 0
 
 
@@ -124,7 +170,7 @@ def test_unity_flow_reproduces_second_metric(a2):
     bundle, _recon = a2
     p = bundle.pencil
     _e_big, e_small = p.euler
-    lie = lie_derivative_metric(e_small, p.g1)
+    lie = lie_derivative(e_small, p.g1.g, 2)
     for i in range(p.n):
         for j in range(p.n):
             assert (lie[i][j] - p.g2.g[i][j]).is_zero()
@@ -132,15 +178,81 @@ def test_unity_flow_reproduces_second_metric(a2):
 
 def test_lie_bracket_examples():
     e = VectorField([QPoly.const(1, 1)])
-    assert lie_bracket(e, e).is_zero()
+    assert bracket(e, e).is_zero()
     euler = VectorField([qp("t1", 1)])
-    assert lie_bracket(e, euler) == e
+    assert bracket(e, euler) == e
 
 
 def test_lie_bracket_unity_euler(a2):
     bundle, _recon = a2
     e_big, e_small = bundle.pencil.euler
-    assert lie_bracket(e_small, e_big) == e_small
+    assert bracket(e_small, e_big) == e_small
+
+
+def lie_derivative_connection(x, tensor):
+    """Reference: the Lie derivative of a (1,2) tensor D_k^{ij} along X,
+    written out,
+
+        (L_X D)_k^{ij} = X^s d_s D_k^{ij} - D_k^{sj} d_s X^i - D_k^{is} d_s X^j
+                         + D_s^{ij} d_k X^s."""
+    n, nvars = len(tensor), x.components[0].nvars
+    dx = [[c.diff(s) for s in range(n)] for c in x.components]
+    return [
+        [
+            [
+                dot(
+                    nvars,
+                    [(tensor[k][i][j].diff(s), x.components[s]) for s in range(n)]
+                    + [(tensor[s][i][j], dx[s][k]) for s in range(n)],
+                    [(tensor[k][s][j], dx[i][s]) for s in range(n)] + [(tensor[k][i][s], dx[j][s]) for s in range(n)],
+                )
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        for k in range(n)
+    ]
+
+
+def assert_same_lie_of_connection(x, tensor):
+    got = lie_derivative(x, tensor, 3, lower=1)
+    want = lie_derivative_connection(x, tensor)
+    n = len(tensor)
+    assert all(same_form(got[k][i][j], want[k][i][j]) for k in range(n) for i in range(n) for j in range(n))
+
+
+def test_lie_kernel_matches_written_out_connection_formula():
+    rng = random.Random(41)
+
+    def rand_poly(n):
+        return QPoly(
+            n,
+            {
+                (tuple(rng.randint(0, 2) for _ in range(n)), ()): Q(rng.randint(-4, 4), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 3))
+            },
+        )
+
+    for n in (1, 2, 3):
+        for _ in range(4):
+            x = VectorField([rand_poly(n) for _ in range(n)])
+            polys = [[[rand_poly(n) for _j in range(n)] for _i in range(n)] for _k in range(n)]
+            assert_same_lie_of_connection(x, polys)
+            den = rand_poly(n) + 1
+            if not den.is_zero():
+                assert_same_lie_of_connection(x, [[[RatFunc(p, den) for p in row] for row in k] for k in polys])
+
+
+def test_lie_kernel_keeps_fraction_form_of_delta():
+    # The difference tensor of test_delta_properties_on_non_polynomial_connection:
+    # every entry is a fraction over det g1.
+    g1 = metric([["t1^2+t2+3/2*t1*t2", "2*t1+t2^2"], ["2*t1+t2^2", "t1*t2+1"]], 2)
+    g2 = ContraMetric.constant([[Q(1), Q(0)], [Q(0), Q(1)]])
+    pencil = PencilData(g1=g1, g2=g2, tau=qp("t2", 2), d=Q(1, 2))
+    delta = delta_tensor(pencil)
+    assert all(isinstance(x, RatFunc) for k in delta for row in k for x in row)
+    for field in pencil.euler:
+        assert_same_lie_of_connection(field, delta)
 
 
 def test_lie_bracket_antisymmetry_and_jacobi():
@@ -164,12 +276,12 @@ def test_lie_bracket_antisymmetry_and_jacobi():
 
     for _ in range(12):
         x, y, z = rand_field(), rand_field(), rand_field()
-        minus = lie_bracket(y, x)
-        plus = lie_bracket(x, y)
+        minus = bracket(y, x)
+        plus = bracket(x, y)
         assert all((a + b).is_zero() for a, b in zip(plus.components, minus.components))
-        jac = lie_bracket(x, lie_bracket(y, z))
-        jac2 = lie_bracket(y, lie_bracket(z, x))
-        jac3 = lie_bracket(z, lie_bracket(x, y))
+        jac = bracket(x, bracket(y, z))
+        jac2 = bracket(y, bracket(z, x))
+        jac3 = bracket(z, bracket(x, y))
         total = [a + b + c for a, b, c in zip(jac.components, jac2.components, jac3.components)]
         assert all(t.is_zero() for t in total)
 
@@ -191,6 +303,33 @@ def test_flat_pencil_nonflat_member_fails():
     assert not report.passed
     assert not report.find("pencil-curvature").passed
     assert report.find("pencil-curvature").witness
+
+
+def pencil_curvature_oracle_witness(p):
+    """The pencil-curvature certificate over the whole oracle tensor of
+    g1 - lam*g2 and G1 - lam*G2, lam adjoined as the last variable."""
+    n, nvars = p.n, p.g1.nvars
+    lam = QPoly.var(nvars + 1, nvars)
+    conn1, conn2 = levi_civita(p.g1), levi_civita(p.g2)
+    g_l = [[p.g1.g[i][j].lift(nvars + 1) - lam * p.g2.g[i][j].lift(nvars + 1) for j in range(n)] for i in range(n)]
+    gamma_l = [
+        [[conn1.gamma[k][i][j].lift(nvars + 1) - lam * conn2.gamma[k][i][j].lift(nvars + 1) for j in range(n)] for i in range(n)]
+        for k in range(n)
+    ]
+    r = full_curvature(g_l, gamma_l)
+    return residual_certificate("pencil-curvature", _lam_coefficients(entries(r), nvars)).witness
+
+
+def test_pencil_curvature_witness_is_first_nonzero_oracle_entry():
+    perturbed = json.loads((ROOT / "perfbench" / "sources" / "a2-pencil.json").read_text(encoding="utf-8"))
+    perturbed["g1"][0][0] += " + t1"
+    for p in (
+        load_pencil(json.dumps(perturbed))[0],
+        PencilData(g1=metric([["1", "0"], ["0", "t1^2"]], 2), g2=ContraMetric.constant([[Q(1), Q(0)], [Q(0), Q(1)]])),
+    ):
+        cert = check_flat_pencil(p).find("pencil-curvature")
+        assert not cert.passed
+        assert cert.witness == pencil_curvature_oracle_witness(p)
 
 
 def test_pencil_members_flat_with_combined_connection(cp1_pencil):
@@ -332,7 +471,7 @@ def test_connection_and_curvature_match_sympy(make):
     ]
 
     conn = levi_civita(g)
-    curv = curvature(g, conn)
+    curv = curvature_entries(g.g, conn.gamma)
     rng = random.Random(1)
     for _ in range(2):
         point = [Q(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
@@ -349,8 +488,16 @@ def test_connection_and_curvature_match_sympy(make):
             for i in range(n):
                 for j in range(n):
                     assert agree(conn.gamma[k][i][j], gamma[k][i][j]), (k, i, j)
-        for (l, i, j, k), val in curv.entries():
+        for (l, i, j, k), val in curv:
             assert agree(val, riemann[l][i][j][k]), (l, i, j, k)
+        # the classical tensor is antisymmetric in (j, k), so its j < k half
+        # is all of it
+        for l in range(n):
+            for i in range(n):
+                for j in range(n):
+                    for k in range(j, n):
+                        mirror = riemann[l][i][j][k] + riemann[l][i][k][j]
+                        assert mirror.subs(exp_value).subs(coords) == 0, (l, i, j, k)
 
 
 def test_non_flat_connection_keeps_shared_denominator():

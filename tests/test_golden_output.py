@@ -32,6 +32,26 @@ def perturbed_a2(tmp_path):
     return path
 
 
+def nonflat_over_identity(tmp_path):
+    """g1 = [[1,0],[0,t1^2]] over g2 = I: g1 is curved and its connection
+    has det as denominator, so the pencil-curvature witness is a numerator
+    over det."""
+    data = {"n": 2, "g1": [["1", "0"], ["0", "t1^2"]], "g2": [["1", "0"], ["0", "1"]]}
+    path = tmp_path / "nonflat.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+def cp1_over_identity(tmp_path):
+    """The CP1 pencil's g1 over g2 = I: both metrics are flat in the exp
+    ring, but their connections do not combine into the pencil's."""
+    data = json.loads((SOURCES / "cp1-pencil.json").read_text(encoding="utf-8"))
+    data["g2"] = [["1", "0"], ["0", "1"]]
+    path = tmp_path / "cp1-identity.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
 def a3_copy(tmp_path, d):
     """The A3 orbit pencil with its declared degree replaced by ``d``, or
     removed when ``d`` is None, so the degree comes from L_E g1."""
@@ -70,10 +90,19 @@ CASES = {
     "a2-emit": lambda _t: ["bracket", "emit", SOURCES / "a2-pencil.json"],
     "a2-perturbed-emit": lambda t: ["bracket", "emit", perturbed_a2(t)],
     "a2-perturbed-compat": lambda t: ["bracket", "compat", perturbed_a2(t)],
+    "nonflat-check": lambda t: ["pencil", "check", nonflat_over_identity(t)],
+    "cp1-identity-compat": lambda t: ["bracket", "compat", cp1_over_identity(t)],
+    "a1-emit": lambda _t: ["bracket", "emit", SOURCES / "a1-pencil.json"],
+    "cubic-frobenius-pencil": lambda _t: ["frobenius", "pencil", SOURCES / "cubic-frobenius.json"],
 }
 
 # case: (exit code, stdout digest, {file name: digest}); sha256 prefixes.
 GOLDEN = {
+    "a1-emit": (
+        0,
+        "938d617c6f972779211d369b",
+        {"a1-pencil-brackets.json": "5b68553e2d2d99e0401ca002", "bracket-emit-report.json": "a0f15a63a79cbeb5476112bf"},
+    ),
     "a2-check": (0, "f09e14b529f6198c04a749bc", {"pencil-check-report.json": "86c876cf5fcb216625f82cef"}),
     "a2-emit": (
         0,
@@ -154,6 +183,7 @@ GOLDEN = {
         },
     ),
     "cp1-check": (0, "7b8bb8e14cfd7323cec00405", {"pencil-check-report.json": "bd394332170a573071645077"}),
+    "cp1-identity-compat": (1, "d335d51b11fb62be5befa491", {"bracket-compat-report.json": "d7cd0300ac7e8a22f5d0ffaa"}),
     "cp1-reconstruct": (
         0,
         "dc7aefde7630d29ced6d0118",
@@ -164,7 +194,13 @@ GOLDEN = {
         "8bedd9ee616b247f47c45cb5",
         {"bracket-recurse-report.json": "f34c687d944d027721469676", "cp1-pencil-densities.json": "1cd195ec83fd9d6e54137287"},
     ),
+    "cubic-frobenius-pencil": (
+        0,
+        "a79852bc43c577c720c11444",
+        {"cubic-frobenius-pencil.json": "69aefddc1133d1387f770732", "frobenius-pencil-report.json": "8d1769899f4600651dbf40eb"},
+    ),
     "cubic-virasoro": (0, "0b9e62090f9f16261c8eb138", {"bracket-virasoro-report.json": "181e24fe540d1c760ef363ed"}),
+    "nonflat-check": (1, "badb8f6983c684c11d51dce0", {"pencil-check-report.json": "d018474f241ff17d1d2f600f"}),
 }
 
 
