@@ -3,7 +3,9 @@
 Every rational solve, kernel, rank and inverse runs one Gauss-Jordan
 elimination over `Fraction` (`_rref`); rank deficiency is reported, never
 papered over.  `rational_roots` clears denominators and tries the
-rational-root-theorem candidates of the integer polynomial once.
+rational-root-theorem candidates of the integer polynomial once; it refuses
+a leading or trailing coefficient beyond ``ROOT_COEFFICIENT_LIMIT``, whose
+divisors it could not enumerate in time.
 
 The symbolic helpers (determinant, adjugate) take QPoly entries in
 ``nvars`` variables and sum each Laplace expansion through `qpoly.dot`, so a
@@ -15,10 +17,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .errors import NoSolutionError, UnderdeterminedError
+from .errors import NoSolutionError, RingBoundError, UnderdeterminedError
 from .qpoly import QPoly, dot
 
 Q = Fraction
+
+# Divisors are found by trial division up to the square root, so this bound
+# keeps each enumeration under 10^6 steps.
+ROOT_COEFFICIENT_LIMIT = 10**12
 
 Matrix = list[list[Q]]
 Vector = list[Q]
@@ -139,7 +145,9 @@ def rational_roots(coeffs: list[Q]) -> tuple[list[tuple[Q, int]], int]:
     [c0, c1, ..., cn] for c0 x^n + ... + cn.
 
     Returns (roots, residual_degree); residual_degree == 0 means the
-    polynomial splits completely over Q.
+    polynomial splits completely over Q.  Raises RingBoundError when the
+    leading or trailing coefficient, cleared of denominators, exceeds
+    ``ROOT_COEFFICIENT_LIMIT`` in magnitude.
     """
     scale = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * scale) for c in coeffs]
@@ -171,6 +179,8 @@ def rational_roots(coeffs: list[Q]) -> tuple[list[tuple[Q, int]], int]:
     # root of a deflated factor is a root of the whole polynomial, so one
     # pass over these candidates finds every rational root.
     lead, tail = ints[0], ints[-1]
+    if max(abs(lead), abs(tail)) > ROOT_COEFFICIENT_LIMIT:
+        raise RingBoundError(f"rational root coefficient bound {ROOT_COEFFICIENT_LIMIT} exceeded")
     for p in divisors(tail):
         for q in divisors(lead):
             for sign in (1, -1):

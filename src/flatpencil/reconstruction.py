@@ -478,9 +478,11 @@ def multiplication(
                     )
     report.add(Certificate("multiplication-commutativity", reports.PASS))
 
+    # Entry (b, a, g, mu) is minus entry (a, b, g, mu) and (a, a, g, mu) is
+    # zero, so the a < b half holds the first nonzero entry of the full sweep.
     def assoc():
         for a in range(n):
-            for b in range(n):
+            for b in range(a + 1, n):
                 for g in range(n):
                     for mu in range(n):
                         plus = [(c_raw[a][e][mu], c_raw[b][g][e]) for e in range(n)]

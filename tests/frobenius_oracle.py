@@ -3,12 +3,22 @@
 `pencil_gamma` builds the polynomial connection of the pencil (g - lam*eta)
 straight from the structure constants and the scaling operator, with no
 Levi-Civita solve, so tests can compare it with `geometry.levi_civita`.
+`metricity_residuals` checks the metricity condition (0.5), which
+`geometry.levi_civita` satisfies by construction and does not evaluate.
 """
 
 from flatpencil.errors import InternalCheckError
 from flatpencil.frobenius import FrobeniusData, intersection_form, scaling_operator
-from flatpencil.geometry import Connection, metricity_residuals, symmetry_residuals
+from flatpencil.geometry import Connection, symmetry_residuals
 from flatpencil.qpoly import QPoly
+
+
+def metricity_residuals(gmat, gamma, n: int, ncoords: int):
+    """Residuals of G_k^{ij} + G_k^{ji} = d g^{ij}/dx^k over i <= j, all k."""
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(ncoords):
+                yield (k, i, j), gamma[k][i][j] + gamma[k][j][i] - gmat[i][j].diff(k)
 
 
 def pencil_gamma(m: FrobeniusData) -> Connection:

@@ -186,21 +186,55 @@ def test_hostile_input_exit_3(tmp_path, capsys, text, message):
     assert capsys.readouterr().err.startswith(message)
 
 
+def diagonal_pencil(entry, expgens=()):
+    """diag(entry, entry) over g2 = I."""
+    return {
+        "schema": 1,
+        "n": 2,
+        "expgens": [list(g) for g in expgens],
+        "g1": [[entry, "0"], ["0", entry]],
+        "g2": [["1", "0"], ["0", "1"]],
+    }
+
+
 @pytest.mark.parametrize(
     "g1, expgens, message",
     [
-        (" * ".join(["t1^64"] * 300), (), "input error: coordinate power bound 32767 exceeded\n"),
+        (" * ".join(["t1^64"] * 257), (), "input error: coordinate power bound 32767 exceeded\n"),
         ("exp(600000000*t1)", [[1, "600000000"]], "input error: exponential generator rate bound 1000000000 exceeded\n"),
     ],
     ids=["power-bound", "rate-bound"],
 )
 def test_ring_bound_crossed_during_run_exit_3(tmp_path, capsys, g1, expgens, message):
-    # Both parse within the bounds; the connection numerator det * d g1
-    # (degree 38399, or rate 1200000000) crosses one, which says the input
-    # is too large for the ring, not that a certificate failed.
-    path = write_json(tmp_path / "large.json", one_by_one_pencil(g1, expgens))
+    # Both parse within the bounds; det g1 = g1^{11} g1^{22} (degree 32896,
+    # or rate 1200000000) crosses one, which says the input is too large for
+    # the ring, not that a certificate failed.
+    path = write_json(tmp_path / "large.json", diagonal_pencil(g1, expgens))
     assert run(["pencil", "check", path]) == 3
     assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize(
+    "g1, expgens",
+    [(" * ".join(["t1^64"] * 300), ()), ("exp(600000000*t1)", [[1, "600000000"]])],
+    ids=["power-bound", "rate-bound"],
+)
+def test_one_by_one_pencil_near_ring_bound_decides(tmp_path, capsys, g1, expgens):
+    # A 1x1 connection is 1/2 d g1 with no product by det, so no bound is
+    # crossed, and a 1x1 pencil is flat.
+    path = write_json(tmp_path / "large.json", one_by_one_pencil(g1, expgens))
+    assert run(["pencil", "check", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "FAIL" not in captured.out
+
+
+def test_reconstruct_large_scaling_rate_exit_3(tmp_path, capsys):
+    # The characteristic polynomial of Lam is x - 5*10^23; its rational roots
+    # would take about 7*10^11 trial divisions.
+    data = {"schema": 1, "n": 1, "g1": [["1000000000000000000000001*t1"]], "g2": [["1"]], "tau": "t1"}
+    path = write_json(tmp_path / "large-rate.json", data)
+    assert run(["pencil", "reconstruct", path]) == 3
+    assert capsys.readouterr() == ("", "input error: rational root coefficient bound 1000000000000 exceeded\n")
 
 
 def test_recursion_integral_over_power_bound_exit_3(tmp_path, capsys):
@@ -332,13 +366,13 @@ def test_report_has_digest_and_schema(tmp_path):
 
 
 def test_internal_error_exit_4(monkeypatch, capsys):
-    # A connection kernel that drops the determinant from every entry: the
-    # metricity self-check must fire as a toolkit bug, not as a failed
-    # certificate.
+    # A connection kernel that drops the determinant from the antisymmetric
+    # part: the symmetry self-check must fire as a toolkit bug, not as a
+    # failed certificate.
     monkeypatch.setattr("flatpencil.geometry.exact_divide", lambda num, den: num)
-    assert run(["pencil", "check", PENCIL1]) == 4
+    assert run(["pencil", "check", SOURCES / "a2-pencil.json"]) == 4
     captured = capsys.readouterr()
-    assert "internal error:" in captured.err and "metricity" in captured.err
+    assert captured.err == "internal error: connection symmetry residual nonzero at (1,2,1)\n"
     assert "FAIL" not in captured.out
 
 

@@ -9,10 +9,15 @@ The integration kernel `qpoly.primitive` is fuzzed too: on the k-th
 derivatives of a drawn quasi-polynomial it must give that quasi-polynomial
 back, without its polynomial part of degree below k, and agree with the
 staircase oracle.
+
+The connection kernel `geometry.levi_civita` is checked on drawn symmetric
+metrics against `numerator_connection`, which puts every entry over det,
+and against the metricity condition it holds by construction.
 """
 
 import copy
 import json
+from itertools import product
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -20,13 +25,16 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import example, given  # noqa: E402
+from hypothesis import assume, example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from flatpencil.errors import InputFormatError, ParseError  # noqa: E402
 from flatpencil.exprparse import parse_expr  # noqa: E402
+from flatpencil.geometry import ContraMetric, levi_civita  # noqa: E402
 from flatpencil.pencilio import load_frobenius, load_pencil  # noqa: E402
-from flatpencil.qpoly import QPoly, primitive  # noqa: E402
+from flatpencil.qpoly import QPoly, RatFunc, dot, primitive  # noqa: E402
+from connection_oracle import numerator_connection  # noqa: E402
+from frobenius_oracle import metricity_residuals  # noqa: E402
 from staircase_oracle import staircase_primitive  # noqa: E402
 
 TESTDATA = Path(__file__).resolve().parent.parent / "testdata"
@@ -154,3 +162,72 @@ def test_primitive_inverts_derivatives(h, order):
     got = primitive(tensor, order)
     assert got == h - h.poly_part_degree_at_most(order - 1)
     assert got == staircase_primitive(tensor, order)
+
+
+@st.composite
+def small_quasi_polynomials(draw, nvars, with_exp):
+    """Up to three multilinear terms, each with at most one exp factor when
+    ``with_exp``; small enough that a 3-dim det stays cheap."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        pows = tuple(draw(st.lists(st.integers(0, 1), min_size=nvars, max_size=nvars)))
+        axes = draw(st.sets(st.integers(0, nvars - 1), max_size=1)) if with_exp else ()
+        efac = tuple((axis, draw(st.sampled_from(RATES[:3]))) for axis in sorted(axes))
+        coeff = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
+        terms[(pows, efac)] = terms.get((pows, efac), Q(0)) + coeff
+    return QPoly(nvars, terms)
+
+
+@st.composite
+def symmetric_metrics(draw):
+    """A symmetric 2- or 3-dim metric with nonzero det.  Either U D U^T with
+    U unit upper triangular and D a constant diagonal, whose det is the
+    constant det D, so every connection entry divides; or independent
+    entries, whose connection mostly keeps det.  Entries carry exp factors
+    when drawn so."""
+    n = draw(st.integers(2, 3))
+    with_exp = draw(st.booleans())
+    entry = small_quasi_polynomials(n, with_exp)
+    if draw(st.booleans()):
+        one, zero = QPoly.const(n, 1), QPoly.zero(n)
+        u = [[one if i == j else draw(entry) if i < j else zero for j in range(n)] for i in range(n)]
+        diag = [draw(st.sampled_from([Q(1), Q(-1), Q(2), Q(1, 3)])) for _ in range(n)]
+        rows = [[dot(n, [(u[i][s], u[j][s] * diag[s]) for s in range(n)]) for j in range(n)] for i in range(n)]
+    else:
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = draw(entry)
+    g = ContraMetric(rows)
+    assume(not g.det.is_zero())
+    return g
+
+
+def metric_from_text(rows):
+    n = len(rows)
+    return ContraMetric([[parse_expr(x, n) for x in row] for row in rows])
+
+
+@given(g=symmetric_metrics())
+@example(g=metric_from_text([["2*exp(t2)", "t1"], ["t1", "2"]]))
+@example(g=metric_from_text([["1", "0"], ["0", "t1^2"]]))
+@example(
+    g=metric_from_text(
+        [
+            ["-t1*t2-3*t2*t3+3*t3", "-t1*t3-2*t2", "0"],
+            ["-t1*t3-2*t2", "-5*t3", "t1*t2*t3-3"],
+            ["0", "t1*t2*t3-3", "0"],
+        ]
+    )
+)
+def test_connection_matches_numerator_oracle(g):
+    gamma = levi_civita(g).gamma
+    oracle = numerator_connection(g)
+    for k, i, j in product(range(g.n), repeat=3):
+        got, want = gamma[k][i][j], oracle[k][i][j]
+        assert type(got) is type(want)
+        if isinstance(want, RatFunc):
+            assert (got.num, got.den) == (want.num, want.den)
+        else:
+            assert got == want
+    assert all(res.is_zero() for _idx, res in metricity_residuals(g.g, gamma, g.n, g.n))

@@ -42,6 +42,21 @@ def nonflat_over_identity(tmp_path):
     return path
 
 
+def nonflat3_over_identity(tmp_path):
+    """A curved 3-dim g1 over g2 = I whose connection keeps det, with all
+    three (i, j) pairs of its antisymmetric part nonzero: the witnesses are
+    numerators over det."""
+    g1 = [
+        ["-t1*t2-3*t2*t3+3*t3", "-t1*t3-2*t2", "0"],
+        ["-t1*t3-2*t2", "-5*t3", "t1*t2*t3-3"],
+        ["0", "t1*t2*t3-3", "0"],
+    ]
+    data = {"n": 3, "g1": g1, "g2": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+    path = tmp_path / "nonflat3.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
 def cp1_over_identity(tmp_path):
     """The CP1 pencil's g1 over g2 = I: both metrics are flat in the exp
     ring, but their connections do not combine into the pencil's."""
@@ -91,6 +106,7 @@ CASES = {
     "a2-perturbed-emit": lambda t: ["bracket", "emit", perturbed_a2(t)],
     "a2-perturbed-compat": lambda t: ["bracket", "compat", perturbed_a2(t)],
     "nonflat-check": lambda t: ["pencil", "check", nonflat_over_identity(t)],
+    "nonflat3-check": lambda t: ["pencil", "check", nonflat3_over_identity(t)],
     "cp1-identity-compat": lambda t: ["bracket", "compat", cp1_over_identity(t)],
     "a1-emit": lambda _t: ["bracket", "emit", SOURCES / "a1-pencil.json"],
     "cubic-frobenius-pencil": lambda _t: ["frobenius", "pencil", SOURCES / "cubic-frobenius.json"],
@@ -201,6 +217,7 @@ GOLDEN = {
     ),
     "cubic-virasoro": (0, "0b9e62090f9f16261c8eb138", {"bracket-virasoro-report.json": "181e24fe540d1c760ef363ed"}),
     "nonflat-check": (1, "badb8f6983c684c11d51dce0", {"pencil-check-report.json": "d018474f241ff17d1d2f600f"}),
+    "nonflat3-check": (1, "fc43307036259de8f08c37a4", {"pencil-check-report.json": "0fd4a51f5b038d5bf3ec07ef"}),
 }
 
 

@@ -3,8 +3,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from flatpencil.errors import NoSolutionError, UnderdeterminedError
+from flatpencil.errors import NoSolutionError, RingBoundError, UnderdeterminedError
 from flatpencil.linalg import (
+    ROOT_COEFFICIENT_LIMIT,
     charpoly,
     exact_linsolve,
     mat_inverse,
@@ -86,6 +87,17 @@ def test_rational_roots_irrational_residual():
     roots, residual = rational_roots([Q(1), Q(0), Q(-2)])
     assert roots == []
     assert residual == 2
+
+
+def test_rational_roots_refuses_coefficient_past_bound():
+    # The trailing coefficient is read after the roots at 0 are split off,
+    # and the leading one after denominators are cleared.
+    assert ROOT_COEFFICIENT_LIMIT == 10**12
+    assert rational_roots([Q(1), Q(-(10**12))]) == ([(Q(10**12), 1)], 0)
+    big = 10**12 + 1
+    for coeffs in ([Q(1), Q(-big)], [Q(1), Q(big), Q(0)], [Q(big), Q(1)], [Q(1, big), Q(1)]):
+        with pytest.raises(RingBoundError, match="rational root coefficient bound 1000000000000 exceeded"):
+            rational_roots(coeffs)
 
 
 def test_mat_inverse():

@@ -250,6 +250,35 @@ def test_multiplication_one_dim(cubic_pencil):
     assert sc.c_low[0][0][0] == QPoly.const(1, 1)
 
 
+def test_associativity_witness_is_first_nonzero_of_full_sweep(a2):
+    # D_g = C_g R gives the constant product e1*e1 = e2, e2*e2 = e1,
+    # e1*e2 = 0: commutative but not associative.  The certificate sweeps
+    # only a < b; its witness must be the first nonzero entry of all (a, b).
+    bundle, _recon = a2
+    p = bundle.pencil
+    n = p.n
+    ops = operator_pair(p)
+    c = [[[Q(0)] * n for _b in range(n)] for _a in range(n)]  # c[a][b][g]: e_a * e_b
+    c[0][0][1] = c[1][1][0] = Q(1)
+    delta = [
+        [[QPoly.const(n, sum(c[a][k][g] * ops.r_op[k][j] for k in range(n))) for j in range(n)] for a in range(n)]
+        for g in range(n)
+    ]
+    _sc, report = multiplication(p, ops, delta)
+    sweep = (
+        ((a, b, g, mu), sum(c[a][e][mu] * c[b][g][e] - c[b][e][mu] * c[a][g][e] for e in range(n)))
+        for a in range(n)
+        for b in range(n)
+        for g in range(n)
+        for mu in range(n)
+    )
+    idx, value = next((idx, value) for idx, value in sweep if value)
+    witness = f"entry ({','.join(str(i + 1) for i in idx)}): nonzero normal form: {value}"
+    assert witness == "entry (1,2,1,1): nonzero normal form: -1"
+    assert report.find("multiplication-commutativity").passed
+    assert report.find("multiplication-associativity").witness == witness
+
+
 def test_multiplication_rejects_singular(cp1_pencil):
     # A singular R admits a product only when Delta(., dtau) vanishes, so the
     # choice of w along ker R = span(dtau) cannot leak into it.
