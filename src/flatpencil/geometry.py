@@ -115,9 +115,6 @@ class Connection:
         self.gamma = gamma
         self.n = len(gamma)
 
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for k in self.gamma for row in k for x in row)
-
     def as_poly_entries(self) -> list[list[list[QPoly]]]:
         """Entries as quasi-polynomials; raises OutOfRingError otherwise."""
         return [[[x.as_poly() for x in row] for row in k] for k in self.gamma]
@@ -126,20 +123,6 @@ class Connection:
 @dataclass
 class VectorField:
     components: list[QPoly]
-
-    @property
-    def n(self) -> int:
-        return len(self.components)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return self.n == other.n and all(
-            (a - b).is_zero() for a, b in zip(self.components, other.components)
-        )
 
 
 @dataclass

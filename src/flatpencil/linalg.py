@@ -5,7 +5,8 @@ elimination over `Fraction` (`_rref`); rank deficiency is reported, never
 papered over.  `rational_roots` clears denominators and tries the
 rational-root-theorem candidates of the integer polynomial once; it refuses
 a leading or trailing coefficient beyond ``ROOT_COEFFICIENT_LIMIT``, whose
-divisors it could not enumerate in time.
+divisors it could not enumerate in time, and more candidates than
+``ROOT_STEP_BUDGET``, which it could not try in time.
 
 The symbolic helpers (determinant, adjugate) take QPoly entries in
 ``nvars`` variables and sum each Laplace expansion through `qpoly.dot`, so a
@@ -22,9 +23,11 @@ from .qpoly import QPoly, dot
 
 Q = Fraction
 
-# Divisors are found by trial division up to the square root, so this bound
-# keeps each enumeration under 10^6 steps.
-ROOT_COEFFICIENT_LIMIT = 10**12
+# Divisors are found by trial division up to the square root, so the
+# coefficient bound keeps each enumeration under ROOT_STEP_BUDGET steps; the
+# candidate roots +-p/q are held to the same budget.
+ROOT_STEP_BUDGET = 10**6
+ROOT_COEFFICIENT_LIMIT = ROOT_STEP_BUDGET**2
 
 Matrix = list[list[Q]]
 Vector = list[Q]
@@ -147,7 +150,9 @@ def rational_roots(coeffs: list[Q]) -> tuple[list[tuple[Q, int]], int]:
     Returns (roots, residual_degree); residual_degree == 0 means the
     polynomial splits completely over Q.  Raises RingBoundError when the
     leading or trailing coefficient, cleared of denominators, exceeds
-    ``ROOT_COEFFICIENT_LIMIT`` in magnitude.
+    ``ROOT_COEFFICIENT_LIMIT`` in magnitude, or when the candidates +-p/q
+    (p dividing the trailing and q the leading coefficient) number more than
+    ``ROOT_STEP_BUDGET``.
     """
     scale = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * scale) for c in coeffs]
@@ -181,8 +186,11 @@ def rational_roots(coeffs: list[Q]) -> tuple[list[tuple[Q, int]], int]:
     lead, tail = ints[0], ints[-1]
     if max(abs(lead), abs(tail)) > ROOT_COEFFICIENT_LIMIT:
         raise RingBoundError(f"rational root coefficient bound {ROOT_COEFFICIENT_LIMIT} exceeded")
-    for p in divisors(tail):
-        for q in divisors(lead):
+    numerators, denominators = divisors(tail), divisors(lead)
+    if 2 * len(numerators) * len(denominators) > ROOT_STEP_BUDGET:
+        raise RingBoundError(f"rational root candidate budget {ROOT_STEP_BUDGET} exceeded")
+    for p in numerators:
+        for q in denominators:
             for sign in (1, -1):
                 cand = Q(sign * p, q)
                 mult = 0

@@ -6,7 +6,10 @@ A nondegenerate first-order bracket
 
 is equivalent to a flat contravariant metric g with its Levi-Civita
 connection G; two such brackets are compatible exactly when the metrics
-form a flat pencil.  Delta-function calculus never appears at runtime:
+form a flat pencil.  A bracket is therefore handled as its metric and
+connection: :func:`bracket_from_metric` certifies the metric flat and
+returns its connection, and compatibility is ``geometry.check_flat_pencil``
+on the two metrics.  Delta-function calculus never appears at runtime:
 every distributional identity is pre-reduced to coefficient-level tensor
 identities (the delta' coefficient and the xdot-delta coefficient), and
 those are what this module certifies -- for the Virasoro form of the stress
@@ -27,25 +30,14 @@ from .geometry import (
     Connection,
     ContraMetric,
     PencilData,
-    check_flat_pencil,
     covariant_derivative,
     is_flat,
     levi_civita,
 )
 from .qpoly import QPoly, dot, primitive
-from .reports import Certificate, Report
+from .reports import Report
 
 Q = Fraction
-
-
-@dataclass
-class HydroBracket:
-    metric: ContraMetric
-    conn: Connection
-
-    @property
-    def n(self) -> int:
-        return self.metric.n
 
 
 @dataclass
@@ -70,35 +62,14 @@ class CentralChargeReport:
     equal: bool | None
 
 
-def bracket_from_metric(g: ContraMetric) -> HydroBracket:
-    """The first-order bracket of a flat metric; non-flat input is an error."""
+def bracket_from_metric(g: ContraMetric) -> Connection:
+    """The first-order bracket of a flat metric g: its xdot-delta coefficient,
+    the connection of g (the delta' coefficient is g itself).  Non-flat input
+    is an error."""
     cert = is_flat(g)
     if not cert.passed:
         raise NotFlatError(f"metric is not flat: {cert.witness}")
-    return HydroBracket(metric=g, conn=levi_civita(g))
-
-
-def degree_certificate(b: HydroBracket) -> Certificate:
-    """Structural grading of the bracket coefficients: the delta' coefficient
-    carries derivative-degree 0 and the delta coefficient is linear in xdot."""
-    # Both facts hold by the shape of HydroBracket (field-only entries; the
-    # xdot factor is explicit), so the certificate asserts the entries are
-    # honest functions of the fields alone.
-    ok = all(x.nvars == b.n for row in b.metric.g for x in row) and all(
-        b.conn.gamma[k][i][j].nvars == b.n
-        for k in range(b.n)
-        for i in range(b.n)
-        for j in range(b.n)
-    )
-    return Certificate("bracket-degree-one", reports.PASS if ok else reports.FAIL)
-
-
-def check_compatibility(b1: HydroBracket, b2: HydroBracket) -> Report:
-    """Compatibility of two first-order brackets == flat-pencil certificate
-    for their metrics (the lam-combination of the brackets has coefficients
-    g1 - lam g2 and G1 - lam G2)."""
-    pencil = PencilData(g1=b1.metric, g2=b2.metric)
-    return check_flat_pencil(pencil)
+    return levi_civita(g)
 
 
 def virasoro_check(m: FrobeniusData, p: PencilData) -> Report:

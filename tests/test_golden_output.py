@@ -67,6 +67,34 @@ def cp1_over_identity(tmp_path):
     return path
 
 
+# The first a2-dense input that ``perfbench/inputs.py`` ``build_batch("7.0")``
+# writes: the A2 orbit pencil under a dense rational change of coordinates, so
+# the inverse construction normalizes through a non-identity matrix.
+DENSE_A2 = {
+    "d": "1/3",
+    "expgens": [],
+    "g1": [
+        [
+            "1944/25*t1^2 - 5184/25*t1*t2 + 3456/25*t2^2 - 26/45*t1 - 16/135*t2",
+            "1458/25*t1^2 - 3888/25*t1*t2 + 2592/25*t2^2 + 11/15*t1 + 1/45*t2",
+        ],
+        [
+            "1458/25*t1^2 - 3888/25*t1*t2 + 2592/25*t2^2 + 11/15*t1 + 1/45*t2",
+            "2187/50*t1^2 - 2916/25*t1*t2 + 1944/25*t2^2 + 4/5*t1 + 14/15*t2",
+        ],
+    ],
+    "g2": [["-4/3", "3/2"], ["3/2", "3"]],
+    "n": 2,
+    "tau": "-3/5*t1 + 4/5*t2",
+}
+
+
+def dense_a2(tmp_path):
+    path = tmp_path / "a2-dense.json"
+    path.write_text(json.dumps(DENSE_A2, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    return path
+
+
 def a3_copy(tmp_path, d):
     """The A3 orbit pencil with its declared degree replaced by ``d``, or
     removed when ``d`` is None, so the degree comes from L_E g1."""
@@ -81,7 +109,7 @@ def a3_copy(tmp_path, d):
 
 
 CASES = {
-    **{f"coxeter-a{r}": lambda _t, r=r: ["coxeter", "--type", "A", "--rank", str(r)] for r in range(1, 5)},
+    **{f"coxeter-a{r}": lambda _t, r=r: ["coxeter", "--type", "A", "--rank", str(r)] for r in range(1, 6)},
     **{
         f"{src}-{name}": lambda _t, src=src, argv=argv: [*argv[:2], SOURCES / f"{src}-pencil.json", *argv[2:]]
         for src in ("a2", "cp1")
@@ -110,6 +138,14 @@ CASES = {
     "cp1-identity-compat": lambda t: ["bracket", "compat", cp1_over_identity(t)],
     "a1-emit": lambda _t: ["bracket", "emit", SOURCES / "a1-pencil.json"],
     "cubic-frobenius-pencil": lambda _t: ["frobenius", "pencil", SOURCES / "cubic-frobenius.json"],
+    **{
+        f"a2-dense-{name}": lambda t, argv=argv: [*argv, dense_a2(t)]
+        for name, argv in (
+            ("reconstruct", ["pencil", "reconstruct"]),
+            ("emit", ["bracket", "emit"]),
+            ("compat", ["bracket", "compat"]),
+        )
+    },
 }
 
 # case: (exit code, stdout digest, {file name: digest}); sha256 prefixes.
@@ -120,6 +156,17 @@ GOLDEN = {
         {"a1-pencil-brackets.json": "5b68553e2d2d99e0401ca002", "bracket-emit-report.json": "a0f15a63a79cbeb5476112bf"},
     ),
     "a2-check": (0, "f09e14b529f6198c04a749bc", {"pencil-check-report.json": "86c876cf5fcb216625f82cef"}),
+    "a2-dense-compat": (0, "bc980ae55ab43f919f0df2aa", {"bracket-compat-report.json": "1febf2a5baabb0ac56ed17e9"}),
+    "a2-dense-emit": (
+        0,
+        "60482ae16078714b950af1d8",
+        {"a2-dense-brackets.json": "ad0ba99617f8904925fe37ee", "bracket-emit-report.json": "496768023e7a8bd0993aa5c7"},
+    ),
+    "a2-dense-reconstruct": (
+        0,
+        "c990f0366002e5e2d3242e3f",
+        {"a2-dense-frobenius.json": "6e9d0e5dd5433810c223182c", "pencil-reconstruct-report.json": "bb3f800f282174dac07e8c86"},
+    ),
     "a2-emit": (
         0,
         "7f2a68950212a6a16b46a1dc",
@@ -196,6 +243,15 @@ GOLDEN = {
             "a4-frobenius.json": "0c4cc87605f20172d329a239",
             "a4-pencil.json": "d1e3c9652ace3889dbdfd3ac",
             "coxeter-report.json": "0361bd0abb4d9ac7fa2d89f0",
+        },
+    ),
+    "coxeter-a5": (
+        0,
+        "6fc226e8d28f7cd861903189",
+        {
+            "a5-frobenius.json": "56fc5fa218c35974214a3336",
+            "a5-pencil.json": "c60cba5b5e618f9b3cd1773e",
+            "coxeter-report.json": "a535e27d4d8be5701a595d8e",
         },
     ),
     "cp1-check": (0, "7b8bb8e14cfd7323cec00405", {"pencil-check-report.json": "bd394332170a573071645077"}),

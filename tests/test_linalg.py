@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from flatpencil.errors import NoSolutionError, RingBoundError, UnderdeterminedError
 from flatpencil.linalg import (
     ROOT_COEFFICIENT_LIMIT,
+    ROOT_STEP_BUDGET,
     charpoly,
     exact_linsolve,
     mat_inverse,
@@ -87,6 +89,18 @@ def test_rational_roots_irrational_residual():
     roots, residual = rational_roots([Q(1), Q(0), Q(-2)])
     assert roots == []
     assert residual == 2
+
+
+def test_rational_roots_refuses_candidates_past_budget():
+    # L x^2 + x + L with L = 963761198400: L is under the coefficient bound,
+    # but its 6720 divisors give 2 * 6720^2 candidate roots +-p/q.
+    started = time.monotonic()
+    with pytest.raises(RingBoundError, match=f"rational root candidate budget {ROOT_STEP_BUDGET} exceeded"):
+        rational_roots([Q(1), Q(1, 963761198400), Q(1)])
+    assert time.monotonic() - started < 1
+    # Lam of the A4 orbit pencil, 10000 x^4 - 1000 x^2 + 9: 150 candidates.
+    spectrum = [(Q(1, 10), 1), (Q(-1, 10), 1), (Q(3, 10), 1), (Q(-3, 10), 1)]
+    assert rational_roots([Q(1), Q(0), Q(-1, 10), Q(0), Q(9, 10000)]) == (spectrum, 0)
 
 
 def test_rational_roots_refuses_coefficient_past_bound():

@@ -1,7 +1,10 @@
+import functools
+import json
 from fractions import Fraction as Q
 
 import pytest
 
+from flatpencil.coxeter import coxeter_pencil
 from flatpencil.errors import IntegrabilityError, KernelError, NotFlatCoordinatesError
 from flatpencil.exprparse import parse_expr
 from flatpencil.frobenius import structure_constants, to_flat_pencil
@@ -10,8 +13,11 @@ from flatpencil.geometry import (
     PencilData,
     linear_forms,
     push_vector,
+    symmetry_residuals,
 )
 from flatpencil.linalg import mat_inverse, rank
+from flatpencil.loopspace import bracket_from_metric
+from flatpencil.pencilio import load_pencil
 from flatpencil.qpoly import QPoly, RatFunc
 from flatpencil.reconstruction import (
     check_delta_properties,
@@ -23,6 +29,7 @@ from flatpencil.reconstruction import (
     reconstruct_frobenius,
     transform_pencil,
 )
+from test_golden_output import DENSE_A2, SOURCES
 
 
 def qp(text, n):
@@ -50,11 +57,9 @@ def test_delta_requires_flat_coordinates():
 
 
 def test_delta_properties_pass(cubic_pencil, a2):
-    delta = delta_tensor(cubic_pencil)
-    assert check_delta_properties(cubic_pencil, delta).passed
+    assert check_delta_properties(cubic_pencil).passed
     bundle, _recon = a2
-    delta2 = delta_tensor(bundle.pencil)
-    report = check_delta_properties(bundle.pencil, delta2)
+    report = check_delta_properties(bundle.pencil)
     assert report.passed
     # scaling identities certified exactly, not skipped
     assert report.find("delta-euler-scaling").status == "pass"
@@ -68,13 +73,16 @@ def test_delta_of_orbit_pencil_is_qpoly(a3):
 
 
 def test_delta_mutation_breaks_curl(a2):
+    # t1 added to g1^{11} of the A2 orbit pencil: g1 is still a metric with a
+    # verified connection, but the pair is no longer a flat pencil.
     bundle, _recon = a2
-    delta = delta_tensor(bundle.pencil)
-    n = bundle.pencil.n
-    mutated = [[[delta[k][i][j] for j in range(n)] for i in range(n)] for k in range(n)]
-    mutated[0][0][0] = mutated[0][0][0] + RatFunc(qp("t2", n))
-    report = check_delta_properties(bundle.pencil, mutated)
+    p = bundle.pencil
+    g1 = ContraMetric(
+        [[x + (qp("t1", 2) if i == j == 0 else 0) for j, x in enumerate(row)] for i, row in enumerate(p.g1.g)]
+    )
+    report = check_delta_properties(PencilData(g1=g1, g2=p.g2, tau=p.tau, d=p.d))
     assert not report.passed
+    assert report.find("delta-g1-symmetry").passed
     curl = report.find("delta-curl")
     assert not curl.passed and curl.witness.startswith("entry (1,2")
 
@@ -88,7 +96,7 @@ def test_delta_properties_on_non_polynomial_connection():
     delta = delta_tensor(pencil)
     assert not all(x.quotient() is not None for k in delta for row in k for x in row)
     assert all(isinstance(x, RatFunc) and x.den == g1.det for k in delta for row in k for x in row)
-    report = check_delta_properties(pencil, delta)
+    report = check_delta_properties(pencil)
     got = {c.name: (c.status, (c.witness or "").split(":")[0]) for c in report.certificates}
     assert got == {
         "delta-g1-symmetry": ("pass", ""),
@@ -98,6 +106,38 @@ def test_delta_properties_on_non_polynomial_connection():
         "delta-euler-scaling": ("fail", "entry (1,1,1)"),
         "delta-unity-invariance": ("fail", "entry (1,1,1)"),
     }
+
+
+GUARANTEE_INPUTS = ["a1", "a2", "a3", "cp1", "a2-dense"] + [f"coxeter-a{r}" for r in range(1, 5)]
+
+
+@functools.cache
+def guarantee_input(name):
+    if name == "a2-dense":
+        return load_pencil(json.dumps(DENSE_A2))[0]
+    if name.startswith("coxeter-a"):
+        return coxeter_pencil(int(name[-1]))[0].pencil
+    return load_pencil((SOURCES / f"{name}-pencil.json").read_text(encoding="utf-8"))[0]
+
+
+@pytest.mark.parametrize("name", GUARANTEE_INPUTS)
+def test_construction_guarantees_behind_pass_lines(name):
+    # The facts that delta-g1-symmetry, normalized-euler-column,
+    # unity-constant, unity-normalized and bracket{1,2}-degree-one report
+    # without recomputing, checked here the long way.
+    p = guarantee_input(name)
+    n = p.n
+    for g in (p.g1, p.g2):
+        conn = bracket_from_metric(g)
+        assert all(x.nvars == n for row in g.g for x in row)
+        assert all(x.nvars == n for k in conn.gamma for row in k for x in row)
+    q = normalize_flat_coordinates(p).pencil
+    assert all(res.is_zero() for _idx, res in symmetry_residuals(q.g1.g, delta_tensor(q), n))
+    e_big, e_small = q.euler
+    assert e_big.components == [row[n - 1] for row in q.g1.g]
+    assert all(c.is_constant() for c in e_small.components)
+    if name.startswith("coxeter-a"):
+        assert p.euler[1].components == [QPoly.const(n, int(a == 0)) for a in range(n)]
 
 
 def test_operator_pair_one_dim(cubic_pencil):
@@ -208,7 +248,7 @@ def test_sheared_a2_delta_scaling_and_reconstruction(a2):
     # so the lower index of L_E Delta must differentiate E^s along t^k.
     bundle, _recon = a2
     sheared = transform_pencil(bundle.pencil, [[Q(1), Q(2)], [Q(3), Q(7)]])
-    report = check_delta_properties(sheared, delta_tensor(sheared))
+    report = check_delta_properties(sheared)
     assert report.find("delta-euler-scaling").status == "pass"
     assert reconstruct_frobenius(sheared).report.passed
 
