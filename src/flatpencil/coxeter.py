@@ -37,9 +37,7 @@ from .geometry import (
     check_flat_pencil,
     check_quasihomogeneous,
     covariant_derivative,
-    infer_degree,
     levi_civita,
-    lie_derivative,
     push_metric,
 )
 from .linalg import exact_linsolve, nullspace
@@ -347,8 +345,11 @@ def coxeter_pencil(rank: int) -> tuple[CoxeterPencil, ReconstructionResult]:
     pencil = PencilData(g1=g1_t, g2=eta, tau=tau_t, d=d)
 
     # Each t^a is weighted homogeneous of degree deg p_a, so the grading
-    # field keeps its form sum (deg_a/h) t^a d/dt^a in the flat generators.
-    inferred = infer_degree(g1_t, lie_derivative(e_big_p, g1_t.g, 2))
+    # field keeps its form sum (deg_a/h) t^a d/dt^a in the flat generators,
+    # where it is E = g1 grad(t^n); the degree is then the pencil's own.
+    if pencil.euler[0] != e_big_p:
+        raise InternalCheckError("grading field differs from E = g1 grad(tau) in the flat generators")
+    inferred = pencil.inferred_degree
     report.add(
         Certificate(
             "coxeter-degree",

@@ -234,10 +234,12 @@ def intersection_form(m: FrobeniusData) -> ContraMetric:
 
     r_mat = scaling_operator(m)
     inv = m.eta_inv
+    # inv2[a][b] = inv[a][l] inv[b][mm] over (l, mm), shared by both raises
+    inv2 = [[[inv[a][l] * inv[b][mm] for l in range(n) for mm in range(n)] for b in range(n)] for a in range(n)]
 
     def raise_both(t):
         return [
-            [dot(n, [(t[l][mm], inv[a][l] * inv[b][mm]) for l in range(n) for mm in range(n)]) for b in range(n)]
+            [dot(n, zip((t[l][mm] for l in range(n) for mm in range(n)), inv2[a][b])) for b in range(n)]
             for a in range(n)
         ]
 

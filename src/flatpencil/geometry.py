@@ -100,6 +100,11 @@ class ContraMetric:
             self._det = sym_det(self.g, self.nvars)
         return self._det
 
+    @property
+    def cached_connection(self) -> "Connection | None":
+        """The connection :func:`levi_civita` built and verified, if it has."""
+        return self._conn
+
     def constant_entries(self) -> list[list[Q]]:
         """The entries as rationals; raises if any entry is non-constant."""
         return [[x.constant_value() for x in row] for row in self.g]
@@ -128,12 +133,20 @@ class VectorField:
 @dataclass
 class PencilData:
     """A pair of metrics, optionally with the scaling potential and degree;
-    its scaling data (eta, E and e, L_E g1, d) are derived once, on first use."""
+    its scaling data (eta, E and e, L_E g1, d) are derived once, on first use.
+
+    ``flat_certified`` records that :func:`check_flat_pencil` passed on this
+    pair; nothing else sets it.  The flat-pencil conditions are tensorial,
+    so ``reconstruction.transform_pencil`` carries the record to a pencil
+    in linearly changed coordinates, and ``dataclasses.replace`` of tau or
+    d keeps it.  A copy with another metric must be certified afresh.
+    """
 
     g1: ContraMetric
     g2: ContraMetric
     tau: QPoly | None = None
     d: Q | None = None
+    flat_certified: bool = False
 
     @property
     def n(self) -> int:
@@ -400,7 +413,9 @@ def check_flat_pencil(p: PencilData) -> Report:
     G1 - lam*G2 does for g1 - lam*g2, and that certificate passes too.  The
     curvature residual is the j < k half: under metricity, and with no
     denominator holding lam, an entry with j > k has a nonzero power of lam
-    only where its earlier mirror does.
+    only where its earlier mirror does.  A passing report sets
+    ``p.flat_certified``, which the difference-tensor certificates of the
+    inverse construction read.
     """
     n = p.n
     nvars = p.g1.nvars
@@ -434,6 +449,8 @@ def check_flat_pencil(p: PencilData) -> Report:
 
     curv = curvature_entries(g_l, gamma_l)
     report.add(reports.residual_certificate("pencil-curvature", _lam_coefficients(curv, nvars)))
+    if report.passed:
+        p.flat_certified = True
     return report
 
 

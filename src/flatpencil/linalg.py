@@ -133,9 +133,10 @@ def charpoly(a: Matrix) -> list[Q]:
     """Coefficients [1, c1, ..., cn] of det(x I - A) via Faddeev-LeVerrier."""
     n = len(a)
     coeffs = [Q(1)]
-    m = identity_matrix(n)
+    m = [[Q(x) for x in row] for row in a]  # A times the identity
     for k in range(1, n + 1):
-        m = mat_mul(a, m)
+        if k > 1:
+            m = mat_mul(a, m)
         ck = -sum(m[i][i] for i in range(n)) / k
         coeffs.append(ck)
         for i in range(n):

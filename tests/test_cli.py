@@ -390,17 +390,19 @@ def test_frobenius_check_enforces_unity_axiom(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, wdvv_calls",
     [
-        ["frobenius", "check", SOURCES / "a3-frobenius.json"],
-        ["frobenius", "pencil", SOURCES / "a3-frobenius.json"],
-        ["bracket", "virasoro", SOURCES / "a3-frobenius.json"],
-        ["pencil", "reconstruct", SOURCES / "a3-pencil.json"],
-        ["coxeter", "--rank", "3"],
+        (["frobenius", "check", SOURCES / "a3-frobenius.json"], 1),
+        (["frobenius", "pencil", SOURCES / "a3-frobenius.json"], 1),
+        (["bracket", "virasoro", SOURCES / "a3-frobenius.json"], 1),
+        # The inverse construction reports WDVV as implied by the certified
+        # associativity of its product, so it never reaches check_wdvv.
+        (["pencil", "reconstruct", SOURCES / "a3-pencil.json"], 0),
+        (["coxeter", "--rank", "3"], 0),
     ],
     ids=["frobenius-check", "frobenius-pencil", "bracket-virasoro", "pencil-reconstruct", "coxeter"],
 )
-def test_forward_quantities_derived_once(argv, monkeypatch):
+def test_forward_quantities_derived_once(argv, wdvv_calls, monkeypatch):
     calls = Counter()
     derive_c_low = FrobeniusData.__dict__["c_low"].func
 
@@ -418,7 +420,7 @@ def test_forward_quantities_derived_once(argv, monkeypatch):
 
         monkeypatch.setattr(frobenius, name, counted)
     assert run(argv) == 0
-    assert calls == {"c_abc": 1, "check_wdvv": 1, "check_quasihomogeneity": 1, "structure_constants": 1}
+    assert calls == Counter(c_abc=1, check_wdvv=wdvv_calls, check_quasihomogeneity=1, structure_constants=1)
 
 
 def a3_pencil(tmp_path, d):

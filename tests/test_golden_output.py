@@ -95,6 +95,33 @@ def dense_a2(tmp_path):
     return path
 
 
+# The first a3-shear input that ``perfbench/inputs.py`` ``build_batch("7.0")``
+# writes: the A3 orbit pencil under the shear s1 = t1 + 2 t2.  There dE is not
+# symmetric, so the lower index of L_E Delta must differentiate E^s along t^k.
+SHEAR_A3 = {
+    "d": "1/2",
+    "expgens": [],
+    "g1": [
+        [
+            "128*t3^3 + 4/3*t2^2 + 80*t2*t3 + 288*t3^2 + 36*t1 - 72*t2",
+            "20*t2*t3 + 144*t3^2 + 18*t1 - 36*t2",
+            "t1 - 1/2*t2",
+        ],
+        ["20*t2*t3 + 144*t3^2 + 18*t1 - 36*t2", "72*t3^2 + 9*t1 - 18*t2", "3/4*t2"],
+        ["t1 - 1/2*t2", "3/4*t2", "1/2*t3"],
+    ],
+    "g2": [["36", "18", "1"], ["18", "9", "0"], ["1", "0", "0"]],
+    "n": 3,
+    "tau": "t3",
+}
+
+
+def shear_a3(tmp_path):
+    path = tmp_path / "a3-shear.json"
+    path.write_text(json.dumps(SHEAR_A3, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    return path
+
+
 def a3_copy(tmp_path, d):
     """The A3 orbit pencil with its declared degree replaced by ``d``, or
     removed when ``d`` is None, so the degree comes from L_E g1."""
@@ -126,6 +153,7 @@ CASES = {
     "a3-inferred-recurse": lambda t: ["bracket", "recurse", a3_copy(t, None), "--steps", "3"],
     "a3-wrong-d-check": lambda t: ["pencil", "check", a3_copy(t, "1/3")],
     "a3-recurse-10": lambda _t: ["bracket", "recurse", SOURCES / "a3-pencil.json", "--steps", "10"],
+    "a3-shear-reconstruct": lambda t: ["pencil", "reconstruct", shear_a3(t)],
     **{
         f"{src}-virasoro": lambda _t, src=src: ["bracket", "virasoro", SOURCES / f"{src}-frobenius.json"]
         for src in ("a2", "a3", "cubic")
@@ -206,6 +234,11 @@ GOLDEN = {
         0,
         "a3475911430df6cbf544d680",
         {"a3-pencil-densities.json": "1b32502daf900dd2a80a81c9", "bracket-recurse-report.json": "23b669c2d125c5a3206970a7"},
+    ),
+    "a3-shear-reconstruct": (
+        0,
+        "f7a47a1e9bdbdba476ffcf5a",
+        {"a3-shear-frobenius.json": "8d3452ff0dce349c3b8cd2df", "pencil-reconstruct-report.json": "26509f3e86d1b49ca3a887af"},
     ),
     "a3-virasoro": (0, "8b8e767075dbd0d22346fe46", {"bracket-virasoro-report.json": "a07b9300f0dc5afb9c15cf2d"}),
     "a3-wrong-d-check": (1, "5c3660849648482ddc3d349b", {"pencil-check-report.json": "9e8b73f630add5e972fa136d"}),

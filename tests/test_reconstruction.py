@@ -1,16 +1,19 @@
 import functools
 import json
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
 
+from flatpencil import frobenius, reconstruction
 from flatpencil.coxeter import coxeter_pencil
 from flatpencil.errors import IntegrabilityError, KernelError, NotFlatCoordinatesError
 from flatpencil.exprparse import parse_expr
-from flatpencil.frobenius import structure_constants, to_flat_pencil
+from flatpencil.frobenius import check_wdvv, structure_constants, to_flat_pencil
 from flatpencil.geometry import (
     ContraMetric,
     PencilData,
+    check_flat_pencil,
     linear_forms,
     push_vector,
     symmetry_residuals,
@@ -29,6 +32,8 @@ from flatpencil.reconstruction import (
     reconstruct_frobenius,
     transform_pencil,
 )
+from flatpencil.reports import Certificate
+from frobenius_oracle import delta_identity_residuals, pairing_derivative_residuals
 from test_golden_output import DENSE_A2, SOURCES
 
 
@@ -74,17 +79,22 @@ def test_delta_of_orbit_pencil_is_qpoly(a3):
 
 def test_delta_mutation_breaks_curl(a2):
     # t1 added to g1^{11} of the A2 orbit pencil: g1 is still a metric with a
-    # verified connection, but the pair is no longer a flat pencil.
+    # verified connection, but the pair is no longer a flat pencil, so the
+    # failed flat-pencil certificate leaves the record unset and the
+    # difference-tensor identities are computed.
     bundle, _recon = a2
     p = bundle.pencil
     g1 = ContraMetric(
         [[x + (qp("t1", 2) if i == j == 0 else 0) for j, x in enumerate(row)] for i, row in enumerate(p.g1.g)]
     )
-    report = check_delta_properties(PencilData(g1=g1, g2=p.g2, tau=p.tau, d=p.d))
+    mutated = PencilData(g1=g1, g2=p.g2, tau=p.tau, d=p.d)
+    assert not check_flat_pencil(mutated).passed
+    assert not mutated.flat_certified
+    report = check_delta_properties(mutated)
     assert not report.passed
     assert report.find("delta-g1-symmetry").passed
     curl = report.find("delta-curl")
-    assert not curl.passed and curl.witness.startswith("entry (1,2")
+    assert curl.witness == "entry (1,2,1,2): nonzero normal form: 4*t1*t2^3 - 1/9*t1^3 + 1/9*t1^2*t2"
 
 
 def test_delta_properties_on_non_polynomial_connection():
@@ -124,20 +134,103 @@ def guarantee_input(name):
 def test_construction_guarantees_behind_pass_lines(name):
     # The facts that delta-g1-symmetry, normalized-euler-column,
     # unity-constant, unity-normalized and bracket{1,2}-degree-one report
-    # without recomputing, checked here the long way.
+    # without recomputing, checked here the long way; and, on a certified
+    # flat pencil, those behind delta-g2-symmetry, delta-right-symmetry,
+    # delta-curl, delta-euler-scaling, pairing-derivative-identity and the
+    # wdvv-associativity of the reconstructed potential.
     p = guarantee_input(name)
     n = p.n
     for g in (p.g1, p.g2):
         conn = bracket_from_metric(g)
         assert all(x.nvars == n for row in g.g for x in row)
         assert all(x.nvars == n for k in conn.gamma for row in k for x in row)
-    q = normalize_flat_coordinates(p).pencil
+    assert check_flat_pencil(p).passed and p.flat_certified
+    norm = normalize_flat_coordinates(p)
+    q = norm.pencil
+    assert q.flat_certified
     assert all(res.is_zero() for _idx, res in symmetry_residuals(q.g1.g, delta_tensor(q), n))
     e_big, e_small = q.euler
     assert e_big.components == [row[n - 1] for row in q.g1.g]
     assert all(c.is_constant() for c in e_small.components)
     if name.startswith("coxeter-a"):
         assert p.euler[1].components == [QPoly.const(n, int(a == 0)) for a in range(n)]
+    assert all(res.is_zero() for _name, _idx, res in delta_identity_residuals(q))
+    computed = check_delta_properties(replace(q, flat_certified=False))
+    assert check_delta_properties(q).certificates == computed.certificates
+    if norm.ops.regular():
+        assert all(res.is_zero() for _idx, res in pairing_derivative_residuals(q, norm.ops.r_op))
+    assert check_wdvv(reconstruct_frobenius(p).frobenius).passed
+
+
+def test_flat_record_survives_transform_and_replace():
+    p = load_pencil((SOURCES / "a2-pencil.json").read_text(encoding="utf-8"))[0]
+    assert not p.flat_certified
+    assert not transform_pencil(p, [[Q(1), Q(2)], [Q(3), Q(7)]]).flat_certified
+    assert check_flat_pencil(p).passed
+    moved = transform_pencil(p, [[Q(1), Q(2)], [Q(3), Q(7)]])
+    assert moved.flat_certified
+    assert replace(moved, tau=QPoly.var(2, 1)).flat_certified
+    assert normalize_flat_coordinates(moved).pencil.flat_certified
+
+
+def test_delta_euler_scaling_computed_when_degree_does_not_fit():
+    # A declared d that L_E g1 = (d-1) g1 does not fit leaves the flat-pencil
+    # certificate passing, but not the reason behind the Euler-scaling PASS
+    # line, so that identity is computed, and fails.
+    data = json.loads((SOURCES / "a3-pencil.json").read_text(encoding="utf-8"))
+    data["d"] = "1/3"
+    p = load_pencil(json.dumps(data))[0]
+    assert check_flat_pencil(p).passed
+    got = {c.name: (c.status, c.witness) for c in check_delta_properties(p).certificates}
+    assert got == {
+        "delta-g1-symmetry": ("pass", None),
+        "delta-g2-symmetry": ("pass", None),
+        "delta-right-symmetry": ("pass", None),
+        "delta-curl": ("pass", None),
+        "delta-euler-scaling": ("fail", "entry (1,1,3): nonzero normal form: 1/24"),
+        "delta-unity-invariance": ("pass", None),
+    }
+
+
+def test_delta_euler_scaling_computed_when_euler_field_is_not_affine():
+    # E = g1 grad(t2) = (t2^2, t2 + 1) gives L_E g1 = -g1, so d = 0 fits,
+    # but E is not affine: the tensorial L_E Delta then misses the second
+    # derivatives of E, and the scaling identity fails.  The record alone
+    # does not imply it, so it is computed even with the record set.
+    g1 = ContraMetric([[qp(x, 2) for x in row] for row in [["t2^3-t2^2+t2-1", "t2^2"], ["t2^2", "t2+1"]]])
+    p = PencilData(g1=g1, g2=ContraMetric.constant([[Q(1), Q(0)], [Q(0), Q(1)]]), tau=qp("t2", 2))
+    assert p.inferred_degree == 0
+    p.flat_certified = True
+    euler = check_delta_properties(p).find("delta-euler-scaling")
+    assert euler.witness == "entry (2,1,1): nonzero normal form: 2*t2^2"
+
+
+def test_wdvv_computed_when_associativity_fails(monkeypatch):
+    # The wdvv-associativity PASS line stands on the certified associativity
+    # of the product; when that certificate fails, WDVV is computed.
+    p = load_pencil((SOURCES / "a2-pencil.json").read_text(encoding="utf-8"))[0]
+    original = reconstruction.multiplication
+
+    def failing_associativity(*args):
+        sc, report = original(*args)
+        report.certificates = [
+            Certificate(c.name, "fail", witness="forced") if c.name == "multiplication-associativity" else c
+            for c in report.certificates
+        ]
+        return sc, report
+
+    calls = []
+    wdvv = frobenius.check_wdvv
+
+    def counted(m):
+        calls.append(m)
+        return wdvv(m)
+
+    monkeypatch.setattr(reconstruction, "multiplication", failing_associativity)
+    monkeypatch.setattr(frobenius, "check_wdvv", counted)
+    result = reconstruct_frobenius(p)
+    assert len(calls) == 1 and calls[0] is result.frobenius
+    assert result.report.find("wdvv-associativity") == wdvv(result.frobenius)
 
 
 def test_operator_pair_one_dim(cubic_pencil):
@@ -317,6 +410,10 @@ def test_associativity_witness_is_first_nonzero_of_full_sweep(a2):
     assert witness == "entry (1,2,1,1): nonzero normal form: -1"
     assert report.find("multiplication-commutativity").passed
     assert report.find("multiplication-associativity").witness == witness
+    # This Delta is not the connection of g1, so the pairing-derivative
+    # identity is computed, and fails.
+    pairing = report.find("pairing-derivative-identity")
+    assert pairing.witness == "entry (1,1,2): nonzero normal form: -108*t2 + 4/3"
 
 
 def test_multiplication_rejects_singular(cp1_pencil):
