@@ -48,52 +48,61 @@ EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="flatpencil", description=__doc__.split("\n")[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command group's help text and its subcommands; ``coxeter`` takes
+# its arguments itself.
+GROUPS = {
+    "frobenius": ("potential-based certificates", ("check", "pencil")),
+    "pencil": ("pencil certificates and reconstruction", ("check", "reconstruct")),
+    "coxeter": ("type-A orbit space pencil", ()),
+    "bracket": ("loop-space brackets", ("emit", "compat", "virasoro", "recurse", "central-charge")),
+}
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", type=Path, default=None, help="directory for JSON artifacts")
-        p.add_argument("--timings", action="store_true", help="include wall-clock timing in the report")
 
-    frob = sub.add_parser("frobenius", help="potential-based certificates")
-    frob_sub = frob.add_subparsers(dest="subcommand", required=True)
-    for name in ("check", "pencil"):
-        p = frob_sub.add_parser(name)
+def _common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", type=Path, default=None, help="directory for JSON artifacts")
+    p.add_argument("--timings", action="store_true", help="include wall-clock timing in the report")
+
+
+def _fill_group(name: str, group: argparse.ArgumentParser) -> None:
+    """Add the subcommands and arguments of one command group."""
+    if name == "coxeter":
+        group.add_argument("--type", dest="group_type", default="A", help="Coxeter type (only A)")
+        group.add_argument("--rank", type=int, required=True, choices=range(1, 6))
+        _common(group)
+        return
+    sub = group.add_subparsers(dest="subcommand", required=True)
+    for command in GROUPS[name][1]:
+        p = sub.add_parser(command)
         p.add_argument("input", type=Path)
-        common(p)
-
-    pen = sub.add_parser("pencil", help="pencil certificates and reconstruction")
-    pen_sub = pen.add_subparsers(dest="subcommand", required=True)
-    for name in ("check", "reconstruct"):
-        p = pen_sub.add_parser(name)
-        p.add_argument("input", type=Path)
-        common(p)
-
-    cox = sub.add_parser("coxeter", help="type-A orbit space pencil")
-    cox.add_argument("--type", dest="group_type", default="A", help="Coxeter type (only A)")
-    cox.add_argument("--rank", type=int, required=True, choices=range(1, 6))
-    common(cox)
-
-    br = sub.add_parser("bracket", help="loop-space brackets")
-    br_sub = br.add_subparsers(dest="subcommand", required=True)
-    for name in ("emit", "compat", "virasoro", "recurse", "central-charge"):
-        p = br_sub.add_parser(name)
-        p.add_argument("input", type=Path)
-        if name == "recurse":
+        if command == "recurse":
             p.add_argument("--steps", type=int, default=1)
-        if name == "central-charge":
+        if command == "central-charge":
             p.add_argument("--coxeter-rank", type=int, default=None)
-        common(p)
-    return parser
+        _common(p)
 
 
 @functools.cache
-def shared_parser() -> argparse.ArgumentParser:
-    """The parser of this process, built on the first call.  Parsing leaves
-    it unchanged, and argparse formats help and usage text when it prints
-    them, so one parser serves every ``main`` call."""
-    return build_parser()
+def shared_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser of this process, built on the first call, with the group
+    parsers not yet filled.  Parsing leaves it unchanged, and argparse
+    formats help and usage text when it prints them, so one parser serves
+    every ``main`` call."""
+    parser = argparse.ArgumentParser(prog="flatpencil", description=__doc__.split("\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    unfilled = {name: sub.add_parser(name, help=text) for name, (text, _commands) in GROUPS.items()}
+    return parser, unfilled
+
+
+def parser_for(argv: list[str]) -> argparse.ArgumentParser:
+    """The shared parser with every group that ``argv`` can reach filled:
+    the group argv[0] names, or all of them when it names none.  Each group
+    is filled once per process."""
+    parser, unfilled = shared_parser()
+    for name in [argv[0]] if argv and argv[0] in GROUPS else list(unfilled):
+        group = unfilled.pop(name, None)
+        if group is not None:
+            _fill_group(name, group)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -107,7 +116,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _main(argv: list[str] | None) -> int:
-    args = shared_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser_for(argv).parse_args(argv)
     started = time.monotonic()
     try:
         report, extra, outputs = dispatch(args)

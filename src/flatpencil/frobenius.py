@@ -11,9 +11,11 @@ the associativity (WDVV) equations, the unity axiom c(e, ., .) = eta and the
 Euler scaling of F and eta, builds the intersection form
 g^{ab} = E^e c_e^{ab}, and produces the associated flat pencil (g, eta).
 
-The forward quantities (derivatives of F, the unity-checked structure
-constants, the WDVV certificate, the scaling data A, B, C) are derived once,
-on first use, and cached on the `FrobeniusData` every consumer reads.
+The forward quantities (derivatives of F, the structure constants and their
+eta-raised form, the unity-checked pair of them, the WDVV certificate, the
+scaling data A, B, C) are derived once, on first use, and cached on the
+`FrobeniusData` every consumer reads; a caller that already holds c_abc and
+c^{ab}_c of F may set them there instead.
 """
 
 from __future__ import annotations
@@ -98,6 +100,11 @@ class FrobeniusData:
         return [[[dab.diff(c) for c in range(self.n)] for dab in row] for row in self.hessian]
 
     @cached_property
+    def c_mixed(self) -> list[list[list[QPoly]]]:
+        """c^{ab}_c, c_abc with its first two indices raised by eta."""
+        return contract_two(self.c_low, self.eta_inv, self.n)
+
+    @cached_property
     def structure(self) -> StructureConstants:
         return structure_constants(self)
 
@@ -119,7 +126,8 @@ class StructureConstants:
 
 
 def structure_constants(m: FrobeniusData) -> StructureConstants:
-    """Triple derivatives of the potential, plus the eta-raised form.
+    """Triple derivatives of the potential, plus the eta-raised form, both
+    read from ``m``.
 
     Verifies the unity axiom: the unity slice of c_low equals eta.
     """
@@ -132,7 +140,7 @@ def structure_constants(m: FrobeniusData) -> StructureConstants:
                     f"c(e, d_{a + 1}, d_{b + 1}) = {c_low[m.unity][a][b]} "
                     f"differs from eta entry {m.eta[a][b]}"
                 )
-    return StructureConstants(c_low=c_low, c_mixed=contract_two(c_low, m.eta_inv, n))
+    return StructureConstants(c_low=c_low, c_mixed=m.c_mixed)
 
 
 def _raise_first(c, mat, n: int):

@@ -6,13 +6,18 @@ coordinates t1..tn is a finite Q-linear combination of terms
     t1^a1 * ... * tn^an * exp(r1*t1) * ... * exp(rn*tn)
 
 with integer powers ``ai >= 0`` and rational rates ``ri`` (mostly zero).
-A term is keyed by the pair
+The exponential factor of a term is stored sparsely as a sorted tuple of
+``(axis, rate)`` pairs with nonzero rates, ``()`` on an exp-free term.
+Products of exponentials on the same coordinate normalize by adding rates.
 
-    (packed coordinate powers, exponential factors)
+The store groups the terms by exponential factor,
 
-where the exponential factors are stored sparsely as a sorted tuple of
-``(axis, rate)`` pairs with nonzero rates.  Products of exponentials on the
-same coordinate normalize by adding rates.
+    {exponential factor: {packed coordinate powers: integer numerator}},
+
+so a term is keyed by its factor and, inside that group, by one int.  No
+group is empty, and the zero polynomial is ``{}``.  Every exp-free term
+lives in the group ``()``: a product of two groups forms its exponential
+factor once and then runs over plain int keys.
 
 The coordinate powers are packed into one int of 16-bit fields: the top
 field holds the total degree, then one field per axis, axis 0 first,
@@ -32,22 +37,22 @@ the degree field; it raises :class:`RingBoundError` (an
 reads a negative power as a borrow into a guard bit.  Keys are unpacked
 only at the API edge: ``QPoly(nvars, {(pows, efac): Fraction})``,
 :attr:`QPoly.terms` and :meth:`QPoly.coefficient` speak in ``(powers
-tuple, exponential factors)`` pairs, and printing, evaluation,
+tuple, exponential factor)`` pairs, and printing, evaluation,
 substitution and embedding read the powers back.
 
 The coefficients are stored as integer numerators over one positive
 common denominator, reduced so that the denominator and the numerators
 have no common factor (the zero polynomial has denominator 1).  That is a
-canonical form: two QPoly are equal iff their numerator maps and
-denominators are equal.  Sums, products, derivatives and divisions run on
-Python ints; `fractions.Fraction` appears only at the API edge, in the
-constructor, the :attr:`QPoly.terms` view, single coefficients,
-evaluation and printing.  Exponential rates are Fractions, as part of the
-term key.  No floating point enters any arithmetic path.
+canonical form: two QPoly are equal iff their stores and denominators are
+equal.  Sums, products, derivatives and divisions run on Python ints;
+`fractions.Fraction` appears only at the API edge, in the constructor, the
+:attr:`QPoly.terms` view, single coefficients, evaluation and printing.
+Exponential rates are Fractions, as part of the group key.  No floating
+point enters any arithmetic path.
 
 :func:`dot` is the one multiply-accumulate kernel: the contraction
 sum a*b over ``plus`` minus sum a*b over ``minus`` of QPoly, int or
-Fraction operands goes into one numerator dict over the lcm of the pair
+Fraction operands goes into one store over the lcm of the pair
 denominators and is reduced once.  With a RatFunc operand it is the left
 fold ``acc +- a*b`` from zero in pair order, the arithmetic a written-out
 loop does, so a fraction keeps the representation such a loop gives it.
@@ -83,10 +88,15 @@ from .errors import OutOfRingError, RingBoundError
 
 Q = Fraction
 
-# A single term: (coordinate powers, ((axis, rate), ...)); the store keys
-# terms by (packed powers, ((axis, rate), ...)).
-TermKey = tuple[tuple[int, ...], tuple[tuple[int, Q], ...]]
-PackedKey = tuple[int, tuple[tuple[int, Q], ...]]
+# An exponential factor ((axis, rate), ...), () on an exp-free term.
+ExpFactor = tuple[tuple[int, Q], ...]
+# A single term at the API edge: (coordinate powers, exponential factor).
+TermKey = tuple[tuple[int, ...], ExpFactor]
+# The store: exponential factor -> {packed powers: integer numerator}.
+Store = dict[ExpFactor, dict[int, int]]
+
+# The store of the constant 1; dot reads a scalar operand as a multiple of it.
+_ONE: Store = {(): {0: 1}}
 
 # Rates beyond this magnitude indicate a runaway product of exponential
 # generators; the ring is kept finitely presented by treating it as an error.
@@ -145,70 +155,103 @@ def _unit(nvars: int, axis: int) -> int:
     return (1 << (_FIELD * nvars)) | (1 << _shift(nvars, axis))
 
 
-def _check_degree(nums: dict[PackedKey, int], nvars: int) -> None:
-    """Raise when a key of ``nums`` sets the guard bit of the degree field.
+def _check_degree(groups: Store, nvars: int) -> None:
+    """Raise when a key of ``groups`` sets the guard bit of the degree field.
 
     Keys built from stored keys by one addition of a packed product or unit
     never carry between fields, and every power is at most the total
     degree, so this one bit covers every field.
     """
-    if nums and max(nums)[0] >> (_FIELD * nvars + _FIELD - 1):
+    if groups and max(map(max, groups.values())) >> (_FIELD * nvars + _FIELD - 1):
         raise _power_bound_error()
 
 
-def _make(nvars: int, nums: dict[PackedKey, int], den: int = 1) -> "QPoly":
-    """The QPoly sum(nums[key] * key) / den in canonical form: zeros
-    dropped, then numerators and den > 0 divided by their gcd (which makes
-    zero's den 1).  The result may keep ``nums`` itself, which nobody may
-    change afterwards."""
-    if 0 in nums.values():
-        nums = {key: c for key, c in nums.items() if c}
-    if den != 1:
-        g = gcd(den, *nums.values())
+def _make(nvars: int, groups: Store, den: int = 1) -> "QPoly":
+    """The QPoly groups / den in canonical form: zeros and the groups they
+    empty dropped, numerators and den > 0 divided by their gcd (which makes
+    zero's den 1).  No group of ``groups`` may be empty to begin with.  The
+    result may keep ``groups`` and its dicts, which nobody may change
+    afterwards."""
+    g, zeros = den, False
+    for nums in groups.values():
+        if 0 in nums.values():
+            zeros = True
         if g != 1:
-            nums = {key: c // g for key, c in nums.items()}
-            den //= g
+            g = gcd(g, *nums.values())
+    if zeros or g != 1:
+        reduced = {}
+        for efac, nums in groups.items():
+            nums = {p: c // g for p, c in nums.items() if c}
+            if nums:
+                reduced[efac] = nums
+        groups, den = reduced, den // g
     res = QPoly.__new__(QPoly)
     res.nvars = nvars
-    res.numerators = nums
+    res.numerators = groups
     res.denominator = den
     return res
 
 
-def _over_common_den(parts: Iterable[tuple[PackedKey, int, int]]) -> tuple[dict[PackedKey, int], int]:
-    """Sum the terms key * (num / den) of ``parts`` (every den > 0) as
-    integer numerators over the least common denominator."""
-    parts = list(parts)
-    den = lcm(*(d for _k, _n, d in parts))
-    nums: dict[PackedKey, int] = {}
-    for key, n, d in parts:
-        nums[key] = nums.get(key, 0) + n * (den // d)
-    return nums, den
+def _scaled(groups: Store, scale: int) -> Store:
+    """A new store with every numerator times ``scale``."""
+    out = {}
+    for efac, nums in groups.items():
+        out[efac] = dict(nums) if scale == 1 else {p: c * scale for p, c in nums.items()}
+    return out
 
 
-def _mul_into(out: dict[PackedKey, int], left: dict[PackedKey, int], right: dict[PackedKey, int], scale: int) -> None:
-    """Add scale * left * right into ``out``, term by term."""
-    get = out.get
-    right_items = right.items()
-    for (pa, ea), ca in left.items():
-        c = ca * scale
-        if ea:
-            for (pb, eb), cb in right_items:
-                key = (pa + pb, _mul_exps(ea, eb) if eb else ea)
-                out[key] = get(key, 0) + c * cb
-        else:
-            for (pb, eb), cb in right_items:
-                key = (pa + pb, eb)
-                out[key] = get(key, 0) + c * cb
+def _add_into(out: Store, groups: Store, scale: int) -> None:
+    """Add scale * groups into ``out``, whose dicts nobody else holds."""
+    for efac, nums in groups.items():
+        dest = out.get(efac)
+        if dest is None:
+            dest = out[efac] = {}
+        get = dest.get
+        for p, c in nums.items():
+            dest[p] = get(p, 0) + c * scale
+
+
+def _over_common_den(parts: dict[ExpFactor, list[tuple[int, int, int]]]) -> tuple[Store, int]:
+    """Sum the terms (efac, packed) * (num / den) of ``parts[efac]``, each
+    a nonempty list of (packed, num, den > 0), as integer numerators over
+    the least common denominator."""
+    den = lcm(*(d for terms in parts.values() for _p, _n, d in terms))
+    groups: Store = {}
+    for efac, terms in parts.items():
+        nums = groups[efac] = {}
+        get = nums.get
+        for packed, n, d in terms:
+            nums[packed] = get(packed, 0) + n * (den // d)
+    return groups, den
+
+
+def _mul_into(out: Store, left: Store, right: Store, scale: int) -> None:
+    """Add scale * left * right into ``out``: the exponential factor once
+    per pair of groups, then term by term over int keys."""
+    for ea in left:
+        left_nums = left[ea]
+        for eb in right:
+            efac = _mul_exps(ea, eb) if ea and eb else ea or eb
+            dest = out.get(efac)
+            if dest is None:
+                dest = out[efac] = {}
+            get = dest.get
+            right_items = right[eb].items()
+            for pa, ca in left_nums.items():
+                c = ca * scale
+                for pb, cb in right_items:
+                    key = pa + pb
+                    dest[key] = get(key, 0) + c * cb
 
 
 class QPoly:
     """Immutable exact quasi-polynomial: integer numerators over one denominator.
 
-    ``numerators`` maps each packed key to a nonzero int and ``denominator``
-    is a positive int sharing no factor with all of them.  ``QPoly(nvars,
-    {key: Fraction})`` builds one from rational coefficients under TermKey
-    keys; ``terms`` reads them back as Fractions under the same keys.
+    ``numerators`` maps each exponential factor to a nonempty dict from
+    packed powers to nonzero ints, and ``denominator`` is a positive int
+    sharing no factor with all of them.  ``QPoly(nvars, {key: Fraction})``
+    builds one from rational coefficients under TermKey keys; ``terms``
+    reads them back as Fractions under the same keys.
     """
 
     __slots__ = ("nvars", "numerators", "denominator")
@@ -218,19 +261,23 @@ class QPoly:
         # denominators, have numerators sharing no factor with it: the result
         # is already canonical.
         self.nvars = nvars
-        parts = []
+        parts: dict[ExpFactor, list[tuple[int, int, int]]] = {}
         for (pows, efac), c in (terms or {}).items():
             if c:
                 if len(pows) != nvars:
                     raise ValueError(f"term {pows} does not have {nvars} powers")
-                parts.append(((_pack(pows), efac), c.numerator, c.denominator))
+                parts.setdefault(efac, []).append((_pack(pows), c.numerator, c.denominator))
         self.numerators, self.denominator = _over_common_den(parts)
 
     @property
     def terms(self) -> dict[TermKey, Q]:
         """The coefficients as Fractions, in a new dict on every read."""
         den, n = self.denominator, self.nvars
-        return {(_unpack(packed, n), efac): Q(c, den) for (packed, efac), c in self.numerators.items()}
+        return {
+            (_unpack(packed, n), efac): Q(c, den)
+            for efac, nums in self.numerators.items()
+            for packed, c in nums.items()
+        }
 
     # -- constructors ------------------------------------------------------
 
@@ -244,13 +291,13 @@ class QPoly:
             value = _as_q(value)
         if not value:
             return _make(nvars, {})
-        return _make(nvars, {(0, ()): value.numerator}, value.denominator)
+        return _make(nvars, {(): {0: value.numerator}}, value.denominator)
 
     @classmethod
     def var(cls, nvars: int, axis: int) -> "QPoly":
         if not 0 <= axis < nvars:
             raise IndexError(f"axis {axis} out of range for {nvars} variables")
-        return _make(nvars, {(_unit(nvars, axis), ()): 1})
+        return _make(nvars, {(): {_unit(nvars, axis): 1}})
 
     @classmethod
     def exp(cls, nvars: int, axis: int, rate) -> "QPoly":
@@ -262,7 +309,7 @@ class QPoly:
             raise RingBoundError(f"exponential generator rate bound {EXP_RATE_LIMIT} exceeded")
         if rate == 0:
             return cls.const(nvars, 1)
-        return _make(nvars, {(0, ((axis, rate),)): 1})
+        return _make(nvars, {((axis, rate),): {0: 1}})
 
     # -- ring structure ----------------------------------------------------
 
@@ -302,16 +349,10 @@ class QPoly:
         if not self.numerators:
             return other if sign > 0 else other.__neg__()
         da, db = self.denominator, other.denominator
-        if da == db:
-            out = dict(self.numerators)
-            den, sb = da, sign
-        else:
-            den = lcm(da, db)
-            sa, sb = den // da, sign * (den // db)
-            out = {key: c * sa for key, c in self.numerators.items()}
-        get = out.get
-        for key, c in other.numerators.items():
-            out[key] = get(key, 0) + c * sb
+        den = da if da == db else lcm(da, db)
+        sa, sb = den // da, sign * (den // db)
+        out = _scaled(self.numerators, sa)
+        _add_into(out, other.numerators, sb)
         return _make(self.nvars, out, den)
 
     def __add__(self, other) -> "QPoly":
@@ -321,7 +362,7 @@ class QPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "QPoly":
-        return _make(self.nvars, {key: -c for key, c in self.numerators.items()}, self.denominator)
+        return _make(self.nvars, _scaled(self.numerators, -1), self.denominator)
 
     def __sub__(self, other) -> "QPoly":
         other = self._operand(other)
@@ -337,15 +378,10 @@ class QPoly:
                 return NotImplemented
             if not other:
                 return _make(self.nvars, {})
-            scale = other.numerator
-            return _make(
-                self.nvars,
-                {key: c * scale for key, c in self.numerators.items()},
-                self.denominator * other.denominator,
-            )
+            return _make(self.nvars, _scaled(self.numerators, other.numerator), self.denominator * other.denominator)
         if self.nvars != other.nvars:
             raise ValueError("mixed variable counts")
-        out: dict[PackedKey, int] = {}
+        out: Store = {}
         _mul_into(out, self.numerators, other.numerators, 1)
         _check_degree(out, self.nvars)
         return _make(self.nvars, out, self.denominator * other.denominator)
@@ -392,19 +428,34 @@ class QPoly:
         """
         if not 0 <= axis < self.nvars:
             raise IndexError(f"axis {axis} out of range")
-        scale = lcm(*(r.denominator for (_p, efac) in self.numerators for a, r in efac if a == axis))
-        shift, unit = _shift(self.nvars, axis), _unit(self.nvars, axis)
-        out: dict[PackedKey, int] = {}
-        get = out.get
-        for (packed, efac), c in self.numerators.items():
-            a = (packed >> shift) & _FIELD_MASK
-            if a:
-                key = (packed - unit, efac)
-                out[key] = get(key, 0) + c * a * scale
-            rate = _exp_rate(efac, axis) if efac else 0
+        scale = 1
+        for efac in self.numerators:
+            rate = _exp_rate(efac, axis)
             if rate:
-                key = (packed, efac)
-                out[key] = get(key, 0) + c * rate.numerator * (scale // rate.denominator)
+                scale = lcm(scale, rate.denominator)
+        shift, unit = _shift(self.nvars, axis), _unit(self.nvars, axis)
+        out: Store = {}
+        for efac, nums in self.numerators.items():
+            rate = _exp_rate(efac, axis) if efac else 0
+            if not rate:
+                # Lowering one power maps the terms it keeps to distinct keys.
+                lowered = {}
+                for packed, c in nums.items():
+                    a = (packed >> shift) & _FIELD_MASK
+                    if a:
+                        lowered[packed - unit] = c * a * scale
+                if lowered:
+                    out[efac] = lowered
+                continue
+            r = rate.numerator * (scale // rate.denominator)
+            dest = out[efac] = {}
+            get = dest.get
+            for packed, c in nums.items():
+                a = (packed >> shift) & _FIELD_MASK
+                if a:
+                    key = packed - unit
+                    dest[key] = get(key, 0) + c * a * scale
+                dest[packed] = get(packed, 0) + c * r
         return _make(self.nvars, out, self.denominator * scale)
 
     def integrate(self, axis: int) -> "QPoly":
@@ -416,25 +467,27 @@ class QPoly:
         if not 0 <= axis < self.nvars:
             raise IndexError(f"axis {axis} out of range")
         shift, unit = _shift(self.nvars, axis), _unit(self.nvars, axis)
-        parts: list[tuple[PackedKey, int, int]] = []
-        for (packed, efac), c in self.numerators.items():
-            a = (packed >> shift) & _FIELD_MASK
+        parts: dict[ExpFactor, list[tuple[int, int, int]]] = {}
+        for efac, nums in self.numerators.items():
             rate = _exp_rate(efac, axis)
-            if not rate:
-                parts.append(((packed + unit, efac), c, a + 1))
-                continue
-            rn, rd = rate.numerator, rate.denominator
-            falling = 1
-            for j in range(a + 1):
-                # c * (-1)^j * falling / r^(j+1), with r = rn / rd
-                num, den = (-1) ** j * c * falling * rd ** (j + 1), rn ** (j + 1)
-                if den < 0:
-                    num, den = -num, -den
-                parts.append(((packed - j * unit, efac), num, den))
-                falling *= a - j
-        nums, den = _over_common_den(parts)
-        _check_degree(nums, self.nvars)
-        return _make(self.nvars, nums, self.denominator * den)
+            terms = parts[efac] = []
+            for packed, c in nums.items():
+                a = (packed >> shift) & _FIELD_MASK
+                if not rate:
+                    terms.append((packed + unit, c, a + 1))
+                    continue
+                rn, rd = rate.numerator, rate.denominator
+                falling = 1
+                for j in range(a + 1):
+                    # c * (-1)^j * falling / r^(j+1), with r = rn / rd
+                    num, den = (-1) ** j * c * falling * rd ** (j + 1), rn ** (j + 1)
+                    if den < 0:
+                        num, den = -num, -den
+                    terms.append((packed - j * unit, num, den))
+                    falling *= a - j
+        groups, den = _over_common_den(parts)
+        _check_degree(groups, self.nvars)
+        return _make(self.nvars, groups, self.denominator * den)
 
     # -- substitution and embedding -----------------------------------------
 
@@ -465,22 +518,24 @@ class QPoly:
 
         # Each term enters with its integer numerator; the common
         # denominator divides the sum once at the end.
-        for (packed, efac), c in self.numerators.items():
-            piece = QPoly.const(target_n, c)
-            for axis, p in enumerate(_unpack(packed, self.nvars)):
-                if p:
-                    piece = piece * image_pow(axis, p)
-            for axis, rate in efac:
-                image = images[axis]
-                if any(iefac or ipacked >> (_FIELD * target_n) != 1 for (ipacked, iefac) in image.numerators):
-                    raise OutOfRingError(
-                        f"cannot substitute into exp on t{axis + 1}: image is not "
-                        "a homogeneous linear form"
-                    )
-                for (ipacked, _e), ic in image.numerators.items():
-                    target = _unpack(ipacked, target_n).index(1)
-                    piece = piece * QPoly.exp(target_n, target, rate * ic / image.denominator)
-            out = out + piece
+        for efac, nums in self.numerators.items():
+            for packed, c in nums.items():
+                piece = QPoly.const(target_n, c)
+                for axis, p in enumerate(_unpack(packed, self.nvars)):
+                    if p:
+                        piece = piece * image_pow(axis, p)
+                for axis, rate in efac:
+                    image = images[axis]
+                    linear = image.numerators.get((), {})
+                    if not image.is_polynomial() or any(ip >> (_FIELD * target_n) != 1 for ip in linear):
+                        raise OutOfRingError(
+                            f"cannot substitute into exp on t{axis + 1}: image is not "
+                            "a homogeneous linear form"
+                        )
+                    for ipacked, ic in linear.items():
+                        target = _unpack(ipacked, target_n).index(1)
+                        piece = piece * QPoly.exp(target_n, target, rate * ic / image.denominator)
+                out = out + piece
         return _make(target_n, out.numerators, out.denominator * self.denominator)
 
     def lift(self, new_nvars: int) -> "QPoly":
@@ -490,7 +545,9 @@ class QPoly:
             raise ValueError("cannot shrink the ring")
         shift = _FIELD * (new_nvars - self.nvars)
         return _make(
-            new_nvars, {(packed << shift, efac): c for (packed, efac), c in self.numerators.items()}, self.denominator
+            new_nvars,
+            {efac: {p << shift: c for p, c in nums.items()} for efac, nums in self.numerators.items()},
+            self.denominator,
         )
 
     # -- structure inspection ------------------------------------------------
@@ -499,54 +556,48 @@ class QPoly:
         """Largest total coordinate degree; -1 on the zero polynomial."""
         if not self.numerators:
             return -1
-        return max(self.numerators)[0] >> (_FIELD * self.nvars)
+        return max(map(max, self.numerators.values())) >> (_FIELD * self.nvars)
 
     def is_polynomial(self) -> bool:
-        return all(not efac for (_p, efac) in self.numerators)
+        return all(not efac for efac in self.numerators)
 
     def is_constant(self) -> bool:
-        return all(not packed and not efac for (packed, efac) in self.numerators)
+        return all(not efac and not any(nums) for efac, nums in self.numerators.items())
 
     def constant_value(self) -> Q:
         if self.is_zero():
             return Q(0)
         if not self.is_constant():
             raise ValueError("not a constant")
-        return Q(next(iter(self.numerators.values())), self.denominator)
+        return Q(self.numerators[()][0], self.denominator)
 
     def coefficient(self, pows: Iterable[int], efac: Iterable[tuple[int, Q]] = ()) -> Q:
         pows = tuple(pows)
         if len(pows) != self.nvars:
             raise ValueError(f"term {pows} does not have {self.nvars} powers")
-        key = (_pack(pows), tuple((a, _as_q(r)) for a, r in efac))
-        return Q(self.numerators.get(key, 0), self.denominator)
+        nums = self.numerators.get(tuple((a, _as_q(r)) for a, r in efac), {})
+        return Q(nums.get(_pack(pows), 0), self.denominator)
 
     def coeffs_by_power(self, axis: int) -> dict[int, "QPoly"]:
         """Split into coefficients of powers of one exp-free coordinate."""
         shift, unit = _shift(self.nvars, axis), _unit(self.nvars, axis)
-        buckets: dict[int, dict[PackedKey, int]] = {}
-        for (packed, efac), c in self.numerators.items():
+        buckets: dict[int, Store] = {}
+        for efac, nums in self.numerators.items():
             if _exp_rate(efac, axis) != 0:
                 raise ValueError("coordinate carries exponential factors")
-            p = (packed >> shift) & _FIELD_MASK
-            buckets.setdefault(p, {})[(packed - p * unit, efac)] = c
-        return {p: _make(self.nvars, nums, self.denominator) for p, nums in buckets.items()}
+            for packed, c in nums.items():
+                p = (packed >> shift) & _FIELD_MASK
+                buckets.setdefault(p, {}).setdefault(efac, {})[packed - p * unit] = c
+        return {p: _make(self.nvars, groups, self.denominator) for p, groups in buckets.items()}
 
     def poly_part_degree_at_most(self, bound: int) -> "QPoly":
         """Exponential-free terms of total degree <= bound."""
         top = _FIELD * self.nvars
-        return _make(
-            self.nvars,
-            {
-                (packed, efac): c
-                for (packed, efac), c in self.numerators.items()
-                if not efac and packed >> top <= bound
-            },
-            self.denominator,
-        )
+        kept = {p: c for p, c in self.numerators.get((), {}).items() if p >> top <= bound}
+        return _make(self.nvars, {(): kept} if kept else {}, self.denominator)
 
     def exp_rates_on(self, axis: int) -> set[Q]:
-        return {r for (_p, efac) in self.numerators for a, r in efac if a == axis}
+        return {r for efac in self.numerators for a, r in efac if a == axis}
 
     # -- evaluation -----------------------------------------------------------
 
@@ -561,20 +612,21 @@ class QPoly:
             raise ValueError("wrong coordinate count")
         expvals = expvals or {}
         total = Q(0)
-        for (packed, efac), coeff in self.numerators.items():
-            val = coeff
-            for axis, p in enumerate(_unpack(packed, self.nvars)):
-                if p:
-                    val *= coords[axis] ** p
-            for axis, rate in efac:
-                if axis not in expvals:
-                    raise ValueError(f"no exponential value supplied for axis {axis}")
-                base, unit = expvals[axis]
-                mult = rate / base
-                if mult.denominator != 1:
-                    raise ValueError("exp rate is not an integer multiple of the base")
-                val *= unit ** int(mult)
-            total += val
+        for efac, nums in self.numerators.items():
+            for packed, coeff in nums.items():
+                val = coeff
+                for axis, p in enumerate(_unpack(packed, self.nvars)):
+                    if p:
+                        val *= coords[axis] ** p
+                for axis, rate in efac:
+                    if axis not in expvals:
+                        raise ValueError(f"no exponential value supplied for axis {axis}")
+                    base, unit = expvals[axis]
+                    mult = rate / base
+                    if mult.denominator != 1:
+                        raise ValueError("exp rate is not an integer multiple of the base")
+                    val *= unit ** int(mult)
+                total += val
         return total / self.denominator
 
     # -- printing -------------------------------------------------------------
@@ -584,9 +636,10 @@ class QPoly:
             return "0"
         pieces: list[str] = []
         den = self.denominator
-        for key in sorted(self.numerators, reverse=True):
-            num = self.numerators[key]
-            body = _term_body(key, self.nvars)
+        keys = sorted(((packed, efac) for efac, nums in self.numerators.items() for packed in nums), reverse=True)
+        for packed, efac in keys:
+            num = self.numerators[efac][packed]
+            body = _term_body(packed, efac, self.nvars)
             # |num|/den in lowest terms, printed as str(Fraction) prints it.
             g = gcd(num, den)
             mag = str(abs(num) // g) if g == den else f"{abs(num) // g}/{den // g}"
@@ -610,27 +663,33 @@ def dot(nvars: int, plus: Iterable[tuple], minus: Iterable[tuple] = ()) -> "QPol
     """sum(a * b for a, b in plus) - sum(a * b for a, b in minus).
 
     The operands are QPoly in ``nvars`` variables, ints or Fractions; every
-    term product goes into one numerator dict over the lcm of the pair
-    denominators, which is reduced once.  When any operand is a RatFunc the
-    result is the left fold ``acc + a*b`` over ``plus`` then ``acc - a*b``
-    over ``minus`` from zero, which is the arithmetic of the written-out
-    loop, so a fraction keeps the numerator and denominator that loop gives.
+    term product goes into one store over the lcm of the pair denominators,
+    which is reduced once, and a scalar operand scales the terms of the
+    other one.  When any operand is a RatFunc the result is the
+    left fold ``acc + a*b`` over ``plus`` then ``acc - a*b`` over ``minus``
+    from zero, which is the arithmetic of the written-out loop, so a
+    fraction keeps the numerator and denominator that loop gives.
     """
     pairs = [(1, a, b) for a, b in plus] + [(-1, a, b) for a, b in minus]
     products = []
     for sign, a, b in pairs:
-        na, da = _numerators(a, nvars)
-        nb, db = _numerators(b, nvars)
+        na, ka, da = _numerators(a, nvars)
+        nb, kb, db = _numerators(b, nvars)
         if na is None or nb is None:
             return _fold(nvars, pairs)
-        if na and nb:
-            products.append((sign, na, nb, da * db))
+        if ka and kb:
+            products.append((sign * ka * kb, na, nb, da * db))
     if not products:
         return QPoly.zero(nvars)
-    den = lcm(*(d for _s, _a, _b, d in products))
-    out: dict[PackedKey, int] = {}
-    for sign, na, nb, d in products:
-        _mul_into(out, na, nb, sign * (den // d))
+    den = lcm(*(d for _k, _a, _b, d in products))
+    out: Store = {}
+    for k, na, nb, d in products:
+        if na is _ONE:
+            na, nb = nb, na
+        if nb is _ONE:  # a scalar operand scales the other one
+            _add_into(out, na, k * (den // d))
+        else:
+            _mul_into(out, na, nb, k * (den // d))
     _check_degree(out, nvars)
     return _make(nvars, out, den)
 
@@ -642,17 +701,18 @@ def _fold(nvars: int, pairs: list[tuple]) -> "QPoly | RatFunc":
     return acc
 
 
-def _numerators(x, nvars: int) -> tuple[dict[PackedKey, int] | None, int]:
-    """The numerator map and denominator of a QPoly, int or Fraction
-    operand; (None, 1) for a RatFunc."""
+def _numerators(x, nvars: int) -> tuple[Store | None, int, int]:
+    """(store, k, den) with x = k * store / den for a QPoly, int or
+    Fraction operand, the store ``_ONE`` for a scalar; (None, 0, 1) for a
+    RatFunc."""
     if x.__class__ is QPoly:
         if x.nvars != nvars:
             raise ValueError("mixed variable counts")
-        return x.numerators, x.denominator
+        return x.numerators, 1 if x.numerators else 0, x.denominator
     if isinstance(x, (int, Fraction)):
-        return ({(0, ()): x.numerator} if x else {}), x.denominator
+        return _ONE, x.numerator, x.denominator
     if isinstance(x, RatFunc):
-        return None, 1
+        return None, 0, 1
     raise TypeError(f"expected QPoly, RatFunc, int or Fraction, got {type(x).__name__}")
 
 
@@ -685,7 +745,7 @@ def primitive(tensor: list, order: int) -> "QPoly":
         entry = entry[0]
     nvars = entry.nvars
     top = _FIELD * nvars
-    parts: list[tuple[PackedKey, int, int]] = []
+    parts: list[tuple[int, int, int]] = []
     exp_parts: list[tuple[int, QPoly]] = []
     for index in combinations_with_replacement(range(len(tensor)), order):
         entry = tensor
@@ -695,17 +755,18 @@ def primitive(tensor: list, order: int) -> "QPoly":
         shift = sum(_unit(nvars, i) for i in index)
         den = entry.denominator
         axis = index[0] if index[0] == index[-1] else None
-        exps: dict[PackedKey, int] = {}
-        for (packed, efac), c in entry.numerators.items():
+        exps: Store = {}
+        for efac, nums in entry.numerators.items():
             if not efac:
-                parts.append(((packed + shift, efac), weight * c, den * perm((packed >> top) + order, order)))
+                for packed, c in nums.items():
+                    parts.append((packed + shift, weight * c, den * perm((packed >> top) + order, order)))
             elif efac[0][0] == axis:
-                exps[(packed, efac)] = c
+                exps[efac] = nums
         if exps:
             exp_parts.append((axis, _make(nvars, exps, den)))
-    nums, den = _over_common_den(parts)
-    _check_degree(nums, nvars)
-    h = _make(nvars, nums, den)
+    groups, den = _over_common_den({(): parts} if parts else {})
+    _check_degree(groups, nvars)
+    h = _make(nvars, groups, den)
     for axis, part in exp_parts:
         for _ in range(order):
             part = part.integrate(axis)
@@ -713,9 +774,7 @@ def primitive(tensor: list, order: int) -> "QPoly":
     return h
 
 
-def _mul_exps(
-    ea: tuple[tuple[int, Q], ...], eb: tuple[tuple[int, Q], ...]
-) -> tuple[tuple[int, Q], ...]:
+def _mul_exps(ea: ExpFactor, eb: ExpFactor) -> ExpFactor:
     if not ea:
         return eb
     if not eb:
@@ -732,15 +791,14 @@ def _mul_exps(
     return tuple(sorted(rates.items()))
 
 
-def _exp_rate(efac: tuple[tuple[int, Q], ...], axis: int) -> Q | int:
+def _exp_rate(efac: ExpFactor, axis: int) -> Q | int:
     for a, r in efac:
         if a == axis:
             return r
     return 0
 
 
-def _term_body(key: PackedKey, nvars: int) -> str:
-    packed, efac = key
+def _term_body(packed: int, efac: ExpFactor, nvars: int) -> str:
     factors = [f"t{axis}" if p == 1 else f"t{axis}^{p}" for axis, p in enumerate(_unpack(packed, nvars), 1) if p]
     for axis, rate in efac:
         factors.append(f"exp(t{axis + 1})" if rate == 1 else f"exp({rate}*t{axis + 1})")
@@ -856,16 +914,19 @@ def exact_divide(num: QPoly, den: QPoly) -> QPoly | None:
 
     Leading-term reduction in a monomial order: total coordinate degree,
     then the coordinate powers, then the dense per-axis rate vector, all
-    lexicographic (the packed key, then the rate vector).  The order is
-    compatible with multiplication, so an exact quotient is found term by
-    term from the top.  Since the ring is an integral domain, the largest
-    and smallest coordinate degree and exponential rate on each axis add
-    under multiplication; a quotient term outside the range this leaves for
-    an exact quotient proves the division inexact.  Quotient terms strictly
-    decrease and the range holds finitely many of them, so the pass ends;
-    the step limit is a backstop past which the division is reported as
-    "not divisible", which callers treat as "keep the quotient as a
-    fraction".
+    lexicographic (the packed key, then the rate vector).  Every term of a
+    group shares its rate vector, so a lead is the largest of the groups'
+    (largest packed key, rate vector) pairs; on exp-free operands there is
+    one group, and the reduction runs over its int keys alone.  The order
+    is compatible with multiplication, so an exact quotient is found term
+    by term from the top.  Since the ring is an integral domain, the
+    largest and smallest coordinate degree and exponential rate on each
+    axis add under multiplication; a quotient term outside the range this
+    leaves for an exact quotient proves the division inexact.  Quotient
+    terms strictly decrease and the range holds finitely many of them, so
+    the pass ends; the step limit is a backstop past which the division is
+    reported as "not divisible", which callers treat as "keep the quotient
+    as a fraction".
 
     The reduction runs on integers.  The divisor's numerators are divided by
     their content (their gcd), leaving a primitive integer divisor P.  The
@@ -880,63 +941,65 @@ def exact_divide(num: QPoly, den: QPoly) -> QPoly | None:
     if den.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if den.is_constant():
-        (c,) = den.numerators.values()
-        return num * Q(den.denominator, c)
+        return num * Q(den.denominator, den.numerators[()][0])
     if num.is_zero():
         return QPoly.zero(num.nvars)
     nvars = num.nvars
     # Without exponential factors in the operands every key of the quotient
-    # and the remainder is exp-free too, so its rate vector is zero: the key
-    # itself orders the terms, and the ranges cover the powers alone.
-    rated = any(efac for _p, efac in num.numerators) or any(efac for _p, efac in den.numerators)
-
-    def order_key(key: PackedKey):
-        return (key[0], _rate_vector(key[1], nvars))
-
-    num_span, den_span = _axis_spans(num, rated), _axis_spans(den, rated)
+    # and the remainder is exp-free too, so the ranges cover the powers alone.
+    rated = not (num.is_polynomial() and den.is_polynomial())
+    guards = sum(1 << (_FIELD * i + _FIELD - 1) for i in range(nvars + 1))
+    num_span, den_span = _axis_spans(num, rated, guards), _axis_spans(den, rated, guards)
     low = [n_lo - d_lo for (n_lo, _n), (d_lo, _d) in zip(num_span, den_span)]
     high = [n_hi - d_hi for (_n, n_hi), (_d, d_hi) in zip(num_span, den_span)]
     if any(lo > hi for lo, hi in zip(low, high)):
         return None
 
-    guards = sum(1 << (_FIELD * i + _FIELD - 1) for i in range(nvars + 1))
-    content = gcd(*den.numerators.values())
-    prim = {key: c // content for key, c in den.numerators.items()}
-    prim_lead = max(prim, key=order_key if rated else None)
-    prim_lead_coeff = prim[prim_lead]
-    rem = dict(num.numerators)
-    # Each key's order key, built once, when the key first enters rem.
-    order = {key: order_key(key) for key in rem} if rated else {}
-    lead_order = order.__getitem__ if rated else None
-    quo: dict[PackedKey, int] = {}
+    def lead(groups: Store) -> tuple:
+        """(packed key, rate vector, exponential factor) of the largest term."""
+        return max((max(nums), _rate_vector(efac, nvars), efac) for efac, nums in groups.items())
+
+    content = gcd(*(c for nums in den.numerators.values() for c in nums.values()))
+    prim = {efac: {p: c // content for p, c in nums.items()} for efac, nums in den.numerators.items()}
+    prim_lead, _vector, prim_efac = lead(prim)
+    prim_lead_coeff = prim[prim_efac][prim_lead]
+    rem = {efac: dict(nums) for efac, nums in num.numerators.items()}
+    quo: Store = {}
     steps = 0
     while rem:
         steps += 1
         if steps > _DIV_STEP_LIMIT:
             return None
-        lead = max(rem, key=lead_order)
-        factor = _monomial_quotient(lead, prim_lead, guards)
-        if factor is None or not all(lo <= v <= hi for lo, v, hi in zip(low, _axis_values(factor, nvars), high)):
+        packed, _vector, efac = lead(rem)
+        fp = packed - prim_lead
+        if fp < 0 or fp & guards:
+            # a power of the divisor's lead above the remainder's borrows
             return None
-        coeff, left = divmod(rem[lead], prim_lead_coeff)
+        fe = _exp_quotient(efac, prim_efac)
+        if not all(lo <= v <= hi for lo, v, hi in zip(low, _axis_values(fp, fe, nvars), high)):
+            return None
+        coeff, left = divmod(rem[efac][packed], prim_lead_coeff)
         if left:
             return None
-        quo[factor] = coeff
-        fp, fe = factor
-        for (pp, pe), c in prim.items():
-            key = (pp + fp, _mul_exps(pe, fe))
-            new = rem.get(key, 0) - coeff * c
-            if new:
-                if rated and key not in order:
-                    order[key] = order_key(key)
-                rem[key] = new
-            else:
-                rem.pop(key, None)
+        quo.setdefault(fe, {})[fp] = coeff
+        for pe, pnums in prim.items():
+            target = _mul_exps(pe, fe)
+            dest = rem.setdefault(target, {})
+            get = dest.get
+            for pp, c in pnums.items():
+                key = pp + fp
+                new = get(key, 0) - coeff * c
+                if new:
+                    dest[key] = new
+                else:
+                    del dest[key]
+            if not dest:
+                del rem[target]
     # num/den = (N / num.den) / (content * P / den.den) = (N/P) * den.den / (num.den * content)
-    return _make(nvars, {key: c * den.denominator for key, c in quo.items()}, num.denominator * content)
+    return _make(nvars, _scaled(quo, den.denominator), num.denominator * content)
 
 
-def _rate_vector(efac: tuple[tuple[int, Q], ...], nvars: int) -> list:
+def _rate_vector(efac: ExpFactor, nvars: int) -> list:
     """The exponential rate on each axis (the int 0 on an axis without one,
     so most comparisons are of ints)."""
     rates = [0] * nvars
@@ -945,32 +1008,38 @@ def _rate_vector(efac: tuple[tuple[int, Q], ...], nvars: int) -> list:
     return rates
 
 
-def _axis_values(key: PackedKey, nvars: int) -> list:
+def _axis_values(packed: int, efac: ExpFactor, nvars: int) -> list:
     """The coordinate power on each axis, then the exponential rate on each axis."""
-    return [*_unpack(key[0], nvars), *_rate_vector(key[1], nvars)]
+    return [*_unpack(packed, nvars), *_rate_vector(efac, nvars)]
 
 
-def _axis_spans(p: QPoly, rated: bool) -> list[tuple]:
+def _axis_spans(p: QPoly, rated: bool, guards: int) -> list[tuple]:
     """(smallest, largest) of each entry of _axis_values over the terms of p,
-    the rates left out unless ``rated``."""
-    packed = [key[0] for key in p.numerators]
-    powers = ([(x >> shift) & _FIELD_MASK for x in packed] for shift in range(_FIELD * (p.nvars - 1), -1, -_FIELD))
-    rates = zip(*(_rate_vector(efac, p.nvars) for _p, efac in p.numerators)) if rated else ()
-    return [(min(col), max(col)) for col in (*powers, *rates)]
+    the rates left out unless ``rated``.
+
+    One pass over the keys keeps the fieldwise smallest and largest key:
+    in (k | guards) - hi no field borrows from the next, and the guard bit
+    of a field stays set iff k's field is at least hi's.  The rates are
+    read from the group keys.
+    """
+    keys = [key for nums in p.numerators.values() for key in nums]
+    lo = hi = keys[0]
+    for k in keys:
+        above = ((k | guards) - hi) & guards
+        hi ^= (hi ^ k) & (above - (above >> (_FIELD - 1)))
+        below = ((lo | guards) - k) & guards
+        lo ^= (lo ^ k) & (below - (below >> (_FIELD - 1)))
+    rates = zip(*(_rate_vector(efac, p.nvars) for efac in p.numerators)) if rated else ()
+    return [*zip(_unpack(lo, p.nvars), _unpack(hi, p.nvars)), *((min(col), max(col)) for col in rates)]
 
 
-def _monomial_quotient(a: PackedKey, b: PackedKey, guards: int) -> PackedKey | None:
-    """a / b as a term key, or None when coordinate powers do not divide:
-    a power of b above that of a borrows, which turns the difference
-    negative or sets the guard bit of a field."""
-    pows = a[0] - b[0]
-    if pows < 0 or pows & guards:
-        return None
-    rates: dict[int, Q] = dict(a[1])
-    for axis, r in b[1]:
-        new = rates.get(axis, Q(0)) - r
+def _exp_quotient(ea: ExpFactor, eb: ExpFactor) -> ExpFactor:
+    """The exponential factor ea / eb."""
+    rates: dict[int, Q] = dict(ea)
+    for axis, r in eb:
+        new = rates.get(axis, 0) - r
         if new:
             rates[axis] = new
         else:
             rates.pop(axis, None)
-    return (pows, tuple(sorted(rates.items())))
+    return tuple(sorted(rates.items()))

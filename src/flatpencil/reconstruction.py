@@ -655,7 +655,10 @@ def reconstruct_frobenius(p: PencilData) -> ReconstructionResult:
     the difference-tensor identities it implies are PASS lines (see
     :func:`check_delta_properties`).  When the product passed its
     associativity certificate, WDVV of the recovered potential is a PASS
-    line too; otherwise ``check_wdvv`` computes it."""
+    line too; otherwise ``check_wdvv`` computes it.  When the unity
+    presentation is the identity, the result's FrobeniusData takes the
+    verified c_abc and the product's raised form instead of deriving them
+    from the potential again."""
     report = Report()
     norm = normalize_flat_coordinates(p)
     for cert in norm.certificates:
@@ -702,6 +705,10 @@ def reconstruct_frobenius(p: PencilData) -> ReconstructionResult:
         d=ops.d,
     )
 
+    if q_final is q:
+        # recover_potential verified d^3 F = c_low, the eta-lowering of
+        # c_mixed with this pencil's eta, so the product raises back to it.
+        frob_data.c_low, frob_data.c_mixed = sc.c_low, sc.c_mixed
     sc_final = frob_data.structure
     if mult_report.find("multiplication-associativity").passed:
         # d^3 F equals c_low, the eta-lowering of the certified associative

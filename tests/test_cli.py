@@ -390,19 +390,22 @@ def test_frobenius_check_enforces_unity_axiom(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, wdvv_calls",
+    "argv, derived",
     [
         (["frobenius", "check", SOURCES / "a3-frobenius.json"], 1),
         (["frobenius", "pencil", SOURCES / "a3-frobenius.json"], 1),
         (["bracket", "virasoro", SOURCES / "a3-frobenius.json"], 1),
         # The inverse construction reports WDVV as implied by the certified
-        # associativity of its product, so it never reaches check_wdvv.
+        # associativity of its product, so it never reaches check_wdvv; with
+        # the identity unity presentation it hands the FrobeniusData the
+        # c_abc that recover_potential verified and the raised product of
+        # `multiplication`, so neither is derived from F again.
         (["pencil", "reconstruct", SOURCES / "a3-pencil.json"], 0),
         (["coxeter", "--rank", "3"], 0),
     ],
     ids=["frobenius-check", "frobenius-pencil", "bracket-virasoro", "pencil-reconstruct", "coxeter"],
 )
-def test_forward_quantities_derived_once(argv, wdvv_calls, monkeypatch):
+def test_forward_quantities_derived_once(argv, derived, monkeypatch):
     calls = Counter()
     derive_c_low = FrobeniusData.__dict__["c_low"].func
 
@@ -413,14 +416,16 @@ def test_forward_quantities_derived_once(argv, wdvv_calls, monkeypatch):
     spy = functools.cached_property(counted_c_low)
     spy.__set_name__(FrobeniusData, "c_low")
     monkeypatch.setattr(FrobeniusData, "c_low", spy)
-    for name in ("check_wdvv", "check_quasihomogeneity", "structure_constants"):
-        def counted(m, name=name, original=getattr(frobenius, name)):
+    for name in ("check_wdvv", "check_quasihomogeneity", "structure_constants", "contract_two"):
+        def counted(*args, name=name, original=getattr(frobenius, name)):
             calls[name] += 1
-            return original(m)
+            return original(*args)
 
         monkeypatch.setattr(frobenius, name, counted)
     assert run(argv) == 0
-    assert calls == Counter(c_abc=1, check_wdvv=wdvv_calls, check_quasihomogeneity=1, structure_constants=1)
+    expected = Counter(check_quasihomogeneity=1, structure_constants=1)
+    expected.update(c_abc=derived, check_wdvv=derived, contract_two=derived)
+    assert calls == expected
 
 
 def a3_pencil(tmp_path, d):
@@ -700,10 +705,25 @@ def _fresh_process(argv):
 
 
 def test_one_process_prints_what_fresh_processes_print(monkeypatch, capsys):
-    # cli.main parses with one parser per process; a usage error or a help
-    # page must leave it as a fresh one.
+    # cli.main parses with one parser per process, whose command groups are
+    # filled when argv first reaches them; a usage error or a help page must
+    # leave it as a fresh one, and a group filled earlier must print as one
+    # filled now.
     monkeypatch.setenv("COLUMNS", "80")
-    sequence = (["coxeter", "--rank", "9"], ["pencil", "--help"], ["pencil", "check", PENCIL1], ["bogus"])
+    cli.shared_parser.cache_clear()
+    sequence = (
+        ["coxeter", "--rank", "9"],
+        ["pencil", "--help"],
+        ["pencil", "check", PENCIL1],
+        ["bogus"],
+        ["--help"],
+        ["bracket", "--help"],
+        ["coxeter", "--help"],
+        ["frobenius", "bogus"],
+        ["bracket", "compat", PENCIL1],
+        ["coxeter", "--rank", "1"],
+        ["frobenius", "check", CUBIC],
+    )
     for argv in sequence:
         try:
             code = run(argv)

@@ -429,12 +429,17 @@ def random_rational_qpoly(rng, nvars):
 
 
 def assert_canonical(p):
+    """The grouped store {exponential factor: {packed powers: int}}: no
+    empty group, no zero numerator, int numerators, and gcd 1 with the
+    positive denominator."""
     assert p.denominator > 0
-    assert 0 not in p.numerators.values()
-    assert all(isinstance(c, int) for c in p.numerators.values())
-    assert math.gcd(p.denominator, *p.numerators.values()) == 1
+    numerators = [c for nums in p.numerators.values() for c in nums.values()]
+    assert all(p.numerators.values())
+    assert 0 not in numerators
+    assert all(isinstance(c, int) for c in numerators)
+    assert math.gcd(p.denominator, *numerators) == 1
     if p.is_zero():
-        assert p.denominator == 1
+        assert p.numerators == {} and p.denominator == 1
 
 
 def test_integer_store_matches_fraction_reference():
@@ -663,3 +668,55 @@ def test_inexact_division_stops_at_first_lead_that_does_not_divide(monkeypatch):
     monkeypatch.setattr("flatpencil.qpoly._mul_exps", lambda ea, eb: reduced.append((ea, eb)))
     assert exact_divide(num, den) is None
     assert reduced == []
+
+
+@pytest.mark.parametrize(
+    "left, right, nvars, exp_free",
+    [
+        ("t1 + exp(t1)", "1 + exp(-1*t1)", 1, True),
+        ("t1*exp(t2) - exp(-1*t2) + 2/3", "exp(-1*t2) + t2*exp(t2)", 2, True),
+        ("exp(1/2*t1)*exp(-1*t2) + t2", "exp(-1/2*t1)*exp(t2) - exp(1/2*t1)", 2, True),
+        # 1 - 1: the exp-free group cancels and is dropped
+        ("exp(t1) + 1", "exp(-1*t1) - 1", 1, False),
+    ],
+)
+def test_exp_rates_cancelling_into_the_exp_free_group(left, right, nvars, exp_free):
+    # Rates that add to zero put a product term in the exp-free group (),
+    # beside the terms that were exp-free from the start.
+    a, b = qp(left, nvars), qp(right, nvars)
+    want = ref_mul(a.terms, b.terms)
+    for got in (a * b, dot(nvars, [(a, b)]), dot(nvars, [(a, b), (a, 1)], [(a, Q(1))])):
+        assert_canonical(got)
+        assert (() in got.numerators) == exp_free
+        assert dict(got.terms) == want
+        assert str(got) == ref_str(want)
+    assert str(qp("t1 + exp(t1)", 1) * qp("1 + exp(-1*t1)", 1)) == "t1*exp(-1*t1) + t1 + exp(t1) + 1"
+
+
+@pytest.mark.parametrize(
+    "quotient, divisor, extra",
+    [
+        ("t1 + exp(t1)", "t2 - exp(-1*t1) + 1", "t2"),
+        ("t1*exp(t2) - 1/2*exp(-1*t2) + t2", "exp(t2) + t1 - 3", "exp(t1)"),
+        ("exp(1/2*t1) - t1*t2", "t1*exp(-1/2*t1) + t2^2*exp(t2) + 2", "1"),
+    ],
+)
+def test_exact_divide_on_operands_mixing_groups(div_step_limit, quotient, divisor, extra):
+    q, d = qp(quotient, 2), qp(divisor, 2)
+    num = q * d
+    assert len(num.numerators) > 1 and len(d.numerators) > 1
+    got = exact_divide(num, d)
+    assert_canonical(got)
+    assert got == q and dict(got.terms) == ref_exact_divide(num.terms, d.terms)
+    inexact = num + qp(extra, 2)
+    assert exact_divide(inexact, d) is None
+    assert ref_exact_divide(inexact.terms, d.terms) is None
+
+
+def test_printing_interleaves_groups():
+    # Terms print by (packed powers, exponential factor), largest first,
+    # whatever group holds them.
+    p = qp("t1^2 + 3*t1^2*exp(t2) - t1*exp(-1*t1) + 1/2*t2 + exp(t2) - 2*t1*t2*exp(1/2*t1)", 2)
+    assert len(p.numerators) == 4
+    assert str(p) == "3*t1^2*exp(t2) + t1^2 - 2*t1*t2*exp(1/2*t1) - t1*exp(-1*t1) + 1/2*t2 + exp(t2)"
+    assert str(p) == ref_str(p.terms)
