@@ -29,8 +29,8 @@ class OutOfRingError(FlatPencilError):
 
 
 class RingBoundError(OutOfRingError):
-    """A coordinate power, an exp rate or a rational-root coefficient
-    exceeds its bound: the input is too large."""
+    """A coordinate power or an exp rate exceeds its bound: the input is
+    too large."""
 
 
 class NoSolutionError(FlatPencilError):

@@ -2,11 +2,9 @@
 
 Every rational solve, kernel, rank and inverse runs one Gauss-Jordan
 elimination over `Fraction` (`_rref`); rank deficiency is reported, never
-papered over.  `rational_roots` clears denominators and tries the
-rational-root-theorem candidates of the integer polynomial once; it refuses
-a leading or trailing coefficient beyond ``ROOT_COEFFICIENT_LIMIT``, whose
-divisors it could not enumerate in time, and more candidates than
-``ROOT_STEP_BUDGET``, which it could not try in time.
+papered over.  `rational_roots` decides every rational root in time
+polynomial in the bit size of its input, by p-adic (Hensel) lifting of the
+roots of the square-free part modulo one small prime; it refuses nothing.
 
 The symbolic helpers (determinant, adjugate) take QPoly entries in
 ``nvars`` variables and sum each Laplace expansion through `qpoly.dot`, so a
@@ -16,18 +14,13 @@ cofactor sum is one multiply-accumulate over one denominator.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import count
+from math import gcd, isqrt, lcm
 
-from .errors import NoSolutionError, RingBoundError, UnderdeterminedError
+from .errors import NoSolutionError, UnderdeterminedError
 from .qpoly import QPoly, dot
 
 Q = Fraction
-
-# Divisors are found by trial division up to the square root, so the
-# coefficient bound keeps each enumeration under ROOT_STEP_BUDGET steps; the
-# candidate roots +-p/q are held to the same budget.
-ROOT_STEP_BUDGET = 10**6
-ROOT_COEFFICIENT_LIMIT = ROOT_STEP_BUDGET**2
 
 Matrix = list[list[Q]]
 Vector = list[Q]
@@ -145,73 +138,83 @@ def charpoly(a: Matrix) -> list[Q]:
 
 
 def rational_roots(coeffs: list[Q]) -> tuple[list[tuple[Q, int]], int]:
-    """Rational roots (with multiplicity) of a polynomial given by coefficients
-    [c0, c1, ..., cn] for c0 x^n + ... + cn.
+    """Rational roots (with multiplicity, in ascending order) of a polynomial
+    given by coefficients [c0, c1, ..., cn] for c0 x^n + ... + cn.
 
     Returns (roots, residual_degree); residual_degree == 0 means the
-    polynomial splits completely over Q.  Raises RingBoundError when the
-    leading or trailing coefficient, cleared of denominators, exceeds
-    ``ROOT_COEFFICIENT_LIMIT`` in magnitude, or when the candidates +-p/q
-    (p dividing the trailing and q the leading coefficient) number more than
-    ``ROOT_STEP_BUDGET``.
+    polynomial splits completely over Q.  A root x of the square-free part s
+    gives an integer root z = lead(s) x of a monic h with |z| < B (Cauchy).
+    The roots of h modulo the smallest prime at which all are simple are
+    Newton-lifted to a modulus above 2B (Zassenhaus, J. Number Theory 1,
+    1969); each integer root of h is the symmetric residue of one lift.
     """
-    scale = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * scale) for c in coeffs]
-    while ints and ints[0] == 0:
-        ints.pop(0)
-    if not ints:
+    ends = [i for i, c in enumerate(coeffs) if c != 0]
+    if not ends:
         raise ValueError("zero polynomial")
-    roots: list[tuple[Q, int]] = []
-    # Trailing zeros are roots at 0.
-    zero_mult = 0
-    while ints[-1] == 0 and len(ints) > 1:
-        ints.pop()
-        zero_mult += 1
-    if zero_mult:
-        roots.append((Q(0), zero_mult))
+    f = [Q(c) for c in coeffs[ends[0] : ends[-1] + 1]]
+    zero_mult = len(coeffs) - 1 - ends[-1]
+    roots = [(Q(0), zero_mult)] if zero_mult else []
 
-    def divisors(n: int) -> list[int]:
-        n = abs(n)
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                out.append(n // d)
-            d += 1
-        return sorted(set(out))
-
-    # Rational-root theorem: every root p/q has p | tail and q | lead.  A
-    # root of a deflated factor is a root of the whole polynomial, so one
-    # pass over these candidates finds every rational root.
-    lead, tail = ints[0], ints[-1]
-    if max(abs(lead), abs(tail)) > ROOT_COEFFICIENT_LIMIT:
-        raise RingBoundError(f"rational root coefficient bound {ROOT_COEFFICIENT_LIMIT} exceeded")
-    numerators, denominators = divisors(tail), divisors(lead)
-    if 2 * len(numerators) * len(denominators) > ROOT_STEP_BUDGET:
-        raise RingBoundError(f"rational root candidate budget {ROOT_STEP_BUDGET} exceeded")
-    for p in numerators:
-        for q in denominators:
-            for sign in (1, -1):
-                cand = Q(sign * p, q)
-                mult = 0
-                while len(ints) > 1:
-                    quo, rem = _synth_div(ints, cand)
-                    if rem != 0:
-                        break
-                    ints = quo
-                    mult += 1
-                if mult:
-                    roots.append((cand, mult))
-    return roots, len(ints) - 1
+    # The primitive integer form of the square-free part f / gcd(f, f').
+    g, rest = f, _derivative(f)
+    while rest:
+        g, rest = rest, _poly_divmod(g, rest)[1]
+    s = _poly_divmod(f, g)[0]
+    scale = Q(lcm(*(c.denominator for c in s)), gcd(*(c.numerator for c in s)))
+    s = [int(c * scale) for c in s]
+    lead = s[0]
+    h = [1] + [c * lead**i for i, c in enumerate(s[1:])]
+    dh = _derivative(h)
+    bound = 2 * (1 + max(abs(c) for c in h))
+    # h is square-free, so only the finitely many primes dividing its
+    # discriminant give it a repeated root.
+    for ell in count(2):
+        if all(ell % q for q in range(2, isqrt(ell) + 1)):
+            residues = [r for r in range(ell) if _horner(h, r) % ell == 0]
+            if all(_horner(dh, r) % ell for r in residues):
+                break
+    for r in residues:
+        # Newton steps square the modulus; the inverse of h'(r) is lifted
+        # along with r.
+        modulus, inverse = ell, pow(_horner(dh, r), -1, ell)
+        while modulus <= bound:
+            modulus *= modulus
+            r = (r - _horner(h, r) * inverse) % modulus
+            inverse = inverse * (2 - _horner(dh, r) * inverse) % modulus
+        # The symmetric residue is the only candidate; a lift that is no
+        # root divides f zero times.
+        root, mult = Q(r if 2 * r < modulus else r - modulus, lead), 0
+        quo, rem = _poly_divmod(f, [1, -root])
+        while not rem:
+            f, mult = quo, mult + 1
+            quo, rem = _poly_divmod(f, [1, -root])
+        if mult:
+            roots.append((root, mult))
+    return sorted(roots), len(f) - 1
 
 
-def _synth_div(ints: list, root: Q) -> tuple[list, Q]:
-    out = [Q(ints[0])]
-    for c in ints[1:]:
-        out.append(c + out[-1] * root)
-    rem = out.pop()
-    return out, rem
+def _horner(poly: list, x):
+    value = 0
+    for c in poly:
+        value = value * x + c
+    return value
+
+
+def _derivative(poly: list) -> list:
+    return [c * (len(poly) - 1 - i) for i, c in enumerate(poly[:-1])]
+
+
+def _poly_divmod(a: list[Q], b: list) -> tuple[list[Q], list[Q]]:
+    """Quotient and remainder over Q, coefficients highest first; b[0] != 0
+    and the remainder has no leading zeros."""
+    rem, quo = list(a), []
+    while len(rem) >= len(b):
+        c = rem[0] / b[0]
+        quo.append(c)
+        rem = [x - c * y for x, y in zip(rem[1:], b[1:] + [0] * (len(rem) - len(b)))]
+    while rem and rem[0] == 0:
+        rem.pop(0)
+    return quo, rem
 
 
 # ---------------------------------------------------------------------------

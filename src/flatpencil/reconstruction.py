@@ -246,20 +246,15 @@ def _scales_first_metric(p: PencilData) -> bool:
 def operator_pair(p: PencilData) -> OperatorPair:
     """K = dE, R = (d-1)/2 + K, Lam = (d-2)/2 + K, with exact spectrum.
 
-    Verifies that tau has vanishing Hessian, that E is affine-linear, the
-    skew-symmetry of Lam for the eta-pairing, and that the gradient of tau
-    is a K-eigencovector with eigenvalue 1 - d.  e = g2 grad(tau) is constant
-    because both factors are (p.eta_up and the Hessian check), so the
-    unity-constant certificate passes unrecomputed.
+    The pencil carries an affine-linear tau (`normalize_flat_coordinates`
+    raises otherwise).  Verifies that E is affine-linear, the skew-symmetry
+    of Lam for the eta-pairing, and that the gradient of tau is a
+    K-eigencovector with eigenvalue 1 - d.  e = g2 grad(tau) is constant
+    because both factors are, so the unity-constant certificate passes
+    unrecomputed.
     """
     eta_up = p.eta_up
     n = p.n
-    if p.tau is None:
-        raise ValueError("pencil carries no scaling potential tau")
-    for a in range(n):
-        for b in range(a, n):
-            if not p.tau.diff(a).diff(b).is_zero():
-                raise TauHessianError(f"tau Hessian nonzero at ({a + 1},{b + 1})")
     e_big = p.euler[0]
     for a in range(n):
         for b in range(n):
@@ -294,7 +289,7 @@ def operator_pair(p: PencilData) -> OperatorPair:
     coeffs = charpoly(lam_op)
     roots, residual_degree = rational_roots(coeffs)
     spectrum = []
-    for value, mult in sorted(roots):
+    for value, mult in roots:
         shifted = [[lam_op[i][j] - (value if i == j else 0) for j in range(n)] for i in range(n)]
         power = shifted
         for _ in range(mult - 1):

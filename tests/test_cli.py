@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -228,13 +229,34 @@ def test_one_by_one_pencil_near_ring_bound_decides(tmp_path, capsys, g1, expgens
     assert captured.err == "" and "FAIL" not in captured.out
 
 
-def test_reconstruct_large_scaling_rate_exit_3(tmp_path, capsys):
-    # The characteristic polynomial of Lam is x - 5*10^23; its rational roots
-    # would take about 7*10^11 trial divisions.
+def test_reconstruct_large_scaling_rate_decides_exit_1(tmp_path, capsys):
+    # The characteristic polynomial of Lam is x - 5*10^23, too large to
+    # enumerate its divisors; [e, E] = L e with L = 10^24 + 1 makes the
+    # pencil not quasihomogeneous.
     data = {"schema": 1, "n": 1, "g1": [["1000000000000000000000001*t1"]], "g2": [["1"]], "tau": "t1"}
     path = write_json(tmp_path / "large-rate.json", data)
-    assert run(["pencil", "reconstruct", path]) == 3
-    assert capsys.readouterr() == ("", "input error: rational root coefficient bound 1000000000000 exceeded\n")
+    started = time.monotonic()
+    assert run(["pencil", "reconstruct", path]) == 1
+    assert time.monotonic() - started < 1
+    assert capsys.readouterr() == (
+        "",
+        "certification error: NotQuasihomogeneousError: scaling residual has terms beyond quadratic: "
+        "1000000000000000000000000/3*t1^3\n",
+    )
+
+
+def test_reconstruct_non_affine_tau_exit_1(tmp_path, capsys):
+    # The A2 orbit pencil with tau = t2^2 instead of t2.
+    data = {
+        "schema": 1,
+        "n": 2,
+        "g1": [["54*t2^2", "t1"], ["t1", "2/3*t2"]],
+        "g2": [["0", "1"], ["1", "0"]],
+        "tau": "t2^2",
+        "d": "1/3",
+    }
+    assert run(["pencil", "reconstruct", write_json(tmp_path / "tau-squared.json", data)]) == 1
+    assert capsys.readouterr() == ("", "certification error: TauHessianError: tau is not affine-linear\n")
 
 
 def test_recursion_integral_over_power_bound_exit_3(tmp_path, capsys):

@@ -4,10 +4,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from flatpencil.errors import NoSolutionError, RingBoundError, UnderdeterminedError
+from flatpencil.errors import NoSolutionError, UnderdeterminedError
 from flatpencil.linalg import (
-    ROOT_COEFFICIENT_LIMIT,
-    ROOT_STEP_BUDGET,
     charpoly,
     exact_linsolve,
     mat_inverse,
@@ -92,26 +90,26 @@ def test_rational_roots_irrational_residual():
 
 
 def test_rational_roots_refuses_candidates_past_budget():
-    # L x^2 + x + L with L = 963761198400: L is under the coefficient bound,
-    # but its 6720 divisors give 2 * 6720^2 candidate roots +-p/q.
+    # L x^2 + x + L with L = 963761198400, whose 6720 divisors give
+    # 2 * 6720^2 rational-root-theorem candidates: it has no rational root.
     started = time.monotonic()
-    with pytest.raises(RingBoundError, match=f"rational root candidate budget {ROOT_STEP_BUDGET} exceeded"):
-        rational_roots([Q(1), Q(1, 963761198400), Q(1)])
-    assert time.monotonic() - started < 1
-    # Lam of the A4 orbit pencil, 10000 x^4 - 1000 x^2 + 9: 150 candidates.
-    spectrum = [(Q(1, 10), 1), (Q(-1, 10), 1), (Q(3, 10), 1), (Q(-3, 10), 1)]
+    assert rational_roots([Q(1), Q(1, 963761198400), Q(1)]) == ([], 2)
+    # Lam of the A4 orbit pencil, 10000 x^4 - 1000 x^2 + 9, in ascending order.
+    spectrum = [(Q(-3, 10), 1), (Q(-1, 10), 1), (Q(1, 10), 1), (Q(3, 10), 1)]
     assert rational_roots([Q(1), Q(0), Q(-1, 10), Q(0), Q(9, 10000)]) == (spectrum, 0)
+    assert time.monotonic() - started < 1
 
 
 def test_rational_roots_refuses_coefficient_past_bound():
-    # The trailing coefficient is read after the roots at 0 are split off,
-    # and the leading one after denominators are cleared.
-    assert ROOT_COEFFICIENT_LIMIT == 10**12
-    assert rational_roots([Q(1), Q(-(10**12))]) == ([(Q(10**12), 1)], 0)
+    # Leading and trailing coefficients past 10^12, too large to enumerate
+    # their divisors by trial division.
+    started = time.monotonic()
     big = 10**12 + 1
-    for coeffs in ([Q(1), Q(-big)], [Q(1), Q(big), Q(0)], [Q(big), Q(1)], [Q(1, big), Q(1)]):
-        with pytest.raises(RingBoundError, match="rational root coefficient bound 1000000000000 exceeded"):
-            rational_roots(coeffs)
+    assert rational_roots([Q(1), Q(-big)]) == ([(Q(big), 1)], 0)
+    assert rational_roots([Q(1), Q(big), Q(0)]) == ([(Q(-big), 1), (Q(0), 1)], 0)
+    assert rational_roots([Q(big), Q(1)]) == ([(Q(-1, big), 1)], 0)
+    assert rational_roots([Q(1, big), Q(1)]) == ([(Q(-big), 1)], 0)
+    assert time.monotonic() - started < 1
 
 
 def test_mat_inverse():
@@ -153,3 +151,62 @@ def test_rational_roots_planted_oracle():
         assert len(roots) == len(planted), case
         assert dict(roots) == planted, case
         assert residual == 2 * quadratics, case
+
+
+def planted_polynomial(rng, size, max_degree):
+    """A seeded product of linear factors (x - r)^m and irreducible monic
+    quadratics, with numerators and denominators up to ``size``; returns the
+    coefficients, the planted roots and the quadratics' degree."""
+    def rational():
+        return Q(rng.randint(-size, size), rng.randint(1, size))
+
+    planted: dict[Q, int] = {}
+    coeffs = [Q(rng.randint(1, size), rng.randint(1, size))]
+    degree = rng.randint(1, max_degree)
+    quadratic_degree = 0
+    while len(coeffs) <= degree:
+        if rng.random() < 0.3 and len(coeffs) < degree:
+            # x^2 + b x + c with b^2 - 4c < 0 has no rational root.
+            b = rational()
+            coeffs = poly_mul(coeffs, [Q(1), b, b * b / 4 + abs(rational()) + Q(1, size)])
+            quadratic_degree += 2
+        else:
+            r = rng.choice(list(planted)) if planted and rng.random() < 0.3 else rational()
+            planted[r] = planted.get(r, 0) + 1
+            coeffs = poly_mul(coeffs, [Q(1), -r])
+    return coeffs, planted, quadratic_degree
+
+
+def test_rational_roots_planted_oracle_past_old_budgets():
+    # Numerators and denominators up to 10^30, degree at most 6: the
+    # divisor enumeration refused nearly all of these.
+    rng = random.Random(29)
+    started = time.monotonic()
+    for case in range(300):
+        coeffs, planted, quadratic_degree = planted_polynomial(rng, 10**30, 6)
+        roots, residual = rational_roots(coeffs)
+        assert roots == sorted(planted.items()), case
+        assert residual == quadratic_degree, case
+    assert time.monotonic() - started < 5
+
+
+def test_rational_roots_match_sympy_on_large_charpolys():
+    # Seeded 5x5 matrices with 100-digit entries; some have a zero block
+    # below the diagonal, which plants the diagonal entries above it as
+    # rational eigenvalues.
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(31)
+    started = time.monotonic()
+    for case in range(6):
+        a = [[Q(rng.randint(-(10**100), 10**100)) for _ in range(5)] for _ in range(5)]
+        for j in range(case % 3):
+            for i in range(j + 1, 5):
+                a[i][j] = Q(0)
+        coeffs = charpoly(a)
+        roots, residual = rational_roots(coeffs)
+        expected = sympy.roots(sympy.Poly([int(c) for c in coeffs], x), filter="Q")
+        assert roots == sorted((Q(int(r.p), int(r.q)), m) for r, m in expected.items()), case
+        assert residual == 5 - sum(expected.values()), case
+        assert len(roots) >= case % 3, case
+    assert time.monotonic() - started < 5
