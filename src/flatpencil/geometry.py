@@ -100,11 +100,6 @@ class ContraMetric:
             self._det = sym_det(self.g, self.nvars)
         return self._det
 
-    @property
-    def cached_connection(self) -> "Connection | None":
-        """The connection :func:`levi_civita` built and verified, if it has."""
-        return self._conn
-
     def constant_entries(self) -> list[list[Q]]:
         """The entries as rationals; raises if any entry is non-constant."""
         return [[x.constant_value() for x in row] for row in self.g]
@@ -139,7 +134,9 @@ class PencilData:
     pair; nothing else sets it.  The flat-pencil conditions are tensorial,
     so ``reconstruction.transform_pencil`` carries the record to a pencil
     in linearly changed coordinates, and ``dataclasses.replace`` of tau or
-    d keeps it.  A copy with another metric must be certified afresh.
+    d keeps it.  A copy with another metric must be certified afresh.  The
+    inverse construction (``reconstruction.reconstruct_frobenius``) runs
+    only on a pencil with the record set.
     """
 
     g1: ContraMetric
@@ -414,8 +411,9 @@ def check_flat_pencil(p: PencilData) -> Report:
     curvature residual is the j < k half: under metricity, and with no
     denominator holding lam, an entry with j > k has a nonzero power of lam
     only where its earlier mirror does.  A passing report sets
-    ``p.flat_certified``, which the difference-tensor certificates of the
-    inverse construction read.
+    ``p.flat_certified``, the precondition of the inverse construction,
+    whose difference-tensor certificates are the lam coefficients of this
+    report.
     """
     n = p.n
     nvars = p.g1.nvars

@@ -12,8 +12,11 @@ unity) -> structure constants -> potential by one closed-form integration
 of c_abc (``qpoly.primitive``) -> closing identity against the first metric
 of the pencil.
 
-Everything runs over exact scalars; certificates are collected stage by
-stage into one report.
+The input must be a certified flat pencil (``geometry.check_flat_pencil``
+passed on it): the identities of the difference tensor are coefficients in
+lam of that certificate, so they are reported, not computed again, and the
+construction refuses a pencil without the record.  Everything runs over
+exact scalars; certificates are collected stage by stage into one report.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .geometry import (
     linear_forms,
     push_metric,
     push_vector,
-    symmetry_residuals,
 )
 from .linalg import (
     charpoly,
@@ -132,91 +134,44 @@ def delta_tensor(p: PencilData) -> Delta:
     return levi_civita(p.g1).gamma
 
 
-def check_delta_properties(p: PencilData) -> Report:
-    """The four flat-pencil identities of the pencil's difference tensor
-    (:func:`delta_tensor`), plus the two scaling identities when the pencil
-    carries tau:
+def check_delta_properties(norm: NormalizationResult) -> Report:
+    """The flat-pencil identities of the difference tensor ``norm.delta``
+    (:func:`delta_tensor`) of a certified flat pencil, and its two scaling
+    identities:
 
         g1-pairing symmetry, g2-pairing symmetry,
         right-symmetry  Delta(Delta(u,v),w) = Delta(Delta(u,w),v),
         curl            d_s Delta_l^{jk} = d_l Delta_s^{jk},
         L_E Delta = (d-1) Delta,   L_e Delta = 0.
 
-    Delta is the connection of g1, whose build verified exactly the
-    g1-pairing symmetry residuals, so that certificate passes unrecomputed.
-    On a pencil with ``p.flat_certified`` set, the g2-pairing symmetry, the
-    curl and the right-symmetry are PASS lines too, because the flat-pencil
-    certificate is them, coefficient by coefficient in lam; so is the
-    Euler scaling when E is affine and L_E g1 = (d-1) g1 holds.  Every other
-    pencil gets each identity computed.  L_e Delta = 0 is always computed.
+    The pencil must carry the record that :func:`check_flat_pencil` passed;
+    every identity but L_e Delta = 0 is then a PASS line, for the reason
+    noted at it.  A pencil without the record raises InternalCheckError.
     """
-    p.eta_up
-    dm = levi_civita(p.g1).gamma
-    n, nvars = p.n, p.g1.nvars
+    q = norm.pencil
+    if not q.flat_certified:
+        raise InternalCheckError("inverse construction reached a pencil that check_flat_pencil has not certified")
+    n, dm = q.n, norm.delta
     report = Report()
-
+    # Delta is the connection of g1, whose build verified exactly the
+    # g1-pairing symmetry residuals.
     report.add(Certificate("delta-g1-symmetry", reports.PASS))
-    if p.flat_certified:
-        # g2 is constant, so G2 = 0, Delta = G1 and the certified residuals of
-        # (g1 - lam eta, G1) have a lam^0 and a lam^1 coefficient.  Symmetry
-        # at lam^1 is minus the g2-pairing symmetry.  Curvature at lam^1 is
-        # -eta^{is} (d_s Delta_l^{jk} - d_l Delta_s^{jk}) for j < k; eta is
-        # nondegenerate, and metricity makes the curl antisymmetric in
-        # (j, k), so every curl entry vanishes.  Curvature at lam^0 is then
-        # its quadratic part alone, minus the right-symmetry residual on the
-        # same index set.
-        for name in ("delta-g2-symmetry", "delta-right-symmetry", "delta-curl"):
-            report.add(Certificate(name, reports.PASS))
-    else:
-        g2_sym = symmetry_residuals(p.g2.g, dm, n)
-        report.add(reports.residual_certificate("delta-g2-symmetry", entry_residuals(g2_sym)))
-
-        def right_sym():
-            for j in range(n):
-                for l in range(j + 1, n):
-                    for i in range(n):
-                        for k in range(n):
-                            plus = [(dm[s][i][j], dm[k][s][l]) for s in range(n)]
-                            minus = [(dm[s][i][l], dm[k][s][j]) for s in range(n)]
-                            yield (i, j, l, k), dot(nvars, plus, minus)
-
-        report.add(reports.residual_certificate("delta-right-symmetry", entry_residuals(right_sym())))
-
-        def curl():
-            for s in range(n):
-                for l in range(s + 1, n):
-                    for j in range(n):
-                        for k in range(n):
-                            yield (s, l, j, k), dm[s][j][k].diff(l) - dm[l][j][k].diff(s)
-
-        report.add(reports.residual_certificate("delta-curl", entry_residuals(curl())))
-
-    if p.tau is None:
-        report.add(reports.skipped("delta-euler-scaling", "no tau supplied"))
-        report.add(reports.skipped("delta-unity-invariance", "no tau supplied"))
-        return report
-
-    e_big, e_small = p.euler
-    d = p.degree
-    if p.flat_certified and _scales_first_metric(p):
-        # The contravariant Levi-Civita connection is natural and homogeneous
-        # of degree one in g, and the flow of an affine E moves G2 = 0 to
-        # zero, so L_E g1 = (d-1) g1 gives L_E Delta = (d-1) Delta.
-        report.add(Certificate("delta-euler-scaling", reports.PASS))
-    else:
-        lie_e = lie_derivative(e_big, dm, 3, lower=1)
-        report.add(
-            reports.residual_certificate(
-                "delta-euler-scaling",
-                entry_residuals(
-                    ((k, i, j), lie_e[k][i][j] - dm[k][i][j] * (d - 1))
-                    for k in range(n)
-                    for i in range(n)
-                    for j in range(n)
-                ),
-            )
-        )
-    lie_u = lie_derivative(e_small, dm, 3, lower=1)
+    # g2 is constant, so G2 = 0, Delta = G1 and the certified residuals of
+    # (g1 - lam eta, G1) have a lam^0 and a lam^1 coefficient.  Symmetry at
+    # lam^1 is minus the g2-pairing symmetry.  Curvature at lam^1 is
+    # -eta^{is} (d_s Delta_l^{jk} - d_l Delta_s^{jk}) for j < k; eta is
+    # nondegenerate, and metricity makes the curl antisymmetric in (j, k),
+    # so every curl entry vanishes.  Curvature at lam^0 is then its
+    # quadratic part alone, minus the right-symmetry residual on the same
+    # index set.
+    for name in ("delta-g2-symmetry", "delta-right-symmetry", "delta-curl"):
+        report.add(Certificate(name, reports.PASS))
+    # Normalization verified that E is affine (operator_pair) and that
+    # L_E g1 = (d-1) g1 (infer_degree).  The contravariant Levi-Civita
+    # connection is natural and homogeneous of degree one in g, and the flow
+    # of an affine E moves G2 = 0 to zero, so L_E Delta = (d-1) Delta.
+    report.add(Certificate("delta-euler-scaling", reports.PASS))
+    lie_u = lie_derivative(q.euler[1], dm, 3, lower=1)
     report.add(
         reports.residual_certificate(
             "delta-unity-invariance",
@@ -224,18 +179,6 @@ def check_delta_properties(p: PencilData) -> Report:
         )
     )
     return report
-
-
-def _scales_first_metric(p: PencilData) -> bool:
-    """E is affine and L_E g1 = (d-1) g1 with d = p.degree.  On the
-    normalized pencil of the inverse construction both were verified, and
-    L_E g1 is cached, so this reads what is there."""
-    if not all(c.diff(b).is_constant() for c in p.euler[0].components for b in range(p.n)):
-        return False
-    try:
-        return p.inferred_degree == p.degree
-    except DegreeInferenceError:
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -421,17 +364,16 @@ def normalize_flat_coordinates(p: PencilData) -> NormalizationResult:
 
 def transform_pencil(p: PencilData, matrix: list[list[Q]]) -> PencilData:
     """Apply the linear coordinate change t_new = matrix . t_old.  The
-    flat-pencil conditions are tensorial, so the record that they were
-    certified carries over."""
+    flat-pencil conditions are tensorial, so ``replace`` carries the record
+    that they were certified over, with d."""
     new_coords = linear_forms(matrix)
     old_in_new = linear_forms(mat_inverse(matrix))
     tau = p.tau.substitute(old_in_new) if p.tau is not None else None
-    return PencilData(
+    return replace(
+        p,
         g1=push_metric(p.g1, new_coords, old_in_new),
         g2=push_metric(p.g2, new_coords, old_in_new),
         tau=tau,
-        d=p.d,
-        flat_certified=p.flat_certified,
     )
 
 
@@ -440,11 +382,10 @@ def transform_pencil(p: PencilData, matrix: list[list[Q]]) -> PencilData:
 # ---------------------------------------------------------------------------
 
 
-def multiplication(
-    p: PencilData, ops: OperatorPair, delta: Delta
-) -> tuple[StructureConstants, Report]:
+def multiplication(norm: NormalizationResult) -> tuple[StructureConstants, Report]:
     """u * v = Delta(u, w) + s u on covectors, where R w + s dtau = v;
-    structure constants from the coordinate 1-forms.
+    structure constants from the coordinate 1-forms.  Delta is
+    ``norm.delta``, the connection of g1.
 
     When R is invertible, w = R^{-1} v and s = 0.  When R is singular (the
     d = 1 remark), the root subspace of Lam at -1/2 and ker R must be
@@ -452,12 +393,11 @@ def multiplication(
     the choice of w along ker R cannot leak into the product; dtau is then
     the unity.  Certifies commutativity, associativity, the unity role of
     the last coordinate 1-form and, for invertible R, the pairing-derivative
-    identity u*R(v) + R(u)*v = d(u, v); for singular R, dtau * v = v.  When
-    ``delta`` is the connection that ``levi_civita`` built for g1, as
-    :func:`delta_tensor` returns it, the pairing-derivative identity is a
-    PASS line: with commutativity it is metricity, which that connection
-    holds by its build.  Any other ``delta`` gets it computed.
+    identity u*R(v) + R(u)*v = d(u, v); for singular R, dtau * v = v.  The
+    pairing-derivative identity is a PASS line: with commutativity it is
+    metricity, which the connection holds by its build.
     """
+    p, ops, delta = norm.pencil, norm.ops, norm.delta
     n = p.n
     dtau = [p.tau.diff(a).constant_value() for a in range(n)]
     regular = ops.regular()
@@ -541,31 +481,13 @@ def multiplication(
         )
     )
 
-    conn = p.g1.cached_connection
-    if regular and conn is not None and delta is conn.gamma:
+    if regular:
         # Delta is the connection of g1.  w_b = R^{-1} e_b exactly, so
         # sum_i w_i[j] R[i][a] = delta_ja, and commutativity turns
         # sum_ij Delta_g^{ij} R[i][a] w_b[j] into Delta_g^{ba}.  The residual
         # is then Delta_g^{ab} + Delta_g^{ba} - d_g g1^{ab}, the metricity
         # that the connection holds by its build.
         report.add(Certificate("pairing-derivative-identity", reports.PASS))
-    elif regular:
-        # coef[a][b] = R[i][a] w_b[j] over (i, j), shared by every g
-        coef = [
-            [[ops.r_op[i][a] * solutions[b][j] for i in range(n) for j in range(n)] for b in range(n)]
-            for a in range(n)
-        ]
-
-        def pairing_diff():
-            for a in range(n):
-                for b in range(n):
-                    for g in range(n):
-                        pairs = zip((delta[g][i][j] for i in range(n) for j in range(n)), coef[a][b])
-                        yield (a, b, g), delta[g][a][b] + dot(nvars, pairs) - p.g1.g[a][b].diff(g)
-
-        report.add(
-            reports.residual_certificate("pairing-derivative-identity", entry_residuals(pairing_diff()))
-        )
     else:
         report.add(
             reports.skipped("pairing-derivative-identity", "R singular; identity used sliced")
@@ -646,9 +568,10 @@ def reconstruct_frobenius(p: PencilData) -> ReconstructionResult:
     """Run the whole inverse construction and certify the closing identity
     that the intersection form of the result equals the first metric.
 
-    When ``p.flat_certified`` is set, the normalized pencil carries it and
-    the difference-tensor identities it implies are PASS lines (see
-    :func:`check_delta_properties`).  When the product passed its
+    ``p`` must be a certified flat pencil: :func:`check_flat_pencil` passed
+    on it, so the difference-tensor identities are PASS lines (see
+    :func:`check_delta_properties`), which raises InternalCheckError on a
+    pencil without that record.  When the product passed its
     associativity certificate, WDVV of the recovered potential is a PASS
     line too; otherwise ``check_wdvv`` computes it.  When the unity
     presentation is the identity, the result's FrobeniusData takes the
@@ -661,12 +584,12 @@ def reconstruct_frobenius(p: PencilData) -> ReconstructionResult:
     q, ops = norm.pencil, norm.ops
     n = q.n
 
-    for cert in check_delta_properties(q).certificates:
+    for cert in check_delta_properties(norm).certificates:
         report.add(cert)
     for cert in ops.certificates:
         report.add(cert)
 
-    sc, mult_report = multiplication(q, ops, norm.delta)
+    sc, mult_report = multiplication(norm)
     mode = "regular" if ops.regular() else "d1-remark"
     for cert in mult_report.certificates:
         report.add(cert)

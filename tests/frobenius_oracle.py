@@ -7,7 +7,9 @@ Levi-Civita solve, so tests can compare it with `geometry.levi_civita`.
 `geometry.levi_civita` satisfies by construction and does not evaluate.
 `delta_identity_residuals` and `pairing_derivative_residuals` form, over
 every index and with plain sums, the identities that the inverse
-construction reports as PASS lines once a flat-pencil certificate passed.
+construction reports as PASS lines: it runs only on a pencil whose
+flat-pencil certificate passed, so it never computes them itself, and
+these sums are the only check of them.
 """
 
 from flatpencil.errors import InternalCheckError

@@ -81,7 +81,9 @@ def test_criterion_2_forward_pencils(manifolds):
 def test_criterion_3_round_trips(manifolds):
     details = []
     for name, m in manifolds.items():
-        result = reconstruct_frobenius(to_flat_pencil(m))
+        pencil = to_flat_pencil(m)
+        assert check_flat_pencil(pencil).passed, name  # the inverse construction's precondition
+        result = reconstruct_frobenius(pencil)
         expected_mode = "d1-remark" if m.d == 1 else "regular"
         assert result.mode == expected_mode, name
         n = m.n

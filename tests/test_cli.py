@@ -9,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from flatpencil import cli, frobenius, geometry, loopspace
+from flatpencil import cli, coxeter, frobenius, geometry, loopspace, reports
 from flatpencil.cli import main
 from flatpencil.errors import InternalCheckError
 from flatpencil.frobenius import FrobeniusData
 from flatpencil.pencilio import dump_pencil
 from flatpencil.qpoly import QPoly
+from flatpencil.reports import Certificate, Report
 
 TESTDATA = Path(__file__).resolve().parent.parent / "testdata"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -396,6 +397,24 @@ def test_internal_error_exit_4(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == "internal error: connection symmetry residual nonzero at (1,2,1)\n"
     assert "FAIL" not in captured.out
+
+
+def test_uncertified_pencil_in_inverse_construction_exit_4(monkeypatch, capsys):
+    # The inverse construction reports the difference-tensor identities as
+    # implied by the flat-pencil certificate, so a pipeline that reaches it
+    # without that record is a toolkit bug, never a PASS or a FAIL line.
+    def failing(_pencil):
+        report = Report()
+        report.add(Certificate("pencil-curvature", reports.FAIL, witness="forced"))
+        return report
+
+    monkeypatch.setattr(coxeter, "check_flat_pencil", failing)
+    assert run(["coxeter", "--type", "A", "--rank", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: inverse construction reached a pencil that check_flat_pencil has not certified\n"
+    )
 
 
 def test_frobenius_check_enforces_unity_axiom(tmp_path, capsys):

@@ -148,6 +148,7 @@ CASES = {
     },
     "a3-frobenius-pencil": lambda _t: ["frobenius", "pencil", SOURCES / "a3-frobenius.json"],
     "a2-perturbed-check": lambda t: ["pencil", "check", perturbed_a2(t)],
+    "a2-perturbed-reconstruct": lambda t: ["pencil", "reconstruct", perturbed_a2(t)],
     "a3-inferred-check": lambda t: ["pencil", "check", a3_copy(t, None)],
     "a3-inferred-reconstruct": lambda t: ["pencil", "reconstruct", a3_copy(t, None)],
     "a3-inferred-recurse": lambda t: ["bracket", "recurse", a3_copy(t, None), "--steps", "3"],
@@ -203,6 +204,8 @@ GOLDEN = {
     "a2-perturbed-check": (1, "12deeef0178566ad74deebb2", {"pencil-check-report.json": "51db386d4408ca825a761719"}),
     "a2-perturbed-compat": (1, "e3b0c44298fc1c149afbf4c8", {"<stderr>": "3ce3c1869dfec8bd69084710"}),
     "a2-perturbed-emit": (1, "e3b0c44298fc1c149afbf4c8", {"<stderr>": "3ce3c1869dfec8bd69084710"}),
+    # the flat-pencil guard of `pencil reconstruct`: exit 3, nothing written
+    "a2-perturbed-reconstruct": (3, "e3b0c44298fc1c149afbf4c8", {"<stderr>": "c210ba73d3f608e162c8c69b"}),
     "a2-reconstruct": (
         0,
         "b025a5188801ff75edcf2d9e",

@@ -7,7 +7,14 @@ import pytest
 
 from flatpencil import frobenius, reconstruction
 from flatpencil.coxeter import coxeter_pencil
-from flatpencil.errors import IntegrabilityError, KernelError, NotFlatCoordinatesError
+from flatpencil.errors import (
+    DegreeInferenceError,
+    IntegrabilityError,
+    InternalCheckError,
+    KernelError,
+    NonlinearEulerError,
+    NotFlatCoordinatesError,
+)
 from flatpencil.exprparse import parse_expr
 from flatpencil.frobenius import check_wdvv, structure_constants, to_flat_pencil
 from flatpencil.geometry import (
@@ -20,7 +27,7 @@ from flatpencil.geometry import (
 )
 from flatpencil.linalg import mat_inverse, rank
 from flatpencil.loopspace import bracket_from_metric
-from flatpencil.pencilio import load_pencil
+from flatpencil.pencilio import load_frobenius, load_pencil
 from flatpencil.qpoly import QPoly, RatFunc
 from flatpencil.reconstruction import (
     check_delta_properties,
@@ -39,6 +46,12 @@ from test_golden_output import DENSE_A2, SOURCES
 
 def qp(text, n):
     return parse_expr(text, n)
+
+
+def certified(p):
+    """``p``, after a passing flat-pencil certificate set its record."""
+    assert check_flat_pencil(p).passed and p.flat_certified
+    return p
 
 
 def test_delta_one_dim(cubic_pencil):
@@ -62,9 +75,9 @@ def test_delta_requires_flat_coordinates():
 
 
 def test_delta_properties_pass(cubic_pencil, a2):
-    assert check_delta_properties(cubic_pencil).passed
+    assert check_delta_properties(normalize_flat_coordinates(certified(cubic_pencil))).passed
     bundle, _recon = a2
-    report = check_delta_properties(bundle.pencil)
+    report = check_delta_properties(normalize_flat_coordinates(bundle.pencil))
     assert report.passed
     # scaling identities certified exactly, not skipped
     assert report.find("delta-euler-scaling").status == "pass"
@@ -79,22 +92,22 @@ def test_delta_of_orbit_pencil_is_qpoly(a3):
 
 def test_delta_mutation_breaks_curl(a2):
     # t1 added to g1^{11} of the A2 orbit pencil: g1 is still a metric with a
-    # verified connection, but the pair is no longer a flat pencil, so the
-    # failed flat-pencil certificate leaves the record unset and the
-    # difference-tensor identities are computed.
+    # verified connection, but the pair is no longer a flat pencil.  The
+    # failed flat-pencil certificate leaves the record unset, so the
+    # difference-tensor identities of the mutated pencil are never reported:
+    # check_delta_properties refuses it as a toolkit bug.
     bundle, _recon = a2
     p = bundle.pencil
     g1 = ContraMetric(
         [[x + (qp("t1", 2) if i == j == 0 else 0) for j, x in enumerate(row)] for i, row in enumerate(p.g1.g)]
     )
     mutated = PencilData(g1=g1, g2=p.g2, tau=p.tau, d=p.d)
-    assert not check_flat_pencil(mutated).passed
+    report = check_flat_pencil(mutated)
+    assert not report.find("pencil-curvature").passed
     assert not mutated.flat_certified
-    report = check_delta_properties(mutated)
-    assert not report.passed
-    assert report.find("delta-g1-symmetry").passed
-    curl = report.find("delta-curl")
-    assert curl.witness == "entry (1,2,1,2): nonzero normal form: 4*t1*t2^3 - 1/9*t1^3 + 1/9*t1^2*t2"
+    norm = replace(normalize_flat_coordinates(p), pencil=mutated, delta=delta_tensor(mutated))
+    with pytest.raises(InternalCheckError, match="check_flat_pencil has not certified"):
+        check_delta_properties(norm)
 
 
 def test_delta_properties_on_non_polynomial_connection():
@@ -106,25 +119,22 @@ def test_delta_properties_on_non_polynomial_connection():
     delta = delta_tensor(pencil)
     assert not all(x.quotient() is not None for k in delta for row in k for x in row)
     assert all(isinstance(x, RatFunc) and x.den == g1.det for k in delta for row in k for x in row)
-    report = check_delta_properties(pencil)
-    got = {c.name: (c.status, (c.witness or "").split(":")[0]) for c in report.certificates}
-    assert got == {
-        "delta-g1-symmetry": ("pass", ""),
-        "delta-g2-symmetry": ("fail", "entry (1,2,1)"),
-        "delta-right-symmetry": ("fail", "entry (1,1,2,1)"),
-        "delta-curl": ("fail", "entry (1,2,1,2)"),
-        "delta-euler-scaling": ("fail", "entry (1,1,1)"),
-        "delta-unity-invariance": ("fail", "entry (1,1,1)"),
-    }
 
 
-GUARANTEE_INPUTS = ["a1", "a2", "a3", "cp1", "a2-dense"] + [f"coxeter-a{r}" for r in range(1, 5)]
+GUARANTEE_INPUTS = ["a1", "a2", "a3", "cp1", "a2-dense", "a2-sheared", "cubic"] + [
+    f"coxeter-a{r}" for r in range(1, 5)
+]
 
 
 @functools.cache
 def guarantee_input(name):
     if name == "a2-dense":
         return load_pencil(json.dumps(DENSE_A2))[0]
+    if name == "a2-sheared":
+        a2 = load_pencil((SOURCES / "a2-pencil.json").read_text(encoding="utf-8"))[0]
+        return transform_pencil(a2, [[Q(1), Q(2)], [Q(3), Q(7)]])
+    if name == "cubic":
+        return to_flat_pencil(load_frobenius((SOURCES / "cubic-frobenius.json").read_text(encoding="utf-8")))
     if name.startswith("coxeter-a"):
         return coxeter_pencil(int(name[-1]))[0].pencil
     return load_pencil((SOURCES / f"{name}-pencil.json").read_text(encoding="utf-8"))[0]
@@ -155,8 +165,6 @@ def test_construction_guarantees_behind_pass_lines(name):
     if name.startswith("coxeter-a"):
         assert p.euler[1].components == [QPoly.const(n, int(a == 0)) for a in range(n)]
     assert all(res.is_zero() for _name, _idx, res in delta_identity_residuals(q))
-    computed = check_delta_properties(replace(q, flat_certified=False))
-    assert check_delta_properties(q).certificates == computed.certificates
     if norm.ops.regular():
         assert all(res.is_zero() for _idx, res in pairing_derivative_residuals(q, norm.ops.r_op))
     assert check_wdvv(reconstruct_frobenius(p).frobenius).passed
@@ -173,42 +181,35 @@ def test_flat_record_survives_transform_and_replace():
     assert normalize_flat_coordinates(moved).pencil.flat_certified
 
 
-def test_delta_euler_scaling_computed_when_degree_does_not_fit():
+def test_reconstruct_refuses_degree_that_does_not_fit():
     # A declared d that L_E g1 = (d-1) g1 does not fit leaves the flat-pencil
-    # certificate passing, but not the reason behind the Euler-scaling PASS
-    # line, so that identity is computed, and fails.
+    # certificate passing, but not the reason behind the delta-euler-scaling
+    # PASS line: normalization refuses the pencil before any difference-tensor
+    # identity is reported.
     data = json.loads((SOURCES / "a3-pencil.json").read_text(encoding="utf-8"))
     data["d"] = "1/3"
-    p = load_pencil(json.dumps(data))[0]
-    assert check_flat_pencil(p).passed
-    got = {c.name: (c.status, c.witness) for c in check_delta_properties(p).certificates}
-    assert got == {
-        "delta-g1-symmetry": ("pass", None),
-        "delta-g2-symmetry": ("pass", None),
-        "delta-right-symmetry": ("pass", None),
-        "delta-curl": ("pass", None),
-        "delta-euler-scaling": ("fail", "entry (1,1,3): nonzero normal form: 1/24"),
-        "delta-unity-invariance": ("pass", None),
-    }
+    p = certified(load_pencil(json.dumps(data))[0])
+    with pytest.raises(DegreeInferenceError, match="declared d = 1/3 does not satisfy"):
+        reconstruct_frobenius(p)
 
 
-def test_delta_euler_scaling_computed_when_euler_field_is_not_affine():
+def test_reconstruct_refuses_non_affine_euler_field():
     # E = g1 grad(t2) = (t2^2, t2 + 1) gives L_E g1 = -g1, so d = 0 fits,
-    # but E is not affine: the tensorial L_E Delta then misses the second
-    # derivatives of E, and the scaling identity fails.  The record alone
-    # does not imply it, so it is computed even with the record set.
+    # but E is not affine: the tensorial L_E Delta would miss the second
+    # derivatives of E.  Even with the record set, normalization refuses the
+    # pencil before delta-euler-scaling is reported.
     g1 = ContraMetric([[qp(x, 2) for x in row] for row in [["t2^3-t2^2+t2-1", "t2^2"], ["t2^2", "t2+1"]]])
     p = PencilData(g1=g1, g2=ContraMetric.constant([[Q(1), Q(0)], [Q(0), Q(1)]]), tau=qp("t2", 2))
     assert p.inferred_degree == 0
     p.flat_certified = True
-    euler = check_delta_properties(p).find("delta-euler-scaling")
-    assert euler.witness == "entry (2,1,1): nonzero normal form: 2*t2^2"
+    with pytest.raises(NonlinearEulerError, match="Euler component 1 is not affine-linear in t2"):
+        reconstruct_frobenius(p)
 
 
 def test_wdvv_computed_when_associativity_fails(monkeypatch):
     # The wdvv-associativity PASS line stands on the certified associativity
     # of the product; when that certificate fails, WDVV is computed.
-    p = load_pencil((SOURCES / "a2-pencil.json").read_text(encoding="utf-8"))[0]
+    p = certified(load_pencil((SOURCES / "a2-pencil.json").read_text(encoding="utf-8"))[0])
     original = reconstruction.multiplication
 
     def failing_associativity(*args):
@@ -339,9 +340,10 @@ def test_normalize_undoes_linear_change(cp1_pencil):
 def test_sheared_a2_delta_scaling_and_reconstruction(a2):
     # A non-diagonal linear change mixes coordinates of different degrees,
     # so the lower index of L_E Delta must differentiate E^s along t^k.
+    # The certified record of the orbit pencil carries to the sheared copy.
     bundle, _recon = a2
     sheared = transform_pencil(bundle.pencil, [[Q(1), Q(2)], [Q(3), Q(7)]])
-    report = check_delta_properties(sheared)
+    report = check_delta_properties(normalize_flat_coordinates(sheared))
     assert report.find("delta-euler-scaling").status == "pass"
     assert reconstruct_frobenius(sheared).report.passed
 
@@ -375,9 +377,7 @@ def test_normalize_scaling_change(cubic_pencil):
 
 
 def test_multiplication_one_dim(cubic_pencil):
-    ops = operator_pair(cubic_pencil)
-    delta = delta_tensor(cubic_pencil)
-    sc, report = multiplication(cubic_pencil, ops, delta)
+    sc, report = multiplication(normalize_flat_coordinates(cubic_pencil))
     assert report.passed
     assert sc.c_mixed[0][0][0] == QPoly.const(1, 1)
     assert sc.c_low[0][0][0] == QPoly.const(1, 1)
@@ -388,16 +388,15 @@ def test_associativity_witness_is_first_nonzero_of_full_sweep(a2):
     # e1*e2 = 0: commutative but not associative.  The certificate sweeps
     # only a < b; its witness must be the first nonzero entry of all (a, b).
     bundle, _recon = a2
-    p = bundle.pencil
-    n = p.n
-    ops = operator_pair(p)
+    norm = normalize_flat_coordinates(bundle.pencil)
+    n, ops = norm.pencil.n, norm.ops
     c = [[[Q(0)] * n for _b in range(n)] for _a in range(n)]  # c[a][b][g]: e_a * e_b
     c[0][0][1] = c[1][1][0] = Q(1)
     delta = [
         [[QPoly.const(n, sum(c[a][k][g] * ops.r_op[k][j] for k in range(n))) for j in range(n)] for a in range(n)]
         for g in range(n)
     ]
-    _sc, report = multiplication(p, ops, delta)
+    _sc, report = multiplication(replace(norm, delta=delta))
     sweep = (
         ((a, b, g, mu), sum(c[a][e][mu] * c[b][g][e] - c[b][e][mu] * c[a][g][e] for e in range(n)))
         for a in range(n)
@@ -410,31 +409,27 @@ def test_associativity_witness_is_first_nonzero_of_full_sweep(a2):
     assert witness == "entry (1,2,1,1): nonzero normal form: -1"
     assert report.find("multiplication-commutativity").passed
     assert report.find("multiplication-associativity").witness == witness
-    # This Delta is not the connection of g1, so the pairing-derivative
-    # identity is computed, and fails.
-    pairing = report.find("pairing-derivative-identity")
-    assert pairing.witness == "entry (1,1,2): nonzero normal form: -108*t2 + 4/3"
 
 
 def test_multiplication_rejects_singular(cp1_pencil):
     # A singular R admits a product only when Delta(., dtau) vanishes, so the
     # choice of w along ker R = span(dtau) cannot leak into it.
-    ops = operator_pair(cp1_pencil)
-    delta = delta_tensor(cp1_pencil)
+    norm = normalize_flat_coordinates(cp1_pencil)
+    delta = norm.delta
     n = cp1_pencil.n
     mutated = [[[delta[k][i][j] for j in range(n)] for i in range(n)] for k in range(n)]
     mutated[0][0][1] = mutated[0][0][1] + RatFunc(qp("t1", n))  # dtau = dt2
     with pytest.raises(KernelError) as info:
-        multiplication(cp1_pencil, ops, mutated)
+        multiplication(replace(norm, delta=mutated))
     assert "Delta(., dtau) is nonzero at entry (1,1)" in str(info.value)
 
 
 def test_d1_multiplication_rejects_regular(cubic_pencil):
     # The d = 1 treatment (left unity in place of the pairing-derivative
     # identity) is not applied to an invertible R.
-    ops = operator_pair(cubic_pencil)
-    assert ops.regular()
-    _sc, report = multiplication(cubic_pencil, ops, delta_tensor(cubic_pencil))
+    norm = normalize_flat_coordinates(cubic_pencil)
+    assert norm.ops.regular()
+    _sc, report = multiplication(norm)
     assert report.passed
     assert report.find("pairing-derivative-identity").status == "pass"
     assert all(c.name != "multiplication-left-unity" for c in report.certificates)
@@ -443,9 +438,9 @@ def test_d1_multiplication_rejects_regular(cubic_pencil):
 def test_multiplication_certificates_follow_r(cp1_pencil):
     # CP1's singular R (d = 1) skips the pairing-derivative identity and
     # certifies d(tau) as a left unity instead.
-    ops = operator_pair(cp1_pencil)
-    assert rank(ops.r_op) == 1
-    _sc, report = multiplication(cp1_pencil, ops, delta_tensor(cp1_pencil))
+    norm = normalize_flat_coordinates(cp1_pencil)
+    assert rank(norm.ops.r_op) == 1
+    _sc, report = multiplication(norm)
     assert report.passed
     assert report.find("multiplication-left-unity").status == "pass"
     assert report.find("pairing-derivative-identity").status == "skipped"
@@ -463,12 +458,10 @@ def test_regular_product_is_delta_of_r_inverse(a2, a3):
     # With R invertible the product is Delta(u, R^{-1} v), built here
     # directly from the inverse matrix.
     for bundle, _recon in (a2, a3):
-        p = bundle.pencil
-        n = p.n
-        ops = operator_pair(p)
-        delta = delta_tensor(p)
-        r_inv = mat_inverse(ops.r_op)
-        sc, report = multiplication(p, ops, delta)
+        norm = normalize_flat_coordinates(bundle.pencil)
+        n, delta = norm.pencil.n, norm.delta
+        r_inv = mat_inverse(norm.ops.r_op)
+        sc, report = multiplication(norm)
         assert report.passed
         for a in range(n):
             for b in range(n):
@@ -486,11 +479,8 @@ def _kernel2_pencil():
 
 
 def test_kernel_dimension_two_reported():
-    pencil = _kernel2_pencil()
-    ops = operator_pair(pencil)
-    delta = delta_tensor(pencil)
     with pytest.raises(KernelError) as info:
-        multiplication(pencil, ops, delta)
+        multiplication(normalize_flat_coordinates(_kernel2_pencil()))
     assert "dimension 2" in str(info.value)
 
 
@@ -514,7 +504,7 @@ def test_recover_potential_integrability_failure():
 
 
 def test_round_trip_cubic(cubic):
-    result = reconstruct_frobenius(to_flat_pencil(cubic))
+    result = reconstruct_frobenius(certified(to_flat_pencil(cubic)))
     assert result.mode == "regular"
     assert result.potential == cubic.potential
     assert result.frobenius.d == cubic.d
@@ -525,7 +515,7 @@ def test_round_trip_cubic(cubic):
 
 
 def test_round_trip_cp1(cp1, cp1_pencil):
-    result = reconstruct_frobenius(cp1_pencil)
+    result = reconstruct_frobenius(certified(cp1_pencil))
     assert result.mode == "d1-remark"
     assert result.potential == cp1.potential
     assert result.frobenius.eta == cp1.eta
