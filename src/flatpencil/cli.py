@@ -5,7 +5,7 @@ Subcommands
     frobenius pencil INPUT      emit the certified pencil (g, eta)
     pencil check INPUT          flat-pencil + quasihomogeneity certificates
     pencil reconstruct INPUT    inverse construction, emits Frobenius JSON
-    coxeter --type A --rank N   orbit-space pencil + Frobenius JSON (N = 1..5)
+    coxeter --type A --rank N   orbit-space pencil + Frobenius JSON (N = 1..8)
     bracket emit INPUT          first-order brackets of both pencil metrics
     bracket compat INPUT        bracket compatibility certificate
     bracket virasoro INPUT      Virasoro form of the stress field
@@ -67,7 +67,7 @@ def _fill_group(name: str, group: argparse.ArgumentParser) -> None:
     """Add the subcommands and arguments of one command group."""
     if name == "coxeter":
         group.add_argument("--type", dest="group_type", default="A", help="Coxeter type (only A)")
-        group.add_argument("--rank", type=int, required=True, choices=range(1, 6))
+        group.add_argument("--rank", type=int, required=True, choices=range(1, 9))
         _common(group)
         return
     sub = group.add_subparsers(dest="subcommand", required=True)

@@ -69,9 +69,9 @@ class CoxeterPencil:
 
 
 def build_orbit_chart(rank: int) -> OrbitChart:
-    """Grading of the power-sum generators of A_rank, for ranks 1..5."""
-    if not 1 <= rank <= 5:
-        raise ValueError(f"rank {rank} out of supported range 1..5")
+    """Grading of the power-sum generators of A_rank, for ranks 1..8."""
+    if not 1 <= rank <= 8:
+        raise ValueError(f"rank {rank} out of supported range 1..8")
     h = rank + 1
     return OrbitChart(rank=rank, h=h, degrees=list(range(h, 1, -1)))
 

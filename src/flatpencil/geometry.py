@@ -28,7 +28,17 @@ sums stay over powers of det.  A QPoly reads as the fraction self/1, so the
 kernels below serve both kinds.  Metricity holds by this assembly; the
 connection is verified against symmetry when it is first built and cached
 on the metric object, so a pipeline that asks for one metric's connection
-repeatedly builds it once.  Curvature is
+repeatedly builds it once.
+
+Symmetry and metricity determine the connection wherever det g is
+nonzero, so any candidate that holds metricity by its form, passes the
+symmetry residuals and has det g proved nonzero is the connection.  The
+g1 of a pencil in flat coordinates of its constant g2 with a diagonal
+Euler field has such a candidate in closed form (:func:`flat_candidate`),
+with no determinant, adjugate or division; a pencil takes it when it
+applies and the kernel above otherwise.  A determinant needed only to be
+nonzero is evaluated at one rational point first and expanded only when
+that value is zero (``ContraMetric.is_degenerate``).  Curvature is
 
     R_l^{ijk} = g^{is} (d_s G_l^{jk} - d_l G_s^{jk})
                 + G_s^{ik} G_l^{sj} - G_s^{ij} G_l^{sk},
@@ -59,8 +69,14 @@ from functools import cached_property, reduce
 from operator import getitem
 
 from . import reports
-from .errors import DegreeInferenceError, InternalCheckError, NotFlatCoordinatesError, SingularMetricError
-from .linalg import mat_inverse, rank, sym_adjugate, sym_det
+from .errors import (
+    DegreeInferenceError,
+    InternalCheckError,
+    NotFlatCoordinatesError,
+    OutOfRingError,
+    SingularMetricError,
+)
+from .linalg import det_value, mat_inverse, rank, sym_adjugate, sym_det, sym_sample_values
 from .qpoly import QPoly, RatFunc, dot, exact_divide
 from .reports import Certificate, Report
 
@@ -81,7 +97,9 @@ class ContraMetric:
                     raise ValueError(f"metric not symmetric at entry ({i + 1},{j + 1})")
         self.n = n
         self.g = entries
+        self._minors: dict = {}
         self._det: QPoly | None = None
+        self._degenerate: bool | None = None
         self._conn: Connection | None = None
 
     @classmethod
@@ -97,8 +115,20 @@ class ContraMetric:
     @property
     def det(self) -> QPoly:
         if self._det is None:
-            self._det = sym_det(self.g, self.nvars)
+            self._det = sym_det(self.g, self.nvars, self._minors)
         return self._det
+
+    def is_degenerate(self) -> bool:
+        """Whether det g vanishes identically.  A nonzero determinant of the
+        entries' values at one rational point (``linalg.sym_sample_values`` and
+        ``linalg.det_value``) proves det g nonzero; only a zero value expands
+        det g."""
+        if self._degenerate is None:
+            if self._det is None and det_value(sym_sample_values(self.g)):
+                self._degenerate = False
+            else:
+                self._degenerate = self.det.is_zero()
+        return self._degenerate
 
     def constant_entries(self) -> list[list[Q]]:
         """The entries as rationals; raises if any entry is non-constant."""
@@ -128,7 +158,8 @@ class VectorField:
 @dataclass
 class PencilData:
     """A pair of metrics, optionally with the scaling potential and degree;
-    its scaling data (eta, E and e, L_E g1, d) are derived once, on first use.
+    its scaling data (eta, E and e, L_E g1, d) and the connection of g1
+    (:attr:`g1_connection`) are derived once, on first use.
 
     ``flat_certified`` records that :func:`check_flat_pencil` passed on this
     pair; nothing else sets it.  The flat-pencil conditions are tensorial,
@@ -137,6 +168,12 @@ class PencilData:
     d keeps it.  A copy with another metric must be certified afresh.  The
     inverse construction (``reconstruction.reconstruct_frobenius``) runs
     only on a pencil with the record set.
+
+    ``quasihomogeneous_certified`` records that :func:`check_quasihomogeneous`
+    passed on this pair, tau and d; nothing else sets it.  Its identities
+    are tensorial too, so ``transform_pencil`` carries it; a ``replace``
+    that keeps it may change tau only by a constant, which leaves E and e
+    as they are (the normalization drops the constant of tau).
     """
 
     g1: ContraMetric
@@ -144,6 +181,7 @@ class PencilData:
     tau: QPoly | None = None
     d: Q | None = None
     flat_certified: bool = False
+    quasihomogeneous_certified: bool = False
 
     @property
     def n(self) -> int:
@@ -187,6 +225,16 @@ class PencilData:
         """The declared d, else the inferred one."""
         return self.d if self.d is not None else self.inferred_degree
 
+    @cached_property
+    def g1_connection(self) -> Connection:
+        """The Levi-Civita connection of g1, kept in g1's own cache, so
+        ``levi_civita(p.g1)`` returns the same object.  A connection g1
+        already holds is returned; otherwise :func:`flat_candidate` is tried
+        first, and the ``levi_civita`` kernel builds it when that declines."""
+        if self.g1._conn is None:
+            self.g1._conn = flat_candidate(self)
+        return levi_civita(self.g1)
+
 
 # ---------------------------------------------------------------------------
 # Connection and curvature
@@ -198,8 +246,12 @@ def levi_civita(g: ContraMetric) -> Connection:
     assembled from 1/2 d g and the antisymmetric part A / det of the module
     docstring: QPoly entries when every division A / det is exact, else
     RatFunc entries over det.  Constant metrics get QPoly zeros without
-    forming the adjugate.  The connection is built and verified against
-    symmetry once per metric object, then returned from the metric's cache.
+    forming the adjugate or expanding det.  The connection is built and
+    verified against symmetry once per metric object, then returned from
+    the metric's cache.  This kernel serves lone metrics; a pencil reads the
+    connection of g1 through ``PencilData.g1_connection``, which puts the
+    verified :func:`flat_candidate` into that cache when it applies, and
+    reaches this kernel otherwise.
     """
     if g._conn is None:
         g._conn = _build_connection(g)
@@ -209,14 +261,18 @@ def levi_civita(g: ContraMetric) -> Connection:
 def _build_connection(g: ContraMetric) -> Connection:
     n = g.n
     nvars = g.nvars
-    det = g.det
-    if det.is_zero():
+    # A non-constant metric divides by det, so only a constant one is
+    # decided without expanding it.
+    constant = g.is_constant()
+    degenerate = g.is_degenerate() if constant else g.det.is_zero()
+    if degenerate:
         raise SingularMetricError("metric determinant is identically zero")
-    if g.is_constant():
+    if constant:
         zero = QPoly.zero(nvars)
         return Connection([[[zero] * n for _i in range(n)] for _k in range(n)])
 
-    adj = sym_adjugate(g.g, nvars)
+    det = g.det
+    adj = sym_adjugate(g.g, nvars, g._minors)
     dg = [[[g.g[i][j].diff(s) for s in range(n)] for j in range(n)] for i in range(n)]
     upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
     # skew[i, j][q] = g^{is} d_s g^{jq} - g^{js} d_s g^{iq}, shared by every k
@@ -246,6 +302,62 @@ def _build_connection(g: ContraMetric) -> Connection:
         if not res.is_zero():
             raise InternalCheckError(f"connection symmetry residual nonzero at {_idx1(idx)}")
     return conn
+
+
+def flat_candidate(p: PencilData) -> Connection | None:
+    """The connection of g1 from its form in flat coordinates of a constant
+    g2 with the diagonal Euler field E = sum_a w_a t^a d_a + r, or None.
+
+    There Dubrovin's formula G^{ab}_k = ((d+1)/2 - q_b) c^{ab}_k
+    (hep-th/9407018, Lecture 3), with w_a = 1 - q_a, reads
+
+        G_k^{ab} = rho_ab d_k g1^{ab},   rho_ab = (w_b + (d-1)/2) / (w_a + w_b + d - 1),
+
+    and rho_ab + rho_ba = 1 (rho_aa = 1/2), so the candidate satisfies
+    metricity by its form.  Symmetry and metricity determine the connection
+    where det g1 is nonzero, so the candidate is kept only when every
+    symmetry residual vanishes and det g1 is proved nonzero
+    (``ContraMetric.is_degenerate``).
+    It declines, with None and never by raising, when there is no tau, g2
+    is not constant, dE is not a constant diagonal matrix, the degree
+    cannot be inferred, some w_a + w_b + d - 1 vanishes (a resonant
+    spectrum, such as CP1's), a residual is nonzero, or a product crosses a
+    ring bound; the kernel then decides, with its own errors.
+    """
+    g1, n = p.g1, p.n
+    if p.tau is None or not p.g2.is_constant():
+        return None
+    de = [[c.diff(b) for b in range(n)] for c in p.euler[0].components]
+    if any(not x.is_constant() or (a != b and x) for a, row in enumerate(de) for b, x in enumerate(row)):
+        return None
+    w = [de[a][a].constant_value() for a in range(n)]
+    try:
+        shift = Q(p.degree) - 1
+    except DegreeInferenceError:
+        return None
+    if any(w[a] + w[b] + shift == 0 for a in range(n) for b in range(a, n)):
+        return None
+    gamma = [[[None] * n for _a in range(n)] for _k in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            rho = _flat_ratio(w[a], w[b], shift) if a < b else Q(1, 2)
+            for k in range(n):
+                dg = g1.g[a][b].diff(k)
+                gamma[k][a][b] = dg * rho
+                if a < b:
+                    gamma[k][b][a] = dg * (1 - rho)
+    try:
+        if any(not res.is_zero() for _idx, res in symmetry_residuals(g1.g, gamma, n)):
+            return None
+    except OutOfRingError:
+        return None
+    return None if g1.is_degenerate() else Connection(gamma)
+
+
+def _flat_ratio(wa: Q, wb: Q, shift: Q) -> Q:
+    """rho_ab of :func:`flat_candidate`, with shift = d - 1; the candidate
+    takes rho_ba = 1 - rho_ab and rho_aa = 1/2 whatever this returns."""
+    return (wb + shift / 2) / (wa + wb + shift)
 
 
 def symmetry_residuals(gmat, gamma, n: int):
@@ -405,7 +517,11 @@ def check_flat_pencil(p: PencilData) -> Report:
     The symmetry and curvature residuals are expanded in powers of lam and
     every coefficient tensor must vanish identically.  Two conditions need
     no expansion.  det(g1 - lam*g2) has lam^n coefficient (-1)^n det g2,
-    which is checked nonzero first, so the determinant certificate passes.
+    which is checked nonzero first, so the determinant certificate passes;
+    det g2 and det g1 are proved nonzero by their values at one rational
+    point, and expanded only when a value is zero.  G1 is read through
+    ``p.g1_connection``, so it is the closed-form flat-coordinate candidate
+    when that applies.
     G1 and G2 satisfy metricity for g1 and g2 by construction, so
     G1 - lam*G2 does for g1 - lam*g2, and that certificate passes too.  The
     curvature residual is the j < k half: under metricity, and with no
@@ -417,11 +533,11 @@ def check_flat_pencil(p: PencilData) -> Report:
     """
     n = p.n
     nvars = p.g1.nvars
-    if p.g2.det.is_zero():
+    if p.g2.is_degenerate():
         raise SingularMetricError("second metric is degenerate")
-    if p.g1.det.is_zero():
+    if p.g1.is_degenerate():
         raise SingularMetricError("first metric is degenerate")
-    conn1 = levi_civita(p.g1)
+    conn1 = p.g1_connection
     conn2 = levi_civita(p.g2)
 
     big = nvars + 1  # trailing variable is lam
@@ -498,6 +614,8 @@ def check_quasihomogeneous(p: PencilData) -> Report:
         L_E g1 = (d - 1) g1
         L_e g1 = g2
         L_e g2 = 0
+
+    A passing report sets ``p.quasihomogeneous_certified``.
     """
     e_big, e_small = p.euler
     d = p.degree
@@ -531,6 +649,8 @@ def check_quasihomogeneous(p: PencilData) -> Report:
             entry_residuals(((i, j), lie3[i][j]) for i in range(p.n) for j in range(p.n)),
         )
     )
+    if report.passed:
+        p.quasihomogeneous_certified = True
     return report
 
 

@@ -7,8 +7,15 @@ polynomial in the bit size of its input, by p-adic (Hensel) lifting of the
 roots of the square-free part modulo one small prime; it refuses nothing.
 
 The symbolic helpers (determinant, adjugate) take QPoly entries in
-``nvars`` variables and sum each Laplace expansion through `qpoly.dot`, so a
-cofactor sum is one multiply-accumulate over one denominator.
+``nvars`` variables and expand along rows, each minor formed once per
+matrix, keyed by its (row set, column set) bitmasks, and each cofactor sum
+through `qpoly.dot`, one multiply-accumulate over one denominator.  The
+determinant and the adjugate of one matrix may share that memo, and the
+adjugate of a symmetric matrix is formed for j >= i only.  Where a
+determinant only has to be nonzero, `sym_sample_values` evaluates the
+entries exactly at one rational point and `det_value` forms the rational
+determinant of those values, whose being nonzero proves the symbolic one
+nonzero.
 """
 
 from __future__ import annotations
@@ -109,6 +116,34 @@ def mat_inverse(a: Matrix) -> Matrix:
     if len(pivots) < n or any(p >= n for p in pivots):
         raise NoSolutionError("singular matrix")
     return [row[n:] for row in m]
+
+
+def det_value(a: Matrix) -> Q:
+    """The exact determinant of a matrix of ints and Fractions, by
+    fraction-free (Bareiss) elimination over the integer rows that clearing
+    each row's denominators gives; each division of the elimination is
+    exact."""
+    n = len(a)
+    sign, scale = 1, 1
+    rows = []
+    for row in a:
+        den = lcm(*(x.denominator for x in row))
+        scale *= den
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+    prev = 1
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if rows[i][k]), None)
+        if pivot_row is None:
+            return Q(0)
+        if pivot_row != k:
+            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+            sign = -sign
+        top, pk = rows[k], rows[k][k]
+        for i in range(k + 1, n):
+            row, f = rows[i], rows[i][k]
+            rows[i] = [(pk * row[j] - f * top[j]) // prev for j in range(n)]
+        prev = pk
+    return Q(sign * prev, scale)
 
 
 def mat_mul(a, b):
@@ -222,29 +257,78 @@ def _poly_divmod(a: list[Q], b: list) -> tuple[list[Q], list[Q]]:
 # ---------------------------------------------------------------------------
 
 
-def sym_det(m: list[list[QPoly]], nvars: int) -> QPoly:
-    """Laplace-expansion determinant along the first row; fine for the small
-    ranks used here."""
+def sym_det(m: list[list[QPoly]], nvars: int, minors: dict | None = None) -> QPoly:
+    """Determinant by Laplace expansion along the first row; see :func:`_minor`.
+    ``minors`` is the memo of one matrix, which a caller may share with
+    :func:`sym_adjugate` on the same matrix."""
     n = len(m)
     if n == 0:
         raise ValueError("empty matrix")
-    if n == 1:
-        return m[0][0]
-    terms = [(m[0][j], sym_det([row[:j] + row[j + 1 :] for row in m[1:]], nvars)) for j in range(n)]
-    return dot(nvars, terms[::2], terms[1::2])
+    full = (1 << n) - 1
+    return _minor(m, nvars, full, full, {} if minors is None else minors)
 
 
-def sym_adjugate(m: list[list[QPoly]], nvars: int) -> list[list[QPoly]]:
-    """Adjugate matrix: adj(M) @ M = det(M) * I."""
+def sym_adjugate(m: list[list[QPoly]], nvars: int, minors: dict | None = None) -> list[list[QPoly]]:
+    """Adjugate matrix of a symmetric matrix: adj(M) @ M = det(M) * I.  The
+    adjugate is symmetric too, so only the cofactors with j >= i are formed;
+    ``minors`` as in :func:`sym_det`."""
     n = len(m)
-    if n == 1:
-        return [[QPoly.const(nvars, 1)]]
+    minors = {} if minors is None else minors
+    full = (1 << n) - 1
     adj = [[None] * n for _ in range(n)]
     for i in range(n):
-        for j in range(n):
-            minor = [
-                [m[r][c] for c in range(n) if c != j] for r in range(n) if r != i
-            ]
-            cof = sym_det(minor, nvars)
-            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
+        for j in range(i, n):
+            cof = _minor(m, nvars, full & ~(1 << i), full & ~(1 << j), minors)
+            adj[i][j] = adj[j][i] = cof if (i + j) % 2 == 0 else -cof
     return adj
+
+
+def _minor(m: list[list[QPoly]], nvars: int, rows: int, cols: int, memo: dict) -> QPoly:
+    """The determinant of ``m`` restricted to the rows and columns set in the
+    bitmasks ``rows`` and ``cols`` (of equal size; the empty minor is 1),
+    expanded along its first row with zero entries skipped.  Each minor is
+    formed once per ``memo``, keyed by (rows, cols): the n! products of a
+    plain Laplace expansion become one cofactor sum per distinct minor."""
+    if not rows:
+        return QPoly.const(nvars, 1)
+    got = memo.get((rows, cols))
+    if got is None:
+        r = (rows & -rows).bit_length() - 1
+        rest = rows & (rows - 1)
+        if not rest:
+            got = m[r][cols.bit_length() - 1]
+        else:
+            pairs: tuple[list, list] = ([], [])
+            for pos, c in enumerate(c for c in range(len(m)) if cols >> c & 1):
+                if m[r][c]:
+                    pairs[pos % 2].append((m[r][c], _minor(m, nvars, rest, cols & ~(1 << c), memo)))
+            got = dot(nvars, *pairs)
+        memo[rows, cols] = got
+    return got
+
+
+def sym_sample_values(m: list[list[QPoly]]) -> Matrix:
+    """The exact values of the entries of a symmetric matrix at one fixed
+    rational point: t_k = (k^2 + 3)/(k + 2) for the 0-based axis k, and
+    exp(b t_k) = (k^2 + 5)/(k + 3) with b the gcd of the exponential rates
+    on axis k over all entries.  Only the entries with j >= i are evaluated.
+
+    Every rate on axis k is an integer multiple of b, so this is a ring
+    homomorphism from the entries' ring to Q: a polynomial identity in the
+    entries, such as det = 0, holds at the point too, so a nonzero
+    :func:`det_value` of these values proves the determinant nonzero.
+    """
+    n = len(m)
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    nvars = m[0][0].nvars
+    coords = [Q(k * k + 3, k + 2) for k in range(nvars)]
+    expvals = {}
+    for k in range(nvars):
+        rates = set().union(*(m[i][j].exp_rates_on(k) for i, j in upper))
+        if rates:
+            base = Q(gcd(*(r.numerator for r in rates)), lcm(*(r.denominator for r in rates)))
+            expvals[k] = (base, Q(k * k + 5, k + 3))
+    values = [[None] * n for _ in range(n)]
+    for i, j in upper:
+        values[i][j] = values[j][i] = m[i][j].eval(coords, expvals)
+    return values

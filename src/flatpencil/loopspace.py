@@ -85,7 +85,7 @@ def virasoro_check(m: FrobeniusData, p: PencilData) -> Report:
     if p.tau is None:
         raise ValueError("pencil carries no tau")
     n = p.n
-    conn = levi_civita(p.g1)
+    conn = p.g1_connection
     scale = Q(2) / (1 - m.d)
     dtee = [p.tau.diff(k) * scale for k in range(n)]
     for k in range(n):
@@ -149,7 +149,7 @@ def recursion_step(p: PencilData, density: Density) -> Density:
     """
     n = p.n
     eta_cov = p.eta_cov
-    gamma = levi_civita(p.g1).as_poly_entries()
+    gamma = p.g1_connection.as_poly_entries()
     dh, ddh = (density.grad, density.hessian) if density.grad is not None else _jet(density.h)
     rhs = covariant_derivative(p.g1.g, gamma, dh, ddh)
     target = [[dot(n, [(rhs[i][k], eta_cov[j][i]) for i in range(n)]) for k in range(n)] for j in range(n)]

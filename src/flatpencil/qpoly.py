@@ -602,7 +602,7 @@ class QPoly:
     # -- evaluation -----------------------------------------------------------
 
     def eval(self, coords: list[Q], expvals: Mapping[int, tuple[Q, Q]] | None = None) -> Q:
-        """Exact evaluation at rational coordinates.
+        """Exact evaluation at rational (int or Fraction) coordinates.
 
         ``expvals[axis] = (base_rate, value)`` assigns the rational ``value``
         to the unit exp(base_rate * t_axis); a factor exp(r * t_axis) then
@@ -611,23 +611,41 @@ class QPoly:
         if len(coords) != self.nvars:
             raise ValueError("wrong coordinate count")
         expvals = expvals or {}
-        total = Q(0)
+        if not self.numerators:
+            return Q(0)
+        nvars = self.nvars
+        # With t_k = p_k / q_k and D the largest total degree, a term of
+        # powers a times prod_k q_k^D is the integer prod_k p_k^a_k q_k^(D - a_k),
+        # read from one table per axis; the sum stays a fraction of ints
+        # num / den, reduced once at the end.
+        top = max(max(nums) for nums in self.numerators.values()) >> (_FIELD * nvars)
+        tables = []
+        scale = self.denominator
+        for axis, c in enumerate(coords):
+            p, q = c.numerator, c.denominator
+            tables.append((_shift(nvars, axis), [p**a * q ** (top - a) for a in range(top + 1)]))
+            scale *= q**top
+        num, den = 0, 1
         for efac, nums in self.numerators.items():
+            acc = 0
             for packed, coeff in nums.items():
-                val = coeff
-                for axis, p in enumerate(_unpack(packed, self.nvars)):
-                    if p:
-                        val *= coords[axis] ** p
-                for axis, rate in efac:
-                    if axis not in expvals:
-                        raise ValueError(f"no exponential value supplied for axis {axis}")
-                    base, unit = expvals[axis]
-                    mult = rate / base
-                    if mult.denominator != 1:
-                        raise ValueError("exp rate is not an integer multiple of the base")
-                    val *= unit ** int(mult)
-                total += val
-        return total / self.denominator
+                for shift, table in tables:
+                    coeff *= table[(packed >> shift) & _FIELD_MASK]
+                acc += coeff
+            part = 1
+            for axis, rate in efac:
+                if axis not in expvals:
+                    raise ValueError(f"no exponential value supplied for axis {axis}")
+                base, unit = expvals[axis]
+                mult = rate / base
+                if mult.denominator != 1:
+                    raise ValueError("exp rate is not an integer multiple of the base")
+                part *= Q(unit) ** int(mult)
+            if part == 1:
+                num += acc * den
+            else:
+                num, den = num * part.denominator + acc * part.numerator * den, den * part.denominator
+        return Q(num, den * scale)
 
     # -- printing -------------------------------------------------------------
 

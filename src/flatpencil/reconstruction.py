@@ -41,7 +41,6 @@ from .frobenius import FrobeniusData, StructureConstants, contract_two
 from .geometry import (
     PencilData,
     entry_residuals,
-    levi_civita,
     lie_derivative,
     linear_forms,
     push_metric,
@@ -129,9 +128,10 @@ class ReconstructionResult:
 
 def delta_tensor(p: PencilData) -> Delta:
     """Delta_k^{ij} = G1_k^{ij} - G2_k^{ij}.  p.eta_up verifies that g2 is
-    constant, so G2 = 0 and Delta is the connection of g1."""
+    constant, so G2 = 0 and Delta is the connection of g1, read through
+    ``p.g1_connection``."""
     p.eta_up
-    return levi_civita(p.g1).gamma
+    return p.g1_connection.gamma
 
 
 def check_delta_properties(norm: NormalizationResult) -> Report:
@@ -146,7 +146,9 @@ def check_delta_properties(norm: NormalizationResult) -> Report:
 
     The pencil must carry the record that :func:`check_flat_pencil` passed;
     every identity but L_e Delta = 0 is then a PASS line, for the reason
-    noted at it.  A pencil without the record raises InternalCheckError.
+    noted at it, and so is L_e Delta = 0 when ``check_quasihomogeneous``
+    passed on the pencil too.  A pencil without the flat-pencil record
+    raises InternalCheckError.
     """
     q = norm.pencil
     if not q.flat_certified:
@@ -171,6 +173,14 @@ def check_delta_properties(norm: NormalizationResult) -> Report:
     # connection is natural and homogeneous of degree one in g, and the flow
     # of an affine E moves G2 = 0 to zero, so L_E Delta = (d-1) Delta.
     report.add(Certificate("delta-euler-scaling", reports.PASS))
+    if q.quasihomogeneous_certified:
+        # e = eta grad(tau) is constant, so its flow is a translation, which
+        # moves the connection of a metric to that of the moved metric:
+        # L_e G(g1) = DG_{g1}[L_e g1] = DG_{g1}[g2] by the certified
+        # L_e g1 = g2, and that is G2 by the certified linearity
+        # G(g1 - lam g2) = G1 - lam G2.  G2 = 0, so L_e Delta = 0.
+        report.add(Certificate("delta-unity-invariance", reports.PASS))
+        return report
     lie_u = lie_derivative(q.euler[1], dm, 3, lower=1)
     report.add(
         reports.residual_certificate(
@@ -364,8 +374,8 @@ def normalize_flat_coordinates(p: PencilData) -> NormalizationResult:
 
 def transform_pencil(p: PencilData, matrix: list[list[Q]]) -> PencilData:
     """Apply the linear coordinate change t_new = matrix . t_old.  The
-    flat-pencil conditions are tensorial, so ``replace`` carries the record
-    that they were certified over, with d."""
+    flat-pencil and scaling conditions are tensorial, so ``replace`` carries
+    the records that they were certified over, with d."""
     new_coords = linear_forms(matrix)
     old_in_new = linear_forms(mat_inverse(matrix))
     tau = p.tau.substitute(old_in_new) if p.tau is not None else None

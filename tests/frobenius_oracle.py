@@ -9,7 +9,9 @@ Levi-Civita solve, so tests can compare it with `geometry.levi_civita`.
 every index and with plain sums, the identities that the inverse
 construction reports as PASS lines: it runs only on a pencil whose
 flat-pencil certificate passed, so it never computes them itself, and
-these sums are the only check of them.
+these sums are the only check of them.  `unity_invariance_residuals` does
+the same for L_e Delta = 0, a PASS line once the scaling certificates
+passed on the pencil too.
 """
 
 from flatpencil.errors import InternalCheckError
@@ -111,3 +113,27 @@ def pairing_derivative_residuals(p: PencilData, r_op):
                     QPoly.zero(p.g1.nvars),
                 )
                 yield (a, b, g), dm[g][a][b] + second - p.g1.g[a][b].diff(g)
+
+
+def unity_invariance_residuals(p: PencilData):
+    """(index, residual) of L_e Delta = 0 for Delta = G1 and e = eta grad(tau),
+    over all indices:
+
+        e^s d_s Delta_k^{ij} + Delta_s^{ij} d_k e^s - Delta_k^{sj} d_s e^i - Delta_k^{is} d_s e^j."""
+    n = p.n
+    dm = levi_civita(p.g1).gamma
+    e = p.euler[1].components
+    de = [[c.diff(s) for s in range(n)] for c in e]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                yield (k, i, j), sum(
+                    (
+                        e[s] * dm[k][i][j].diff(s)
+                        + dm[s][i][j] * de[s][k]
+                        - dm[k][s][j] * de[i][s]
+                        - dm[k][i][s] * de[j][s]
+                        for s in range(n)
+                    ),
+                    QPoly.zero(p.g1.nvars),
+                )

@@ -13,9 +13,10 @@ from flatpencil import cli, coxeter, frobenius, geometry, loopspace, reports
 from flatpencil.cli import main
 from flatpencil.errors import InternalCheckError
 from flatpencil.frobenius import FrobeniusData
-from flatpencil.pencilio import dump_pencil
+from flatpencil.pencilio import dump_pencil, load_pencil
 from flatpencil.qpoly import QPoly
 from flatpencil.reports import Certificate, Report
+from test_golden_output import DENSE_A2
 
 TESTDATA = Path(__file__).resolve().parent.parent / "testdata"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -331,7 +332,7 @@ def test_loader_rejects_booleans_and_singular_eta_exit_3(tmp_path, capsys, sourc
 def test_usage_error_exit_2(capsys):
     for argv in (
         ["pencil", "frobnicate", PENCIL1],
-        ["coxeter", "--rank", "6"],
+        ["coxeter", "--rank", "9"],
         ["coxeter", "--rank", "0"],
     ):
         with pytest.raises(SystemExit) as info:
@@ -391,9 +392,10 @@ def test_report_has_digest_and_schema(tmp_path):
 def test_internal_error_exit_4(monkeypatch, capsys):
     # A connection kernel that drops the determinant from the antisymmetric
     # part: the symmetry self-check must fire as a toolkit bug, not as a
-    # failed certificate.
+    # failed certificate.  CP1's spectrum is resonant, so its g1 connection
+    # is built by the kernel, not by the flat-coordinate candidate.
     monkeypatch.setattr("flatpencil.geometry.exact_divide", lambda num, den: num)
-    assert run(["pencil", "check", SOURCES / "a2-pencil.json"]) == 4
+    assert run(["pencil", "check", SOURCES / "cp1-pencil.json"]) == 4
     captured = capsys.readouterr()
     assert captured.err == "internal error: connection symmetry residual nonzero at (1,2,1)\n"
     assert "FAIL" not in captured.out
@@ -679,19 +681,31 @@ def test_cp1_exp_on_changed_coordinates_decides(tmp_path, capsys, command, data)
 
 
 def test_recurse_builds_first_connection_once(tmp_path, monkeypatch, a3):
-    bundle, _recon = a3
-    path = tmp_path / "a3-pencil.json"
-    path.write_text(dump_pencil(bundle.pencil), encoding="utf-8")
-    built = []
-    build = geometry._build_connection
+    # CP1's resonant spectrum makes the flat-coordinate candidate decline,
+    # once, and the kernel builds g1's connection once; the a3 orbit pencil
+    # takes the candidate once and never reaches the kernel.
+    a3_path = tmp_path / "a3-pencil.json"
+    a3_path.write_text(dump_pencil(a3[0].pencil), encoding="utf-8")
+    build, candidate = geometry._build_connection, geometry.flat_candidate
+    built, tried = [], []
 
     def counting(g):
         built.append(g)
         return build(g)
 
+    def counting_candidate(p):
+        tried.append(candidate(p))
+        return tried[-1]
+
     monkeypatch.setattr(geometry, "_build_connection", counting)
-    assert run(["bracket", "recurse", path, "--steps", "10"]) == 0
+    monkeypatch.setattr(geometry, "flat_candidate", counting_candidate)
+    assert run(["bracket", "recurse", SOURCES / "cp1-pencil.json", "--steps", "10"]) == 0
     assert len(built) == 1 and not built[0].is_constant()
+    assert tried == [None]
+    built.clear()
+    tried.clear()
+    assert run(["bracket", "recurse", a3_path, "--steps", "10"]) == 0
+    assert built == [] and len(tried) == 1 and tried[0] is not None
 
 
 # `pencil check` on a pencil whose g1 connection keeps det in every entry.
@@ -811,3 +825,66 @@ def test_out_naming_a_file_is_output_error_exit_2(tmp_path, subcommand):
     code, err = _run_with_stdout(argv, subprocess.DEVNULL)
     assert (code, err) == (2, f"output error: [Errno 17] File exists: '{target}'\n")
     assert target.read_text(encoding="utf-8") == ""
+
+
+def candidate_fallback_input(tmp_path, case):
+    """A pencil file on which the flat-coordinate candidate declines."""
+    data = json.loads((SOURCES / "a2-pencil.json").read_text())
+    if case == "no-tau":
+        del data["tau"], data["d"]
+    elif case == "g2-not-constant":
+        # The a2 pencil in y1 = t1 + t2^2, y2 = t2, where g2 is not constant.
+        p, _gens = load_pencil(json.dumps(data))
+        t1, t2 = QPoly.var(2, 0), QPoly.var(2, 1)
+        new, old = [t1 + t2 * t2, t2], [t1 - t2 * t2, t2]
+        moved = geometry.PencilData(
+            geometry.push_metric(p.g1, new, old), geometry.push_metric(p.g2, new, old), p.tau.substitute(old), p.d
+        )
+        data = json.loads(dump_pencil(moved))
+    elif case == "euler-not-diagonal":
+        data = DENSE_A2
+    elif case == "degree-not-inferable":
+        # E = g1 grad(t2) = (1, t2) is diagonal, but L_E g1 is no multiple of g1.
+        data = {"schema": 1, "n": 2, "expgens": [], "g1": [["t1", "1"], ["1", "t2"]], "g2": [["1", "0"], ["0", "1"]]}
+        data["tau"] = "t2"
+    elif case == "resonant":
+        return SOURCES / "cp1-pencil.json"
+    return write_json(tmp_path / f"{case}.json", data)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["no-tau", "g2-not-constant", "euler-not-diagonal", "degree-not-inferable", "resonant", "wrong-ratio"],
+)
+def test_candidate_fallback_prints_kernel_bytes(tmp_path, monkeypatch, capsys, case):
+    # Where the flat-coordinate candidate declines, the kernel builds g1's
+    # connection, and every printed byte equals a run with no candidate.
+    if case == "wrong-ratio":
+        # rho_ba in place of rho_ab keeps metricity but breaks symmetry.
+        ratio = geometry._flat_ratio
+        monkeypatch.setattr(geometry, "_flat_ratio", lambda wa, wb, shift: 1 - ratio(wa, wb, shift))
+    path = candidate_fallback_input(tmp_path, case)
+    build, candidate = geometry._build_connection, geometry.flat_candidate
+    built, tried = [], []
+
+    def counting(g):
+        built.append(g)
+        return build(g)
+
+    def counting_candidate(p):
+        tried.append((p, candidate(p)))
+        return tried[-1][1]
+
+    monkeypatch.setattr(geometry, "_build_connection", counting)
+    monkeypatch.setattr(geometry, "flat_candidate", counting_candidate)
+    outputs = {}
+    for command in ("check", "reconstruct"):
+        outputs[command] = run(["pencil", command, path]), capsys.readouterr()
+        assert tried and all(conn is None for _p, conn in tried)
+        assert all(any(g is p.g1 for g in built) for p, _conn in tried)
+        tried.clear()
+        with monkeypatch.context() as m:
+            m.setattr(geometry, "flat_candidate", lambda p: None)
+            assert (run(["pencil", command, path]), capsys.readouterr()) == outputs[command]
+    if case == "degree-not-inferable":
+        assert outputs["check"][1].err.startswith("certification error: DegreeInferenceError")

@@ -44,9 +44,10 @@ def test_chart_degrees():
     assert build_orbit_chart(2).degrees == [3, 2]
     assert build_orbit_chart(3).degrees == [4, 3, 2]
     assert build_orbit_chart(5).degrees == [6, 5, 4, 3, 2]
+    assert build_orbit_chart(8).degrees == [9, 8, 7, 6, 5, 4, 3, 2]
     assert build_orbit_chart(1).h == 2
     with pytest.raises(ValueError):
-        build_orbit_chart(6)
+        build_orbit_chart(9)
     with pytest.raises(ValueError):
         build_orbit_chart(0)
 

@@ -13,6 +13,12 @@ staircase oracle.
 The connection kernel `geometry.levi_civita` is checked on drawn symmetric
 metrics against `numerator_connection`, which puts every entry over det,
 and against the metricity condition it holds by construction.
+
+The determinant and adjugate kernels `linalg.sym_det` and
+`linalg.sym_adjugate`, which share memoized minors, are checked on drawn
+symmetric matrices up to 5x5, singular ones among them, against the plain
+Laplace expansion of `laplace_oracle`, and the degeneracy test
+`ContraMetric.is_degenerate` against the expanded determinant.
 """
 
 import copy
@@ -25,16 +31,18 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, example, given  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from flatpencil.errors import InputFormatError, ParseError  # noqa: E402
 from flatpencil.exprparse import parse_expr  # noqa: E402
 from flatpencil.geometry import ContraMetric, levi_civita  # noqa: E402
+from flatpencil.linalg import sym_adjugate, sym_det  # noqa: E402
 from flatpencil.pencilio import load_frobenius, load_pencil  # noqa: E402
 from flatpencil.qpoly import QPoly, RatFunc, dot, primitive  # noqa: E402
 from connection_oracle import numerator_connection  # noqa: E402
 from frobenius_oracle import metricity_residuals  # noqa: E402
+from laplace_oracle import laplace_adjugate, laplace_det  # noqa: E402
 from staircase_oracle import staircase_primitive  # noqa: E402
 
 TESTDATA = Path(__file__).resolve().parent.parent / "testdata"
@@ -231,3 +239,37 @@ def test_connection_matches_numerator_oracle(g):
         else:
             assert got == want
     assert all(res.is_zero() for _idx, res in metricity_residuals(g.g, gamma, g.n, g.n))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """A symmetric n x n matrix, n <= 5, of small quasi-polynomials; made
+    singular when drawn so, by a zero row and column or by repeating the
+    first row and column as the last."""
+    n = draw(st.integers(1, 5))
+    entry = small_quasi_polynomials(n, draw(st.booleans()))
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(entry)
+    singular = draw(st.sampled_from(["no", "zero", "repeat"]))
+    if singular == "zero":
+        for i in range(n):
+            rows[i][n - 1] = rows[n - 1][i] = QPoly.zero(n)
+    elif singular == "repeat" and n > 1:
+        for i in range(n - 1):
+            rows[i][n - 1] = rows[n - 1][i] = rows[i][0]
+        rows[n - 1][n - 1] = rows[0][0]
+    return rows
+
+
+@settings(max_examples=60)
+@given(m=symmetric_matrices())
+def test_memoized_minors_match_laplace_oracle(m):
+    n = len(m)
+    memo = {}
+    det = sym_det(m, n, memo)
+    assert det == laplace_det(m, n)
+    assert sym_adjugate(m, n, memo) == laplace_adjugate(m, n)
+    assert sym_adjugate(m, n) == laplace_adjugate(m, n)
+    assert ContraMetric(m).is_degenerate() == det.is_zero()

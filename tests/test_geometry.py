@@ -7,15 +7,19 @@ import pytest
 
 from flatpencil.errors import DegreeInferenceError, SingularMetricError
 from flatpencil.exprparse import parse_expr
+from flatpencil import geometry
+from flatpencil.coxeter import coxeter_pencil
 from flatpencil.geometry import (
     ContraMetric,
     PencilData,
     VectorField,
+    _build_connection,
     _lam_coefficients,
     check_flat_pencil,
     check_quasihomogeneous,
     covariant_derivative,
     curvature_entries,
+    flat_candidate,
     is_flat,
     levi_civita,
     lie_derivative,
@@ -602,3 +606,74 @@ def test_covariant_derivative_torsion_free_over_fractions():
     g = metric([["t1^2+t2+3/2*t1*t2", "2*t1+t2^2"], ["2*t1+t2^2", "t1*t2+1"]], 2)
     assert all(isinstance(x, RatFunc) for k in levi_civita(g).gamma for row in k for x in row)
     assert_torsion_free(g, ["t1^2*t2", "t2^3 + t1", "t1*t2"])
+
+
+def candidate_source(name):
+    """A fresh copy of a bundled or orbit pencil: no metric holds a connection."""
+    if name.startswith("coxeter-a"):
+        p = coxeter_pencil(int(name[-1]))[0].pencil
+    else:
+        p = load_pencil((ROOT / "perfbench" / "sources" / f"{name}-pencil.json").read_text())[0]
+    return PencilData(ContraMetric(p.g1.g), ContraMetric(p.g2.g), p.tau, p.d)
+
+
+@pytest.mark.parametrize("name", ["a1", "a2", "a3"] + [f"coxeter-a{r}" for r in range(1, 6)])
+def test_flat_candidate_equals_kernel(name):
+    # In flat coordinates of eta with a diagonal E, Dubrovin's form of the
+    # connection passes its symmetry residuals and equals the kernel's
+    # connection term for term, in kind too.
+    p = candidate_source(name)
+    candidate = flat_candidate(p)
+    kernel = _build_connection(ContraMetric(p.g1.g))
+    assert candidate is not None
+    n = p.n
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                got, want = candidate.gamma[k][i][j], kernel.gamma[k][i][j]
+                assert type(got) is type(want) is QPoly and got == want, (k, i, j)
+
+
+def test_g1_connection_lives_in_the_metric_cache(monkeypatch):
+    p = candidate_source("a3")
+    conn = p.g1_connection
+    assert levi_civita(p.g1) is conn is p.g1_connection
+    # A connection the metric already holds is returned, with no candidate.
+    q = candidate_source("a3")
+    held = levi_civita(q.g1)
+    monkeypatch.setattr(geometry, "flat_candidate", lambda _p: pytest.fail("candidate tried"))
+    assert q.g1_connection is held
+
+
+def test_determinant_vanishing_at_the_sample_point_is_expanded():
+    # t1 = 3/2 is the sample point's first coordinate, where det g1 = t1 - 3/2
+    # vanishes: the determinant is expanded, found nonzero, and the pencil
+    # and its candidate connection pass.
+    g1 = metric([["t1-3/2"]], 1)
+    assert [[x.eval([Q(3, 2)]) for x in row] for row in g1.g] == [[0]]
+    p = PencilData(g1, ContraMetric.constant([[Q(1)]], 1), tau=qp("t1", 1))
+    assert not g1.is_degenerate() and g1._det == qp("t1-3/2", 1)
+    assert flat_candidate(p) is not None
+    assert check_flat_pencil(p).passed and check_quasihomogeneous(p).passed
+
+
+def test_sample_point_decides_without_expanding(monkeypatch):
+    def forbidden(*_args):
+        raise AssertionError("sym_det expanded")
+
+    p = candidate_source("coxeter-a4")
+    monkeypatch.setattr("flatpencil.geometry.sym_det", forbidden)
+    assert not p.g1.is_degenerate() and not p.g2.is_degenerate()
+    assert check_flat_pencil(p).passed
+    zero = metric([["t1", "t1*t2"], ["t1*t2", "t1*t2^2"]], 2)
+    with pytest.raises(AssertionError, match="sym_det expanded"):
+        zero.is_degenerate()
+
+
+def test_candidate_declines_on_a_degenerate_metric():
+    # The zero metric passes the candidate's (empty) symmetry residuals; its
+    # determinant vanishes, so the kernel decides and raises its own error.
+    p = PencilData(metric([["0"]], 1), ContraMetric.constant([[Q(1)]], 1), tau=qp("t1", 1), d=Q(0))
+    assert flat_candidate(p) is None
+    with pytest.raises(SingularMetricError, match="^metric determinant is identically zero$"):
+        p.g1_connection

@@ -7,6 +7,7 @@ import pytest
 from flatpencil.errors import NoSolutionError, UnderdeterminedError
 from flatpencil.linalg import (
     charpoly,
+    det_value,
     exact_linsolve,
     mat_inverse,
     nullspace,
@@ -210,3 +211,19 @@ def test_rational_roots_match_sympy_on_large_charpolys():
         assert residual == 5 - sum(expected.values()), case
         assert len(roots) >= case % 3, case
     assert time.monotonic() - started < 5
+
+
+def test_det_value_matches_laplace_oracle():
+    # Fraction-free elimination with row swaps, on random rational matrices
+    # with zeros, repeated rows and zero rows among them.
+    from flatpencil.qpoly import QPoly
+    from laplace_oracle import laplace_det
+
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        a = [[Q(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.7 else Q(0) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            a[-1] = list(a[0])
+        want = laplace_det([[QPoly.const(1, x) for x in row] for row in a], 1).constant_value()
+        assert det_value(a) == want, a

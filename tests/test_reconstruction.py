@@ -21,6 +21,7 @@ from flatpencil.geometry import (
     ContraMetric,
     PencilData,
     check_flat_pencil,
+    check_quasihomogeneous,
     linear_forms,
     push_vector,
     symmetry_residuals,
@@ -40,7 +41,7 @@ from flatpencil.reconstruction import (
     transform_pencil,
 )
 from flatpencil.reports import Certificate
-from frobenius_oracle import delta_identity_residuals, pairing_derivative_residuals
+from frobenius_oracle import delta_identity_residuals, pairing_derivative_residuals, unity_invariance_residuals
 from test_golden_output import DENSE_A2, SOURCES
 
 
@@ -546,3 +547,45 @@ def test_gradient_of_c_fully_symmetric(cp1):
                     lhs = sc.c_low[a][b][c].diff(d)
                     assert (lhs - sc.c_low[d][b][c].diff(a)).is_zero()
                     assert (lhs - sc.c_low[a][d][c].diff(b)).is_zero()
+
+
+@pytest.mark.parametrize("rank_n", range(1, 6))
+def test_unity_invariance_pass_line_on_orbit_pencils(rank_n):
+    # coxeter certifies both the flat pencil and its scaling identities
+    # before the inverse construction, so delta-unity-invariance is a PASS
+    # line there; the sums of the oracle check the fact behind it.
+    bundle, recon = coxeter_pencil(rank_n)
+    p = bundle.pencil
+    assert p.flat_certified and p.quasihomogeneous_certified
+    assert recon.report.find("delta-unity-invariance").passed
+    assert all(res.is_zero() for _idx, res in unity_invariance_residuals(p))
+
+
+def test_unity_invariance_computed_without_the_scaling_record(monkeypatch):
+    # pencil reconstruct certifies no scaling identity, so L_e Delta is
+    # formed there; a passing check_quasihomogeneous sets the record, which
+    # transform_pencil carries, and a failing one does not.
+    calls = []
+    lie = reconstruction.lie_derivative
+
+    def counted(x, tensor, rank, lower=0):
+        calls.append(rank)
+        return lie(x, tensor, rank, lower)
+
+    monkeypatch.setattr(reconstruction, "lie_derivative", counted)
+    source = (SOURCES / "a2-pencil.json").read_text(encoding="utf-8")
+    p = certified(load_pencil(source)[0])
+    assert not p.quasihomogeneous_certified
+    assert reconstruct_frobenius(p).report.find("delta-unity-invariance").passed
+    assert calls == [3]
+    calls.clear()
+    q = certified(load_pencil(source)[0])
+    assert check_quasihomogeneous(q).passed and q.quasihomogeneous_certified
+    moved = transform_pencil(q, [[Q(1), Q(2)], [Q(3), Q(7)]])
+    assert moved.quasihomogeneous_certified
+    assert reconstruct_frobenius(moved).report.find("delta-unity-invariance").passed
+    assert calls == []
+    data = json.loads(source)
+    data["d"] = "1/2"
+    wrong = load_pencil(json.dumps(data))[0]
+    assert not check_quasihomogeneous(wrong).passed and not wrong.quasihomogeneous_certified
