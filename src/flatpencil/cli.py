@@ -325,6 +325,9 @@ def cmd_bracket_emit(args):
     extra = {}
     outputs = []
     brackets = {}
+    # The connection of g1 is read through the pencil, which tries its
+    # flat-coordinate candidate before the adjugate kernel.
+    pencil.g1_connection
     for tag, metric in (("bracket1", pencil.g1), ("bracket2", pencil.g2)):
         conn = bracket_from_metric(metric)
         report.add(Certificate(f"{tag}-flatness", reports.PASS))
@@ -352,7 +355,9 @@ def cmd_bracket_compat(args):
     pencil, _gens = pencilio.load_pencil(read_input(args.input))
     # Each bracket needs a flat metric; compatibility of the two brackets is
     # the flat-pencil certificate of their metrics (the lam-combination of
-    # the brackets has coefficients g1 - lam g2 and G1 - lam G2).
+    # the brackets has coefficients g1 - lam g2 and G1 - lam G2).  g1's
+    # connection is read through the pencil, as in cmd_bracket_emit.
+    pencil.g1_connection
     bracket_from_metric(pencil.g1)
     bracket_from_metric(pencil.g2)
     return check_flat_pencil(pencil), {}, []

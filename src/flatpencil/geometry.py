@@ -76,7 +76,7 @@ from .errors import (
     OutOfRingError,
     SingularMetricError,
 )
-from .linalg import det_value, mat_inverse, rank, sym_adjugate, sym_det, sym_sample_values
+from .linalg import det_value, mat_inverse, sym_adjugate, sym_det, sym_sample_values
 from .qpoly import QPoly, RatFunc, dot, exact_divide
 from .reports import Certificate, Report
 
@@ -192,10 +192,9 @@ class PencilData:
         """eta^{ij}, the entries of g2, which must be constant and nondegenerate."""
         if not self.g2.is_constant():
             raise NotFlatCoordinatesError("second metric is not constant; present the pencil in its flat coordinates")
-        entries = self.g2.constant_entries()
-        if rank(entries) < self.n:
+        if self.g2.is_degenerate():
             raise SingularMetricError("second metric is degenerate")
-        return entries
+        return self.g2.constant_entries()
 
     @cached_property
     def eta_cov(self) -> list[list[Q]]:

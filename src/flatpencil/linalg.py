@@ -1,8 +1,9 @@
 """Exact linear algebra over Q, plus generic helpers for symbolic matrices.
 
-Every rational solve, kernel, rank and inverse runs one Gauss-Jordan
-elimination over `Fraction` (`_rref`); rank deficiency is reported, never
-papered over.  `rational_roots` decides every rational root in time
+Every rational solve, kernel, rank, inverse and determinant reads one
+fraction-free Gauss-Jordan elimination (`_eliminate`) of the integer rows
+that clearing each row's denominators gives; rank deficiency is reported,
+never papered over.  `rational_roots` decides every rational root in time
 polynomial in the bit size of its input, by p-adic (Hensel) lifting of the
 roots of the square-free part modulo one small prime; it refuses nothing.
 
@@ -52,98 +53,95 @@ def exact_linsolve(a: Matrix, b: Vector) -> Vector:
 
 def solve_affine(a: Matrix, b: Vector) -> tuple[Vector, list[Vector]]:
     """A particular solution of A x = b together with a nullspace basis."""
-    rows = len(a)
-    ncols = len(a[0]) if rows else 0
-    m, pivots = _rref([[Q(x) for x in row] + [Q(rhs)] for row, rhs in zip(a, b)])
+    ncols = len(a[0]) if a else 0
+    m, pivots, _det = _eliminate([[*row, rhs] for row, rhs in zip(a, b)])
     if ncols in pivots:
         raise NoSolutionError("inconsistent linear system")
     particular = [Q(0)] * ncols
-    for r, c in enumerate(pivots):
-        particular[c] = m[r][ncols]
+    for row, c in zip(m, pivots):
+        particular[c] = Q(row[ncols], row[c])
     return particular, _nullspace_from_rref(m, pivots, ncols)
 
 
 def nullspace(a: Matrix) -> list[Vector]:
     ncols = len(a[0]) if a else 0
-    m, pivots = _rref([[Q(x) for x in row] for row in a])
+    m, pivots, _det = _eliminate(a)
     return _nullspace_from_rref(m, pivots, ncols)
 
 
 def rank(a: Matrix) -> int:
-    _m, pivots = _rref([[Q(x) for x in row] for row in a])
-    return len(pivots)
-
-
-def _rref(m: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
-
-
-def _nullspace_from_rref(m: list[list[Q]], pivots: list[int], ncols: int) -> list[Vector]:
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Q(0)] * ncols
-        v[fc] = Q(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(v)
-    return basis
+    return len(_eliminate(a)[1])
 
 
 def mat_inverse(a: Matrix) -> Matrix:
     n = len(a)
-    aug = [[Q(x) for x in row] + [Q(1) if i == j else Q(0) for j in range(n)] for i, row in enumerate(a)]
-    m, pivots = _rref(aug)
-    if len(pivots) < n or any(p >= n for p in pivots):
+    m, pivots, _det = _eliminate([[*row, *(1 if i == j else 0 for j in range(n))] for i, row in enumerate(a)])
+    if pivots != list(range(n)):
         raise NoSolutionError("singular matrix")
-    return [row[n:] for row in m]
+    return [[Q(x, row[c]) for x in row[n:]] for row, c in zip(m, pivots)]
 
 
 def det_value(a: Matrix) -> Q:
-    """The exact determinant of a matrix of ints and Fractions, by
-    fraction-free (Bareiss) elimination over the integer rows that clearing
-    each row's denominators gives; each division of the elimination is
-    exact."""
-    n = len(a)
-    sign, scale = 1, 1
-    rows = []
+    """The exact determinant of a square matrix of ints and Fractions."""
+    return _eliminate(a)[2]
+
+
+def _eliminate(a: Matrix) -> tuple[list[list[int]], list[int], Q]:
+    """Fraction-free Gauss-Jordan elimination, the one elimination kernel.
+
+    Each row is first multiplied by the lcm of its denominators.  The step
+    with pivot p in column c replaces every other row x, rows with x_c = 0
+    included, by (p x - x_c top) / p', top the pivot row and p' the previous
+    pivot (1 at first): an exact division (Bareiss, Math. Comp. 22, 1968).
+    Returns the integer rows, whose first len(pivots) are the reduced row
+    echelon form times the last pivot and the others zero; the pivot
+    columns; and, when every row holds a pivot, the determinant of the
+    pivot columns (the sign follows the row swaps), else 0.
+    """
+    rows, scale = [], 1
     for row in a:
         den = lcm(*(x.denominator for x in row))
         scale *= den
         rows.append([x.numerator * (den // x.denominator) for x in row])
-    prev = 1
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if rows[i][k]), None)
+    nrows = len(rows)
+    pivots: list[int] = []
+    sign, prev = 1, 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot_row is None:
-            return Q(0)
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+            continue
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
             sign = -sign
-        top, pk = rows[k], rows[k][k]
-        for i in range(k + 1, n):
-            row, f = rows[i], rows[i][k]
-            rows[i] = [(pk * row[j] - f * top[j]) // prev for j in range(n)]
-        prev = pk
-    return Q(sign * prev, scale)
+        top, p = rows[r], rows[r][c]
+        for i in range(nrows):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
+        pivots.append(c)
+        prev = p
+    return rows, pivots, Q(sign * prev, scale) if len(pivots) == nrows else Q(0)
+
+
+def _nullspace_from_rref(m: list[list[int]], pivots: list[int], ncols: int) -> list[Vector]:
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [Q(0)] * ncols
+        v[fc] = Q(1)
+        for row, pc in zip(m, pivots):
+            v[pc] = Q(-row[fc], row[pc])
+        basis.append(v)
+    return basis
+
+
+def rational_gcd(values: set[Q]) -> Q:
+    """The largest rational of which every value is an integer multiple."""
+    return Q(gcd(*(x.numerator for x in values)), lcm(*(x.denominator for x in values)))
 
 
 def mat_mul(a, b):
@@ -326,8 +324,7 @@ def sym_sample_values(m: list[list[QPoly]]) -> Matrix:
     for k in range(nvars):
         rates = set().union(*(m[i][j].exp_rates_on(k) for i, j in upper))
         if rates:
-            base = Q(gcd(*(r.numerator for r in rates)), lcm(*(r.denominator for r in rates)))
-            expvals[k] = (base, Q(k * k + 5, k + 3))
+            expvals[k] = (rational_gcd(rates), Q(k * k + 5, k + 3))
     values = [[None] * n for _ in range(n)]
     for i, j in upper:
         values[i][j] = values[j][i] = m[i][j].eval(coords, expvals)

@@ -23,28 +23,17 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from functools import reduce
-from math import gcd, lcm
 
 from .errors import InputFormatError, ParseError
 from .exprparse import MAX_TOKEN_LENGTH, parse_expr, parse_rational
 from .frobenius import FrobeniusData
 from .geometry import ContraMetric, PencilData
-from .linalg import rank
+from .linalg import rank, rational_gcd
 from .qpoly import QPoly
 
 Q = Fraction
 
 SCHEMA = 1
-
-
-def _rate_gcd(rates: set[Q]) -> Q:
-    """The largest rational of which every rate is an integer multiple."""
-    nums = [r.numerator for r in rates]
-    dens = [r.denominator for r in rates]
-    den = lcm(*dens)
-    g = reduce(gcd, (abs(n * (den // d)) for n, d in zip(nums, dens)))
-    return Q(g, den)
 
 
 def _json_int(digits: str) -> int:
@@ -121,7 +110,7 @@ def _validate_rates(polys: list[QPoly], gens: list[tuple[int, Q]], n: int) -> No
                 raise InputFormatError(
                     f"expression uses exp on t{axis + 1} with no declared generator"
                 )
-            base = _rate_gcd(declared[axis])
+            base = rational_gcd(declared[axis])
             for rate in used:
                 if (rate / base).denominator != 1:
                     raise InputFormatError(
@@ -201,7 +190,7 @@ def _gens_of(polys: list[QPoly], n: int) -> list[tuple[int, Q]]:
         for p in polys:
             rates.update(p.exp_rates_on(axis))
         if rates:
-            out.append((axis, _rate_gcd(rates)))
+            out.append((axis, rational_gcd(rates)))
     return out
 
 

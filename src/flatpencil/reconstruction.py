@@ -22,6 +22,7 @@ exact scalars; certificates are collected stage by stage into one report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
 
 from . import frobenius as frob
@@ -94,6 +95,7 @@ class OperatorPair:
     def n(self) -> int:
         return len(self.k_op)
 
+    @cached_property
     def regular(self) -> bool:
         return rank(self.r_op) == self.n
 
@@ -328,16 +330,10 @@ def normalize_flat_coordinates(p: PencilData) -> NormalizationResult:
     if identity:
         q, matrix = p, identity_matrix(n)
     else:
-        # Each kept unit row raises rank(rows + [grad]) by one, and the unit
-        # rows span Q^n, so n - 1 of them complete grad(tau) to a basis.
-        rows: list[list[Q]] = []
-        for i in range(n):
-            cand = [Q(1) if j == i else Q(0) for j in range(n)]
-            if rank(rows + [cand] + [grad]) == len(rows) + 2:
-                rows.append(cand)
-            if len(rows) == n - 1:
-                break
-        matrix = rows + [grad]
+        # The unit rows at every axis but the last one where grad(tau) is
+        # nonzero complete it to a basis: the determinant is +-that entry.
+        last = max(i for i, x in enumerate(grad) if x)
+        matrix = [row for i, row in enumerate(identity_matrix(n)) if i != last] + [grad]
         q = replace(transform_pencil(p, matrix), tau=QPoly.var(n, n - 1))
 
     d = q.inferred_degree
@@ -410,8 +406,7 @@ def multiplication(norm: NormalizationResult) -> tuple[StructureConstants, Repor
     p, ops, delta = norm.pencil, norm.ops, norm.delta
     n = p.n
     dtau = [p.tau.diff(a).constant_value() for a in range(n)]
-    regular = ops.regular()
-    if not regular:
+    if not ops.regular:
         half_space = next((s for s in ops.spectrum if s.value == Q(-1, 2)), None)
         kdim = len(half_space.basis) if half_space else 0
         if kdim != 1:
@@ -491,7 +486,7 @@ def multiplication(norm: NormalizationResult) -> tuple[StructureConstants, Repor
         )
     )
 
-    if regular:
+    if ops.regular:
         # Delta is the connection of g1.  w_b = R^{-1} e_b exactly, so
         # sum_i w_i[j] R[i][a] = delta_ja, and commutativity turns
         # sum_ij Delta_g^{ij} R[i][a] w_b[j] into Delta_g^{ba}.  The residual
@@ -600,7 +595,7 @@ def reconstruct_frobenius(p: PencilData) -> ReconstructionResult:
         report.add(cert)
 
     sc, mult_report = multiplication(norm)
-    mode = "regular" if ops.regular() else "d1-remark"
+    mode = "regular" if ops.regular else "d1-remark"
     for cert in mult_report.certificates:
         report.add(cert)
 

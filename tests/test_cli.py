@@ -625,6 +625,29 @@ def test_recurse_differentiates_each_density_once(monkeypatch):
     assert per_density == [n + n * (n + 1) // 2] * (n * 10)
 
 
+@pytest.mark.parametrize("command", ["emit", "compat"])
+def test_bracket_commands_build_no_kernel_connection_of_g1(tmp_path, monkeypatch, command):
+    # Both commands read g1's connection through the pencil, and an orbit
+    # pencil's g1 takes its flat-coordinate candidate: the adjugate kernel
+    # builds only the constant g2's (zero) connection.
+    paths = []
+    for r in range(1, 6):
+        paths.append(tmp_path / f"a{r}-pencil.json")
+        paths[-1].write_text(dump_pencil(coxeter.coxeter_pencil(r)[0].pencil), encoding="utf-8")
+    built = []
+    build = geometry._build_connection
+
+    def counting(g):
+        built.append(g)
+        return build(g)
+
+    monkeypatch.setattr(geometry, "_build_connection", counting)
+    for path in paths:
+        built.clear()
+        assert run(["bracket", command, path]) == 0
+        assert [g.is_constant() for g in built] == [True], path.name
+
+
 # CP1 in coordinates s1 = t1, s2 = t1 + t2, which puts exp on both axes.
 CP1_MIXED_PENCIL = {
     "n": 2,

@@ -19,6 +19,12 @@ The determinant and adjugate kernels `linalg.sym_det` and
 symmetric matrices up to 5x5, singular ones among them, against the plain
 Laplace expansion of `laplace_oracle`, and the degeneracy test
 `ContraMetric.is_degenerate` against the expanded determinant.
+
+The fraction-free elimination kernel behind `linalg.rank`, `nullspace`,
+`solve_affine`, `mat_inverse` and `det_value` is checked on drawn
+rectangular, rank-deficient and augmented matrices of ints and Fractions
+against the `Fraction` Gauss-Jordan elimination and Bareiss determinant of
+`elimination_oracle`, errors included.
 """
 
 import copy
@@ -34,10 +40,19 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from flatpencil.errors import InputFormatError, ParseError  # noqa: E402
+import elimination_oracle as oracle  # noqa: E402
+from flatpencil.errors import InputFormatError, NoSolutionError, ParseError  # noqa: E402
 from flatpencil.exprparse import parse_expr  # noqa: E402
 from flatpencil.geometry import ContraMetric, levi_civita  # noqa: E402
-from flatpencil.linalg import sym_adjugate, sym_det  # noqa: E402
+from flatpencil.linalg import (  # noqa: E402
+    det_value,
+    mat_inverse,
+    nullspace,
+    rank,
+    solve_affine,
+    sym_adjugate,
+    sym_det,
+)
 from flatpencil.pencilio import load_frobenius, load_pencil  # noqa: E402
 from flatpencil.qpoly import QPoly, RatFunc, dot, primitive  # noqa: E402
 from connection_oracle import numerator_connection  # noqa: E402
@@ -273,3 +288,60 @@ def test_memoized_minors_match_laplace_oracle(m):
     assert sym_adjugate(m, n, memo) == laplace_adjugate(m, n)
     assert sym_adjugate(m, n) == laplace_adjugate(m, n)
     assert ContraMetric(m).is_degenerate() == det.is_zero()
+
+
+scalars = st.one_of(
+    st.just(0),
+    st.integers(-5, 5),
+    st.fractions(min_value=-6, max_value=6, max_denominator=7),
+)
+
+
+@st.composite
+def rational_matrices(draw, nrows=None, ncols=None):
+    """An nrows x ncols matrix of ints and Fractions (sizes up to 5 x 6 when
+    not given) in which each row after the first is, when drawn so, a
+    combination of the rows above it: rank deficiency."""
+    nrows = draw(st.integers(0, 5)) if nrows is None else nrows
+    ncols = draw(st.integers(1, 6)) if ncols is None else ncols
+    rows = []
+    for i in range(nrows):
+        if i and draw(st.booleans()):
+            coeffs = draw(st.lists(scalars, min_size=i, max_size=i))
+            rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ncols)])
+        else:
+            rows.append(draw(st.lists(scalars, min_size=ncols, max_size=ncols)))
+    return rows
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except NoSolutionError as exc:
+        return ("NoSolutionError", str(exc))
+
+
+@given(a=rational_matrices())
+def test_rank_and_nullspace_match_elimination_oracle(a):
+    assert rank(a) == oracle.rank(a)
+    assert nullspace(a) == oracle.nullspace(a)
+
+
+augmented_systems = st.integers(0, 5).flatmap(
+    lambda n: st.tuples(rational_matrices(nrows=n), st.lists(scalars, min_size=n, max_size=n))
+)
+
+
+@given(system=augmented_systems)
+@example(system=([[1, 2], [2, 4]], [1, 3]))
+def test_solve_affine_matches_elimination_oracle(system):
+    a, b = system
+    assert outcome(solve_affine, a, b) == outcome(oracle.solve_affine, a, b)
+
+
+@given(a=st.integers(0, 5).flatmap(lambda n: rational_matrices(nrows=n, ncols=n)))
+@example(a=[[1, 2], [2, 4]])
+@example(a=[[0, 1, 2], [1, Q(1, 2), 0], [3, 0, 1]])
+def test_det_value_and_inverse_match_elimination_oracle(a):
+    assert det_value(a) == oracle.det_value(a)
+    assert outcome(mat_inverse, a) == outcome(oracle.mat_inverse, a)

@@ -1,5 +1,6 @@
 import functools
 import json
+import random
 from dataclasses import replace
 from fractions import Fraction as Q
 
@@ -41,6 +42,7 @@ from flatpencil.reconstruction import (
     transform_pencil,
 )
 from flatpencil.reports import Certificate
+import elimination_oracle
 from frobenius_oracle import delta_identity_residuals, pairing_derivative_residuals, unity_invariance_residuals
 from test_golden_output import DENSE_A2, SOURCES
 
@@ -166,7 +168,7 @@ def test_construction_guarantees_behind_pass_lines(name):
     if name.startswith("coxeter-a"):
         assert p.euler[1].components == [QPoly.const(n, int(a == 0)) for a in range(n)]
     assert all(res.is_zero() for _name, _idx, res in delta_identity_residuals(q))
-    if norm.ops.regular():
+    if norm.ops.regular:
         assert all(res.is_zero() for _idx, res in pairing_derivative_residuals(q, norm.ops.r_op))
     assert check_wdvv(reconstruct_frobenius(p).frobenius).passed
 
@@ -240,7 +242,7 @@ def test_operator_pair_one_dim(cubic_pencil):
     assert ops.k_op == [[Q(1)]]
     assert ops.r_op == [[Q(1, 2)]]
     assert ops.lam_op == [[Q(0)]]
-    assert ops.regular()
+    assert ops.regular
     assert all(c.passed for c in ops.certificates)
     assert ops.spectrum[0].value == 0 and ops.spectrum[0].alg_mult == 1
 
@@ -252,12 +254,12 @@ def test_operator_pair_a2(a2):
     assert values == [Q(-1, 6), Q(1, 6)]
     assert ops.spectrum_complete
     assert all(c.passed for c in ops.certificates)
-    assert ops.regular()
+    assert ops.regular
 
 
 def test_operator_pair_cp1_singular(cp1_pencil):
     ops = operator_pair(cp1_pencil)
-    assert not ops.regular()
+    assert not ops.regular
     assert rank(ops.r_op) == 1
     assert all(c.passed for c in ops.certificates)
 
@@ -370,6 +372,39 @@ def test_metric_and_vector_pushes_agree(a2, cp1_pencil):
         assert back.tau == p.tau
 
 
+def unit_row_completion(grad):
+    """grad(tau) completed to a basis by a rank loop: each unit row, in
+    order, that keeps the rows and grad(tau) independent, until there are
+    n - 1 of them."""
+    n, rows = len(grad), []
+    for i in range(n):
+        cand = [Q(1) if j == i else Q(0) for j in range(n)]
+        if elimination_oracle.rank(rows + [cand] + [grad]) == len(rows) + 2:
+            rows.append(cand)
+        if len(rows) == n - 1:
+            break
+    return rows + [grad]
+
+
+def test_normalize_completes_every_gradient_support_as_the_rank_loop():
+    # tau = 1 + grad . t over the constant pencil (2 I, I), for every
+    # support of grad up to n = 5.
+    rng = random.Random(11)
+    for n in range(1, 6):
+        for support in range(1, 1 << n):
+            grad = [
+                Q(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)) if support >> i & 1 else Q(0)
+                for i in range(n)
+            ]
+            tau = sum((QPoly.var(n, i) * x for i, x in enumerate(grad)), QPoly.const(n, 1))
+            p = PencilData(
+                ContraMetric.constant([[Q(2 * (i == j)) for j in range(n)] for i in range(n)]),
+                ContraMetric.constant([[Q(int(i == j)) for j in range(n)] for i in range(n)]),
+                tau=tau,
+            )
+            assert normalize_flat_coordinates(p).matrix == unit_row_completion(grad), grad
+
+
 def test_normalize_scaling_change(cubic_pencil):
     scaled = transform_pencil(cubic_pencil, [[Q(2)]])
     result = normalize_flat_coordinates(scaled)
@@ -429,7 +464,7 @@ def test_d1_multiplication_rejects_regular(cubic_pencil):
     # The d = 1 treatment (left unity in place of the pairing-derivative
     # identity) is not applied to an invertible R.
     norm = normalize_flat_coordinates(cubic_pencil)
-    assert norm.ops.regular()
+    assert norm.ops.regular
     _sc, report = multiplication(norm)
     assert report.passed
     assert report.find("pairing-derivative-identity").status == "pass"
