@@ -20,16 +20,24 @@ run), 4 internal error (a redundant self-check failed: a toolkit bug, not a
 verdict on the input).
 Reports are printed as text and, with --out DIR, written as canonical JSON;
 identical inputs produce byte-identical report files.
+
+A plain command line (a command, at most one input path, and that
+command's own options, each at most once, as separate tokens, with values
+that do not start with '-') is read by a table, :func:`plain_args`, into
+the namespace argparse would give it.  Every other command line goes to
+argparse, which is imported only then: it is the one source of help,
+usage and error text.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from . import pencilio, reports
 from .coxeter import coxeter_pencil
@@ -40,6 +48,9 @@ from .loopspace import Density, bracket_from_metric, central_charge, recursion_s
 from .qpoly import QPoly
 from .reconstruction import reconstruct_frobenius
 from .reports import Certificate, Report
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_CERT_FAIL = 1
@@ -57,28 +68,36 @@ GROUPS = {
     "bracket": ("loop-space brackets", ("emit", "compat", "virasoro", "recurse", "central-charge")),
 }
 
-
-def _common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", type=Path, default=None, help="directory for JSON artifacts")
-    p.add_argument("--timings", action="store_true", help="include wall-clock timing in the report")
+# The options of each command, in help order, as argparse keywords; a
+# command not listed takes COMMON.  argparse and plain_args both read them;
+# "action" marks a switch, which names its default.
+COMMON = {
+    "--out": {"type": Path, "default": None, "help": "directory for JSON artifacts"},
+    "--timings": {"action": "store_true", "default": False, "help": "include wall-clock timing in the report"},
+}
+OPTIONS = {
+    "coxeter": {
+        "--type": {"dest": "group_type", "default": "A", "help": "Coxeter type (only A)"},
+        "--rank": {"type": int, "required": True, "choices": range(1, 9)},
+        **COMMON,
+    },
+    "recurse": {"--steps": {"type": int, "default": 1}, **COMMON},
+    "central-charge": {"--coxeter-rank": {"type": int, "default": None}, **COMMON},
+}
 
 
 def _fill_group(name: str, group: argparse.ArgumentParser) -> None:
     """Add the subcommands and arguments of one command group."""
     if name == "coxeter":
-        group.add_argument("--type", dest="group_type", default="A", help="Coxeter type (only A)")
-        group.add_argument("--rank", type=int, required=True, choices=range(1, 9))
-        _common(group)
+        for flag, keywords in OPTIONS[name].items():
+            group.add_argument(flag, **keywords)
         return
     sub = group.add_subparsers(dest="subcommand", required=True)
     for command in GROUPS[name][1]:
         p = sub.add_parser(command)
         p.add_argument("input", type=Path)
-        if command == "recurse":
-            p.add_argument("--steps", type=int, default=1)
-        if command == "central-charge":
-            p.add_argument("--coxeter-rank", type=int, default=None)
-        _common(p)
+        for flag, keywords in OPTIONS.get(command, COMMON).items():
+            p.add_argument(flag, **keywords)
 
 
 @functools.cache
@@ -87,6 +106,8 @@ def shared_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     parsers not yet filled.  Parsing leaves it unchanged, and argparse
     formats help and usage text when it prints them, so one parser serves
     every ``main`` call."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog="flatpencil", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     unfilled = {name: sub.add_parser(name, help=text) for name, (text, _commands) in GROUPS.items()}
@@ -105,6 +126,57 @@ def parser_for(argv: list[str]) -> argparse.ArgumentParser:
     return parser
 
 
+def plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a plain command line, or None for any
+    other.  Plain is: a group and one of its subcommands, or ``coxeter``;
+    one input path after a subcommand, none after ``coxeter``; and the
+    command's own OPTIONS, each at most once, spelled out in full, with its
+    value as the next token.  No path or value may start with '-', and a
+    value must pass the option's type and choices.  Everything else, help
+    and usage errors included, is left to argparse."""
+    if not argv or argv[0] not in GROUPS:
+        return None
+    if argv[0] == "coxeter":
+        values, command, rest = {"command": "coxeter"}, "coxeter", argv[1:]
+    elif len(argv) > 1 and argv[1] in GROUPS[argv[0]][1]:
+        values, command, rest = {"command": argv[0], "subcommand": argv[1]}, argv[1], argv[2:]
+    else:
+        return None
+    options = OPTIONS.get(command, COMMON)
+    given: dict[str, object] = {}
+    paths = []
+    tokens = iter(rest)
+    for token in tokens:
+        if not token.startswith("-"):
+            paths.append(Path(token))
+            continue
+        keywords = options.get(token)
+        if keywords is None or token in given:
+            return None
+        if "action" in keywords:
+            given[token] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        given[token] = value
+    if len(paths) != (command != "coxeter"):
+        return None
+    if paths:
+        values["input"] = paths[0]
+    for flag, keywords in options.items():
+        if flag not in given and keywords.get("required"):
+            return None
+        values[keywords.get("dest", flag[2:].replace("-", "_"))] = given.get(flag, keywords.get("default"))
+    return SimpleNamespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
     # Exact results may print integers past Python's int/str conversion limit.
     limit = sys.get_int_max_str_digits()
@@ -117,10 +189,14 @@ def main(argv: list[str] | None = None) -> int:
 
 def _main(argv: list[str] | None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = parser_for(argv).parse_args(argv)
+    args = plain_args(argv)
+    if args is None:
+        args = parser_for(argv).parse_args(argv)
     started = time.monotonic()
     try:
-        report, extra, outputs = dispatch(args)
+        # The one read of the input: the certified text is the digested one.
+        text = read_input(args.input) if hasattr(args, "input") else None
+        report, extra, outputs = dispatch(args, text)
         elapsed_ms = int((time.monotonic() - started) * 1000) if args.timings else None
         print(report.summary())
         for key, value in extra.items():
@@ -128,7 +204,7 @@ def _main(argv: list[str] | None) -> int:
         for path in outputs:
             print(f"wrote {path}")
         if args.out is not None:
-            payload = run_report_json(args, report, extra, outputs, elapsed_ms)
+            payload = run_report_json(args, text, report, extra, outputs, elapsed_ms)
             report_path = write_artifact(args.out, f"{command_slug(args)}-report.json", payload)
             print(f"wrote {report_path}")
         # A failed flush at interpreter shutdown would end the process with 120.
@@ -160,11 +236,11 @@ def command_slug(args) -> str:
     return "-".join(parts)
 
 
-def run_report_json(args, report: Report, extra: dict, outputs: list[str], elapsed_ms) -> str:
+def run_report_json(args, text: str | None, report: Report, extra: dict, outputs: list[str], elapsed_ms) -> str:
     payload = {
         "schema": pencilio.SCHEMA,
         "command": command_slug(args),
-        "inputs": input_digests(args),
+        "inputs": input_digests(args, text),
         "mode": "exact",
         "seed": None,
         "certificates": [
@@ -183,12 +259,12 @@ def run_report_json(args, report: Report, extra: dict, outputs: list[str], elaps
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def input_digests(args) -> list[dict]:
-    path = getattr(args, "input", None)
-    if path is None:
+def input_digests(args, text: str | None) -> list[dict]:
+    """The input's path and the sha256 of ``text``, the input as it was read
+    and certified; none for a command without input."""
+    if text is None:
         return []
-    text = path.read_text(encoding="utf-8")
-    return [{"path": str(path), "sha256": pencilio.sha256_digest(text)}]
+    return [{"path": str(args.input), "sha256": pencilio.sha256_digest(text)}]
 
 
 def write_artifact(out: Path, name: str, text: str) -> str:
@@ -206,7 +282,7 @@ def read_input(path: Path) -> str:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
 
 
-def dispatch(args):
+def dispatch(args, text: str | None):
     handler = {
         ("frobenius", "check"): cmd_frobenius_check,
         ("frobenius", "pencil"): cmd_frobenius_pencil,
@@ -219,7 +295,7 @@ def dispatch(args):
         ("bracket", "recurse"): cmd_bracket_recurse,
         ("bracket", "central-charge"): cmd_bracket_central_charge,
     }[(args.command, getattr(args, "subcommand", None))]
-    return handler(args)
+    return handler(args, text)
 
 
 def frobenius_report(m) -> tuple[Report, dict]:
@@ -243,14 +319,14 @@ def frobenius_report(m) -> tuple[Report, dict]:
     return report, extra
 
 
-def cmd_frobenius_check(args):
-    m = pencilio.load_frobenius(read_input(args.input))
+def cmd_frobenius_check(args, text):
+    m = pencilio.load_frobenius(text)
     report, extra = frobenius_report(m)
     return report, extra, []
 
 
-def cmd_frobenius_pencil(args):
-    m = pencilio.load_frobenius(read_input(args.input))
+def cmd_frobenius_pencil(args, text):
+    m = pencilio.load_frobenius(text)
     report, extra = frobenius_report(m)
     outputs = []
     if report.passed:
@@ -269,8 +345,8 @@ def cmd_frobenius_pencil(args):
     return report, extra, outputs
 
 
-def cmd_pencil_check(args):
-    pencil, _gens = pencilio.load_pencil(read_input(args.input))
+def cmd_pencil_check(args, text):
+    pencil, _gens = pencilio.load_pencil(text)
     report = check_flat_pencil(pencil)
     extra = {}
     if pencil.tau is not None:
@@ -280,8 +356,8 @@ def cmd_pencil_check(args):
     return report, extra, []
 
 
-def cmd_pencil_reconstruct(args):
-    pencil, _gens = pencilio.load_pencil(read_input(args.input))
+def cmd_pencil_reconstruct(args, text):
+    pencil, _gens = pencilio.load_pencil(text)
     for cert in check_flat_pencil(pencil).certificates:
         if cert.status == reports.FAIL:
             raise InputFormatError(f"input is not a flat pencil: {cert.name}: {cert.witness}")
@@ -295,12 +371,13 @@ def cmd_pencil_reconstruct(args):
     }
     outputs = []
     if args.out is not None:
-        text = pencilio.dump_frobenius(result.frobenius)
-        outputs.append(write_artifact(args.out, args.input.stem + "-frobenius.json", text))
+        outputs.append(
+            write_artifact(args.out, args.input.stem + "-frobenius.json", pencilio.dump_frobenius(result.frobenius))
+        )
     return result.report, extra, outputs
 
 
-def cmd_coxeter(args):
+def cmd_coxeter(args, _text):
     if args.group_type != "A":
         print(f"error: unsupported Coxeter type {args.group_type!r} (only A)", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
@@ -319,8 +396,8 @@ def cmd_coxeter(args):
     return bundle.report, extra, outputs
 
 
-def cmd_bracket_emit(args):
-    pencil, gens = pencilio.load_pencil(read_input(args.input))
+def cmd_bracket_emit(args, text):
+    pencil, gens = pencilio.load_pencil(text)
     report = Report()
     extra = {}
     outputs = []
@@ -346,13 +423,13 @@ def cmd_bracket_emit(args):
             "expgens": [[a + 1, str(r)] for a, r in gens],
             **brackets,
         }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        outputs.append(write_artifact(args.out, args.input.stem + "-brackets.json", text))
+        artifact = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        outputs.append(write_artifact(args.out, args.input.stem + "-brackets.json", artifact))
     return report, extra, outputs
 
 
-def cmd_bracket_compat(args):
-    pencil, _gens = pencilio.load_pencil(read_input(args.input))
+def cmd_bracket_compat(args, text):
+    pencil, _gens = pencilio.load_pencil(text)
     # Each bracket needs a flat metric; compatibility of the two brackets is
     # the flat-pencil certificate of their metrics (the lam-combination of
     # the brackets has coefficients g1 - lam g2 and G1 - lam G2).  g1's
@@ -363,15 +440,15 @@ def cmd_bracket_compat(args):
     return check_flat_pencil(pencil), {}, []
 
 
-def cmd_bracket_virasoro(args):
-    m = pencilio.load_frobenius(read_input(args.input))
+def cmd_bracket_virasoro(args, text):
+    m = pencilio.load_frobenius(text)
     pencil = to_flat_pencil(m)
     report = virasoro_check(m, pencil)
     return report, {"degree-d": m.d}, []
 
 
-def cmd_bracket_recurse(args):
-    pencil, _gens = pencilio.load_pencil(read_input(args.input))
+def cmd_bracket_recurse(args, text):
+    pencil, _gens = pencilio.load_pencil(text)
     if args.steps < 1:
         print("error: --steps must be >= 1", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
@@ -389,13 +466,13 @@ def cmd_bracket_recurse(args):
         # Only the artifact reads the densities, so they are printed here.
         printed = {key: str(h) for key, h in densities.items()}
         payload = {"schema": pencilio.SCHEMA, "n": pencil.n, "densities": printed}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        outputs.append(write_artifact(args.out, args.input.stem + "-densities.json", text))
+        artifact = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        outputs.append(write_artifact(args.out, args.input.stem + "-densities.json", artifact))
     return report, {"steps": args.steps}, outputs
 
 
-def cmd_bracket_central_charge(args):
-    m = pencilio.load_frobenius(read_input(args.input))
+def cmd_bracket_central_charge(args, text):
+    m = pencilio.load_frobenius(text)
     if args.coxeter_rank is not None and args.coxeter_rank != m.n:
         rule = f"--coxeter-rank must equal the dimension n = {m.n} (A_K has a K-dimensional orbit space)"
         print(f"error: {rule}", file=sys.stderr)

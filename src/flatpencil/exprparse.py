@@ -16,15 +16,31 @@ parse error.  Digits are ASCII 0-9.  A token longer than
 and a value outside the ring (an exp rate beyond ``qpoly.EXP_RATE_LIMIT``,
 or a product of total degree beyond ``qpoly.POWER_LIMIT``) are parse errors
 too.  Errors carry the 1-based line and column of the offending token.
+
+:func:`parse_expr` first reads the sum-of-monomials form that
+``QPoly.__str__`` prints,
+
+    sum    := ['-'] term ((' + ' | ' - ') term)*
+    term   := rational | [rational '*'] factor ('*' factor)*
+    factor := tN ['^' INT] | 'exp(' tN ')' | 'exp(' ['-'] rational '*' tN ')'
+
+in one pass, straight into integer numerators over one common denominator
+(:func:`_read_sum`).  Text outside that form, and text that reaches a bound
+(a non-ASCII character, a number longer than ``MAX_TOKEN_LENGTH``, an
+exponent beyond ``MAX_POWER_DEGREE``, a variable outside t1..tn, a total
+degree beyond ``qpoly.POWER_LIMIT``, a rate beyond ``qpoly.EXP_RATE_LIMIT``,
+a zero denominator, an axis with two exp factors), goes to the
+recursive-descent parser, which gives every value and every error.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 
 from .errors import OutOfRingError, ParseError
-from .qpoly import QPoly
+from .qpoly import EXP_RATE_LIMIT, POWER_LIMIT, QPoly, from_packed, unit_keys
 
 Q = Fraction
 
@@ -235,8 +251,102 @@ class _Parser:
 
 def parse_expr(text: str, nvars: int) -> QPoly:
     """Parse an expression in the coordinates t1..t{nvars}."""
+    value = _read_sum(text, nvars)
+    if value is not None:
+        return value
     parser = _Parser(text, nvars)
     return parser.parse(parser.expr)
+
+
+@functools.cache
+def _coordinates(nvars: int) -> tuple[dict[str, int], list[int]]:
+    """The axis of each variable name t1..tn, and each axis's packed key."""
+    return {f"t{axis + 1}": axis for axis in range(nvars)}, unit_keys(nvars)
+
+
+def _digits(text: str) -> bool:
+    """Whether ``text`` is one number token: ASCII digits within the token
+    bound.  The caller has checked that its text is ASCII."""
+    return text.isdigit() and len(text) <= MAX_TOKEN_LENGTH
+
+
+def _ratio(text: str, signed: bool = False) -> tuple[int, int] | None:
+    """INT or INT/INT, after one '-' when ``signed``, as (numerator,
+    denominator > 0); None for any other text."""
+    sign = 1
+    if signed and text.startswith("-"):
+        sign, text = -1, text[1:]
+    num, slash, den = text.partition("/")
+    if not _digits(num) or slash and not (_digits(den) and int(den)):
+        return None
+    return sign * int(num), int(den) if slash else 1
+
+
+def _read_sum(text: str, nvars: int) -> QPoly | None:
+    """The value of ``text`` in the printed sum-of-monomials form of the
+    module docstring, or None when the text leaves that form or reaches a
+    bound; the recursive-descent parser then reads it."""
+    if not text.isascii():
+        return None
+    pieces = text.split(" ")
+    if not len(pieces) % 2:
+        return None
+    names, units = _coordinates(nvars)
+    parts: dict[tuple, list[tuple[int, int, int]]] = {}
+    for index in range(0, len(pieces), 2):
+        term = pieces[index]
+        sign = 1
+        if index:
+            if pieces[index - 1] == "-":
+                sign = -1
+            elif pieces[index - 1] != "+":
+                return None
+        elif term.startswith("-"):
+            sign, term = -1, term[1:]
+        factors = term.split("*")
+        num, den = 1, 1
+        if factors[0][:1].isdigit():
+            coefficient = _ratio(factors.pop(0))
+            if coefficient is None:
+                return None
+            num, den = coefficient
+        packed = degree = 0
+        rates: dict[int, Fraction] = {}
+        tokens = iter(factors)
+        for factor in tokens:
+            if factor.startswith("exp("):
+                # exp(tN), or exp(R*tN), which the split on '*' cut in two.
+                if factor.endswith(")"):
+                    rate, name = (1, 1), factor[4:-1]
+                else:
+                    rate, name = _ratio(factor[4:], signed=True), next(tokens, "")
+                    if not name.endswith(")"):
+                        return None
+                    name = name[:-1]
+                axis = names.get(name)
+                if rate is None or axis is None or axis in rates:
+                    return None
+                rates[axis] = Fraction(*rate)
+                if abs(rates[axis]) > EXP_RATE_LIMIT:
+                    return None
+                continue
+            name, caret, power = factor.partition("^")
+            axis = names.get(name)
+            if axis is None:
+                return None
+            if caret:
+                if not _digits(power) or int(power) > MAX_POWER_DEGREE:
+                    return None
+                power = int(power)
+            else:
+                power = 1
+            packed += power * units[axis]
+            degree += power
+        if degree > POWER_LIMIT:
+            return None
+        efac = tuple(sorted((axis, rate) for axis, rate in rates.items() if rate))
+        parts.setdefault(efac, []).append((packed, sign * num, den))
+    return from_packed(nvars, parts)
 
 
 def parse_rational(text: str) -> Q:

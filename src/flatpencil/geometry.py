@@ -119,12 +119,18 @@ class ContraMetric:
         return self._det
 
     def is_degenerate(self) -> bool:
-        """Whether det g vanishes identically.  A nonzero determinant of the
+        """Whether det g vanishes identically.  A constant metric takes the
+        determinant of its entries.  Otherwise a nonzero determinant of the
         entries' values at one rational point (``linalg.sym_sample_values`` and
         ``linalg.det_value``) proves det g nonzero; only a zero value expands
         det g."""
         if self._degenerate is None:
-            if self._det is None and det_value(sym_sample_values(self.g)):
+            if self._det is not None:
+                self._degenerate = self._det.is_zero()
+            elif self.is_constant():
+                # constant_entries is left to PencilData.eta_up, eta's one read.
+                self._degenerate = not det_value([[x.constant_value() for x in row] for row in self.g])
+            elif det_value(sym_sample_values(self.g)):
                 self._degenerate = False
             else:
                 self._degenerate = self.det.is_zero()
@@ -200,6 +206,23 @@ class PencilData:
     def eta_cov(self) -> list[list[Q]]:
         """eta_{ij}, the inverse of :attr:`eta_up`."""
         return mat_inverse(self.eta_up)
+
+    @cached_property
+    def lowered_g1(self) -> tuple[list[list[QPoly]], list[list[list[QPoly]]]]:
+        """g1 and its connection with the first upper index lowered by eta,
+        eta_{ji} g1^{ie} and eta_{ji} G1{}^{ie}_k (indexed [j][e] and
+        [k][j][e]): the coefficients of the recursion (0.7) after its
+        lowering.  A connection of fractions raises OutOfRingError."""
+        n, eta_cov = self.n, self.eta_cov
+        gamma = self.g1_connection.as_poly_entries()
+
+        def lower(upper):
+            return [
+                [dot(n, [(upper[i][e], c) for i, c in enumerate(eta_cov[j]) if c]) for e in range(n)]
+                for j in range(n)
+            ]
+
+        return lower(self.g1.g), [lower(gamma_k) for gamma_k in gamma]
 
     @cached_property
     def euler(self) -> tuple[VectorField, VectorField]:

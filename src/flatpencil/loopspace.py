@@ -148,11 +148,10 @@ def recursion_step(p: PencilData, density: Density) -> Density:
     not differentiate h_next again.
     """
     n = p.n
-    eta_cov = p.eta_cov
-    gamma = p.g1_connection.as_poly_entries()
     dh, ddh = (density.grad, density.hessian) if density.grad is not None else _jet(density.h)
-    rhs = covariant_derivative(p.g1.g, gamma, dh, ddh)
-    target = [[dot(n, [(rhs[i][k], eta_cov[j][i]) for i in range(n)]) for k in range(n)] for j in range(n)]
+    # eta lowers the left side to d_k d_j h_next; lowering g1 and G1 once per
+    # pencil makes the target one covariant derivative.
+    target = covariant_derivative(*p.lowered_g1, dh, ddh)
     for j in range(n):
         for k in range(j + 1, n):
             if target[j][k] != target[k][j]:

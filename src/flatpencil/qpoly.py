@@ -38,7 +38,9 @@ reads a negative power as a borrow into a guard bit.  Keys are unpacked
 only at the API edge: ``QPoly(nvars, {(pows, efac): Fraction})``,
 :attr:`QPoly.terms` and :meth:`QPoly.coefficient` speak in ``(powers
 tuple, exponential factor)`` pairs, and printing, evaluation,
-substitution and embedding read the powers back.
+substitution and embedding read the powers back.  The expression reader
+packs the powers of a printed term itself (:func:`unit_keys`) and hands
+the terms to :func:`from_packed`.
 
 The coefficients are stored as integer numerators over one positive
 common denominator, reduced so that the denominator and the numerators
@@ -223,6 +225,20 @@ def _over_common_den(parts: dict[ExpFactor, list[tuple[int, int, int]]]) -> tupl
         for packed, n, d in terms:
             nums[packed] = get(packed, 0) + n * (den // d)
     return groups, den
+
+
+def unit_keys(nvars: int) -> list[int]:
+    """The packed key of each coordinate t1..tn: a monomial's key is the sum
+    of the keys of its factors, counted with multiplicity."""
+    return [_unit(nvars, axis) for axis in range(nvars)]
+
+
+def from_packed(nvars: int, parts: dict[ExpFactor, list[tuple[int, int, int]]]) -> "QPoly":
+    """The sum of the terms (efac, packed) * (num / den) of ``parts[efac]``,
+    each a nonempty list of (packed, num, den > 0), in canonical form:
+    repeated terms add and zeros drop.  A packed key is a sum of
+    :func:`unit_keys` of total degree at most ``POWER_LIMIT``."""
+    return _make(nvars, *_over_common_den(parts))
 
 
 def _mul_into(out: Store, left: Store, right: Store, scale: int) -> None:

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -789,17 +790,25 @@ def test_one_process_prints_what_fresh_processes_print(monkeypatch, capsys):
     # filled now.
     monkeypatch.setenv("COLUMNS", "80")
     cli.shared_parser.cache_clear()
+    # Plain lines, which the table reads, come between them.
     sequence = (
         ["coxeter", "--rank", "9"],
+        ["coxeter", "--rank", "2"],
         ["pencil", "--help"],
         ["pencil", "check", PENCIL1],
         ["bogus"],
+        ["bracket", "recurse", PENCIL1, "--steps", "2"],
         ["--help"],
+        ["frobenius", "pencil", CUBIC],
         ["bracket", "--help"],
+        ["bracket", "recurse", PENCIL1, "--steps", "0"],
         ["coxeter", "--help"],
+        ["coxeter", "--type", "B", "--rank", "1"],
         ["frobenius", "bogus"],
         ["bracket", "compat", PENCIL1],
+        ["bracket", "recurse", PENCIL1, "--step=2"],
         ["coxeter", "--rank", "1"],
+        ["bracket", "central-charge", CUBIC, "--coxeter-rank", "2"],
         ["frobenius", "check", CUBIC],
     )
     for argv in sequence:
@@ -911,3 +920,66 @@ def test_candidate_fallback_prints_kernel_bytes(tmp_path, monkeypatch, capsys, c
             assert (run(["pencil", command, path]), capsys.readouterr()) == outputs[command]
     if case == "degree-not-inferable":
         assert outputs["check"][1].err.startswith("certification error: DegreeInferenceError")
+
+
+def test_plain_lines_import_no_argparse():
+    # A plain command line is read by the table; argparse, and the gettext
+    # it imports, load only for help, usage and errors.
+    code = (
+        "import sys; from flatpencil import cli\n"
+        "def loaded(): print(sorted({'argparse', 'gettext'} & set(sys.modules)), file=sys.stderr)\n"
+        "loaded()\n"
+        "for argv in sys.argv[1:]:\n"
+        "    try:\n"
+        "        cli.main(argv.split('|'))\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "    loaded()\n"
+    )
+    argv = ["coxeter|--rank|1", f"bracket|recurse|{PENCIL1}|--steps|1", "--help"]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
+    assert proc.stderr.splitlines() == ["[]", "[]", "[]", "['argparse', 'gettext']"]
+
+
+def test_report_digests_the_certified_text(tmp_path, monkeypatch):
+    # The input is read once, and the report's digest is that of the text
+    # the certificates were computed on, even if the file changes after.
+    path = tmp_path / "n1.json"
+    text = PENCIL1.read_text(encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
+    opened = Counter()
+    open_path = Path.open
+
+    def counting(self, mode="r", *args, **kwargs):
+        opened[self, mode] += 1
+        return open_path(self, mode, *args, **kwargs)
+
+    dispatch = cli.dispatch
+
+    def rewriting(*args):
+        result = dispatch(*args)
+        path.write_text(text.replace('"t1"', '"t1 + 1"'), encoding="utf-8")
+        return result
+
+    monkeypatch.setattr(Path, "open", counting)
+    monkeypatch.setattr(cli, "dispatch", rewriting)
+    assert run(["pencil", "check", path, "--out", tmp_path / "out"]) == 0
+    report = json.loads((tmp_path / "out" / "pencil-check-report.json").read_text(encoding="utf-8"))
+    assert report["inputs"] == [{"path": str(path), "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}]
+    assert opened[path, "r"] == 1
+
+
+def test_recursion_evaluates_one_sample_point(monkeypatch):
+    # g1's determinant is proved nonzero at the sample point; the constant
+    # g2 takes the determinant of its entries.
+    samples = []
+    sample = geometry.sym_sample_values
+
+    def counting(m):
+        samples.append(m)
+        return sample(m)
+
+    monkeypatch.setattr(geometry, "sym_sample_values", counting)
+    assert run(["bracket", "recurse", SOURCES / "a3-pencil.json", "--steps", "10"]) == 0
+    assert len(samples) == 1

@@ -670,6 +670,21 @@ def test_sample_point_decides_without_expanding(monkeypatch):
         zero.is_degenerate()
 
 
+def test_constant_metric_degeneracy_reads_its_entries(monkeypatch):
+    # A constant metric's determinant is that of its entries: no sample
+    # point is evaluated, and a singular constant matrix is degenerate.
+    def forbidden(*_args):
+        raise AssertionError("sample point evaluated")
+
+    eta = ContraMetric(candidate_source("coxeter-a4").g2.g)
+    monkeypatch.setattr(geometry, "sym_sample_values", forbidden)
+    monkeypatch.setattr(geometry, "sym_det", forbidden)
+    assert not eta.is_degenerate()
+    assert not ContraMetric.constant([[Q(0), Q(1)], [Q(1), Q(0)]]).is_degenerate()
+    assert ContraMetric.constant([[Q(1), Q(2)], [Q(2), Q(4)]]).is_degenerate()
+    assert ContraMetric.constant([[Q(0)]], 2).is_degenerate()
+
+
 def test_candidate_declines_on_a_degenerate_metric():
     # The zero metric passes the candidate's (empty) symmetry residuals; its
     # determinant vanishes, so the kernel decides and raises its own error.

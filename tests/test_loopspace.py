@@ -2,7 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from flatpencil import loopspace
+from flatpencil import geometry, loopspace
 from flatpencil.coxeter import (
     arnold_metric,
     build_orbit_chart,
@@ -199,6 +199,36 @@ def test_recursion_tests_closedness_before_reraising_ring_bound(monkeypatch, a2)
         recursion_step(pencil, Density(QPoly.var(2, 0)))
     with pytest.raises(OutOfRingError, match="^bound$"):
         recursion_step(bundle.pencil, Density(QPoly.var(2, 0)))
+
+
+def test_recursion_over_a_connection_of_fractions_is_out_of_ring():
+    # g1's connection keeps det g1 as a denominator: the first step raises,
+    # and so does every later one (nothing is cached from the failure).
+    g1 = ContraMetric([[qp("t1^2 + 1", 2), qp("t1", 2)], [qp("t1", 2), qp("t2", 2)]])
+    pencil = PencilData(g1=g1, g2=ContraMetric.constant([[Q(1), Q(0)], [Q(0), Q(1)]]))
+    for _attempt in range(2):
+        with pytest.raises(OutOfRingError, match="^rational function with nontrivial denominator$"):
+            recursion_step(pencil, Density(QPoly.var(2, 0)))
+
+
+def test_recursion_lowers_g1_once_per_pencil(monkeypatch, a3):
+    # eta lowers g1 and its connection on the first step; each step is then
+    # one covariant derivative, n^2 dots.
+    pencil = a3[0].pencil
+    n = pencil.n
+    h = recursion_step(pencil, Density(QPoly.var(n, 0)))
+    lowered = pencil.lowered_g1
+    dots = []
+    dot = geometry.dot
+
+    def counting(*args):
+        dots.append(args)
+        return dot(*args)
+
+    monkeypatch.setattr(geometry, "dot", counting)
+    assert recursion_step(pencil, h) == recursion_step(pencil, Density(h.h))
+    assert pencil.lowered_g1 is lowered
+    assert len(dots) == 2 * n * n
 
 
 def test_weyl_vector_squares():
