@@ -25,13 +25,17 @@ A plain command line (a command, at most one input path, and that
 command's own options, each at most once, as separate tokens, with values
 that do not start with '-') is read by a table, :func:`plain_args`, into
 the namespace argparse would give it.  Every other command line goes to
-argparse, which is imported only then: it is the one source of help,
-usage and error text.
+argparse, which is imported and built, whole, only then: it is the one
+source of help, usage and error text, and no state of it outlives a call.
+
+Usage rules are checked before the input is read where they can be:
+argparse's own (option types, --rank's choices, required arguments) as it
+parses, and --steps >= 1 right after.  --coxeter-rank must equal the
+input's dimension n, so it is checked once the input is loaded.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 import time
@@ -86,43 +90,25 @@ OPTIONS = {
 }
 
 
-def _fill_group(name: str, group: argparse.ArgumentParser) -> None:
-    """Add the subcommands and arguments of one command group."""
-    if name == "coxeter":
-        for flag, keywords in OPTIONS[name].items():
-            group.add_argument(flag, **keywords)
-        return
-    sub = group.add_subparsers(dest="subcommand", required=True)
-    for command in GROUPS[name][1]:
-        p = sub.add_parser(command)
-        p.add_argument("input", type=Path)
-        for flag, keywords in OPTIONS.get(command, COMMON).items():
-            p.add_argument(flag, **keywords)
-
-
-@functools.cache
-def shared_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser of this process, built on the first call, with the group
-    parsers not yet filled.  Parsing leaves it unchanged, and argparse
-    formats help and usage text when it prints them, so one parser serves
-    every ``main`` call."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every command group, built from GROUPS and
+    OPTIONS; only help, usage and error lines need it."""
     import argparse
 
     parser = argparse.ArgumentParser(prog="flatpencil", description=__doc__.split("\n")[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    unfilled = {name: sub.add_parser(name, help=text) for name, (text, _commands) in GROUPS.items()}
-    return parser, unfilled
-
-
-def parser_for(argv: list[str]) -> argparse.ArgumentParser:
-    """The shared parser with every group that ``argv`` can reach filled:
-    the group argv[0] names, or all of them when it names none.  Each group
-    is filled once per process."""
-    parser, unfilled = shared_parser()
-    for name in [argv[0]] if argv and argv[0] in GROUPS else list(unfilled):
-        group = unfilled.pop(name, None)
-        if group is not None:
-            _fill_group(name, group)
+    groups = parser.add_subparsers(dest="command", required=True)
+    for name, (text, commands) in GROUPS.items():
+        group = groups.add_parser(name, help=text)
+        if not commands:
+            for flag, keywords in OPTIONS[name].items():
+                group.add_argument(flag, **keywords)
+            continue
+        sub = group.add_subparsers(dest="subcommand", required=True)
+        for command in commands:
+            p = sub.add_parser(command)
+            p.add_argument("input", type=Path)
+            for flag, keywords in OPTIONS.get(command, COMMON).items():
+                p.add_argument(flag, **keywords)
     return parser
 
 
@@ -191,7 +177,10 @@ def _main(argv: list[str] | None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = plain_args(argv)
     if args is None:
-        args = parser_for(argv).parse_args(argv)
+        args = build_parser().parse_args(argv)
+    if getattr(args, "steps", 1) < 1:
+        print("error: --steps must be >= 1", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     started = time.monotonic()
     try:
         # The one read of the input: the certified text is the digested one.
@@ -449,9 +438,6 @@ def cmd_bracket_virasoro(args, text):
 
 def cmd_bracket_recurse(args, text):
     pencil, _gens = pencilio.load_pencil(text)
-    if args.steps < 1:
-        print("error: --steps must be >= 1", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
     report = Report()
     densities = {}
     for alpha in range(pencil.n):

@@ -11,11 +11,14 @@ the associativity (WDVV) equations, the unity axiom c(e, ., .) = eta and the
 Euler scaling of F and eta, builds the intersection form
 g^{ab} = E^e c_e^{ab}, and produces the associated flat pencil (g, eta).
 
-The forward quantities (derivatives of F, the structure constants and their
-eta-raised form, the unity-checked pair of them, the WDVV certificate, the
-scaling data A, B, C) are derived once, on first use, and cached on the
-`FrobeniusData` every consumer reads; a caller that already holds c_abc and
-c^{ab}_c of F may set them there instead.
+The forward quantities are derived once, on first use, and cached on the
+`FrobeniusData` every consumer reads: the gradient and Hessian of F, c_abc,
+c^a_{bc} (its first index raised by ``geometry.contract``, which the WDVV
+certificate reads), c^{ab}_c (c^a_{bc} with its second index raised), the
+unity-checked pair of structure constants, the WDVV certificate and the
+scaling data A, B, C.  A caller that already holds the gradient, Hessian,
+c_abc and c^{ab}_c of F, as the inverse construction does, may set them
+there instead.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .geometry import (
     ContraMetric,
     PencilData,
     VectorField,
+    contract,
     lie_derivative,
     linear_forms,
 )
@@ -100,9 +104,14 @@ class FrobeniusData:
         return [[[dab.diff(c) for c in range(self.n)] for dab in row] for row in self.hessian]
 
     @cached_property
+    def c_up(self) -> list[list[list[QPoly]]]:
+        """c^a_{bc}, c_abc with its first index raised by eta."""
+        return contract(self.eta_inv, self.c_low, 0, self.n)
+
+    @cached_property
     def c_mixed(self) -> list[list[list[QPoly]]]:
-        """c^{ab}_c, c_abc with its first two indices raised by eta."""
-        return contract_two(self.c_low, self.eta_inv, self.n)
+        """c^{ab}_c, c^a_{bc} with its second index raised by eta."""
+        return contract(self.eta_inv, self.c_up, 1, self.n)
 
     @cached_property
     def structure(self) -> StructureConstants:
@@ -143,28 +152,6 @@ def structure_constants(m: FrobeniusData) -> StructureConstants:
     return StructureConstants(c_low=c_low, c_mixed=m.c_mixed)
 
 
-def _raise_first(c, mat, n: int):
-    """Contract the first index with mat: c'^a_{bc} = mat[a][l] c_{lbc}."""
-    nvars = c[0][0][0].nvars
-    return [
-        [[dot(nvars, [(c[l][b][k], mat[a][l]) for l in range(n)]) for k in range(n)] for b in range(n)]
-        for a in range(n)
-    ]
-
-
-def contract_two(c, mat, n: int):
-    """Contract the first two indices with mat: c'^{ab}_c = mat[a][l] mat[b][m] c^{lm}_c.
-
-    With eta^{-1} this raises c_abc to c^{ab}_c; with eta it lowers back.
-    """
-    nvars = c[0][0][0].nvars
-    half = _raise_first(c, mat, n)
-    return [
-        [[dot(nvars, [(half[a][m][k], mat[b][m]) for m in range(n)]) for k in range(n)] for b in range(n)]
-        for a in range(n)
-    ]
-
-
 def check_wdvv(m: FrobeniusData) -> Certificate:
     """Certify the associativity equations
 
@@ -173,8 +160,7 @@ def check_wdvv(m: FrobeniusData) -> Certificate:
     The unity axiom is not checked here; `structure_constants` owns it.
     """
     n = m.n
-    c_low = m.c_low
-    raised = _raise_first(c_low, m.eta_inv, n)
+    c_low, raised = m.c_low, m.c_up
 
     def residuals():
         for a in range(n):
@@ -242,17 +228,7 @@ def intersection_form(m: FrobeniusData) -> ContraMetric:
 
     r_mat = scaling_operator(m)
     inv = m.eta_inv
-    # inv2[a][b] = inv[a][l] inv[b][mm] over (l, mm), shared by both raises
-    inv2 = [[[inv[a][l] * inv[b][mm] for l in range(n) for mm in range(n)] for b in range(n)] for a in range(n)]
-
-    def raise_both(t):
-        return [
-            [dot(n, zip((t[l][mm] for l in range(n) for mm in range(n)), inv2[a][b])) for b in range(n)]
-            for a in range(n)
-        ]
-
-    hess_up = raise_both(m.hessian)
-    a_up = raise_both(a_mat)
+    hess_up, a_up = (contract(inv, contract(inv, t, 0, n), 1, n) for t in (m.hessian, a_mat))
     for a in range(n):
         for b in range(n):
             second = a_up[a][b] + dot(

@@ -59,6 +59,14 @@ G1 - lam*G2 is the connection of g1 - lam*g2 for every lam, and the pencil
 curvature vanishes identically in lam.  The lam-dependence is handled by
 adjoining lam as an extra polynomial variable and requiring every
 lam-coefficient tensor to vanish.
+
+Each operation has one kernel here: the connection (:func:`levi_civita`,
+after :func:`flat_candidate` on a pencil), the covariant derivative (0.6)
+(:func:`covariant_derivative`), the curvature (:func:`curvature_entries`),
+the Lie derivative of any rank (:func:`lie_derivative`), one index raised or
+lowered by a constant matrix such as eta or its inverse, as in (0.7)
+(:func:`contract`), and the change of coordinates (:func:`push_metric`,
+:func:`push_vector`).
 """
 
 from __future__ import annotations
@@ -213,16 +221,8 @@ class PencilData:
         eta_{ji} g1^{ie} and eta_{ji} G1{}^{ie}_k (indexed [j][e] and
         [k][j][e]): the coefficients of the recursion (0.7) after its
         lowering.  A connection of fractions raises OutOfRingError."""
-        n, eta_cov = self.n, self.eta_cov
         gamma = self.g1_connection.as_poly_entries()
-
-        def lower(upper):
-            return [
-                [dot(n, [(upper[i][e], c) for i, c in enumerate(eta_cov[j]) if c]) for e in range(n)]
-                for j in range(n)
-            ]
-
-        return lower(self.g1.g), [lower(gamma_k) for gamma_k in gamma]
+        return contract(self.eta_cov, self.g1.g, 0, self.n), contract(self.eta_cov, gamma, 1, self.n)
 
     @cached_property
     def euler(self) -> tuple[VectorField, VectorField]:
@@ -483,6 +483,29 @@ def lie_derivative(x: VectorField, tensor, rank: int, lower: int = 0):
         return entry(idx) if len(idx) == rank else [build(idx + (i,)) for i in range(n)]
 
     return build(())
+
+
+# ---------------------------------------------------------------------------
+# Raising and lowering an index
+# ---------------------------------------------------------------------------
+
+
+def contract(matrix, tensor, slot: int, nvars: int):
+    """The index at ``slot`` of a tensor given as nested lists contracted
+    with a constant matrix, out[..a..] = sum_l matrix[a][l] tensor[..l..]:
+    with eta^{-1} it raises that index (the paper's (0.7)), with eta it
+    lowers it.  Each entry is one ``dot`` over the nonzero entries of
+    matrix[a]; the tensor's entries may be QPoly or rationals."""
+    if slot:
+        return [contract(matrix, sub, slot - 1, nvars) for sub in tensor]
+    return [_combine([(l, c) for l, c in enumerate(row) if c], tensor, nvars) for row in matrix]
+
+
+def _combine(pairs, subs, nvars: int):
+    """sum c * subs[l] over pairs (l, c), entry by entry."""
+    if not isinstance(subs[0], list):
+        return dot(nvars, [(subs[l], c) for l, c in pairs])
+    return [_combine(pairs, [sub[i] for sub in subs], nvars) for i in range(len(subs[0]))]
 
 
 # ---------------------------------------------------------------------------

@@ -983,7 +983,7 @@ def exact_divide(num: QPoly, den: QPoly) -> QPoly | None:
     # and the remainder is exp-free too, so the ranges cover the powers alone.
     rated = not (num.is_polynomial() and den.is_polynomial())
     guards = sum(1 << (_FIELD * i + _FIELD - 1) for i in range(nvars + 1))
-    num_span, den_span = _axis_spans(num, rated, guards), _axis_spans(den, rated, guards)
+    num_span, den_span = _axis_spans(num, rated), _axis_spans(den, rated)
     low = [n_lo - d_lo for (n_lo, _n), (d_lo, _d) in zip(num_span, den_span)]
     high = [n_hi - d_hi for (_n, n_hi), (_d, d_hi) in zip(num_span, den_span)]
     if any(lo > hi for lo, hi in zip(low, high)):
@@ -1047,24 +1047,13 @@ def _axis_values(packed: int, efac: ExpFactor, nvars: int) -> list:
     return [*_unpack(packed, nvars), *_rate_vector(efac, nvars)]
 
 
-def _axis_spans(p: QPoly, rated: bool, guards: int) -> list[tuple]:
+def _axis_spans(p: QPoly, rated: bool) -> list[tuple]:
     """(smallest, largest) of each entry of _axis_values over the terms of p,
-    the rates left out unless ``rated``.
-
-    One pass over the keys keeps the fieldwise smallest and largest key:
-    in (k | guards) - hi no field borrows from the next, and the guard bit
-    of a field stays set iff k's field is at least hi's.  The rates are
-    read from the group keys.
-    """
-    keys = [key for nums in p.numerators.values() for key in nums]
-    lo = hi = keys[0]
-    for k in keys:
-        above = ((k | guards) - hi) & guards
-        hi ^= (hi ^ k) & (above - (above >> (_FIELD - 1)))
-        below = ((lo | guards) - k) & guards
-        lo ^= (lo ^ k) & (below - (below >> (_FIELD - 1)))
+    the rates left out unless ``rated``; the rates are read from the group
+    keys."""
+    powers = zip(*(_unpack(key, p.nvars) for nums in p.numerators.values() for key in nums))
     rates = zip(*(_rate_vector(efac, p.nvars) for efac in p.numerators)) if rated else ()
-    return [*zip(_unpack(lo, p.nvars), _unpack(hi, p.nvars)), *((min(col), max(col)) for col in rates)]
+    return [(min(col), max(col)) for col in (*powers, *rates)]
 
 
 def _exp_quotient(ea: ExpFactor, eb: ExpFactor) -> ExpFactor:

@@ -38,9 +38,10 @@ from .errors import (
     OutOfRingError,
     TauHessianError,
 )
-from .frobenius import FrobeniusData, StructureConstants, contract_two
+from .frobenius import FrobeniusData, StructureConstants
 from .geometry import (
     PencilData,
+    contract,
     entry_residuals,
     lie_derivative,
     linear_forms,
@@ -509,7 +510,8 @@ def multiplication(norm: NormalizationResult) -> tuple[StructureConstants, Repor
             )
         )
     c_mixed = _to_poly(c_raw)
-    return StructureConstants(c_low=contract_two(c_mixed, p.eta_cov, p.n), c_mixed=c_mixed), report
+    c_low = contract(p.eta_cov, contract(p.eta_cov, c_mixed, 0, nvars), 1, nvars)
+    return StructureConstants(c_low=c_low, c_mixed=c_mixed), report
 
 
 def _to_poly(c_raw):
@@ -527,13 +529,14 @@ def _to_poly(c_raw):
 # ---------------------------------------------------------------------------
 
 
-def recover_potential(c_low: list[list[list[QPoly]]]) -> QPoly:
+def recover_potential(c_low: list[list[list[QPoly]]]) -> tuple[QPoly, list[QPoly], list[list[QPoly]]]:
     """Integrate fully symmetric c_abc three times: d_a d_b d_c F = c_abc.
 
     Verifies full symmetry of c and of its gradient (the integrability
     condition) first, then takes F from ``qpoly.primitive`` in one pass, with
     the quadratic-and-lower polynomial part fixed to zero, and differentiates
-    it back through one jet (gradient, Hessian, third derivatives).
+    it back through one jet (gradient, Hessian, third derivatives).  Returns
+    F with the gradient and Hessian of that verified jet.
     """
     n = len(c_low)
     for a in range(n):
@@ -561,7 +564,7 @@ def recover_potential(c_low: list[list[list[QPoly]]]) -> QPoly:
             for c in range(n):
                 if hessian[a][b].diff(c) != c_low[a][b][c]:
                     raise InternalCheckError("recovered potential fails to differentiate back")
-    return f
+    return f, grad, hessian
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +583,9 @@ def reconstruct_frobenius(p: PencilData) -> ReconstructionResult:
     associativity certificate, WDVV of the recovered potential is a PASS
     line too; otherwise ``check_wdvv`` computes it.  When the unity
     presentation is the identity, the result's FrobeniusData takes the
-    verified c_abc and the product's raised form instead of deriving them
-    from the potential again."""
+    verified jet of the potential (gradient, Hessian, c_abc) and the
+    product's raised form instead of deriving them from the potential
+    again."""
     report = Report()
     norm = normalize_flat_coordinates(p)
     for cert in norm.certificates:
@@ -599,7 +603,7 @@ def reconstruct_frobenius(p: PencilData) -> ReconstructionResult:
     for cert in mult_report.certificates:
         report.add(cert)
 
-    potential = recover_potential(sc.c_low)
+    potential, gradient, hessian = recover_potential(sc.c_low)
 
     # Present the unity field as a coordinate direction.
     e_big, e_small = q.euler
@@ -629,8 +633,10 @@ def reconstruct_frobenius(p: PencilData) -> ReconstructionResult:
     )
 
     if q_final is q:
-        # recover_potential verified d^3 F = c_low, the eta-lowering of
-        # c_mixed with this pencil's eta, so the product raises back to it.
+        # recover_potential verified its jet of F up to d^3 F = c_low, the
+        # eta-lowering of c_mixed with this pencil's eta, so the product
+        # raises back to it.
+        frob_data.gradient, frob_data.hessian = gradient, hessian
         frob_data.c_low, frob_data.c_mixed = sc.c_low, sc.c_mixed
     sc_final = frob_data.structure
     if mult_report.find("multiplication-associativity").passed:

@@ -348,6 +348,17 @@ def test_usage_error_exit_2(capsys):
         assert "--coxeter-rank must equal the dimension n = 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ['{"schema": 1, "n": ', None], ids=["malformed", "missing"])
+def test_steps_checked_before_the_input_is_read(tmp_path, capsys, text):
+    path = tmp_path / "in.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    with pytest.raises(SystemExit) as info:
+        run(["bracket", "recurse", path, "--steps", "0"])
+    assert info.value.code == 2
+    assert capsys.readouterr() == ("", "error: --steps must be >= 1\n")
+
+
 def test_certificate_failure_exit_1(tmp_path, capsys):
     bad = tmp_path / "nonflat.json"
     bad.write_text(
@@ -442,8 +453,8 @@ def test_frobenius_check_enforces_unity_axiom(tmp_path, capsys):
         # The inverse construction reports WDVV as implied by the certified
         # associativity of its product, so it never reaches check_wdvv; with
         # the identity unity presentation it hands the FrobeniusData the
-        # c_abc that recover_potential verified and the raised product of
-        # `multiplication`, so neither is derived from F again.
+        # gradient, Hessian and c_abc that recover_potential verified and the
+        # raised product of `multiplication`, so none is derived from F again.
         (["pencil", "reconstruct", SOURCES / "a3-pencil.json"], 0),
         (["coxeter", "--rank", "3"], 0),
     ],
@@ -451,16 +462,16 @@ def test_frobenius_check_enforces_unity_axiom(tmp_path, capsys):
 )
 def test_forward_quantities_derived_once(argv, derived, monkeypatch):
     calls = Counter()
-    derive_c_low = FrobeniusData.__dict__["c_low"].func
+    cached = ("gradient", "hessian", "c_low", "c_up", "c_mixed")
+    for name in cached:
+        def counted_property(m, name=name, derive=FrobeniusData.__dict__[name].func):
+            calls[name] += 1
+            return derive(m)
 
-    def counted_c_low(m):
-        calls["c_abc"] += 1
-        return derive_c_low(m)
-
-    spy = functools.cached_property(counted_c_low)
-    spy.__set_name__(FrobeniusData, "c_low")
-    monkeypatch.setattr(FrobeniusData, "c_low", spy)
-    for name in ("check_wdvv", "check_quasihomogeneity", "structure_constants", "contract_two"):
+        spy = functools.cached_property(counted_property)
+        spy.__set_name__(FrobeniusData, name)
+        monkeypatch.setattr(FrobeniusData, name, spy)
+    for name in ("check_wdvv", "check_quasihomogeneity", "structure_constants"):
         def counted(*args, name=name, original=getattr(frobenius, name)):
             calls[name] += 1
             return original(*args)
@@ -468,7 +479,7 @@ def test_forward_quantities_derived_once(argv, derived, monkeypatch):
         monkeypatch.setattr(frobenius, name, counted)
     assert run(argv) == 0
     expected = Counter(check_quasihomogeneity=1, structure_constants=1)
-    expected.update(c_abc=derived, check_wdvv=derived, contract_two=derived)
+    expected.update(dict.fromkeys((*cached, "check_wdvv"), derived))
     assert calls == expected
 
 
@@ -784,12 +795,7 @@ def _fresh_process(argv):
 
 
 def test_one_process_prints_what_fresh_processes_print(monkeypatch, capsys):
-    # cli.main parses with one parser per process, whose command groups are
-    # filled when argv first reaches them; a usage error or a help page must
-    # leave it as a fresh one, and a group filled earlier must print as one
-    # filled now.
     monkeypatch.setenv("COLUMNS", "80")
-    cli.shared_parser.cache_clear()
     # Plain lines, which the table reads, come between them.
     sequence = (
         ["coxeter", "--rank", "9"],

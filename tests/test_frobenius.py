@@ -8,13 +8,12 @@ from flatpencil.frobenius import (
     FrobeniusData,
     check_quasihomogeneity,
     check_wdvv,
-    contract_two,
     intersection_form,
     structure_constants,
     to_flat_pencil,
     unity_scaling_certificate,
 )
-from flatpencil.geometry import check_flat_pencil, check_quasihomogeneous
+from flatpencil.geometry import check_flat_pencil, check_quasihomogeneous, contract
 from flatpencil.qpoly import QPoly
 from frobenius_oracle import pencil_gamma
 
@@ -206,7 +205,7 @@ def test_intersection_form_unity_slope(cp1):
 
 def test_raise_lower_round_trip(cp1):
     sc = structure_constants(cp1)
-    back = contract_two(sc.c_mixed, cp1.eta, cp1.n)
+    back = contract(cp1.eta, contract(cp1.eta, sc.c_mixed, 0, cp1.n), 1, cp1.n)
     for a in range(2):
         for b in range(2):
             for c in range(2):

@@ -25,10 +25,17 @@ The fraction-free elimination kernel behind `linalg.rank`, `nullspace`,
 rectangular, rank-deficient and augmented matrices of ints and Fractions
 against the `Fraction` Gauss-Jordan elimination and Bareiss determinant of
 `elimination_oracle`, errors included.
+
+The index kernel `geometry.contract` is checked against the written-out
+sum over the contracted index, on drawn tensors of rank 1-3 whose entries
+carry exponential factors, every slot of them, and Fraction matrices with
+zero rows and zero entries.
 """
 
 import copy
 import json
+from functools import reduce
+from operator import getitem
 from itertools import product
 from fractions import Fraction as Q
 from pathlib import Path
@@ -43,7 +50,7 @@ from hypothesis import strategies as st  # noqa: E402
 import elimination_oracle as oracle  # noqa: E402
 from flatpencil.errors import InputFormatError, NoSolutionError, ParseError  # noqa: E402
 from flatpencil.exprparse import parse_expr  # noqa: E402
-from flatpencil.geometry import ContraMetric, levi_civita  # noqa: E402
+from flatpencil.geometry import ContraMetric, contract, levi_civita  # noqa: E402
 from flatpencil.linalg import (  # noqa: E402
     det_value,
     mat_inverse,
@@ -345,3 +352,33 @@ def test_solve_affine_matches_elimination_oracle(system):
 def test_det_value_and_inverse_match_elimination_oracle(a):
     assert det_value(a) == oracle.det_value(a)
     assert outcome(mat_inverse, a) == outcome(oracle.mat_inverse, a)
+
+
+@st.composite
+def contractions(draw):
+    """(matrix, tensor, slot, rank, n): an n x n Fraction matrix, some rows
+    and entries zero, and a slot of a rank 1-3 tensor of quasi-polynomials
+    in n = 1-3 variables with exponential factors."""
+    n = draw(st.integers(1, 3))
+    rank = draw(st.integers(1, 3))
+    entry = st.one_of(st.just(Q(0)), st.fractions(min_value=-6, max_value=6, max_denominator=7))
+    row = st.one_of(st.just([Q(0)] * n), st.lists(entry, min_size=n, max_size=n))
+    matrix = draw(st.lists(row, min_size=n, max_size=n))
+
+    def tensor(depth):
+        return draw(small_quasi_polynomials(n, True)) if depth == 0 else [tensor(depth - 1) for _ in range(n)]
+
+    return matrix, tensor(rank), draw(st.integers(0, rank - 1)), rank, n
+
+
+@given(case=contractions())
+@example(case=([[Q(0), Q(2)], [Q(0), Q(0)]], [parse_expr("t1", 2), parse_expr("exp(t2)", 2)], 0, 1, 2))
+def test_contract_matches_written_out_sums(case):
+    matrix, tensor, slot, rank, n = case
+    got = contract(matrix, tensor, slot, n)
+    for idx in product(range(n), repeat=rank):
+        expected = QPoly.zero(n)
+        for l in range(n):
+            moved = idx[:slot] + (l,) + idx[slot + 1 :]
+            expected = expected + reduce(getitem, moved, tensor) * matrix[idx[slot]][l]
+        assert reduce(getitem, idx, got) == expected, idx

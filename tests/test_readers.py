@@ -98,7 +98,7 @@ def test_plain_args_agree_with_argparse(argv):
     plain = cli.plain_args(argv)
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            parsed = cli.parser_for(argv).parse_args(argv)
+            parsed = cli.build_parser().parse_args(argv)
     except SystemExit:
         assert plain is None
         return
