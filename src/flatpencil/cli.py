@@ -41,7 +41,6 @@ import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 from . import pencilio, reports
 from .coxeter import coxeter_pencil
@@ -52,9 +51,6 @@ from .loopspace import Density, bracket_from_metric, central_charge, recursion_s
 from .qpoly import QPoly
 from .reconstruction import reconstruct_frobenius
 from .reports import Certificate, Report
-
-if TYPE_CHECKING:
-    import argparse
 
 EXIT_OK = 0
 EXIT_CERT_FAIL = 1

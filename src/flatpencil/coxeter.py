@@ -25,7 +25,6 @@ invariant polynomial in given generators by exact linear solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import reports
@@ -48,24 +47,33 @@ from .reports import Certificate, Report
 Q = Fraction
 
 
-@dataclass
 class OrbitChart:
     """Grading of the A_rank invariant generators p_a = s_{h-a}."""
 
-    rank: int
-    h: int
-    degrees: list[int]  # decreasing, degrees[0] = h
+    def __init__(self, rank: int, h: int, degrees: list[int]):
+        self.rank = rank
+        self.h = h
+        self.degrees = degrees  # decreasing, degrees[0] = h
 
 
-@dataclass
 class CoxeterPencil:
-    chart: OrbitChart
-    pencil: PencilData  # in the normalized flat generators
-    flat_gens: list[QPoly]  # t^a as polynomials in p_1..p_n
-    p_in_t: list[QPoly]  # inverse generator map
-    unity_scale: Q  # e = (1/scale) d/dp_1 relative to the raw chart
-    d: Q
-    report: Report = field(default_factory=Report)
+    def __init__(
+        self,
+        chart: OrbitChart,
+        pencil: PencilData,
+        flat_gens: list[QPoly],
+        p_in_t: list[QPoly],
+        unity_scale: Q,
+        d: Q,
+        report: Report | None = None,
+    ):
+        self.chart = chart
+        self.pencil = pencil  # in the normalized flat generators
+        self.flat_gens = flat_gens  # t^a as polynomials in p_1..p_n
+        self.p_in_t = p_in_t  # inverse generator map
+        self.unity_scale = unity_scale  # e = (1/scale) d/dp_1 relative to the raw chart
+        self.d = d
+        self.report = Report() if report is None else report
 
 
 def build_orbit_chart(rank: int) -> OrbitChart:

@@ -23,7 +23,6 @@ there instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -49,7 +48,6 @@ from .reports import Certificate
 Q = Fraction
 
 
-@dataclass
 class FrobeniusData:
     """Potential-based presentation of a Frobenius structure.
 
@@ -58,25 +56,32 @@ class FrobeniusData:
     axiom.  ``unity`` is the 0-based coordinate index of the unity field.
     """
 
-    n: int
-    eta: list[list[Q]]
-    potential: QPoly
-    euler_linear: list[list[Q]]
-    euler_const: list[Q]
-    unity: int
-    d: Q
-
-    def __post_init__(self) -> None:
-        n = self.n
-        if len(self.eta) != n or any(len(r) != n for r in self.eta):
+    def __init__(
+        self,
+        n: int,
+        eta: list[list[Q]],
+        potential: QPoly,
+        euler_linear: list[list[Q]],
+        euler_const: list[Q],
+        unity: int,
+        d: Q,
+    ):
+        if len(eta) != n or any(len(r) != n for r in eta):
             raise ValueError("eta has wrong shape")
         for i in range(n):
             for j in range(i + 1, n):
-                if self.eta[i][j] != self.eta[j][i]:
+                if eta[i][j] != eta[j][i]:
                     raise ValueError("eta is not symmetric")
-        if not 0 <= self.unity < n:
+        if not 0 <= unity < n:
             raise ValueError("unity index out of range")
-        self.eta_inv = mat_inverse(self.eta)
+        self.n = n
+        self.eta = eta
+        self.potential = potential
+        self.euler_linear = euler_linear
+        self.euler_const = euler_const
+        self.unity = unity
+        self.d = d
+        self.eta_inv = mat_inverse(eta)
 
     def euler_field(self) -> VectorField:
         return VectorField([form + c for form, c in zip(linear_forms(self.euler_linear), self.euler_const)])
@@ -126,12 +131,12 @@ class FrobeniusData:
         return check_quasihomogeneity(self)
 
 
-@dataclass
 class StructureConstants:
     """c_low[a][b][c] = c_abc;  c_mixed[a][b][c] = c^{ab}_c (both raised)."""
 
-    c_low: list[list[list[QPoly]]]
-    c_mixed: list[list[list[QPoly]]]
+    def __init__(self, c_low: list[list[list[QPoly]]], c_mixed: list[list[list[QPoly]]]):
+        self.c_low = c_low
+        self.c_mixed = c_mixed
 
 
 def structure_constants(m: FrobeniusData) -> StructureConstants:

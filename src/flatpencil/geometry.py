@@ -71,7 +71,6 @@ lowered by a constant matrix such as eta or its inverse, as in (0.7)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import getitem
@@ -164,12 +163,18 @@ class Connection:
         return [[[x.as_poly() for x in row] for row in k] for k in self.gamma]
 
 
-@dataclass
 class VectorField:
-    components: list[QPoly]
+    """Components of a vector field; equal to another with equal components."""
+
+    def __init__(self, components: list[QPoly]):
+        self.components = components
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.components == other.components
 
 
-@dataclass
 class PencilData:
     """A pair of metrics, optionally with the scaling potential and degree;
     its scaling data (eta, E and e, L_E g1, d) and the connection of g1
@@ -177,25 +182,35 @@ class PencilData:
 
     ``flat_certified`` records that :func:`check_flat_pencil` passed on this
     pair; nothing else sets it.  The flat-pencil conditions are tensorial,
-    so ``reconstruction.transform_pencil`` carries the record to a pencil
-    in linearly changed coordinates, and ``dataclasses.replace`` of tau or
-    d keeps it.  A copy with another metric must be certified afresh.  The
-    inverse construction (``reconstruction.reconstruct_frobenius``) runs
-    only on a pencil with the record set.
+    so ``reconstruction.transform_pencil`` carries the record, with d, to
+    the pencil it builds in linearly changed coordinates.  A copy with
+    another metric must be certified afresh.  The inverse construction
+    (``reconstruction.reconstruct_frobenius``) runs only on a pencil with
+    the record set.
 
     ``quasihomogeneous_certified`` records that :func:`check_quasihomogeneous`
     passed on this pair, tau and d; nothing else sets it.  Its identities
-    are tensorial too, so ``transform_pencil`` carries it; a ``replace``
-    that keeps it may change tau only by a constant, which leaves E and e
-    as they are (the normalization drops the constant of tau).
+    are tensorial too, so ``transform_pencil`` carries it; the tau it is
+    handed in place of the moved one may differ from it only by a constant,
+    which leaves E and e as they are (the normalization drops the constant
+    of tau).
     """
 
-    g1: ContraMetric
-    g2: ContraMetric
-    tau: QPoly | None = None
-    d: Q | None = None
-    flat_certified: bool = False
-    quasihomogeneous_certified: bool = False
+    def __init__(
+        self,
+        g1: ContraMetric,
+        g2: ContraMetric,
+        tau: QPoly | None = None,
+        d: Q | None = None,
+        flat_certified: bool = False,
+        quasihomogeneous_certified: bool = False,
+    ):
+        self.g1 = g1
+        self.g2 = g2
+        self.tau = tau
+        self.d = d
+        self.flat_certified = flat_certified
+        self.quasihomogeneous_certified = quasihomogeneous_certified
 
     @property
     def n(self) -> int:

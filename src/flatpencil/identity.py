@@ -7,15 +7,13 @@ zero; the comparison is a proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .qpoly import QPoly, RatFunc
 
 
-@dataclass(frozen=True)
 class ZeroCertificate:
-    zero: bool
-    witness: str | None = None
+    def __init__(self, zero: bool, witness: str | None = None):
+        self.zero = zero
+        self.witness = witness
 
     def __bool__(self) -> bool:
         return self.zero

@@ -156,15 +156,20 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def charpoly(a: Matrix) -> list[Q]:
-    """Coefficients [1, c1, ..., cn] of det(x I - A) via Faddeev-LeVerrier."""
+    """Coefficients [1, c1, ..., cn] of det(x I - A) via Faddeev-LeVerrier,
+    run over the integer matrix B = D A, D the lcm of A's denominators:
+    every c_k(B) is an integer, so each trace divides exactly by k, and
+    c_k(A) = c_k(B) / D^k."""
     n = len(a)
+    den = lcm(*(x.denominator for row in a for x in row))
+    b = [[x.numerator * (den // x.denominator) for x in row] for row in a]
     coeffs = [Q(1)]
-    m = [[Q(x) for x in row] for row in a]  # A times the identity
+    m = [row[:] for row in b]  # B times the identity
     for k in range(1, n + 1):
         if k > 1:
-            m = mat_mul(a, m)
-        ck = -sum(m[i][i] for i in range(n)) / k
-        coeffs.append(ck)
+            m = mat_mul(b, m)
+        ck = -sum(m[i][i] for i in range(n)) // k
+        coeffs.append(Q(ck, den**k))
         for i in range(n):
             m[i][i] += ck
     return coeffs

@@ -20,7 +20,6 @@ of a covector, ``geometry.covariant_derivative``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import reports
@@ -40,26 +39,35 @@ from .reports import Report
 Q = Fraction
 
 
-@dataclass
 class Density:
     """Hydrodynamic density: depends on the fields, not their derivatives.
 
     A density returned by :func:`recursion_step` also carries the jet of
     ``h`` that the step verified it with: ``grad[e]`` = d_e h and
     ``hessian[e][g]`` = d_g d_e h.  ``Density(h)`` carries neither, and the
-    next step derives them.
+    next step derives them.  The jet is derived data, so equality and repr
+    read ``h`` alone.
     """
 
-    h: QPoly
-    grad: list[QPoly] | None = field(default=None, init=False, compare=False, repr=False)
-    hessian: list[list[QPoly]] | None = field(default=None, init=False, compare=False, repr=False)
+    def __init__(self, h: QPoly):
+        self.h = h
+        self.grad: list[QPoly] | None = None
+        self.hessian: list[list[QPoly]] | None = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.h == other.h
+
+    def __repr__(self) -> str:
+        return f"Density(h={self.h!r})"
 
 
-@dataclass
 class CentralChargeReport:
-    c_formula: Q
-    c_lie: Q | None
-    equal: bool | None
+    def __init__(self, c_formula: Q, c_lie: Q | None, equal: bool | None):
+        self.c_formula = c_formula
+        self.c_lie = c_lie
+        self.equal = equal
 
 
 def bracket_from_metric(g: ContraMetric) -> Connection:

@@ -20,7 +20,6 @@ multiple of a declared generator rate for that coordinate.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from fractions import Fraction
 
@@ -259,4 +258,9 @@ def dump_frobenius(m: FrobeniusData) -> str:
 
 
 def sha256_digest(text: str) -> str:
+    """The sha256 of ``text`` in UTF-8, as hex.  hashlib loads OpenSSL's
+    libcrypto, a few MB of memory, so it is imported here: only a report
+    written under --out digests its input."""
+    import hashlib
+
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

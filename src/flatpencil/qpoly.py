@@ -81,10 +81,10 @@ t1..tn appear only in parsed/printed expressions and JSON files.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial, gcd, lcm, perm, prod
-from typing import Iterable, Mapping
 
 from .errors import OutOfRingError, RingBoundError
 

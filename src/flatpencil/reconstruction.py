@@ -21,7 +21,6 @@ exact scalars; certificates are collected stage by stage into one report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
 
@@ -68,14 +67,13 @@ Q = Fraction
 Delta = list[list[list[QPoly | RatFunc]]]
 
 
-@dataclass
 class Eigenspace:
-    value: Q
-    alg_mult: int
-    basis: list[list[Q]]  # covector components
+    def __init__(self, value: Q, alg_mult: int, basis: list[list[Q]]):
+        self.value = value
+        self.alg_mult = alg_mult
+        self.basis = basis  # covector components
 
 
-@dataclass
 class OperatorPair:
     """Constant operators on covector components.
 
@@ -84,13 +82,23 @@ class OperatorPair:
     skew-symmetric for the pairing eta^{ij}.
     """
 
-    k_op: list[list[Q]]
-    r_op: list[list[Q]]
-    lam_op: list[list[Q]]
-    d: Q
-    spectrum: list[Eigenspace]
-    spectrum_complete: bool
-    certificates: list[Certificate] = field(default_factory=list)
+    def __init__(
+        self,
+        k_op: list[list[Q]],
+        r_op: list[list[Q]],
+        lam_op: list[list[Q]],
+        d: Q,
+        spectrum: list[Eigenspace],
+        spectrum_complete: bool,
+        certificates: list[Certificate] | None = None,
+    ):
+        self.k_op = k_op
+        self.r_op = r_op
+        self.lam_op = lam_op
+        self.d = d
+        self.spectrum = spectrum
+        self.spectrum_complete = spectrum_complete
+        self.certificates = [] if certificates is None else certificates
 
     @property
     def n(self) -> int:
@@ -101,27 +109,43 @@ class OperatorPair:
         return rank(self.r_op) == self.n
 
 
-@dataclass
 class NormalizationResult:
     """The pencil in normalized flat coordinates, with d resolved, and what
     the rest of the construction reads of it, each built once."""
 
-    pencil: PencilData
-    matrix: list[list[Q]]  # t_new = matrix . t_old
-    identity: bool
-    delta: Delta
-    ops: OperatorPair
-    certificates: list[Certificate] = field(default_factory=list)
+    def __init__(
+        self,
+        pencil: PencilData,
+        matrix: list[list[Q]],
+        identity: bool,
+        delta: Delta,
+        ops: OperatorPair,
+        certificates: list[Certificate] | None = None,
+    ):
+        self.pencil = pencil
+        self.matrix = matrix  # t_new = matrix . t_old
+        self.identity = identity
+        self.delta = delta
+        self.ops = ops
+        self.certificates = [] if certificates is None else certificates
 
 
-@dataclass
 class ReconstructionResult:
-    c_mixed: list[list[list[QPoly]]]
-    potential: QPoly
-    frobenius: FrobeniusData
-    mode: str  # "regular" or "d1-remark"
-    change: list[list[Q]]  # composite linear change, t_final = change . t_input
-    report: Report = field(default_factory=Report)
+    def __init__(
+        self,
+        c_mixed: list[list[list[QPoly]]],
+        potential: QPoly,
+        frobenius: FrobeniusData,
+        mode: str,
+        change: list[list[Q]],
+        report: Report | None = None,
+    ):
+        self.c_mixed = c_mixed
+        self.potential = potential
+        self.frobenius = frobenius
+        self.mode = mode  # "regular" or "d1-remark"
+        self.change = change  # composite linear change, t_final = change . t_input
+        self.report = Report() if report is None else report
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +359,7 @@ def normalize_flat_coordinates(p: PencilData) -> NormalizationResult:
         # nonzero complete it to a basis: the determinant is +-that entry.
         last = max(i for i, x in enumerate(grad) if x)
         matrix = [row for i, row in enumerate(identity_matrix(n)) if i != last] + [grad]
-        q = replace(transform_pencil(p, matrix), tau=QPoly.var(n, n - 1))
+        q = transform_pencil(p, matrix, tau=QPoly.var(n, n - 1))
 
     d = q.inferred_degree
     if p.d is not None and p.d != d:
@@ -369,18 +393,23 @@ def normalize_flat_coordinates(p: PencilData) -> NormalizationResult:
     return NormalizationResult(q, matrix, identity, delta, ops, certs)
 
 
-def transform_pencil(p: PencilData, matrix: list[list[Q]]) -> PencilData:
-    """Apply the linear coordinate change t_new = matrix . t_old.  The
-    flat-pencil and scaling conditions are tensorial, so ``replace`` carries
-    the records that they were certified over, with d."""
+def transform_pencil(p: PencilData, matrix: list[list[Q]], tau: QPoly | None = None) -> PencilData:
+    """Apply the linear coordinate change t_new = matrix . t_old.  ``tau``,
+    when given, stands in for p's tau in the new coordinates, from which it
+    may differ only by a constant.  The flat-pencil and scaling conditions
+    are tensorial, so the new pencil carries the records that they were
+    certified over, with d."""
     new_coords = linear_forms(matrix)
     old_in_new = linear_forms(mat_inverse(matrix))
-    tau = p.tau.substitute(old_in_new) if p.tau is not None else None
-    return replace(
-        p,
-        g1=push_metric(p.g1, new_coords, old_in_new),
-        g2=push_metric(p.g2, new_coords, old_in_new),
-        tau=tau,
+    if tau is None and p.tau is not None:
+        tau = p.tau.substitute(old_in_new)
+    return PencilData(
+        push_metric(p.g1, new_coords, old_in_new),
+        push_metric(p.g2, new_coords, old_in_new),
+        tau,
+        p.d,
+        p.flat_certified,
+        p.quasihomogeneous_certified,
     )
 
 

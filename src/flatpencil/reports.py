@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .identity import is_zero_identity
 
 PASS = "pass"
@@ -11,13 +9,19 @@ FAIL = "fail"
 SKIPPED = "skipped"
 
 
-@dataclass(frozen=True)
 class Certificate:
-    """Outcome of one named identity check."""
+    """Outcome of one named identity check; equal to another with the same
+    name, status and witness."""
 
-    name: str
-    status: str
-    witness: str | None = None
+    def __init__(self, name: str, status: str, witness: str | None = None):
+        self.name = name
+        self.status = status
+        self.witness = witness
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.status, self.witness) == (other.name, other.status, other.witness)
 
     @property
     def passed(self) -> bool:
@@ -39,11 +43,11 @@ def skipped(name: str, reason: str) -> Certificate:
     return Certificate(name, SKIPPED, witness=reason)
 
 
-@dataclass
 class Report:
     """A bundle of certificates produced by one operation."""
 
-    certificates: list[Certificate] = field(default_factory=list)
+    def __init__(self, certificates: list[Certificate] | None = None):
+        self.certificates = [] if certificates is None else certificates
 
     @property
     def passed(self) -> bool:

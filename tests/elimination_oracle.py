@@ -1,7 +1,9 @@
 """Oracle for the constant linear algebra of `flatpencil.linalg`: the
 Gauss-Jordan elimination over `Fraction` and the Bareiss determinant that
 `rank`, `nullspace`, `solve_affine`, `mat_inverse` and `det_value` ran
-before they shared one fraction-free Gauss-Jordan kernel."""
+before they shared one fraction-free Gauss-Jordan kernel, and the
+Faddeev-LeVerrier loop over `Fraction` that `charpoly` ran before it
+cleared denominators once."""
 
 from fractions import Fraction as Q
 from math import lcm
@@ -97,3 +99,19 @@ def det_value(a) -> Q:
             rows[i] = [(pk * row[j] - f * top[j]) // prev for j in range(n)]
         prev = pk
     return Q(sign * prev, scale)
+
+
+def charpoly(a) -> list[Q]:
+    """Faddeev-LeVerrier over `Fraction`: coefficients [1, c1, ..., cn] of
+    det(x I - A)."""
+    n = len(a)
+    coeffs = [Q(1)]
+    m = [[Q(x) for x in row] for row in a]  # A times the identity
+    for k in range(1, n + 1):
+        if k > 1:
+            m = [[sum(a[i][l] * m[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+        ck = -sum(m[i][i] for i in range(n)) / k
+        coeffs.append(ck)
+        for i in range(n):
+            m[i][i] += ck
+    return coeffs

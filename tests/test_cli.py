@@ -928,12 +928,18 @@ def test_candidate_fallback_prints_kernel_bytes(tmp_path, monkeypatch, capsys, c
         assert outputs["check"][1].err.startswith("certification error: DegreeInferenceError")
 
 
-def test_plain_lines_import_no_argparse():
+def test_plain_lines_import_no_argparse(tmp_path):
     # A plain command line is read by the table; argparse, and the gettext
-    # it imports, load only for help, usage and errors.
+    # it imports, load only for help, usage and errors.  Neither the import
+    # nor a run without --out loads hashlib (OpenSSL's libcrypto) or
+    # dataclasses and the inspect, ast, dis and tokenize it pulls in; the
+    # digest of an --out report loads hashlib.
     code = (
-        "import sys; from flatpencil import cli\n"
-        "def loaded(): print(sorted({'argparse', 'gettext'} & set(sys.modules)), file=sys.stderr)\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from flatpencil import cli\n"
+        "watched = {'hashlib', '_hashlib', 'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'argparse', 'gettext'}\n"
+        "def loaded(): print(sorted(watched & (set(sys.modules) - before)), file=sys.stderr)\n"
         "loaded()\n"
         "for argv in sys.argv[1:]:\n"
         "    try:\n"
@@ -942,10 +948,19 @@ def test_plain_lines_import_no_argparse():
         "        pass\n"
         "    loaded()\n"
     )
-    argv = ["coxeter|--rank|1", f"bracket|recurse|{PENCIL1}|--steps|1", "--help"]
+    recurse = f"bracket|recurse|{PENCIL1}|--steps|1"
+    argv = ["coxeter|--rank|1", recurse, f"{recurse}|--out|{tmp_path}", "--help"]
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
-    assert proc.stderr.splitlines() == ["[]", "[]", "[]", "['argparse', 'gettext']"]
+    assert proc.stderr.splitlines() == [
+        "[]",
+        "[]",
+        "[]",
+        "['_hashlib', 'hashlib']",
+        "['_hashlib', 'argparse', 'gettext', 'hashlib']",
+    ]
+    report = json.loads((tmp_path / "bracket-recurse-report.json").read_text(encoding="utf-8"))
+    assert report["inputs"][0]["sha256"] == hashlib.sha256(PENCIL1.read_bytes()).hexdigest()
 
 
 def test_report_digests_the_certified_text(tmp_path, monkeypatch):

@@ -24,7 +24,10 @@ The fraction-free elimination kernel behind `linalg.rank`, `nullspace`,
 `solve_affine`, `mat_inverse` and `det_value` is checked on drawn
 rectangular, rank-deficient and augmented matrices of ints and Fractions
 against the `Fraction` Gauss-Jordan elimination and Bareiss determinant of
-`elimination_oracle`, errors included.
+`elimination_oracle`, errors included.  `linalg.charpoly`, Faddeev-LeVerrier
+over the integer matrix that clearing denominators once gives, is checked
+against the loop over `Fraction` of the same oracle, on drawn dense,
+singular, diagonal and zero matrices up to 8x8.
 
 The index kernel `geometry.contract` is checked against the written-out
 sum over the contracted index, on drawn tensors of rank 1-3 whose entries
@@ -52,6 +55,7 @@ from flatpencil.errors import InputFormatError, NoSolutionError, ParseError  # n
 from flatpencil.exprparse import parse_expr  # noqa: E402
 from flatpencil.geometry import ContraMetric, contract, levi_civita  # noqa: E402
 from flatpencil.linalg import (  # noqa: E402
+    charpoly,
     det_value,
     mat_inverse,
     nullspace,
@@ -352,6 +356,26 @@ def test_solve_affine_matches_elimination_oracle(system):
 def test_det_value_and_inverse_match_elimination_oracle(a):
     assert det_value(a) == oracle.det_value(a)
     assert outcome(mat_inverse, a) == outcome(oracle.mat_inverse, a)
+
+
+@st.composite
+def square_matrices(draw):
+    """An n x n matrix of ints and Fractions, n = 1-8: drawn by
+    `rational_matrices` (singular ones among them), diagonal, or zero."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["dense", "diagonal", "zero"]))
+    if kind == "dense":
+        return draw(rational_matrices(nrows=n, ncols=n))
+    diagonal = draw(st.lists(scalars, min_size=n, max_size=n)) if kind == "diagonal" else [0] * n
+    return [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+@given(a=square_matrices())
+@example(a=[[0]])
+@example(a=[[Q(1, 2), 0], [0, Q(-2, 3)]])
+@example(a=[[1, 2], [2, 4]])
+def test_charpoly_matches_elimination_oracle(a):
+    assert charpoly(a) == oracle.charpoly(a)
 
 
 @st.composite

@@ -1,7 +1,6 @@
 import functools
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -32,6 +31,7 @@ from flatpencil.loopspace import bracket_from_metric
 from flatpencil.pencilio import load_frobenius, load_pencil
 from flatpencil.qpoly import QPoly, RatFunc
 from flatpencil.reconstruction import (
+    NormalizationResult,
     check_delta_properties,
     delta_tensor,
     multiplication,
@@ -108,7 +108,8 @@ def test_delta_mutation_breaks_curl(a2):
     report = check_flat_pencil(mutated)
     assert not report.find("pencil-curvature").passed
     assert not mutated.flat_certified
-    norm = replace(normalize_flat_coordinates(p), pencil=mutated, delta=delta_tensor(mutated))
+    norm = normalize_flat_coordinates(p)
+    norm = NormalizationResult(mutated, norm.matrix, norm.identity, delta_tensor(mutated), norm.ops, norm.certificates)
     with pytest.raises(InternalCheckError, match="check_flat_pencil has not certified"):
         check_delta_properties(norm)
 
@@ -180,7 +181,7 @@ def test_flat_record_survives_transform_and_replace():
     assert check_flat_pencil(p).passed
     moved = transform_pencil(p, [[Q(1), Q(2)], [Q(3), Q(7)]])
     assert moved.flat_certified
-    assert replace(moved, tau=QPoly.var(2, 1)).flat_certified
+    assert transform_pencil(p, [[Q(1), Q(2)], [Q(3), Q(7)]], tau=QPoly.var(2, 1)).flat_certified
     assert normalize_flat_coordinates(moved).pencil.flat_certified
 
 
@@ -432,7 +433,8 @@ def test_associativity_witness_is_first_nonzero_of_full_sweep(a2):
         [[QPoly.const(n, sum(c[a][k][g] * ops.r_op[k][j] for k in range(n))) for j in range(n)] for a in range(n)]
         for g in range(n)
     ]
-    _sc, report = multiplication(replace(norm, delta=delta))
+    probe = NormalizationResult(norm.pencil, norm.matrix, norm.identity, delta, norm.ops, norm.certificates)
+    _sc, report = multiplication(probe)
     sweep = (
         ((a, b, g, mu), sum(c[a][e][mu] * c[b][g][e] - c[b][e][mu] * c[a][g][e] for e in range(n)))
         for a in range(n)
@@ -455,8 +457,9 @@ def test_multiplication_rejects_singular(cp1_pencil):
     n = cp1_pencil.n
     mutated = [[[delta[k][i][j] for j in range(n)] for i in range(n)] for k in range(n)]
     mutated[0][0][1] = mutated[0][0][1] + RatFunc(qp("t1", n))  # dtau = dt2
+    probe = NormalizationResult(norm.pencil, norm.matrix, norm.identity, mutated, norm.ops, norm.certificates)
     with pytest.raises(KernelError) as info:
-        multiplication(replace(norm, delta=mutated))
+        multiplication(probe)
     assert "Delta(., dtau) is nonzero at entry (1,1)" in str(info.value)
 
 
