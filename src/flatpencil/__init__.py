@@ -10,8 +10,8 @@ normal-form comparison.
 
 from .errors import FlatPencilError, ParseError
 from .exprparse import parse_expr, parse_rational
-from .frobenius import FrobeniusData, StructureConstants
-from .geometry import Connection, ContraMetric, PencilData, VectorField
+from .frobenius import FrobeniusData
+from .geometry import Connection, ContraMetric, PencilData
 from .identity import ZeroCertificate, is_zero_identity
 from .qpoly import QPoly, RatFunc
 
@@ -24,8 +24,6 @@ __all__ = [
     "PencilData",
     "QPoly",
     "RatFunc",
-    "StructureConstants",
-    "VectorField",
     "ZeroCertificate",
     "is_zero_identity",
     "parse_expr",

@@ -14,9 +14,10 @@ Subcommands
 
 Exit codes: 0 all certificates pass, 1 certificate failure, 2 usage error
 or output that cannot be written (a report or artifact write failed), 3
-malformed input (parse errors carry line/column) or an input too large for
-the ring (a coordinate power or exponential rate bound crossed during the
-run), 4 internal error (a redundant self-check failed: a toolkit bug, not a
+malformed input (an unreadable or non-UTF-8 file, or an expression error,
+which carries line/column) or an input too large for the ring (a
+coordinate power or exponential rate bound crossed during the run), 4
+internal error (a redundant self-check failed: a toolkit bug, not a
 verdict on the input).
 Reports are printed as text and, with --out DIR, written as canonical JSON;
 identical inputs produce byte-identical report files.
@@ -263,7 +264,7 @@ def write_artifact(out: Path, name: str, text: str) -> str:
 def read_input(path: Path) -> str:
     try:
         return path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
 
 
@@ -300,7 +301,7 @@ def frobenius_report(m) -> tuple[Report, dict]:
     report.add(unity_scaling_certificate(m))
     if report.passed:
         # The unity axiom c(e, ., .) = eta; a violation raises UnityViolationError.
-        m.structure
+        m.unity_axiom
     return report, extra
 
 
@@ -316,10 +317,8 @@ def cmd_frobenius_pencil(args, text):
     outputs = []
     if report.passed:
         pencil = to_flat_pencil(m)
-        for cert in check_flat_pencil(pencil).certificates:
-            report.add(cert)
-        for cert in check_quasihomogeneous(pencil).certificates:
-            report.add(cert)
+        report.extend(check_flat_pencil(pencil).certificates)
+        report.extend(check_quasihomogeneous(pencil).certificates)
         extra["degree-d"] = pencil.degree
         # both unity conventions: the coordinate index of e and the scaling
         # potential tau it pairs into
@@ -335,8 +334,7 @@ def cmd_pencil_check(args, text):
     report = check_flat_pencil(pencil)
     extra = {}
     if pencil.tau is not None:
-        for cert in check_quasihomogeneous(pencil).certificates:
-            report.add(cert)
+        report.extend(check_quasihomogeneous(pencil).certificates)
         extra["degree-d"] = pencil.degree
     return report, extra, []
 
@@ -368,7 +366,7 @@ def cmd_coxeter(args, _text):
         raise SystemExit(EXIT_USAGE)
     bundle, recon = coxeter_pencil(args.rank)
     extra = {
-        "degree-d": bundle.d,
+        "degree-d": bundle.pencil.d,
         "coxeter-number": bundle.chart.h,
         "unity-scale": bundle.unity_scale,
         "mode": recon.mode,
@@ -466,11 +464,12 @@ def cmd_bracket_central_charge(args, text):
         report.add(reports.skipped("central-charge-match", "no Coxeter tag supplied"))
     else:
         extra["central-charge-lie"] = result.c_lie
+        equal = result.c_formula == result.c_lie
         report.add(
             Certificate(
                 "central-charge-match",
-                reports.PASS if result.equal else reports.FAIL,
-                witness=None if result.equal else f"{result.c_formula} != {result.c_lie}",
+                reports.PASS if equal else reports.FAIL,
+                witness=None if equal else f"{result.c_formula} != {result.c_lie}",
             )
         )
     return report, extra, []

@@ -32,7 +32,6 @@ from .errors import GradingError, InternalCheckError, NoSolutionError, RewriteEr
 from .geometry import (
     ContraMetric,
     PencilData,
-    VectorField,
     check_flat_pencil,
     check_quasihomogeneous,
     covariant_derivative,
@@ -64,7 +63,6 @@ class CoxeterPencil:
         flat_gens: list[QPoly],
         p_in_t: list[QPoly],
         unity_scale: Q,
-        d: Q,
         report: Report | None = None,
     ):
         self.chart = chart
@@ -72,7 +70,6 @@ class CoxeterPencil:
         self.flat_gens = flat_gens  # t^a as polynomials in p_1..p_n
         self.p_in_t = p_in_t  # inverse generator map
         self.unity_scale = unity_scale  # e = (1/scale) d/dp_1 relative to the raw chart
-        self.d = d
         self.report = Report() if report is None else report
 
 
@@ -192,14 +189,13 @@ def arnold_metric(chart: OrbitChart) -> ContraMetric:
     return ContraMetric(entries)
 
 
-def fields_and_tau(chart: OrbitChart) -> tuple[VectorField, QPoly]:
-    """Scaling field E = sum (deg_a/h) p_a d/dp_a and the quadratic invariant
-    tau = (x, x)/(2h) = s_2/(2h).  The unity is e = d/dp_1."""
+def fields_and_tau(chart: OrbitChart) -> tuple[list[QPoly], QPoly]:
+    """The components of the scaling field E = sum (deg_a/h) p_a d/dp_a and
+    the quadratic invariant tau = (x, x)/(2h) = s_2/(2h).  The unity is
+    e = d/dp_1."""
     n = chart.rank
     h = chart.h
-    e_big = VectorField(
-        [QPoly.var(n, a) * Q(chart.degrees[a], h) for a in range(n)]
-    )
+    e_big = [QPoly.var(n, a) * Q(chart.degrees[a], h) for a in range(n)]
     tau = QPoly.var(n, n - 1) * Q(1, 2 * h)
     return e_big, tau
 
@@ -366,25 +362,22 @@ def coxeter_pencil(rank: int) -> tuple[CoxeterPencil, ReconstructionResult]:
         )
     )
 
-    for cert in check_flat_pencil(pencil).certificates:
-        report.add(cert)
-    for cert in check_quasihomogeneous(pencil).certificates:
-        report.add(cert)
+    report.extend(check_flat_pencil(pencil).certificates)
+    report.extend(check_quasihomogeneous(pencil).certificates)
     # e = eta grad(t^n) is the raised tau, d/dp_1 / kappa, so e^a =
     # d_{p_1} t^a / kappa: 1 for a = 1 by the choice of kappa and 0 for the
     # rest by the guard that no lower-degree generator depends on p_1.
     report.add(Certificate("unity-normalized", reports.PASS))
 
     recon = reconstruct_frobenius(pencil)
-    poly_ok = recon.potential.is_polynomial()
+    poly_ok = recon.frobenius.potential.is_polynomial()
     report.add(
         Certificate(
             "potential-polynomial",
             reports.PASS if poly_ok else reports.FAIL,
         )
     )
-    for cert in recon.report.certificates:
-        report.add(cert)
+    report.extend(recon.report.certificates)
 
     bundle = CoxeterPencil(
         chart=chart,
@@ -392,7 +385,6 @@ def coxeter_pencil(rank: int) -> tuple[CoxeterPencil, ReconstructionResult]:
         flat_gens=t_polys,
         p_in_t=p_in_t,
         unity_scale=kappa_val,
-        d=d,
         report=report,
     )
     return bundle, recon

@@ -15,10 +15,9 @@ The forward quantities are derived once, on first use, and cached on the
 `FrobeniusData` every consumer reads: the gradient and Hessian of F, c_abc,
 c^a_{bc} (its first index raised by ``geometry.contract``, which the WDVV
 certificate reads), c^{ab}_c (c^a_{bc} with its second index raised), the
-unity-checked pair of structure constants, the WDVV certificate and the
-scaling data A, B, C.  A caller that already holds the gradient, Hessian,
-c_abc and c^{ab}_c of F, as the inverse construction does, may set them
-there instead.
+check of the unity axiom, the WDVV certificate and the scaling data A, B,
+C.  A caller that already holds the gradient, Hessian, c_abc and c^{ab}_c
+of F, as the inverse construction does, may set them there instead.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .errors import (
 from .geometry import (
     ContraMetric,
     PencilData,
-    VectorField,
     contract,
     lie_derivative,
     linear_forms,
@@ -83,13 +81,15 @@ class FrobeniusData:
         self.d = d
         self.eta_inv = mat_inverse(eta)
 
-    def euler_field(self) -> VectorField:
-        return VectorField([form + c for form, c in zip(linear_forms(self.euler_linear), self.euler_const)])
+    def euler_field(self) -> list[QPoly]:
+        """The components of E."""
+        return [form + c for form, c in zip(linear_forms(self.euler_linear), self.euler_const)]
 
-    def unity_field(self) -> VectorField:
+    def unity_field(self) -> list[QPoly]:
+        """The components of e = d/dt^u."""
         comps = [QPoly.zero(self.n) for _ in range(self.n)]
         comps[self.unity] = QPoly.const(self.n, 1)
-        return VectorField(comps)
+        return comps
 
     def eta_metric(self) -> ContraMetric:
         """eta as a constant contravariant metric (indices raised)."""
@@ -119,8 +119,9 @@ class FrobeniusData:
         return contract(self.eta_inv, self.c_up, 1, self.n)
 
     @cached_property
-    def structure(self) -> StructureConstants:
-        return structure_constants(self)
+    def unity_axiom(self) -> None:
+        """The unity axiom, checked once, on first read (:func:`check_unity`)."""
+        check_unity(self)
 
     @cached_property
     def wdvv(self) -> Certificate:
@@ -131,20 +132,9 @@ class FrobeniusData:
         return check_quasihomogeneity(self)
 
 
-class StructureConstants:
-    """c_low[a][b][c] = c_abc;  c_mixed[a][b][c] = c^{ab}_c (both raised)."""
-
-    def __init__(self, c_low: list[list[list[QPoly]]], c_mixed: list[list[list[QPoly]]]):
-        self.c_low = c_low
-        self.c_mixed = c_mixed
-
-
-def structure_constants(m: FrobeniusData) -> StructureConstants:
-    """Triple derivatives of the potential, plus the eta-raised form, both
-    read from ``m``.
-
-    Verifies the unity axiom: the unity slice of c_low equals eta.
-    """
+def check_unity(m: FrobeniusData) -> None:
+    """The unity axiom c(e, ., .) = eta: the unity slice of ``m.c_low``
+    equals eta, else UnityViolationError."""
     n = m.n
     c_low = m.c_low
     for a in range(n):
@@ -154,7 +144,6 @@ def structure_constants(m: FrobeniusData) -> StructureConstants:
                     f"c(e, d_{a + 1}, d_{b + 1}) = {c_low[m.unity][a][b]} "
                     f"differs from eta entry {m.eta[a][b]}"
                 )
-    return StructureConstants(c_low=c_low, c_mixed=m.c_mixed)
 
 
 def check_wdvv(m: FrobeniusData) -> Certificate:
@@ -162,7 +151,7 @@ def check_wdvv(m: FrobeniusData) -> Certificate:
 
         c_abl eta^{lm} c_mcd = c_dbl eta^{lm} c_mca   for all a, b, c, d.
 
-    The unity axiom is not checked here; `structure_constants` owns it.
+    The unity axiom is not checked here; `check_unity` owns it.
     """
     n = m.n
     c_low, raised = m.c_low, m.c_up
@@ -187,8 +176,7 @@ def check_quasihomogeneity(m: FrobeniusData) -> tuple[list[list[Q]], list[Q], Q]
     scaling K^T eta + eta K = (2 - d) eta, which pins the charge d.
     """
     n = m.n
-    e_field = m.euler_field()
-    residual = dot(n, zip(e_field.components, m.gradient), [(m.potential, 3 - m.d)])
+    residual = dot(n, zip(m.euler_field(), m.gradient), [(m.potential, 3 - m.d)])
     extra = residual - residual.poly_part_degree_at_most(2)
     if not extra.is_zero():
         raise NotQuasihomogeneousError(
@@ -223,9 +211,9 @@ def intersection_form(m: FrobeniusData) -> ContraMetric:
     """
     n = m.n
     a_mat = m.scaling[0]
-    sc = m.structure
+    m.unity_axiom
     e_field = m.euler_field()
-    entries = [[dot(n, zip(e_field.components, sc.c_mixed[a][b])) for b in range(n)] for a in range(n)]
+    entries = [[dot(n, zip(e_field, m.c_mixed[a][b])) for b in range(n)] for a in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if not (entries[i][j] - entries[j][i]).is_zero():
@@ -273,9 +261,10 @@ def to_flat_pencil(m: FrobeniusData) -> PencilData:
 
 def unity_scaling_certificate(m: FrobeniusData) -> Certificate:
     """L_E e = -e, a consequence of the Euler scaling of the multiplication."""
-    bracket = lie_derivative(m.euler_field(), m.unity_field().components, 1)
+    unity = m.unity_field()
+    bracket = lie_derivative(m.euler_field(), unity, 1)
     for i in range(m.n):
-        res = bracket[i] + m.unity_field().components[i]
+        res = bracket[i] + unity[i]
         if not res.is_zero():
             return Certificate(
                 "unity-euler-weight", reports.FAIL, witness=f"component {i + 1}: {res}"

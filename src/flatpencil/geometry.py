@@ -163,18 +163,6 @@ class Connection:
         return [[[x.as_poly() for x in row] for row in k] for k in self.gamma]
 
 
-class VectorField:
-    """Components of a vector field; equal to another with equal components."""
-
-    def __init__(self, components: list[QPoly]):
-        self.components = components
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.components == other.components
-
-
 class PencilData:
     """A pair of metrics, optionally with the scaling potential and degree;
     its scaling data (eta, E and e, L_E g1, d) and the connection of g1
@@ -240,12 +228,12 @@ class PencilData:
         return contract(self.eta_cov, self.g1.g, 0, self.n), contract(self.eta_cov, gamma, 1, self.n)
 
     @cached_property
-    def euler(self) -> tuple[VectorField, VectorField]:
-        """E = g1 grad(tau), e = g2 grad(tau)."""
+    def euler(self) -> tuple[list[QPoly], list[QPoly]]:
+        """The components of E = g1 grad(tau) and e = g2 grad(tau)."""
         if self.tau is None:
             raise ValueError("pencil carries no scaling potential tau")
         grad = [self.tau.diff(s) for s in range(self.n)]
-        return tuple(VectorField([dot(g.nvars, zip(row, grad)) for row in g.g]) for g in (self.g1, self.g2))
+        return tuple([dot(g.nvars, zip(row, grad)) for row in g.g] for g in (self.g1, self.g2))
 
     @cached_property
     def euler_lie_g1(self) -> list[list[QPoly]]:
@@ -364,7 +352,7 @@ def flat_candidate(p: PencilData) -> Connection | None:
     g1, n = p.g1, p.n
     if p.tau is None or not p.g2.is_constant():
         return None
-    de = [[c.diff(b) for b in range(n)] for c in p.euler[0].components]
+    de = [[c.diff(b) for b in range(n)] for c in p.euler[0]]
     if any(not x.is_constant() or (a != b and x) for a, row in enumerate(de) for b, x in enumerate(row)):
         return None
     w = [de[a][a].constant_value() for a in range(n)]
@@ -471,15 +459,15 @@ def is_flat(g: ContraMetric) -> Certificate:
 # ---------------------------------------------------------------------------
 
 
-def lie_derivative(x: VectorField, tensor, rank: int, lower: int = 0):
-    """L_X of a rank-``rank`` tensor given as nested lists, its first
-    ``lower`` indices lower (the bracket [X, Y] is L_X Y):
+def lie_derivative(xs: list[QPoly], tensor, rank: int, lower: int = 0):
+    """L_X, for X with the components ``xs``, of a rank-``rank`` tensor given
+    as nested lists, its first ``lower`` indices lower (the bracket [X, Y] is
+    L_X Y):
 
         L_X T = X^s d_s T + sum_lower T_{..s..} d_k X^s - sum_upper T^{..s..} d_s X^i.
 
     Each entry is one ``dot``, the transport pairs first and then each
     slot's in slot order; entries may be QPoly or RatFunc."""
-    xs = x.components
     n, nvars = len(xs), xs[0].nvars
     dx = [[c.diff(s) for s in range(n)] for c in xs]
 
@@ -555,12 +543,12 @@ def push_metric(g: ContraMetric, new_coords: list[QPoly], old_in_new: list[QPoly
     return ContraMetric(out)
 
 
-def push_vector(x: VectorField, new_coords: list[QPoly], old_in_new: list[QPoly]) -> VectorField:
-    """The vector field X'^a(y) = (X^i d_i y^a)(x(y)), coordinates as in
-    :func:`push_metric`."""
-    nvars = x.components[0].nvars
-    comps = [dot(nvars, [(c, y.diff(i)) for i, c in enumerate(x.components)]) for y in new_coords]
-    return VectorField([c.substitute(old_in_new) for c in comps])
+def push_vector(xs: list[QPoly], new_coords: list[QPoly], old_in_new: list[QPoly]) -> list[QPoly]:
+    """The components X'^a(y) = (X^i d_i y^a)(x(y)) of the vector field with
+    the components ``xs``, coordinates as in :func:`push_metric`."""
+    nvars = xs[0].nvars
+    comps = [dot(nvars, [(c, y.diff(i)) for i, c in enumerate(xs)]) for y in new_coords]
+    return [c.substitute(old_in_new) for c in comps]
 
 
 # ---------------------------------------------------------------------------
@@ -601,11 +589,13 @@ def check_flat_pencil(p: PencilData) -> Report:
     conn2 = levi_civita(p.g2)
 
     big = nvars + 1  # trailing variable is lam
-    lam = QPoly.var(big, nvars)
-    g_l = [[p.g1.g[i][j].lift(big) - lam * p.g2.g[i][j].lift(big) for j in range(n)] for i in range(n)]
+    # X - lam*Y is summed as X + (-lam)*Y, which RatFunc's reflected + takes
+    # when only G2 holds fractions (QPoly - RatFunc has no operator).
+    minus_lam = -QPoly.var(big, nvars)
+    g_l = [[p.g1.g[i][j].lift(big) + minus_lam * p.g2.g[i][j].lift(big) for j in range(n)] for i in range(n)]
     gamma_l = [
         [
-            [conn1.gamma[k][i][j].lift(big) - lam * conn2.gamma[k][i][j].lift(big) for j in range(n)]
+            [conn1.gamma[k][i][j].lift(big) + minus_lam * conn2.gamma[k][i][j].lift(big) for j in range(n)]
             for i in range(n)
         ]
         for k in range(n)
@@ -681,11 +671,11 @@ def check_quasihomogeneous(p: PencilData) -> Report:
     d = p.degree
     report = Report()
 
-    bracket = lie_derivative(e_small, e_big.components, 1)
+    bracket = lie_derivative(e_small, e_big, 1)
     report.add(
         reports.residual_certificate(
             "unity-commutator",
-            entry_residuals(((i,), bracket[i] - e_small.components[i]) for i in range(p.n)),
+            entry_residuals(((i,), bracket[i] - e_small[i]) for i in range(p.n)),
         )
     )
     lie1 = p.euler_lie_g1

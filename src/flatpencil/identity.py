@@ -15,9 +15,6 @@ class ZeroCertificate:
         self.zero = zero
         self.witness = witness
 
-    def __bool__(self) -> bool:
-        return self.zero
-
 
 def is_zero_identity(value: QPoly | RatFunc) -> ZeroCertificate:
     """Decide whether a scalar vanishes identically.

@@ -64,10 +64,9 @@ class Density:
 
 
 class CentralChargeReport:
-    def __init__(self, c_formula: Q, c_lie: Q | None, equal: bool | None):
+    def __init__(self, c_formula: Q, c_lie: Q | None):
         self.c_formula = c_formula
         self.c_lie = c_lie
-        self.equal = equal
 
 
 def bracket_from_metric(g: ContraMetric) -> Connection:
@@ -122,7 +121,7 @@ def virasoro_check(m: FrobeniusData, p: PencilData) -> Report:
 
     def coordinate_pairing():
         for a in range(n):
-            yield f"a={a + 1}", dot(n, zip(p.g1.g[a], dtee_c), [(e_field.components[a], scale)])
+            yield f"a={a + 1}", dot(n, zip(p.g1.g[a], dtee_c), [(e_field[a], scale)])
 
     report.add(reports.residual_certificate("virasoro-coordinate-pairing", coordinate_pairing()))
 
@@ -214,10 +213,10 @@ def central_charge(m: FrobeniusData, coxeter_rank: int | None = None) -> Central
     For a type-A orbit space the same number must equal 12 rho^2, with rho
     half the sum of the positive roots in the normalization (alpha, alpha)
     = 2; the comparison value is computed from the root system itself.
-    The unity axiom of ``m`` is certified first (``m.structure`` raises
+    The unity axiom of ``m`` is certified first (``m.unity_axiom`` raises
     UnityViolationError), as on every other path that reads a potential.
     """
-    m.structure
+    m.unity_axiom
     if m.d == 1:
         raise DEqualsOneError("central charge formula requires d != 1")
     n = m.n
@@ -226,9 +225,8 @@ def central_charge(m: FrobeniusData, coxeter_rank: int | None = None) -> Central
     tr_sq = sum(lam[a][b] * lam[b][a] for a in range(n) for b in range(n))
     c_formula = Q(12) / (1 - m.d) ** 2 * (Q(n, 2) - 2 * tr_sq)
     if coxeter_rank is None:
-        return CentralChargeReport(c_formula=c_formula, c_lie=None, equal=None)
-    c_lie = 12 * weyl_vector_square(coxeter_rank)
-    return CentralChargeReport(c_formula=c_formula, c_lie=c_lie, equal=c_formula == c_lie)
+        return CentralChargeReport(c_formula=c_formula, c_lie=None)
+    return CentralChargeReport(c_formula=c_formula, c_lie=12 * weyl_vector_square(coxeter_rank))
 
 
 def weyl_vector_square(rank: int) -> Q:

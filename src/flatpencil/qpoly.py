@@ -71,7 +71,7 @@ over the dense set where the denominator is nonzero; :func:`exact_divide`
 turns a fraction into a quasi-polynomial when the division is exact.
 RatFunc is only built over a non-constant denominator: a quasi-polynomial
 stays a QPoly, which reads as the fraction self/1 (``num``, ``den``,
-``quotient``, ``as_poly``), so one kernel serves tensors of either kind.
+``as_poly``), so one kernel serves tensors of either kind.
 A QPoly operator returns NotImplemented for a RatFunc operand, so mixed
 sums and products are taken by RatFunc's reflected operators.
 
@@ -384,10 +384,6 @@ class QPoly:
         other = self._operand(other)
         return NotImplemented if other is None else self._plus(other, -1)
 
-    def __rsub__(self, other) -> "QPoly":
-        other = self._operand(other)
-        return NotImplemented if other is None else other._plus(self, -1)
-
     def __mul__(self, other) -> "QPoly":
         if not isinstance(other, QPoly):
             if not isinstance(other, (int, Fraction)):
@@ -427,9 +423,6 @@ class QPoly:
     @property
     def den(self) -> "QPoly":
         return QPoly.const(self.nvars, 1)
-
-    def quotient(self) -> "QPoly":
-        return self
 
     def as_poly(self) -> "QPoly":
         return self
@@ -700,9 +693,9 @@ def dot(nvars: int, plus: Iterable[tuple], minus: Iterable[tuple] = ()) -> "QPol
     term product goes into one store over the lcm of the pair denominators,
     which is reduced once, and a scalar operand scales the terms of the
     other one.  When any operand is a RatFunc the result is the
-    left fold ``acc + a*b`` over ``plus`` then ``acc - a*b`` over ``minus``
-    from zero, which is the arithmetic of the written-out loop, so a
-    fraction keeps the numerator and denominator that loop gives.
+    left fold ``acc + a*b`` over ``plus`` then ``acc + -(a*b)`` over
+    ``minus`` from zero, which is the arithmetic of the written-out loop, so
+    a fraction keeps the numerator and denominator that loop gives.
     """
     pairs = [(1, a, b) for a, b in plus] + [(-1, a, b) for a, b in minus]
     products = []
@@ -731,7 +724,8 @@ def dot(nvars: int, plus: Iterable[tuple], minus: Iterable[tuple] = ()) -> "QPol
 def _fold(nvars: int, pairs: list[tuple]) -> "QPoly | RatFunc":
     acc = QPoly.zero(nvars)
     for sign, a, b in pairs:
-        acc = acc + a * b if sign > 0 else acc - a * b
+        # QPoly - RatFunc has no operator; QPoly + RatFunc is RatFunc's reflected +.
+        acc = acc + (a * b if sign > 0 else -(a * b))
     return acc
 
 
@@ -851,7 +845,7 @@ class RatFunc:
     denominator divides the other is taken over the larger one, so a tensor
     over one shared denominator stays over it (or its square, after a
     derivative).  Nothing else is reduced: the value is exact whatever the
-    representation, and only :meth:`quotient` divides.
+    representation, and only :meth:`as_poly` and printing divide.
     """
 
     __slots__ = ("num", "den")
@@ -866,20 +860,13 @@ class RatFunc:
         self.num = num
         self.den = den
 
-    @property
-    def nvars(self) -> int:
-        return self.num.nvars
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def quotient(self) -> QPoly | None:
-        """num/den as a quasi-polynomial when the division is exact, else None."""
-        return exact_divide(self.num, self.den)
-
     def as_poly(self) -> QPoly:
-        """The quotient; raises OutOfRingError when it is not a quasi-polynomial."""
-        quo = self.quotient()
+        """num/den as a quasi-polynomial; raises OutOfRingError when the
+        division is not exact."""
+        quo = exact_divide(self.num, self.den)
         if quo is None:
             raise OutOfRingError("rational function with nontrivial denominator")
         return quo
@@ -904,9 +891,6 @@ class RatFunc:
 
     def __sub__(self, other) -> "RatFunc":
         return self + (-other)
-
-    def __rsub__(self, other) -> "RatFunc":
-        return self.__neg__().__add__(other)
 
     def __mul__(self, other) -> "RatFunc":
         if not isinstance(other, RatFunc):
@@ -934,7 +918,7 @@ class RatFunc:
         return RatFunc(self.num.lift(new_nvars), self.den.lift(new_nvars))
 
     def __str__(self) -> str:
-        quo = self.quotient()
+        quo = exact_divide(self.num, self.den)
         if quo is not None:
             return str(quo)
         return f"({self.num}) / ({self.den})"

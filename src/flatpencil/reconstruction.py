@@ -37,7 +37,7 @@ from .errors import (
     OutOfRingError,
     TauHessianError,
 )
-from .frobenius import FrobeniusData, StructureConstants
+from .frobenius import FrobeniusData
 from .geometry import (
     PencilData,
     contract,
@@ -117,31 +117,28 @@ class NormalizationResult:
         self,
         pencil: PencilData,
         matrix: list[list[Q]],
-        identity: bool,
         delta: Delta,
         ops: OperatorPair,
         certificates: list[Certificate] | None = None,
     ):
         self.pencil = pencil
         self.matrix = matrix  # t_new = matrix . t_old
-        self.identity = identity
         self.delta = delta
         self.ops = ops
         self.certificates = [] if certificates is None else certificates
 
 
 class ReconstructionResult:
+    """The recovered structure; its potential and structure constants are
+    those of ``frobenius``."""
+
     def __init__(
         self,
-        c_mixed: list[list[list[QPoly]]],
-        potential: QPoly,
         frobenius: FrobeniusData,
         mode: str,
         change: list[list[Q]],
         report: Report | None = None,
     ):
-        self.c_mixed = c_mixed
-        self.potential = potential
         self.frobenius = frobenius
         self.mode = mode  # "regular" or "d1-remark"
         self.change = change  # composite linear change, t_final = change . t_input
@@ -238,13 +235,13 @@ def operator_pair(p: PencilData) -> OperatorPair:
     e_big = p.euler[0]
     for a in range(n):
         for b in range(n):
-            if not e_big.components[a].diff(b).is_constant():
+            if not e_big[a].diff(b).is_constant():
                 raise NonlinearEulerError(
                     f"Euler component {a + 1} is not affine-linear in t{b + 1}"
                 )
     d = p.degree
     k_op = [
-        [e_big.components[j].diff(i).constant_value() for j in range(n)] for i in range(n)
+        [e_big[j].diff(i).constant_value() for j in range(n)] for i in range(n)
     ]
     r_op = [[k_op[i][j] + (Q(d - 1) / 2 if i == j else 0) for j in range(n)] for i in range(n)]
     lam_op = [[k_op[i][j] + (Q(d - 2) / 2 if i == j else 0) for j in range(n)] for i in range(n)]
@@ -351,8 +348,7 @@ def normalize_flat_coordinates(p: PencilData) -> NormalizationResult:
         raise NormalizationError("tau is constant; no normalization exists")
 
     tau_const = p.tau.coefficient((0,) * n)
-    identity = grad == [Q(0)] * (n - 1) + [Q(1)] and tau_const == 0
-    if identity:
+    if grad == [Q(0)] * (n - 1) + [Q(1)] and tau_const == 0:
         q, matrix = p, identity_matrix(n)
     else:
         # The unit rows at every axis but the last one where grad(tau) is
@@ -390,7 +386,7 @@ def normalize_flat_coordinates(p: PencilData) -> NormalizationResult:
             ),
         )
     )
-    return NormalizationResult(q, matrix, identity, delta, ops, certs)
+    return NormalizationResult(q, matrix, delta, ops, certs)
 
 
 def transform_pencil(p: PencilData, matrix: list[list[Q]], tau: QPoly | None = None) -> PencilData:
@@ -418,10 +414,11 @@ def transform_pencil(p: PencilData, matrix: list[list[Q]], tau: QPoly | None = N
 # ---------------------------------------------------------------------------
 
 
-def multiplication(norm: NormalizationResult) -> tuple[StructureConstants, Report]:
+def multiplication(norm: NormalizationResult) -> tuple[list, list, Report]:
     """u * v = Delta(u, w) + s u on covectors, where R w + s dtau = v;
-    structure constants from the coordinate 1-forms.  Delta is
-    ``norm.delta``, the connection of g1.
+    structure constants from the coordinate 1-forms, returned as c_abc and
+    c^{ab}_c with the report.  Delta is ``norm.delta``, the connection of
+    g1.
 
     When R is invertible, w = R^{-1} v and s = 0.  When R is singular (the
     d = 1 remark), the root subspace of Lam at -1/2 and ker R must be
@@ -475,7 +472,8 @@ def multiplication(norm: NormalizationResult) -> tuple[StructureConstants, Repor
     for a in range(n):
         for b in range(a + 1, n):
             for g in range(n):
-                res = c_raw[a][b][g] - c_raw[b][a][g]
+                # An entry with w = 0 is a QPoly, its mirror may be a RatFunc.
+                res = dot(nvars, [(c_raw[a][b][g], 1)], [(c_raw[b][a][g], 1)])
                 if not res.is_zero():
                     raise CommutativityError(
                         f"dt{a + 1} * dt{b + 1} differs from dt{b + 1} * dt{a + 1} "
@@ -540,7 +538,7 @@ def multiplication(norm: NormalizationResult) -> tuple[StructureConstants, Repor
         )
     c_mixed = _to_poly(c_raw)
     c_low = contract(p.eta_cov, contract(p.eta_cov, c_mixed, 0, nvars), 1, nvars)
-    return StructureConstants(c_low=c_low, c_mixed=c_mixed), report
+    return c_low, c_mixed, report
 
 
 def _to_poly(c_raw):
@@ -617,26 +615,22 @@ def reconstruct_frobenius(p: PencilData) -> ReconstructionResult:
     again."""
     report = Report()
     norm = normalize_flat_coordinates(p)
-    for cert in norm.certificates:
-        report.add(cert)
+    report.extend(norm.certificates)
     q, ops = norm.pencil, norm.ops
     n = q.n
 
-    for cert in check_delta_properties(norm).certificates:
-        report.add(cert)
-    for cert in ops.certificates:
-        report.add(cert)
+    report.extend(check_delta_properties(norm).certificates)
+    report.extend(ops.certificates)
 
-    sc, mult_report = multiplication(norm)
+    c_low, c_mixed, mult_report = multiplication(norm)
     mode = "regular" if ops.regular else "d1-remark"
-    for cert in mult_report.certificates:
-        report.add(cert)
+    report.extend(mult_report.certificates)
 
-    potential, gradient, hessian = recover_potential(sc.c_low)
+    potential, gradient, hessian = recover_potential(c_low)
 
     # Present the unity field as a coordinate direction.
     e_big, e_small = q.euler
-    e_comps = [c.constant_value() for c in e_small.components]
+    e_comps = [c.constant_value() for c in e_small]
     pres_matrix, unity_index = _unity_presentation_matrix(e_comps)
     if pres_matrix != identity_matrix(n):
         q_final = transform_pencil(q, pres_matrix)
@@ -647,10 +641,8 @@ def reconstruct_frobenius(p: PencilData) -> ReconstructionResult:
     else:
         q_final = q
 
-    k_lin = [
-        [e_big.components[a].diff(b).constant_value() for b in range(n)] for a in range(n)
-    ]
-    e_const = [e_big.components[a].coefficient((0,) * n) for a in range(n)]
+    k_lin = [[e_big[a].diff(b).constant_value() for b in range(n)] for a in range(n)]
+    e_const = [e_big[a].coefficient((0,) * n) for a in range(n)]
     frob_data = FrobeniusData(
         n=n,
         eta=q_final.eta_cov,
@@ -666,8 +658,8 @@ def reconstruct_frobenius(p: PencilData) -> ReconstructionResult:
         # eta-lowering of c_mixed with this pencil's eta, so the product
         # raises back to it.
         frob_data.gradient, frob_data.hessian = gradient, hessian
-        frob_data.c_low, frob_data.c_mixed = sc.c_low, sc.c_mixed
-    sc_final = frob_data.structure
+        frob_data.c_low, frob_data.c_mixed = c_low, c_mixed
+    frob_data.unity_axiom
     if mult_report.find("multiplication-associativity").passed:
         # d^3 F equals c_low, the eta-lowering of the certified associative
         # product (recover_potential verified both), and WDVV is tensorial
@@ -686,14 +678,7 @@ def reconstruct_frobenius(p: PencilData) -> ReconstructionResult:
     report.add(Certificate("closing-intersection-form", reports.PASS))
 
     composite = mat_mul(pres_matrix, norm.matrix)
-    return ReconstructionResult(
-        c_mixed=sc_final.c_mixed,
-        potential=potential,
-        frobenius=frob_data,
-        mode=mode,
-        change=composite,
-        report=report,
-    )
+    return ReconstructionResult(frobenius=frob_data, mode=mode, change=composite, report=report)
 
 
 def _unity_presentation_matrix(e_comps: list[Q]):

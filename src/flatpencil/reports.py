@@ -56,8 +56,8 @@ class Report:
     def add(self, cert: Certificate) -> None:
         self.certificates.append(cert)
 
-    def failures(self) -> list[Certificate]:
-        return [c for c in self.certificates if c.status == FAIL]
+    def extend(self, certs) -> None:
+        self.certificates.extend(certs)
 
     def find(self, name: str) -> Certificate:
         for c in self.certificates:

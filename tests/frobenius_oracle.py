@@ -34,12 +34,12 @@ def pencil_gamma(m: FrobeniusData) -> Connection:
     (g - lam * eta), verified to satisfy symmetry and metricity for every
     lam (the lam^0 and lam^1 coefficient identities)."""
     n = m.n
-    sc = m.structure
+    m.unity_axiom
     r_mat = scaling_operator(m)
     zero = QPoly.zero(n)
     gamma_poly = [
         [
-            [sum((sc.c_mixed[a][e][c] * r_mat[b][e] for e in range(n)), zero) for b in range(n)]
+            [sum((m.c_mixed[a][e][c] * r_mat[b][e] for e in range(n)), zero) for b in range(n)]
             for a in range(n)
         ]
         for c in range(n)
@@ -71,7 +71,7 @@ def delta_identity_residuals(p: PencilData):
     n = p.n
     dm = levi_civita(p.g1).gamma
     eta = p.g2.constant_entries()
-    e_big = p.euler[0].components
+    e_big = p.euler[0]
     de = [[c.diff(s) for s in range(n)] for c in e_big]
     d = p.degree
 
@@ -122,7 +122,7 @@ def unity_invariance_residuals(p: PencilData):
         e^s d_s Delta_k^{ij} + Delta_s^{ij} d_k e^s - Delta_k^{sj} d_s e^i - Delta_k^{is} d_s e^j."""
     n = p.n
     dm = levi_civita(p.g1).gamma
-    e = p.euler[1].components
+    e = p.euler[1]
     de = [[c.diff(s) for s in range(n)] for c in e]
     for k in range(n):
         for i in range(n):

@@ -111,6 +111,16 @@ def test_unknown_field_exit_3(tmp_path, capsys):
     assert "unknown fields" in capsys.readouterr().err
 
 
+def test_non_utf8_input_exit_3(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert run(["pencil", "check", bad]) == 3
+    assert capsys.readouterr() == (
+        "",
+        f"input error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n",
+    )
+
+
 def write_json(path, data):
     path.write_text(json.dumps(data), encoding="utf-8")
     return path
@@ -445,22 +455,24 @@ def test_frobenius_check_enforces_unity_axiom(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, derived",
+    "argv, derived, unformed",
     [
-        (["frobenius", "check", SOURCES / "a3-frobenius.json"], 1),
-        (["frobenius", "pencil", SOURCES / "a3-frobenius.json"], 1),
-        (["bracket", "virasoro", SOURCES / "a3-frobenius.json"], 1),
+        # The unity check reads c_abc alone, and nothing else in frobenius
+        # check reads c^{ab}_c, so that is never formed there.
+        (["frobenius", "check", SOURCES / "a3-frobenius.json"], 1, ("c_mixed",)),
+        (["frobenius", "pencil", SOURCES / "a3-frobenius.json"], 1, ()),
+        (["bracket", "virasoro", SOURCES / "a3-frobenius.json"], 1, ()),
         # The inverse construction reports WDVV as implied by the certified
         # associativity of its product, so it never reaches check_wdvv; with
         # the identity unity presentation it hands the FrobeniusData the
         # gradient, Hessian and c_abc that recover_potential verified and the
         # raised product of `multiplication`, so none is derived from F again.
-        (["pencil", "reconstruct", SOURCES / "a3-pencil.json"], 0),
-        (["coxeter", "--rank", "3"], 0),
+        (["pencil", "reconstruct", SOURCES / "a3-pencil.json"], 0, ()),
+        (["coxeter", "--rank", "3"], 0, ()),
     ],
     ids=["frobenius-check", "frobenius-pencil", "bracket-virasoro", "pencil-reconstruct", "coxeter"],
 )
-def test_forward_quantities_derived_once(argv, derived, monkeypatch):
+def test_forward_quantities_derived_once(argv, derived, unformed, monkeypatch):
     calls = Counter()
     cached = ("gradient", "hessian", "c_low", "c_up", "c_mixed")
     for name in cached:
@@ -471,15 +483,17 @@ def test_forward_quantities_derived_once(argv, derived, monkeypatch):
         spy = functools.cached_property(counted_property)
         spy.__set_name__(FrobeniusData, name)
         monkeypatch.setattr(FrobeniusData, name, spy)
-    for name in ("check_wdvv", "check_quasihomogeneity", "structure_constants"):
+    for name in ("check_wdvv", "check_quasihomogeneity", "check_unity"):
         def counted(*args, name=name, original=getattr(frobenius, name)):
             calls[name] += 1
             return original(*args)
 
         monkeypatch.setattr(frobenius, name, counted)
     assert run(argv) == 0
-    expected = Counter(check_quasihomogeneity=1, structure_constants=1)
+    expected = Counter(check_quasihomogeneity=1, check_unity=1)
     expected.update(dict.fromkeys((*cached, "check_wdvv"), derived))
+    for name in unformed:
+        expected[name] = 0
     assert calls == expected
 
 
@@ -525,7 +539,7 @@ def count_scaling_derivations(monkeypatch) -> Counter:
     lie = geometry.lie_derivative
 
     def counted_lie(x, tensor, rank, lower=0):
-        calls["lie", str(x.components), str(tensor), rank, lower] += 1
+        calls["lie", str(x), str(tensor), rank, lower] += 1
         return lie(x, tensor, rank, lower)
 
     monkeypatch.setattr(geometry, "lie_derivative", counted_lie)

@@ -7,9 +7,9 @@ from flatpencil.exprparse import parse_expr
 from flatpencil.frobenius import (
     FrobeniusData,
     check_quasihomogeneity,
+    check_unity,
     check_wdvv,
     intersection_form,
-    structure_constants,
     to_flat_pencil,
     unity_scaling_certificate,
 )
@@ -23,16 +23,16 @@ def qp(text, n):
 
 
 def test_structure_constants_cubic(cubic):
-    sc = structure_constants(cubic)
-    assert sc.c_low[0][0][0] == QPoly.const(1, 1)
+    check_unity(cubic)
+    assert cubic.c_low[0][0][0] == QPoly.const(1, 1)
 
 
 def test_structure_constants_cp1(cp1):
-    sc = structure_constants(cp1)
-    assert sc.c_low[0][0][1] == qp("1", 2)
-    assert sc.c_low[1][1][1] == qp("exp(t2)", 2)
-    assert sc.c_low[0][0][0].is_zero()
-    assert sc.c_low[0][1][1].is_zero()
+    check_unity(cp1)
+    assert cp1.c_low[0][0][1] == qp("1", 2)
+    assert cp1.c_low[1][1][1] == qp("exp(t2)", 2)
+    assert cp1.c_low[0][0][0].is_zero()
+    assert cp1.c_low[0][1][1].is_zero()
 
 
 def test_unity_violation():
@@ -46,7 +46,7 @@ def test_unity_violation():
         d=Q(0),
     )
     with pytest.raises(UnityViolationError):
-        structure_constants(bad)
+        check_unity(bad)
 
 
 def test_wdvv_low_dimensions(cubic, cp1):
@@ -131,10 +131,10 @@ def test_intersection_form_zero_euler_flagged_not_error():
         unity=0,
         d=Q(2),
     )
-    sc = structure_constants(cubic0)
+    check_unity(cubic0)
     e_field = cubic0.euler_field()
     entry = sum(
-        (e_field.components[e] * sc.c_mixed[0][0][e] for e in range(1)), QPoly.zero(1)
+        (e_field[e] * cubic0.c_mixed[0][0][e] for e in range(1)), QPoly.zero(1)
     )
     g = ContraMetric([[entry]])
     assert g.det.is_zero()
@@ -204,21 +204,21 @@ def test_intersection_form_unity_slope(cp1):
 
 
 def test_raise_lower_round_trip(cp1):
-    sc = structure_constants(cp1)
-    back = contract(cp1.eta, contract(cp1.eta, sc.c_mixed, 0, cp1.n), 1, cp1.n)
+    check_unity(cp1)
+    back = contract(cp1.eta, contract(cp1.eta, cp1.c_mixed, 0, cp1.n), 1, cp1.n)
     for a in range(2):
         for b in range(2):
             for c in range(2):
-                assert back[a][b][c] == sc.c_low[a][b][c]
+                assert back[a][b][c] == cp1.c_low[a][b][c]
 
 
 def test_mixed_constants_gradient_symmetry(cp1):
     # d_e c^{bg}_d = d_d c^{bg}_e, the step that kills the curvature.
-    sc = structure_constants(cp1)
+    check_unity(cp1)
     for b in range(2):
         for g in range(2):
             for e in range(2):
                 for d in range(2):
-                    lhs = sc.c_mixed[b][g][d].diff(e)
-                    rhs = sc.c_mixed[b][g][e].diff(d)
+                    lhs = cp1.c_mixed[b][g][d].diff(e)
+                    rhs = cp1.c_mixed[b][g][e].diff(d)
                     assert (lhs - rhs).is_zero()

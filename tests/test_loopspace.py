@@ -242,13 +242,13 @@ def test_weyl_vector_squares():
 
 def test_central_charges(cubic, a2, a3):
     report = central_charge(cubic, coxeter_rank=1)
-    assert report.c_formula == 6 and report.c_lie == 6 and report.equal
+    assert report.c_formula == 6 and report.c_lie == 6
     _bundle2, recon2 = a2
     report2 = central_charge(recon2.frobenius, coxeter_rank=2)
-    assert report2.c_formula == 24 and report2.c_lie == 24 and report2.equal
+    assert report2.c_formula == 24 and report2.c_lie == 24
     _bundle3, recon3 = a3
     report3 = central_charge(recon3.frobenius, coxeter_rank=3)
-    assert report3.equal and report3.c_formula == 60
+    assert report3.c_formula == report3.c_lie == 60
 
 
 def test_central_charge_rejects_charge_one(cp1):
@@ -258,4 +258,4 @@ def test_central_charge_rejects_charge_one(cp1):
 
 def test_central_charge_without_tag(cubic):
     report = central_charge(cubic)
-    assert report.c_lie is None and report.equal is None
+    assert report.c_lie is None

@@ -8,6 +8,7 @@ import pytest
 from flatpencil import frobenius, reconstruction
 from flatpencil.coxeter import coxeter_pencil
 from flatpencil.errors import (
+    CommutativityError,
     DegreeInferenceError,
     IntegrabilityError,
     InternalCheckError,
@@ -16,7 +17,7 @@ from flatpencil.errors import (
     NotFlatCoordinatesError,
 )
 from flatpencil.exprparse import parse_expr
-from flatpencil.frobenius import check_wdvv, structure_constants, to_flat_pencil
+from flatpencil.frobenius import check_unity, check_wdvv, to_flat_pencil
 from flatpencil.geometry import (
     ContraMetric,
     PencilData,
@@ -29,7 +30,7 @@ from flatpencil.geometry import (
 from flatpencil.linalg import mat_inverse, rank
 from flatpencil.loopspace import bracket_from_metric
 from flatpencil.pencilio import load_frobenius, load_pencil
-from flatpencil.qpoly import QPoly, RatFunc
+from flatpencil.qpoly import QPoly, RatFunc, exact_divide
 from flatpencil.reconstruction import (
     NormalizationResult,
     check_delta_properties,
@@ -109,7 +110,7 @@ def test_delta_mutation_breaks_curl(a2):
     assert not report.find("pencil-curvature").passed
     assert not mutated.flat_certified
     norm = normalize_flat_coordinates(p)
-    norm = NormalizationResult(mutated, norm.matrix, norm.identity, delta_tensor(mutated), norm.ops, norm.certificates)
+    norm = NormalizationResult(mutated, norm.matrix, delta_tensor(mutated), norm.ops, norm.certificates)
     with pytest.raises(InternalCheckError, match="check_flat_pencil has not certified"):
         check_delta_properties(norm)
 
@@ -121,7 +122,7 @@ def test_delta_properties_on_non_polynomial_connection():
     g2 = ContraMetric.constant([[Q(1), Q(0)], [Q(0), Q(1)]])
     pencil = PencilData(g1=g1, g2=g2, tau=qp("t2", 2), d=Q(1, 2))
     delta = delta_tensor(pencil)
-    assert not all(x.quotient() is not None for k in delta for row in k for x in row)
+    assert not all(exact_divide(x.num, x.den) is not None for k in delta for row in k for x in row)
     assert all(isinstance(x, RatFunc) and x.den == g1.det for k in delta for row in k for x in row)
 
 
@@ -157,17 +158,17 @@ def test_construction_guarantees_behind_pass_lines(name):
     for g in (p.g1, p.g2):
         conn = bracket_from_metric(g)
         assert all(x.nvars == n for row in g.g for x in row)
-        assert all(x.nvars == n for k in conn.gamma for row in k for x in row)
+        assert all(x.num.nvars == n for k in conn.gamma for row in k for x in row)
     assert check_flat_pencil(p).passed and p.flat_certified
     norm = normalize_flat_coordinates(p)
     q = norm.pencil
     assert q.flat_certified
     assert all(res.is_zero() for _idx, res in symmetry_residuals(q.g1.g, delta_tensor(q), n))
     e_big, e_small = q.euler
-    assert e_big.components == [row[n - 1] for row in q.g1.g]
-    assert all(c.is_constant() for c in e_small.components)
+    assert e_big == [row[n - 1] for row in q.g1.g]
+    assert all(c.is_constant() for c in e_small)
     if name.startswith("coxeter-a"):
-        assert p.euler[1].components == [QPoly.const(n, int(a == 0)) for a in range(n)]
+        assert p.euler[1] == [QPoly.const(n, int(a == 0)) for a in range(n)]
     assert all(res.is_zero() for _name, _idx, res in delta_identity_residuals(q))
     if norm.ops.regular:
         assert all(res.is_zero() for _idx, res in pairing_derivative_residuals(q, norm.ops.r_op))
@@ -217,12 +218,12 @@ def test_wdvv_computed_when_associativity_fails(monkeypatch):
     original = reconstruction.multiplication
 
     def failing_associativity(*args):
-        sc, report = original(*args)
+        c_low, c_mixed, report = original(*args)
         report.certificates = [
             Certificate(c.name, "fail", witness="forced") if c.name == "multiplication-associativity" else c
             for c in report.certificates
         ]
-        return sc, report
+        return c_low, c_mixed, report
 
     calls = []
     wdvv = frobenius.check_wdvv
@@ -324,14 +325,14 @@ def test_operator_shift_relation(cubic_pencil, a2):
 def test_normalize_identity_idempotent(cubic_pencil, cp1_pencil):
     for pencil in (cubic_pencil, cp1_pencil):
         result = normalize_flat_coordinates(pencil)
-        assert result.identity
+        assert result.pencil is pencil
         assert all(c.passed for c in result.certificates)
 
 
 def test_normalize_undoes_linear_change(cp1_pencil):
     swapped = transform_pencil(cp1_pencil, [[Q(0), Q(1)], [Q(1), Q(0)]])
     result = normalize_flat_coordinates(swapped)
-    assert not result.identity
+    assert result.pencil is not swapped
     assert all(c.passed for c in result.certificates)
     q = result.pencil
     for i in range(2):
@@ -409,15 +410,15 @@ def test_normalize_completes_every_gradient_support_as_the_rank_loop():
 def test_normalize_scaling_change(cubic_pencil):
     scaled = transform_pencil(cubic_pencil, [[Q(2)]])
     result = normalize_flat_coordinates(scaled)
-    assert not result.identity
+    assert result.pencil is not scaled
     assert (result.pencil.g1.g[0][0] - cubic_pencil.g1.g[0][0]).is_zero()
 
 
 def test_multiplication_one_dim(cubic_pencil):
-    sc, report = multiplication(normalize_flat_coordinates(cubic_pencil))
+    c_low, c_mixed, report = multiplication(normalize_flat_coordinates(cubic_pencil))
     assert report.passed
-    assert sc.c_mixed[0][0][0] == QPoly.const(1, 1)
-    assert sc.c_low[0][0][0] == QPoly.const(1, 1)
+    assert c_mixed[0][0][0] == QPoly.const(1, 1)
+    assert c_low[0][0][0] == QPoly.const(1, 1)
 
 
 def test_associativity_witness_is_first_nonzero_of_full_sweep(a2):
@@ -433,8 +434,8 @@ def test_associativity_witness_is_first_nonzero_of_full_sweep(a2):
         [[QPoly.const(n, sum(c[a][k][g] * ops.r_op[k][j] for k in range(n))) for j in range(n)] for a in range(n)]
         for g in range(n)
     ]
-    probe = NormalizationResult(norm.pencil, norm.matrix, norm.identity, delta, norm.ops, norm.certificates)
-    _sc, report = multiplication(probe)
+    probe = NormalizationResult(norm.pencil, norm.matrix, delta, norm.ops, norm.certificates)
+    _c_low, _c_mixed, report = multiplication(probe)
     sweep = (
         ((a, b, g, mu), sum(c[a][e][mu] * c[b][g][e] - c[b][e][mu] * c[a][g][e] for e in range(n)))
         for a in range(n)
@@ -457,10 +458,23 @@ def test_multiplication_rejects_singular(cp1_pencil):
     n = cp1_pencil.n
     mutated = [[[delta[k][i][j] for j in range(n)] for i in range(n)] for k in range(n)]
     mutated[0][0][1] = mutated[0][0][1] + RatFunc(qp("t1", n))  # dtau = dt2
-    probe = NormalizationResult(norm.pencil, norm.matrix, norm.identity, mutated, norm.ops, norm.certificates)
+    probe = NormalizationResult(norm.pencil, norm.matrix, mutated, norm.ops, norm.certificates)
     with pytest.raises(KernelError) as info:
         multiplication(probe)
     assert "Delta(., dtau) is nonzero at entry (1,1)" in str(info.value)
+
+
+def test_commutativity_residual_of_polynomial_and_fraction_entries(cp1_pencil):
+    # On CP1's singular R, w = 0 for the product by dtau = dt2, so dt1 * dt2
+    # stays a QPoly while dt2 * dt1 reads the fraction put into Delta.
+    norm = normalize_flat_coordinates(cp1_pencil)
+    n = cp1_pencil.n
+    mutated = [[list(row) for row in k] for k in norm.delta]
+    mutated[0][1][0] = mutated[0][1][0] + RatFunc(qp("t1", n), qp("t1 + 1", n))
+    probe = NormalizationResult(norm.pencil, norm.matrix, mutated, norm.ops, norm.certificates)
+    with pytest.raises(CommutativityError) as info:
+        multiplication(probe)
+    assert str(info.value) == "dt1 * dt2 differs from dt2 * dt1 in component 1: residual (-t1) / (t1 + 1)"
 
 
 def test_d1_multiplication_rejects_regular(cubic_pencil):
@@ -468,7 +482,7 @@ def test_d1_multiplication_rejects_regular(cubic_pencil):
     # identity) is not applied to an invertible R.
     norm = normalize_flat_coordinates(cubic_pencil)
     assert norm.ops.regular
-    _sc, report = multiplication(norm)
+    _c_low, _c_mixed, report = multiplication(norm)
     assert report.passed
     assert report.find("pairing-derivative-identity").status == "pass"
     assert all(c.name != "multiplication-left-unity" for c in report.certificates)
@@ -479,7 +493,7 @@ def test_multiplication_certificates_follow_r(cp1_pencil):
     # certifies d(tau) as a left unity instead.
     norm = normalize_flat_coordinates(cp1_pencil)
     assert rank(norm.ops.r_op) == 1
-    _sc, report = multiplication(norm)
+    _c_low, _c_mixed, report = multiplication(norm)
     assert report.passed
     assert report.find("multiplication-left-unity").status == "pass"
     assert report.find("pairing-derivative-identity").status == "skipped"
@@ -500,13 +514,13 @@ def test_regular_product_is_delta_of_r_inverse(a2, a3):
         norm = normalize_flat_coordinates(bundle.pencil)
         n, delta = norm.pencil.n, norm.delta
         r_inv = mat_inverse(norm.ops.r_op)
-        sc, report = multiplication(norm)
+        _c_low, c_mixed, report = multiplication(norm)
         assert report.passed
         for a in range(n):
             for b in range(n):
                 for g in range(n):
                     expected = sum((delta[g][a][j] * r_inv[j][b] for j in range(n)), RatFunc(QPoly.zero(n)))
-                    assert (expected - RatFunc(sc.c_mixed[a][b][g])).is_zero()
+                    assert (expected - RatFunc(c_mixed[a][b][g])).is_zero()
 
 
 def _kernel2_pencil():
@@ -529,8 +543,8 @@ def test_recover_potential_one_dim():
 
 
 def test_recover_potential_cp1(cp1):
-    sc = structure_constants(cp1)
-    recovered = recover_potential(sc.c_low)[0]
+    check_unity(cp1)
+    recovered = recover_potential(cp1.c_low)[0]
     assert recovered == cp1.potential
 
 
@@ -545,7 +559,7 @@ def test_recover_potential_integrability_failure():
 def test_round_trip_cubic(cubic):
     result = reconstruct_frobenius(certified(to_flat_pencil(cubic)))
     assert result.mode == "regular"
-    assert result.potential == cubic.potential
+    assert result.frobenius.potential == cubic.potential
     assert result.frobenius.d == cubic.d
     assert result.frobenius.unity == cubic.unity
     assert result.frobenius.euler_linear == cubic.euler_linear
@@ -556,15 +570,15 @@ def test_round_trip_cubic(cubic):
 def test_round_trip_cp1(cp1, cp1_pencil):
     result = reconstruct_frobenius(certified(cp1_pencil))
     assert result.mode == "d1-remark"
-    assert result.potential == cp1.potential
+    assert result.frobenius.potential == cp1.potential
     assert result.frobenius.eta == cp1.eta
     assert result.frobenius.euler_linear == cp1.euler_linear
     assert result.frobenius.euler_const == cp1.euler_const
-    sc = structure_constants(cp1)
+    check_unity(cp1)
     for a in range(2):
         for b in range(2):
             for c in range(2):
-                assert result.c_mixed[a][b][c] == sc.c_mixed[a][b][c]
+                assert result.frobenius.c_mixed[a][b][c] == cp1.c_mixed[a][b][c]
     assert result.report.passed
 
 
@@ -576,15 +590,15 @@ def test_regular_mode_excludes_charge_one(a1, a2, a3):
 
 def test_gradient_of_c_fully_symmetric(cp1):
     # The integrability shape: the 4-index array d_d c_abc is symmetric.
-    sc = structure_constants(cp1)
+    check_unity(cp1)
     n = cp1.n
     for a in range(n):
         for b in range(n):
             for c in range(n):
                 for d in range(n):
-                    lhs = sc.c_low[a][b][c].diff(d)
-                    assert (lhs - sc.c_low[d][b][c].diff(a)).is_zero()
-                    assert (lhs - sc.c_low[a][d][c].diff(b)).is_zero()
+                    lhs = cp1.c_low[a][b][c].diff(d)
+                    assert (lhs - cp1.c_low[d][b][c].diff(a)).is_zero()
+                    assert (lhs - cp1.c_low[a][d][c].diff(b)).is_zero()
 
 
 @pytest.mark.parametrize("rank_n", range(1, 6))
