@@ -60,15 +60,11 @@ class CoxeterPencil:
         self,
         chart: OrbitChart,
         pencil: PencilData,
-        flat_gens: list[QPoly],
-        p_in_t: list[QPoly],
         unity_scale: Q,
         report: Report | None = None,
     ):
         self.chart = chart
         self.pencil = pencil  # in the normalized flat generators
-        self.flat_gens = flat_gens  # t^a as polynomials in p_1..p_n
-        self.p_in_t = p_in_t  # inverse generator map
         self.unity_scale = unity_scale  # e = (1/scale) d/dp_1 relative to the raw chart
         self.report = Report() if report is None else report
 
@@ -382,8 +378,6 @@ def coxeter_pencil(rank: int) -> tuple[CoxeterPencil, ReconstructionResult]:
     bundle = CoxeterPencil(
         chart=chart,
         pencil=pencil,
-        flat_gens=t_polys,
-        p_in_t=p_in_t,
         unity_scale=kappa_val,
         report=report,
     )

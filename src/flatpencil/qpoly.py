@@ -52,12 +52,11 @@ equal.  Sums, products, derivatives and divisions run on Python ints;
 Exponential rates are Fractions, as part of the group key.  No floating
 point enters any arithmetic path.
 
-:func:`dot` is the one multiply-accumulate kernel: the contraction
-sum a*b over ``plus`` minus sum a*b over ``minus`` of QPoly, int or
-Fraction operands goes into one store over the lcm of the pair
-denominators and is reduced once.  With a RatFunc operand it is the left
-fold ``acc +- a*b`` from zero in pair order, the arithmetic a written-out
-loop does, so a fraction keeps the representation such a loop gives it.
+:func:`dot` is the one multiply-accumulate kernel of the contraction sum
+a*b over ``plus`` minus sum a*b over ``minus``: it skips a pair with a zero
+operand and reduces one store over the lcm of the pair denominators once.
+With a RatFunc operand it is the left fold ``acc +- a*b`` from zero in pair
+order, so a fraction keeps the representation a written-out loop gives it.
 
 :func:`primitive` is the one integration kernel of a closed tensor: the h
 whose k-th partial derivatives are a given symmetric tensor, in one pass
@@ -169,11 +168,11 @@ def _check_degree(groups: Store, nvars: int) -> None:
 
 
 def _make(nvars: int, groups: Store, den: int = 1) -> "QPoly":
-    """The QPoly groups / den in canonical form: zeros and the groups they
-    empty dropped, numerators and den > 0 divided by their gcd (which makes
-    zero's den 1).  No group of ``groups`` may be empty to begin with.  The
-    result may keep ``groups`` and its dicts, which nobody may change
-    afterwards."""
+    """The QPoly groups / den in canonical form: zeros dropped, and a group
+    they empty dropped whole, numerators and den > 0 divided by their gcd
+    (which makes zero's den 1).  No group of ``groups`` may be empty to
+    begin with.  The result may keep ``groups`` and its dicts, which nobody
+    may change afterwards."""
     g, zeros = den, False
     for nums in groups.values():
         if 0 in nums.values():
@@ -183,9 +182,8 @@ def _make(nvars: int, groups: Store, den: int = 1) -> "QPoly":
     if zeros or g != 1:
         reduced = {}
         for efac, nums in groups.items():
-            nums = {p: c // g for p, c in nums.items() if c}
-            if nums:
-                reduced[efac] = nums
+            if any(nums.values()):
+                reduced[efac] = {p: c // g for p, c in nums.items() if c}
         groups, den = reduced, den // g
     res = QPoly.__new__(QPoly)
     res.nvars = nvars
@@ -433,18 +431,24 @@ class QPoly:
         """Partial derivative; exponential units obey d/dt exp(r t) = r exp(r t).
 
         The result is taken over the denominator times the lcm of the rate
-        denominators on the axis, so every coefficient stays an integer.
+        denominators on the axis, so every coefficient stays an integer; an
+        exp-free store (the group () alone) reads no rate and runs one loop.
         """
-        if not 0 <= axis < self.nvars:
+        nvars, groups = self.nvars, self.numerators
+        if not 0 <= axis < nvars:
             raise IndexError(f"axis {axis} out of range")
+        if not groups:
+            return self
         scale = 1
-        for efac in self.numerators:
-            rate = _exp_rate(efac, axis)
-            if rate:
-                scale = lcm(scale, rate.denominator)
-        shift, unit = _shift(self.nvars, axis), _unit(self.nvars, axis)
+        if any(groups):  # an exponential group, so rates to read
+            for efac in groups:
+                rate = _exp_rate(efac, axis)
+                if rate:
+                    scale = lcm(scale, rate.denominator)
+        shift = _FIELD * (nvars - 1 - axis)
+        unit = (1 << (_FIELD * nvars)) | (1 << shift)
         out: Store = {}
-        for efac, nums in self.numerators.items():
+        for efac, nums in groups.items():
             rate = _exp_rate(efac, axis) if efac else 0
             if not rate:
                 # Lowering one power maps the terms it keeps to distinct keys.
@@ -465,7 +469,7 @@ class QPoly:
                     key = packed - unit
                     dest[key] = get(key, 0) + c * a * scale
                 dest[packed] = get(packed, 0) + c * r
-        return _make(self.nvars, out, self.denominator * scale)
+        return _make(nvars, out, self.denominator * scale)
 
     def integrate(self, axis: int) -> "QPoly":
         """An antiderivative with zero integration constant on every term.
@@ -689,30 +693,37 @@ class QPoly:
 def dot(nvars: int, plus: Iterable[tuple], minus: Iterable[tuple] = ()) -> "QPoly | RatFunc":
     """sum(a * b for a, b in plus) - sum(a * b for a, b in minus).
 
-    The operands are QPoly in ``nvars`` variables, ints or Fractions; every
-    term product goes into one store over the lcm of the pair denominators,
-    which is reduced once, and a scalar operand scales the terms of the
-    other one.  When any operand is a RatFunc the result is the
-    left fold ``acc + a*b`` over ``plus`` then ``acc + -(a*b)`` over
-    ``minus`` from zero, which is the arithmetic of the written-out loop, so
-    a fraction keeps the numerator and denominator that loop gives.
+    The operands are QPoly in ``nvars`` variables, ints or Fractions; a
+    RatFunc operand sends every pair to :func:`_fold`, so that a fraction
+    keeps the numerator and denominator of the written-out loop.
     """
-    pairs = [(1, a, b) for a, b in plus] + [(-1, a, b) for a, b in minus]
-    products = []
-    for sign, a, b in pairs:
-        na, ka, da = _numerators(a, nvars)
-        nb, kb, db = _numerators(b, nvars)
-        if na is None or nb is None:
-            return _fold(nvars, pairs)
-        if ka and kb:
-            products.append((sign * ka * kb, na, nb, da * db))
+    plus, minus = list(plus), list(minus)  # the fold may walk one-shot iterators again
+    products = []  # (k, store, store or _ONE, den): k * store * store / den
+    for sign, pairs in ((1, plus), (-1, minus)):
+        for a, b in pairs:
+            if a.__class__ is QPoly and b.__class__ is QPoly and a.nvars == nvars == b.nvars:
+                if a.numerators and b.numerators:
+                    products.append((sign, a.numerators, b.numerators, a.denominator * b.denominator))
+                continue
+            k, store, den = sign, _ONE, 1  # a scalar operand goes into k and den
+            for x in (a, b):
+                if x.__class__ is QPoly:
+                    if x.nvars != nvars:
+                        raise ValueError("mixed variable counts")
+                    store, den = x.numerators, den * x.denominator
+                elif isinstance(x, (int, Fraction)):
+                    k, den = k * x.numerator, den * x.denominator
+                elif isinstance(x, RatFunc):
+                    return _fold(nvars, [(1, a, b) for a, b in plus] + [(-1, a, b) for a, b in minus])
+                else:
+                    raise TypeError(f"expected QPoly, RatFunc, int or Fraction, got {type(x).__name__}")
+            if k and store:
+                products.append((k, store, _ONE, den))
     if not products:
         return QPoly.zero(nvars)
     den = lcm(*(d for _k, _a, _b, d in products))
     out: Store = {}
     for k, na, nb, d in products:
-        if na is _ONE:
-            na, nb = nb, na
         if nb is _ONE:  # a scalar operand scales the other one
             _add_into(out, na, k * (den // d))
         else:
@@ -727,21 +738,6 @@ def _fold(nvars: int, pairs: list[tuple]) -> "QPoly | RatFunc":
         # QPoly - RatFunc has no operator; QPoly + RatFunc is RatFunc's reflected +.
         acc = acc + (a * b if sign > 0 else -(a * b))
     return acc
-
-
-def _numerators(x, nvars: int) -> tuple[Store | None, int, int]:
-    """(store, k, den) with x = k * store / den for a QPoly, int or
-    Fraction operand, the store ``_ONE`` for a scalar; (None, 0, 1) for a
-    RatFunc."""
-    if x.__class__ is QPoly:
-        if x.nvars != nvars:
-            raise ValueError("mixed variable counts")
-        return x.numerators, 1 if x.numerators else 0, x.denominator
-    if isinstance(x, (int, Fraction)):
-        return _ONE, x.numerator, x.denominator
-    if isinstance(x, RatFunc):
-        return None, 0, 1
-    raise TypeError(f"expected QPoly, RatFunc, int or Fraction, got {type(x).__name__}")
 
 
 def primitive(tensor: list, order: int) -> "QPoly":

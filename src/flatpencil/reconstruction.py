@@ -68,9 +68,8 @@ Delta = list[list[list[QPoly | RatFunc]]]
 
 
 class Eigenspace:
-    def __init__(self, value: Q, alg_mult: int, basis: list[list[Q]]):
+    def __init__(self, value: Q, basis: list[list[Q]]):
         self.value = value
-        self.alg_mult = alg_mult
         self.basis = basis  # covector components
 
 
@@ -89,7 +88,6 @@ class OperatorPair:
         lam_op: list[list[Q]],
         d: Q,
         spectrum: list[Eigenspace],
-        spectrum_complete: bool,
         certificates: list[Certificate] | None = None,
     ):
         self.k_op = k_op
@@ -97,7 +95,6 @@ class OperatorPair:
         self.lam_op = lam_op
         self.d = d
         self.spectrum = spectrum
-        self.spectrum_complete = spectrum_complete
         self.certificates = [] if certificates is None else certificates
 
     @property
@@ -271,7 +268,7 @@ def operator_pair(p: PencilData) -> OperatorPair:
         power = shifted
         for _ in range(mult - 1):
             power = mat_mul(power, shifted)
-        spectrum.append(Eigenspace(value=value, alg_mult=mult, basis=nullspace(power)))
+        spectrum.append(Eigenspace(value=value, basis=nullspace(power)))
     certs.append(_root_pairing_certificate(spectrum, residual_degree == 0, eta_up, n))
     return OperatorPair(
         k_op=k_op,
@@ -279,7 +276,6 @@ def operator_pair(p: PencilData) -> OperatorPair:
         lam_op=lam_op,
         d=d,
         spectrum=spectrum,
-        spectrum_complete=(residual_degree == 0),
         certificates=certs,
     )
 

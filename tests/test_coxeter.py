@@ -8,6 +8,7 @@ from flatpencil.coxeter import (
     build_orbit_chart,
     coxeter_pencil,
     fields_and_tau,
+    invert_graded_map,
     rewrite_in_generators,
     saito_flat_coordinates,
     saito_metric,
@@ -37,6 +38,14 @@ def chart_pairing(n, a, b):
     db = [b.diff(i) for i in range(n)]
     total = sum((x * y for x, y in zip(da, db)), QPoly.zero(n))
     return total - sum(da, QPoly.zero(n)) * sum(db, QPoly.zero(n)) * Q(1, n + 1)
+
+
+def flat_generators(chart):
+    """The flat generators t^a in p_1..p_n as coxeter_pencil forms them:
+    Saito's flat coordinates with the quadratic one pinned to tau."""
+    t_polys = saito_flat_coordinates(chart, saito_metric(chart, arnold_metric(chart)))
+    t_polys[-1] = fields_and_tau(chart)[1]
+    return t_polys
 
 
 def test_chart_degrees():
@@ -107,7 +116,7 @@ def test_flat_generator_metric_matches_chart_route(fixture, request):
     # rewrite each invariant pairing in the flat generators themselves.
     bundle, _recon = request.getfixturevalue(fixture)
     chart = bundle.chart
-    t_in_y = [t.substitute(chart_generators(chart)) for t in bundle.flat_gens]
+    t_in_y = [t.substitute(chart_generators(chart)) for t in flat_generators(chart)]
     for a in range(chart.rank):
         for b in range(chart.rank):
             ref = rewrite_in_generators(chart_pairing(chart.rank, t_in_y[a], t_in_y[b]), t_in_y, chart.degrees)
@@ -195,12 +204,12 @@ def test_flat_generators_a3_constant_pairing():
     assert all(x.is_constant() for row in conn_free for x in row)
 
 
-def test_inverse_generator_map(a3):
-    bundle, _recon = a3
-    chart = bundle.chart
-    images = bundle.p_in_t
+def test_inverse_generator_map():
+    chart = build_orbit_chart(3)
+    t_polys = flat_generators(chart)
+    images = invert_graded_map(chart, t_polys)
     for a in range(chart.rank):
-        assert (bundle.flat_gens[a].substitute(images) - QPoly.var(chart.rank, a)).is_zero()
+        assert (t_polys[a].substitute(images) - QPoly.var(chart.rank, a)).is_zero()
 
 
 @pytest.mark.parametrize("rank_n,expected_d", [(1, Q(0)), (2, Q(1, 3)), (3, Q(1, 2))])

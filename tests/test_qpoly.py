@@ -406,14 +406,14 @@ def ref_str(terms):
     return " ".join(pieces)
 
 
-def random_rational_qpoly(rng, nvars):
-    """Rational coefficients with assorted denominators and rational exp
-    rates, 3/2 among them, on random axes."""
+def random_rational_qpoly(rng, nvars, exp_share=0.5):
+    """Rational coefficients with assorted denominators and, on a share of
+    the terms, rational exp rates, 3/2 among them, on random axes."""
     terms = {}
     for _ in range(rng.randint(0, 5)):
         pows = tuple(rng.randint(0, 3) for _ in range(nvars))
         efac = ()
-        if rng.random() < 0.5:
+        if rng.random() < exp_share:
             axis = rng.randrange(nvars)
             efac = ((axis, rng.choice([Q(1), Q(-1), Q(2), Q(3, 2), Q(-1, 3)])),)
         terms[(pows, efac)] = Q(rng.randint(-20, 20), rng.randint(1, 12))
@@ -499,26 +499,54 @@ def fold(nvars, plus, minus):
     return acc
 
 
+# Two denominators neither of which divides the other, so that a sum of
+# fractions over both is cross-multiplied and a zero term shows in it.
+RATFUNC_DENOMINATORS = ("t1 + 2*t2 + 1", "t1*t2 - 3")
+
+
 def random_operand(rng, nvars, ratfunc_share):
     roll = rng.random()
-    if roll < 0.15:
+    if roll < 0.1:
+        return rng.choice([QPoly.zero(nvars), 0, Q(0)])
+    if roll < 0.2:
         return rng.randint(-3, 3)
     if roll < 0.3:
         return Q(rng.randint(-9, 9), rng.randint(1, 7))
     if roll < 0.3 + ratfunc_share:
-        return RatFunc(random_rational_qpoly(rng, nvars), qp("t1 + 2*t2 + 1", nvars))
+        return RatFunc(random_rational_qpoly(rng, nvars), qp(rng.choice(RATFUNC_DENOMINATORS), nvars))
     return random_rational_qpoly(rng, nvars)
+
+
+def one_shot(rng, pairs):
+    """The pairs as a list, a zip object or a generator, as callers pass them."""
+    kind = rng.randrange(3)
+    if kind == 1:
+        return zip([a for a, _b in pairs], [b for _a, b in pairs])
+    return (pair for pair in pairs) if kind == 2 else pairs
 
 
 @pytest.mark.parametrize("ratfunc_share", [0.0, 0.2])
 def test_dot_matches_fold_and_reference(ratfunc_share):
     rng = random.Random(41)
-    for _ in range(60):
-        plus, minus = (
+    cases = [
+        [
             [tuple(random_operand(rng, 2, ratfunc_share) for _ in "ab") for _ in range(rng.randint(0, count))]
             for count in (4, 3)
-        )
-        got, want = dot(2, plus, minus), fold(2, plus, minus)
+        ]
+        for _ in range(60)
+    ]
+    if ratfunc_share:
+        # Zero QPoly and zero scalar operands beside fractions, and the first
+        # fraction in minus: the fold keeps every one of those pairs.
+        q, r, s = qp("1/2*t1 + exp(t2)", 2), *(RatFunc(qp("t2", 2), qp(d, 2)) for d in RATFUNC_DENOMINATORS)
+        cases += [
+            [[(q, 2)], [(QPoly.zero(2), r), (q, s)]],
+            [[(r, 0), (q, s)], []],
+            [[(q, Q(1, 2))], [(Q(0), s), (r, q)]],
+            [[(QPoly.zero(2), q)], [(s, q), (r, QPoly.zero(2))]],
+        ]
+    for plus, minus in cases:
+        got, want = dot(2, one_shot(rng, plus), one_shot(rng, minus)), fold(2, plus, minus)
         assert type(got) is type(want)
         if isinstance(want, RatFunc):
             # the fold itself, so a fraction keeps its numerator and denominator
@@ -532,6 +560,38 @@ def test_dot_matches_fold_and_reference(ratfunc_share):
         assert_canonical(got)
         assert got == want and dict(got.terms) == reference
         assert str(got) == ref_str(reference)
+    t1, t2 = QPoly.var(2, 0), QPoly.var(3, 1)
+    for plus in ([(t1, t2)], [(t2, 2)], [(Q(1, 2), QPoly.zero(3))], [(t1, 1), (QPoly.zero(3), t1)]):
+        with pytest.raises(ValueError, match="mixed variable counts"):
+            dot(2, plus)
+
+
+def test_dot_cancelling_over_a_denominator_is_canonical_zero():
+    t1, t2, e = QPoly.var(2, 0), QPoly.var(2, 1), QPoly.exp(2, 0, Q(3, 2))
+    third = Q(1, 3)
+    # t1/3 * t2 - t1 * t2/3, once exp-free and once times exp(3/2 t1)
+    zero = dot(2, [(t1 * third, t2), (e * t1 * third, t2)], [(t1, t2 * third), (e * t1, third * t2)])
+    assert_canonical(zero)
+    assert zero.numerators == {} and zero.denominator == 1
+    # one group cancels whole, the other keeps a term over 5
+    rest = dot(2, [(t1 * third, t2), (e, Q(1, 5))], [(t1, t2 * third)])
+    assert_canonical(rest)
+    assert rest == e * Q(1, 5) and rest.denominator == 5
+
+
+def test_diff_matches_term_reference_on_every_axis():
+    """QPoly.diff against ref_diff, the power and exp rules applied to the
+    Fraction terms: exp-free and exp-bearing polys, zero and constants."""
+    rng = random.Random(43)
+    polys = [QPoly.zero(3), QPoly.const(3, 5), QPoly.const(3, Q(-7, 4)), QPoly.exp(3, 1, Q(3, 2))]
+    polys += [random_rational_qpoly(rng, 3, exp_share) for exp_share in (0.0, 0.5) for _ in range(40)]
+    assert sum(p.is_polynomial() and p.total_degree() > 0 for p in polys) >= 30
+    for p in polys:
+        for axis in range(3):
+            got, want = p.diff(axis), ref_diff(p.terms, axis)
+            assert_canonical(got)
+            assert dict(got.terms) == want
+            assert str(got) == ref_str(want)
 
 
 def test_power_bound_guards_products_and_integrals():

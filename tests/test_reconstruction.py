@@ -27,7 +27,7 @@ from flatpencil.geometry import (
     push_vector,
     symmetry_residuals,
 )
-from flatpencil.linalg import mat_inverse, rank
+from flatpencil.linalg import charpoly, mat_inverse, rank, rational_roots
 from flatpencil.loopspace import bracket_from_metric
 from flatpencil.pencilio import load_frobenius, load_pencil
 from flatpencil.qpoly import QPoly, RatFunc, exact_divide
@@ -246,7 +246,8 @@ def test_operator_pair_one_dim(cubic_pencil):
     assert ops.lam_op == [[Q(0)]]
     assert ops.regular
     assert all(c.passed for c in ops.certificates)
-    assert ops.spectrum[0].value == 0 and ops.spectrum[0].alg_mult == 1
+    assert [s.value for s in ops.spectrum] == [0]
+    assert rational_roots(charpoly(ops.lam_op)) == ([(0, 1)], 0)
 
 
 def test_operator_pair_a2(a2):
@@ -254,7 +255,9 @@ def test_operator_pair_a2(a2):
     ops = operator_pair(bundle.pencil)
     values = sorted(s.value for s in ops.spectrum)
     assert values == [Q(-1, 6), Q(1, 6)]
-    assert ops.spectrum_complete
+    # the whole spectrum is rational, so the root-space pairing is certified
+    assert rational_roots(charpoly(ops.lam_op)) == ([(Q(-1, 6), 1), (Q(1, 6), 1)], 0)
+    assert next(c for c in ops.certificates if c.name == "root-space-pairing").passed
     assert all(c.passed for c in ops.certificates)
     assert ops.regular
 
@@ -271,7 +274,7 @@ def test_lambda_root_spaces_pairing(a2, cubic_pencil):
     # and pair with full rank for mu = -lam.
     for pencil in (a2[0].pencil, cubic_pencil):
         ops = operator_pair(pencil)
-        if not ops.spectrum_complete:
+        if rational_roots(charpoly(ops.lam_op))[1]:  # part of the spectrum is irrational
             continue
         eta_up = pencil.g2.constant_entries()
         for s1 in ops.spectrum:
@@ -306,7 +309,7 @@ def test_irrational_spectrum_skips_pairing_check():
     g2 = ContraMetric.constant([[Q(1), Q(0)], [Q(0), Q(1)]])
     pencil = PencilData(g1=g1, g2=g2, tau=qp("t2", 2), d=Q(0))
     ops = operator_pair(pencil)
-    assert not ops.spectrum_complete
+    assert rational_roots(charpoly(ops.lam_op)) == ([], 2)
     cert = next(c for c in ops.certificates if c.name == "root-space-pairing")
     assert cert.status == "skipped"
     assert "irrational" in cert.witness
