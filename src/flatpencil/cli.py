@@ -37,7 +37,6 @@ input's dimension n, so it is checked once the input is loaded.
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from pathlib import Path
@@ -242,7 +241,7 @@ def run_report_json(args, text: str | None, report: Report, extra: dict, outputs
         "extra": {k: str(v) for k, v in sorted(extra.items())},
         "elapsed_ms": elapsed_ms,
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return pencilio.canonical_json(payload)
 
 
 def input_digests(args, text: str | None) -> list[dict]:
@@ -406,8 +405,7 @@ def cmd_bracket_emit(args, text):
             "expgens": [[a + 1, str(r)] for a, r in gens],
             **brackets,
         }
-        artifact = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        outputs.append(write_artifact(args.out, args.input.stem + "-brackets.json", artifact))
+        outputs.append(write_artifact(args.out, args.input.stem + "-brackets.json", pencilio.canonical_json(payload)))
     return report, extra, outputs
 
 
@@ -446,8 +444,7 @@ def cmd_bracket_recurse(args, text):
         # Only the artifact reads the densities, so they are printed here.
         printed = {key: str(h) for key, h in densities.items()}
         payload = {"schema": pencilio.SCHEMA, "n": pencil.n, "densities": printed}
-        artifact = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        outputs.append(write_artifact(args.out, args.input.stem + "-densities.json", artifact))
+        outputs.append(write_artifact(args.out, args.input.stem + "-densities.json", pencilio.canonical_json(payload)))
     return report, {"steps": args.steps}, outputs
 
 
@@ -465,13 +462,7 @@ def cmd_bracket_central_charge(args, text):
     else:
         extra["central-charge-lie"] = result.c_lie
         equal = result.c_formula == result.c_lie
-        report.add(
-            Certificate(
-                "central-charge-match",
-                reports.PASS if equal else reports.FAIL,
-                witness=None if equal else f"{result.c_formula} != {result.c_lie}",
-            )
-        )
+        report.add(reports.verdict("central-charge-match", equal, f"{result.c_formula} != {result.c_lie}"))
     return report, extra, []
 
 

@@ -196,13 +196,13 @@ def fields_and_tau(chart: OrbitChart) -> tuple[list[QPoly], QPoly]:
     return e_big, tau
 
 
-def saito_metric(chart: OrbitChart, g1: ContraMetric) -> ContraMetric:
+def saito_metric(g1: ContraMetric) -> ContraMetric:
     """Unity-flow metric: the derivative of the orbit metric along the unity
     e = d/dp_1, certified to have a constant nonzero determinant.  Its
     flatness is certified by :func:`coxeter_pencil`, which finds it constant
     in the flat generators.
     """
-    n = chart.rank
+    n = g1.n
     entries = [[g1.g[a][b].diff(0) for b in range(n)] for a in range(n)]
     g2 = ContraMetric(entries)
     if not g2.det.is_constant() or g2.det.is_zero():
@@ -210,8 +210,9 @@ def saito_metric(chart: OrbitChart, g1: ContraMetric) -> ContraMetric:
     return g2
 
 
-def saito_flat_coordinates(chart: OrbitChart, g2: ContraMetric) -> list[QPoly]:
-    """Graded flat generators of the unity-flow metric.
+def saito_flat_coordinates(g2: ContraMetric, degrees: list[int]) -> list[QPoly]:
+    """Graded flat generators of the unity-flow metric, one for each of the
+    generator ``degrees``.
 
     For each generator degree D the covariant-constancy system
     nabla(dm) = 0 (``geometry.covariant_derivative``) for the differential
@@ -219,12 +220,12 @@ def saito_flat_coordinates(chart: OrbitChart, g2: ContraMetric) -> list[QPoly]:
     type-A degrees are distinct so each solution space is a line,
     normalized so the coefficient of the pure generator p_a is 1.
     """
-    n = chart.rank
+    n = g2.n
     conn = levi_civita(g2)
     gamma = conn.as_poly_entries()
     out = []
-    for a, deg in enumerate(chart.degrees):
-        candidates = weighted_monomials(chart.degrees, deg)
+    for a, deg in enumerate(degrees):
+        candidates = weighted_monomials(degrees, deg)
         basis = []
         for m in candidates:
             prod = QPoly.const(n, 1)
@@ -259,10 +260,10 @@ def saito_flat_coordinates(chart: OrbitChart, g2: ContraMetric) -> list[QPoly]:
     return out
 
 
-def invert_graded_map(chart: OrbitChart, t_polys: list[QPoly]) -> list[QPoly]:
+def invert_graded_map(t_polys: list[QPoly]) -> list[QPoly]:
     """Express the p generators in the flat generators t (triangular in the
     grading: each t^a is c_a p_a plus terms in strictly lower-degree p's)."""
-    n = chart.rank
+    n = len(t_polys)
     images: list[QPoly | None] = [None] * n
     for a in reversed(range(n)):
         pure_key = (tuple(1 if b == a else 0 for b in range(n)), ())
@@ -296,7 +297,7 @@ def coxeter_pencil(rank: int) -> tuple[CoxeterPencil, ReconstructionResult]:
 
     g1_p = arnold_metric(chart)
     e_big_p, tau_p = fields_and_tau(chart)
-    g2_p = saito_metric(chart, g1_p)
+    g2_p = saito_metric(g1_p)
     # g2 is flat: the guard below finds it constant in the flat generators.
     report.add(Certificate("saito-metric-flat", reports.PASS))
 
@@ -311,7 +312,7 @@ def coxeter_pencil(rank: int) -> tuple[CoxeterPencil, ReconstructionResult]:
             )
     report.add(Certificate("unity-from-tau", reports.PASS))
 
-    t_polys = saito_flat_coordinates(chart, g2_p)
+    t_polys = saito_flat_coordinates(g2_p, chart.degrees)
     # Pin the quadratic flat generator to tau itself.
     tau_pure = tau_p.terms.get((tuple(1 if b == n - 1 else 0 for b in range(n)), ()))
     if tau_pure is None:
@@ -330,7 +331,7 @@ def coxeter_pencil(rank: int) -> tuple[CoxeterPencil, ReconstructionResult]:
     g2_p = ContraMetric([[g2_p.g[i][j] * (1 / kappa_val) for j in range(n)] for i in range(n)])
 
     # Both metrics reach the flat generators through the generator Jacobian.
-    p_in_t = invert_graded_map(chart, t_polys)
+    p_in_t = invert_graded_map(t_polys)
     g1_t = push_metric(g1_p, t_polys, p_in_t)
     eta = push_metric(g2_p, t_polys, p_in_t)
     for a in range(n):
@@ -350,13 +351,7 @@ def coxeter_pencil(rank: int) -> tuple[CoxeterPencil, ReconstructionResult]:
     if pencil.euler[0] != e_big_p:
         raise InternalCheckError("grading field differs from E = g1 grad(tau) in the flat generators")
     inferred = pencil.inferred_degree
-    report.add(
-        Certificate(
-            "coxeter-degree",
-            reports.PASS if inferred == d else reports.FAIL,
-            witness=None if inferred == d else f"inferred {inferred}, expected {d}",
-        )
-    )
+    report.add(reports.verdict("coxeter-degree", inferred == d, f"inferred {inferred}, expected {d}"))
 
     report.extend(check_flat_pencil(pencil).certificates)
     report.extend(check_quasihomogeneous(pencil).certificates)
@@ -366,13 +361,7 @@ def coxeter_pencil(rank: int) -> tuple[CoxeterPencil, ReconstructionResult]:
     report.add(Certificate("unity-normalized", reports.PASS))
 
     recon = reconstruct_frobenius(pencil)
-    poly_ok = recon.frobenius.potential.is_polynomial()
-    report.add(
-        Certificate(
-            "potential-polynomial",
-            reports.PASS if poly_ok else reports.FAIL,
-        )
-    )
+    report.add(reports.verdict("potential-polynomial", recon.frobenius.potential.is_polynomial()))
     report.extend(recon.report.certificates)
 
     bundle = CoxeterPencil(

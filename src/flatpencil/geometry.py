@@ -85,7 +85,7 @@ from .errors import (
 )
 from .linalg import det_value, mat_inverse, sym_adjugate, sym_det, sym_sample_values
 from .qpoly import QPoly, RatFunc, dot, exact_divide
-from .reports import Certificate, Report
+from .reports import Certificate, Report, index_label
 
 Q = Fraction
 
@@ -325,7 +325,7 @@ def _build_connection(g: ContraMetric) -> Connection:
     )
     for idx, res in symmetry_residuals(g.g, conn.gamma, n):
         if not res.is_zero():
-            raise InternalCheckError(f"connection symmetry residual nonzero at {_idx1(idx)}")
+            raise InternalCheckError(f"connection symmetry residual nonzero at {index_label(idx)}")
     return conn
 
 
@@ -450,7 +450,7 @@ def is_flat(g: ContraMetric) -> Certificate:
     """Certifies that the curvature of (g, levi_civita(g)) vanishes."""
     entries = curvature_entries(g.g, levi_civita(g).gamma)
     return reports.residual_certificate(
-        "flatness", ((f"curvature entry {_idx1(idx)}", val) for idx, val in entries)
+        "flatness", ((f"curvature entry {index_label(idx)}", val) for idx, val in entries)
     )
 
 
@@ -623,7 +623,7 @@ def _lam_coefficients(residuals, lam_axis: int):
     labelled by entry and power."""
     for idx, res in residuals:
         for power, coeff in sorted(res.num.coeffs_by_power(lam_axis).items()):
-            yield f"entry {_idx1(idx)}, lam^{power}", coeff
+            yield f"entry {index_label(idx)}, lam^{power}", coeff
 
 
 def infer_degree(g1: ContraMetric, lie: list[list[QPoly]]) -> Q:
@@ -643,7 +643,7 @@ def infer_degree(g1: ContraMetric, lie: list[list[QPoly]]) -> Q:
     ratio = exact_divide(lie[i][j], g1.g[i][j])
     if ratio is None or not ratio.is_constant():
         raise DegreeInferenceError(
-            f"scaling ratio at entry {_idx1((i, j))} is not a constant: "
+            f"scaling ratio at entry {index_label((i, j))} is not a constant: "
             f"{RatFunc(lie[i][j], g1.g[i][j])}"
         )
     r = ratio.constant_value()
@@ -652,7 +652,7 @@ def infer_degree(g1: ContraMetric, lie: list[list[QPoly]]) -> Q:
             if not (lie[a][b] - g1.g[a][b] * r).is_zero():
                 raise DegreeInferenceError(
                     f"no rational degree satisfies the scaling identity; residual at "
-                    f"entry {_idx1((a, b))}: {lie[a][b] - g1.g[a][b] * r}"
+                    f"entry {index_label((a, b))}: {lie[a][b] - g1.g[a][b] * r}"
                 )
     return r + 1
 
@@ -671,44 +671,12 @@ def check_quasihomogeneous(p: PencilData) -> Report:
     d = p.degree
     report = Report()
 
-    bracket = lie_derivative(e_small, e_big, 1)
-    report.add(
-        reports.residual_certificate(
-            "unity-commutator",
-            entry_residuals(((i,), bracket[i] - e_small[i]) for i in range(p.n)),
-        )
-    )
-    lie1 = p.euler_lie_g1
-    report.add(
-        reports.residual_certificate(
-            "euler-scaling-first-metric",
-            entry_residuals(((i, j), lie1[i][j] - p.g1.g[i][j] * (d - 1)) for i in range(p.n) for j in range(p.n)),
-        )
-    )
-    lie2 = lie_derivative(e_small, p.g1.g, 2)
-    report.add(
-        reports.residual_certificate(
-            "unity-flow-first-metric",
-            entry_residuals(((i, j), lie2[i][j] - p.g2.g[i][j]) for i in range(p.n) for j in range(p.n)),
-        )
-    )
-    lie3 = lie_derivative(e_small, p.g2.g, 2)
-    report.add(
-        reports.residual_certificate(
-            "unity-flow-second-metric",
-            entry_residuals(((i, j), lie3[i][j]) for i in range(p.n) for j in range(p.n)),
-        )
-    )
+    scaled_g1 = [[x * (d - 1) for x in row] for row in p.g1.g]
+    report.add(reports.tensor_certificate("unity-commutator", lie_derivative(e_small, e_big, 1), e_small))
+    report.add(reports.tensor_certificate("euler-scaling-first-metric", p.euler_lie_g1, scaled_g1))
+    report.add(reports.tensor_certificate("unity-flow-first-metric", lie_derivative(e_small, p.g1.g, 2), p.g2.g))
+    report.add(reports.tensor_certificate("unity-flow-second-metric", lie_derivative(e_small, p.g2.g, 2)))
     if report.passed:
         p.quasihomogeneous_certified = True
     return report
 
-
-def entry_residuals(residuals):
-    """(index tuple, value) pairs labelled as 1-based tensor entries."""
-    for idx, res in residuals:
-        yield f"entry {_idx1(idx)}", res
-
-
-def _idx1(idx: tuple[int, ...]) -> str:
-    return "(" + ",".join(str(i + 1) for i in idx) + ")"

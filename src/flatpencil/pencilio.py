@@ -160,11 +160,18 @@ def load_pencil(text: str) -> tuple[PencilData, list[tuple[int, Q]]]:
     return pencil, gens
 
 
+def canonical_json(obj) -> str:
+    """``obj`` as canonical JSON: keys sorted, two-space indent, and a final
+    newline, so equal objects give byte-identical files."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def dump_pencil(p: PencilData) -> str:
+    polys = [x for row in p.g1.g + p.g2.g for x in row] + ([p.tau] if p.tau is not None else [])
     obj: dict = {
         "schema": SCHEMA,
         "n": p.n,
-        "expgens": [[axis + 1, str(rate)] for axis, rate in _infer_gens(p)],
+        "expgens": [[axis + 1, str(rate)] for axis, rate in _gens_of(polys, p.n)],
         "g1": [[str(x) for x in row] for row in p.g1.g],
         "g2": [[str(x) for x in row] for row in p.g2.g],
     }
@@ -172,14 +179,7 @@ def dump_pencil(p: PencilData) -> str:
         obj["tau"] = str(p.tau)
     if p.d is not None:
         obj["d"] = str(p.d)
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _infer_gens(p: PencilData) -> list[tuple[int, Q]]:
-    polys = [x for row in p.g1.g + p.g2.g for x in row]
-    if p.tau is not None:
-        polys.append(p.tau)
-    return _gens_of(polys, p.n)
+    return canonical_json(obj)
 
 
 def _gens_of(polys: list[QPoly], n: int) -> list[tuple[int, Q]]:
@@ -254,7 +254,7 @@ def dump_frobenius(m: FrobeniusData) -> str:
         "d": str(m.d),
         "expgens": [[axis + 1, str(rate)] for axis, rate in _gens_of([m.potential], m.n)],
     }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return canonical_json(obj)
 
 
 def sha256_digest(text: str) -> str:

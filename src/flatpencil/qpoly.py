@@ -695,7 +695,8 @@ def dot(nvars: int, plus: Iterable[tuple], minus: Iterable[tuple] = ()) -> "QPol
 
     The operands are QPoly in ``nvars`` variables, ints or Fractions; a
     RatFunc operand sends every pair to :func:`_fold`, so that a fraction
-    keeps the numerator and denominator of the written-out loop.
+    keeps the numerator and denominator of the written-out loop.  The power
+    bound is checked on the sum, so products that cancel may cross it.
     """
     plus, minus = list(plus), list(minus)  # the fold may walk one-shot iterators again
     products = []  # (k, store, store or _ONE, den): k * store * store / den
@@ -728,8 +729,9 @@ def dot(nvars: int, plus: Iterable[tuple], minus: Iterable[tuple] = ()) -> "QPol
             _add_into(out, na, k * (den // d))
         else:
             _mul_into(out, na, nb, k * (den // d))
-    _check_degree(out, nvars)
-    return _make(nvars, out, den)
+    res = _make(nvars, out, den)
+    _check_degree(res.numerators, nvars)
+    return res
 
 
 def _fold(nvars: int, pairs: list[tuple]) -> "QPoly | RatFunc":

@@ -41,7 +41,6 @@ from .frobenius import FrobeniusData
 from .geometry import (
     PencilData,
     contract,
-    entry_residuals,
     lie_derivative,
     linear_forms,
     push_metric,
@@ -58,7 +57,7 @@ from .linalg import (
     solve_affine,
 )
 from .qpoly import QPoly, RatFunc, dot, primitive
-from .reports import Certificate, Report
+from .reports import Certificate, Report, index_label
 
 Q = Fraction
 
@@ -174,7 +173,6 @@ def check_delta_properties(norm: NormalizationResult) -> Report:
     q = norm.pencil
     if not q.flat_certified:
         raise InternalCheckError("inverse construction reached a pencil that check_flat_pencil has not certified")
-    n, dm = q.n, norm.delta
     report = Report()
     # Delta is the connection of g1, whose build verified exactly the
     # g1-pairing symmetry residuals.
@@ -202,13 +200,8 @@ def check_delta_properties(norm: NormalizationResult) -> Report:
         # G(g1 - lam g2) = G1 - lam G2.  G2 = 0, so L_e Delta = 0.
         report.add(Certificate("delta-unity-invariance", reports.PASS))
         return report
-    lie_u = lie_derivative(q.euler[1], dm, 3, lower=1)
-    report.add(
-        reports.residual_certificate(
-            "delta-unity-invariance",
-            entry_residuals(((k, i, j), lie_u[k][i][j]) for k in range(n) for i in range(n) for j in range(n)),
-        )
-    )
+    lie_u = lie_derivative(q.euler[1], norm.delta, 3, lower=1)
+    report.add(reports.tensor_certificate("delta-unity-invariance", lie_u))
     return report
 
 
@@ -248,17 +241,13 @@ def operator_pair(p: PencilData) -> OperatorPair:
     # Lam^T eta + eta Lam = 0 reads M + M^T = 0.
     m = [[sum(lam_op[s][i] * eta_up[s][j] for s in range(n)) for j in range(n)] for i in range(n)]
     skew_ok = all(m[i][j] + m[j][i] == 0 for i in range(n) for j in range(i, n))
-    certs.append(
-        Certificate("lambda-skew-symmetry", reports.PASS if skew_ok else reports.FAIL)
-    )
+    certs.append(reports.verdict("lambda-skew-symmetry", skew_ok))
     certs.append(Certificate("unity-constant", reports.PASS))
     dtau = [p.tau.diff(a).constant_value() for a in range(n)]
     eig_ok = all(
         sum(k_op[i][j] * dtau[j] for j in range(n)) == (1 - d) * dtau[i] for i in range(n)
     )
-    certs.append(
-        Certificate("tau-gradient-eigencovector", reports.PASS if eig_ok else reports.FAIL)
-    )
+    certs.append(reports.verdict("tau-gradient-eigencovector", eig_ok))
 
     coeffs = charpoly(lam_op)
     roots, residual_degree = rational_roots(coeffs)
@@ -362,26 +351,12 @@ def normalize_flat_coordinates(p: PencilData) -> NormalizationResult:
     delta = delta_tensor(q)
     ops = operator_pair(q)
     half = Q(1 - d) / 2
-    certs.append(
-        reports.residual_certificate(
-            "normalized-delta-last-column",
-            entry_residuals(
-                ((b, a), delta[b][a][n - 1] - (half if a == b else 0))
-                for b in range(n)
-                for a in range(n)
-            ),
-        )
-    )
-    certs.append(
-        reports.residual_certificate(
-            "normalized-delta-last-row",
-            entry_residuals(
-                ((b, a), delta[b][n - 1][a] - ((-half if a == b else 0) + ops.k_op[b][a]))
-                for b in range(n)
-                for a in range(n)
-            ),
-        )
-    )
+    shift = [[half if a == b else 0 for a in range(n)] for b in range(n)]
+    column = [[delta[b][a][n - 1] for a in range(n)] for b in range(n)]
+    certs.append(reports.tensor_certificate("normalized-delta-last-column", column, shift))
+    row = [delta[b][n - 1] for b in range(n)]
+    k_minus_shift = [[ops.k_op[b][a] - shift[b][a] for a in range(n)] for b in range(n)]
+    certs.append(reports.tensor_certificate("normalized-delta-last-row", row, k_minus_shift))
     return NormalizationResult(q, matrix, delta, ops, certs)
 
 
@@ -486,29 +461,15 @@ def multiplication(norm: NormalizationResult) -> tuple[list, list, Report]:
                     for mu in range(n):
                         plus = [(c_raw[a][e][mu], c_raw[b][g][e]) for e in range(n)]
                         minus = [(c_raw[b][e][mu], c_raw[a][g][e]) for e in range(n)]
-                        yield (a, b, g, mu), dot(nvars, plus, minus)
+                        yield f"entry {index_label((a, b, g, mu))}", dot(nvars, plus, minus)
 
-    report.add(reports.residual_certificate("multiplication-associativity", entry_residuals(assoc())))
-    report.add(
-        reports.residual_certificate(
-            "multiplication-unity",
-            entry_residuals(
-                ((a, g), c_raw[a][n - 1][g] - (1 if a == g else 0))
-                for a in range(n)
-                for g in range(n)
-            ),
-        )
-    )
+    unit = identity_matrix(n)
+    report.add(reports.residual_certificate("multiplication-associativity", assoc()))
+    report.add(reports.tensor_certificate("multiplication-unity", [c_raw[a][n - 1] for a in range(n)], unit))
     lam_dtau_ok = all(
         ops.lam_op[i][n - 1] == (-ops.d / 2 if i == n - 1 else 0) for i in range(n)
     )
-    report.add(
-        Certificate(
-            "unity-lambda-eigenvalue",
-            reports.PASS if lam_dtau_ok else reports.FAIL,
-            witness=None if lam_dtau_ok else "Lam dtau != -d/2 dtau",
-        )
-    )
+    report.add(reports.verdict("unity-lambda-eigenvalue", lam_dtau_ok, "Lam dtau != -d/2 dtau"))
 
     if ops.regular:
         # Delta is the connection of g1.  w_b = R^{-1} e_b exactly, so
@@ -522,16 +483,7 @@ def multiplication(norm: NormalizationResult) -> tuple[list, list, Report]:
             reports.skipped("pairing-derivative-identity", "R singular; identity used sliced")
         )
         # Left unity: d(tau) * v = v, from Delta(dtau, v) = R(v).
-        report.add(
-            reports.residual_certificate(
-                "multiplication-left-unity",
-                entry_residuals(
-                    ((b, g), c_raw[n - 1][b][g] - (1 if b == g else 0))
-                    for b in range(n)
-                    for g in range(n)
-                ),
-            )
-        )
+        report.add(reports.tensor_certificate("multiplication-left-unity", c_raw[n - 1], unit))
     c_mixed = _to_poly(c_raw)
     c_low = contract(p.eta_cov, contract(p.eta_cov, c_mixed, 0, nvars), 1, nvars)
     return c_low, c_mixed, report

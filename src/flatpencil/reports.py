@@ -1,4 +1,11 @@
-"""Certificate and report containers shared by the certification pipelines."""
+"""Certificates and reports; every certificate is formed here.
+
+A certificate is a verdict on one named claim: :func:`verdict` for a claim
+decided by a boolean, :func:`residual_certificate` for a sequence of
+labelled residuals, each of which must vanish identically, and
+:func:`tensor_certificate` for a tensor identity lhs = rhs checked entry by
+entry in index order.
+"""
 
 from __future__ import annotations
 
@@ -28,6 +35,11 @@ class Certificate:
         return self.status == PASS
 
 
+def verdict(name: str, ok: bool, witness: str | None = None) -> Certificate:
+    """PASS when ``ok``, else FAIL with ``witness``."""
+    return Certificate(name, PASS) if ok else Certificate(name, FAIL, witness)
+
+
 def residual_certificate(name: str, residuals) -> Certificate:
     """PASS when every value of the ``(label, value)`` pairs vanishes, else
     FAIL at the first nonzero one, its label prefixed to the witness."""
@@ -37,6 +49,26 @@ def residual_certificate(name: str, residuals) -> Certificate:
             witness = f"{label}: {cert.witness}" if label else cert.witness
             return Certificate(name, FAIL, witness=witness)
     return Certificate(name, PASS)
+
+
+def tensor_certificate(name: str, lhs, rhs=None) -> Certificate:
+    """:func:`residual_certificate` of lhs - rhs, or of lhs alone when rhs
+    is None, for two tensors given as nested lists of one shape; the
+    entries are walked in index order and labelled ``entry (i,j,...)``."""
+    return residual_certificate(name, _tensor_residuals(lhs, rhs, ()))
+
+
+def _tensor_residuals(lhs, rhs, idx: tuple[int, ...]):
+    if not isinstance(lhs, list):
+        yield f"entry {index_label(idx)}", lhs if rhs is None else lhs - rhs
+        return
+    for i, sub in enumerate(lhs):
+        yield from _tensor_residuals(sub, None if rhs is None else rhs[i], idx + (i,))
+
+
+def index_label(idx: tuple[int, ...]) -> str:
+    """A 0-based index tuple written 1-based, as ``(i,j,...)``."""
+    return "(" + ",".join(str(i + 1) for i in idx) + ")"
 
 
 def skipped(name: str, reason: str) -> Certificate:

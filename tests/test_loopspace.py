@@ -98,8 +98,8 @@ def test_casimir_constant_bracket_already_constant():
 def test_casimir_a2_flat_generators():
     chart = build_orbit_chart(2)
     g1 = arnold_metric(chart)
-    g2 = saito_metric(chart, g1)
-    gens = saito_flat_coordinates(chart, g2)
+    g2 = saito_metric(g1)
+    gens = saito_flat_coordinates(g2, chart.degrees)
     assert all(is_casimir(g2, y) for y in gens)
 
 

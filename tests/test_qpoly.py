@@ -608,6 +608,18 @@ def test_power_bound_guards_products_and_integrals():
         QPoly(1, {((32768,), ()): Q(1)})
 
 
+def test_dot_bounds_the_sum_not_the_products():
+    # a * a = t1^40000 crosses the power bound; it cancels against itself,
+    # and only a product that survives in the sum raises.
+    a = QPoly.var(1, 0) ** 20000
+    assert dot(1, [(a, a)], [(a, a)]) == 0
+    assert dot(1, [(a, a), (a, 2)], [(a, a)]) == a * 2
+    with pytest.raises(RingBoundError, match="32767"):
+        dot(1, [(a, a)])
+    with pytest.raises(RingBoundError, match="32767"):
+        dot(1, [(a, a)], [(a, a * 2)])
+
+
 @pytest.mark.parametrize(
     "num, den",
     [
