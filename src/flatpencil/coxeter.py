@@ -226,13 +226,7 @@ def saito_flat_coordinates(g2: ContraMetric, degrees: list[int]) -> list[QPoly]:
     out = []
     for a, deg in enumerate(degrees):
         candidates = weighted_monomials(degrees, deg)
-        basis = []
-        for m in candidates:
-            prod = QPoly.const(n, 1)
-            for b, e in enumerate(m):
-                if e:
-                    prod = prod * QPoly.var(n, b) ** e
-            basis.append(prod)
+        basis = [QPoly(n, {(m, ()): Q(1)}) for m in candidates]
         rows_keys = set()
         images = []
         for mono in basis:
@@ -266,18 +260,18 @@ def invert_graded_map(t_polys: list[QPoly]) -> list[QPoly]:
     n = len(t_polys)
     images: list[QPoly | None] = [None] * n
     for a in reversed(range(n)):
-        pure_key = (tuple(1 if b == a else 0 for b in range(n)), ())
-        coeff = t_polys[a].terms.get(pure_key)
+        p_a = QPoly.var(n, a)
+        coeff = t_polys[a].coefficient(int(b == a) for b in range(n))
         if not coeff:
             raise GradingError(f"flat generator {a + 1} is not triangular in the grading")
-        rest = QPoly(n, {k: v for k, v in t_polys[a].terms.items() if k != pure_key})
+        rest = t_polys[a] - p_a * coeff
         if not rest.is_zero():
             partial = [images[b] if images[b] is not None else QPoly.zero(n) for b in range(n)]
             for (pows, _e), _v in rest.terms.items():
                 if any(pows[b] and images[b] is None for b in range(n)):
                     raise GradingError("flat generator uses a not-yet-inverted generator")
             rest = rest.substitute(partial)
-        images[a] = (QPoly.var(n, a) - rest) * (1 / coeff)
+        images[a] = (p_a - rest) * (1 / coeff)
     for a in range(n):
         if not (t_polys[a].substitute(images) - QPoly.var(n, a)).is_zero():
             raise InternalCheckError("generator map inversion failed to verify")
@@ -314,8 +308,7 @@ def coxeter_pencil(rank: int) -> tuple[CoxeterPencil, ReconstructionResult]:
 
     t_polys = saito_flat_coordinates(g2_p, chart.degrees)
     # Pin the quadratic flat generator to tau itself.
-    tau_pure = tau_p.terms.get((tuple(1 if b == n - 1 else 0 for b in range(n)), ()))
-    if tau_pure is None:
+    if not tau_p.coefficient(int(b == n - 1) for b in range(n)):
         raise InternalCheckError("tau does not involve the quadratic generator")
     t_polys[n - 1] = tau_p
 

@@ -1,6 +1,6 @@
 """Contravariant metrics, their Levi-Civita connections, curvature, the
-change of coordinates of metrics and vector fields, and the flat-pencil /
-quasihomogeneity certificates.
+change of coordinates of metrics, and the flat-pencil / quasihomogeneity
+certificates.
 
 All geometric objects are written with upper (contravariant) indices.  A
 metric is a symmetric matrix g^{ij} of quasi-polynomials, invertible on the
@@ -65,8 +65,10 @@ after :func:`flat_candidate` on a pencil), the covariant derivative (0.6)
 (:func:`covariant_derivative`), the curvature (:func:`curvature_entries`),
 the Lie derivative of any rank (:func:`lie_derivative`), one index raised or
 lowered by a constant matrix such as eta or its inverse, as in (0.7)
-(:func:`contract`), and the change of coordinates (:func:`push_metric`,
-:func:`push_vector`).
+(:func:`contract`), the change of coordinates (:func:`push_metric`), and,
+for the recursion and the potential recovery, the jet of an integral
+(:func:`jet`) and the closedness test of its integrand
+(:func:`require_closed`).
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ from operator import getitem
 from . import reports
 from .errors import (
     DegreeInferenceError,
+    IntegrabilityError,
     InternalCheckError,
     NotFlatCoordinatesError,
     OutOfRingError,
@@ -512,6 +515,41 @@ def _combine(pairs, subs, nvars: int):
 
 
 # ---------------------------------------------------------------------------
+# Jets and closedness
+# ---------------------------------------------------------------------------
+
+
+def jet(h: QPoly) -> tuple[list[QPoly], list[list[QPoly]]]:
+    """The gradient d_e h and the Hessian d_g d_e h, indexed [e] and [e][g].
+
+    Partial derivatives commute, so d_g d_e h is taken for e <= g only and
+    the same object fills its mirror entry.
+    """
+    n = h.nvars
+    grad = [h.diff(e) for e in range(n)]
+    hessian: list[list[QPoly]] = [[None] * n for _e in range(n)]
+    for e in range(n):
+        for g in range(e, n):
+            hessian[e][g] = hessian[g][e] = grad[e].diff(g)
+    return grad, hessian
+
+
+def require_closed(tensor, what: str) -> None:
+    """Raise IntegrabilityError("<what> (lead...,i,j)"), 1-based, at the
+    first (lead..., i, j), i < j, in index order where d_j T[lead...][i] !=
+    d_i T[lead...][j]: each row of the nested lists T must be a gradient."""
+    rows = [((), tensor)]
+    while isinstance(rows[0][1][0], list):
+        rows = [(lead + (a,), sub) for lead, row in rows for a, sub in enumerate(row)]
+    for lead, row in rows:
+        n = len(row)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if row[i].diff(j) != row[j].diff(i):
+                    raise IntegrabilityError(f"{what} {index_label(lead + (i, j))}")
+
+
+# ---------------------------------------------------------------------------
 # Coordinate changes
 # ---------------------------------------------------------------------------
 
@@ -527,9 +565,9 @@ def push_metric(g: ContraMetric, new_coords: list[QPoly], old_in_new: list[QPoly
 
         g'^{ab}(y) = (d_i y^a g^{ij} d_j y^b)(x(y)),
 
-    with x^i = old_in_new[i](y).  This and :func:`push_vector` are the only
-    places where a metric or a vector field meets the Jacobian of a change
-    of coordinates.
+    with x^i = old_in_new[i](y).  This is the only place where a tensor
+    meets the Jacobian of a change of coordinates: a pencil's E and e are
+    g1 grad(tau) and g2 grad(tau) of the moved pencil.
     """
     n = g.n
     jac = [[y.diff(i) for i in range(n)] for y in new_coords]
@@ -541,14 +579,6 @@ def push_metric(g: ContraMetric, new_coords: list[QPoly], old_in_new: list[QPoly
             entry = dot(nvars, zip(left[a], jac[b]))
             out[a][b] = out[b][a] = entry.substitute(old_in_new)
     return ContraMetric(out)
-
-
-def push_vector(xs: list[QPoly], new_coords: list[QPoly], old_in_new: list[QPoly]) -> list[QPoly]:
-    """The components X'^a(y) = (X^i d_i y^a)(x(y)) of the vector field with
-    the components ``xs``, coordinates as in :func:`push_metric`."""
-    nvars = xs[0].nvars
-    comps = [dot(nvars, [(c, y.diff(i)) for i, c in enumerate(xs)]) for y in new_coords]
-    return [c.substitute(old_in_new) for c in comps]
 
 
 # ---------------------------------------------------------------------------

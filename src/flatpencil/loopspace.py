@@ -31,7 +31,9 @@ from .geometry import (
     PencilData,
     covariant_derivative,
     is_flat,
+    jet,
     levi_civita,
+    require_closed,
 )
 from .qpoly import QPoly, dot, primitive
 from .reports import Report
@@ -155,7 +157,7 @@ def recursion_step(p: PencilData, density: Density) -> Density:
     not differentiate h_next again.
     """
     n = p.n
-    dh, ddh = (density.grad, density.hessian) if density.grad is not None else _jet(density.h)
+    dh, ddh = (density.grad, density.hessian) if density.grad is not None else jet(density.h)
     # eta lowers the left side to d_k d_j h_next; lowering g1 and G1 once per
     # pencil makes the target one covariant derivative.
     target = covariant_derivative(*p.lowered_g1, dh, ddh)
@@ -168,42 +170,15 @@ def recursion_step(p: PencilData, density: Density) -> Density:
                 )
     try:
         h_next = primitive(target, 2)
-    except OutOfRingError:
-        _require_closed(target)
+        grad, hessian = jet(h_next)
+        if any(hessian[j][k] != target[j][k] for j in range(n) for k in range(j, n)):
+            raise InternalCheckError("resubstitution of the recursion step failed")
+    except (OutOfRingError, InternalCheckError):
+        require_closed(target, "target gradient is not symmetric at")
         raise
-    grad, hessian = _jet(h_next)
-    if any(hessian[j][k] != target[j][k] for j in range(n) for k in range(j, n)):
-        _require_closed(target)
-        raise InternalCheckError("resubstitution of the recursion step failed")
     result = Density(h=h_next)
     result.grad, result.hessian = grad, hessian
     return result
-
-
-def _jet(h: QPoly) -> tuple[list[QPoly], list[list[QPoly]]]:
-    """The gradient d_e h and the Hessian d_g d_e h, indexed [e] and [e][g].
-
-    Partial derivatives commute, so d_g d_e h is taken for e <= g only and
-    the same object fills its mirror entry.
-    """
-    n = h.nvars
-    grad = [h.diff(e) for e in range(n)]
-    hessian: list[list[QPoly]] = [[None] * n for _e in range(n)]
-    for e in range(n):
-        for g in range(e, n):
-            hessian[e][g] = hessian[g][e] = grad[e].diff(g)
-    return grad, hessian
-
-
-def _require_closed(target: list[list[QPoly]]) -> None:
-    """Raise IntegrabilityError at the first (a, b, c), b < c, where
-    d_c target[a][b] != d_b target[a][c]."""
-    n = len(target)
-    for a in range(n):
-        for b in range(n):
-            for c in range(b + 1, n):
-                if target[a][b].diff(c) != target[a][c].diff(b):
-                    raise IntegrabilityError(f"target gradient is not symmetric at ({a + 1},{b + 1},{c + 1})")
 
 
 def central_charge(m: FrobeniusData, coxeter_rank: int | None = None) -> CentralChargeReport:

@@ -41,10 +41,11 @@ from .frobenius import FrobeniusData
 from .geometry import (
     PencilData,
     contract,
+    jet,
     lie_derivative,
     linear_forms,
     push_metric,
-    push_vector,
+    require_closed,
 )
 from .linalg import (
     charpoly,
@@ -507,11 +508,16 @@ def _to_poly(c_raw):
 def recover_potential(c_low: list[list[list[QPoly]]]) -> tuple[QPoly, list[QPoly], list[list[QPoly]]]:
     """Integrate fully symmetric c_abc three times: d_a d_b d_c F = c_abc.
 
-    Verifies full symmetry of c and of its gradient (the integrability
-    condition) first, then takes F from ``qpoly.primitive`` in one pass, with
-    the quadratic-and-lower polynomial part fixed to zero, and differentiates
-    it back through one jet (gradient, Hessian, third derivatives).  Returns
-    F with the gradient and Hessian of that verified jet.
+    Verifies full symmetry of c first, then takes F from ``qpoly.primitive``
+    in one pass, with the quadratic-and-lower polynomial part fixed to zero,
+    and verifies it by resubstitution through its jet (``geometry.jet``),
+    d_c d_b d_a F = c_abc for a <= b <= c: c and d^3 F are both symmetric.
+    A passing resubstitution proves c closed (the integrability condition),
+    so closedness is tested only when integration raises OutOfRingError or
+    resubstitution fails, and a c that is not closed is reported as
+    non-integrability; otherwise the error is re-raised (InternalCheckError
+    for a failed resubstitution).  Returns F with the gradient and Hessian
+    of that verified jet.
     """
     n = len(c_low)
     for a in range(n):
@@ -522,23 +528,14 @@ def recover_potential(c_low: list[list[list[QPoly]]]) -> tuple[QPoly, list[QPoly
                         raise IntegrabilityError(
                             f"c is not symmetric at indices ({a + 1},{b + 1},{c + 1})"
                         )
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for dd in range(c + 1, n):
-                    if c_low[a][b][c].diff(dd) != c_low[a][b][dd].diff(c):
-                        raise IntegrabilityError(
-                            "gradient of c is not symmetric at indices "
-                            f"({a + 1},{b + 1},{c + 1},{dd + 1})"
-                        )
-    f = primitive(c_low, 3)
-    grad = [f.diff(a) for a in range(n)]
-    hessian = [[fa.diff(b) for b in range(n)] for fa in grad]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if hessian[a][b].diff(c) != c_low[a][b][c]:
-                    raise InternalCheckError("recovered potential fails to differentiate back")
+    try:
+        f = primitive(c_low, 3)
+        grad, hessian = jet(f)
+        if any(hessian[a][b].diff(c) != c_low[a][b][c] for a in range(n) for b in range(a, n) for c in range(b, n)):
+            raise InternalCheckError("recovered potential fails to differentiate back")
+    except (OutOfRingError, InternalCheckError):
+        require_closed(c_low, "gradient of c is not symmetric at indices")
+        raise
     return f, grad, hessian
 
 
@@ -577,17 +574,15 @@ def reconstruct_frobenius(p: PencilData) -> ReconstructionResult:
     potential, gradient, hessian = recover_potential(c_low)
 
     # Present the unity field as a coordinate direction.
-    e_big, e_small = q.euler
-    e_comps = [c.constant_value() for c in e_small]
+    e_comps = [c.constant_value() for c in q.euler[1]]
     pres_matrix, unity_index = _unity_presentation_matrix(e_comps)
+    q_final = q
     if pres_matrix != identity_matrix(n):
         q_final = transform_pencil(q, pres_matrix)
-        old_in_new = linear_forms(mat_inverse(pres_matrix))
-        potential = potential.substitute(old_in_new)
+        potential = potential.substitute(linear_forms(mat_inverse(pres_matrix)))
         potential = potential - potential.poly_part_degree_at_most(2)
-        e_big = push_vector(e_big, linear_forms(pres_matrix), old_in_new)
-    else:
-        q_final = q
+    # E = g1 grad(tau) is a vector field, so the moved pencil's E is the pushed one.
+    e_big = q_final.euler[0]
 
     k_lin = [[e_big[a].diff(b).constant_value() for b in range(n)] for a in range(n)]
     e_const = [e_big[a].coefficient((0,) * n) for a in range(n)]
@@ -630,22 +625,17 @@ def reconstruct_frobenius(p: PencilData) -> ReconstructionResult:
 
 
 def _unity_presentation_matrix(e_comps: list[Q]):
-    """A linear change making the constant vector e a coordinate direction.
+    """A linear change making the constant vector e a coordinate direction:
+    the identity with column u, the first nonzero index of e, replaced by
+    -e / e_u and then entry (u, u) by 1 / e_u, so that it maps e to the unit
+    vector at u.  A unit e gives the identity.
 
     In normalized coordinates e is column n of the nondegenerate eta, so it
     is never zero."""
-    n = len(e_comps)
-    nonzero = [i for i, v in enumerate(e_comps) if v != 0]
-    u = nonzero[0]
-    matrix = identity_matrix(n)
-    if len(nonzero) == 1 and e_comps[u] == 1:
-        return matrix, u
-    for a in range(n):
-        if a == u:
-            matrix[a] = [Q(1) / e_comps[u] if b == u else Q(0) for b in range(n)]
-        else:
-            matrix[a] = [
-                Q(1) if b == a else (-e_comps[a] / e_comps[u] if b == u else Q(0))
-                for b in range(n)
-            ]
+    u = next(i for i, v in enumerate(e_comps) if v)
+    scale = Q(1) / e_comps[u]
+    matrix = identity_matrix(len(e_comps))
+    for row, v in zip(matrix, e_comps):
+        row[u] = -v * scale
+    matrix[u][u] = scale
     return matrix, u

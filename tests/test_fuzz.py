@@ -33,6 +33,15 @@ The index kernel `geometry.contract` is checked against the written-out
 sum over the contracted index, on drawn tensors of rank 1-3 whose entries
 carry exponential factors, every slot of them, and Fraction matrices with
 zero rows and zero entries.
+
+The closedness test `geometry.require_closed` is checked on drawn rank-2
+and rank-3 tensors, closed ones (derivatives of a drawn quasi-polynomial)
+and ones with one entry perturbed, against the two written-out loops it
+replaced (the recursion's and the potential recovery's): same first index,
+same message.  `reconstruction._unity_presentation_matrix` is checked on
+drawn nonzero vectors of ints and Fractions, zeros among them: it maps e to
+the unit vector at its first nonzero index, equals the two-branch
+construction it replaced, and is the identity exactly on that unit vector.
 """
 
 import copy
@@ -51,12 +60,13 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import elimination_oracle as oracle  # noqa: E402
-from flatpencil.errors import InputFormatError, NoSolutionError, ParseError  # noqa: E402
+from flatpencil.errors import InputFormatError, IntegrabilityError, NoSolutionError, ParseError  # noqa: E402
 from flatpencil.exprparse import parse_expr  # noqa: E402
-from flatpencil.geometry import ContraMetric, contract, levi_civita  # noqa: E402
+from flatpencil.geometry import ContraMetric, contract, levi_civita, require_closed  # noqa: E402
 from flatpencil.linalg import (  # noqa: E402
     charpoly,
     det_value,
+    identity_matrix,
     mat_inverse,
     nullspace,
     rank,
@@ -66,6 +76,7 @@ from flatpencil.linalg import (  # noqa: E402
 )
 from flatpencil.pencilio import load_frobenius, load_pencil  # noqa: E402
 from flatpencil.qpoly import QPoly, RatFunc, dot, primitive  # noqa: E402
+from flatpencil.reconstruction import _unity_presentation_matrix  # noqa: E402
 from connection_oracle import numerator_connection  # noqa: E402
 from frobenius_oracle import metricity_residuals  # noqa: E402
 from laplace_oracle import laplace_adjugate, laplace_det  # noqa: E402
@@ -183,11 +194,12 @@ def quasi_polynomials(draw):
     return QPoly(nvars, terms)
 
 
-def derivatives(h: QPoly, order: int):
-    """The tensor d_{i1}...d_{ik} h as nested lists, k = ``order``."""
+def derivatives(h: QPoly, order: int, leaf=lambda h: h):
+    """The tensor d_{i1}...d_{ik} h as nested lists, k = ``order``, with
+    ``leaf`` applied to each entry."""
     if order == 0:
-        return h
-    return [derivatives(h.diff(i), order - 1) for i in range(h.nvars)]
+        return leaf(h)
+    return [derivatives(h.diff(i), order - 1, leaf) for i in range(h.nvars)]
 
 
 @given(h=quasi_polynomials(), order=st.integers(1, 3))
@@ -406,3 +418,106 @@ def test_contract_matches_written_out_sums(case):
             moved = idx[:slot] + (l,) + idx[slot + 1 :]
             expected = expected + reduce(getitem, moved, tensor) * matrix[idx[slot]][l]
         assert reduce(getitem, idx, got) == expected, idx
+
+
+def recursion_closedness(target):
+    """The recursion's written-out closedness loop, returning its message."""
+    n = len(target)
+    for a in range(n):
+        for b in range(n):
+            for c in range(b + 1, n):
+                if target[a][b].diff(c) != target[a][c].diff(b):
+                    return f"target gradient is not symmetric at ({a + 1},{b + 1},{c + 1})"
+    return None
+
+
+def recovery_closedness(c_low):
+    """The potential recovery's written-out closedness loop, returning its message."""
+    n = len(c_low)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for dd in range(c + 1, n):
+                    if c_low[a][b][c].diff(dd) != c_low[a][b][dd].diff(c):
+                        return f"gradient of c is not symmetric at indices ({a + 1},{b + 1},{c + 1},{dd + 1})"
+    return None
+
+
+CLOSEDNESS = {
+    2: ("target gradient is not symmetric at", recursion_closedness),
+    3: ("gradient of c is not symmetric at indices", recovery_closedness),
+}
+
+
+@st.composite
+def gradient_tensors(draw):
+    """(tensor, order), k = order = 2 or 3: d^k h for a drawn h with zero to
+    two drawn entries replaced by drawn quasi-polynomials, or a tensor of
+    independently drawn entries, which is rarely closed anywhere."""
+    h = draw(quasi_polynomials())
+    order = draw(st.sampled_from([2, 3]))
+    entry = small_quasi_polynomials(h.nvars, True)
+    indices = st.lists(st.integers(0, h.nvars - 1), min_size=order, max_size=order)
+    if draw(st.booleans()):
+        return derivatives(h, order, lambda _h: draw(entry)), order
+    tensor = derivatives(h, order)
+    for idx in draw(st.lists(indices, max_size=2)):
+        reduce(getitem, idx[:-1], tensor)[idx[-1]] = draw(entry)
+    return tensor, order
+
+
+@given(case=gradient_tensors())
+def test_require_closed_matches_written_out_loops(case):
+    tensor, order = case
+    what, reference = CLOSEDNESS[order]
+    expected = reference(tensor)
+    if expected is None:
+        require_closed(tensor, what)
+    else:
+        with pytest.raises(IntegrabilityError) as info:
+            require_closed(tensor, what)
+        assert str(info.value) == expected
+
+
+def two_branch_presentation(e_comps):
+    """The unity presentation as two branches: the identity for a unit e,
+    else each row built on its own."""
+    n = len(e_comps)
+    nonzero = [i for i, v in enumerate(e_comps) if v != 0]
+    u = nonzero[0]
+    matrix = identity_matrix(n)
+    if len(nonzero) == 1 and e_comps[u] == 1:
+        return matrix, u
+    for a in range(n):
+        if a == u:
+            matrix[a] = [Q(1) / e_comps[u] if b == u else Q(0) for b in range(n)]
+        else:
+            matrix[a] = [
+                Q(1) if b == a else (-e_comps[a] / e_comps[u] if b == u else Q(0))
+                for b in range(n)
+            ]
+    return matrix, u
+
+
+constant_vectors = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.integers(-3, 3) | st.fractions(min_value=-3, max_value=3, max_denominator=5), min_size=n, max_size=n
+    )
+).filter(any)
+
+
+@given(e=constant_vectors)
+@example(e=[0, 1, 0])
+@example(e=[Q(0), Q(1)])
+@example(e=[0, 0, Q(-1, 2), 3])
+def test_unity_presentation_matrix(e):
+    n = len(e)
+    matrix, u = _unity_presentation_matrix(e)
+    assert u == next(i for i, v in enumerate(e) if v)
+    assert all(type(x) is Q for row in matrix for x in row)
+    unit = [int(i == u) for i in range(n)]
+    assert [sum(m * v for m, v in zip(row, e)) for row in matrix] == unit
+    # The reference divides with `/`, which gives a float on two ints, so it
+    # is handed Fractions, as the construction is in the program.
+    assert (matrix, u) == two_branch_presentation([Q(v) for v in e])
+    assert (matrix == identity_matrix(n)) == (e == unit)

@@ -122,6 +122,25 @@ def shear_a3(tmp_path):
     return path
 
 
+# The first cp1-scale input of ``build_batch("7.0")`` whose reconstruction
+# moves the unity presentation off the identity: the CP1 pencil under
+# t -> diag(-3, 2) t, so the exp ring reaches the moved potential and E.
+SCALED_CP1 = {
+    "d": "1",
+    "expgens": [[2, "1/2"]],
+    "g1": [["18*exp(1/2*t2)", "2*t1"], ["2*t1", "8"]],
+    "g2": [["0", "-6"], ["-6", "0"]],
+    "n": 2,
+    "tau": "1/2*t2",
+}
+
+
+def scaled_cp1(tmp_path):
+    path = tmp_path / "cp1-scale.json"
+    path.write_text(json.dumps(SCALED_CP1, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    return path
+
+
 def a3_copy(tmp_path, d):
     """The A3 orbit pencil with its declared degree replaced by ``d``, or
     removed when ``d`` is None, so the degree comes from L_E g1."""
@@ -155,6 +174,7 @@ CASES = {
     "a3-wrong-d-check": lambda t: ["pencil", "check", a3_copy(t, "1/3")],
     "a3-recurse-10": lambda _t: ["bracket", "recurse", SOURCES / "a3-pencil.json", "--steps", "10"],
     "a3-shear-reconstruct": lambda t: ["pencil", "reconstruct", shear_a3(t)],
+    "cp1-scale-reconstruct": lambda t: ["pencil", "reconstruct", scaled_cp1(t)],
     **{
         f"{src}-virasoro": lambda _t, src=src: ["bracket", "virasoro", SOURCES / f"{src}-frobenius.json"]
         for src in ("a2", "a3", "cubic")
@@ -296,6 +316,11 @@ GOLDEN = {
         0,
         "dc7aefde7630d29ced6d0118",
         {"cp1-pencil-frobenius.json": "1c807497aee7528e3e2a955e", "pencil-reconstruct-report.json": "daa5874d6449a550efd0e9ed"},
+    ),
+    "cp1-scale-reconstruct": (
+        0,
+        "cf9104a3d10f92b2f5db3189",
+        {"cp1-scale-frobenius.json": "1c807497aee7528e3e2a955e", "pencil-reconstruct-report.json": "479eb389d1e1cda07c655218"},
     ),
     "cp1-recurse": (
         0,

@@ -15,6 +15,7 @@ from flatpencil.errors import (
     KernelError,
     NonlinearEulerError,
     NotFlatCoordinatesError,
+    OutOfRingError,
 )
 from flatpencil.exprparse import parse_expr
 from flatpencil.frobenius import check_unity, check_wdvv, to_flat_pencil
@@ -24,13 +25,12 @@ from flatpencil.geometry import (
     check_flat_pencil,
     check_quasihomogeneous,
     linear_forms,
-    push_vector,
     symmetry_residuals,
 )
-from flatpencil.linalg import charpoly, mat_inverse, rank, rational_roots
+from flatpencil.linalg import charpoly, identity_matrix, mat_inverse, rank, rational_roots
 from flatpencil.loopspace import bracket_from_metric
 from flatpencil.pencilio import load_frobenius, load_pencil
-from flatpencil.qpoly import QPoly, RatFunc, exact_divide
+from flatpencil.qpoly import QPoly, RatFunc, dot, exact_divide
 from flatpencil.reconstruction import (
     NormalizationResult,
     check_delta_properties,
@@ -45,7 +45,7 @@ from flatpencil.reconstruction import (
 from flatpencil.reports import Certificate
 import elimination_oracle
 from frobenius_oracle import delta_identity_residuals, pairing_derivative_residuals, unity_invariance_residuals
-from test_golden_output import DENSE_A2, SOURCES
+from test_golden_output import DENSE_A2, SCALED_CP1, SOURCES
 
 
 def qp(text, n):
@@ -356,6 +356,16 @@ def test_sheared_a2_delta_scaling_and_reconstruction(a2):
     assert reconstruct_frobenius(sheared).report.passed
 
 
+def push_vector(xs, new_coords, old_in_new):
+    """The components X'^a(y) = (X^i d_i y^a)(x(y)) of the vector field with
+    the components ``xs`` in the coordinates y^a = new_coords[a](x), where
+    x^i = old_in_new[i](y): the change-of-coordinates law of a vector field,
+    the oracle of the pencil's own E = g1 grad(tau) after a push."""
+    nvars = xs[0].nvars
+    comps = [dot(nvars, [(c, y.diff(i)) for i, c in enumerate(xs)]) for y in new_coords]
+    return [c.substitute(old_in_new) for c in comps]
+
+
 def test_metric_and_vector_pushes_agree(a2, cp1_pencil):
     # E = g1 grad(tau) and e = g2 grad(tau) are vector fields, so raising tau
     # with the pushed metrics must give the pushed fields.
@@ -551,12 +561,65 @@ def test_recover_potential_cp1(cp1):
     assert recovered == cp1.potential
 
 
-def test_recover_potential_integrability_failure():
+def not_closed_c():
     n = 2
     c = [[[QPoly.zero(n) for _ in range(n)] for _ in range(n)] for _ in range(n)]
     c[1][1][1] = qp("t1", n)  # d_1 c_222 != d_2 c_122
-    with pytest.raises(IntegrabilityError):
+    return c
+
+
+def closed_c():
+    """d^3 F of F = t1^3/6 + t1 t2^2/2, with F."""
+    f = qp("1/6*t1^3 + 1/2*t1*t2^2", 2)
+    return [[[f.diff(a).diff(b).diff(c) for c in range(2)] for b in range(2)] for a in range(2)], f
+
+
+NOT_CLOSED_MESSAGE = r"^gradient of c is not symmetric at indices \(2,2,1,2\)$"
+
+
+def test_recover_potential_integrability_failure():
+    with pytest.raises(IntegrabilityError, match=NOT_CLOSED_MESSAGE):
+        recover_potential(not_closed_c())
+
+
+def test_recover_potential_tests_closedness_before_reraising_ring_bound(monkeypatch):
+    # An integration that crosses a ring bound re-raises the bound error,
+    # except on a c that is not closed, which keeps its own message.
+    def raising(_tensor, _order):
+        raise OutOfRingError("bound")
+
+    monkeypatch.setattr(reconstruction, "primitive", raising)
+    with pytest.raises(IntegrabilityError, match=NOT_CLOSED_MESSAGE):
+        recover_potential(not_closed_c())
+    with pytest.raises(OutOfRingError, match="^bound$"):
+        recover_potential(closed_c()[0])
+
+
+def test_recover_potential_resubstitution_failure_is_internal(monkeypatch):
+    # A closed c whose integral does not differentiate back is a toolkit bug.
+    # The wrong t1^4 shows only at the diagonal index (1,1,1), so the
+    # resubstitution must reach a = b = c.
+    c, f = closed_c()
+    monkeypatch.setattr(reconstruction, "primitive", lambda _tensor, _order: f + qp("t1^4", 2))
+    with pytest.raises(InternalCheckError, match="^recovered potential fails to differentiate back$"):
         recover_potential(c)
+
+
+def test_scaled_cp1_takes_the_moved_unity_presentation(monkeypatch):
+    # The golden case cp1-scale-reconstruct pins this path: its unity is not
+    # a unit vector, so the potential and E are read in moved coordinates.
+    moved = []
+    original = reconstruction._unity_presentation_matrix
+
+    def spy(e_comps):
+        matrix, u = original(e_comps)
+        moved.append(matrix != identity_matrix(len(e_comps)))
+        return matrix, u
+
+    monkeypatch.setattr(reconstruction, "_unity_presentation_matrix", spy)
+    pencil = certified(load_pencil(json.dumps(SCALED_CP1))[0])
+    assert reconstruct_frobenius(pencil).report.passed
+    assert moved == [True]
 
 
 def test_round_trip_cubic(cubic):
