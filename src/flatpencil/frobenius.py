@@ -39,7 +39,7 @@ from .geometry import (
     lie_derivative,
     linear_forms,
 )
-from .linalg import mat_inverse
+from .linalg import clear_denominators, mat_inverse
 from .qpoly import QPoly, dot
 from .reports import Certificate
 
@@ -190,14 +190,16 @@ def check_quasihomogeneity(m: FrobeniusData) -> tuple[list[list[Q]], list[Q], Q]
     a_mat = [[coefficient(i, j) * (2 if i == j else 1) for j in range(n)] for i in range(n)]
     b_vec = [coefficient(i) for i in range(n)]
     c_val = coefficient()
-    k = m.euler_linear
+    # The eta scaling times the denominators of K, eta and d, on integers.
+    (k, kden), (eta, eden) = clear_denominators(m.euler_linear), clear_denominators(m.eta)
+    dnum, dden = m.d.numerator, m.d.denominator
     for i in range(n):
         for j in range(n):
-            lhs = sum(k[s][i] * m.eta[s][j] + m.eta[i][s] * k[s][j] for s in range(n))
-            if lhs != (2 - m.d) * m.eta[i][j]:
+            lhs = sum(k[s][i] * eta[s][j] + eta[i][s] * k[s][j] for s in range(n))
+            if lhs * dden != (2 * dden - dnum) * kden * eta[i][j]:
                 raise NotQuasihomogeneousError(
                     f"eta scaling fails at entry ({i + 1},{j + 1}): "
-                    f"{lhs} != (2-d) eta = {(2 - m.d) * m.eta[i][j]}"
+                    f"{Q(lhs, kden * eden)} != (2-d) eta = {(2 - m.d) * m.eta[i][j]}"
                 )
     return a_mat, b_vec, c_val
 

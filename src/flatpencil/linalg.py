@@ -1,5 +1,8 @@
 """Exact linear algebra over Q, plus generic helpers for symbolic matrices.
 
+All constant linear algebra runs on Python ints: a routine clears the
+denominators of its input once (`clear_denominators`) and reads
+`fractions.Fraction` only at its API edge, in its arguments and results.
 Every rational solve, kernel, rank, inverse and determinant reads one
 fraction-free Gauss-Jordan elimination (`_eliminate`) of the integer rows
 that clearing each row's denominators gives; rank deficiency is reported,
@@ -144,6 +147,13 @@ def rational_gcd(values: set[Q]) -> Q:
     return Q(gcd(*(x.numerator for x in values)), lcm(*(x.denominator for x in values)))
 
 
+def clear_denominators(rows: Matrix) -> tuple[list[list[int]], int]:
+    """The integer rows D a and D, the lcm of the denominators of the
+    entries of ``rows`` (a matrix, or a list of vectors; ints allowed)."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
 def mat_mul(a, b):
     return [
         [sum((a[i][k] * b[k][j] for k in range(1, len(b))), a[i][0] * b[0][j]) for j in range(len(b[0]))]
@@ -161,8 +171,7 @@ def charpoly(a: Matrix) -> list[Q]:
     every c_k(B) is an integer, so each trace divides exactly by k, and
     c_k(A) = c_k(B) / D^k."""
     n = len(a)
-    den = lcm(*(x.denominator for row in a for x in row))
-    b = [[x.numerator * (den // x.denominator) for x in row] for row in a]
+    b, den = clear_denominators(a)
     coeffs = [Q(1)]
     m = [row[:] for row in b]  # B times the identity
     for k in range(1, n + 1):
@@ -180,7 +189,10 @@ def rational_roots(coeffs: list[Q]) -> tuple[list[tuple[Q, int]], int]:
     given by coefficients [c0, c1, ..., cn] for c0 x^n + ... + cn.
 
     Returns (roots, residual_degree); residual_degree == 0 means the
-    polynomial splits completely over Q.  A root x of the square-free part s
+    polynomial splits completely over Q.  Runs on the primitive integer f of
+    the input; its square-free part s = f / gcd(f, f') comes from a primitive
+    pseudo-remainder sequence, and by Gauss's lemma s and each quotient of f
+    by a root's factor q x - p are exact divisions over Z.  A root x of s
     gives an integer root z = lead(s) x of a monic h with |z| < B (Cauchy).
     The roots of h modulo the smallest prime at which all are simple are
     Newton-lifted to a modulus above 2B (Zassenhaus, J. Number Theory 1,
@@ -189,17 +201,14 @@ def rational_roots(coeffs: list[Q]) -> tuple[list[tuple[Q, int]], int]:
     ends = [i for i, c in enumerate(coeffs) if c != 0]
     if not ends:
         raise ValueError("zero polynomial")
-    f = [Q(c) for c in coeffs[ends[0] : ends[-1] + 1]]
+    f = _primitive(clear_denominators([coeffs[ends[0] : ends[-1] + 1]])[0][0])
     zero_mult = len(coeffs) - 1 - ends[-1]
     roots = [(Q(0), zero_mult)] if zero_mult else []
 
-    # The primitive integer form of the square-free part f / gcd(f, f').
-    g, rest = f, _derivative(f)
+    g, rest = f, _primitive(_derivative(f))
     while rest:
-        g, rest = rest, _poly_divmod(g, rest)[1]
-    s = _poly_divmod(f, g)[0]
-    scale = Q(lcm(*(c.denominator for c in s)), gcd(*(c.numerator for c in s)))
-    s = [int(c * scale) for c in s]
+        g, rest = rest, _primitive(_pseudo_remainder(g, rest))
+    s = _exact_quotient(f, g)
     lead = s[0]
     h = [1] + [c * lead**i for i, c in enumerate(s[1:])]
     dh = _derivative(h)
@@ -222,10 +231,11 @@ def rational_roots(coeffs: list[Q]) -> tuple[list[tuple[Q, int]], int]:
         # The symmetric residue is the only candidate; a lift that is no
         # root divides f zero times.
         root, mult = Q(r if 2 * r < modulus else r - modulus, lead), 0
-        quo, rem = _poly_divmod(f, [1, -root])
-        while not rem:
+        linear = [root.denominator, -root.numerator]
+        quo = _exact_quotient(f, linear)
+        while quo is not None:
             f, mult = quo, mult + 1
-            quo, rem = _poly_divmod(f, [1, -root])
+            quo = _exact_quotient(f, linear)
         if mult:
             roots.append((root, mult))
     return sorted(roots), len(f) - 1
@@ -242,17 +252,32 @@ def _derivative(poly: list) -> list:
     return [c * (len(poly) - 1 - i) for i, c in enumerate(poly[:-1])]
 
 
-def _poly_divmod(a: list[Q], b: list) -> tuple[list[Q], list[Q]]:
-    """Quotient and remainder over Q, coefficients highest first; b[0] != 0
-    and the remainder has no leading zeros."""
-    rem, quo = list(a), []
+def _primitive(poly: list[int]) -> list[int]:
+    content = gcd(*poly)
+    return [c // content for c in poly]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of lead(b)^k a by b over Z, coefficients highest first,
+    without leading zeros."""
+    rem = list(a)
     while len(rem) >= len(b):
-        c = rem[0] / b[0]
-        quo.append(c)
-        rem = [x - c * y for x, y in zip(rem[1:], b[1:] + [0] * (len(rem) - len(b)))]
+        rem = [b[0] * x - rem[0] * y for x, y in zip(rem[1:], b[1:] + [0] * (len(rem) - len(b)))]
     while rem and rem[0] == 0:
         rem.pop(0)
-    return quo, rem
+    return rem
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b if it is a polynomial over Z, else None; b[0] != 0."""
+    rem, quo = list(a), []
+    while len(rem) >= len(b):
+        c, r = divmod(rem[0], b[0])
+        if r:
+            return None
+        quo.append(c)
+        rem = [x - c * y for x, y in zip(rem[1:], b[1:] + [0] * (len(rem) - len(b)))]
+    return None if any(rem) else quo
 
 
 # ---------------------------------------------------------------------------

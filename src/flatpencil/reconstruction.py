@@ -49,6 +49,7 @@ from .geometry import (
 )
 from .linalg import (
     charpoly,
+    clear_denominators,
     identity_matrix,
     mat_inverse,
     mat_mul,
@@ -220,8 +221,13 @@ def operator_pair(p: PencilData) -> OperatorPair:
     K-eigencovector with eigenvalue 1 - d.  e = g2 grad(tau) is constant
     because both factors are, so the unity-constant certificate passes
     unrecomputed.
+
+    The checks run on D Lam and D' eta cleared of denominators: scaling
+    changes no zero test, and D Lam has the integer roots D lam (its
+    characteristic polynomial is monic over Z) and the root spaces of Lam,
+    with the same reduced bases.  The fields and the spectrum are Fractions.
     """
-    eta_up = p.eta_up
+    eta = clear_denominators(p.eta_up)[0]
     n = p.n
     e_big = p.euler[0]
     for a in range(n):
@@ -236,30 +242,34 @@ def operator_pair(p: PencilData) -> OperatorPair:
     ]
     r_op = [[k_op[i][j] + (Q(d - 1) / 2 if i == j else 0) for j in range(n)] for i in range(n)]
     lam_op = [[k_op[i][j] + (Q(d - 2) / 2 if i == j else 0) for j in range(n)] for i in range(n)]
+    lam, den = clear_denominators(lam_op)
 
     certs: list[Certificate] = []
     # M = Lam^T eta; eta is symmetric, so eta Lam = M^T and the skew-symmetry
     # Lam^T eta + eta Lam = 0 reads M + M^T = 0.
-    m = [[sum(lam_op[s][i] * eta_up[s][j] for s in range(n)) for j in range(n)] for i in range(n)]
+    m = mat_mul(list(zip(*lam)), eta)
     skew_ok = all(m[i][j] + m[j][i] == 0 for i in range(n) for j in range(i, n))
     certs.append(reports.verdict("lambda-skew-symmetry", skew_ok))
     certs.append(Certificate("unity-constant", reports.PASS))
-    dtau = [p.tau.diff(a).constant_value() for a in range(n)]
+    # K dtau = (1-d) dtau reads Lam dtau = -d/2 dtau; times 2 D and the
+    # denominators of d and dtau, on integers.
+    dtau = clear_denominators([[p.tau.diff(a).constant_value() for a in range(n)]])[0][0]
     eig_ok = all(
-        sum(k_op[i][j] * dtau[j] for j in range(n)) == (1 - d) * dtau[i] for i in range(n)
+        2 * d.denominator * sum(lam[i][j] * dtau[j] for j in range(n)) == -d.numerator * den * dtau[i] for i in range(n)
     )
     certs.append(reports.verdict("tau-gradient-eigencovector", eig_ok))
 
-    coeffs = charpoly(lam_op)
-    roots, residual_degree = rational_roots(coeffs)
+    roots, residual_degree = rational_roots(charpoly(lam))
     spectrum = []
-    for value, mult in roots:
-        shifted = [[lam_op[i][j] - (value if i == j else 0) for j in range(n)] for i in range(n)]
+    for z, mult in roots:
+        if z.denominator != 1:
+            raise InternalCheckError(f"D Lam has the non-integer eigenvalue {z}")
+        shifted = [[lam[i][j] - (z.numerator if i == j else 0) for j in range(n)] for i in range(n)]
         power = shifted
         for _ in range(mult - 1):
             power = mat_mul(power, shifted)
-        spectrum.append(Eigenspace(value=value, basis=nullspace(power)))
-    certs.append(_root_pairing_certificate(spectrum, residual_degree == 0, eta_up, n))
+        spectrum.append(Eigenspace(value=z / den, basis=nullspace(power)))
+    certs.append(_root_pairing_certificate(spectrum, residual_degree == 0, eta))
     return OperatorPair(
         k_op=k_op,
         r_op=r_op,
@@ -270,20 +280,23 @@ def operator_pair(p: PencilData) -> OperatorPair:
     )
 
 
-def _root_pairing_certificate(
-    spectrum: list[Eigenspace], complete: bool, eta_up, n: int
-) -> Certificate:
+def _root_pairing_certificate(spectrum: list[Eigenspace], complete: bool, eta) -> Certificate:
     """Root subspaces at values lam, mu are eta-orthogonal when lam+mu != 0,
     and the pairing of opposite root subspaces has full rank.  Skipped (never
     approximated) when the characteristic polynomial does not split over Q.
+
+    ``eta`` is eta^{ij} times a positive integer, and each Gram matrix pairs
+    the bases with their denominators cleared: a nonzero scaling of rows and
+    columns changes neither a zero test nor a rank.
     """
     if not complete:
         return reports.skipped("root-space-pairing", "irrational spectrum")
+    bases = [clear_denominators(s.basis)[0] for s in spectrum]
     # the eta-image of each basis vector, formed once
-    images = [[[sum(u[i] * eta_up[i][j] for i in range(n)) for j in range(n)] for u in s.basis] for s in spectrum]
+    images = [mat_mul(basis, eta) for basis in bases]
     for s1, left in zip(spectrum, images):
-        for s2 in spectrum:
-            gram = [[sum(x * y for x, y in zip(image, v)) for v in s2.basis] for image in left]
+        for s2, basis in zip(spectrum, bases):
+            gram = [[sum(x * y for x, y in zip(image, v)) for v in basis] for image in left]
             if s1.value + s2.value != 0:
                 if any(x != 0 for row in gram for x in row):
                     return Certificate(
@@ -620,7 +633,8 @@ def reconstruct_frobenius(p: PencilData) -> ReconstructionResult:
                 )
     report.add(Certificate("closing-intersection-form", reports.PASS))
 
-    composite = mat_mul(pres_matrix, norm.matrix)
+    rows, den = clear_denominators(pres_matrix + norm.matrix)
+    composite = [[Q(x, den * den) for x in row] for row in mat_mul(rows[:n], rows[n:])]
     return ReconstructionResult(frobenius=frob_data, mode=mode, change=composite, report=report)
 
 

@@ -104,6 +104,23 @@ def test_quasihomogeneity_wrong_charge_rejected(cubic):
         check_quasihomogeneity(bad)
 
 
+def test_eta_scaling_failure_message():
+    # The potential t1 t2 scales to a quadratic residual, so the eta scaling
+    # is what fails: (K^T eta + eta K)_12 = 5/4, (2 - d) eta_12 = 9/5.
+    bad = FrobeniusData(
+        n=2,
+        eta=[[Q(0), Q(1)], [Q(1), Q(2, 3)]],
+        potential=parse_expr("t1*t2", 2),
+        euler_linear=[[Q(1, 2), Q(1, 3)], [Q(0), Q(3, 4)]],
+        euler_const=[Q(0), Q(0)],
+        unity=0,
+        d=Q(1, 5),
+    )
+    with pytest.raises(NotQuasihomogeneousError) as err:
+        check_quasihomogeneity(bad)
+    assert str(err.value) == "eta scaling fails at entry (1,2): 5/4 != (2-d) eta = 9/5"
+
+
 def test_intersection_form_cubic(cubic):
     g = intersection_form(cubic)
     assert g.g[0][0] == qp("t1", 1)

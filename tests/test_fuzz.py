@@ -42,6 +42,19 @@ same message.  `reconstruction._unity_presentation_matrix` is checked on
 drawn nonzero vectors of ints and Fractions, zeros among them: it maps e to
 the unit vector at its first nonzero index, equals the two-branch
 construction it replaced, and is the identity exactly on that unit vector.
+
+`linalg.rational_roots`, which runs on the primitive integer polynomial, is
+checked against the `Fraction` version of `elimination_oracle` on drawn
+products of rational linear factors of multiplicity 1-3, zero roots, an
+irreducible factor and an overall rational scale, coefficients up to about
+10^30.  The constant checks of `reconstruction.operator_pair` and the eta
+scaling of `frobenius.check_quasihomogeneity`, which run on the integer
+matrices that clearing denominators gives, are checked against their
+`Fraction` forms in the same oracle on drawn constant data: skew and broken
+skew operators, triangular ones with repeated eigenvalues, zero entries,
+and tau gradients that are root vectors or not.  They must agree on every
+verdict and message, on the spectrum and its bases, and on the rank of
+every Gram matrix of the root-space pairing.
 """
 
 import copy
@@ -51,6 +64,7 @@ from operator import getitem
 from itertools import product
 from fractions import Fraction as Q
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -60,23 +74,33 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import elimination_oracle as oracle  # noqa: E402
-from flatpencil.errors import InputFormatError, IntegrabilityError, NoSolutionError, ParseError  # noqa: E402
+from flatpencil.errors import (  # noqa: E402
+    InputFormatError,
+    IntegrabilityError,
+    NoSolutionError,
+    NotQuasihomogeneousError,
+    ParseError,
+)
 from flatpencil.exprparse import parse_expr  # noqa: E402
-from flatpencil.geometry import ContraMetric, contract, levi_civita, require_closed  # noqa: E402
+from flatpencil.frobenius import FrobeniusData, check_quasihomogeneity  # noqa: E402
+from flatpencil.geometry import ContraMetric, contract, levi_civita, linear_forms, require_closed  # noqa: E402
 from flatpencil.linalg import (  # noqa: E402
     charpoly,
+    clear_denominators,
     det_value,
     identity_matrix,
     mat_inverse,
+    mat_mul,
     nullspace,
     rank,
+    rational_roots,
     solve_affine,
     sym_adjugate,
     sym_det,
 )
 from flatpencil.pencilio import load_frobenius, load_pencil  # noqa: E402
 from flatpencil.qpoly import QPoly, RatFunc, dot, primitive  # noqa: E402
-from flatpencil.reconstruction import _unity_presentation_matrix  # noqa: E402
+from flatpencil.reconstruction import _unity_presentation_matrix, operator_pair  # noqa: E402
 from connection_oracle import numerator_connection  # noqa: E402
 from frobenius_oracle import metricity_residuals  # noqa: E402
 from laplace_oracle import laplace_adjugate, laplace_det  # noqa: E402
@@ -388,6 +412,158 @@ def square_matrices(draw):
 @example(a=[[1, 2], [2, 4]])
 def test_charpoly_matches_elimination_oracle(a):
     assert charpoly(a) == oracle.charpoly(a)
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def rational_root_polynomials(draw):
+    """Coefficients, highest first, of c x^z r(x) prod (q x - p)^m: c a
+    rational scale up to about 10^30, z zero roots, r 1 or an irreducible
+    factor, and up to four linear factors of multiplicity m = 1-3; leading
+    zeros when drawn so."""
+    scale = Q(draw(st.integers(-(10**30), 10**30).filter(bool)), draw(st.integers(1, 10**6)))
+    poly = poly_mul([scale], draw(st.sampled_from([[1], [1, 0, -2], [1, 0, 0, -3], [2, 0, 1], [1, 1, 1]])))
+    for _ in range(draw(st.integers(0, 4))):
+        factor = [draw(st.integers(1, 12)), -draw(st.integers(-40, 40))]
+        for _ in range(draw(st.integers(1, 3))):
+            poly = poly_mul(poly, factor)
+    return [0] * draw(st.integers(0, 1)) + poly + [0] * draw(st.integers(0, 3))
+
+
+@given(coeffs=rational_root_polynomials())
+@example(coeffs=[Q(3, 2)])
+@example(coeffs=[0, 4, -4, 1])
+@example(coeffs=[Q(-9, 7), Q(6, 7), Q(3, 7), 0, 0])
+@example(coeffs=[4, -12, 9, 0])
+def test_rational_roots_match_fraction_oracle(coeffs):
+    assert rational_roots(coeffs) == oracle.rational_roots(coeffs)
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+@st.composite
+def nondegenerate_etas(draw, n):
+    """A symmetric nondegenerate n x n Fraction matrix: diagonal, antidiagonal
+    or dense."""
+    kind = draw(st.sampled_from(["diagonal", "antidiagonal", "dense"]))
+    if kind == "dense":
+        eta = [[Q(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                eta[i][j] = eta[j][i] = Q(draw(scalars))
+        assume(det_value(eta) != 0)
+        return eta
+    diag = draw(st.lists(st.sampled_from([Q(1), Q(-1), Q(1, 2), Q(-3)]), min_size=n, max_size=n))
+    partner = (lambda i: n - 1 - i) if kind == "antidiagonal" else (lambda i: i)
+    return [[diag[min(i, partner(i))] if j == partner(i) else Q(0) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def skew_matrices(draw, n):
+    skew = [[Q(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            skew[i][j] = Q(draw(scalars))
+            skew[j][i] = -skew[i][j]
+    return skew
+
+
+def perturbed(draw, matrix):
+    """``matrix``, or a copy with one entry moved when drawn so."""
+    if draw(st.booleans()):
+        matrix = [row[:] for row in matrix]
+        n = len(matrix)
+        matrix[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] += draw(st.sampled_from([1, Q(-1, 3)]))
+    return matrix
+
+
+@st.composite
+def constant_operator_data(draw):
+    """(K, eta^{ij}, d, dtau) for n = 1-4.  Lam = (d-2)/2 + K is eta^{-1} A
+    for a drawn skew A (zero, or with zero entries, among them), so that it
+    is eta-skew, or upper triangular with eigenvalues drawn from four values,
+    so that they repeat; one entry moved when drawn so.  dtau is drawn, or a
+    basis vector of a root space of Lam at value lam, with d = -2 lam."""
+    n = draw(st.integers(1, 4))
+    eta = draw(nondegenerate_etas(n))
+    if draw(st.booleans()):
+        lam = mat_mul(mat_inverse(eta), draw(skew_matrices(n)))
+    else:
+        values = draw(st.lists(st.sampled_from([Q(0), Q(1, 2), Q(-1, 2), Q(2)]), min_size=n, max_size=n))
+        lam = [[values[i] if i == j else Q(draw(scalars)) if j > i else Q(0) for j in range(n)] for i in range(n)]
+    lam = perturbed(draw, lam)
+    roots = oracle.rational_roots(oracle.charpoly(lam))[0]
+    if roots and draw(st.booleans()):
+        value, _mult = draw(st.sampled_from(roots))
+        shifted = [[lam[i][j] - (value if i == j else 0) for j in range(n)] for i in range(n)]
+        d, dtau = -2 * value, draw(st.sampled_from(oracle.nullspace(shifted)))
+    else:
+        d, dtau = Q(draw(scalars)), [Q(x) for x in draw(st.lists(scalars, min_size=n, max_size=n))]
+    k_op = [[lam[i][j] - (Q(d - 2) / 2 if i == j else 0) for j in range(n)] for i in range(n)]
+    return k_op, eta, d, dtau
+
+
+@given(case=constant_operator_data())
+@example(case=([[Q(1, 3), 0], [0, Q(4, 3)]], [[Q(0), Q(1)], [Q(1), Q(0)]], Q(1, 3), [Q(0), Q(1)]))
+def test_operator_pair_matches_fraction_checks(case):
+    k_op, eta, d, dtau = case
+    n = len(k_op)
+    # operator_pair reads these five attributes of a pencil; E^j = K_ij t^i.
+    pencil = SimpleNamespace(
+        n=n, eta_up=eta, degree=d, euler=(linear_forms(transpose(k_op)), None), tau=linear_forms([dtau])[0]
+    )
+    ops = operator_pair(pencil)
+    skew_ok, eig_ok, spectrum, pairing, ranks = oracle.operator_checks(k_op, eta, d, dtau)
+    certs = {c.name: c for c in ops.certificates}
+    assert certs["lambda-skew-symmetry"].passed == skew_ok
+    assert certs["tau-gradient-eigencovector"].passed == eig_ok
+    assert (certs["root-space-pairing"].status, certs["root-space-pairing"].witness) == pairing
+    assert [(s.value, s.basis) for s in ops.spectrum] == spectrum
+    assert all(type(x) is Q for s in ops.spectrum for x in [s.value, *sum(s.basis, [])])
+    if ranks is not None:
+        # Gram matrices of the bases and eta with their denominators cleared
+        # have the ranks of the Fraction ones.
+        eta_int = clear_denominators(eta)[0]
+        bases = [clear_denominators(s.basis)[0] for s in ops.spectrum]
+        assert {
+            (i, j): rank(mat_mul(mat_mul(b1, eta_int), transpose(b2)))
+            for i, b1 in enumerate(bases)
+            for j, b2 in enumerate(bases)
+        } == ranks
+
+
+@st.composite
+def eta_scaling_data(draw):
+    """(K, eta_ab, d) for n = 1-4: K = (2-d)/2 + eta^{-1} B for a drawn skew
+    B, so that K^T eta + eta K = (2-d) eta, one entry moved when drawn so."""
+    n = draw(st.integers(1, 4))
+    eta = draw(nondegenerate_etas(n))
+    d = draw(st.sampled_from([0, 1, Q(1, 3), Q(-2, 5), 2]))
+    k = mat_mul(mat_inverse(eta), draw(skew_matrices(n)))
+    k = perturbed(draw, [[x + (Q(2 - d) / 2 if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(k)])
+    return k, eta, d
+
+
+@given(case=eta_scaling_data())
+def test_eta_scaling_matches_fraction_check(case):
+    k, eta, d = case
+    n = len(k)
+    m = FrobeniusData(n=n, eta=eta, potential=QPoly.zero(n), euler_linear=k, euler_const=[0] * n, unity=0, d=d)
+    try:
+        check_quasihomogeneity(m)
+        message = None
+    except NotQuasihomogeneousError as exc:
+        message = str(exc)
+    assert message == oracle.eta_scaling_failure(k, eta, d)
 
 
 @st.composite

@@ -27,7 +27,7 @@ from flatpencil.geometry import (
     linear_forms,
     symmetry_residuals,
 )
-from flatpencil.linalg import charpoly, identity_matrix, mat_inverse, rank, rational_roots
+from flatpencil.linalg import charpoly, identity_matrix, mat_inverse, mat_mul, rank, rational_roots
 from flatpencil.loopspace import bracket_from_metric
 from flatpencil.pencilio import load_frobenius, load_pencil
 from flatpencil.qpoly import QPoly, RatFunc, dot, exact_divide
@@ -45,7 +45,7 @@ from flatpencil.reconstruction import (
 from flatpencil.reports import Certificate
 import elimination_oracle
 from frobenius_oracle import delta_identity_residuals, pairing_derivative_residuals, unity_invariance_residuals
-from test_golden_output import DENSE_A2, SCALED_CP1, SOURCES
+from test_golden_output import DENSE_A2, SCALED_CP1, SHEAR_A3, SOURCES
 
 
 def qp(text, n):
@@ -313,6 +313,65 @@ def test_irrational_spectrum_skips_pairing_check():
     cert = next(c for c in ops.certificates if c.name == "root-space-pairing")
     assert cert.status == "skipped"
     assert "irrational" in cert.witness
+
+
+# Synthetic affine pencils (g1, eta^{ij}, tau, d), none of them flat, each
+# failing constant checks of the operator pair: E = g1 grad(tau) is linear,
+# so K and Lam = (d-2)/2 + K are what the entries of g1 in tau's column say.
+OPERATOR_FAILURES = {
+    # Lam = diag(1, 0): Lam + Lam^T != 0, and the root space at 1 is not
+    # eta-isotropic although 1 + 1 != 0.
+    "skew-and-orthogonality": (
+        [["1", "2*t1"], ["2*t1", "t2"]],
+        [[1, 0], [0, 1]],
+        "t2",
+        Q(0),
+        [
+            ("lambda-skew-symmetry", "fail", None),
+            ("unity-constant", "pass", None),
+            ("tau-gradient-eigencovector", "pass", None),
+            ("root-space-pairing", "fail", "subspaces at 1 and 1 are not orthogonal"),
+        ],
+    ),
+    # K = diag(1/3, 4/3) and d = 1/3: Lam = diag(-1/2, 1/2) is skew for the
+    # antidiagonal eta, but K d(tau) = 4/3 d(tau) != (1 - d) d(tau).
+    "eigencovector": (
+        [["1", "1/3*t1"], ["1/3*t1", "4/3*t2"]],
+        [[0, 1], [1, 0]],
+        "t2",
+        Q(1, 3),
+        [
+            ("lambda-skew-symmetry", "pass", None),
+            ("unity-constant", "pass", None),
+            ("tau-gradient-eigencovector", "fail", None),
+            ("root-space-pairing", "pass", None),
+        ],
+    ),
+    # Lam = diag(-1/2, 1/2, 1/2): the root space at -1/2 is eta-isotropic,
+    # but it pairs a line against the plane at 1/2.
+    "degenerate-pairing": (
+        [["1", "0", "1/3*t1"], ["0", "1", "4/3*t2"], ["1/3*t1", "4/3*t2", "4/3*t3"]],
+        [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+        "t3",
+        Q(1, 3),
+        [
+            ("lambda-skew-symmetry", "fail", None),
+            ("unity-constant", "pass", None),
+            ("tau-gradient-eigencovector", "fail", None),
+            ("root-space-pairing", "fail", "pairing of subspaces at +/--1/2 is degenerate"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", OPERATOR_FAILURES)
+def test_operator_pair_failure_witnesses(name):
+    g1, eta, tau, d, expected = OPERATOR_FAILURES[name]
+    n = len(eta)
+    g1 = ContraMetric([[qp(x, n) for x in row] for row in g1])
+    g2 = ContraMetric.constant([[Q(x) for x in row] for row in eta])
+    ops = operator_pair(PencilData(g1=g1, g2=g2, tau=qp(tau, n), d=d))
+    assert [(c.name, c.status, c.witness) for c in ops.certificates] == expected
 
 
 def test_operator_shift_relation(cubic_pencil, a2):
@@ -620,6 +679,18 @@ def test_scaled_cp1_takes_the_moved_unity_presentation(monkeypatch):
     pencil = certified(load_pencil(json.dumps(SCALED_CP1))[0])
     assert reconstruct_frobenius(pencil).report.passed
     assert moved == [True]
+
+
+@pytest.mark.parametrize("data", [DENSE_A2, SHEAR_A3, SCALED_CP1], ids=["a2-dense", "a3-shear", "cp1-scale"])
+def test_change_is_the_product_of_the_two_changes(data):
+    # The composite change, formed on integers and divided once, is the
+    # Fraction product of the unity presentation and the normalization.
+    pencil = certified(load_pencil(json.dumps(data))[0])
+    norm = normalize_flat_coordinates(pencil)
+    pres = reconstruction._unity_presentation_matrix([c.constant_value() for c in norm.pencil.euler[1]])[0]
+    change = reconstruct_frobenius(pencil).change
+    assert change == mat_mul(pres, norm.matrix)
+    assert all(type(x) is Q for row in change for x in row)
 
 
 def test_round_trip_cubic(cubic):
